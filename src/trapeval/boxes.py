@@ -77,10 +77,6 @@ def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     return iw * ih
 
 
-def union_area(a: BoundingBox, b: BoundingBox) -> float:
-    return a.area + b.area - intersection_area(a, b)
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union; 0 when the union has no area."""
     inter = intersection_area(a, b)

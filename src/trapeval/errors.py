@@ -45,5 +45,9 @@ class FormatError(TrapevalError):
     """A file (PPM, JSON annotations, CSV, graph text) is malformed."""
 
 
+class ConfigError(TrapevalError, ValueError):
+    """A numeric setting or argument lies outside its valid range."""
+
+
 class SplitError(TrapevalError):
     """The dataset split protocol cannot be applied or its invariants failed."""

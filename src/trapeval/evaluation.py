@@ -23,21 +23,17 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .boxes import BoundingBox, Detection, GroundTruth, iou
-from .errors import CategoryError, EvalError, FormatError
+from .errors import CategoryError, ConfigError, EvalError, FormatError
 
 DEFAULT_IOU_THRESHOLD = 0.45
 DEFAULT_CONFIDENCE_THRESHOLD = 0.25
 MAP_RANGE_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = tuple(k / 100.0 for k in range(101))
-
-THREADS_ENV_VAR = "TRAPEVAL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,11 @@ class MatchConfig:
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold < 1.0:
-            raise ValueError("iou_threshold must be in (0, 1)")
+            raise ConfigError(f"iou_threshold {self.iou_threshold} must be in (0, 1)")
         if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1]")
+            raise ConfigError(
+                f"confidence_threshold {self.confidence_threshold} must be in [0, 1]"
+            )
 
 
 @dataclass(frozen=True)
@@ -344,41 +342,17 @@ def confusion_matrix(
     return ConfusionMatrix(cats, tuple(tuple(row) for row in grid))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def match_corpus(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     config: MatchConfig | None = None,
     categories: Iterable[int] | None = None,
 ) -> list[MatchOutcome]:
-    """Per-image matching over a corpus; image order (hence output) is sorted
-    by image id, independent of worker scheduling."""
+    """Per-image matching over a corpus, in image id order."""
     config = config or MatchConfig()
     grouped = _group_by_image(detections, ground_truths)
-    image_ids = sorted(grouped)
     cats = tuple(categories) if categories is not None else None
-
-    def run(image_id: str) -> MatchOutcome:
-        dets, gts = grouped[image_id]
-        return match_detections(dets, gts, config, cats)
-
-    workers = _thread_count()
-    if workers <= 1 or len(image_ids) <= 1:
-        return [run(i) for i in image_ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, image_ids))
+    return [match_detections(*grouped[i], config, cats) for i in sorted(grouped)]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._viridis import VIRIDIS_256
-from .errors import GraphError, ShapeError
+from .errors import ConfigError, GraphError, ShapeError
 from .graph import GraphRun, ScoreSelector
 from .tensor import Tensor3, upsample_forward
 
@@ -133,7 +133,7 @@ def overlay(image: Tensor3, heat: Heatmap, alpha: float = 0.5) -> Tensor3:
     """Blend the colormapped heatmap onto a 3-channel image: alpha 0 keeps
     the image, alpha 1 shows the pure heatmap colors."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
+        raise ConfigError(f"alpha {alpha} outside [0, 1]")
     if image.channels != 3:
         raise ShapeError(f"overlay expects a 3-channel image, got {image.channels}")
     if (image.height, image.width) != (heat.height, heat.width):

@@ -15,7 +15,7 @@ extra high-resolution scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from . import nn
 from .errors import FormatError, GraphError, ShapeError
 from .tensor import ShapeSpec, Tensor3, conv_output_dim
 
-LAYER_KINDS = ("input", "conv", "c2f", "sppf", "upsample", "concat", "gam", "detect")
-
 BACKBONE_WIDTHS = (32, 64, 128, 256, 512)
 BACKBONE_DEPTHS = (1, 2, 2, 1)
 DEFAULT_CATEGORIES = 16
+
+Shape = tuple[int, int, int]  # (C, H, W)
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,153 @@ class LayerSpec:
     params: Mapping[str, int] = field(default_factory=dict)
     seed: int = 0
 
-    def param(self, key: str, default: int | None = None) -> int:
-        if key in self.params:
-            return self.params[key]
-        if default is None:
-            raise FormatError(f"layer {self.name}: missing parameter {key!r}")
-        return default
+    def param(self, key: str) -> int:
+        """The layer's value for ``key``, else its kind's default (a
+        GraphSpec checks on construction that required ones are given)."""
+        return self.params.get(key, LAYER_TABLE[self.kind].params[key].default)
 
 
 @dataclass(frozen=True)
 class ShapeRow:
     name: str
     kind: str
-    shape: tuple[int, int, int]  # (C, H, W)
+    shape: Shape
     note: str = ""
 
     def dims_text(self) -> str:
         c, h, w = self.shape
         return f"{h}x{w}x{c}"
+
+
+# --- layer kinds ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """An integer layer parameter: default (None: required), inclusive range."""
+
+    default: int | None = None
+    low: int = 1
+    high: int | None = None
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """One layer kind: its input count (None: one or more), its parameters,
+    its shape rule (layer, input shapes) -> (output shape or None when the
+    layer has no single output, detail rows), which allocates nothing, and
+    its module builder over the same arguments (None: no module)."""
+
+    arity: int | None
+    params: Mapping[str, Param]
+    shape: Callable[[LayerSpec, list[Shape]], tuple[Shape | None, list[ShapeRow]]]
+    build: Callable[[LayerSpec, list[Shape]], object] | None = None
+
+    def validate(self, layer: LayerSpec) -> None:
+        n = len(layer.inputs)
+        if not (n > 0 if self.arity is None else n == self.arity):
+            want = "one or more" if self.arity is None else self.arity
+            raise GraphError(f"layer {layer.name}: {layer.kind} takes {want} input(s), got {n}")
+        for key in layer.params:
+            if key not in self.params:
+                raise GraphError(f"layer {layer.name}: {layer.kind} has no parameter {key!r}")
+        for key, p in self.params.items():
+            value = layer.params.get(key, p.default)
+            if value is None:
+                raise GraphError(f"layer {layer.name}: missing parameter {key!r}")
+            if value < p.low or (p.high is not None and value > p.high):
+                valid = f">= {p.low}" if p.high is None else f"in {p.low}..{p.high}"
+                raise GraphError(f"layer {layer.name}: {key}={value} must be {valid}")
+
+
+def _conv_shape(layer: LayerSpec, shapes: list[Shape]):
+    (_, h, w), = shapes
+    spec = ShapeSpec(layer.param("kernel"), layer.param("stride"), layer.param("padding"))
+    return (layer.param("out_channels"), conv_output_dim(h, spec), conv_output_dim(w, spec)), []
+
+
+def _c2f_shape(layer: LayerSpec, shapes: list[Shape]):
+    (_, h, w), = shapes
+    out_c = layer.param("out_channels")
+    if out_c % 2 != 0:
+        raise ShapeError(f"c2f needs even channels, got {out_c}")
+    return (out_c, h, w), []
+
+
+def _sppf_shape(layer: LayerSpec, shapes: list[Shape]):
+    (c, h, w), = shapes
+    if layer.param("kernel") % 2 == 0:
+        raise ShapeError(f"sppf needs an odd kernel, got {layer.param('kernel')}")
+    return (c, h, w), [ShapeRow(layer.name, "sppf.concat", (4 * c, h, w), "pool concat")]
+
+
+def _concat_shape(layer: LayerSpec, shapes: list[Shape]):
+    base = shapes[0][1:]
+    for ref, part in zip(layer.inputs, shapes):
+        if part[1:] != base:
+            raise ShapeError(f"concat inputs {layer.inputs[0]} {base} vs {ref} {part[1:]}")
+    return (sum(p[0] for p in shapes), *base), []
+
+
+def _gam_shape(layer: LayerSpec, shapes: list[Shape]):
+    (c, h, w), = shapes
+    rate = layer.param("rate")
+    if c % 4 != 0 or c % rate != 0:
+        raise ShapeError(f"channels {c} not divisible by 4 and rate {rate}")
+    return (c, h, w), []
+
+
+def _detect_shape(layer: LayerSpec, shapes: list[Shape]):
+    rows = []
+    for i, (ref, (_, h, w)) in enumerate(zip(layer.inputs, shapes)):
+        for tag, c in (("box", 4), ("cls", layer.param("categories"))):
+            rows.append(ShapeRow(layer.name, f"detect.{tag}{i}", (c, h, w), f"from {ref}"))
+    return None, rows
+
+
+def _build_detect(layer: LayerSpec, shapes: list[Shape]) -> list[nn.HeadBranch]:
+    """One branch per scale, all drawing from one generator in scale order."""
+    rng = nn._as_rng(layer.seed)
+    return [nn.HeadBranch(c, layer.param("categories"), seed=rng) for c, _, _ in shapes]
+
+
+LAYER_TABLE: dict[str, LayerKind] = {
+    "input": LayerKind(
+        0, {"channels": Param(), "height": Param(), "width": Param()},
+        lambda l, s: ((l.param("channels"), l.param("height"), l.param("width")), []),
+    ),
+    "conv": LayerKind(
+        1,
+        {"out_channels": Param(), "kernel": Param(3), "stride": Param(1),
+         "padding": Param(1, low=0), "act": Param(1, low=0, high=1)},
+        _conv_shape,
+        lambda l, s: nn.Conv(
+            s[0][0], l.param("out_channels"), l.param("kernel"), l.param("stride"),
+            l.param("padding"), act=bool(l.param("act")), seed=l.seed,
+        ),
+    ),
+    "c2f": LayerKind(
+        1, {"out_channels": Param(), "n": Param(1, low=0)}, _c2f_shape,
+        lambda l, s: nn.C2f(s[0][0], l.param("out_channels"), l.param("n"), seed=l.seed),
+    ),
+    "sppf": LayerKind(
+        1, {"kernel": Param(5)}, _sppf_shape,
+        lambda l, s: nn.Sppf(s[0][0], l.param("kernel"), seed=l.seed),
+    ),
+    "upsample": LayerKind(
+        1, {"factor": Param(2)},
+        lambda l, s: ((s[0][0], s[0][1] * l.param("factor"), s[0][2] * l.param("factor")), []),
+        lambda l, s: nn.Upsample(l.param("factor")),
+    ),
+    "concat": LayerKind(None, {}, _concat_shape, lambda l, s: nn.Concat()),
+    "gam": LayerKind(
+        1, {"rate": Param(4)}, _gam_shape,
+        lambda l, s: nn.Gam(s[0][0], l.param("rate"), seed=l.seed),
+    ),
+    "detect": LayerKind(
+        None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _build_detect
+    ),
+}
+LAYER_KINDS = tuple(LAYER_TABLE)
 
 
 @dataclass(frozen=True)
@@ -66,9 +195,12 @@ class GraphSpec:
         if not self.layers or self.layers[0].kind != "input":
             raise GraphError("first layer must be the input declaration")
         seen: set[str] = set()
-        for layer in self.layers:
+        for index, layer in enumerate(self.layers):
             if layer.kind not in LAYER_KINDS:
                 raise GraphError(f"layer {layer.name}: unknown kind {layer.kind!r}")
+            kind = LAYER_TABLE[layer.kind]
+            if index > 0 and kind.build is None:
+                raise GraphError(f"layer {layer.name}: {layer.kind} may only be the first layer")
             if layer.name in seen:
                 raise GraphError(f"duplicate layer name {layer.name!r}")
             for ref in layer.inputs:
@@ -76,10 +208,11 @@ class GraphSpec:
                     raise GraphError(
                         f"layer {layer.name} references {ref!r} before definition"
                     )
+            kind.validate(layer)
             seen.add(layer.name)
 
     @property
-    def input_shape(self) -> tuple[int, int, int]:
+    def input_shape(self) -> Shape:
         spec = self.layers[0]
         return (spec.param("channels"), spec.param("height"), spec.param("width"))
 
@@ -96,84 +229,35 @@ class GraphSpec:
         return detects[0]
 
     def ancestors(self, name: str) -> set[str]:
-        """Transitive input closure of a layer, including the layer itself."""
-        target = self.layer(name)
-        closure = {name}
-        frontier = list(target.inputs)
-        by_name = {l.name: l for l in self.layers}
-        while frontier:
-            current = frontier.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            frontier.extend(by_name[current].inputs)
+        """Transitive input closure of a layer, including the layer itself.
+        Inputs always precede their layer, so one backward sweep suffices."""
+        closure = {self.layer(name).name}
+        for layer in reversed(self.layers):
+            if layer.name in closure:
+                closure.update(layer.inputs)
         return closure
 
-    def propagate_shapes(self) -> tuple[dict[str, tuple[int, int, int]], list[ShapeRow]]:
+    def propagate_shapes(self) -> tuple[dict[str, Shape], list[ShapeRow]]:
         """Walk the layer list computing (C, H, W) per layer.
 
         Returns the shape map plus a display table that includes detail rows
-        (pyramid-pool concat width, attention in/out, per-scale head grids).
+        (pyramid-pool concat width, per-scale head grids).
         """
-        shapes: dict[str, tuple[int, int, int]] = {}
+        shapes: dict[str, Shape] = {}
         rows: list[ShapeRow] = []
         for layer in self.layers:
-            if layer.kind == "input":
-                shape = (layer.param("channels"), layer.param("height"), layer.param("width"))
-            elif layer.kind == "conv":
-                (c, h, w) = shapes[layer.inputs[0]]
-                spec = ShapeSpec(
-                    layer.param("kernel", 3), layer.param("stride", 1), layer.param("padding", 1)
-                )
-                try:
-                    shape = (layer.param("out_channels"), conv_output_dim(h, spec), conv_output_dim(w, spec))
-                except ShapeError as exc:
-                    raise ShapeError(f"layer {layer.name}: {exc}") from exc
-            elif layer.kind == "c2f":
-                (c, h, w) = shapes[layer.inputs[0]]
-                out_c = layer.param("out_channels")
-                if out_c % 2 != 0:
-                    raise ShapeError(f"layer {layer.name}: c2f needs even channels, got {out_c}")
-                shape = (out_c, h, w)
-            elif layer.kind == "sppf":
-                (c, h, w) = shapes[layer.inputs[0]]
-                rows.append(ShapeRow(layer.name, "sppf.concat", (4 * c, h, w), "pool concat"))
-                shape = (c, h, w)
-            elif layer.kind == "upsample":
-                (c, h, w) = shapes[layer.inputs[0]]
-                f = layer.param("factor", 2)
-                shape = (c, h * f, w * f)
-            elif layer.kind == "concat":
-                parts = [shapes[ref] for ref in layer.inputs]
-                base = parts[0][1:]
-                for ref, part in zip(layer.inputs, parts):
-                    if part[1:] != base:
-                        raise ShapeError(
-                            f"layer {layer.name}: concat inputs {layer.inputs[0]} "
-                            f"{base} vs {ref} {part[1:]}"
-                        )
-                shape = (sum(p[0] for p in parts), *base)
-            elif layer.kind == "gam":
-                (c, h, w) = shapes[layer.inputs[0]]
-                rate = layer.param("rate", 4)
-                if c % 4 != 0 or c % rate != 0:
-                    raise ShapeError(
-                        f"layer {layer.name}: channels {c} not divisible by 4 and rate {rate}"
-                    )
-                shape = (c, h, w)
-            elif layer.kind == "detect":
-                categories = layer.param("categories", DEFAULT_CATEGORIES)
-                for i, ref in enumerate(layer.inputs):
-                    (c, h, w) = shapes[ref]
-                    rows.append(ShapeRow(layer.name, f"detect.box{i}", (4, h, w), f"from {ref}"))
-                    rows.append(
-                        ShapeRow(layer.name, f"detect.cls{i}", (categories, h, w), f"from {ref}")
-                    )
-                continue
-            else:  # pragma: no cover - guarded by __post_init__
-                raise GraphError(f"unknown kind {layer.kind}")
-            shapes[layer.name] = shape
-            rows.append(ShapeRow(layer.name, layer.kind, shape))
+            for ref in layer.inputs:
+                if ref not in shapes:
+                    raise GraphError(f"layer {layer.name}: input {ref!r} has no output tensor")
+            try:
+                rule = LAYER_TABLE[layer.kind].shape
+                shape, detail = rule(layer, [shapes[ref] for ref in layer.inputs])
+            except ShapeError as exc:
+                raise ShapeError(f"layer {layer.name}: {exc}") from exc
+            rows.extend(detail)
+            if shape is not None:
+                shapes[layer.name] = shape
+                rows.append(ShapeRow(layer.name, layer.kind, shape))
         return shapes, rows
 
 
@@ -437,13 +521,10 @@ class ScoreSelector:
                 cy, cx = self.cell
                 if not (0 <= cy < plane.shape[0] and 0 <= cx < plane.shape[1]):
                     raise GraphError(f"cell {self.cell} outside head grid {plane.shape}")
-                candidate = (plane[cy, cx], si, cy, cx)
             else:
-                flat = int(np.argmax(plane))
-                cy, cx = divmod(flat, plane.shape[1])
-                candidate = (plane[cy, cx], si, cy, cx)
-            if best is None or candidate[0] > best[0]:
-                best = candidate
+                cy, cx = divmod(int(np.argmax(plane)), plane.shape[1])
+            if best is None or plane[cy, cx] > best[0]:
+                best = (plane[cy, cx], si, cy, cx)
         value, si, cy, cx = best  # type: ignore[misc]
         return si, cy, cx, float(value)
 
@@ -454,53 +535,11 @@ class Graph:
     def __init__(self, spec: GraphSpec):
         self.spec = spec
         self.shapes, _ = spec.propagate_shapes()
-        self.modules: dict[str, object] = {}
         self.detect_spec = spec.detect_layer()
-        for layer in spec.layers:
-            if layer.kind in ("input",):
-                continue
-            if layer.kind == "conv":
-                c_in = self.shapes[layer.inputs[0]][0]
-                self.modules[layer.name] = nn.Conv(
-                    c_in,
-                    layer.param("out_channels"),
-                    layer.param("kernel", 3),
-                    layer.param("stride", 1),
-                    layer.param("padding", 1),
-                    act=bool(layer.param("act", 1)),
-                    seed=layer.seed,
-                )
-            elif layer.kind == "c2f":
-                c_in = self.shapes[layer.inputs[0]][0]
-                self.modules[layer.name] = nn.C2f(
-                    c_in, layer.param("out_channels"), layer.param("n", 1), seed=layer.seed
-                )
-            elif layer.kind == "sppf":
-                c_in = self.shapes[layer.inputs[0]][0]
-                self.modules[layer.name] = nn.Sppf(
-                    c_in, layer.param("kernel", 5), seed=layer.seed
-                )
-            elif layer.kind == "upsample":
-                self.modules[layer.name] = nn.Upsample(layer.param("factor", 2))
-            elif layer.kind == "concat":
-                self.modules[layer.name] = nn.Concat()
-            elif layer.kind == "gam":
-                c_in = self.shapes[layer.inputs[0]][0]
-                self.modules[layer.name] = nn.Gam(
-                    c_in, layer.param("rate", 4), seed=layer.seed
-                )
-            elif layer.kind == "detect":
-                rng = nn._as_rng(layer.seed)
-                branches = []
-                for ref in layer.inputs:
-                    branches.append(
-                        nn.HeadBranch(
-                            self.shapes[ref][0],
-                            layer.param("categories", DEFAULT_CATEGORIES),
-                            seed=rng,
-                        )
-                    )
-                self.modules[layer.name] = branches
+        self.modules: dict[str, object] = {
+            layer.name: LAYER_TABLE[layer.kind].build(layer, [self.shapes[r] for r in layer.inputs])
+            for layer in spec.layers[1:]
+        }
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -521,39 +560,33 @@ class Graph:
         caches: dict[str, object] = {}
         head: list[HeadOutput] = []
         detect_name = self.detect_spec.name
+
+        def record(key: str, arr: np.ndarray) -> np.ndarray:
+            if key in overrides:
+                arr = np.asarray(overrides[key], dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise GraphError(f"non-finite activation in layer {key}")
+            values[key] = arr
+            return arr
+
         for layer in self.spec.layers[1:]:
             module = self.modules[layer.name]
-            if layer.kind == "detect":
-                branch_caches = []
+            if layer.name == detect_name:
+                caches[layer.name] = []
                 for i, ref in enumerate(layer.inputs):
                     box, cls, cache = module[i].forward(values[ref])
-                    for tag, arr in (("box", box), ("cls", cls)):
-                        key = f"{detect_name}/{tag}{i}"
-                        if key in overrides:
-                            arr = np.asarray(overrides[key], dtype=np.float64)
-                        if not np.isfinite(arr).all():
-                            raise GraphError(f"non-finite activation in layer {key}")
-                        values[key] = arr
-                    branch_caches.append(cache)
-                    head.append(
-                        HeadOutput(i, ref, values[f"{detect_name}/box{i}"], values[f"{detect_name}/cls{i}"])
-                    )
-                caches[layer.name] = branch_caches
+                    box = record(f"{detect_name}/box{i}", box)
+                    head.append(HeadOutput(i, ref, box, record(f"{detect_name}/cls{i}", cls)))
+                    caches[layer.name].append(cache)
                 continue
-            if layer.kind == "concat":
-                out, cache = module.forward([values[ref] for ref in layer.inputs])
-            else:
-                out, cache = module.forward(values[layer.inputs[0]])
+            xs = [values[ref] for ref in layer.inputs]
+            out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
             if out.shape != self.shapes[layer.name]:
                 raise ShapeError(
                     f"layer {layer.name}: activation {out.shape} contradicts "
                     f"propagated shape {self.shapes[layer.name]}"
                 )
-            if layer.name in overrides:
-                out = np.asarray(overrides[layer.name], dtype=np.float64)
-            if not np.isfinite(out).all():
-                raise GraphError(f"non-finite activation in layer {layer.name}")
-            values[layer.name] = out
+            record(layer.name, out)
             caches[layer.name] = cache
         return GraphRun(self, values, caches, tuple(head))
 
@@ -610,31 +643,18 @@ class Graph:
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
         for layer in reversed(self.spec.layers[1:]):
-            if layer.kind == "detect" or layer.name not in grads:
-                if layer.name == layer_name:
-                    break
-                continue
             if layer.name == layer_name:
                 break
+            if layer.name not in grads:
+                continue
             module = self.modules[layer.name]
             upstream = module.backward(grads.pop(layer.name), run.caches[layer.name])
-            if layer.kind == "concat":
-                for ref, d in zip(layer.inputs, upstream):
-                    grads[ref] = grads[ref] + d if ref in grads else d
-            else:
-                ref = layer.inputs[0]
-                grads[ref] = grads[ref] + upstream if ref in grads else upstream
+            parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
+            for ref, d in zip(layer.inputs, parts):
+                grads[ref] = grads[ref] + d if ref in grads else d
         if layer_name not in grads:
             raise GraphError(
                 f"layer {layer_name!r} received no gradient from the selected score"
             )
         return Tensor3(grads[layer_name])
 
-
-def forward(spec_or_graph: "GraphSpec | Graph", image: Tensor3) -> GraphRun:
-    graph = spec_or_graph if isinstance(spec_or_graph, Graph) else Graph(spec_or_graph)
-    return graph.forward(image)
-
-
-def backward_to_layer(run: GraphRun, selector: ScoreSelector, layer_name: str) -> Tensor3:
-    return run.graph.backward_to_layer(run, selector, layer_name)

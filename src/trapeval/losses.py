@@ -29,7 +29,7 @@ from enum import Enum
 from typing import IO, Callable
 
 from .boxes import BoundingBox, center_distance_sq, iou
-from .errors import DegenerateBoxError, DegenerateHullError, DivergedError
+from .errors import ConfigError, DegenerateBoxError, DegenerateHullError, DivergedError
 
 Vec4 = tuple[float, float, float, float]
 
@@ -56,13 +56,15 @@ class LossParams:
 
     def __post_init__(self):
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ConfigError(f"gamma {self.gamma} must be >= 0")
         if self.alpha <= 1:
-            raise ValueError("alpha must be > 1")
+            raise ConfigError(f"alpha {self.alpha} must be > 1")
         if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+            raise ConfigError(f"delta {self.delta} must be > 0")
         if not 0.0 < self.running_mean_momentum <= 1.0:
-            raise ValueError("running_mean_momentum must be in (0, 1]")
+            raise ConfigError(
+                f"running_mean_momentum {self.running_mean_momentum} must be in (0, 1]"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,18 @@ def _iou_core(g: _Geom) -> tuple[float, Vec4]:
     return 1.0 - g.iou, _vscale(g.d_iou, -1.0)
 
 
-def loss_iou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """1 - IoU. Zero gradient on disjoint pairs (IoU is locally constant)."""
+def _from_core(
+    core: Callable[[_Geom], tuple[float, Vec4]], pred: BoundingBox, gt: BoundingBox
+) -> LossEval:
+    """The core loss of the pair; zero with zero gradient at pred == gt."""
     if _is_identical(pred, gt):
         return LossEval(0.0, _ZERO4)
-    value, grad = _iou_core(_Geom(pred, gt))
-    return LossEval(value, grad)
+    return LossEval(*core(_Geom(pred, gt)))
+
+
+def loss_iou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
+    """1 - IoU. Zero gradient on disjoint pairs (IoU is locally constant)."""
+    return _from_core(_iou_core, pred, gt)
 
 
 def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -220,10 +228,7 @@ def _diou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """IoU loss plus center distance normalized by the squared hull diagonal."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    value, grad = _diou_core(_Geom(pred, gt))
-    return LossEval(value, grad)
+    return _from_core(_diou_core, pred, gt)
 
 
 def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -286,10 +291,7 @@ def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_eiou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """DIoU plus width and height differences normalized by the hull sides."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    value, grad = _eiou_core(_Geom(pred, gt))
-    return LossEval(value, grad)
+    return _from_core(_eiou_core, pred, gt)
 
 
 def loss_focal_eiou(
@@ -331,10 +333,7 @@ def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_wiou_v1(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """IoU loss amplified by exp(center_dist^2 / hull_diag^2)."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    value, grad = _wiou_v1_core(_Geom(pred, gt))
-    return LossEval(value, grad)
+    return _from_core(_wiou_v1_core, pred, gt)
 
 
 def outlier_degree(
@@ -384,6 +383,35 @@ def loss_wiou_v3(
     return LossEval(r * value, _vscale(grad, r)), new_state
 
 
+def _stateless(loss: Callable[[BoundingBox, BoundingBox], LossEval]) -> Callable:
+    return lambda pred, gt, params, state: (loss(pred, gt), state)
+
+
+def _wiou_v3_focus(base: _Geom, params: LossParams, state: WiouState | None) -> float:
+    return focusing_coefficient(outlier_degree(1.0 - base.iou, state or WiouState()), params)
+
+
+# kind -> (evaluate(pred, gt, params, state) -> (loss, next state), focus).
+# focus(base geometry, params, state) is set for the WIoU kinds only: the
+# factor r that the finite-difference oracle holds at its base-pair value,
+# together with the base hull diagonal.
+LOSSES: dict[LossKind, tuple[Callable, Callable | None]] = {
+    LossKind.IOU: (_stateless(loss_iou), None),
+    LossKind.GIOU: (_stateless(loss_giou), None),
+    LossKind.DIOU: (_stateless(loss_diou), None),
+    LossKind.CIOU: (_stateless(loss_ciou), None),
+    LossKind.EIOU: (_stateless(loss_eiou), None),
+    LossKind.FOCAL_EIOU: (
+        lambda p, g, params, state: (loss_focal_eiou(p, g, params), state), None
+    ),
+    LossKind.WIOU_V1: (_stateless(loss_wiou_v1), lambda base, params, state: 1.0),
+    LossKind.WIOU_V3: (
+        lambda p, g, params, state: loss_wiou_v3(p, g, state or WiouState(), params),
+        _wiou_v3_focus,
+    ),
+}
+
+
 def _frozen_value_fn(
     kind: LossKind,
     pred: BoundingBox,
@@ -397,31 +425,20 @@ def _frozen_value_fn(
     for WIoUv3 additionally beta and r are fixed. All other kinds are
     evaluated plainly.
     """
-    if kind is LossKind.WIOU_V1 or kind is LossKind.WIOU_V3:
-        base = _Geom(pred, gt)
-        if base.diag_sq <= 0.0:
-            raise DegenerateHullError("enclosing hull has zero diagonal")
-        diag_sq = base.diag_sq
-        r = 1.0
-        if kind is LossKind.WIOU_V3:
-            beta = outlier_degree(1.0 - base.iou, state or WiouState())
-            r = focusing_coefficient(beta, params)
+    evaluate, focus = LOSSES[kind]
+    if focus is None:
+        return lambda p: evaluate(p, gt, params, state)[0].value
+    base = _Geom(pred, gt)
+    if base.diag_sq <= 0.0:
+        raise DegenerateHullError("enclosing hull has zero diagonal")
+    diag_sq = base.diag_sq
+    r = focus(base, params, state)
 
-        def f(p: BoundingBox) -> float:
-            g = _Geom(p, gt)
-            return r * math.exp(g.dist_sq / diag_sq) * (1.0 - g.iou)
+    def f(p: BoundingBox) -> float:
+        g = _Geom(p, gt)
+        return r * math.exp(g.dist_sq / diag_sq) * (1.0 - g.iou)
 
-        return f
-
-    simple = {
-        LossKind.IOU: lambda p: loss_iou(p, gt).value,
-        LossKind.GIOU: lambda p: loss_giou(p, gt).value,
-        LossKind.DIOU: lambda p: loss_diou(p, gt).value,
-        LossKind.CIOU: lambda p: loss_ciou(p, gt).value,
-        LossKind.EIOU: lambda p: loss_eiou(p, gt).value,
-        LossKind.FOCAL_EIOU: lambda p: loss_focal_eiou(p, gt, params).value,
-    }
-    return simple[kind]
+    return f
 
 
 def finite_diff_grad(
@@ -460,25 +477,7 @@ def evaluate_loss(
     state: WiouState | None = None,
 ) -> tuple[LossEval, WiouState | None]:
     """Uniform dispatch; returns the updated state for WIoUv3, else the input."""
-    params = params or LossParams()
-    if kind is LossKind.IOU:
-        return loss_iou(pred, gt), state
-    if kind is LossKind.GIOU:
-        return loss_giou(pred, gt), state
-    if kind is LossKind.DIOU:
-        return loss_diou(pred, gt), state
-    if kind is LossKind.CIOU:
-        return loss_ciou(pred, gt), state
-    if kind is LossKind.EIOU:
-        return loss_eiou(pred, gt), state
-    if kind is LossKind.FOCAL_EIOU:
-        return loss_focal_eiou(pred, gt, params), state
-    if kind is LossKind.WIOU_V1:
-        return loss_wiou_v1(pred, gt), state
-    if kind is LossKind.WIOU_V3:
-        ev, new_state = loss_wiou_v3(pred, gt, state or WiouState(), params)
-        return ev, new_state
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return LOSSES[kind][0](pred, gt, params or LossParams(), state)
 
 
 @dataclass(frozen=True)
@@ -495,10 +494,6 @@ class TrajectoryRow:
 class Trajectory:
     kind: LossKind
     rows: tuple[TrajectoryRow, ...]
-
-    @property
-    def final_box(self) -> BoundingBox:
-        return self.rows[-1].box
 
 
 TRAJECTORY_CSV_HEADER = ["iter", "loss", "iou", "center_dist", "area", "x1", "y1", "x2", "y2"]
@@ -536,9 +531,9 @@ def simulate_regression(
     iteration) if any value goes non-finite.
     """
     if step <= 0:
-        raise ValueError("step must be > 0")
+        raise ConfigError(f"step {step} must be > 0")
     if iters < 1:
-        raise ValueError("iters must be >= 1")
+        raise ConfigError(f"iters {iters} must be >= 1")
     params = params or LossParams()
     if kind is LossKind.WIOU_V3 and state is None:
         state = WiouState()

@@ -13,15 +13,13 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     ShapeSpec,
-    Tensor3,
     concat_backward,
     concat_forward,
     conv2d_backward_input,
     conv2d_forward,
-    conv_output_dim,
     maxpool2d_backward,
     maxpool2d_forward,
     relu,
@@ -69,18 +67,10 @@ class Conv:
         rng = _as_rng(seed)
         if padding is None:
             padding = kernel // 2
-        self.c_in = c_in
-        self.c_out = c_out
         self.spec = ShapeSpec(kernel, stride, padding)
         self.act = act
         self.weights = _uniform_weights(rng, c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
         self.bias = np.zeros(c_out)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        if c != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {c}")
-        return (self.c_out, conv_output_dim(h, self.spec), conv_output_dim(w, self.spec))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         pre = conv2d_forward(x, self.weights, self.bias, self.spec)
@@ -93,9 +83,6 @@ class Conv:
         if self.act:
             dout = silu_backward(dout, pre)
         return conv2d_backward_input(dout, self.weights, in_shape, self.spec)
-
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
 
 
 class Bottleneck:
@@ -116,9 +103,6 @@ class Bottleneck:
         dy1 = self.conv2.backward(dout, c2)
         return dout + self.conv1.backward(dy1, c1)
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class C2f:
     """Cross-stage partial block: entry conv, channel split, a bottleneck
@@ -134,19 +118,11 @@ class C2f:
         if c_out % 2 != 0:
             raise ShapeError(f"c2f needs an even output channel count, got {c_out}")
         rng = _as_rng(seed)
-        self.c_in = c_in
-        self.c_out = c_out
         self.hidden = c_out // 2
         self.n = n
         self.cv1 = Conv(c_in, 2 * self.hidden, 1, 1, 0, act=True, seed=rng)
         self.bottlenecks = [Bottleneck(self.hidden, seed=rng) for _ in range(n)]
         self.cv2 = Conv((2 + n) * self.hidden, c_out, 1, 1, 0, act=True, seed=rng)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        if c != self.c_in:
-            raise ShapeError(f"c2f expects {self.c_in} channels, got {c}")
-        return (self.c_out, h, w)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         y, c_cv1 = self.cv1.forward(x)
@@ -171,9 +147,6 @@ class C2f:
         dy = np.concatenate([dchunks[0], g], axis=0)
         return self.cv1.backward(dy, c_cv1)
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class Sppf:
     """Three chained 5x5 max-pools, concat with the input, 1x1 fuse conv."""
@@ -186,15 +159,6 @@ class Sppf:
         self.kernel = kernel
         self.padding = kernel // 2
         self.fuse = Conv(4 * channels, channels, 1, 1, 0, act=True, seed=rng)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        if c != self.channels:
-            raise ShapeError(f"sppf expects {self.channels} channels, got {c}")
-        return (c, h, w)
-
-    def concat_channels(self) -> int:
-        return 4 * self.channels
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         p1, i1 = maxpool2d_forward(x, self.kernel, self.padding)
@@ -213,9 +177,6 @@ class Sppf:
         dx += maxpool2d_backward(dp1, i1, in_shape, self.kernel, self.padding)
         return dx
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class GamChannelAttention:
     """Channel gate: 3D permutation to (H*W, C), two-layer MLP squeezing to
@@ -225,18 +186,11 @@ class GamChannelAttention:
         if channels % 4 != 0:
             raise ShapeError(f"channel attention needs C divisible by 4, got {channels}")
         rng = _as_rng(seed)
-        self.channels = channels
         self.hidden = channels // 4
         self.w1 = _uniform_weights(rng, channels, (self.hidden, channels))
         self.b1 = np.zeros(self.hidden)
         self.w2 = _uniform_weights(rng, self.hidden, (channels, self.hidden))
         self.b2 = np.zeros(channels)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        if c != self.channels:
-            raise ShapeError(f"channel attention expects {self.channels} channels, got {c}")
-        return shape
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         c, h, w = x.shape
@@ -269,9 +223,6 @@ class GamChannelAttention:
         dx += dpermuted.T.reshape(c, h, w)
         return dx
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class GamSpatialAttention:
     """Spatial gate: 7x7 conv squeezing channels by ``rate``, ReLU, 7x7 conv
@@ -285,20 +236,12 @@ class GamSpatialAttention:
                 f"spatial attention needs C divisible by rate {rate}, got {channels}"
             )
         rng = _as_rng(seed)
-        self.channels = channels
-        self.rate = rate
         mid = channels // rate
         self.spec = ShapeSpec(7, 1, 3)
         self.w1 = _uniform_weights(rng, channels * 49, (mid, channels, 7, 7))
         self.b1 = np.zeros(mid)
         self.w2 = _uniform_weights(rng, mid * 49, (channels, mid, 7, 7))
         self.b2 = np.zeros(channels)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        if c != self.channels:
-            raise ShapeError(f"spatial attention expects {self.channels} channels, got {c}")
-        return shape
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         a = conv2d_forward(x, self.w1, self.b1, self.spec)
@@ -317,9 +260,6 @@ class GamSpatialAttention:
         dx += conv2d_backward_input(da, self.w1, x.shape, self.spec)
         return dx
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class Gam:
     """Global attention: channel gate then spatial gate, shape preserving."""
@@ -328,12 +268,8 @@ class Gam:
         self, channels: int, rate: int = 4, seed: "int | np.random.Generator" = 0
     ):
         rng = _as_rng(seed)
-        self.channels = channels
         self.channel_attention = GamChannelAttention(channels, seed=rng)
         self.spatial_attention = GamSpatialAttention(channels, rate, seed=rng)
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        return self.spatial_attention.out_shape(self.channel_attention.out_shape(shape))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         y, c_ch = self.channel_attention.forward(x)
@@ -345,21 +281,14 @@ class Gam:
         dy = self.spatial_attention.backward(dout, c_sp)
         return self.channel_attention.backward(dy, c_ch)
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class Upsample:
     """Nearest-neighbour upsampling by an integer factor."""
 
     def __init__(self, factor: int = 2):
         if factor < 1:
-            raise ValueError("factor must be >= 1")
+            raise ConfigError("factor must be >= 1")
         self.factor = factor
-
-    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        c, h, w = shape
-        return (c, h * self.factor, w * self.factor)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         return upsample_forward(x, self.factor), None
@@ -367,19 +296,9 @@ class Upsample:
     def backward(self, dout: np.ndarray, cache: Any) -> np.ndarray:
         return upsample_backward(dout, self.factor)
 
-    def __call__(self, x: Tensor3) -> Tensor3:
-        return Tensor3(self.forward(x.data)[0])
-
 
 class Concat:
     """Channel-wise concatenation of same-resolution inputs."""
-
-    def out_shape(self, shapes: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-        base = shapes[0][1:]
-        for s in shapes[1:]:
-            if s[1:] != base:
-                raise ShapeError(f"concat spatial mismatch: {shapes}")
-        return (sum(s[0] for s in shapes), *base)
 
     def forward(self, xs: list[np.ndarray]) -> tuple[np.ndarray, Any]:
         return concat_forward(xs), [x.shape[0] for x in xs]
@@ -396,8 +315,6 @@ class HeadBranch:
         self, channels: int, num_categories: int, seed: "int | np.random.Generator" = 0
     ):
         rng = _as_rng(seed)
-        self.channels = channels
-        self.num_categories = num_categories
         self.reg_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.reg_out = Conv(channels, 4, 1, 1, 0, act=False, seed=rng)
         self.cls_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)

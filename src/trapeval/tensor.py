@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class ShapeSpec:
 
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1 or self.padding < 0:
-            raise ValueError(f"bad conv shape parameters {self}")
+            raise ConfigError(f"bad conv shape parameters {self}")
 
 
 def conv_output_dim(input_size: int, spec: ShapeSpec) -> int:
@@ -71,10 +71,6 @@ class Tensor3:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    @staticmethod
-    def zeros(channels: int, height: int, width: int) -> "Tensor3":
-        return Tensor3(np.zeros((channels, height, width)))
 
     @staticmethod
     def full(channels: int, height: int, width: int, value: float) -> "Tensor3":
@@ -217,7 +213,7 @@ def maxpool2d_backward(
 
 def upsample_forward(x: np.ndarray, factor: int) -> np.ndarray:
     if factor < 1:
-        raise ValueError("upsample factor must be >= 1")
+        raise ConfigError("upsample factor must be >= 1")
     if factor == 1:
         return x.copy()
     return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
@@ -247,32 +243,3 @@ def concat_forward(xs: Sequence[np.ndarray]) -> np.ndarray:
 def concat_backward(dout: np.ndarray, channel_counts: Sequence[int]) -> list[np.ndarray]:
     offsets = np.cumsum(channel_counts)[:-1]
     return [part.copy() for part in np.split(dout, offsets, axis=0)]
-
-
-# --- Tensor3 front-ends -------------------------------------------------------
-
-def conv2d(
-    x: Tensor3,
-    weights: np.ndarray,
-    spec: ShapeSpec,
-    bias: np.ndarray | None = None,
-    activation: bool = False,
-) -> Tensor3:
-    """Convolution over a tensor value, optionally followed by SiLU."""
-    y = conv2d_forward(x.data, weights, bias, spec)
-    return Tensor3(silu(y) if activation else y)
-
-
-def maxpool2d(x: Tensor3, kernel: int = 5, padding: int | None = None) -> Tensor3:
-    if padding is None:
-        padding = kernel // 2
-    out, _ = maxpool2d_forward(x.data, kernel, padding)
-    return Tensor3(out)
-
-
-def upsample_nearest(x: Tensor3, factor: int) -> Tensor3:
-    return Tensor3(upsample_forward(x.data, factor))
-
-
-def concat_channels(xs: Sequence[Tensor3]) -> Tensor3:
-    return Tensor3(concat_forward([x.data for x in xs]))

@@ -317,3 +317,68 @@ def test_svg_chart_handles_flat_series():
     chart = LineChart("flat", "x", "y")
     chart.add_series("const", [0, 1], [2.0, 2.0])
     assert "<polyline" in chart.to_svg()
+
+
+# --- defined errors: exit 1, name the culprit, no traceback ---------------------
+
+def write_tiny_graph(tmp_path, line):
+    graph = tmp_path / "g.txt"
+    graph.write_text(
+        f"img input channels=3 height=8 width=8\n{line}\nhead detect in=img categories=2\n",
+        encoding="utf-8",
+    )
+    image = tmp_path / "img.ppm"
+    write_image(image, size=8)
+    return str(graph), str(image)
+
+
+@pytest.mark.parametrize(
+    "line,layer",
+    [
+        ("noin conv out_channels=4", "noin"),
+        ("empty concat", "empty"),
+        ("still conv in=img out_channels=4 stride=0", "still"),
+        ("flat upsample in=img factor=0", "flat"),
+        ("hollow conv in=img out_channels=0", "hollow"),
+        ("twice upsample in=img,img", "twice"),
+        ("typo conv in=img out_channels=4 stirde=2", "typo"),
+        ("even sppf in=img kernel=4", "even"),
+        ("again input channels=3 height=8 width=8", "again"),
+        ("early detect in=img\nlate conv in=early out_channels=4", "late"),
+        (None, "l22"),  # shapes --categories 0: the baseline head at 64
+    ],
+)
+def test_malformed_graph_exits_1_naming_layer(tmp_path, capsys, line, layer):
+    if line is None:
+        argv = ["shapes", "baseline", "--size", "64", "--categories", "0"]
+    else:
+        graph, image = write_tiny_graph(tmp_path, line)
+        argv = ["gradcam", graph, image, "--layer", "img", "--category", "0",
+                "--out-dir", str(tmp_path / "out")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and f"layer {layer}" in err
+    assert "Traceback" not in err and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,argument",
+    [
+        (["eval", "{det}", "{ann}", "--iou-thresh", "1.5"], "iou_threshold 1.5"),
+        (["eval", "{det}", "{ann}", "--conf-thresh", "-0.1"], "confidence_threshold -0.1"),
+        (["losslab", "--step", "-1"], "step -1"),
+        (["losslab", "--iters", "0"], "iters 0"),
+        (["losslab", "--alpha", "1"], "alpha 1"),
+        (["gradcam", "{graph}", "{image}", "--layer", "img", "--category", "0",
+          "--alpha-overlay", "1.5"], "alpha 1.5"),
+    ],
+)
+def test_bad_cli_number_exits_1_naming_argument(tmp_path, capsys, identity_corpus, argv, argument):
+    det, ann = identity_corpus
+    graph, image = write_tiny_graph(tmp_path, "")
+    names = {"det": det, "ann": ann, "graph": graph, "image": image}
+    argv = [a.format(**names) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and argument in err
+    assert "Traceback" not in err

@@ -432,22 +432,6 @@ def test_identity_predictor_is_perfect():
     assert metrics.map50_95 == 1.0
 
 
-def test_threads_env_var_does_not_change_results(monkeypatch):
-    rng = random.Random(31)
-    dets, gts = [], []
-    for i in range(8):
-        d, g = synthetic_instance(rng, images=1)
-        dets.extend(Detection(x.box, x.category_id, x.confidence, f"im{i}") for x in d)
-        gts.extend(GroundTruth(x.box, x.category_id, f"im{i}") for x in g)
-    serial = evaluate_corpus(dets, gts)
-    monkeypatch.setenv("TRAPEVAL_THREADS", "4")
-    threaded = evaluate_corpus(dets, gts)
-    assert serial == threaded
-    monkeypatch.setenv("TRAPEVAL_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        evaluate_corpus(dets, gts)
-
-
 # --- CSV interfaces --------------------------------------------------------------------
 
 def test_detections_csv_round_trip():

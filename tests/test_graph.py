@@ -10,6 +10,7 @@ from trapeval.graph import (
     GraphSpec,
     LayerSpec,
     ScoreSelector,
+    ShapeRow,
     build_graph,
     check_reference_shapes,
     parse_graph_text,
@@ -78,6 +79,112 @@ def test_input_size_scales_all_dimensions():
             continue
         c640, h640, w640 = shapes640[name]
         assert (c, h * 10, w * 10) == (c640, h640, w640)
+
+
+# Display rows of the built-in topologies, frozen from the per-kind shape code
+# that the layer-kind table replaced: name, kind, channels, the stride s of a
+# (size/s) x (size/s) grid, and the note, if any.
+FROZEN_ROWS = {
+    "baseline": """
+img input 3 1
+l0 conv 32 2
+l1 conv 64 4
+l2 c2f 64 4
+l3 conv 128 8
+l4 c2f 128 8
+l5 conv 256 16
+l6 c2f 256 16
+l7 conv 512 32
+l8 c2f 512 32
+l9 sppf.concat 2048 32 pool concat
+l9 sppf 512 32
+l10 upsample 512 16
+l11 concat 768 16
+l12 c2f 256 16
+l13 upsample 256 8
+l14 concat 384 8
+l15 c2f 128 8
+l16 conv 128 16
+l17 concat 384 16
+l18 c2f 256 16
+l19 conv 256 32
+l20 concat 768 32
+l21 c2f 512 32
+l22 detect.box0 4 8 from l15
+l22 detect.cls0 16 8 from l15
+l22 detect.box1 4 16 from l18
+l22 detect.cls1 16 16 from l18
+l22 detect.box2 4 32 from l21
+l22 detect.cls2 16 32 from l21
+""",
+    "improved": """
+img input 3 1
+l0 conv 32 2
+l1 conv 64 4
+l2 c2f 64 4
+l3 conv 128 8
+l4 c2f 128 8
+l5 conv 256 16
+l6 c2f 256 16
+l7 conv 512 32
+l8 c2f 512 32
+l9 gam 512 32
+l10 sppf.concat 2048 32 pool concat
+l10 sppf 512 32
+l11 upsample 512 16
+l12 concat 768 16
+l13 c2f 256 16
+l14 upsample 256 8
+l15 concat 384 8
+l16 c2f 128 8
+l17 upsample 128 4
+l18 concat 192 4
+l19 c2f 64 4
+l20 conv 64 8
+l21 concat 192 8
+l22 c2f 128 8
+l23 conv 128 16
+l24 concat 384 16
+l25 c2f 256 16
+l26 conv 256 32
+l27 concat 768 32
+l28 c2f 512 32
+l29 detect.box0 4 4 from l19
+l29 detect.cls0 16 4 from l19
+l29 detect.box1 4 8 from l22
+l29 detect.cls1 16 8 from l22
+l29 detect.box2 4 16 from l25
+l29 detect.cls2 16 16 from l25
+l29 detect.box3 4 32 from l28
+l29 detect.cls3 16 32 from l28
+""",
+}
+
+
+def frozen_rows(variant: str, size: int) -> list[ShapeRow]:
+    rows = []
+    for line in FROZEN_ROWS[variant].strip().splitlines():
+        name, kind, channels, stride, *note = line.split()
+        grid = size // int(stride)
+        rows.append(ShapeRow(name, kind, (int(channels), grid, grid), " ".join(note)))
+    return rows
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+@pytest.mark.parametrize("size", [64, 96])
+def test_forward_shapes_equal_propagated_shapes(variant, size):
+    spec = build_graph(variant, size)
+    shapes, rows = spec.propagate_shapes()
+    assert rows == frozen_rows(variant, size)
+    run = Graph(spec).forward(Tensor3(np.zeros((3, size, size))))
+    expected = dict(shapes)
+    for row in rows:
+        if row.kind.startswith("detect."):
+            expected[f"{row.name}/{row.kind.split('.')[1]}"] = row.shape
+        elif row.kind == "sppf.concat":
+            # the fuse conv's cached input is the pooled concat
+            assert run.caches[row.name][2][0] == row.shape
+    assert {name: value.shape for name, value in run.activations.items()} == expected
 
 
 def test_build_graph_rejects_bad_sizes():
@@ -219,13 +326,6 @@ def test_gam_zero_input_stays_zero_and_preserves_shape():
     out, _ = block.forward(x)
     assert out.shape == (512, 2, 2)
     assert np.all(out == 0.0)
-
-
-def test_module_call_wrappers_accept_tensor3():
-    t = Tensor3(np.zeros((4, 6, 6)))
-    assert nn.C2f(4, 4, 1, seed=0)(t).shape == (4, 6, 6)
-    assert nn.Gam(4, 4, seed=0)(t).shape == (4, 6, 6)
-    assert nn.Upsample(2)(t).shape == (4, 12, 12)
 
 
 # --- forward ---------------------------------------------------------------------------
