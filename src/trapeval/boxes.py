@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     x1: float
     y1: float
@@ -50,14 +50,14 @@ class BoundingBox:
         return BoundingBox(self.x1 * s, self.y1 * s, self.x2 * s, self.y2 * s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     box: BoundingBox
     category_id: int
     image_id: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     box: BoundingBox
     category_id: int

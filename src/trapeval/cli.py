@@ -16,7 +16,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import gradcam as gc
 from .boxes import BoundingBox
-from .errors import DivergedError, TrapevalError
+from .errors import ConfigError, DivergedError, TrapevalError
 from .graph import Graph, ScoreSelector, build_graph, check_reference_shapes, parse_graph_text, write_graph_text
 from .losses import (
     LossKind,
@@ -152,17 +152,11 @@ def cmd_eval(args) -> int:
     with open(out / "confusion_matrix.csv", "w", encoding="utf-8", newline="") as stream:
         metrics.confusion.write_csv(stream)
 
-    config50 = ev.MatchConfig(0.5, config.confidence_threshold)
     overlay_chart = LineChart("PR curves (IoU 0.5)", "recall", "precision")
-    for row in metrics.per_category:
-        cat = row.category_id
-        cat_dets = [d for d in detections if d.category_id == cat]
-        cat_gts = [g for g in ground_truths if g.category_id == cat]
-        if not cat_gts:
-            continue
-        curve = ev.pr_curve(cat_dets, cat_gts, config50)
-        xs = [0.0] + [p.recall for p in curve]
-        ys = [1.0] + [p.precision for p in curve]
+    for curve in metrics.pr_curves:
+        cat = curve.category_id
+        xs = [0.0, *curve.recall]
+        ys = [1.0, *curve.precision]
         chart = LineChart(f"PR curve category {cat} (IoU 0.5)", "recall", "precision")
         chart.add_series(f"cat {cat}", xs, ys)
         chart.write(out / f"pr_curve_cat{cat}.svg")
@@ -197,7 +191,12 @@ def cmd_split(args) -> int:
     data = ds.filter_empty(ds.parse_annotations(args.annotations))
     locations = sorted({r.location_id for r in data.records})
     if args.trans_test:
-        trans_test = tuple(int(t) for t in args.trans_test.split(","))
+        try:
+            trans_test = tuple(int(t) for t in args.trans_test.split(","))
+        except ValueError as exc:
+            raise ConfigError(
+                f"--trans-test {args.trans_test!r} must be a comma list of integer locations"
+            ) from exc
         if args.trans_val is None:
             print("error: --trans-val is required with --trans-test", file=sys.stderr)
             return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,11 +67,20 @@ def _clamp_box(x1: float, y1: float, x2: float, y2: float, width: int, height: i
     ).normalized()
 
 
+def _integer(mapping: dict, key: str, context: str) -> int:
+    value = _require(mapping, key, context)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{context}: {key} {value!r} is not a number") from exc
+
+
 def parse_annotations(path: "str | Path") -> Dataset:
     """Read an annotation file into one record per image.
 
-    Annotations attach by image id; unknown category or image references are
-    rejected with the offending element named.
+    Annotations attach by image id; unknown category or image references,
+    non-numeric fields and non-finite boxes are rejected with the offending
+    element named.
     """
     try:
         with open(path, "r", encoding="utf-8") as stream:
@@ -82,11 +92,12 @@ def parse_annotations(path: "str | Path") -> Dataset:
 
     categories: dict[int, str] = {}
     for i, cat in enumerate(payload.get("categories", [])):
-        cid = int(_require(cat, "id", f"categories[{i}]"))
-        categories[cid] = str(_require(cat, "name", f"categories[{i}]"))
+        context = f"categories[{i}]"
+        cid = _integer(cat, "id", context)
+        categories[cid] = str(_require(cat, "name", context))
 
-    images: dict[str, dict] = {}
-    order: list[str] = []
+    # image id -> (location, date, width, height, file name), in file order
+    images: dict[str, tuple[int, dt.date, int, int, str]] = {}
     for i, img in enumerate(payload.get("images", [])):
         context = f"images[{i}]"
         image_id = str(_require(img, "id", context))
@@ -97,46 +108,42 @@ def parse_annotations(path: "str | Path") -> Dataset:
             capture_date = dt.date.fromisoformat(str(raw_date)[:10])
         except ValueError as exc:
             raise FormatError(f"{context}: bad date {raw_date!r}") from exc
-        images[image_id] = {
-            "image_id": image_id,
-            "location_id": int(_require(img, "location", context)),
-            "capture_date": capture_date,
-            "width": int(_require(img, "width", context)),
-            "height": int(_require(img, "height", context)),
-            "file_name": str(img.get("file_name", "")),
-            "annotations": [],
-        }
-        order.append(image_id)
+        images[image_id] = (
+            _integer(img, "location", context),
+            capture_date,
+            _integer(img, "width", context),
+            _integer(img, "height", context),
+            str(img.get("file_name", "")),
+        )
 
+    annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
     for i, ann in enumerate(payload.get("annotations", [])):
         context = f"annotations[{i}]"
         image_id = str(_require(ann, "image_id", context))
         if image_id not in images:
             raise FormatError(f"{context}: unknown image id {image_id!r}")
-        category_id = int(_require(ann, "category_id", context))
+        category_id = _integer(ann, "category_id", context)
         if category_id not in categories:
             raise FormatError(f"{context}: unknown category id {category_id}")
         bbox = _require(ann, "bbox", context)
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise FormatError(f"{context}: bbox must be [x, y, w, h]")
-        x, y, w, h = (float(v) for v in bbox)
-        entry = images[image_id]
-        box = _clamp_box(x, y, x + w, y + h, entry["width"], entry["height"])
-        entry["annotations"].append(
+        try:
+            x, y, w, h = coords = tuple(map(float, bbox))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
+        if not all(map(math.isfinite, coords)):
+            raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
+        _, _, width, height, _ = images[image_id]
+        box = _clamp_box(x, y, x + w, y + h, width, height)
+        annotations[image_id].append(
             GroundTruth(box=box, category_id=category_id, image_id=image_id)
         )
+    del payload  # free the parsed JSON before the records are built: a lower peak
 
     records = tuple(
-        ImageRecord(
-            image_id=images[i]["image_id"],
-            location_id=images[i]["location_id"],
-            capture_date=images[i]["capture_date"],
-            width=images[i]["width"],
-            height=images[i]["height"],
-            file_name=images[i]["file_name"],
-            annotations=tuple(images[i]["annotations"]),
-        )
-        for i in order
+        ImageRecord(image_id, *fields, annotations=tuple(annotations[image_id]))
+        for image_id, fields in images.items()
     )
     return Dataset(records, categories)
 

@@ -223,19 +223,13 @@ def pr_curve(
     return points
 
 
-def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
-    """p(r) = max precision over curve points whose recall is >= r.
-
-    Monotonically non-increasing in r; 0 beyond the highest achieved recall.
-    """
-    if not curve:
-        raise ValueError("curve must be non-empty")
-    by_recall = sorted(curve, key=lambda p: p.recall)
-    recalls = [p.recall for p in by_recall]
-    suffix_max: list[float] = [0.0] * len(by_recall)
+def _envelope(recalls: Sequence[float], precisions: Sequence[float]) -> Callable[[float], float]:
+    """p(r) over points already sorted by recall: the max precision over
+    points whose recall is >= r, 0 beyond the highest recall."""
+    suffix_max: list[float] = [0.0] * len(recalls)
     running = 0.0
-    for i in range(len(by_recall) - 1, -1, -1):
-        running = max(running, by_recall[i].precision)
+    for i in range(len(recalls) - 1, -1, -1):
+        running = max(running, precisions[i])
         suffix_max[i] = running
 
     def interpolated(r: float) -> float:
@@ -247,6 +241,34 @@ def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
     return interpolated
 
 
+def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
+    """p(r) = max precision over curve points whose recall is >= r.
+
+    Monotonically non-increasing in r; 0 beyond the highest achieved recall.
+    """
+    if not curve:
+        raise ValueError("curve must be non-empty")
+    by_recall = sorted(curve, key=lambda p: p.recall)
+    return _envelope([p.recall for p in by_recall], [p.precision for p in by_recall])
+
+
+def _area(recalls: Sequence[float], precisions: Sequence[float], mode: str) -> float:
+    """AP of precision/recall sequences sorted by recall (0.0 when empty);
+    see ``average_precision``."""
+    if not recalls:
+        return 0.0
+    interp = _envelope(recalls, precisions)
+    if mode == "grid101":
+        return sum(interp(r) for r in RECALL_GRID) / len(RECALL_GRID)
+    if mode == "trapezoid":
+        knots = sorted({0.0, 1.0, *recalls})
+        area = 0.0
+        for lo, hi in zip(knots, knots[1:]):
+            area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
+        return area
+    raise ValueError(f"unknown AP mode {mode!r}")
+
+
 def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
     """Area-style summary of the interpolated PR envelope.
 
@@ -254,18 +276,8 @@ def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
     0.01 (primary). ``trapezoid``: trapezoidal area under the envelope over
     the achieved recall breakpoints (secondary).
     """
-    if not curve:
-        return 0.0
-    interp = interpolate_precision(curve)
-    if mode == "grid101":
-        return sum(interp(r) for r in RECALL_GRID) / len(RECALL_GRID)
-    if mode == "trapezoid":
-        knots = sorted({0.0, 1.0, *(p.recall for p in curve)})
-        area = 0.0
-        for lo, hi in zip(knots, knots[1:]):
-            area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
-        return area
-    raise ValueError(f"unknown AP mode {mode!r}")
+    by_recall = sorted(curve, key=lambda p: p.recall)
+    return _area([p.recall for p in by_recall], [p.precision for p in by_recall], mode)
 
 
 def mean_average_precision(per_category_ap: Mapping[int, float]) -> float:
@@ -356,11 +368,22 @@ def match_corpus(
 
 
 @dataclass(frozen=True)
+class PrCurve:
+    """One category's IoU-0.5 curve: the recall and precision columns of
+    ``pr_curve``, point for point."""
+
+    category_id: int
+    recall: tuple[float, ...]
+    precision: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class CorpusMetrics:
     per_category: tuple[CategoryMetrics, ...]
     map50: float
     map50_95: float
     confusion: ConfusionMatrix
+    pr_curves: tuple[PrCurve, ...]  # categories with ground truths, ascending
 
 
 def _category_set(
@@ -416,6 +439,107 @@ def map_over_iou_range(
     return sum(values) / len(values)
 
 
+@dataclass(frozen=True)
+class _CategorySweep:
+    aps: tuple[float, ...]  # grid101 AP at each of MAP_RANGE_THRESHOLDS (0.5 first)
+    ap50_trapezoid: float
+    curve: PrCurve
+
+
+def _match_thresholds(rows: Sequence[Sequence[float]]) -> list[int]:
+    """Greedy one-to-one matching of one image's detections (``rows``, in
+    processing order) against its ground truths (columns of IoU values), as
+    ``match_detections`` does it, at each of MAP_RANGE_THRESHOLDS: per row a
+    bitmask whose bit i says TP at threshold i."""
+    masks = [0] * len(rows)
+    for bit, t in enumerate(MAP_RANGE_THRESHOLDS):
+        available = [True] * len(rows[0])
+        for r, row in enumerate(rows):
+            best_gt = None
+            best_iou = 0.0
+            for gi, overlap in enumerate(row):
+                if overlap >= t and overlap > best_iou and available[gi]:
+                    best_iou = overlap
+                    best_gt = gi
+            if best_gt is not None:
+                available[best_gt] = False
+                masks[r] |= 1 << bit
+    return masks
+
+
+def _sweep_category(
+    category_id: int, detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]
+) -> _CategorySweep:
+    """``pr_curve`` + ``average_precision`` at every threshold in
+    MAP_RANGE_THRESHOLDS from one IoU pass over the category's images."""
+    images = _group_by_image(detections, ground_truths)
+    # Per detection in processing order, as pr_curve numbers them.
+    neg_confidence: list[float] = []
+    masks: list[int] = []
+    for image_id in sorted(images):
+        dets, gts = images[image_id]
+        ordered = sorted(dets, key=lambda d: -d.confidence)
+        neg_confidence.extend(-d.confidence for d in ordered)
+        if gts and ordered:
+            masks.extend(_match_thresholds([[iou(d.box, g.box) for g in gts] for d in ordered]))
+        else:
+            masks.extend([0] * len(ordered))
+
+    # Stable, so ties keep processing order: pr_curve's (-confidence, position).
+    order = sorted(range(len(masks)), key=neg_confidence.__getitem__)
+    masks = [masks[k] for k in order]
+    n_gt = len(ground_truths)
+    recalls, precisions = _cumulative(masks, 0, n_gt)  # IoU 0.5
+    aps = [_area(recalls, precisions, "grid101")]
+    aps.extend(
+        _area(*_cumulative(masks, bit, n_gt), "grid101")
+        for bit in range(1, len(MAP_RANGE_THRESHOLDS))
+    )
+    return _CategorySweep(
+        aps=tuple(aps),
+        ap50_trapezoid=_area(recalls, precisions, "trapezoid"),
+        curve=PrCurve(category_id, tuple(recalls), tuple(precisions)),
+    )
+
+
+def _cumulative(masks: Sequence[int], bit: int, n_gt: int) -> tuple[list[float], list[float]]:
+    """Recall and precision after each detection, TP where ``bit`` is set."""
+    recalls: list[float] = []
+    precisions: list[float] = []
+    cum_tp = 0
+    for rank, mask in enumerate(masks, start=1):
+        cum_tp += mask >> bit & 1
+        recalls.append(cum_tp / n_gt)
+        precisions.append(cum_tp / rank)  # precision(cum_tp, rank - cum_tp)
+    return recalls, precisions
+
+
+def _ap_sweep(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    categories: Sequence[int],
+) -> dict[int, _CategorySweep]:
+    """AP per category with at least one ground truth, at every threshold in
+    MAP_RANGE_THRESHOLDS (the first is 0.5), plus the IoU-0.5 trapezoid AP
+    and curve, from one IoU computation per same-category pair.
+
+    Equal, value for value, to ``pr_curve`` + ``average_precision`` per
+    category and threshold, which stay as the definition.
+    """
+    by_category: dict[int, tuple[list[Detection], list[GroundTruth]]] = {
+        cat: ([], []) for cat in categories
+    }
+    for d in detections:
+        by_category[d.category_id][0].append(d)
+    for g in ground_truths:
+        by_category[g.category_id][1].append(g)
+    return {
+        cat: _sweep_category(cat, *by_category.pop(cat))
+        for cat in categories
+        if by_category[cat][1]
+    }
+
+
 def evaluate_corpus(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
@@ -423,7 +547,12 @@ def evaluate_corpus(
     categories: Iterable[int] | None = None,
 ) -> CorpusMetrics:
     """Full evaluation: per-category AP and operating-point counts, mAP50,
-    mAP50-95 and the confusion matrix."""
+    mAP50-95, the confusion matrix and the IoU-0.5 PR curves.
+
+    The operating point and confusion matrix come from ``match_corpus``; AP,
+    mAP and the curves from one matching pass per (category, image) that
+    serves every IoU threshold.
+    """
     config = config or MatchConfig()
     cats = _category_set(detections, ground_truths, categories)
     outcomes = match_corpus(detections, ground_truths, config, cats)
@@ -440,21 +569,21 @@ def evaluate_corpus(
                 tp[det_cat] += 1
             else:
                 fp[det_cat] += 1
+    confusion = confusion_matrix(outcomes, cats)
+    del outcomes
 
-    config50 = replace(config, iou_threshold=0.5)
-    aps = per_category_ap(detections, ground_truths, config50, cats)
-    aps_trap = per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid")
-
+    sweeps = _ap_sweep(detections, ground_truths, cats)
     rows = []
     for cat in cats:
         if gt_total[cat] == 0 and tp[cat] == 0 and fp[cat] == 0:
             continue
         fn = gt_total[cat] - tp[cat]
+        sweep = sweeps.get(cat)
         rows.append(
             CategoryMetrics(
                 category_id=cat,
-                ap=aps.get(cat, 0.0),
-                ap_trapezoid=aps_trap.get(cat, 0.0),
+                ap=sweep.aps[0] if sweep else 0.0,
+                ap_trapezoid=sweep.ap50_trapezoid if sweep else 0.0,
                 tp=tp[cat],
                 fp=fp[cat],
                 fn=fn,
@@ -462,17 +591,20 @@ def evaluate_corpus(
                 recall=recall(tp[cat], fn),
             )
         )
-    map50 = mean_average_precision(aps) if aps else 0.0
-    map50_95 = (
-        map_over_iou_range(detections, ground_truths, MAP_RANGE_THRESHOLDS, config, cats)
-        if aps
-        else 0.0
-    )
+    map50 = map50_95 = 0.0
+    if sweeps:
+        per_threshold = [
+            mean_average_precision({cat: s.aps[i] for cat, s in sweeps.items()})
+            for i in range(len(MAP_RANGE_THRESHOLDS))
+        ]
+        map50 = per_threshold[0]
+        map50_95 = sum(per_threshold) / len(per_threshold)
     return CorpusMetrics(
         per_category=tuple(rows),
         map50=map50,
         map50_95=map50_95,
-        confusion=confusion_matrix(outcomes, cats),
+        confusion=confusion,
+        pr_curves=tuple(s.curve for s in sweeps.values()),
     )
 
 

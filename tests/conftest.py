@@ -8,8 +8,14 @@ import json
 import random
 
 import pytest
+from hypothesis import settings
 
 from trapeval.boxes import BoundingBox, Detection, GroundTruth
+
+# Property tests draw their examples from a fixed seed, so every run checks
+# the same inputs; explicit per-test settings still apply on top.
+settings.register_profile("trapeval", derandomize=True)
+settings.load_profile("trapeval")
 
 # Central differences use h = 1e-6; pairs are rejected while any min/max tie
 # or overlap boundary sits close enough to a kink (or an ill-conditioned

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -382,3 +383,33 @@ def test_bad_cli_number_exits_1_naming_argument(tmp_path, capsys, identity_corpu
     assert code == 1
     assert err.startswith("error: ") and argument in err
     assert "Traceback" not in err
+
+
+def write_bad_bbox(tmp_path, name, bbox):
+    payload = make_annotation_payload(num_images=3)
+    payload["annotations"][0]["bbox"] = bbox
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")  # json writes NaN as NaN
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,element",
+    [
+        (["eval", "{det}", "{bbox_x}"], "annotations[0]: bbox ['x', 1, 2, 3]"),
+        (["eval", "{det}", "{bbox_nan}"], "annotations[0]: bbox [nan, 1, 2, 3]"),
+        (["split", "{split}", "--trans-test", "a,b", "--trans-val", "3"], "--trans-test 'a,b'"),
+    ],
+)
+def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
+    names = {
+        "det": identity_corpus[0],
+        "bbox_x": write_bad_bbox(tmp_path, "x.json", ["x", 1, 2, 3]),
+        "bbox_nan": write_bad_bbox(tmp_path, "nan.json", [math.nan, 1, 2, 3]),
+        "split": split_corpus,
+    }
+    argv = [a.format(**names) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and element in err
+    assert "Traceback" not in err and stdout == ""

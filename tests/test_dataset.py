@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import random
 
 import numpy as np
@@ -88,6 +89,15 @@ def test_parse_round_trip(tmp_path, annotation_file):
         (lambda p: p["annotations"][0].update(image_id="ghost"), "unknown image"),
         (lambda p: p["annotations"][0].update(bbox=[1, 2, 3]), "bbox"),
         (lambda p: p["images"].append(dict(p["images"][0])), "duplicate image"),
+        (lambda p: p["categories"][0].update(id="cat"), r"categories\[0\]: id 'cat'"),
+        (lambda p: p["images"][0].update(location="here"), r"images\[0\]: location 'here'"),
+        (lambda p: p["images"][1].update(width=None), r"images\[1\]: width None"),
+        (lambda p: p["images"][2].update(height=[80]), r"images\[2\]: height \[80\]"),
+        (lambda p: p["annotations"][1].update(category_id="one"), r"annotations\[1\]: category_id"),
+        (lambda p: p["annotations"][0].update(bbox=["x", 1, 2, 3]), r"annotations\[0\]: bbox \['x'"),
+        (lambda p: p["annotations"][0].update(bbox=[1, 2, 3, 10**400]), r"annotations\[0\]: bbox \[1, 2"),
+        (lambda p: p["annotations"][2].update(bbox=[math.nan, 1, 2, 3]), r"annotations\[2\]: bbox \[nan"),
+        (lambda p: p["annotations"][1].update(bbox=[0, 0, math.inf, 3]), r"annotations\[1\]: bbox .*inf"),
     ],
 )
 def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):

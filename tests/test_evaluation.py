@@ -27,7 +27,7 @@ from trapeval.evaluation import (
     PrPoint,
 )
 
-from conftest import synthetic_instance
+from conftest import random_box, synthetic_instance
 
 B = BoundingBox
 
@@ -430,6 +430,147 @@ def test_identity_predictor_is_perfect():
     metrics = evaluate_corpus(dets, gts)
     assert metrics.map50 == 1.0
     assert metrics.map50_95 == 1.0
+
+
+# --- one-pass AP core against the per-category definition --------------------------
+
+def _edge_case_corpus(rng):
+    """Random corpus rich in the cases where a shortcut could drift from the
+    definition: confidence ties within and across images, duplicate
+    detections, zero-area boxes, IoUs landing exactly on a threshold
+    ([0,0,k,1] vs [0,0,20,1] has IoU k/20), category 3 with ground truths
+    only and category 4 with detections only. Image ids sort differently as
+    strings and as numbers."""
+    images = ("im2", "im10", "im1", "a")
+    ground_truths = []
+    for _ in range(rng.randint(0, 12)):
+        style = rng.random()
+        if style < 0.3:
+            box = B(0, 0, rng.choice((10, 11, 19, 20)), 1)
+        elif style < 0.4:
+            box = B(1, 1, 1, 3)
+        else:
+            box = random_box(rng, 0, 6)
+        ground_truths.append(GroundTruth(box, rng.choice((0, 1, 2, 3)), rng.choice(images)))
+    detections = []
+    for _ in range(rng.randint(0, 25)):
+        style = rng.random()
+        if detections and style < 0.15:
+            detections.append(rng.choice(detections))
+            continue
+        if ground_truths and style < 0.55:
+            base = rng.choice(ground_truths).box
+            jitter = rng.choice((0.0, 0.0, 0.3, 1.0))
+            box = B(
+                base.x1 + rng.uniform(-jitter, jitter),
+                base.y1 + rng.uniform(-jitter, jitter),
+                base.x2 + rng.uniform(-jitter, jitter),
+                base.y2 + rng.uniform(-jitter, jitter),
+            ).normalized()
+        elif style < 0.75:
+            box = B(0, 0, rng.randint(9, 20), 1)
+        elif style < 0.8:
+            box = B(2, 2, 4, 2)
+        else:
+            box = random_box(rng, 0, 6)
+        if rng.random() < 0.6:
+            confidence = rng.choice((0.3, 0.5, 0.5, 0.9, 1.0))
+        else:
+            confidence = round(rng.random(), 2)
+        detections.append(
+            Detection(box, rng.choice((0, 1, 2, 4)), confidence, rng.choice(images))
+        )
+    return detections, ground_truths
+
+
+def _assert_matches_definition(detections, ground_truths, categories=None):
+    metrics = evaluate_corpus(detections, ground_truths, MatchConfig(0.45, 0.25), categories)
+    cats = sorted(
+        set(categories)
+        if categories is not None
+        else {g.category_id for g in ground_truths} | {d.category_id for d in detections}
+    )
+    config50 = MatchConfig(0.5, 0.25)
+    aps = per_category_ap(detections, ground_truths, config50, cats)
+    traps = per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid")
+    for row in metrics.per_category:
+        assert row.ap == aps.get(row.category_id, 0.0)
+        assert row.ap_trapezoid == traps.get(row.category_id, 0.0)
+    assert metrics.map50 == (mean_average_precision(aps) if aps else 0.0)
+    assert metrics.map50_95 == (
+        map_over_iou_range(detections, ground_truths, categories=cats) if aps else 0.0
+    )
+    assert [c.category_id for c in metrics.pr_curves] == list(aps)
+    for curve in metrics.pr_curves:
+        cat = curve.category_id
+        oracle = pr_curve(
+            [d for d in detections if d.category_id == cat],
+            [g for g in ground_truths if g.category_id == cat],
+            config50,
+        )
+        assert list(curve.recall) == [p.recall for p in oracle]
+        assert list(curve.precision) == [p.precision for p in oracle]
+    return metrics
+
+
+def test_evaluate_corpus_equals_per_category_definition():
+    rng = random.Random(3141)
+    for _ in range(400):
+        detections, ground_truths = _edge_case_corpus(rng)
+        _assert_matches_definition(detections, ground_truths)
+        _assert_matches_definition(detections, ground_truths, categories=range(7))
+    for _ in range(100):
+        detections, ground_truths = synthetic_instance(rng, max_detections=30, images=4)
+        _assert_matches_definition(detections, ground_truths)
+
+
+def test_evaluate_corpus_edge_cases_equal_definition():
+    # IoU exactly 0.5: a TP at the first threshold only.
+    metrics = _assert_matches_definition([det(B(0, 0, 2, 1))], [gt(B(0, 0, 1, 1))])
+    assert metrics.map50 == 1.0 and metrics.map50_95 == pytest.approx(0.1)
+    # Two ground truths tie on IoU 0.6: the lower index is consumed, which
+    # leaves the later exact detection without a partner.
+    _assert_matches_definition(
+        [det(B(0.5, 0, 2.5, 1), conf=0.9), det(B(0, 0, 2, 1), conf=0.8)],
+        [gt(B(0, 0, 2, 1)), gt(B(1, 0, 3, 1))],
+    )
+    # No detections at all, and a category with detections only.
+    metrics = _assert_matches_definition([], [gt(B(0, 0, 1, 1), cat=0), gt(B(0, 0, 1, 1), cat=1)])
+    assert metrics.map50 == 0.0 and all(c.recall == () for c in metrics.pr_curves)
+    _assert_matches_definition([det(B(0, 0, 1, 1), cat=1)], [gt(B(0, 0, 1, 1), cat=0)])
+    # No ground truths at all: AP undefined everywhere, reported as 0.
+    metrics = _assert_matches_definition([det(B(0, 0, 1, 1))], [])
+    assert metrics.pr_curves == () and metrics.map50_95 == 0.0
+
+
+def test_evaluate_corpus_computes_each_same_category_iou_once(monkeypatch):
+    import trapeval.evaluation as evaluation
+
+    detections, ground_truths = synthetic_instance(
+        random.Random(8), max_detections=40, max_ground_truths=12, images=3
+    )
+    calls = 0
+    real_iou = evaluation.iou
+
+    def counting_iou(a, b):
+        nonlocal calls
+        calls += 1
+        return real_iou(a, b)
+
+    monkeypatch.setattr(evaluation, "iou", counting_iou)
+    config = MatchConfig(0.45, 0.25)
+    match_corpus(detections, ground_truths, config)
+    operating_point = calls
+    calls = 0
+    evaluate_corpus(detections, ground_truths, config)
+    pairs = sum(
+        1
+        for d in detections
+        for g in ground_truths
+        if (d.image_id, d.category_id) == (g.image_id, g.category_id)
+    )
+    assert operating_point > 0 and pairs > 0
+    assert calls <= operating_point + pairs
 
 
 # --- CSV interfaces --------------------------------------------------------------------
