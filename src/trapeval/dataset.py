@@ -59,28 +59,40 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _clamp_box(x1: float, y1: float, x2: float, y2: float, width: int, height: int) -> BoundingBox:
-    return BoundingBox(
-        min(max(x1, 0.0), width),
-        min(max(y1, 0.0), height),
-        min(max(x2, 0.0), width),
-        min(max(y2, 0.0), height),
-    ).normalized()
+    """Corners clamped to the image as floats, each pair in ascending order:
+    ``BoundingBox(min(max(x1, 0.0), width), ...).normalized()`` with the
+    ``min``/``max`` and two-value ``sorted`` calls spelled out (-0.0 and NaN
+    land where those put them)."""
+    x1 = 0.0 if 0.0 > x1 else x1
+    y1 = 0.0 if 0.0 > y1 else y1
+    x2 = 0.0 if 0.0 > x2 else x2
+    y2 = 0.0 if 0.0 > y2 else y2
+    x1 = float(width if width < x1 else x1)
+    y1 = float(height if height < y1 else y1)
+    x2 = float(width if width < x2 else x2)
+    y2 = float(height if height < y2 else y2)
+    x1, x2 = (x2, x1) if x2 < x1 else (x1, x2)
+    y1, y2 = (y2, y1) if y2 < y1 else (y1, y2)
+    return BoundingBox(x1, y1, x2, y2)
 
 
 def _integer(mapping: dict, key: str, context: str) -> int:
     value = _require(mapping, key, context)
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{context}: {key} {value!r} is not a number") from exc
+    if number != value and isinstance(value, float):
+        raise FormatError(f"{context}: {key} {value!r} is not an integer")
+    return number
 
 
 def parse_annotations(path: "str | Path") -> Dataset:
     """Read an annotation file into one record per image.
 
     Annotations attach by image id; unknown category or image references,
-    non-numeric fields and non-finite boxes are rejected with the offending
-    element named.
+    non-numeric fields, non-integral ids, sizes and locations, and
+    non-finite boxes are rejected with the offending element named.
     """
     try:
         with open(path, "r", encoding="utf-8") as stream:
@@ -117,10 +129,12 @@ def parse_annotations(path: "str | Path") -> Dataset:
         )
 
     annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
+    isfinite = math.isfinite
     for i, ann in enumerate(payload.get("annotations", [])):
         context = f"annotations[{i}]"
         image_id = str(_require(ann, "image_id", context))
-        if image_id not in images:
+        attached = annotations.get(image_id)
+        if attached is None:
             raise FormatError(f"{context}: unknown image id {image_id!r}")
         category_id = _integer(ann, "category_id", context)
         if category_id not in categories:
@@ -129,15 +143,14 @@ def parse_annotations(path: "str | Path") -> Dataset:
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise FormatError(f"{context}: bbox must be [x, y, w, h]")
         try:
-            x, y, w, h = coords = tuple(map(float, bbox))
+            x, y, w, h = map(float, bbox)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
-        if not all(map(math.isfinite, coords)):
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
             raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
         _, _, width, height, _ = images[image_id]
-        box = _clamp_box(x, y, x + w, y + h, width, height)
-        annotations[image_id].append(
-            GroundTruth(box=box, category_id=category_id, image_id=image_id)
+        attached.append(
+            GroundTruth(_clamp_box(x, y, x + w, y + h, width, height), category_id, image_id)
         )
     del payload  # free the parsed JSON before the records are built: a lower peak
 
@@ -148,41 +161,93 @@ def parse_annotations(path: "str | Path") -> Dataset:
     return Dataset(records, categories)
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    """One value as ``json.dump`` writes it by default: strings ASCII-escaped,
+    NaN and the infinities allowed."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of elements already written at depth 2, as ``json.dump`` with
+    ``indent=1`` closes it at depth 1."""
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+
 def write_annotations(dataset: Dataset, path: "str | Path") -> None:
-    """Inverse of parse_annotations (boxes back to [x, y, w, h])."""
+    """Inverse of parse_annotations (boxes back to [x, y, w, h]).
+
+    The bytes are those of ``json.dump(payload, stream, indent=1,
+    sort_keys=True)`` plus a newline, for the payload of "images",
+    "annotations" (ids from 1 in record order) and "categories" (by id);
+    each element is written from a template with its keys in sorted order.
+    """
     images = []
     annotations = []
-    ann_id = 1
+    ann_id = 0
     for record in dataset.records:
+        image_id = _json_scalar(record.image_id)
         images.append(
-            {
-                "id": record.image_id,
-                "width": record.width,
-                "height": record.height,
-                "location": record.location_id,
-                "date": record.capture_date.isoformat(),
-                "file_name": record.file_name,
-            }
+            f"""  {{
+   "date": {_json_string(record.capture_date.isoformat())},
+   "file_name": {_json_scalar(record.file_name)},
+   "height": {_json_scalar(record.height)},
+   "id": {image_id},
+   "location": {_json_scalar(record.location_id)},
+   "width": {_json_scalar(record.width)}
+  }}"""
         )
         for gt in record.annotations:
-            b = gt.box
-            annotations.append(
-                {
-                    "id": ann_id,
-                    "image_id": record.image_id,
-                    "category_id": gt.category_id,
-                    "bbox": [b.x1, b.y1, b.width, b.height],
-                }
-            )
             ann_id += 1
-    payload = {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": cid, "name": name} for cid, name in sorted(dataset.categories.items())],
-    }
+            b = gt.box
+            coords = x, y, w, h = b.x1, b.y1, b.width, b.height
+            # Finite floats (a finite sum implies them) print as their repr.
+            if float is type(x) is type(y) is type(w) is type(h) and math.isfinite(x + y + w + h):
+                bbox = f"{x!r},\n    {y!r},\n    {w!r},\n    {h!r}"
+            else:
+                bbox = ",\n    ".join(map(_json_scalar, coords))
+            annotations.append(
+                f"""  {{
+   "bbox": [
+    {bbox}
+   ],
+   "category_id": {_json_scalar(gt.category_id)},
+   "id": {ann_id},
+   "image_id": {image_id}
+  }}"""
+            )
+    categories = [
+        f"""  {{
+   "id": {_json_scalar(cid)},
+   "name": {_json_scalar(name)}
+  }}"""
+        for cid, name in sorted(dataset.categories.items())
+    ]
     with open(path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=1, sort_keys=True)
-        stream.write("\n")
+        stream.write(
+            f"""{{
+ "annotations": {_json_list(annotations)},
+ "categories": {_json_list(categories)},
+ "images": {_json_list(images)}
+}}
+"""
+        )
 
 
 def filter_empty(dataset: Dataset) -> Dataset:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,14 +206,14 @@ def test_gradcam_deterministic_and_alpha_zero(tmp_path, capsys, graph_and_image)
         "--alpha-overlay", "0", "--out-dir", str(out_zero),
     )
     assert code == 0
-    assert (out_zero / "overlay.ppm").read_bytes() == open(image, "rb").read()
+    assert (out_zero / "overlay.ppm").read_bytes() == Path(image).read_bytes()
 
 
 def test_gradcam_zero_weight_graph_emits_zero_heatmap(tmp_path, capsys, graph_and_image):
     graph, image = graph_and_image
     zeroed = tmp_path / "zero.txt"
     lines = []
-    for line in open(graph, encoding="utf-8"):
+    for line in Path(graph).read_text(encoding="utf-8").splitlines():
         tokens = line.split()
         lines.append(
             " ".join("seed=-1" if t.startswith("seed=") else t for t in tokens)
@@ -385,9 +386,9 @@ def test_bad_cli_number_exits_1_naming_argument(tmp_path, capsys, identity_corpu
     assert "Traceback" not in err
 
 
-def write_bad_bbox(tmp_path, name, bbox):
+def write_bad_annotations(tmp_path, name, mutate):
     payload = make_annotation_payload(num_images=3)
-    payload["annotations"][0]["bbox"] = bbox
+    mutate(payload)
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")  # json writes NaN as NaN
     return str(path)
@@ -399,13 +400,25 @@ def write_bad_bbox(tmp_path, name, bbox):
         (["eval", "{det}", "{bbox_x}"], "annotations[0]: bbox ['x', 1, 2, 3]"),
         (["eval", "{det}", "{bbox_nan}"], "annotations[0]: bbox [nan, 1, 2, 3]"),
         (["split", "{split}", "--trans-test", "a,b", "--trans-val", "3"], "--trans-test 'a,b'"),
+        (["eval", "{det}", "{category_fraction}"], "annotations[0]: category_id 1.7 is not an integer"),
+        (["split", "{width_fraction}"], "images[0]: width 10.9 is not an integer"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
     names = {
         "det": identity_corpus[0],
-        "bbox_x": write_bad_bbox(tmp_path, "x.json", ["x", 1, 2, 3]),
-        "bbox_nan": write_bad_bbox(tmp_path, "nan.json", [math.nan, 1, 2, 3]),
+        "bbox_x": write_bad_annotations(
+            tmp_path, "x.json", lambda p: p["annotations"][0].update(bbox=["x", 1, 2, 3])
+        ),
+        "bbox_nan": write_bad_annotations(
+            tmp_path, "nan.json", lambda p: p["annotations"][0].update(bbox=[math.nan, 1, 2, 3])
+        ),
+        "category_fraction": write_bad_annotations(
+            tmp_path, "category.json", lambda p: p["annotations"][0].update(category_id=1.7)
+        ),
+        "width_fraction": write_bad_annotations(
+            tmp_path, "width.json", lambda p: p["images"][0].update(width=10.9)
+        ),
         "split": split_corpus,
     }
     argv = [a.format(**names) for a in argv] + ["--out-dir", str(tmp_path / "out")]

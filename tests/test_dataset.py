@@ -1,4 +1,7 @@
+import copy
 import datetime as dt
+import itertools
+import json
 import math
 import random
 
@@ -22,6 +25,7 @@ from trapeval.dataset import (
     verify_split,
     write_annotations,
     write_distribution_csv,
+    _clamp_box,
 )
 from trapeval.errors import FormatError, SplitError
 from trapeval.ppm import read_ppm, read_pgm, write_pgm, write_ppm
@@ -98,6 +102,12 @@ def test_parse_round_trip(tmp_path, annotation_file):
         (lambda p: p["annotations"][0].update(bbox=[1, 2, 3, 10**400]), r"annotations\[0\]: bbox \[1, 2"),
         (lambda p: p["annotations"][2].update(bbox=[math.nan, 1, 2, 3]), r"annotations\[2\]: bbox \[nan"),
         (lambda p: p["annotations"][1].update(bbox=[0, 0, math.inf, 3]), r"annotations\[1\]: bbox .*inf"),
+        (lambda p: p["annotations"][0].update(category_id=1.7), r"annotations\[0\]: category_id 1.7 is not an integer"),
+        (lambda p: p["images"][0].update(width=10.9), r"images\[0\]: width 10.9 is not an integer"),
+        (lambda p: p["images"][1].update(height=-0.5), r"images\[1\]: height -0.5 is not an integer"),
+        (lambda p: p["images"][2].update(location=3.25), r"images\[2\]: location 3.25 is not an integer"),
+        (lambda p: p["categories"][1].update(id=2.5), r"categories\[1\]: id 2.5 is not an integer"),
+        (lambda p: p["images"][0].update(width=math.nan), r"images\[0\]: width nan is not a number"),
     ],
 )
 def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):
@@ -115,6 +125,139 @@ def test_parse_rejects_bad_json(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(FormatError):
         parse_annotations(path)
+
+
+def test_parse_accepts_integral_numbers(annotation_file):
+    payload = make_annotation_payload(num_images=3)
+    as_floats = copy.deepcopy(payload)
+    for element in as_floats["categories"] + as_floats["images"] + as_floats["annotations"]:
+        for key in ("id", "location", "width", "height", "category_id"):
+            if isinstance(element.get(key), int):
+                element[key] = float(element[key])
+    data = parse_annotations(annotation_file(as_floats, "floats.json"))
+    assert data == parse_annotations(annotation_file(payload))
+    numbers = [*data.categories]
+    for rec in data.records:
+        numbers += [rec.location_id, rec.width, rec.height]
+        numbers += [gt.category_id for gt in rec.annotations]
+    assert {type(n) for n in numbers} == {int}
+
+
+def clamp_box_definition(x1, y1, x2, y2, width, height):
+    return BoundingBox(
+        min(max(x1, 0.0), width),
+        min(max(y1, 0.0), height),
+        min(max(x2, 0.0), width),
+        min(max(y2, 0.0), height),
+    ).normalized()
+
+
+def exact(box):
+    """Corners compared by type and repr, so -0.0 and NaN count."""
+    return [(type(v), repr(v)) for v in box.corners()]
+
+
+def test_clamp_box_equals_its_definition():
+    values = (-5.0, -0.0, 0.0, 2, 3.5, 8.0, 10, 12.25, math.nan, math.inf, -math.inf)
+    for width, height in ((10, 8), (0, 0)):
+        for corners in itertools.product(values, repeat=4):
+            expected = clamp_box_definition(*corners, width, height)
+            assert exact(_clamp_box(*corners, width, height)) == exact(expected), corners
+
+
+# --- writing ---------------------------------------------------------------------
+
+def write_annotations_definition(dataset: Dataset) -> str:
+    """What write_annotations writes: its payload through json.dumps."""
+    images = []
+    annotations = []
+    ann_id = 1
+    for rec in dataset.records:
+        images.append(
+            {
+                "id": rec.image_id,
+                "width": rec.width,
+                "height": rec.height,
+                "location": rec.location_id,
+                "date": rec.capture_date.isoformat(),
+                "file_name": rec.file_name,
+            }
+        )
+        for gt in rec.annotations:
+            b = gt.box
+            annotations.append(
+                {
+                    "id": ann_id,
+                    "image_id": rec.image_id,
+                    "category_id": gt.category_id,
+                    "bbox": [b.x1, b.y1, b.width, b.height],
+                }
+            )
+            ann_id += 1
+    payload = {
+        "images": images,
+        "annotations": annotations,
+        "categories": [{"id": cid, "name": name} for cid, name in sorted(dataset.categories.items())],
+    }
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+AWKWARD_TEXT = (
+    "plain", "", "caf\u00e9", "\u96ea\u8c79", "\U0001f98a fox", 'say "cheese"', "back\\slash",
+    "tab\there", "line\nbreak", "\x00\x1f\x7f", "</script>", "\u2028",
+)
+AWKWARD_NUMBERS = (
+    0.0, -0.0, 1.5, -3.25, 0.1 + 0.2, 1e-300, 5e-324, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 0, 7, -2, 10**20,
+)
+
+
+def awkward_dataset(rng: random.Random) -> Dataset:
+    """Names with non-ASCII, quote, backslash and control characters; boxes
+    with NaN, infinities, -0.0, integer corners and finite floats."""
+    categories = {
+        rng.randrange(-5, 100): rng.choice(AWKWARD_TEXT) for _ in range(rng.randrange(4))
+    }
+    records = []
+    for i in range(rng.randrange(6)):
+        image_id = f"{rng.choice(AWKWARD_TEXT)}{i}"
+        boxes = [
+            BoundingBox(*(
+                rng.choice(AWKWARD_NUMBERS) if rng.random() < 0.4 else rng.uniform(-1e3, 1e3)
+                for _ in range(4)
+            ))
+            for _ in range(rng.randrange(4))
+        ]
+        records.append(
+            ImageRecord(
+                image_id=image_id,
+                location_id=rng.randrange(-3, 50),
+                capture_date=dt.date(rng.randrange(1, 10000), rng.randrange(1, 13), rng.randrange(1, 29)),
+                width=rng.choice((0, 1, 640, 4096)),
+                height=rng.choice((0, 1, 480, 3072)),
+                file_name=rng.choice(AWKWARD_TEXT),
+                annotations=tuple(
+                    GroundTruth(box, rng.choice([*categories, 3]), image_id) for box in boxes
+                ),
+            )
+        )
+    return Dataset(tuple(records), categories)
+
+
+def test_write_annotations_equals_json_dump(tmp_path, annotation_file):
+    parsed = parse_annotations(annotation_file(make_annotation_payload(num_images=100, seed=5)))
+    cases = [
+        parsed,
+        Dataset((), {}),
+        Dataset((), {1: "bobcat"}),
+        Dataset((record("bare"),), {}),
+        Dataset((record("a", boxes=[((0, 0, 10, 10), 1)]), record("b")), {1: "bobcat"}),
+    ]
+    cases += [awkward_dataset(random.Random(seed)) for seed in range(300)]
+    for i, dataset in enumerate(cases):
+        out = tmp_path / f"written{i}.json"
+        write_annotations(dataset, out)
+        assert out.read_bytes() == write_annotations_definition(dataset).encode("ascii")
 
 
 # --- empty filtering -------------------------------------------------------------
