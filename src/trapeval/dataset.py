@@ -87,6 +87,18 @@ def _integer(mapping: dict, key: str, context: str) -> int:
     return number
 
 
+def _objects(payload: dict, section: str, path: "str | Path"):
+    """(context, element) for each element of a top-level list of objects."""
+    elements = payload.get(section, [])
+    if not isinstance(elements, list):
+        raise FormatError(f"{path}: {section} must be a list, got {elements!r:.40}")
+    for i, element in enumerate(elements):
+        context = f"{section}[{i}]"
+        if not isinstance(element, dict):
+            raise FormatError(f"{context}: must be an object, got {element!r:.40}")
+        yield context, element
+
+
 def parse_annotations(path: "str | Path") -> Dataset:
     """Read an annotation file into one record per image.
 
@@ -103,15 +115,13 @@ def parse_annotations(path: "str | Path") -> Dataset:
         raise FormatError(f"{path}: top level must be an object")
 
     categories: dict[int, str] = {}
-    for i, cat in enumerate(payload.get("categories", [])):
-        context = f"categories[{i}]"
+    for context, cat in _objects(payload, "categories", path):
         cid = _integer(cat, "id", context)
         categories[cid] = str(_require(cat, "name", context))
 
     # image id -> (location, date, width, height, file name), in file order
     images: dict[str, tuple[int, dt.date, int, int, str]] = {}
-    for i, img in enumerate(payload.get("images", [])):
-        context = f"images[{i}]"
+    for context, img in _objects(payload, "images", path):
         image_id = str(_require(img, "id", context))
         if image_id in images:
             raise FormatError(f"{context}: duplicate image id {image_id!r}")
@@ -130,8 +140,7 @@ def parse_annotations(path: "str | Path") -> Dataset:
 
     annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
     isfinite = math.isfinite
-    for i, ann in enumerate(payload.get("annotations", [])):
-        context = f"annotations[{i}]"
+    for context, ann in _objects(payload, "annotations", path):
         image_id = str(_require(ann, "image_id", context))
         attached = annotations.get(image_id)
         if attached is None:

@@ -639,7 +639,7 @@ class Graph:
         for si, seed in per_scale.items():
             branch = self.modules[detect_name][si]
             branch_cache = run.caches[detect_name][si]
-            upstream = branch.backward(np.zeros_like(run.head[si].box), seed, branch_cache)
+            upstream = branch.backward(None, seed, branch_cache)
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
         for layer in reversed(self.spec.layers[1:]):

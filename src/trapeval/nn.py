@@ -327,10 +327,13 @@ class HeadBranch:
         cls, c_c2 = self.cls_out.forward(s1)
         return box, cls, (c_r1, c_r2, c_c1, c_c2)
 
-    def backward(self, dbox: np.ndarray, dcls: np.ndarray, cache: Any) -> np.ndarray:
+    def backward(self, dbox: np.ndarray | None, dcls: np.ndarray, cache: Any) -> np.ndarray:
+        """Input gradient; ``dbox=None`` means no gradient reaches the box
+        deltas, so the box convs are not run backward at all."""
         c_r1, c_r2, c_c1, c_c2 = cache
-        dr1 = self.reg_out.backward(dbox, c_r2)
-        dx = self.reg_conv.backward(dr1, c_r1)
         ds1 = self.cls_out.backward(dcls, c_c2)
-        dx += self.cls_conv.backward(ds1, c_c1)
-        return dx
+        dx = self.cls_conv.backward(ds1, c_c1)
+        if dbox is None:
+            return dx
+        dr1 = self.reg_out.backward(dbox, c_r2)
+        return self.reg_conv.backward(dr1, c_r1) + dx

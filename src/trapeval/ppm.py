@@ -13,7 +13,7 @@ from typing import IO
 import numpy as np
 
 from .errors import FormatError
-from .tensor import Tensor3
+from .tensor import Tensor3, read_at_most
 
 
 def _read_token(stream: IO[bytes]) -> bytes:
@@ -55,7 +55,7 @@ def _read_header(stream: IO[bytes], magic: bytes) -> tuple[int, int]:
 def read_ppm(path: "str | Path") -> Tensor3:
     with open(path, "rb") as stream:
         width, height = _read_header(stream, b"P6")
-        payload = stream.read(3 * width * height)
+        payload = read_at_most(stream, 3 * width * height)
         if len(payload) != 3 * width * height:
             raise FormatError(
                 f"truncated pixel data: got {len(payload)} of {3 * width * height} bytes"
@@ -79,7 +79,7 @@ def read_pgm(path: "str | Path") -> np.ndarray:
     """Grayscale image as a (H, W) float64 array in [0, 255]."""
     with open(path, "rb") as stream:
         width, height = _read_header(stream, b"P5")
-        payload = stream.read(width * height)
+        payload = read_at_most(stream, width * height)
         if len(payload) != width * height:
             raise FormatError(
                 f"truncated pixel data: got {len(payload)} of {width * height} bytes"

@@ -89,6 +89,23 @@ def write_tensor_dump(tensor: Tensor3, stream: IO[bytes]) -> None:
     stream.write(tensor.data.astype("<f8").tobytes(order="C"))
 
 
+_READ_CHUNK = 1 << 24
+
+
+def read_at_most(stream: IO[bytes], size: int) -> bytes:
+    """Up to ``size`` bytes, fewer at end of file. Reads in chunks, so a
+    header declaring more data than the file holds allocates only what is
+    there, however large the declared size."""
+    chunks = []
+    while size > 0:
+        chunk = stream.read(min(size, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
 def read_tensor_dump(stream: IO[bytes]) -> Tensor3:
     magic = stream.read(4)
     if magic != TENSOR_DUMP_MAGIC:
@@ -97,9 +114,11 @@ def read_tensor_dump(stream: IO[bytes]) -> Tensor3:
     if len(header) != 12:
         raise FormatError("truncated tensor dump header")
     c, h, w = struct.unpack("<III", header)
-    payload = stream.read(8 * c * h * w)
+    payload = read_at_most(stream, 8 * c * h * w)
     if len(payload) != 8 * c * h * w:
-        raise FormatError("truncated tensor dump payload")
+        raise FormatError(
+            f"truncated tensor dump payload: got {len(payload)} of {8 * c * h * w} bytes"
+        )
     data = np.frombuffer(payload, dtype="<f8").reshape(c, h, w)
     return Tensor3(data.copy())
 
@@ -107,11 +126,15 @@ def read_tensor_dump(stream: IO[bytes]) -> Tensor3:
 # --- activations ------------------------------------------------------------
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for x < 0,
+    without branches: both forms are e' / (1 + e) with e = exp(-|x|) and
+    e' = e or 1. ``minimum(x, -x)`` is -|x| that keeps a NaN's sign bit."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x < 0, e, 1.0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -120,12 +143,19 @@ def sigmoid_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def silu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dout * (s * (1 + x * (1 - s))) with s = sigmoid(x), evaluated in
+    place with every operand in that order."""
     s = sigmoid(x)
-    return dout * (s * (1.0 + x * (1.0 - s)))
+    t = np.subtract(1.0, s)
+    np.multiply(x, t, out=t)
+    np.add(1.0, t, out=t)
+    np.multiply(s, t, out=t)
+    return np.multiply(dout, t, out=t)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -138,10 +168,37 @@ def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # --- convolution ------------------------------------------------------------
 
+def _pointwise(spec: ShapeSpec) -> bool:
+    return spec.kernel == 1 and spec.stride == 1 and spec.padding == 0
+
+
+def _im2col(x: np.ndarray, spec: ShapeSpec, ho: int, wo: int) -> np.ndarray:
+    """(C_in, k, k, ho, wo) patches of x zero-padded by p: entry
+    [c, u, v, i, j] is x[c, s*i + u - p, s*j + v - p], or 0 outside x."""
+    c_in, h, w = x.shape
+    p, s, k = spec.padding, spec.stride, spec.kernel
+    cols = np.zeros((c_in, k, k, ho, wo))
+    for u in range(k):
+        i0, i1 = max(0, -((u - p) // s)), min(ho, (h - 1 + p - u) // s + 1)
+        for v in range(k):
+            j0, j1 = max(0, -((v - p) // s)), min(wo, (w - 1 + p - v) // s + 1)
+            if i0 < i1 and j0 < j1:
+                cols[:, u, v, i0:i1, j0:j1] = x[
+                    :,
+                    s * i0 + u - p : s * (i1 - 1) + u - p + 1 : s,
+                    s * j0 + v - p : s * (j1 - 1) + v - p + 1 : s,
+                ]
+    return cols
+
+
 def conv2d_forward(
     x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None, spec: ShapeSpec
 ) -> np.ndarray:
-    """Standard 2D convolution. weights: (C_out, C_in, k, k)."""
+    """Standard 2D convolution. weights: (C_out, C_in, k, k).
+
+    One GEMM of the (C_out, C_in*k*k) weights with the (C_in*k*k, ho*wo)
+    patch matrix; a 1x1, stride-1, unpadded conv uses x itself as that
+    matrix."""
     c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weights.shape
     if kh != kw or kh != spec.kernel:
@@ -150,13 +207,10 @@ def conv2d_forward(
         raise ShapeError(f"conv expects {c_in_w} input channels, got {c_in}")
     ho = conv_output_dim(h, spec)
     wo = conv_output_dim(w, spec)
-    p, s, k = spec.padding, spec.stride, spec.kernel
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = windows[:, :: s, :: s][:, :ho, :wo]  # (C_in, ho, wo, k, k)
-    y = np.tensordot(weights, cols, axes=([1, 2, 3], [0, 3, 4]))
+    cols = x if _pointwise(spec) else _im2col(x, spec, ho, wo)
+    y = np.dot(weights.reshape(c_out, -1), cols.reshape(-1, ho * wo)).reshape(c_out, ho, wo)
     if bias is not None:
-        y = y + bias[:, None, None]
+        y += bias[:, None, None]
     return y
 
 
@@ -164,9 +218,17 @@ def conv2d_backward_input(
     dout: np.ndarray, weights: np.ndarray, input_shape: tuple[int, int, int], spec: ShapeSpec
 ) -> np.ndarray:
     c_in, h, w = input_shape
+    c_out = weights.shape[0]
     p, s, k = spec.padding, spec.stride, spec.kernel
     ho, wo = dout.shape[1:]
-    dcols = np.tensordot(weights, dout, axes=([0], [0]))  # (C_in, k, k, ho, wo)
+    # (C_in*k*k, C_out) @ (C_out, ho*wo), the transposed weights a view: the
+    # operands np.tensordot(weights, dout, ([0], [0])) hands to BLAS.
+    dcols = np.dot(weights.reshape(c_out, -1).T, dout.reshape(c_out, ho * wo))
+    if _pointwise(spec):
+        # The k > 1 path below adds into zeros, which turns -0.0 into +0.0.
+        dcols += 0.0
+        return dcols.reshape(input_shape)
+    dcols = dcols.reshape(c_in, k, k, ho, wo)
     dxp = np.zeros((c_in, h + 2 * p, w + 2 * p))
     for u in range(k):
         for v in range(k):

@@ -402,6 +402,10 @@ def write_bad_annotations(tmp_path, name, mutate):
         (["split", "{split}", "--trans-test", "a,b", "--trans-val", "3"], "--trans-test 'a,b'"),
         (["eval", "{det}", "{category_fraction}"], "annotations[0]: category_id 1.7 is not an integer"),
         (["split", "{width_fraction}"], "images[0]: width 10.9 is not an integer"),
+        (["split", "{image_number}"], "images[0]: must be an object, got 5"),
+        (["eval", "{det}", "{categories_number}"], "categories must be a list, got 3"),
+        (["gradcam", "{graph}", "{huge_ppm}", "--layer", "img", "--category", "0"],
+         "truncated pixel data: got 3 of 30000000000 bytes"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
@@ -420,7 +424,16 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
             tmp_path, "width.json", lambda p: p["images"][0].update(width=10.9)
         ),
         "split": split_corpus,
+        "image_number": write_bad_annotations(
+            tmp_path, "image.json", lambda p: p["images"].__setitem__(0, 5)
+        ),
+        "categories_number": write_bad_annotations(
+            tmp_path, "categories.json", lambda p: p.update(categories=3)
+        ),
+        "graph": write_tiny_graph(tmp_path, "")[0],
+        "huge_ppm": tmp_path / "huge.ppm",
     }
+    names["huge_ppm"].write_bytes(b"P6\n100000 100000\n255\nabc")
     argv = [a.format(**names) for a in argv] + ["--out-dir", str(tmp_path / "out")]
     code, stdout, err = run(capsys, *argv)
     assert code == 1

@@ -108,6 +108,11 @@ def test_parse_round_trip(tmp_path, annotation_file):
         (lambda p: p["images"][2].update(location=3.25), r"images\[2\]: location 3.25 is not an integer"),
         (lambda p: p["categories"][1].update(id=2.5), r"categories\[1\]: id 2.5 is not an integer"),
         (lambda p: p["images"][0].update(width=math.nan), r"images\[0\]: width nan is not a number"),
+        (lambda p: p["images"].__setitem__(0, 5), r"images\[0\]: must be an object, got 5"),
+        (lambda p: p["annotations"].append("box"), r"annotations\[\d+\]: must be an object, got 'box'"),
+        (lambda p: p["categories"].insert(0, [1, "deer"]), r"categories\[0\]: must be an object"),
+        (lambda p: p.update(categories=3), r"categories must be a list, got 3"),
+        (lambda p: p.update(images={"id": "a"}), r"images must be a list, got \{'id'"),
     ],
 )
 def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):
@@ -615,6 +620,18 @@ def test_ppm_rejects_malformed(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(FormatError):
         read_ppm(path)
+
+
+@pytest.mark.parametrize("magic,read", [(b"P6", read_ppm), (b"P5", read_pgm)])
+@pytest.mark.parametrize("side", [100_000, 10_000_000_000])
+def test_raster_readers_reject_sizes_beyond_the_file(tmp_path, magic, read, side):
+    """The header's size is not allocated up front: a 30 GB or
+    past-sys.maxsize claim on a 3-byte payload reads as truncated."""
+    path = tmp_path / "huge.img"
+    path.write_bytes(magic + f"\n{side} {side}\n255\n".encode("ascii") + b"abc")
+    expected = (3 if magic == b"P6" else 1) * side * side
+    with pytest.raises(FormatError, match=f"truncated pixel data: got 3 of {expected} bytes"):
+        read(path)
 
 
 def test_ppm_write_validation(tmp_path):

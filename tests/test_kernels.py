@@ -1,0 +1,253 @@
+"""Differential tests: the graph engine's kernels against the definition-level
+code they replaced, kept here as oracles.
+
+The fast kernels perform the same floating-point operations in the same
+order, so every comparison is bitwise (``.view(np.int64)``): signed zeros,
+subnormals, infinities and NaN payloads included.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from trapeval import nn
+from trapeval.errors import ShapeError
+from trapeval.graph import Graph, ScoreSelector, build_graph
+from trapeval.tensor import (
+    ShapeSpec,
+    Tensor3,
+    conv2d_backward_input,
+    conv2d_forward,
+    conv_output_dim,
+    sigmoid,
+    silu,
+    silu_backward,
+    upsample_backward,
+)
+
+# --- oracles -----------------------------------------------------------------
+
+
+def oracle_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_silu(x):
+    return x * oracle_sigmoid(x)
+
+
+def oracle_silu_backward(dout, x):
+    s = oracle_sigmoid(x)
+    return dout * (s * (1.0 + x * (1.0 - s)))
+
+
+def oracle_conv2d_forward(x, weights, bias, spec):
+    c_in, h, w = x.shape
+    ho = conv_output_dim(h, spec)
+    wo = conv_output_dim(w, spec)
+    p, s, k = spec.padding, spec.stride, spec.kernel
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))
+    cols = windows[:, ::s, ::s][:, :ho, :wo]  # (C_in, ho, wo, k, k)
+    y = np.tensordot(weights, cols, axes=([1, 2, 3], [0, 3, 4]))
+    if bias is not None:
+        y = y + bias[:, None, None]
+    return y
+
+
+def oracle_conv2d_backward_input(dout, weights, input_shape, spec):
+    c_in, h, w = input_shape
+    p, s, k = spec.padding, spec.stride, spec.kernel
+    ho, wo = dout.shape[1:]
+    dcols = np.tensordot(weights, dout, axes=([0], [0]))  # (C_in, k, k, ho, wo)
+    dxp = np.zeros((c_in, h + 2 * p, w + 2 * p))
+    for u in range(k):
+        for v in range(k):
+            dxp[:, u : u + s * ho : s, v : v + s * wo : s] += dcols[:, u, v]
+    return dxp[:, p : p + h, p : p + w]
+
+
+def oracle_upsample_backward(dout, factor):
+    if factor == 1:
+        return dout.copy()
+    c, hf, wf = dout.shape
+    return dout.reshape(c, hf // factor, factor, wf // factor, factor).sum(axis=(2, 4))
+
+
+def oracle_head_backward(self, dbox, dcls, cache):
+    """The head backward that always ran the box path, on zeros when no box
+    gradient was given."""
+    if dbox is None:
+        dbox = np.zeros((4,) + dcls.shape[1:])
+    c_r1, c_r2, c_c1, c_c2 = cache
+    dr1 = self.reg_out.backward(dbox, c_r2)
+    dx = self.reg_conv.backward(dr1, c_r1)
+    ds1 = self.cls_out.backward(dcls, c_c2)
+    dx += self.cls_conv.backward(ds1, c_c1)
+    return dx
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    same = np.ascontiguousarray(actual).view(np.int64) == np.ascontiguousarray(expected).view(np.int64)
+    assert same.all(), (actual[~same][:5], expected[~same][:5])
+
+
+# --- activations -------------------------------------------------------------
+
+TINY = np.finfo(np.float64).tiny
+EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, TINY / 3, -TINY / 3, 1.0, -1.0,
+     36.8, -36.8, 37.0, -37.0, 709.8, -709.8, 745.0, -745.0, 745.2, -745.2,
+     1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+)
+# NaNs with payloads, a signalling one among them.
+NANS = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+
+
+def activation_inputs():
+    rng = np.random.default_rng(0)
+    flat = np.concatenate(
+        [
+            EDGES,
+            np.nextafter(EDGES, np.inf),
+            np.nextafter(EDGES, -np.inf),
+            NANS,
+            rng.normal(size=4000) * 5.0,
+            rng.normal(size=1000) * 400.0,
+        ]
+    )
+    grid = rng.normal(size=(6, 17, 23)) * 10.0
+    return [flat, grid, grid[:, ::2, 1::3], flat[:1], flat[:0]]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_activations_equal_their_oracles_bitwise(case):
+    x = activation_inputs()[case]
+    dout = np.random.default_rng(case).normal(size=x.shape)
+    dout.flat[:3] = [0.0, -0.0, np.inf][: dout.size]
+    with np.errstate(invalid="ignore"):  # silu(-inf) = -inf * 0 is NaN either way
+        assert_bitwise(sigmoid(x), oracle_sigmoid(x))
+        assert_bitwise(silu(x), oracle_silu(x))
+        assert_bitwise(silu_backward(dout, x), oracle_silu_backward(dout, x))
+
+
+# --- convolution -------------------------------------------------------------
+
+CONV_INPUTS = [(2, 9, 6), (3, 1, 4), (1, 5, 11), (2, 12, 12)]
+
+
+def conv_operands(rng, c_in, k, c_out=3):
+    weights = rng.uniform(-1, 1, (c_out, c_in, k, k))
+    weights.flat[::5] = 0.0
+    weights.flat[1::7] = -0.0
+    return weights, rng.uniform(-1, 1, c_out)
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_equals_its_oracle_bitwise(kernel, stride):
+    rng = np.random.default_rng(kernel * 10 + stride)
+    checked = 0
+    for padding in range(kernel + 1):
+        spec = ShapeSpec(kernel, stride, padding)
+        for shape in CONV_INPUTS:
+            x = rng.normal(size=shape)
+            x.flat[::4] = -0.0
+            weights, bias = conv_operands(rng, shape[0], kernel)
+            try:
+                out_shape = (3, conv_output_dim(shape[1], spec), conv_output_dim(shape[2], spec))
+            except ShapeError:
+                with pytest.raises(ShapeError):
+                    conv2d_forward(x, weights, bias, spec)
+                continue
+            for b in (bias, None):
+                assert_bitwise(conv2d_forward(x, weights, b, spec), oracle_conv2d_forward(x, weights, b, spec))
+            # -0.0 and 0.0 upstream gradients: the sign of each zero must match
+            for dout in (rng.normal(size=out_shape), np.full(out_shape, -0.0), np.zeros(out_shape)):
+                assert_bitwise(
+                    conv2d_backward_input(dout, weights, shape, spec),
+                    oracle_conv2d_backward_input(dout, weights, shape, spec),
+                )
+            checked += 1
+    assert checked >= len(CONV_INPUTS)
+
+
+def test_pointwise_conv_on_a_strided_input_equals_its_oracle():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 10, 12))[::2, 1:, ::2]
+    weights, bias = conv_operands(rng, 4, 1, c_out=5)
+    spec = ShapeSpec(1, 1, 0)
+    assert_bitwise(conv2d_forward(x, weights, bias, spec), oracle_conv2d_forward(x, weights, bias, spec))
+    dout = rng.normal(size=(10, 9, 6))[::2]
+    assert_bitwise(
+        conv2d_backward_input(dout, weights, x.shape, spec),
+        oracle_conv2d_backward_input(dout, weights, x.shape, spec),
+    )
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_upsample_backward_equals_its_oracle_bitwise(factor):
+    rng = np.random.default_rng(factor)
+    for c, h, w in [(1, 1, 1), (3, 5, 7), (16, 4, 4)]:
+        dout = rng.normal(size=(c, h * factor, w * factor)) * 10.0 ** rng.integers(-6, 6, (c, h * factor, w * factor))
+        assert_bitwise(upsample_backward(dout, factor), oracle_upsample_backward(dout, factor))
+
+
+# --- whole graphs ------------------------------------------------------------
+
+
+def test_head_backward_equals_its_oracle_bitwise():
+    head = nn.HeadBranch(8, 3, seed=4)
+    rng = np.random.default_rng(4)
+    box, cls, cache = head.forward(rng.normal(size=(8, 6, 5)))
+    dcls = rng.normal(size=cls.shape)
+    for dbox in (rng.normal(size=box.shape), np.zeros(box.shape), None):
+        assert_bitwise(head.backward(dbox, dcls, cache), oracle_head_backward(head, dbox, dcls, cache))
+
+
+def graph_outputs(graph, image):
+    """Every activation (head planes included) and the gradients of a
+    multi-scale seed into l0, l2, the GAM layer and the image."""
+    run = graph.forward(image)
+    out = {name: value for name, value in run.activations.items()}
+    n_cat = run.head[0].cls.shape[0]
+    seeds = {}
+    for head in run.head:
+        _, gh, gw = head.cls.shape
+        seeds[(head.scale_index, n_cat - 1, gh - 1, 0)] = 1.0
+        seeds[(head.scale_index, 0, gh // 2, gw // 2)] = -0.5
+    targets = ["l0", "l2", "img"] + [layer.name for layer in graph.spec.layers if layer.kind == "gam"]
+    for name in targets:
+        out[f"grad/{name}"] = graph.backward_from_head(run, seeds, name).data
+        out[f"cam/{name}"] = graph.backward_to_layer(run, ScoreSelector(n_cat - 1), name).data
+    return out
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+@pytest.mark.parametrize("size", [64, 96])
+def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
+    graph = Graph(build_graph(variant, size, seed=size))
+    image = Tensor3(np.random.default_rng(size).integers(0, 256, (3, size, size)).astype(np.float64))
+    fast = graph_outputs(graph, image)
+    for name, oracle in [
+        ("sigmoid", oracle_sigmoid),
+        ("silu", oracle_silu),
+        ("silu_backward", oracle_silu_backward),
+        ("conv2d_forward", oracle_conv2d_forward),
+        ("conv2d_backward_input", oracle_conv2d_backward_input),
+        ("upsample_backward", oracle_upsample_backward),
+    ]:
+        monkeypatch.setattr(nn, name, oracle)
+    monkeypatch.setattr(nn.HeadBranch, "backward", oracle_head_backward)
+    slow = graph_outputs(graph, image)
+    assert fast.keys() == slow.keys()
+    for key in slow:
+        assert_bitwise(fast[key], slow[key])

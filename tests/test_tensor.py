@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +200,9 @@ def test_tensor_dump_rejects_corruption():
         read_tensor_dump(io.BytesIO(raw[:-8]))
     with pytest.raises(FormatError):
         read_tensor_dump(io.BytesIO(raw[:10]))
+    huge = b"TNSR" + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + raw[16:]
+    with pytest.raises(FormatError, match=f"got 32 of {8 * 0xFFFFFFFF**3} bytes"):
+        read_tensor_dump(io.BytesIO(huge))
 
 
 def test_tensor3_validates_shape():
