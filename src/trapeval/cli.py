@@ -174,7 +174,7 @@ def cmd_gradcam(args) -> int:
         spec = parse_graph_text(stream)
     image = read_ppm(args.image)
     graph = Graph(spec)
-    run = graph.forward(image)
+    run = graph.forward(image, target=args.layer)
     selector = ScoreSelector(category=args.category, scale=args.scale)
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)

@@ -16,6 +16,7 @@ training and validation never share a capture day.
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import json
 import math
 import random
@@ -106,6 +107,20 @@ def parse_annotations(path: "str | Path") -> Dataset:
     non-numeric fields, non-integral ids, sizes and locations, and
     non-finite boxes are rejected with the offending element named.
     """
+    # The parsed JSON and the records are a few hundred thousand containers
+    # with no reference cycles, which the cyclic collector would walk again
+    # and again while they are built; it is paused, and restored as it was.
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _parse_annotations(path)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _parse_annotations(path: "str | Path") -> Dataset:
     try:
         with open(path, "r", encoding="utf-8") as stream:
             payload = json.load(stream)

@@ -482,12 +482,14 @@ class HeadOutput:
 @dataclass(frozen=True)
 class GraphRun:
     """Forward results: named activations, per-layer caches for the backward
-    pass, and the per-scale head outputs."""
+    pass, and the per-scale head outputs. A run with a ``target`` is lean
+    (see ``Graph.forward``): it serves one backward pass, to that target."""
 
     graph: "Graph"
     activations: Mapping[str, np.ndarray]
     caches: Mapping[str, object]
     head: tuple[HeadOutput, ...]
+    target: str | None = None
 
     def activation(self, name: str) -> Tensor3:
         if name not in self.activations:
@@ -545,9 +547,39 @@ class Graph:
     def input_shape(self) -> tuple[int, int, int]:
         return self.spec.input_shape
 
+    def _first_cached(self, target: str) -> int:
+        """Index of the first layer whose cache a backward pass to ``target``
+        reads: the one after the target layer, or past the end for a head
+        class plane (``<detect>/cls<i>``), which the pass reaches without any."""
+        detect = self.detect_spec
+        scales = range(len(detect.inputs))
+        if target in {f"{detect.name}/cls{i}" for i in scales}:
+            return len(self.spec.layers)
+        if target in {f"{detect.name}/box{i}" for i in scales}:
+            raise GraphError(f"box plane {target!r} gets no gradient from a class score")
+        if target == detect.name or target.startswith(f"{detect.name}/"):
+            raise GraphError(
+                f"{target!r} is not a head class plane ({detect.name} has cls0..cls{len(scales) - 1})"
+            )
+        return 1 + self.spec.layers.index(self.spec.layer(target))
+
     def forward(
-        self, image: Tensor3, overrides: Mapping[str, np.ndarray] | None = None
+        self,
+        image: Tensor3,
+        overrides: Mapping[str, np.ndarray] | None = None,
+        target: str | None = None,
     ) -> GraphRun:
+        """Run every layer on ``image``; ``overrides`` replace named
+        activations or head planes as they are recorded.
+
+        Without a ``target`` the run keeps every activation and cache. With
+        one (a layer name, or a head class plane such as ``l29/cls0``) it
+        keeps only what one backward pass to the target reads: the caches of
+        the layers after the target (none for a head plane), the target's
+        activation and the head planes. Every other activation is dropped
+        once its last consumer has run, so the peak stays low during forward.
+        """
+        first_cached = 0 if target is None else self._first_cached(target)
         if image.shape != self.input_shape:
             raise ShapeError(
                 f"image shape {image.shape} != graph input {self.input_shape}"
@@ -560,6 +592,7 @@ class Graph:
         caches: dict[str, object] = {}
         head: list[HeadOutput] = []
         detect_name = self.detect_spec.name
+        last_use = {ref: i for i, layer in enumerate(self.spec.layers) for ref in layer.inputs}
 
         def record(key: str, arr: np.ndarray) -> np.ndarray:
             if key in overrides:
@@ -569,26 +602,31 @@ class Graph:
             values[key] = arr
             return arr
 
-        for layer in self.spec.layers[1:]:
+        for index, layer in enumerate(self.spec.layers[1:], start=1):
             module = self.modules[layer.name]
             if layer.name == detect_name:
-                caches[layer.name] = []
+                cache = []
                 for i, ref in enumerate(layer.inputs):
-                    box, cls, cache = module[i].forward(values[ref])
+                    box, cls, branch_cache = module[i].forward(values[ref])
                     box = record(f"{detect_name}/box{i}", box)
                     head.append(HeadOutput(i, ref, box, record(f"{detect_name}/cls{i}", cls)))
-                    caches[layer.name].append(cache)
-                continue
-            xs = [values[ref] for ref in layer.inputs]
-            out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
-            if out.shape != self.shapes[layer.name]:
-                raise ShapeError(
-                    f"layer {layer.name}: activation {out.shape} contradicts "
-                    f"propagated shape {self.shapes[layer.name]}"
-                )
-            record(layer.name, out)
-            caches[layer.name] = cache
-        return GraphRun(self, values, caches, tuple(head))
+                    cache.append(branch_cache)
+            else:
+                xs = [values[ref] for ref in layer.inputs]
+                out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
+                if out.shape != self.shapes[layer.name]:
+                    raise ShapeError(
+                        f"layer {layer.name}: activation {out.shape} contradicts "
+                        f"propagated shape {self.shapes[layer.name]}"
+                    )
+                record(layer.name, out)
+            if index >= first_cached:
+                caches[layer.name] = cache
+            if target is not None:
+                for name in (*layer.inputs, layer.name):
+                    if last_use.get(name, index) == index and name != target:
+                        values.pop(name, None)
+        return GraphRun(self, values, caches, tuple(head), target)
 
     def backward_to_layer(
         self, run: GraphRun, selector: ScoreSelector, layer_name: str
@@ -607,7 +645,15 @@ class Graph:
         layer_name: str,
     ) -> Tensor3:
         """Gradient of a weighted sum of head category logits, keyed by
-        (scale, category, cell_y, cell_x), w.r.t. a recorded activation."""
+        (scale, category, cell_y, cell_x), w.r.t. a recorded activation.
+
+        On a lean run (one with a ``target``) only ``layer_name == target``
+        is served, and the pass consumes the run's caches."""
+        if run.target is not None and layer_name != run.target:
+            raise GraphError(
+                f"run was recorded for target {run.target!r}; "
+                f"run forward with target {layer_name!r} for its gradient"
+            )
         if layer_name not in run.activations:
             raise GraphError(f"unknown layer {layer_name!r}")
         if not seeds:
@@ -634,12 +680,18 @@ class Graph:
                 f"layer {layer_name!r} is not an ancestor of the selected score "
                 f"(scales {sorted(per_scale)} fed by {sorted(set(sources.values()))})"
             )
+        if run.target is not None and detect_name not in run.caches:
+            raise GraphError(
+                f"run for target {run.target!r} was consumed by an earlier backward pass; "
+                "run forward again"
+            )
+        take = run.caches.__getitem__ if run.target is None else run.caches.pop
 
         grads: dict[str, np.ndarray] = {}
+        branch_caches = take(detect_name)
         for si, seed in per_scale.items():
             branch = self.modules[detect_name][si]
-            branch_cache = run.caches[detect_name][si]
-            upstream = branch.backward(None, seed, branch_cache)
+            upstream = branch.backward(None, seed, branch_caches[si])
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
         for layer in reversed(self.spec.layers[1:]):
@@ -648,7 +700,7 @@ class Graph:
             if layer.name not in grads:
                 continue
             module = self.modules[layer.name]
-            upstream = module.backward(grads.pop(layer.name), run.caches[layer.name])
+            upstream = module.backward(grads.pop(layer.name), take(layer.name))
             parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
             for ref, d in zip(layer.inputs, parts):
                 grads[ref] = grads[ref] + d if ref in grads else d
@@ -657,4 +709,3 @@ class Graph:
                 f"layer {layer_name!r} received no gradient from the selected score"
             )
         return Tensor3(grads[layer_name])
-

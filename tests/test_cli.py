@@ -406,6 +406,12 @@ def write_bad_annotations(tmp_path, name, mutate):
         (["eval", "{det}", "{categories_number}"], "categories must be a list, got 3"),
         (["gradcam", "{graph}", "{huge_ppm}", "--layer", "img", "--category", "0"],
          "truncated pixel data: got 3 of 30000000000 bytes"),
+        (["gradcam", "{graph}", "{image}", "--layer", "nope", "--category", "0"],
+         "no layer named 'nope'"),
+        (["gradcam", "{graph}", "{image}", "--layer", "head/box0", "--category", "0"],
+         "box plane 'head/box0'"),
+        (["gradcam", "{graph}", "{image}", "--layer", "head/cls7", "--category", "0"],
+         "'head/cls7' is not a head class plane"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
@@ -430,9 +436,9 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         "categories_number": write_bad_annotations(
             tmp_path, "categories.json", lambda p: p.update(categories=3)
         ),
-        "graph": write_tiny_graph(tmp_path, "")[0],
         "huge_ppm": tmp_path / "huge.ppm",
     }
+    names["graph"], names["image"] = write_tiny_graph(tmp_path, "")
     names["huge_ppm"].write_bytes(b"P6\n100000 100000\n255\nabc")
     argv = [a.format(**names) for a in argv] + ["--out-dir", str(tmp_path / "out")]
     code, stdout, err = run(capsys, *argv)

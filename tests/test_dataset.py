@@ -1,5 +1,6 @@
 import copy
 import datetime as dt
+import gc
 import itertools
 import json
 import math
@@ -130,6 +131,31 @@ def test_parse_rejects_bad_json(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(FormatError):
         parse_annotations(path)
+
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_parse_pauses_the_cyclic_gc_and_restores_it(monkeypatch, annotation_file, enabled, valid):
+    payload = make_annotation_payload(num_images=3)
+    if not valid:
+        payload["annotations"][0]["bbox"] = ["x", 1, 2, 3]
+    path = annotation_file(payload)
+    seen = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda stream: seen.append(gc.isenabled()) or load(stream))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            assert len(parse_annotations(path).records) == 3
+        else:
+            with pytest.raises(FormatError, match="non-numeric"):
+                parse_annotations(path)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_parse_accepts_integral_numbers(annotation_file):

@@ -452,6 +452,50 @@ def test_score_selector_validation():
     assert value == run.head[si].cls[1, cy, cx]
 
 
+# --- lean runs ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ("nope", "no layer named 'nope'"),
+        ("det/box0", "box plane 'det/box0'"),
+        ("det/cls1", "'det/cls1' is not a head class plane (det has cls0..cls0)"),
+        ("det", "'det' is not a head class plane"),
+    ],
+)
+def test_forward_rejects_a_bad_target_before_any_compute(monkeypatch, target, message):
+    graph = Graph(tiny_spec())
+
+    def no_conv(*args, **kwargs):
+        raise AssertionError("conv ran before the target was checked")
+
+    monkeypatch.setattr(nn, "conv2d_forward", no_conv)
+    with pytest.raises(GraphError) as excinfo:
+        graph.forward(tiny_image(), target=target)
+    assert message in str(excinfo.value)
+
+
+def test_lean_run_serves_one_backward_to_its_target():
+    graph = Graph(tiny_spec())
+    selector = ScoreSelector(category=1, scale=0, cell=(1, 1))
+    run = graph.forward(tiny_image(3), target="c1")
+    for other in ("c0", "img", "det/cls0"):
+        with pytest.raises(GraphError, match="recorded for target 'c1'"):
+            graph.backward_to_layer(run, selector, other)
+    with pytest.raises(GraphError, match="no recorded activation"):
+        run.activation("c0")
+    graph.backward_to_layer(run, selector, "c1")
+    with pytest.raises(GraphError, match="target 'c1' was consumed"):
+        graph.backward_from_head(run, {(0, 1, 1, 1): 1.0}, "c1")
+    with pytest.raises(GraphError, match="recorded for target 'c1'"):
+        graph.backward_to_layer(run, selector, "g1")
+
+    plane = graph.forward(tiny_image(3), target="det/cls0")
+    first = graph.backward_to_layer(plane, selector, "det/cls0").data
+    assert (graph.backward_to_layer(plane, selector, "det/cls0").data == first).all()
+    assert plane.caches == {}
+
+
 # --- serialization ------------------------------------------------------------------------
 
 def test_graph_text_round_trip():

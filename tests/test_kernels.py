@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from trapeval import nn
 from trapeval.errors import ShapeError
+from trapeval.gradcam import gradcam_heatmap, pin_selector
 from trapeval.graph import Graph, ScoreSelector, build_graph
 from trapeval.tensor import (
     ShapeSpec,
@@ -251,3 +252,43 @@ def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
     assert fast.keys() == slow.keys()
     for key in slow:
         assert_bitwise(fast[key], slow[key])
+
+
+# --- lean runs ---------------------------------------------------------------
+
+
+def lean_targets(graph):
+    """img, l0, l2, the GAM layer (the pooling pyramid for the baseline), the
+    first neck c2f after it and the first head class plane."""
+    layers = graph.spec.layers
+    pivot = next(i for i, layer in enumerate(layers) if layer.kind in ("gam", "sppf"))
+    neck = next(layer.name for layer in layers[pivot:] if layer.kind == "c2f")
+    return ["img", "l0", "l2", layers[pivot].name, neck, f"{graph.detect_spec.name}/cls0"]
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+@pytest.mark.parametrize("size", [64, 96])
+def test_lean_run_equals_the_full_run_bitwise(variant, size):
+    graph = Graph(build_graph(variant, size, seed=size + 1))
+    image = Tensor3(np.random.default_rng(size).integers(0, 256, (3, size, size)).astype(np.float64))
+    full = graph.forward(image)
+    names = [layer.name for layer in graph.spec.layers]
+    n_cat = full.head[0].cls.shape[0]
+    planes = {f"{names[-1]}/{tag}{i}" for i in range(len(full.head)) for tag in ("box", "cls")}
+    assert set(full.activations) == set(names[:-1]) | planes
+    assert list(full.caches) == names[1:]
+    for target in lean_targets(graph):
+        selector, _ = pin_selector(full, target, ScoreSelector(n_cat - 1))
+        lean = graph.forward(image, target=target)
+        assert lean.target == target and full.target is None
+        assert set(lean.activations) == {target} | planes
+        assert list(lean.caches) == (names[names.index(target) + 1:] if target in names else [])
+        for name in lean.activations:
+            assert_bitwise(lean.activations[name], full.activations[name])
+        assert_bitwise(
+            graph.backward_to_layer(lean, selector, target).data,
+            graph.backward_to_layer(full, selector, target).data,
+        )
+        assert names[-1] not in lean.caches
+        heat = gradcam_heatmap(graph.forward(image, target=target), target, selector)
+        assert heat.data.tobytes() == gradcam_heatmap(full, target, selector).data.tobytes()
