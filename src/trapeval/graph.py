@@ -15,7 +15,8 @@ extra high-resolution scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Callable, Mapping, Sequence
+from functools import cached_property
+from typing import IO, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class Param:
 class LayerKind:
     """One layer kind: its input count (None: one or more), its parameters,
     its shape rule (layer, input shapes) -> (output shape or None when the
-    layer has no single output, detail rows), which allocates nothing, and
-    its module builder over the same arguments (None: no module)."""
+    layer has no single output, detail rows), which allocates nothing and
+    raises every error the builder could, and its module builder over the
+    same arguments (None: no module), which draws the layer's weights."""
 
     arity: int | None
     params: Mapping[str, Param]
@@ -141,10 +143,25 @@ def _detect_shape(layer: LayerSpec, shapes: list[Shape]):
     return None, rows
 
 
-def _build_detect(layer: LayerSpec, shapes: list[Shape]) -> list[nn.HeadBranch]:
-    """One branch per scale, all drawing from one generator in scale order."""
+def _build_detect(
+    layer: LayerSpec, shapes: list[Shape], scales: Collection[int] | None = None
+) -> list[nn.HeadBranch | None]:
+    """One branch per scale, all drawing from one generator in scale order.
+    Given ``scales``, only those scales' class branches are built (``None``
+    for the others) and every other draw is skipped, so each weight built
+    equals the full build's."""
     rng = nn._as_rng(layer.seed)
-    return [nn.HeadBranch(c, layer.param("categories"), seed=rng) for c, _, _ in shapes]
+    n_cat = layer.param("categories")
+    if scales is None:
+        return [nn.HeadBranch(c, n_cat, seed=rng) for c, _, _ in shapes]
+    branches: list[nn.HeadBranch | None] = []
+    for i, (c, _, _) in enumerate(shapes):
+        if i in scales:
+            branches.append(nn.HeadBranch.class_branch(c, n_cat, seed=rng))
+        else:
+            nn._skip_weights(rng, sum(nn.HeadBranch.weight_counts(c, n_cat)))
+            branches.append(None)
+    return branches
 
 
 LAYER_TABLE: dict[str, LayerKind] = {
@@ -473,9 +490,11 @@ def parse_graph_text(stream: IO[str]) -> GraphSpec:
 
 @dataclass(frozen=True)
 class HeadOutput:
+    """One scale's head planes; ``box`` is None on a lean run."""
+
     scale_index: int
     source: str
-    box: np.ndarray
+    box: np.ndarray | None
     cls: np.ndarray
 
 
@@ -532,36 +551,79 @@ class ScoreSelector:
 
 
 class Graph:
-    """A GraphSpec with weights attached: runs forward and reverse passes."""
+    """A GraphSpec whose weights are drawn on demand: runs forward and
+    reverse passes. Each layer draws its weights from its own seed, so a
+    draw repeated at any time gives the same bytes."""
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.shapes, _ = spec.propagate_shapes()
+        self.shapes, rows = spec.propagate_shapes()
         self.detect_spec = spec.detect_layer()
-        self.modules: dict[str, object] = {
-            layer.name: LAYER_TABLE[layer.kind].build(layer, [self.shapes[r] for r in layer.inputs])
-            for layer in spec.layers[1:]
+        self.plane_shapes = {
+            f"{row.name}/{row.kind.split('.', 1)[1]}": row.shape
+            for row in rows
+            if row.kind.startswith("detect.")
         }
+
+    @cached_property
+    def modules(self) -> dict[str, object]:
+        """Every layer's module, drawn on first use and kept: what a full
+        run (one without a target) reads. A lean run never touches it."""
+        return {
+            layer.name: LAYER_TABLE[layer.kind].build(layer, [self.shapes[r] for r in layer.inputs])
+            for layer in self.spec.layers[1:]
+        }
+
+    def _module(self, layer: LayerSpec, lean: bool, scales: Collection[int] | None = None):
+        """The layer's module: the kept one for a full run; for a lean run a
+        fresh draw, which the caller drops once the layer has run, and for
+        the detect layer only the class branches of ``scales``."""
+        if not lean:
+            return self.modules[layer.name]
+        shapes = [self.shapes[r] for r in layer.inputs]
+        if layer.kind == "detect":
+            return _build_detect(layer, shapes, scales)
+        return LAYER_TABLE[layer.kind].build(layer, shapes)
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
         return self.spec.input_shape
+
+    def _planes(self, tag: str) -> set[str]:
+        detect = self.detect_spec
+        return {f"{detect.name}/{tag}{i}" for i in range(len(detect.inputs))}
 
     def _first_cached(self, target: str) -> int:
         """Index of the first layer whose cache a backward pass to ``target``
         reads: the one after the target layer, or past the end for a head
         class plane (``<detect>/cls<i>``), which the pass reaches without any."""
         detect = self.detect_spec
-        scales = range(len(detect.inputs))
-        if target in {f"{detect.name}/cls{i}" for i in scales}:
+        if target in self._planes("cls"):
             return len(self.spec.layers)
-        if target in {f"{detect.name}/box{i}" for i in scales}:
+        if target in self._planes("box"):
             raise GraphError(f"box plane {target!r} gets no gradient from a class score")
         if target == detect.name or target.startswith(f"{detect.name}/"):
             raise GraphError(
-                f"{target!r} is not a head class plane ({detect.name} has cls0..cls{len(scales) - 1})"
+                f"{target!r} is not a head class plane ({detect.name} has cls0..cls{len(detect.inputs) - 1})"
             )
         return 1 + self.spec.layers.index(self.spec.layer(target))
+
+    def _check_overrides(self, overrides: Mapping[str, np.ndarray], lean: bool) -> None:
+        """Each key must name an array the run records, with its propagated
+        shape; a lean run records no box planes."""
+        for key, value in overrides.items():
+            shape = self.shapes.get(key, self.plane_shapes.get(key))
+            if shape is None:
+                raise GraphError(
+                    f"override {key!r} names neither a layer output nor a head plane"
+                )
+            if lean and key in self._planes("box"):
+                raise GraphError(f"override {key!r}: a run with a target computes no box planes")
+            if np.shape(value) != shape:
+                raise ShapeError(
+                    f"override {key!r} has shape {np.shape(value)}, "
+                    f"not the propagated shape {shape}"
+                )
 
     def forward(
         self,
@@ -570,21 +632,27 @@ class Graph:
         target: str | None = None,
     ) -> GraphRun:
         """Run every layer on ``image``; ``overrides`` replace named
-        activations or head planes as they are recorded.
+        activations or head planes as they are recorded. Each override is
+        checked for its name and shape before anything runs.
 
-        Without a ``target`` the run keeps every activation and cache. With
-        one (a layer name, or a head class plane such as ``l29/cls0``) it
-        keeps only what one backward pass to the target reads: the caches of
-        the layers after the target (none for a head plane), the target's
-        activation and the head planes. Every other activation is dropped
-        once its last consumer has run, so the peak stays low during forward.
+        Without a ``target`` the run keeps every activation and cache, and
+        reads the weights kept in ``modules``. With one (a layer name, or a
+        head class plane such as ``l29/cls0``) the run is lean: it keeps
+        only what one backward pass to the target reads: the caches of the
+        layers after the target (none for a head plane), the target's
+        activation and the class planes. Every other activation is dropped
+        once its last consumer has run, each layer's weights are drawn just
+        before it runs and dropped after, and the head's box branches are
+        neither drawn nor run, so ``head[i].box`` is None.
         """
-        first_cached = 0 if target is None else self._first_cached(target)
+        lean = target is not None
+        first_cached = self._first_cached(target) if lean else 0
         if image.shape != self.input_shape:
             raise ShapeError(
                 f"image shape {image.shape} != graph input {self.input_shape}"
             )
         overrides = overrides or {}
+        self._check_overrides(overrides, lean)
         input_name = self.spec.layers[0].name
         values: dict[str, np.ndarray] = {input_name: image.data}
         if input_name in overrides:
@@ -603,17 +671,20 @@ class Graph:
             return arr
 
         for index, layer in enumerate(self.spec.layers[1:], start=1):
-            module = self.modules[layer.name]
             if layer.name == detect_name:
+                branches = self._module(layer, lean, range(len(layer.inputs)))
                 cache = []
-                for i, ref in enumerate(layer.inputs):
-                    box, cls, branch_cache = module[i].forward(values[ref])
-                    box = record(f"{detect_name}/box{i}", box)
+                for i, (ref, branch) in enumerate(zip(layer.inputs, branches)):
+                    box, cls, branch_cache = branch.forward(values[ref])
+                    if box is not None:
+                        box = record(f"{detect_name}/box{i}", box)
                     head.append(HeadOutput(i, ref, box, record(f"{detect_name}/cls{i}", cls)))
                     cache.append(branch_cache)
             else:
                 xs = [values[ref] for ref in layer.inputs]
+                module = self._module(layer, lean)
                 out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
+                del module  # a lean run's weights go before the next layer draws
                 if out.shape != self.shapes[layer.name]:
                     raise ShapeError(
                         f"layer {layer.name}: activation {out.shape} contradicts "
@@ -622,7 +693,7 @@ class Graph:
                 record(layer.name, out)
             if index >= first_cached:
                 caches[layer.name] = cache
-            if target is not None:
+            if lean:
                 for name in (*layer.inputs, layer.name):
                     if last_use.get(name, index) == index and name != target:
                         values.pop(name, None)
@@ -648,7 +719,9 @@ class Graph:
         (scale, category, cell_y, cell_x), w.r.t. a recorded activation.
 
         On a lean run (one with a ``target``) only ``layer_name == target``
-        is served, and the pass consumes the run's caches."""
+        is served, and the pass consumes the run's caches. It draws again the
+        weights of each layer it visits, one layer at a time, and of the
+        head only the selected scales' class branches."""
         if run.target is not None and layer_name != run.target:
             raise GraphError(
                 f"run was recorded for target {run.target!r}; "
@@ -685,22 +758,25 @@ class Graph:
                 f"run for target {run.target!r} was consumed by an earlier backward pass; "
                 "run forward again"
             )
-        take = run.caches.__getitem__ if run.target is None else run.caches.pop
+        lean = run.target is not None
+        take = run.caches.pop if lean else run.caches.__getitem__
 
         grads: dict[str, np.ndarray] = {}
         branch_caches = take(detect_name)
+        branches = self._module(self.detect_spec, lean, per_scale)
         for si, seed in per_scale.items():
-            branch = self.modules[detect_name][si]
-            upstream = branch.backward(None, seed, branch_caches[si])
+            upstream = branches[si].backward(None, seed, branch_caches[si])
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
+        del branches
         for layer in reversed(self.spec.layers[1:]):
             if layer.name == layer_name:
                 break
             if layer.name not in grads:
                 continue
-            module = self.modules[layer.name]
+            module = self._module(layer, lean)
             upstream = module.backward(grads.pop(layer.name), take(layer.name))
+            del module
             parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
             for ref, d in zip(layer.inputs, parts):
                 grads[ref] = grads[ref] + d if ref in grads else d

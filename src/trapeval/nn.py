@@ -45,10 +45,23 @@ def _as_rng(seed: "int | np.random.Generator | None") -> "np.random.Generator | 
 def _uniform_weights(
     rng: "np.random.Generator | None", fan_in: int, shape: tuple[int, ...]
 ) -> np.ndarray:
+    """``rng.uniform(-bound, bound, shape)`` bit for bit, without its
+    temporaries: the same draws, then ``low + (high - low) * u`` as the same
+    two IEEE operations, in place."""
     if rng is None:
         return np.zeros(shape)
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    weights = rng.random(shape)
+    weights *= bound + bound
+    weights += -bound
+    return weights
+
+
+def _skip_weights(rng: "np.random.Generator | None", count: int) -> None:
+    """Move ``rng`` past ``count`` weights without drawing them: each weight
+    takes one 64-bit output, so later draws equal those after drawing them."""
+    if rng is not None:
+        rng.bit_generator.advance(count)
 
 
 class Conv:
@@ -309,7 +322,7 @@ class Concat:
 
 class HeadBranch:
     """Decoupled per-scale head stub: separate conv stacks emitting raw
-    box deltas (4 channels) and category logits."""
+    box deltas (4 channels) and category logits. The box convs draw first."""
 
     def __init__(
         self, channels: int, num_categories: int, seed: "int | np.random.Generator" = 0
@@ -317,12 +330,36 @@ class HeadBranch:
         rng = _as_rng(seed)
         self.reg_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.reg_out = Conv(channels, 4, 1, 1, 0, act=False, seed=rng)
+        self._class_convs(channels, num_categories, rng)
+
+    def _class_convs(self, channels: int, num_categories: int, rng) -> None:
         self.cls_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.cls_out = Conv(channels, num_categories, 1, 1, 0, act=False, seed=rng)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
-        r1, c_r1 = self.reg_conv.forward(x)
-        box, c_r2 = self.reg_out.forward(r1)
+    @staticmethod
+    def weight_counts(channels: int, num_categories: int) -> tuple[int, int]:
+        """How many weights the box convs and the class convs draw."""
+        return channels * (9 * channels + 4), channels * (9 * channels + num_categories)
+
+    @classmethod
+    def class_branch(
+        cls, channels: int, num_categories: int, seed: "int | np.random.Generator" = 0
+    ) -> "HeadBranch":
+        """The branch without its box convs, whose draws are skipped: its
+        class convs equal those of a full branch drawn from the same
+        generator position. Its forward emits no box deltas (``None``)."""
+        rng = _as_rng(seed)
+        _skip_weights(rng, cls.weight_counts(channels, num_categories)[0])
+        branch = cls.__new__(cls)
+        branch.reg_conv = branch.reg_out = None
+        branch._class_convs(channels, num_categories, rng)
+        return branch
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, Any]:
+        box = c_r1 = c_r2 = None
+        if self.reg_conv is not None:
+            r1, c_r1 = self.reg_conv.forward(x)
+            box, c_r2 = self.reg_out.forward(r1)
         s1, c_c1 = self.cls_conv.forward(x)
         cls, c_c2 = self.cls_out.forward(s1)
         return box, cls, (c_r1, c_r2, c_c1, c_c2)

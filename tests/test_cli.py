@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trapeval import nn
 from trapeval.cli import main
 from trapeval.dataset import parse_annotations
 from trapeval.graph import parse_graph_text
@@ -361,6 +362,19 @@ def test_malformed_graph_exits_1_naming_layer(tmp_path, capsys, line, layer):
     assert code == 1
     assert err.startswith("error: ") and f"layer {layer}" in err
     assert "Traceback" not in err and stdout == ""
+
+
+def test_gradcam_rejects_a_bad_layer_before_drawing_a_weight(tmp_path, capsys, monkeypatch):
+    graph, image = write_tiny_graph(tmp_path, "")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a weight was drawn before --layer was checked")
+
+    monkeypatch.setattr(nn, "_uniform_weights", no_draw)
+    code, stdout, err = run(capsys, "gradcam", graph, image, "--layer", "nope", "--category", "0",
+                            "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: no layer named 'nope'\n" and stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
 
 from trapeval import nn
 from trapeval.errors import FormatError, GraphError, ShapeError
+from trapeval.gradcam import gradcam_heatmap
 from trapeval.graph import (
+    LAYER_TABLE,
     Graph,
     GraphSpec,
     LayerSpec,
@@ -367,6 +370,51 @@ def test_forward_validates_input_shape_and_finiteness():
         graph.forward(tiny_image(), overrides={"c1": np.full((8, 4, 4), np.nan)})
 
 
+@pytest.mark.parametrize(
+    "overrides,error,message",
+    [
+        ({"c9": np.zeros((8, 4, 4))}, GraphError, "override 'c9' names neither"),
+        ({"c0": np.zeros((8, 4, 4)), "nope/cls0": 1}, GraphError, "override 'nope/cls0'"),
+        ({"det": np.zeros((3, 4, 4))}, GraphError, "override 'det' names neither"),
+        ({"det/cls1": np.zeros((3, 4, 4))}, GraphError, "override 'det/cls1' names neither"),
+        ({"c1": np.zeros((1, 1, 1))}, ShapeError, "override 'c1' has shape (1, 1, 1), not the propagated shape (8, 4, 4)"),
+        ({"img": np.zeros((3, 8))}, ShapeError, "override 'img' has shape (3, 8)"),
+        ({"det/cls0": [[[0.0]]]}, ShapeError, "override 'det/cls0' has shape (1, 1, 1)"),
+    ],
+)
+def test_forward_rejects_a_bad_override_before_any_compute(monkeypatch, overrides, error, message):
+    graph = Graph(tiny_spec())
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a weight was drawn or a conv ran before the overrides were checked")
+
+    monkeypatch.setattr(nn, "_uniform_weights", no_compute)
+    monkeypatch.setattr(nn, "conv2d_forward", no_compute)
+    for target in (None, "c1"):
+        with pytest.raises(error) as excinfo:
+            graph.forward(tiny_image(), overrides=overrides, target=target)
+        assert message in str(excinfo.value)
+
+
+def test_overrides_of_a_lean_run_name_what_it_records():
+    graph = Graph(tiny_spec())
+    box = np.zeros((4, 4, 4))
+    with pytest.raises(GraphError, match="override 'det/box0': a run with a target computes no box planes"):
+        graph.forward(tiny_image(), overrides={"det/box0": box}, target="c1")
+    assert (graph.forward(tiny_image(), overrides={"det/box0": box}).head[0].box == 0).all()
+    with pytest.raises(ShapeError, match=r"override 'det/box0' has shape \(3, 4, 4\)"):
+        graph.forward(tiny_image(), overrides={"det/box0": np.zeros((3, 4, 4))})
+    cls = np.full((3, 4, 4), 0.25)
+    lean = graph.forward(tiny_image(), overrides={"det/cls0": cls}, target="c1")
+    assert (lean.head[0].cls == cls).all()
+
+
+def test_baseline_override_of_the_wrong_shape_names_the_layer():
+    graph = Graph(build_graph("baseline", 64, seed=2))
+    with pytest.raises(ShapeError, match=r"override 'l5' has shape \(1, 1, 1\), not the propagated shape \(256, 4, 4\)"):
+        graph.forward(Tensor3(np.zeros((3, 64, 64))), overrides={"l5": np.zeros((1, 1, 1))})
+
+
 def test_activation_accessor():
     run = Graph(tiny_spec()).forward(tiny_image())
     tensor = run.activation("c0")
@@ -494,6 +542,122 @@ def test_lean_run_serves_one_backward_to_its_target():
     first = graph.backward_to_layer(plane, selector, "det/cls0").data
     assert (graph.backward_to_layer(plane, selector, "det/cls0").data == first).all()
     assert plane.caches == {}
+
+
+# --- weights on demand ------------------------------------------------------------------
+
+
+class WeightTally:
+    """Counts the weight arrays ``nn._uniform_weights`` hands out and how
+    many bytes of them are alive, through ``weakref.finalize``."""
+
+    def __init__(self, monkeypatch):
+        self.draws = self.live = self.peak = 0
+        draw = nn._uniform_weights
+
+        def tallied(rng, fan_in, shape):
+            weights = draw(rng, fan_in, shape)
+            self.draws += 1
+            self.live += weights.nbytes
+            self.peak = max(self.peak, self.live)
+            weakref.finalize(weights, self._free, weights.nbytes)
+            return weights
+
+        monkeypatch.setattr(nn, "_uniform_weights", tallied)
+
+    def _free(self, nbytes):
+        self.live -= nbytes
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a weight was drawn")
+
+
+def layer_weights(spec):
+    """(draws, bytes) of each non-input layer's weights, building each alone."""
+    shapes, _ = spec.propagate_shapes()
+    sizes = []
+    draw = nn._uniform_weights
+    for layer in spec.layers[1:]:
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        nn._uniform_weights = recorded
+        try:
+            LAYER_TABLE[layer.kind].build(layer, [shapes[r] for r in layer.inputs])
+        finally:
+            nn._uniform_weights = draw
+        sizes.append((len(drawn), sum(w.nbytes for w in drawn)))
+    return sizes
+
+
+def test_graph_draws_nothing_until_a_full_run_draws_every_layer_once(monkeypatch):
+    spec = build_graph("improved", 64, seed=4)
+    expected = sum(draws for draws, _ in layer_weights(spec))
+    monkeypatch.setattr(nn, "_uniform_weights", no_draw)
+    graph = Graph(spec)
+    monkeypatch.undo()
+    tally = WeightTally(monkeypatch)
+    image = Tensor3(np.random.default_rng(4).uniform(0, 255, (3, 64, 64)))
+    first = graph.forward(image)
+    assert tally.draws == expected
+    second = graph.forward(image)
+    assert tally.draws == expected
+    assert set(graph.modules) == {layer.name for layer in spec.layers[1:]}
+    for name in first.activations:
+        assert first.activations[name].tobytes() == second.activations[name].tobytes()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("odd c2f in=img out_channels=5", "layer odd: c2f needs even channels, got 5"),
+        ("att gam in=img rate=2", "layer att: channels 3 not divisible by 4 and rate 2"),
+        ("pool sppf in=img kernel=4", "layer pool: sppf needs an odd kernel, got 4"),
+    ],
+)
+def test_graph_rejects_what_a_module_would_without_drawing(monkeypatch, line, message):
+    spec = parse_graph_text(
+        io.StringIO(f"img input channels=3 height=8 width=8\n{line}\nhead detect in=img\n")
+    )
+    monkeypatch.setattr(nn, "_uniform_weights", no_draw)
+    with pytest.raises(ShapeError) as excinfo:
+        Graph(spec)
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+def test_lean_run_holds_at_most_one_layers_weights(monkeypatch, variant):
+    spec = build_graph(variant, 64, num_categories=4, seed=6)
+    largest = max(nbytes for _, nbytes in layer_weights(spec))
+    graph = Graph(spec)
+    image = Tensor3(np.random.default_rng(6).uniform(0, 255, (3, 64, 64)))
+    pivot = next(layer.name for layer in spec.layers if layer.kind in ("gam", "sppf"))
+    tally = WeightTally(monkeypatch)
+    class_branch = nn.HeadBranch.class_branch
+    built = []
+
+    def counted(channels, num_categories, seed):
+        built.append(channels)
+        return class_branch(channels, num_categories, seed=seed)
+
+    monkeypatch.setattr(nn.HeadBranch, "class_branch", counted)
+    n_scales = len(graph.detect_spec.inputs)
+    for target in ("img", "l2", pivot, f"{graph.detect_spec.name}/cls0"):
+        tally.peak = 0
+        built.clear()
+        run = graph.forward(image, target=target)
+        assert all(head.box is None for head in run.head)
+        assert len(built) == n_scales
+        gradcam_heatmap(run, target, ScoreSelector(category=3))
+        assert 0 < tally.peak <= largest, target
+        assert tally.live == 0, target
+        # Backward draws the pinned scale's class branch alone (none for a head plane).
+        assert len(built) == n_scales + ("/" not in target)
+    assert "modules" not in vars(graph)
 
 
 # --- serialization ------------------------------------------------------------------------

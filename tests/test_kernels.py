@@ -6,6 +6,8 @@ order, so every comparison is bitwise (``.view(np.int64)``): signed zeros,
 subnormals, infinities and NaN payloads included.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from trapeval import nn
 from trapeval.errors import ShapeError
 from trapeval.gradcam import gradcam_heatmap, pin_selector
-from trapeval.graph import Graph, ScoreSelector, build_graph
+from trapeval.graph import Graph, ScoreSelector, _build_detect, build_graph
 from trapeval.tensor import (
     ShapeSpec,
     Tensor3,
@@ -71,6 +73,13 @@ def oracle_conv2d_backward_input(dout, weights, input_shape, spec):
         for v in range(k):
             dxp[:, u : u + s * ho : s, v : v + s * wo : s] += dcols[:, u, v]
     return dxp[:, p : p + h, p : p + w]
+
+
+def oracle_uniform_weights(rng, fan_in, shape):
+    if rng is None:
+        return np.zeros(shape)
+    bound = 1.0 / math.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def oracle_upsample_backward(dout, factor):
@@ -254,6 +263,67 @@ def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
         assert_bitwise(fast[key], slow[key])
 
 
+# --- weights -----------------------------------------------------------------
+
+WEIGHT_SHAPES = [(), (0,), (3, 0, 2), (1,), (7,), (4, 3, 3, 3), (16, 64, 1, 1), (2, 5, 7, 7), (128, 32)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 3])
+def test_uniform_weights_equal_their_oracle_bitwise(seed):
+    fast_rng = np.random.Generator(np.random.PCG64(seed))
+    slow_rng = np.random.Generator(np.random.PCG64(seed))
+    for fan_in in (1, 2, 3, 27, 64, 576, 4608, 25088, 10**9 + 7):
+        for shape in WEIGHT_SHAPES:
+            fast = nn._uniform_weights(fast_rng, fan_in, shape)
+            assert isinstance(fast, np.ndarray) and fast.shape == shape
+            assert_bitwise(fast, oracle_uniform_weights(slow_rng, fan_in, shape))
+    # Both generators took the same number of draws.
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_negative_seeds_still_give_zero_weights():
+    for shape in WEIGHT_SHAPES:
+        weights = nn._uniform_weights(nn._as_rng(-1), 9, shape)
+        assert weights.shape == shape and not weights.any()
+        assert_bitwise(weights, np.zeros(shape))
+
+
+def test_skipping_weights_equals_drawing_them():
+    drawn = np.random.Generator(np.random.PCG64(5))
+    skipped = np.random.Generator(np.random.PCG64(5))
+    nn._uniform_weights(drawn, 27, (4, 3, 3, 3))
+    nn._skip_weights(skipped, 4 * 3 * 3 * 3)
+    assert_bitwise(nn._uniform_weights(skipped, 8, (3, 8)), nn._uniform_weights(drawn, 8, (3, 8)))
+    nn._skip_weights(None, 10)  # a zero-weight layer has no generator to move
+
+
+@pytest.mark.parametrize("categories", [1, 4, 16])
+@pytest.mark.parametrize("seed", [3, -1])
+def test_class_branches_equal_the_full_head_bitwise(categories, seed):
+    spec = build_graph("improved", 64, num_categories=categories, seed=seed)
+    detect = spec.detect_layer()
+    shapes = [Graph(spec).shapes[ref] for ref in detect.inputs]
+    full = _build_detect(detect, shapes)
+    n = len(shapes)
+    for scales in [range(n)] + [{si} for si in range(n)] + [{0, n - 1}]:
+        lean = _build_detect(detect, shapes, scales)
+        assert len(lean) == n
+        for si, (branch, reference) in enumerate(zip(lean, full)):
+            if si not in scales:
+                assert branch is None
+                continue
+            assert branch.reg_conv is None and branch.reg_out is None
+            assert_bitwise(branch.cls_conv.weights, reference.cls_conv.weights)
+            assert_bitwise(branch.cls_out.weights, reference.cls_out.weights)
+            if seed < 0:
+                assert not branch.cls_conv.weights.any() and not branch.cls_out.weights.any()
+    for c, _, _ in shapes:
+        branch = nn.HeadBranch.class_branch(c, categories, seed=seed)
+        reference = nn.HeadBranch(c, categories, seed=seed)
+        assert_bitwise(branch.cls_conv.weights, reference.cls_conv.weights)
+        assert_bitwise(branch.cls_out.weights, reference.cls_out.weights)
+
+
 # --- lean runs ---------------------------------------------------------------
 
 
@@ -275,13 +345,16 @@ def test_lean_run_equals_the_full_run_bitwise(variant, size):
     names = [layer.name for layer in graph.spec.layers]
     n_cat = full.head[0].cls.shape[0]
     planes = {f"{names[-1]}/{tag}{i}" for i in range(len(full.head)) for tag in ("box", "cls")}
+    class_planes = {plane for plane in planes if "/cls" in plane}
     assert set(full.activations) == set(names[:-1]) | planes
     assert list(full.caches) == names[1:]
     for target in lean_targets(graph):
         selector, _ = pin_selector(full, target, ScoreSelector(n_cat - 1))
         lean = graph.forward(image, target=target)
         assert lean.target == target and full.target is None
-        assert set(lean.activations) == {target} | planes
+        assert set(lean.activations) == {target} | class_planes
+        assert all(head.box is None for head in lean.head)
+        assert all(head.box is not None for head in full.head)
         assert list(lean.caches) == (names[names.index(target) + 1:] if target in names else [])
         for name in lean.activations:
             assert_bitwise(lean.activations[name], full.activations[name])
