@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from . import dataset as ds
+# OpenBLAS reads this once, when numpy loads it (the next import does):
+# its idle worker threads then sleep at once instead of spinning for a core
+# while the main thread runs numpy or Python between GEMMs. Outputs do not
+# depend on it, and a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from . import dataset as ds  # noqa: E402  (after the OpenBLAS setting)
 from . import evaluation as ev
 from . import gradcam as gc
 from .boxes import BoundingBox
@@ -65,17 +73,19 @@ def _out_dir(args) -> Path:
 def cmd_shapes(args) -> int:
     spec = build_graph(args.variant, args.size, num_categories=args.categories, seed=args.seed)
     _, rows = spec.propagate_shapes()
-    for row in rows:
-        note = f"  # {row.note}" if row.note else ""
-        print(f"{row.name:8s} {row.kind:12s} {row.dims_text()}{note}")
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as stream:
+    if args.check and args.size != 640:
+        print("error: --check applies to the reference 640 input", file=sys.stderr)
+        return 1
+    # Opened before the table is printed, so a bad path prints nothing.
+    with open(args.emit, "w", encoding="utf-8") if args.emit else nullcontext() as stream:
+        for row in rows:
+            note = f"  # {row.note}" if row.note else ""
+            print(f"{row.name:8s} {row.kind:12s} {row.dims_text()}{note}")
+        if stream is not None:
             write_graph_text(spec, stream)
+    if args.emit:
         print(f"wrote graph description to {args.emit}", file=sys.stderr)
     if args.check:
-        if args.size != 640:
-            print("error: --check applies to the reference 640 input", file=sys.stderr)
-            return 1
         problems = check_reference_shapes(spec, args.variant)
         for problem in problems:
             print(f"shape mismatch: {problem}", file=sys.stderr)
@@ -170,12 +180,14 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcam(args) -> int:
     out = _out_dir(args)
+    gc.check_alpha(args.alpha_overlay)
     with open(args.graph, "r", encoding="utf-8") as stream:
         spec = parse_graph_text(stream)
     image = read_ppm(args.image)
     graph = Graph(spec)
-    run = graph.forward(image, target=args.layer)
     selector = ScoreSelector(category=args.category, scale=args.scale)
+    selector.check(graph)
+    run = graph.forward(image, target=args.layer)
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)
     write_ppm(gc.colorize(heat), out / "heatmap.ppm")

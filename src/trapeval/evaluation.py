@@ -25,7 +25,10 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .boxes import BoundingBox, Detection, GroundTruth, iou
 from .errors import CategoryError, ConfigError, EvalError, FormatError
@@ -439,6 +442,112 @@ def map_over_iou_range(
     return sum(values) / len(values)
 
 
+# Same-image detection x ground-truth pairs per IoU block: a block's arrays
+# stay a few hundred KiB whatever the size of the corpus.
+_BLOCK_PAIRS = 4096
+# Up to this magnitude double arithmetic is exact on integer corners (their
+# areas and sums stay below 2**53), so it equals ``iou``'s int arithmetic.
+_EXACT_CORNER = 2.0**24
+_GRID = np.array(RECALL_GRID)
+
+
+def _blocks(images: Mapping[str, tuple[list[Detection], list[GroundTruth]]]):
+    """Images in sorted id order, gathered until a block holds
+    ``_BLOCK_PAIRS`` same-image pairs. Yields per block its detections and
+    ground truths, image after image, and the index arrays of its pairs,
+    listed by detection, ground truths ascending."""
+    dets: list[Detection] = []
+    gts: list[GroundTruth] = []
+    counts: list[tuple[int, int]] = []
+    pairs = 0
+    for image_id in sorted(images):
+        image_dets, image_gts = images[image_id]
+        dets += image_dets
+        gts += image_gts
+        counts.append((len(image_dets), len(image_gts)))
+        pairs += len(image_dets) * len(image_gts)
+        if pairs >= _BLOCK_PAIRS:
+            yield dets, gts, *_pairs(counts)
+            dets, gts, counts, pairs = [], [], [], 0
+    if counts:
+        yield dets, gts, *_pairs(counts)
+
+
+def _pairs(counts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(detection, ground truth) indices of every same-image pair of images
+    holding ``counts`` = (detections, ground truths) each, in that order."""
+    n_det, n_gt = np.array(counts, dtype=np.intp).T
+    per_det = np.repeat(n_gt, n_det)  # the ground truths beside each detection
+    first_gt = np.repeat(np.cumsum(n_gt) - n_gt, n_det)
+    pair_det = np.repeat(np.arange(per_det.size), per_det)
+    offset = np.arange(pair_det.size) - np.repeat(np.cumsum(per_det) - per_det, per_det)
+    return pair_det, first_gt[pair_det] + offset
+
+
+def _corners(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _block_iou(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    pair_det: np.ndarray,
+    pair_gt: np.ndarray,
+) -> np.ndarray:
+    """``iou(detections[i].box, ground_truths[j].box)`` for each pair (i, j),
+    bit for bit: ``boxes.iou``'s operations in its order, each one array
+    pass. A non-finite corner, or one past ``_EXACT_CORNER``, sends the
+    block through the scalar ``iou``: numpy's min/max propagate NaN where
+    Python's keep their first argument."""
+    a = _corners(d.box for d in detections)
+    b = _corners(g.box for g in ground_truths)
+    if not ((np.abs(a) <= _EXACT_CORNER).all() and (np.abs(b) <= _EXACT_CORNER).all()):
+        return np.array(
+            [
+                iou(detections[i].box, ground_truths[j].box)
+                for i, j in zip(pair_det.tolist(), pair_gt.tolist())
+            ],
+            dtype=np.float64,
+        )
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    iw = np.minimum(ax2[pair_det], bx2[pair_gt]) - np.maximum(ax1[pair_det], bx1[pair_gt])
+    ih = np.minimum(ay2[pair_det], by2[pair_gt]) - np.maximum(ay1[pair_det], by1[pair_gt])
+    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+    union = ((ax2 - ax1) * (ay2 - ay1))[pair_det] + ((bx2 - bx1) * (by2 - by1))[pair_gt] - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
+
+
+def _greedy(
+    candidates: np.ndarray, pair_det: np.ndarray, pair_gt: np.ndarray, overlap: np.ndarray
+) -> np.ndarray:
+    """The ``candidates`` (indices into a block's pairs, each at or above
+    the IoU threshold) that ``match_detections``' greedy rule takes. They
+    come by detection in processing order, ground truths ascending; each
+    detection takes the still-free ground truth of highest IoU, the first
+    on ties."""
+    taken: set[int] = set()
+    picked: list[int] = []
+    current = best = best_gt = -1
+    best_iou = 0.0
+    for k, d, g, o in zip(
+        candidates.tolist(),
+        pair_det[candidates].tolist(),
+        pair_gt[candidates].tolist(),
+        overlap[candidates].tolist(),
+    ):
+        if d != current:
+            if best >= 0:
+                taken.add(best_gt)
+                picked.append(best)
+            current, best, best_iou = d, -1, 0.0
+        if o > best_iou and g not in taken:
+            best, best_gt, best_iou = k, g, o
+    if best >= 0:
+        picked.append(best)
+    return np.array(picked, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class _CategorySweep:
     aps: tuple[float, ...]  # grid101 AP at each of MAP_RANGE_THRESHOLDS (0.5 first)
@@ -446,98 +555,34 @@ class _CategorySweep:
     curve: PrCurve
 
 
-def _match_thresholds(rows: Sequence[Sequence[float]]) -> list[int]:
-    """Greedy one-to-one matching of one image's detections (``rows``, in
-    processing order) against its ground truths (columns of IoU values), as
-    ``match_detections`` does it, at each of MAP_RANGE_THRESHOLDS: per row a
-    bitmask whose bit i says TP at threshold i."""
-    masks = [0] * len(rows)
-    for bit, t in enumerate(MAP_RANGE_THRESHOLDS):
-        available = [True] * len(rows[0])
-        for r, row in enumerate(rows):
-            best_gt = None
-            best_iou = 0.0
-            for gi, overlap in enumerate(row):
-                if overlap >= t and overlap > best_iou and available[gi]:
-                    best_iou = overlap
-                    best_gt = gi
-            if best_gt is not None:
-                available[best_gt] = False
-                masks[r] |= 1 << bit
-    return masks
-
-
-def _sweep_category(
-    category_id: int, detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]
-) -> _CategorySweep:
-    """``pr_curve`` + ``average_precision`` at every threshold in
-    MAP_RANGE_THRESHOLDS from one IoU pass over the category's images."""
-    images = _group_by_image(detections, ground_truths)
-    # Per detection in processing order, as pr_curve numbers them.
-    neg_confidence: list[float] = []
-    masks: list[int] = []
-    for image_id in sorted(images):
-        dets, gts = images[image_id]
-        ordered = sorted(dets, key=lambda d: -d.confidence)
-        neg_confidence.extend(-d.confidence for d in ordered)
-        if gts and ordered:
-            masks.extend(_match_thresholds([[iou(d.box, g.box) for g in gts] for d in ordered]))
-        else:
-            masks.extend([0] * len(ordered))
-
-    # Stable, so ties keep processing order: pr_curve's (-confidence, position).
-    order = sorted(range(len(masks)), key=neg_confidence.__getitem__)
-    masks = [masks[k] for k in order]
-    n_gt = len(ground_truths)
-    recalls, precisions = _cumulative(masks, 0, n_gt)  # IoU 0.5
-    aps = [_area(recalls, precisions, "grid101")]
-    aps.extend(
-        _area(*_cumulative(masks, bit, n_gt), "grid101")
-        for bit in range(1, len(MAP_RANGE_THRESHOLDS))
+def _sweep(category_id: int, masks: np.ndarray, n_gt: int) -> _CategorySweep:
+    """``pr_curve`` + ``average_precision`` of one category at every
+    threshold in MAP_RANGE_THRESHOLDS, from its detections' TP bitmasks in
+    ``pr_curve``'s order. The grid values and trapezoid terms are summed
+    left to right in Python, as ``_area`` sums them."""
+    if not masks.size:
+        return _CategorySweep((0.0,) * len(MAP_RANGE_THRESHOLDS), 0.0, PrCurve(category_id, (), ()))
+    bits = np.arange(len(MAP_RANGE_THRESHOLDS))[:, None]
+    cum_tp = np.cumsum(masks >> bits & 1, axis=1)
+    recalls = cum_tp / n_gt
+    precisions = cum_tp / np.arange(1, masks.size + 1)  # precision(cum_tp, rank - cum_tp)
+    # _envelope: the max precision at recall >= r, 0 past the last point.
+    envelope = np.zeros((bits.size, masks.size + 1))
+    envelope[:, :-1] = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
+    aps = tuple(
+        sum(env[np.searchsorted(r, _GRID)].tolist()) / len(RECALL_GRID)
+        for r, env in zip(recalls, envelope)
     )
-    return _CategorySweep(
-        aps=tuple(aps),
-        ap50_trapezoid=_area(recalls, precisions, "trapezoid"),
-        curve=PrCurve(category_id, tuple(recalls), tuple(precisions)),
-    )
-
-
-def _cumulative(masks: Sequence[int], bit: int, n_gt: int) -> tuple[list[float], list[float]]:
-    """Recall and precision after each detection, TP where ``bit`` is set."""
-    recalls: list[float] = []
-    precisions: list[float] = []
-    cum_tp = 0
-    for rank, mask in enumerate(masks, start=1):
-        cum_tp += mask >> bit & 1
-        recalls.append(cum_tp / n_gt)
-        precisions.append(cum_tp / rank)  # precision(cum_tp, rank - cum_tp)
-    return recalls, precisions
-
-
-def _ap_sweep(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    categories: Sequence[int],
-) -> dict[int, _CategorySweep]:
-    """AP per category with at least one ground truth, at every threshold in
-    MAP_RANGE_THRESHOLDS (the first is 0.5), plus the IoU-0.5 trapezoid AP
-    and curve, from one IoU computation per same-category pair.
-
-    Equal, value for value, to ``pr_curve`` + ``average_precision`` per
-    category and threshold, which stay as the definition.
-    """
-    by_category: dict[int, tuple[list[Detection], list[GroundTruth]]] = {
-        cat: ([], []) for cat in categories
-    }
-    for d in detections:
-        by_category[d.category_id][0].append(d)
-    for g in ground_truths:
-        by_category[g.category_id][1].append(g)
-    return {
-        cat: _sweep_category(cat, *by_category.pop(cat))
-        for cat in categories
-        if by_category[cat][1]
-    }
+    # sorted({0.0, 1.0, *recalls}), as recalls ascend within [0, 1] (and
+    # np.unique would import numpy.ma, 0.6 MiB).
+    knots = np.concatenate(([0.0], recalls[0], [1.0]))
+    knots = knots[np.append(True, knots[1:] != knots[:-1])]
+    at = envelope[0][np.searchsorted(recalls[0], knots)]
+    trapezoid = 0.0
+    for term in ((knots[1:] - knots[:-1]) * (at[:-1] + at[1:]) / 2.0).tolist():
+        trapezoid += term
+    curve = PrCurve(category_id, tuple(recalls[0].tolist()), tuple(precisions[0].tolist()))
+    return _CategorySweep(aps, trapezoid, curve)
 
 
 def evaluate_corpus(
@@ -549,46 +594,98 @@ def evaluate_corpus(
     """Full evaluation: per-category AP and operating-point counts, mAP50,
     mAP50-95, the confusion matrix and the IoU-0.5 PR curves.
 
-    The operating point and confusion matrix come from ``match_corpus``; AP,
-    mAP and the curves from one matching pass per (category, image) that
-    serves every IoU threshold.
+    One walk over the images in sorted id order, in blocks, computes each
+    same-image detection x ground-truth IoU once, and both greedy passes
+    read it. The operating point at ``config`` fills the confusion grid,
+    whose diagonal and margins give the tp/fp/fn counts. The same-category
+    pairs, one pass per threshold in MAP_RANGE_THRESHOLDS, give each
+    detection a bitmask of the thresholds it is a TP at, from which
+    ``_sweep`` takes AP, mAP and the curves. Greedy matching never lets
+    two images or two categories share a ground truth, so one pass over a
+    block's candidates equals one pass per (image, category).
+
+    Equal, value for value, to ``match_corpus`` + ``confusion_matrix`` and
+    to ``pr_curve`` + ``average_precision`` per category and threshold,
+    which stay as the definition.
     """
     config = config or MatchConfig()
     cats = _category_set(detections, ground_truths, categories)
-    outcomes = match_corpus(detections, ground_truths, config, cats)
+    index = {c: i for i, c in enumerate(cats)}
+    if not index.keys() >= {d.category_id for d in detections} | {
+        g.category_id for g in ground_truths
+    }:
+        match_corpus(detections, ground_truths, config, cats)  # raises the definition's error
+    n = len(cats)
+    # Processing order: descending confidence, ties in input order.
+    images = _group_by_image(
+        sorted(detections, key=attrgetter("confidence"), reverse=True), ground_truths
+    )
+    grid = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    # Per detection in walk order; empty starts, so an empty corpus concatenates.
+    confidences = [np.empty(0)]
+    det_cats = [np.empty(0, dtype=np.intp)]
+    det_masks = [np.empty(0, dtype=np.int64)]
+    for dets, gts, pair_det, pair_gt in _blocks(images):
+        conf = np.array([d.confidence for d in dets], dtype=np.float64)
+        dcat = np.array([index[d.category_id] for d in dets], dtype=np.intp)
+        gcat = np.array([index[g.category_id] for g in gts], dtype=np.intp)
+        overlap = _block_iou(dets, gts, pair_det, pair_gt)
 
-    tp: dict[int, int] = defaultdict(int)
-    fp: dict[int, int] = defaultdict(int)
-    gt_total: dict[int, int] = defaultdict(int)
-    for g in ground_truths:
-        gt_total[g.category_id] += 1
-    for outcome in outcomes:
-        for flag in outcome.flags:
-            det_cat = outcome.detections[flag.detection_index].category_id
-            if flag.is_tp:
-                tp[det_cat] += 1
-            else:
-                fp[det_cat] += 1
-    confusion = confusion_matrix(outcomes, cats)
-    del outcomes
+        # Operating point: any-category pairs of the retained detections.
+        retained = conf >= config.confidence_threshold
+        hits = np.flatnonzero((overlap >= config.iou_threshold) & retained[pair_det])
+        hits = _greedy(hits, pair_det, pair_gt, overlap)
+        true_row = np.full(len(dets), n)  # background unless matched
+        true_row[pair_det[hits]] = gcat[pair_gt[hits]]
+        free = np.ones(len(gts), dtype=bool)
+        free[pair_gt[hits]] = False
+        cells = np.concatenate(
+            (true_row[retained] * (n + 1) + dcat[retained], gcat[free] * (n + 1) + n)
+        )
+        np.add.at(grid, cells, 1)  # no grid-sized temporary per block
 
-    sweeps = _ap_sweep(detections, ground_truths, cats)
+        # AP sweep: same-category pairs, one greedy pass per threshold.
+        mask = np.zeros(len(dets), dtype=np.int64)
+        same = np.flatnonzero(dcat[pair_det] == gcat[pair_gt])
+        for bit, threshold in enumerate(MAP_RANGE_THRESHOLDS):
+            same = same[overlap[same] >= threshold]
+            if not same.size:
+                break
+            mask[pair_det[_greedy(same, pair_det, pair_gt, overlap)]] |= 1 << bit
+        confidences.append(conf)
+        det_cats.append(dcat)
+        det_masks.append(mask)
+
+    counts = grid.reshape(n + 1, n + 1).tolist()
+    gt_total = [sum(row) for row in counts[:n]]
+    retained_total = [sum(column) for column in zip(*counts)]
+    dcat = np.concatenate(det_cats)
+    # pr_curve's order per category: descending confidence, ties in walk order.
+    masks = np.concatenate(det_masks)[np.lexsort((-np.concatenate(confidences), dcat))]
+    bounds = [0, *np.cumsum(np.bincount(dcat, minlength=n)).tolist()]
+    sweeps = {
+        cat: _sweep(cat, masks[bounds[c] : bounds[c + 1]], gt_total[c])
+        for c, cat in enumerate(cats)
+        if gt_total[c]
+    }
     rows = []
-    for cat in cats:
-        if gt_total[cat] == 0 and tp[cat] == 0 and fp[cat] == 0:
+    for c, cat in enumerate(cats):
+        tp = counts[c][c]
+        fp = retained_total[c] - tp
+        if gt_total[c] == 0 and tp == 0 and fp == 0:
             continue
-        fn = gt_total[cat] - tp[cat]
+        fn = gt_total[c] - tp
         sweep = sweeps.get(cat)
         rows.append(
             CategoryMetrics(
                 category_id=cat,
                 ap=sweep.aps[0] if sweep else 0.0,
                 ap_trapezoid=sweep.ap50_trapezoid if sweep else 0.0,
-                tp=tp[cat],
-                fp=fp[cat],
+                tp=tp,
+                fp=fp,
                 fn=fn,
-                precision=precision(tp[cat], fp[cat]),
-                recall=recall(tp[cat], fn),
+                precision=precision(tp, fp),
+                recall=recall(tp, fn),
             )
         )
     map50 = map50_95 = 0.0
@@ -603,7 +700,7 @@ def evaluate_corpus(
         per_category=tuple(rows),
         map50=map50,
         map50_95=map50_95,
-        confusion=confusion,
+        confusion=ConfusionMatrix(cats, tuple(map(tuple, counts))),
         pr_curves=tuple(s.curve for s in sweeps.values()),
     )
 
@@ -638,9 +735,12 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
             raise FormatError(f"line {lineno}: confidence {confidence} outside [0, 1]")
         if not all(map(math.isfinite, (x1, y1, x2, y2))):
             raise FormatError(f"line {lineno}: non-finite coordinate")
+        # Corners in order as BoundingBox.normalized() puts them, one box built.
+        x1, x2 = (x2, x1) if x2 < x1 else (x1, x2)
+        y1, y2 = (y2, y1) if y2 < y1 else (y1, y2)
         detections.append(
             Detection(
-                box=BoundingBox(x1, y1, x2, y2).normalized(),
+                box=BoundingBox(x1, y1, x2, y2),
                 category_id=category_id,
                 confidence=confidence,
                 image_id=image_id,

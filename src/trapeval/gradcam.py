@@ -129,11 +129,16 @@ def colorize(heat: Heatmap) -> Tensor3:
     return Tensor3(np.rint(rgb).transpose(2, 0, 1))
 
 
+def check_alpha(alpha: float) -> None:
+    """The overlay blend weight must lie in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha {alpha} outside [0, 1]")
+
+
 def overlay(image: Tensor3, heat: Heatmap, alpha: float = 0.5) -> Tensor3:
     """Blend the colormapped heatmap onto a 3-channel image: alpha 0 keeps
     the image, alpha 1 shows the pure heatmap colors."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha {alpha} outside [0, 1]")
+    check_alpha(alpha)
     if image.channels != 3:
         raise ShapeError(f"overlay expects a 3-channel image, got {image.channels}")
     if (image.height, image.width) != (heat.height, heat.width):

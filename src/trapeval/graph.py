@@ -525,16 +525,22 @@ class ScoreSelector:
     scale: int | None = None
     cell: tuple[int, int] | None = None
 
+    def check(self, graph: "Graph") -> None:
+        """Raise GraphError unless the category, and the scale if given,
+        exist in the graph's head; needs no run."""
+        detect = graph.detect_spec
+        n_cat = detect.param("categories")
+        if not 0 <= self.category < n_cat:
+            raise GraphError(f"category {self.category} outside 0..{n_cat - 1}")
+        if self.scale is not None and not 0 <= self.scale < len(detect.inputs):
+            raise GraphError(f"scale {self.scale} outside 0..{len(detect.inputs) - 1}")
+
     def resolve(self, run: "GraphRun") -> tuple[int, int, int, float]:
         head = run.head
         if not head:
             raise GraphError("graph has no head outputs")
-        n_cat = head[0].cls.shape[0]
-        if not 0 <= self.category < n_cat:
-            raise GraphError(f"category {self.category} outside 0..{n_cat - 1}")
+        self.check(run.graph)
         scales = range(len(head)) if self.scale is None else (self.scale,)
-        if self.scale is not None and not 0 <= self.scale < len(head):
-            raise GraphError(f"scale {self.scale} outside 0..{len(head) - 1}")
         best: tuple[float, int, int, int] | None = None
         for si in scales:
             plane = head[si].cls[self.category]

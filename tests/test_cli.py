@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trapeval
 from trapeval import nn
 from trapeval.cli import main
 from trapeval.dataset import parse_annotations
-from trapeval.graph import parse_graph_text
+from trapeval.graph import Graph, parse_graph_text
 from trapeval.ppm import write_ppm
 from trapeval.svg import LineChart
 from trapeval.tensor import Tensor3
@@ -459,3 +463,122 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
     assert code == 1
     assert err.startswith("error: ") and element in err
     assert "Traceback" not in err and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gradcam", "{graph}", "{image}", "--layer", "img", "--category", "0",
+          "--alpha-overlay", "3"], "alpha 3.0 outside [0, 1]"),
+        (["gradcam", "{graph}", "{image}", "--layer", "img", "--category", "2"],
+         "category 2 outside 0..1"),
+        (["gradcam", "{graph}", "{image}", "--layer", "img", "--category", "0", "--scale", "1"],
+         "scale 1 outside 0..0"),
+        (["gradcam", "{graph}", "{image}", "--layer", "nope", "--category", "0"],
+         "no layer named 'nope'"),
+        (["gradcam", "{graph}", "{missing}", "--layer", "img", "--category", "0"],
+         "No such file or directory"),
+        (["shapes", "improved", "--size", "64", "--emit", "{missing}/x.txt"],
+         "No such file or directory"),
+        (["shapes", "improved", "--size", "64", "--check"],
+         "--check applies to the reference 640 input"),
+        (["shapes", "improved", "--size", "65"], "multiple of 32"),
+        (["eval", "{det}", "{ann}", "--iou-thresh", "0"], "iou_threshold 0.0"),
+        (["eval", "{det}", "{missing}"], "No such file or directory"),
+        (["losslab", "--step", "-1"], "step -1"),
+        (["losslab", "--delta", "0"], "delta"),
+        (["split", "{ann}", "--trans-test", "1,2"], "--trans-val is required with --trans-test"),
+    ],
+)
+def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corpus, argv, message):
+    graph, image = write_tiny_graph(tmp_path, "")
+    names = {"det": identity_corpus[0], "ann": identity_corpus[1], "graph": graph,
+             "image": image, "missing": tmp_path / "missing"}
+    out = tmp_path / "out"
+    argv = [a.format(**names) for a in argv]
+    if argv[0] != "shapes":
+        argv += ["--out-dir", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--alpha-overlay", "3"], "alpha 3.0 outside [0, 1]"),
+        (["--category", "2"], "category 2 outside 0..1"),
+        (["--scale", "1"], "scale 1 outside 0..0"),
+    ],
+)
+def test_gradcam_checks_alpha_category_and_scale_before_the_forward_pass(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    graph, image = write_tiny_graph(tmp_path, "")
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the forward pass ran before the arguments were checked")
+
+    monkeypatch.setattr(Graph, "forward", no_forward)
+    code, _, err = run(capsys, "gradcam", graph, image, "--layer", "img", "--category", "0",
+                       *extra, "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and err == f"error: {message}\n"
+
+
+# --- the CLI's OpenBLAS setting ---------------------------------------------------------
+
+NUMPY_IMPORT_PROBE = """
+import os, sys
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("at numpy:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            sys.meta_path.remove(self)
+sys.meta_path.insert(0, Probe())
+import {module}
+print("after:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+def python_without_timeout(argv, preset=None, **kwargs):
+    """Run a fresh interpreter on this checkout with OPENBLAS_THREAD_TIMEOUT
+    unset, or preset to ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(trapeval.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "module,preset,lines",
+    [
+        ("trapeval.cli", None, ["at numpy: 4", "after: 4"]),
+        ("trapeval.cli", "30", ["at numpy: 30", "after: 30"]),
+        ("trapeval.graph", None, ["at numpy: None", "after: None"]),
+        ("trapeval.evaluation", None, ["at numpy: None", "after: None"]),
+    ],
+)
+def test_only_the_cli_sets_the_openblas_thread_timeout_before_numpy_loads(module, preset, lines):
+    done = python_without_timeout(["-c", NUMPY_IMPORT_PROBE.format(module=module)], preset)
+    assert done.stdout.splitlines() == lines
+
+
+def test_gradcam_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    assert main(["shapes", "improved", "--size", "64", "--seed", "5", "--emit", str(graph)]) == 0
+    capsys.readouterr()
+    image = tmp_path / "input.ppm"
+    write_image(image, seed=3)
+    outputs = []
+    for preset in (None, "30"):
+        out = tmp_path / f"cam{preset}"
+        done = python_without_timeout(
+            ["-m", "trapeval.cli", "gradcam", str(graph), str(image), "--layer", "l2",
+             "--category", "3", "--pgm", "--out-dir", str(out)], preset)
+        outputs.append((done.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == 3

@@ -1,11 +1,14 @@
 import csv
 import io
+import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
 
 import pytest
 
-from trapeval.boxes import BoundingBox, Detection, GroundTruth
+from trapeval import evaluation
+from trapeval.boxes import BoundingBox, Detection, GroundTruth, iou
 from trapeval.errors import CategoryError, EvalError, FormatError
 from trapeval.evaluation import (
     MatchConfig,
@@ -573,6 +576,120 @@ def test_evaluate_corpus_computes_each_same_category_iou_once(monkeypatch):
     assert calls <= operating_point + pairs
 
 
+# --- the blockwise IoU table and the operating point against the definition -------
+
+# Corners where array arithmetic could part from the scalar iou: NaN (numpy's
+# min/max propagate it, Python's keep their first argument), infinities, an
+# area that overflows, integers too large for doubles to stay exact, -0.0,
+# corners out of order (a negative area, so a negative union).
+ODD_BOXES = (
+    B(3, 0, 1, 2),
+    B(math.nan, 0, 2, 1),
+    B(0, 0, 2, math.nan),
+    B(0, 0, math.inf, 1),
+    B(-math.inf, 0, 1, 1),
+    B(1e300, 0, 1.5e300, 1e300),
+    B(0, 0, 3 * 2**40, 2**40 + 1),
+    B(-0.0, 0, 1, 1),
+)
+
+
+def _odd_corner_corpus(rng):
+    detections, ground_truths = _edge_case_corpus(rng)
+    detections = [
+        replace(d, box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else d for d in detections
+    ]
+    ground_truths = [
+        replace(g, box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else g for g in ground_truths
+    ]
+    return detections, ground_truths
+
+
+def _assert_operating_point_matches_definition(detections, ground_truths, categories=None):
+    config = MatchConfig(0.45, 0.25)
+    metrics = evaluate_corpus(detections, ground_truths, config, categories)
+    cats = sorted(
+        set(categories)
+        if categories is not None
+        else {g.category_id for g in ground_truths} | {d.category_id for d in detections}
+    )
+    outcomes = match_corpus(detections, ground_truths, config, cats)
+    assert metrics.confusion == confusion_matrix(outcomes, cats)
+    tp, fp = Counter(), Counter()
+    for outcome in outcomes:
+        for flag in outcome.flags:
+            (tp if flag.is_tp else fp)[outcome.detections[flag.detection_index].category_id] += 1
+    totals = Counter(g.category_id for g in ground_truths)
+    assert [(r.category_id, r.tp, r.fp, r.fn) for r in metrics.per_category] == [
+        (c, tp[c], fp[c], totals[c] - tp[c]) for c in cats if totals[c] or tp[c] or fp[c]
+    ]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 10**9])
+def test_block_iou_table_equals_scalar_iou_bitwise(monkeypatch, budget):
+    monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", budget)
+    rng = random.Random(2718)
+    for corpus in (_edge_case_corpus, _odd_corner_corpus) * 150:
+        images = evaluation._group_by_image(*corpus(rng))
+        expected = [
+            (id(d), id(g), iou(d.box, g.box).hex())
+            for image_id in sorted(images)
+            for d in images[image_id][0]
+            for g in images[image_id][1]
+        ]
+        table = []
+        for dets, gts, pair_det, pair_gt in evaluation._blocks(images):
+            values = evaluation._block_iou(dets, gts, pair_det, pair_gt).tolist()
+            table += [
+                (id(dets[i]), id(gts[j]), value.hex())
+                for i, j, value in zip(pair_det.tolist(), pair_gt.tolist(), values)
+            ]
+        assert table == expected
+
+
+@pytest.mark.parametrize("budget", [1, 10**9])
+def test_evaluate_corpus_equals_the_definition_at_any_block_size(monkeypatch, budget):
+    monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", budget)
+    rng = random.Random(1618)
+    for _ in range(150):
+        detections, ground_truths = _edge_case_corpus(rng)
+        for categories in (None, range(7)):
+            _assert_matches_definition(detections, ground_truths, categories)
+            _assert_operating_point_matches_definition(detections, ground_truths, categories)
+
+
+def test_evaluate_corpus_with_non_finite_or_huge_corners_equals_the_definition():
+    rng = random.Random(577)
+    for _ in range(150):
+        detections, ground_truths = _odd_corner_corpus(rng)
+        _assert_matches_definition(detections, ground_truths)
+        _assert_operating_point_matches_definition(detections, ground_truths)
+
+
+def test_evaluate_corpus_raises_the_definitions_category_error():
+    box = B(0, 0, 1, 1)
+    cases = [
+        # "im10" sorts before "im2": its ground truth is checked first.
+        ([det(box, cat=7, image="im2")], [gt(box, cat=8, image="im10")]),
+        # In one image: detections before ground truths, in input order.
+        ([det(box, cat=5, conf=0.1), det(box, cat=6, conf=0.9)], [gt(box, cat=8)]),
+    ]
+    rng = random.Random(99)
+    cases += [_edge_case_corpus(rng) for _ in range(200)]  # categories 3 and 4 are unknown
+    raised = set()
+    for detections, ground_truths in cases:
+        try:
+            match_corpus(detections, ground_truths, MatchConfig(), range(3))
+        except CategoryError as exc:
+            with pytest.raises(CategoryError) as info:
+                evaluate_corpus(detections, ground_truths, MatchConfig(), range(3))
+            assert str(info.value) == str(exc)
+            raised.add(str(exc).split(" references")[0])
+        else:
+            evaluate_corpus(detections, ground_truths, MatchConfig(), range(3))
+    assert raised == {"detection", "ground truth"}
+
+
 # --- CSV interfaces --------------------------------------------------------------------
 
 def test_detections_csv_round_trip():
@@ -610,3 +727,29 @@ def test_metrics_csv_contains_summary_lines():
     assert rows[0] == ["category_id", "ap", "precision", "recall", "tp", "fp", "fn"]
     assert ["mAP50", "1"] in rows
     assert ["mAP50-95", "1"] in rows
+
+
+def test_detections_csv_orders_corners_as_normalized_does():
+    corners = [(3.0, 4.0, 1.0, 2.0), (-0.0, 0.0, 0.0, -0.0), (0.0, -0.0, -0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]
+    text = "image_id,category_id,confidence,x1,y1,x2,y2\n" + "".join(
+        f"im0,1,0.5,{x1},{y1},{x2},{y2}\n" for x1, y1, x2, y2 in corners
+    )
+    for parsed, raw in zip(read_detections_csv(io.StringIO(text)), corners):
+        expected = B(*raw).normalized()
+        assert [v.hex() for v in parsed.box.corners()] == [v.hex() for v in expected.corners()]
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("im0,1,0.5,0,0,1", "line 2: expected 7 fields, got 6"),
+        ("im0,x,nope,0,0,1,1", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("im0,1,0.5,0,0,one,1", "line 2: could not convert string to float: 'one'"),
+        ("im0,1,1.5,nan,0,1,1", "line 2: confidence 1.5 outside [0, 1]"),
+        ("im0,1,0.5,0,inf,1,1", "line 2: non-finite coordinate"),
+    ],
+)
+def test_detections_csv_names_the_first_failed_check(row, message):
+    with pytest.raises(FormatError) as info:
+        read_detections_csv(io.StringIO("image_id,category_id,confidence,x1,y1,x2,y2\n" + row + "\n"))
+    assert str(info.value) == message
