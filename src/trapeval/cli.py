@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 # OpenBLAS reads this once, when numpy loads it (the next import does):
@@ -30,6 +31,7 @@ from .losses import (
     LossKind,
     LossParams,
     WiouState,
+    check_descent,
     focusing_coefficient,
     simulate_regression,
     write_trajectory_csv,
@@ -65,6 +67,7 @@ def _parse_kinds(text: str) -> list[LossKind]:
 
 
 def _out_dir(args) -> Path:
+    """--out-dir, created only once a command's arguments have been checked."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -96,8 +99,9 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_losslab(args) -> int:
-    out = _out_dir(args)
     params = LossParams(gamma=args.gamma, alpha=args.alpha, delta=args.delta)
+    check_descent(args.step, args.iters)
+    out = _out_dir(args)
     kinds = args.kinds
     chart = LineChart("loss vs iteration", "iteration", "loss")
     failures = 0
@@ -146,14 +150,14 @@ def cmd_losslab(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
+    config = ev.MatchConfig(args.iou_thresh, args.conf_thresh)
     with open(args.detections, "r", encoding="utf-8", newline="") as stream:
         detections = ev.read_detections_csv(stream)
     data = ds.parse_annotations(args.annotations)
     ground_truths = [gt for record in data.records for gt in record.annotations]
     categories = data.category_ids() if data.categories else None
-    config = ev.MatchConfig(args.iou_thresh, args.conf_thresh)
     metrics = ev.evaluate_corpus(detections, ground_truths, config, categories)
+    out = _out_dir(args)
 
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as stream:
         ev.write_metrics_csv(metrics, stream)
@@ -179,7 +183,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
-    out = _out_dir(args)
     gc.check_alpha(args.alpha_overlay)
     with open(args.graph, "r", encoding="utf-8") as stream:
         spec = parse_graph_text(stream)
@@ -190,6 +193,7 @@ def cmd_gradcam(args) -> int:
     run = graph.forward(image, target=args.layer)
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)
+    out = _out_dir(args)
     write_ppm(gc.colorize(heat), out / "heatmap.ppm")
     write_ppm(gc.overlay(image, heat, args.alpha_overlay), out / "overlay.ppm")
     if args.pgm:
@@ -199,9 +203,12 @@ def cmd_gradcam(args) -> int:
 
 
 def cmd_split(args) -> int:
-    out = _out_dir(args)
-    data = ds.filter_empty(ds.parse_annotations(args.annotations))
-    locations = sorted({r.location_id for r in data.records})
+    # Every argument is checked before the annotation file is read.
+    ds.check_val_fraction(args.val_fraction)
+    make_config = partial(
+        ds.SplitConfig, cis_val_fraction=args.val_fraction, seed=args.seed, day_basis=args.day_basis
+    )
+    config = None
     if args.trans_test:
         try:
             trans_test = tuple(int(t) for t in args.trans_test.split(","))
@@ -212,10 +219,12 @@ def cmd_split(args) -> int:
         if args.trans_val is None:
             print("error: --trans-val is required with --trans-test", file=sys.stderr)
             return 1
-        trans_val = args.trans_val
-    else:
+        config = make_config(trans_test, args.trans_val)
+    data = ds.filter_empty(ds.parse_annotations(args.annotations))
+    if config is None:
         import random
 
+        locations = sorted({r.location_id for r in data.records})
         if len(locations) < 10:
             print(f"error: need >= 10 locations, have {len(locations)}", file=sys.stderr)
             return 1
@@ -226,19 +235,14 @@ def cmd_split(args) -> int:
             f"location {trans_val}",
             file=sys.stderr,
         )
-    config = ds.SplitConfig(
-        trans_test_locations=trans_test,
-        trans_val_location=trans_val,
-        cis_val_fraction=args.val_fraction,
-        seed=args.seed,
-        day_basis=args.day_basis,
-    )
+        config = make_config(trans_test, trans_val)
     result = ds.split_cis_trans(list(data.records), config)
     problems = ds.verify_split(result)
     if problems:
         for problem in problems:
             print(f"invariant violation: {problem}", file=sys.stderr)
         return 1
+    out = _out_dir(args)
     for name, part in result.all_parts().items():
         ds.write_annotations(ds.Dataset(tuple(part), data.categories), out / f"{name}.json")
     expected = ds.REFERENCE_SPLIT_COUNTS if args.check_reference_counts else None

@@ -33,7 +33,7 @@ from .tensor import Tensor3
 EMPTY_CATEGORY_NAME = "empty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     image_id: str
     location_id: int
@@ -88,16 +88,62 @@ def _integer(mapping: dict, key: str, context: str) -> int:
     return number
 
 
-def _objects(payload: dict, section: str, path: "str | Path"):
-    """(context, element) for each element of a top-level list of objects."""
+def _section(payload: dict, section: str, path: "str | Path") -> list:
     elements = payload.get(section, [])
     if not isinstance(elements, list):
         raise FormatError(f"{path}: {section} must be a list, got {elements!r:.40}")
-    for i, element in enumerate(elements):
-        context = f"{section}[{i}]"
-        if not isinstance(element, dict):
-            raise FormatError(f"{context}: must be an object, got {element!r:.40}")
-        yield context, element
+    return elements
+
+
+def _object(element, context: str) -> dict:
+    if not isinstance(element, dict):
+        raise FormatError(f"{context}: must be an object, got {element!r:.40}")
+    return element
+
+
+def _date(raw_date, context: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(str(raw_date)[:10])
+    except ValueError as exc:
+        raise FormatError(f"{context}: bad date {raw_date!r}") from exc
+
+
+def _image(img, context: str, images: dict) -> tuple[str, tuple[int, dt.date, int, int, str]]:
+    """(image id, fields) of one element of "images", every check in order."""
+    img = _object(img, context)
+    image_id = str(_require(img, "id", context))
+    if image_id in images:
+        raise FormatError(f"{context}: duplicate image id {image_id!r}")
+    capture_date = _date(_require(img, "date", context), context)
+    return image_id, (
+        _integer(img, "location", context),
+        capture_date,
+        _integer(img, "width", context),
+        _integer(img, "height", context),
+        str(img.get("file_name", "")),
+    )
+
+
+def _annotation(ann, context: str, annotations: dict, categories: dict) -> tuple:
+    """(image id, category id, x, y, w, h) of one element of "annotations",
+    every check in order."""
+    ann = _object(ann, context)
+    image_id = str(_require(ann, "image_id", context))
+    if image_id not in annotations:
+        raise FormatError(f"{context}: unknown image id {image_id!r}")
+    category_id = _integer(ann, "category_id", context)
+    if category_id not in categories:
+        raise FormatError(f"{context}: unknown category id {category_id}")
+    bbox = _require(ann, "bbox", context)
+    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+        raise FormatError(f"{context}: bbox must be [x, y, w, h]")
+    try:
+        x, y, w, h = map(float, bbox)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
+    return image_id, category_id, x, y, w, h
 
 
 def parse_annotations(path: "str | Path") -> Dataset:
@@ -130,56 +176,75 @@ def _parse_annotations(path: "str | Path") -> Dataset:
         raise FormatError(f"{path}: top level must be an object")
 
     categories: dict[int, str] = {}
-    for context, cat in _objects(payload, "categories", path):
+    for i, cat in enumerate(_section(payload, "categories", path)):
+        context = f"categories[{i}]"
+        cat = _object(cat, context)
         cid = _integer(cat, "id", context)
         categories[cid] = str(_require(cat, "name", context))
 
+    # An element whose fields have exact JSON types (str ids, dates and file
+    # names, int sizes, locations and category ids, a list box) and pass
+    # every check is read directly; any other element goes through _image or
+    # _annotation, which run the checks in order and name it in any error.
     # image id -> (location, date, width, height, file name), in file order
     images: dict[str, tuple[int, dt.date, int, int, str]] = {}
-    for context, img in _objects(payload, "images", path):
-        image_id = str(_require(img, "id", context))
-        if image_id in images:
-            raise FormatError(f"{context}: duplicate image id {image_id!r}")
-        raw_date = _require(img, "date", context)
+    dates: dict[str, dt.date] = {}  # each distinct date string, parsed once
+    for i, img in enumerate(_section(payload, "images", path)):
         try:
-            capture_date = dt.date.fromisoformat(str(raw_date)[:10])
-        except ValueError as exc:
-            raise FormatError(f"{context}: bad date {raw_date!r}") from exc
-        images[image_id] = (
-            _integer(img, "location", context),
-            capture_date,
-            _integer(img, "width", context),
-            _integer(img, "height", context),
-            str(img.get("file_name", "")),
-        )
+            image_id, raw_date = img["id"], img["date"]
+            location, width, height = img["location"], img["width"], img["height"]
+            file_name = img.get("file_name", "")
+        except (KeyError, TypeError):  # not an object, or a field missing
+            image_id = None
+        if (
+            type(image_id) is str
+            and type(raw_date) is str
+            and type(location) is int
+            and type(width) is int
+            and type(height) is int
+            and type(file_name) is str
+            and image_id not in images
+        ):
+            capture_date = dates.get(raw_date)
+            if capture_date is None:
+                capture_date = dates[raw_date] = _date(raw_date, f"images[{i}]")
+            images[image_id] = (location, capture_date, width, height, file_name)
+        else:
+            image_id, fields = _image(img, f"images[{i}]", images)
+            images[image_id] = fields
 
     annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
     isfinite = math.isfinite
-    for context, ann in _objects(payload, "annotations", path):
-        image_id = str(_require(ann, "image_id", context))
-        attached = annotations.get(image_id)
-        if attached is None:
-            raise FormatError(f"{context}: unknown image id {image_id!r}")
-        category_id = _integer(ann, "category_id", context)
-        if category_id not in categories:
-            raise FormatError(f"{context}: unknown category id {category_id}")
-        bbox = _require(ann, "bbox", context)
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise FormatError(f"{context}: bbox must be [x, y, w, h]")
+    for i, ann in enumerate(_section(payload, "annotations", path)):
         try:
-            x, y, w, h = map(float, bbox)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
+            image_id, category_id, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
+            attached = annotations.get(image_id)  # None unless a known (str) image id
+            x, y, w, h = map(float, bbox)  # as _annotation converts them
+        except (KeyError, TypeError, ValueError, OverflowError):  # as above, or a bad box
+            attached = None
+        if not (
+            attached is not None
+            and type(category_id) is int
+            and category_id in categories
+            and type(bbox) is list
+            and isfinite(x + y + w + h)  # all four are finite
+        ):
+            image_id, category_id, x, y, w, h = _annotation(
+                ann, f"annotations[{i}]", annotations, categories
+            )
+            attached = annotations[image_id]
         _, _, width, height, _ = images[image_id]
-        attached.append(
-            GroundTruth(_clamp_box(x, y, x + w, y + h, width, height), category_id, image_id)
-        )
+        x2, y2 = x + w, y + h
+        # _clamp_box leaves a box that lies inside the image as it is.
+        if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
+            box = BoundingBox(x, y, x2, y2)
+        else:
+            box = _clamp_box(x, y, x2, y2, width, height)
+        attached.append(GroundTruth(box, category_id, image_id))
     del payload  # free the parsed JSON before the records are built: a lower peak
 
     records = tuple(
-        ImageRecord(image_id, *fields, annotations=tuple(annotations[image_id]))
+        ImageRecord(image_id, *fields, tuple(annotations[image_id]))
         for image_id, fields in images.items()
     )
     return Dataset(records, categories)
@@ -226,32 +291,48 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
     annotations = []
     ann_id = 0
     for record in dataset.records:
-        image_id = _json_scalar(record.image_id)
+        image_id, file_name = record.image_id, record.file_name
+        height, location_id, width = record.height, record.location_id, record.width
+        # Exact ints print as their repr in the template; anything else, and
+        # every string, is rendered first.
+        if (
+            int is type(height) is type(location_id) is type(width)
+            and str is type(image_id) is type(file_name)
+        ):
+            image_id, file_name = _json_string(image_id), _json_string(file_name)
+        else:
+            image_id, file_name, height, location_id, width = map(
+                _json_scalar, (image_id, file_name, height, location_id, width)
+            )
         images.append(
             f"""  {{
    "date": {_json_string(record.capture_date.isoformat())},
-   "file_name": {_json_scalar(record.file_name)},
-   "height": {_json_scalar(record.height)},
+   "file_name": {file_name},
+   "height": {height},
    "id": {image_id},
-   "location": {_json_scalar(record.location_id)},
-   "width": {_json_scalar(record.width)}
+   "location": {location_id},
+   "width": {width}
   }}"""
         )
         for gt in record.annotations:
             ann_id += 1
             b = gt.box
-            coords = x, y, w, h = b.x1, b.y1, b.width, b.height
+            x, y = b.x1, b.y1
+            w, h = b.x2 - x, b.y2 - y  # b.width and b.height, without two property calls
             # Finite floats (a finite sum implies them) print as their repr.
             if float is type(x) is type(y) is type(w) is type(h) and math.isfinite(x + y + w + h):
                 bbox = f"{x!r},\n    {y!r},\n    {w!r},\n    {h!r}"
             else:
-                bbox = ",\n    ".join(map(_json_scalar, coords))
+                bbox = ",\n    ".join(map(_json_scalar, (x, y, w, h)))
+            category_id = gt.category_id
+            if type(category_id) is not int:
+                category_id = _json_scalar(category_id)
             annotations.append(
                 f"""  {{
    "bbox": [
     {bbox}
    ],
-   "category_id": {_json_scalar(gt.category_id)},
+   "category_id": {category_id},
    "id": {ann_id},
    "image_id": {image_id}
   }}"""
@@ -277,12 +358,19 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
 def filter_empty(dataset: Dataset) -> Dataset:
     """Drop records with no annotations, or annotated only as 'empty'."""
     empty_ids = {cid for cid, name in dataset.categories.items() if name == EMPTY_CATEGORY_NAME}
-    kept = tuple(
-        record
-        for record in dataset.records
-        if any(gt.category_id not in empty_ids for gt in record.annotations)
-    )
-    return Dataset(kept, dict(dataset.categories))
+    kept = []
+    for record in dataset.records:
+        for gt in record.annotations:
+            if gt.category_id not in empty_ids:
+                kept.append(record)
+                break
+    return Dataset(tuple(kept), dict(dataset.categories))
+
+
+def check_val_fraction(fraction: float) -> None:
+    """The cis validation share must lie in [0, 1)."""
+    if not 0.0 <= fraction < 1.0:
+        raise SplitError(f"cis_val_fraction {fraction} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -298,8 +386,7 @@ class SplitConfig:
             raise SplitError("trans_test_locations must not be empty")
         if self.trans_val_location in self.trans_test_locations:
             raise SplitError("trans validation location overlaps trans test locations")
-        if not 0.0 <= self.cis_val_fraction < 1.0:
-            raise SplitError(f"cis_val_fraction {self.cis_val_fraction} outside [0, 1)")
+        check_val_fraction(self.cis_val_fraction)
         if self.day_basis not in ("day_of_month", "day_of_year"):
             raise SplitError(f"unknown day basis {self.day_basis!r}")
 

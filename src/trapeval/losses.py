@@ -514,6 +514,14 @@ def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:
 DEFAULT_ARENA = (-1e4, -1e4, 1e4, 1e4)
 
 
+def check_descent(step: float, iters: int) -> None:
+    """The descent step must be positive and run at least one iteration."""
+    if step <= 0:
+        raise ConfigError(f"step {step} must be > 0")
+    if iters < 1:
+        raise ConfigError(f"iters {iters} must be >= 1")
+
+
 def simulate_regression(
     kind: LossKind,
     start: BoundingBox,
@@ -530,10 +538,7 @@ def simulate_regression(
     box never inverts mid-descent. Raises DivergedError (naming the
     iteration) if any value goes non-finite.
     """
-    if step <= 0:
-        raise ConfigError(f"step {step} must be > 0")
-    if iters < 1:
-        raise ConfigError(f"iters {iters} must be >= 1")
+    check_descent(step, iters)
     params = params or LossParams()
     if kind is LossKind.WIOU_V3 and state is None:
         state = WiouState()

@@ -488,6 +488,8 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["losslab", "--step", "-1"], "step -1"),
         (["losslab", "--delta", "0"], "delta"),
         (["split", "{ann}", "--trans-test", "1,2"], "--trans-val is required with --trans-test"),
+        (["eval", "{det}", "{ann}", "--conf-thresh", "2"], "confidence_threshold 2.0"),
+        (["split", "{ann}", "--val-fraction", "1.5"], "cis_val_fraction 1.5 outside [0, 1)"),
     ],
 )
 def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corpus, argv, message):
@@ -502,7 +504,8 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and stdout == ""
-    assert not out.exists() or not any(out.iterdir())
+    assert err.count("\n") == 1 and err.endswith("\n")  # the error line alone
+    assert not out.exists()
     assert not (tmp_path / "missing").exists()
 
 

@@ -1,5 +1,6 @@
 import copy
 import datetime as dt
+import enum
 import gc
 import itertools
 import json
@@ -196,6 +197,222 @@ def test_clamp_box_equals_its_definition():
             assert exact(_clamp_box(*corners, width, height)) == exact(expected), corners
 
 
+# --- the reader against its definition ---------------------------------------
+
+def _require_definition(mapping, key, context):
+    if key not in mapping:
+        raise FormatError(f"{context}: missing field {key!r}")
+    return mapping[key]
+
+
+def _integer_definition(mapping, key, context):
+    value = _require_definition(mapping, key, context)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{context}: {key} {value!r} is not a number") from exc
+    if number != value and isinstance(value, float):
+        raise FormatError(f"{context}: {key} {value!r} is not an integer")
+    return number
+
+
+def _objects_definition(payload, section, path):
+    elements = payload.get(section, [])
+    if not isinstance(elements, list):
+        raise FormatError(f"{path}: {section} must be a list, got {elements!r:.40}")
+    for i, element in enumerate(elements):
+        context = f"{section}[{i}]"
+        if not isinstance(element, dict):
+            raise FormatError(f"{context}: must be an object, got {element!r:.40}")
+        yield context, element
+
+
+def parse_annotations_definition(path) -> Dataset:
+    """What parse_annotations reads: every element through every check, in
+    order, with the first failing check naming the element."""
+    try:
+        with open(path, "r", encoding="utf-8") as stream:
+            payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: top level must be an object")
+
+    categories = {}
+    for context, cat in _objects_definition(payload, "categories", path):
+        cid = _integer_definition(cat, "id", context)
+        categories[cid] = str(_require_definition(cat, "name", context))
+
+    images = {}
+    for context, img in _objects_definition(payload, "images", path):
+        image_id = str(_require_definition(img, "id", context))
+        if image_id in images:
+            raise FormatError(f"{context}: duplicate image id {image_id!r}")
+        raw_date = _require_definition(img, "date", context)
+        try:
+            capture_date = dt.date.fromisoformat(str(raw_date)[:10])
+        except ValueError as exc:
+            raise FormatError(f"{context}: bad date {raw_date!r}") from exc
+        images[image_id] = (
+            _integer_definition(img, "location", context),
+            capture_date,
+            _integer_definition(img, "width", context),
+            _integer_definition(img, "height", context),
+            str(img.get("file_name", "")),
+        )
+
+    annotations = {image_id: [] for image_id in images}
+    for context, ann in _objects_definition(payload, "annotations", path):
+        image_id = str(_require_definition(ann, "image_id", context))
+        attached = annotations.get(image_id)
+        if attached is None:
+            raise FormatError(f"{context}: unknown image id {image_id!r}")
+        category_id = _integer_definition(ann, "category_id", context)
+        if category_id not in categories:
+            raise FormatError(f"{context}: unknown category id {category_id}")
+        bbox = _require_definition(ann, "bbox", context)
+        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+            raise FormatError(f"{context}: bbox must be [x, y, w, h]")
+        try:
+            x, y, w, h = map(float, bbox)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
+        _, _, width, height, _ = images[image_id]
+        box = clamp_box_definition(x, y, x + w, y + h, width, height)
+        attached.append(GroundTruth(box, category_id, image_id))
+    records = tuple(
+        ImageRecord(image_id, *fields, annotations=tuple(annotations[image_id]))
+        for image_id, fields in images.items()
+    )
+    return Dataset(records, categories)
+
+
+def exact_dataset(dataset: Dataset) -> list:
+    """Every field of every record and category, by type and repr."""
+    def leaf(value):
+        return type(value), repr(value)
+
+    records = [
+        [leaf(getattr(rec, name)) for name in ("image_id", "location_id", "capture_date", "width", "height", "file_name")]
+        + [[leaf(gt.category_id), leaf(gt.image_id), exact(gt.box)] for gt in rec.annotations]
+        for rec in dataset.records
+    ]
+    return [records, [(leaf(cid), leaf(name)) for cid, name in dataset.categories.items()]]
+
+
+def read_outcome(parse, path):
+    try:
+        return "records", exact_dataset(parse(path))
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+FIELDS = {
+    "categories": ("id", "name"),
+    "images": ("id", "date", "location", "width", "height", "file_name"),
+    "annotations": ("id", "image_id", "category_id", "bbox"),
+}
+HUGE = "@1e400@"  # written into the JSON text as the literal 1e400
+
+
+def retyped(value, rng: random.Random):
+    """The value as a bool, an integral or non-integral float, a digit
+    string, null, a list or an object."""
+    kind = rng.randrange(7)
+    number = value if type(value) in (int, float) else rng.randrange(1, 5)
+    if kind == 0:
+        return rng.random() < 0.5
+    if kind == 1:
+        return float(int(number))
+    if kind == 2:
+        return number + rng.choice((0.5, -0.25, 1e-9))
+    if kind == 3:  # a list (a box) becomes four digits
+        return "1234" if isinstance(value, list) else str(number)
+    if kind == 4:
+        return None
+    if kind == 5:
+        return [value]
+    if isinstance(value, list):  # an object with four digit keys
+        return {str(i): v for i, v in enumerate(value)}
+    return {"value": value}
+
+
+def mutate_annotations(payload: dict, rng: random.Random) -> None:
+    """One seeded fault, or an unusual but valid value, in a payload."""
+
+    def objects(section):  # the section's elements that are still objects
+        value = payload.get(section)
+        return [e for e in value if isinstance(e, dict)] if isinstance(value, list) else []
+
+    images, annotations = objects("images"), objects("annotations")
+    boxes = [ann["bbox"] for ann in annotations if isinstance(ann.get("bbox"), list)]
+    op = rng.randrange(14)
+    if op == 12 and annotations:
+        ann = rng.choice(annotations)
+        ann["bbox"] = retyped(ann.get("bbox"), rng)
+    elif op == 13 and boxes and len(box := rng.choice(boxes)) == 4:  # a negative width or height
+        i = rng.choice((2, 3))
+        box[i] = -box[i] if type(box[i]) in (int, float) else box[i]
+    elif op in (0, 1) and objects(section := rng.choice(tuple(FIELDS))):  # a field dropped or retyped
+        element = rng.choice(objects(section))
+        key = rng.choice(FIELDS[section])
+        if op == 0:
+            element.pop(key, None)
+        else:
+            element[key] = retyped(element.get(key), rng)
+    elif op == 2 and boxes:  # bbox arity 3 or 5
+        box = rng.choice(boxes)
+        box[:] = (box + [1.5])[: rng.choice((3, 5))]
+    elif op == 3 and boxes and (box := rng.choice(boxes)):  # one unusual box value
+        box[rng.randrange(len(box))] = rng.choice(
+            (math.nan, math.inf, -math.inf, HUGE, -0.0, 10**400, -5.5, 1000.25, True, "7",
+             0, 60.0, 80, 99.5)  # the last four place a box on or across the image edge
+        )
+    elif op == 4 and annotations and images:
+        rng.choice(annotations)["image_id"] = rng.choice(("ghost", f"{images[0].get('id')} "))
+    elif op == 5 and annotations:
+        rng.choice(annotations)["category_id"] = rng.choice((99, -1, 0))
+    elif op == 6 and images:
+        rng.choice(images)["id"] = rng.choice(images).get("id")
+    elif op == 7 and isinstance(section := payload.get(rng.choice(tuple(FIELDS))), list) and section:
+        section[rng.randrange(len(section))] = rng.choice((5, "box", [1, 2], None, True))
+    elif op in (8, 9) and images:  # another image's date, or its own, with a time suffix
+        day = rng.choice(images).get("date")
+        if isinstance(day, str):
+            suffix = rng.choice(("T12:00:00", "T00:00:00+02:00", " junk", "Z", ""))
+            rng.choice(images)["date"] = day + suffix
+    elif op == 10 and images:
+        rng.choice(images)["date"] = rng.choice(
+            ("2023-13-01", "2023-02-30", "not-a-date", "", "2023-13-01T10:00:00",
+             "2023-02-30 noon", "20230504", "2023-W01-1", "2023-5-4")
+        )
+    elif op == 11:  # a section that is not a list, or missing
+        section = rng.choice(tuple(FIELDS))
+        if rng.random() < 0.5:
+            payload[section] = rng.choice((3, "x", {"id": 1}, None))
+        else:
+            payload.pop(section, None)
+
+
+def test_parse_equals_its_definition_on_mutated_files(tmp_path):
+    rng = random.Random(20)
+    outcomes = set()
+    for i in range(2100):
+        payload = make_annotation_payload(
+            num_images=rng.randint(1, 5), num_locations=3, seed=rng.randrange(10**6)
+        )
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            mutate_annotations(payload, rng)
+        path = tmp_path / f"mutant{i}.json"
+        path.write_text(json.dumps(payload).replace(f'"{HUGE}"', "1e400"), encoding="utf-8")
+        expected = read_outcome(parse_annotations_definition, path)
+        assert read_outcome(parse_annotations, path) == expected, path.read_text()
+        outcomes.add(expected[0] if expected[0] == "records" else expected[1].split(": ")[-1][:12])
+    assert len(outcomes) > 20  # both outcomes, and many kinds of error
+
+
 # --- writing ---------------------------------------------------------------------
 
 def write_annotations_definition(dataset: Dataset) -> str:
@@ -275,6 +492,41 @@ def awkward_dataset(rng: random.Random) -> Dataset:
     return Dataset(tuple(records), categories)
 
 
+class Species(enum.IntEnum):
+    BOBCAT = 1
+    COYOTE = 40
+
+
+def inexact_dataset(rng: random.Random) -> Dataset:
+    """Fields that are not exact str, int or float: bool and IntEnum
+    locations, sizes and category ids, numpy.float64 and int corners, a
+    datetime capture date, and non-str file names and image ids."""
+    def integer():
+        return rng.choice((3, True, False, Species.BOBCAT, Species.COYOTE))
+
+    def corner():
+        return rng.choice((2.5, -0.0, 7, -3, np.float64(1.25), np.float64(-0.0), np.float64(math.nan)))
+
+    records = []
+    for i in range(rng.randrange(1, 4)):
+        image_id = rng.choice((f"im{i}", i, float(i)))
+        records.append(
+            ImageRecord(
+                image_id=image_id,
+                location_id=integer(),
+                capture_date=rng.choice((dt.date(2023, 5, 4), dt.datetime(2023, 5, 4, 12, 30, 1))),
+                width=integer(),
+                height=integer(),
+                file_name=rng.choice(("a.jpg", 7, None, 1.5, True)),
+                annotations=tuple(
+                    GroundTruth(BoundingBox(*(corner() for _ in range(4))), integer(), image_id)
+                    for _ in range(rng.randrange(3))
+                ),
+            )
+        )
+    return Dataset(tuple(records), {Species.BOBCAT: "bobcat", 3: "deer"})
+
+
 def test_write_annotations_equals_json_dump(tmp_path, annotation_file):
     parsed = parse_annotations(annotation_file(make_annotation_payload(num_images=100, seed=5)))
     cases = [
@@ -285,6 +537,7 @@ def test_write_annotations_equals_json_dump(tmp_path, annotation_file):
         Dataset((record("a", boxes=[((0, 0, 10, 10), 1)]), record("b")), {1: "bobcat"}),
     ]
     cases += [awkward_dataset(random.Random(seed)) for seed in range(300)]
+    cases += [inexact_dataset(random.Random(seed)) for seed in range(200)]
     for i, dataset in enumerate(cases):
         out = tmp_path / f"written{i}.json"
         write_annotations(dataset, out)
