@@ -101,6 +101,9 @@ def cmd_shapes(args) -> int:
 def cmd_losslab(args) -> int:
     params = LossParams(gamma=args.gamma, alpha=args.alpha, delta=args.delta)
     check_descent(args.step, args.iters)
+    # The curve checks alpha and delta over beta 0-10 before anything is written.
+    betas = [i / 100.0 for i in range(0, 1001)]
+    values = [focusing_coefficient(b, params) for b in betas]
     out = _out_dir(args)
     kinds = args.kinds
     chart = LineChart("loss vs iteration", "iteration", "loss")
@@ -135,8 +138,6 @@ def cmd_losslab(args) -> int:
     chart.write(out / "loss_curves.svg")
 
     focus = LineChart("focusing coefficient r(beta)", "beta", "r")
-    betas = [i / 100.0 for i in range(0, 1001)]
-    values = [focusing_coefficient(b, params) for b in betas]
     focus.add_series("r", betas, values)
     peak = 1.0 / math.log(args.alpha)
     focus.add_vline(peak, f"beta*={peak:.4g}")

@@ -22,13 +22,12 @@ the analytic path agree on one contract:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Callable
 
-from .boxes import BoundingBox, center_distance_sq, iou
+from .boxes import BoundingBox, center_distance_sq, iou  # noqa: F401 (re-exported)
 from .errors import ConfigError, DegenerateBoxError, DegenerateHullError, DivergedError
 
 Vec4 = tuple[float, float, float, float]
@@ -55,12 +54,13 @@ class LossParams:
     running_mean_momentum: float = 0.99
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"gamma {self.gamma} must be >= 0")
-        if self.alpha <= 1:
-            raise ConfigError(f"alpha {self.alpha} must be > 1")
-        if self.delta <= 0:
-            raise ConfigError(f"delta {self.delta} must be > 0")
+        # Written so that NaN and infinity fail every check.
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma {self.gamma} must be finite and >= 0")
+        if not 1 < self.alpha < math.inf:
+            raise ConfigError(f"alpha {self.alpha} must be finite and > 1")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta {self.delta} must be finite and > 0")
         if not 0.0 < self.running_mean_momentum <= 1.0:
             raise ConfigError(
                 f"running_mean_momentum {self.running_mean_momentum} must be in (0, 1]"
@@ -96,87 +96,90 @@ def _vscale(a: Vec4, s: float) -> Vec4:
 
 
 class _Geom:
-    """Shared geometry of a (pred, gt) pair and its pred-corner derivatives."""
+    """Shared geometry of a (pred, gt) pair and its pred-corner derivatives.
+
+    Each min/max is spelled as the conditional that returns what the builtin
+    returns, ties and NaN included: min(x, a) is ``a if a < x else x``.
+    """
+
+    __slots__ = (
+        "w", "h", "wg", "hg", "union", "d_union", "iou", "d_iou", "hull_w", "hull_h",
+        "d_hull_w", "d_hull_h", "hull_area", "d_hull_area", "diag_sq", "d_diag_sq",
+        "dist_sq", "d_dist_sq",
+    )
 
     def __init__(self, pred: BoundingBox, gt: BoundingBox):
-        x1, y1, x2, y2 = pred.corners()
-        a1, b1, a2, b2 = gt.corners()
-        self.w = x2 - x1
-        self.h = y2 - y1
-        self.wg = a2 - a1
-        self.hg = b2 - b1
-        self.area_p = self.w * self.h
-        self.area_g = self.wg * self.hg
-        self.d_area: Vec4 = (-self.h, -self.w, self.h, self.w)
+        x1, y1, x2, y2 = pred.x1, pred.y1, pred.x2, pred.y2
+        a1, b1, a2, b2 = gt.x1, gt.y1, gt.x2, gt.y2
+        self.w = w = x2 - x1
+        self.h = h = y2 - y1
+        self.wg = wg = a2 - a1
+        self.hg = hg = b2 - b1
 
-        iw = min(x2, a2) - max(x1, a1)
-        ih = min(y2, b2) - max(y1, b1)
+        iw = (a2 if a2 < x2 else x2) - (a1 if a1 > x1 else x1)
+        ih = (b2 if b2 < y2 else y2) - (b1 if b1 > y1 else y1)
         if iw > 0.0 and ih > 0.0:
-            self.inter = iw * ih
+            inter = iw * ih
             # Active-branch indicators; ties contribute sub-gradient 0.
-            self.d_inter: Vec4 = (
-                -ih if x1 > a1 else 0.0,
-                -iw if y1 > b1 else 0.0,
-                ih if x2 < a2 else 0.0,
-                iw if y2 < b2 else 0.0,
-            )
+            i0 = -ih if x1 > a1 else 0.0
+            i1 = -iw if y1 > b1 else 0.0
+            i2 = ih if x2 < a2 else 0.0
+            i3 = iw if y2 < b2 else 0.0
         else:
-            self.inter = 0.0
-            self.d_inter = _ZERO4
-        self.union = self.area_p + self.area_g - self.inter
-        self.d_union: Vec4 = (
-            self.d_area[0] - self.d_inter[0],
-            self.d_area[1] - self.d_inter[1],
-            self.d_area[2] - self.d_inter[2],
-            self.d_area[3] - self.d_inter[3],
-        )
-
-        if self.union > 0.0:
-            u2 = self.union * self.union
-            self.iou = self.inter / self.union
-            self.d_iou: Vec4 = tuple(
-                (self.d_inter[i] * self.union - self.inter * self.d_union[i]) / u2
-                for i in range(4)
-            )  # type: ignore[assignment]
+            inter = i0 = i1 = i2 = i3 = 0.0
+        self.union = union = w * h + wg * hg - inter
+        # d_area = (-h, -w, h, w) less d_inter.
+        u0, u1, u2, u3 = -h - i0, -w - i1, h - i2, w - i3
+        self.d_union = (u0, u1, u2, u3)
+        if union > 0.0:
+            uu = union * union
+            self.iou = inter / union
+            self.d_iou = (
+                (i0 * union - inter * u0) / uu,
+                (i1 * union - inter * u1) / uu,
+                (i2 * union - inter * u2) / uu,
+                (i3 * union - inter * u3) / uu,
+            )
         else:
             self.iou = 0.0
             self.d_iou = _ZERO4
 
         # Enclosing hull.
-        self.hull_w = max(x2, a2) - min(x1, a1)
-        self.hull_h = max(y2, b2) - min(y1, b1)
-        self.hull_area = self.hull_w * self.hull_h
-        self.d_hull_w: Vec4 = (
-            -1.0 if x1 < a1 else 0.0,
-            0.0,
-            1.0 if x2 > a2 else 0.0,
-            0.0,
+        self.hull_w = hull_w = (a2 if a2 > x2 else x2) - (a1 if a1 < x1 else x1)
+        self.hull_h = hull_h = (b2 if b2 > y2 else y2) - (b1 if b1 < y1 else y1)
+        self.hull_area = hull_w * hull_h
+        w0 = -1.0 if x1 < a1 else 0.0
+        w2 = 1.0 if x2 > a2 else 0.0
+        h1 = -1.0 if y1 < b1 else 0.0
+        h3 = 1.0 if y2 > b2 else 0.0
+        self.d_hull_w = (w0, 0.0, w2, 0.0)
+        self.d_hull_h = (0.0, h1, 0.0, h3)
+        self.d_hull_area = (
+            w0 * hull_h + hull_w * 0.0,
+            0.0 * hull_h + hull_w * h1,
+            w2 * hull_h + hull_w * 0.0,
+            0.0 * hull_h + hull_w * h3,
         )
-        self.d_hull_h: Vec4 = (
-            0.0,
-            -1.0 if y1 < b1 else 0.0,
-            0.0,
-            1.0 if y2 > b2 else 0.0,
-        )
-        self.d_hull_area: Vec4 = tuple(
-            self.d_hull_w[i] * self.hull_h + self.hull_w * self.d_hull_h[i]
-            for i in range(4)
-        )  # type: ignore[assignment]
 
         # Squared hull diagonal and squared center distance.
-        self.diag_sq = self.hull_w**2 + self.hull_h**2
-        self.d_diag_sq: Vec4 = tuple(
-            2.0 * self.hull_w * self.d_hull_w[i] + 2.0 * self.hull_h * self.d_hull_h[i]
-            for i in range(4)
-        )  # type: ignore[assignment]
+        self.diag_sq = hull_w**2 + hull_h**2
+        self.d_diag_sq = (
+            2.0 * hull_w * w0 + 2.0 * hull_h * 0.0,
+            2.0 * hull_w * 0.0 + 2.0 * hull_h * h1,
+            2.0 * hull_w * w2 + 2.0 * hull_h * 0.0,
+            2.0 * hull_w * 0.0 + 2.0 * hull_h * h3,
+        )
         dx = (x1 + x2) / 2.0 - (a1 + a2) / 2.0
         dy = (y1 + y2) / 2.0 - (b1 + b2) / 2.0
         self.dist_sq = dx * dx + dy * dy
-        self.d_dist_sq: Vec4 = (dx, dy, dx, dy)
+        self.d_dist_sq = (dx, dy, dx, dy)
 
 
 def _is_identical(pred: BoundingBox, gt: BoundingBox) -> bool:
-    return pred.corners() == gt.corners() and pred.area > 0.0
+    return (
+        pred.x1 == gt.x1 and pred.y1 == gt.y1 and pred.x2 == gt.x2 and pred.y2 == gt.y2
+        and pred.area > 0.0
+    )
 
 
 def _iou_core(g: _Geom) -> tuple[float, Vec4]:
@@ -204,13 +207,15 @@ def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     g = _Geom(pred, gt)
     value, grad = _iou_core(g)
     if g.hull_area > 0.0:
-        c2 = g.hull_area * g.hull_area
-        value += (g.hull_area - g.union) / g.hull_area
-        d_pen = tuple(
-            -(g.d_union[i] * g.hull_area - g.union * g.d_hull_area[i]) / c2
-            for i in range(4)
+        ha, u, du, dh = g.hull_area, g.union, g.d_union, g.d_hull_area
+        c2 = ha * ha
+        value += (ha - u) / ha
+        grad = (
+            grad[0] + -(du[0] * ha - u * dh[0]) / c2,
+            grad[1] + -(du[1] * ha - u * dh[1]) / c2,
+            grad[2] + -(du[2] * ha - u * dh[2]) / c2,
+            grad[3] + -(du[3] * ha - u * dh[3]) / c2,
         )
-        grad = _vadd(grad, d_pen)  # type: ignore[arg-type]
     return LossEval(value, grad)
 
 
@@ -218,12 +223,15 @@ def _diou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
         raise DegenerateHullError("enclosing hull has zero diagonal")
     value, grad = _iou_core(g)
-    q = g.diag_sq * g.diag_sq
-    value += g.dist_sq / g.diag_sq
-    d_pen = tuple(
-        (g.d_dist_sq[i] * g.diag_sq - g.dist_sq * g.d_diag_sq[i]) / q for i in range(4)
+    c, d, dd, dc = g.diag_sq, g.dist_sq, g.d_dist_sq, g.d_diag_sq
+    q = c * c
+    value += d / c
+    return value, (
+        grad[0] + (dd[0] * c - d * dc[0]) / q,
+        grad[1] + (dd[1] * c - d * dc[1]) / q,
+        grad[2] + (dd[2] * c - d * dc[2]) / q,
+        grad[3] + (dd[3] * c - d * dc[3]) / q,
     )
-    return value, _vadd(grad, d_pen)  # type: ignore[arg-type]
 
 
 def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -258,12 +266,14 @@ def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
         d_liou = _vscale(g.d_iou, -1.0)
         # alpha * v = v^2 / (liou + v), differentiated through alpha as well.
         s = liou + v
-        value += v * v / s
-        d_term = tuple(
-            (2.0 * v * dv[i] * s - v * v * (d_liou[i] + dv[i])) / (s * s)
-            for i in range(4)
+        v2, vv, ss = 2.0 * v, v * v, s * s
+        value += vv / s
+        grad = (
+            grad[0] + (v2 * dv[0] * s - vv * (d_liou[0] + dv[0])) / ss,
+            grad[1] + (v2 * dv[1] * s - vv * (d_liou[1] + dv[1])) / ss,
+            grad[2] + (v2 * dv[2] * s - vv * (d_liou[2] + dv[2])) / ss,
+            grad[3] + (v2 * dv[3] * s - vv * (d_liou[3] + dv[3])) / ss,
         )
-        grad = _vadd(grad, d_term)  # type: ignore[arg-type]
     return LossEval(value, grad)
 
 
@@ -276,17 +286,17 @@ def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
     w2 = g.hull_w * g.hull_w
     h2 = g.hull_h * g.hull_h
     value += dw_diff * dw_diff / w2 + dh_diff * dh_diff / h2
-    d_w_term: Vec4 = tuple(
-        (2.0 * dw_diff * (-1.0 if i == 0 else 1.0 if i == 2 else 0.0)) / w2
-        - 2.0 * dw_diff * dw_diff * g.d_hull_w[i] / (w2 * g.hull_w)
-        for i in range(4)
-    )  # type: ignore[assignment]
-    d_h_term: Vec4 = tuple(
-        (2.0 * dh_diff * (-1.0 if i == 1 else 1.0 if i == 3 else 0.0)) / h2
-        - 2.0 * dh_diff * dh_diff * g.d_hull_h[i] / (h2 * g.hull_h)
-        for i in range(4)
-    )  # type: ignore[assignment]
-    return value, _vadd(_vadd(grad, d_w_term), d_h_term)
+    # d/dcorner of dw_diff^2 / w2 and dh_diff^2 / h2; dw = (-1,0,1,0), dh = (0,-1,0,1).
+    w1, h1 = 2.0 * dw_diff, 2.0 * dh_diff
+    ww, hh = w1 * dw_diff, h1 * dh_diff
+    wc, hc = w2 * g.hull_w, h2 * g.hull_h
+    dw, dh = g.d_hull_w, g.d_hull_h
+    return value, (
+        grad[0] + ((w1 * -1.0) / w2 - ww * dw[0] / wc) + ((h1 * 0.0) / h2 - hh * dh[0] / hc),
+        grad[1] + ((w1 * 0.0) / w2 - ww * dw[1] / wc) + ((h1 * -1.0) / h2 - hh * dh[1] / hc),
+        grad[2] + ((w1 * 1.0) / w2 - ww * dw[2] / wc) + ((h1 * 0.0) / h2 - hh * dh[2] / hc),
+        grad[3] + ((w1 * 0.0) / w2 - ww * dw[3] / wc) + ((h1 * 1.0) / h2 - hh * dh[3] / hc),
+    )
 
 
 def loss_eiou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -323,12 +333,13 @@ def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
     factor = math.exp(g.dist_sq / g.diag_sq)
     liou = 1.0 - g.iou
     d_liou = _vscale(g.d_iou, -1.0)
-    value = factor * liou
-    grad = tuple(
-        factor * (g.d_dist_sq[i] / g.diag_sq) * liou + factor * d_liou[i]
-        for i in range(4)
+    c, dd = g.diag_sq, g.d_dist_sq
+    return factor * liou, (
+        factor * (dd[0] / c) * liou + factor * d_liou[0],
+        factor * (dd[1] / c) * liou + factor * d_liou[1],
+        factor * (dd[2] / c) * liou + factor * d_liou[2],
+        factor * (dd[3] / c) * liou + factor * d_liou[3],
     )
-    return value, grad  # type: ignore[return-value]
 
 
 def loss_wiou_v1(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -358,7 +369,13 @@ def focusing_coefficient(beta: float, params: LossParams | None = None) -> float
     params = params or LossParams()
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return beta / (params.delta * params.alpha ** (beta - params.delta))
+    try:
+        return beta / (params.delta * params.alpha ** (beta - params.delta))
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(
+            f"alpha {params.alpha} and delta {params.delta}: r({beta}) = "
+            "beta / (delta * alpha^(beta - delta)) leaves the float range"
+        ) from None
 
 
 def loss_wiou_v3(
@@ -500,24 +517,24 @@ TRAJECTORY_CSV_HEADER = ["iter", "loss", "iou", "center_dist", "area", "x1", "y1
 
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRAJECTORY_CSV_HEADER)
-    for row in trajectory.rows:
-        b = row.box
-        writer.writerow(
-            [row.iteration]
-            + [f"{v:.12g}" for v in (row.loss, row.iou, row.center_dist, row.area)]
-            + [f"{v:.12g}" for v in (b.x1, b.y1, b.x2, b.y2)]
+    # The bytes csv.writer writes: no %.12g number ever needs quoting.
+    lines = [",".join(TRAJECTORY_CSV_HEADER)]
+    for r in trajectory.rows:
+        b = r.box
+        lines.append(
+            f"{r.iteration},{r.loss:.12g},{r.iou:.12g},{r.center_dist:.12g},{r.area:.12g},"
+            f"{b.x1:.12g},{b.y1:.12g},{b.x2:.12g},{b.y2:.12g}"
         )
+    stream.write("\n".join(lines) + "\n")
 
 
 DEFAULT_ARENA = (-1e4, -1e4, 1e4, 1e4)
 
 
 def check_descent(step: float, iters: int) -> None:
-    """The descent step must be positive and run at least one iteration."""
-    if step <= 0:
-        raise ConfigError(f"step {step} must be > 0")
+    """The descent step must be positive and finite and run at least one iteration."""
+    if not 0 < step < math.inf:
+        raise ConfigError(f"step {step} must be finite and > 0")
     if iters < 1:
         raise ConfigError(f"iters {iters} must be >= 1")
 
@@ -543,38 +560,55 @@ def simulate_regression(
     if kind is LossKind.WIOU_V3 and state is None:
         state = WiouState()
 
-    def clamp(b: BoundingBox) -> BoundingBox:
-        xmin, ymin, xmax, ymax = arena
-        return BoundingBox(
-            min(max(b.x1, xmin), xmax),
-            min(max(b.y1, ymin), ymax),
-            min(max(b.x2, xmin), xmax),
-            min(max(b.y2, ymin), ymax),
-        )
-
-    box = clamp(start.normalized())
+    # Each step works on four floats; min/max/sorted are spelled as the
+    # conditionals that return what the builtins return, ties and NaN included.
+    xmin, ymin, xmax, ymax = arena
+    a1, b1, a2, b2 = gt.x1, gt.y1, gt.x2, gt.y2
+    gt_area = (a2 - a1) * (b2 - b1)
+    gcx, gcy = (a1 + a2) / 2.0, (b1 + b2) / 2.0
+    isfinite = math.isfinite
+    x1, y1, x2, y2 = start.normalized().corners()
     rows: list[TrajectoryRow] = []
     for it in range(iters + 1):
+        # Clamp to the arena: min(max(v, lo), hi).
+        x1 = xmin if xmin > x1 else x1
+        x1 = xmax if xmax < x1 else x1
+        y1 = ymin if ymin > y1 else y1
+        y1 = ymax if ymax < y1 else y1
+        x2 = xmin if xmin > x2 else x2
+        x2 = xmax if xmax < x2 else x2
+        y2 = ymin if ymin > y2 else y2
+        y2 = ymax if ymax < y2 else y2
+        box = BoundingBox(x1, y1, x2, y2)
         ev, state = evaluate_loss(kind, box, gt, params, state)
-        if not all(map(math.isfinite, (ev.value, *ev.grad, *box.corners()))):
+        value = ev.value
+        g0, g1, g2, g3 = ev.grad
+        # A sum of finite values may overflow: only then look at each one.
+        if not isfinite(value + g0 + g1 + g2 + g3 + x1 + y1 + x2 + y2) and not all(
+            map(isfinite, (value, g0, g1, g2, g3, x1, y1, x2, y2))
+        ):
             raise DivergedError(it)
-        rows.append(
-            TrajectoryRow(
-                iteration=it,
-                loss=ev.value,
-                iou=iou(box, gt),
-                center_dist=math.sqrt(center_distance_sq(box, gt)),
-                area=box.area,
-                box=box,
-            )
-        )
+        # boxes.iou, center_distance_sq and BoundingBox.area, operation for operation.
+        iw = (a2 if a2 < x2 else x2) - (a1 if a1 > x1 else x1)
+        ih = (b2 if b2 < y2 else y2) - (b1 if b1 > y1 else y1)
+        inter = 0.0 if iw <= 0.0 or ih <= 0.0 else iw * ih
+        area = (x2 - x1) * (y2 - y1)
+        union = area + gt_area - inter
+        rows.append(TrajectoryRow(
+            it,
+            value,
+            0.0 if union <= 0.0 else inter / union,
+            math.sqrt(((x1 + x2) / 2.0 - gcx) ** 2 + ((y1 + y2) / 2.0 - gcy) ** 2),
+            area,
+            box,
+        ))
         if it == iters:
             break
-        moved = BoundingBox(
-            box.x1 - step * ev.grad[0],
-            box.y1 - step * ev.grad[1],
-            box.x2 - step * ev.grad[2],
-            box.y2 - step * ev.grad[3],
-        )
-        box = clamp(moved.normalized())
+        # Step, then order each pair as sorted() does.
+        x1, x2 = x1 - step * g0, x2 - step * g2
+        y1, y2 = y1 - step * g1, y2 - step * g3
+        if x2 < x1:
+            x1, x2 = x2, x1
+        if y2 < y1:
+            y1, y2 = y2, y1
     return Trajectory(kind, tuple(rows))

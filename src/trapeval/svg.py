@@ -122,9 +122,15 @@ class LineChart:
                 f'<text x="{_fmt(px(x) + 4)}" y="{_MARGIN_TOP + 12}" '
                 f'font-family="monospace" font-size="10">{label}</text>'
             )
+        x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, _MARGIN_TOP + plot_h
         for idx, (name, xs, ys, color) in enumerate(self.series):
             if xs:
-                points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+                # px and py inlined: the same operations in the same order.
+                points = " ".join([
+                    f"{_MARGIN_LEFT + (x - x_lo) / x_span * plot_w:.6g},"
+                    f"{y_base - (y - y_lo) / y_span * plot_h:.6g}"
+                    for x, y in zip(xs, ys)
+                ])
                 out.append(
                     f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )

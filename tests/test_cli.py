@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import trapeval
-from trapeval import nn
+from trapeval import nn, svg
 from trapeval.cli import main
 from trapeval.dataset import parse_annotations
 from trapeval.graph import Graph, parse_graph_text
@@ -117,6 +120,63 @@ def test_losslab_deterministic(tmp_path, capsys):
     assert run(capsys, *args, "--out-dir", str(out_b))[0] == 0
     for path in sorted(out_a.iterdir()):
         assert path.read_bytes() == (out_b / path.name).read_bytes(), path.name
+
+
+# sha256 of every output and of stdout of three losslab runs, as the former
+# per-step descent wrote them. Only the third run clamps at the arena (after
+# its start) and re-orders corners mid-descent.
+LOSSLAB_PINS = [
+    (
+        [],
+        {
+            "stdout": "503d91d7a45d29bc9c33ebc9788fa7a94c384246b44d27f73e501d7a0baf0d35",
+            "focusing_curve.csv": "4e3169d110a1c7e65838540e3824afc0af4a6fb0e3c03ad4579c832650621e77",
+            "focusing_curve.svg": "7b09623061e93ed4b1cf201395fb2d29d12ce9cb0d67eb1b309c370bc3236968",
+            "loss_curves.svg": "2ff7743a35d51c4740de73ceac54ea99763cb1c2005a945857a66e9e54ae1ea5",
+            "trajectory_ciou.csv": "664b9f9770d76bd6a1256c778d3108a8299a71fb59ae0c776ac500eb7df5dbe0",
+            "trajectory_diou.csv": "664b9f9770d76bd6a1256c778d3108a8299a71fb59ae0c776ac500eb7df5dbe0",
+            "trajectory_eiou.csv": "1e07c9f5fe78e4e30bf390f7959ef1deb2ded74a457f6632f7ceae123396dac3",
+            "trajectory_focal_eiou.csv": "43f5dbb1229c84c31fd03249d0ed8929c6bcb7045e757caf2ce1e56a7de7aff4",
+            "trajectory_giou.csv": "45d47396d3e7c4c436270930cb03abed74008c901888418a3a86467f27487c89",
+            "trajectory_iou.csv": "cc26ea14b74d3d5c60bf067147f00f903fe0a4e03f88e8b97a7970bff93cfaed",
+            "trajectory_wiou_v1.csv": "10358b01686aa1f0db2fb1afa7e280e76bf51777e424e4e15437a840b939ceb5",
+            "trajectory_wiou_v3.csv": "39483edbafcdbfd03ef581fab2c15fe3aa99b624258b3fae1b795cc7cc6162b2",
+        },
+    ),
+    (
+        ["--kinds", "ciou,wiou_v3", "--step", "0.5", "--iters", "50"],
+        {
+            "stdout": "c4a895a84ab23249997e5e233f04cc68c781e05c9db216303870bf0dc8699ef8",
+            "focusing_curve.csv": "4e3169d110a1c7e65838540e3824afc0af4a6fb0e3c03ad4579c832650621e77",
+            "focusing_curve.svg": "7b09623061e93ed4b1cf201395fb2d29d12ce9cb0d67eb1b309c370bc3236968",
+            "loss_curves.svg": "7333df35739593670dec5d9ac97c91443f40825c6e0143acb2aade938313ce85",
+            "trajectory_ciou.csv": "ae72d0f25d89f78f8b57345572fccf3cc1ed866b379f7bd4bb0e0b076ccc46dd",
+            "trajectory_wiou_v3.csv": "b38ded2f29b395eba6b469d330c00a80e841e4a8936e36a91e8c7b47f3c8317d",
+        },
+    ),
+    (
+        ["--kinds", "diou,eiou", "--step", "5", "--iters", "50",
+         "--start=-20000,-1,-19998,1", "--gt=-9999,-1,-9998,1"],
+        {
+            "stdout": "bb2dc9fd16627b6857c0e7d13d5c245b152915a75f1d1dd0689be3988bb90fcd",
+            "focusing_curve.csv": "4e3169d110a1c7e65838540e3824afc0af4a6fb0e3c03ad4579c832650621e77",
+            "focusing_curve.svg": "7b09623061e93ed4b1cf201395fb2d29d12ce9cb0d67eb1b309c370bc3236968",
+            "loss_curves.svg": "ae299053b1ec33774eb461063be25efd05765d8d50c3fb9003515763f4ccb577",
+            "trajectory_diou.csv": "1d7a52e2778323ee80dc6fed707a58eb1e358d8c83869c58774c39bd43184b6a",
+            "trajectory_eiou.csv": "483013eb4ea8a86b47bc3600d889910485acdde88500e89b5138ac1c79e202db",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digests", LOSSLAB_PINS)
+def test_losslab_bytes_are_pinned(tmp_path, capsys, argv, digests):
+    out = tmp_path / "lab"
+    code, stdout, err = run(capsys, "losslab", *argv, "--out-dir", str(out))
+    assert code == 0 and err == ""
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert got == digests
 
 
 # --- eval --------------------------------------------------------------------------
@@ -326,6 +386,45 @@ def test_svg_chart_handles_flat_series():
     assert "<polyline" in chart.to_svg()
 
 
+def polyline_points_definition(chart):
+    """Each polyline's points as to_svg formatted them through px, py and _fmt."""
+    x_lo, x_hi, y_lo, y_hi = chart._bounds()
+    plot_w = chart.width - svg._MARGIN_LEFT - svg._MARGIN_RIGHT
+    plot_h = chart.height - svg._MARGIN_TOP - svg._MARGIN_BOTTOM
+
+    def px(x):
+        return svg._MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return svg._MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    return [
+        " ".join(f"{svg._fmt(px(x))},{svg._fmt(py(y))}" for x, y in zip(xs, ys))
+        for _, xs, ys, _ in chart.series
+        if xs
+    ]
+
+
+def test_svg_polyline_points_equal_their_definition():
+    rng = random.Random(11)
+    scales = (1.0, 1e-9, 1e6, 1e150, 1e300)
+    for case in range(300):
+        chart = LineChart("t", "x", "y", width=rng.choice((640, 300, 97)), height=rng.choice((480, 200, 89)))
+        for _ in range(rng.randint(1, 4)):
+            n = rng.choice((0, 2, 7, 60))
+            xs = [rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(n)]
+            ys = [rng.uniform(-1.0, 0.5) * rng.choice(scales) for _ in range(n)]
+            if case % 5 == 0:  # degenerate bounds: one x, one y
+                xs, ys = [0.5] * n, [-3.0] * n
+            elif case % 7 == 0:
+                ys = [float(rng.randint(-3, 3)) for _ in range(n)]
+            chart.add_series("s", xs, ys)
+        if case % 3 == 0:
+            chart.add_vline(rng.uniform(-2.0, 2.0), "v")
+        points = re.findall(r'<polyline points="([^"]*)"', chart.to_svg())
+        assert points == polyline_points_definition(chart), case
+
+
 # --- defined errors: exit 1, name the culprit, no traceback ---------------------
 
 def write_tiny_graph(tmp_path, line):
@@ -490,6 +589,15 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["split", "{ann}", "--trans-test", "1,2"], "--trans-val is required with --trans-test"),
         (["eval", "{det}", "{ann}", "--conf-thresh", "2"], "confidence_threshold 2.0"),
         (["split", "{ann}", "--val-fraction", "1.5"], "cis_val_fraction 1.5 outside [0, 1)"),
+        (["losslab", "--alpha", "inf"], "alpha inf must be finite"),
+        (["losslab", "--alpha", "nan"], "alpha nan must be finite"),
+        (["losslab", "--alpha", "1e50"], "alpha 1e+50 and delta 3.0"),
+        (["losslab", "--delta", "1e300"], "alpha 1.9 and delta 1e+300"),
+        (["losslab", "--delta", "nan"], "delta nan must be finite"),
+        (["losslab", "--delta", "inf"], "delta inf must be finite"),
+        (["losslab", "--gamma", "nan"], "gamma nan must be finite"),
+        (["losslab", "--step", "nan"], "step nan must be finite"),
+        (["losslab", "--step", "inf"], "step inf must be finite"),
     ],
 )
 def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corpus, argv, message):

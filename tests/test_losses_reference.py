@@ -1,0 +1,134 @@
+"""The one-pass loss geometry and descent against their definitions.
+
+``reference_losses.py`` keeps the former code verbatim: the geometry, the
+loss functions, the descent and the CSV writer. Every value, gradient,
+trajectory, error and CSV byte of ``trapeval.losses`` must equal it. The
+inputs are seeded and aim at the places a spelled-out min/max, ordering,
+clamp or finite check can differ from the builtins: touching and tied edges,
+disjoint and identical boxes, zero-area boxes, inverted boxes, -0.0, NaN,
+±inf and overflowing corners, and arenas with a bound at zero.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import random
+
+import reference_losses as ref
+
+from trapeval.boxes import BoundingBox
+from trapeval.losses import (
+    DEFAULT_ARENA,
+    LossKind,
+    LossParams,
+    WiouState,
+    evaluate_loss,
+    simulate_regression,
+    write_trajectory_csv,
+)
+
+KINDS = list(LossKind)
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
+SIGNED = (0.0, -0.0, -1.0, 1.0)
+PARAMS = (LossParams(), LossParams(gamma=0.0), LossParams(gamma=2.5, alpha=3.0, delta=1.5))
+HUGE = (8e307, 8e307, 8e307, 8e307)  # a point: its corner sum overflows
+
+
+def outcome(call, *args, **kwargs) -> str:
+    """The repr of what the call returns, or the error it raises."""
+    try:
+        return repr(call(*args, **kwargs))
+    except Exception as exc:  # the same error type and message on both sides
+        return f"{type(exc).__name__}: {exc}"
+
+
+def corner(rng: random.Random) -> float:
+    r = rng.random()
+    if r < 0.08:
+        return rng.choice(SPECIAL)
+    if r < 0.6:
+        return float(rng.randint(-2, 3))  # a small grid: edges touch and tie
+    return rng.uniform(-3.0, 4.0)
+
+
+def box(rng: random.Random) -> BoundingBox:
+    x1, y1, x2, y2 = (corner(rng) for _ in range(4))
+    if rng.random() < 0.85:  # most boxes ordered, a few inverted
+        x1, x2 = sorted((x1, x2))
+        y1, y2 = sorted((y1, y2))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def pair(rng: random.Random) -> tuple[BoundingBox, BoundingBox]:
+    pred, gt = box(rng), box(rng)
+    shape = rng.randrange(7)
+    if shape == 0:  # identical
+        gt = BoundingBox(*pred.corners())
+    elif shape == 1:  # zero area
+        pred = BoundingBox(pred.x1, pred.y1, pred.x1, pred.y2)
+    elif shape == 2:  # touching edges
+        gt = BoundingBox(pred.x2, gt.y1, pred.x2 + 1.0, gt.y2)
+    elif shape == 3:  # disjoint
+        gt = BoundingBox(gt.x1 + 20.0, gt.y1 - 20.0, gt.x2 + 20.0, gt.y2 - 20.0)
+    elif shape == 4:  # signed zeros, ties and inverted boxes: where a zero's sign can leak
+        pred, gt = (BoundingBox(*(rng.choice(SIGNED) for _ in range(4))) for _ in range(2))
+    return pred, gt
+
+
+# Inverted boxes whose hull has a zero side: the sign of the zero that the
+# hull's min picks on a tie reaches the DIoU gradient.
+SIGN_OF_ZERO_PAIRS = (
+    (BoundingBox(-0.0, -0.0, -0.0, -1.0), BoundingBox(0.0, -0.0, -0.0, -1.0)),
+    (BoundingBox(-0.0, -0.0, -1.0, -0.0), BoundingBox(-0.0, 0.0, -1.0, -0.0)),
+)
+
+
+def test_evaluate_loss_equals_its_definition_on_seeded_pairs():
+    rng = random.Random(20240)
+    pairs = [*SIGN_OF_ZERO_PAIRS, *(pair(rng) for _ in range(2400))]
+    for pred, gt in pairs:
+        params = rng.choice(PARAMS)
+        state = rng.choice((None, WiouState(), WiouState(rng.uniform(0.05, 1.0), rng.randint(1, 9))))
+        for kind in KINDS:
+            assert outcome(evaluate_loss, kind, pred, gt, params, state) == outcome(
+                ref.evaluate_loss, kind, pred, gt, params, state
+            ), (kind, pred, gt, params, state)
+
+
+def descent_cases():
+    rng = random.Random(7)
+    zero_arenas = ((-1.0, -1.0, 0.0, 0.0), (0.0, 0.0, 3.0, 3.0), (-0.0, -0.0, 0.0, 0.0))
+    for _ in range(220):
+        arena = rng.choice((DEFAULT_ARENA, (-2.0, -2.0, 4.0, 4.0), (0.5, 0.5, 2.5, 2.5)) + zero_arenas)
+        start, gt = box(rng), box(rng)
+        if rng.random() < 0.25:  # near the arena bound, or inverted through it
+            start = BoundingBox(rng.choice((3.0, 0.5)), -0.0, rng.choice((-0.0, 0.0, -1.0)), 1.0)
+        step = rng.choice((0.01, 0.3, 1.0, 5.0, rng.uniform(0.0, 5.0) or 1.0))
+        yield rng.choice(KINDS), start, gt, step, rng.randint(1, 30), arena
+    for kind in KINDS:
+        yield kind, BoundingBox(2, 2, 3, 3), BoundingBox(2, 2, 3, 3), 0.5, 5, DEFAULT_ARENA
+        yield kind, BoundingBox(math.nan, 0, 1, 1), BoundingBox(2, 2, 3, 3), 0.5, 5, DEFAULT_ARENA
+        # Finite values whose sum overflows: the descent goes on.
+        yield kind, BoundingBox(*HUGE), BoundingBox(*HUGE), 0.1, 3, (-1.7e308, -1.7e308, 1.7e308, 1.7e308)
+
+
+def trajectory_and_csv(simulate, write, kind, start, gt, step, iters, arena):
+    params = LossParams()
+    state = WiouState() if kind is LossKind.WIOU_V3 else None
+    trajectory = simulate(kind, start, gt, step, iters, params, state, arena)
+    stream = io.StringIO()
+    write(trajectory, stream)
+    return trajectory.rows, stream.getvalue()
+
+
+def test_descent_and_csv_equal_their_definition_on_seeded_runs():
+    ran = diverged = 0
+    for case in descent_cases():
+        ours = outcome(trajectory_and_csv, simulate_regression, write_trajectory_csv, *case)
+        assert ours == outcome(
+            trajectory_and_csv, ref.simulate_regression, ref.write_trajectory_csv, *case
+        ), case
+        ran += 1
+        diverged += ours.startswith("DivergedError")
+    assert ran >= 200 and 0 < diverged < ran
