@@ -8,6 +8,7 @@ diagnostics go to stderr. Exit code 0 means no defined error occurred.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -15,18 +16,17 @@ from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
-# OpenBLAS reads this once, when numpy loads it (the next import does):
-# its idle worker threads then sleep at once instead of spinning for a core
-# while the main thread runs numpy or Python between GEMMs. Outputs do not
-# depend on it, and a value already in the environment wins.
+# OpenBLAS reads this once, when numpy loads it: its idle worker threads
+# then sleep at once instead of spinning for a core while the main thread
+# runs numpy or Python between GEMMs. Set here, before any command imports
+# numpy. Outputs do not depend on it, and a value already in the
+# environment wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from . import dataset as ds  # noqa: E402  (after the OpenBLAS setting)
-from . import evaluation as ev
-from . import gradcam as gc
-from .boxes import BoundingBox
+# Only what the parser, main and losslab need is imported here; every other
+# command imports the rest when it runs, so losslab and split never load numpy.
+from .boxes import BoundingBox  # noqa: E402  (after the OpenBLAS setting)
 from .errors import ConfigError, DivergedError, TrapevalError
-from .graph import Graph, ScoreSelector, build_graph, check_reference_shapes, parse_graph_text, write_graph_text
 from .losses import (
     LossKind,
     LossParams,
@@ -36,10 +36,27 @@ from .losses import (
     simulate_regression,
     write_trajectory_csv,
 )
-from .ppm import read_ppm, write_pgm, write_ppm
 from .svg import LineChart
 
-import numpy as np
+# Attributes of this module read from their home module, which the first
+# access imports (PEP 562). cmd_gradcam calls them as attributes of this
+# module, so a caller that sets one (a tracer wrapping it) replaces what the
+# command calls.
+_LAZY = {
+    "Graph": "graph",
+    "parse_graph_text": "graph",
+    "read_ppm": "ppm",
+    "write_ppm": "ppm",
+    "write_pgm": "ppm",
+}
+
+
+def __getattr__(name: str):
+    try:
+        home = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{home}", __package__), name)
 
 
 def _parse_box(text: str) -> BoundingBox:
@@ -74,6 +91,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_shapes(args) -> int:
+    from .graph import build_graph, check_reference_shapes, write_graph_text
+
     spec = build_graph(args.variant, args.size, num_categories=args.categories, seed=args.seed)
     _, rows = spec.propagate_shapes()
     if args.check and args.size != 640:
@@ -151,7 +170,12 @@ def cmd_losslab(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = ev.MatchConfig(args.iou_thresh, args.conf_thresh)
+    from . import dataset as ds
+    from . import evaluation as ev
+
+    # The parser leaves a threshold not given as None: MatchConfig holds the defaults.
+    given = {"iou_threshold": args.iou_thresh, "confidence_threshold": args.conf_thresh}
+    config = ev.MatchConfig(**{k: v for k, v in given.items() if v is not None})
     with open(args.detections, "r", encoding="utf-8", newline="") as stream:
         detections = ev.read_detections_csv(stream)
     data = ds.parse_annotations(args.annotations)
@@ -184,26 +208,34 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
+    import numpy as np
+
+    from . import gradcam as gc
+    from .graph import ScoreSelector
+
+    cli = sys.modules[__name__]  # the _LAZY names, as set on this module
     gc.check_alpha(args.alpha_overlay)
     with open(args.graph, "r", encoding="utf-8") as stream:
-        spec = parse_graph_text(stream)
-    image = read_ppm(args.image)
-    graph = Graph(spec)
+        spec = cli.parse_graph_text(stream)
+    image = cli.read_ppm(args.image)
+    graph = cli.Graph(spec)
     selector = ScoreSelector(category=args.category, scale=args.scale)
     selector.check(graph)
     run = graph.forward(image, target=args.layer)
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)
     out = _out_dir(args)
-    write_ppm(gc.colorize(heat), out / "heatmap.ppm")
-    write_ppm(gc.overlay(image, heat, args.alpha_overlay), out / "overlay.ppm")
+    cli.write_ppm(gc.colorize(heat), out / "heatmap.ppm")
+    cli.write_ppm(gc.overlay(image, heat, args.alpha_overlay), out / "overlay.ppm")
     if args.pgm:
-        write_pgm(np.rint(heat.data * 255.0), out / "heatmap.pgm")
+        cli.write_pgm(np.rint(heat.data * 255.0), out / "heatmap.pgm")
     print(f"score,{score:.12g}")
     return 0
 
 
 def cmd_split(args) -> int:
+    from . import dataset as ds
+
     # Every argument is checked before the annotation file is read.
     ds.check_val_fraction(args.val_fraction)
     make_config = partial(
@@ -263,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate detections against annotations")
     p_eval.add_argument("detections", help="detections CSV")
     p_eval.add_argument("annotations", help="annotations JSON")
-    p_eval.add_argument("--iou-thresh", type=float, default=ev.DEFAULT_IOU_THRESHOLD)
-    p_eval.add_argument("--conf-thresh", type=float, default=ev.DEFAULT_CONFIDENCE_THRESHOLD)
+    p_eval.add_argument("--iou-thresh", type=float, default=None)
+    p_eval.add_argument("--conf-thresh", type=float, default=None)
     p_eval.add_argument("--out-dir", default="out")
     p_eval.set_defaults(func=cmd_eval)
 

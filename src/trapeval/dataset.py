@@ -1,6 +1,6 @@
 """Camera-trap annotation ingestion, empty-frame filtering, the
-location-based cis/trans split protocol, geometric augmentation with box
-updates, and category-distribution reporting.
+location-based cis/trans split protocol and category-distribution
+reporting. Augmentation lives in ``trapeval.augment``.
 
 Annotations are COCO-style JSON with per-image ``location`` and ``date``
 fields; boxes are stored as [x, y, w, h] and converted to corner form on
@@ -20,15 +20,12 @@ import gc
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .boxes import BoundingBox, GroundTruth
 from .errors import FormatError, SplitError
-from .tensor import Tensor3
 
 EMPTY_CATEGORY_NAME = "empty"
 
@@ -500,123 +497,6 @@ def split_report(result: SplitResult, expected: dict[str, int] | None = None) ->
             got = len(result.all_parts()[name])
             lines.append(f"{name},{want},{got},{got - want}")
     return "\n".join(lines) + "\n"
-
-
-def resize_with_boxes(
-    record: ImageRecord, raster: Tensor3, target: int
-) -> tuple[ImageRecord, Tensor3]:
-    """Nearest-neighbour resize to target x target with box rescaling."""
-    if (record.height, record.width) != (raster.height, raster.width):
-        raise FormatError(
-            f"record {record.image_id}: raster {raster.height}x{raster.width} "
-            f"does not match declared {record.height}x{record.width}"
-        )
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    rows = (np.arange(target) * record.height) // target
-    cols = (np.arange(target) * record.width) // target
-    resized = Tensor3(raster.data[:, rows][:, :, cols])
-    sx = target / record.width
-    sy = target / record.height
-    annotations = tuple(
-        replace(
-            gt,
-            box=_clamp_box(
-                gt.box.x1 * sx, gt.box.y1 * sy, gt.box.x2 * sx, gt.box.y2 * sy, target, target
-            ),
-        )
-        for gt in record.annotations
-    )
-    return (
-        replace(record, width=target, height=target, annotations=annotations),
-        resized,
-    )
-
-
-AUGMENT_RANGES = {"scale": (0.5, 1.5), "brightness": (-64.0, 64.0), "contrast": (0.5, 1.5)}
-
-
-@dataclass(frozen=True)
-class AugmentOp:
-    kind: str  # rotate90 | scale | brightness | contrast
-    value: float | None = None  # None: sampled from the documented range
-
-    def __post_init__(self):
-        if self.kind not in ("rotate90", "scale", "brightness", "contrast"):
-            raise ValueError(f"unknown augmentation {self.kind!r}")
-        if self.value is not None and self.kind in AUGMENT_RANGES:
-            lo, hi = AUGMENT_RANGES[self.kind]
-            if not lo <= self.value <= hi:
-                raise ValueError(f"{self.kind} value {self.value} outside [{lo}, {hi}]")
-
-
-def _rotate90_box(box: BoundingBox, width: float) -> BoundingBox:
-    # Continuous-coordinate quarter turn: (x, y) -> (y, width - x).
-    return BoundingBox(box.y1, width - box.x2, box.y2, width - box.x1)
-
-
-def augment(
-    record: ImageRecord,
-    raster: Tensor3,
-    ops: Iterable[AugmentOp],
-    seed: int = 0,
-) -> tuple[ImageRecord, Tensor3]:
-    """Apply pixel transforms and mirror the geometry onto the boxes.
-
-    Rotation is restricted to quarter turns so box updates stay exact.
-    Transformed boxes are clamped to the new bounds and dropped below 1 px^2.
-    """
-    if (record.height, record.width) != (raster.height, raster.width):
-        raise FormatError(
-            f"record {record.image_id}: raster does not match declared size"
-        )
-    rng = random.Random(seed)
-    data = raster.data
-    boxes = [gt.box for gt in record.annotations]
-    categories = [gt.category_id for gt in record.annotations]
-    width, height = float(record.width), float(record.height)
-
-    for op in ops:
-        if op.kind == "rotate90":
-            turns = int(op.value) if op.value is not None else rng.choice((1, 2, 3))
-            for _ in range(turns % 4):
-                data = np.rot90(data, 1, axes=(1, 2)).copy()
-                boxes = [_rotate90_box(b, width) for b in boxes]
-                width, height = height, width
-        elif op.kind == "scale":
-            s = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["scale"])
-            AugmentOp("scale", s)  # re-validate sampled or given value
-            new_w = max(1, int(round(width * s)))
-            new_h = max(1, int(round(height * s)))
-            rows = (np.arange(new_h) * int(height)) // new_h
-            cols = (np.arange(new_w) * int(width)) // new_w
-            data = data[:, rows][:, :, cols]
-            rx, ry = new_w / width, new_h / height
-            boxes = [
-                BoundingBox(b.x1 * rx, b.y1 * ry, b.x2 * rx, b.y2 * ry) for b in boxes
-            ]
-            width, height = float(new_w), float(new_h)
-        elif op.kind == "brightness":
-            b = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["brightness"])
-            AugmentOp("brightness", b)
-            data = np.clip(data + b, 0.0, 255.0)
-        elif op.kind == "contrast":
-            c = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["contrast"])
-            AugmentOp("contrast", c)
-            data = np.clip((data - 128.0) * c + 128.0, 0.0, 255.0)
-
-    kept: list[GroundTruth] = []
-    for box, category in zip(boxes, categories):
-        clamped = _clamp_box(box.x1, box.y1, box.x2, box.y2, int(width), int(height))
-        if clamped.area >= 1.0:
-            kept.append(GroundTruth(clamped, category, record.image_id))
-    new_record = replace(
-        record,
-        width=int(width),
-        height=int(height),
-        annotations=tuple(kept),
-    )
-    return new_record, Tensor3(data)
 
 
 def class_distribution(records: Iterable[ImageRecord]) -> dict[int, int]:

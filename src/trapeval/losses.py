@@ -162,7 +162,12 @@ class _Geom:
         )
 
         # Squared hull diagonal and squared center distance.
-        self.diag_sq = hull_w**2 + hull_h**2
+        try:
+            self.diag_sq = hull_w**2 + hull_h**2
+        except OverflowError:
+            raise DegenerateHullError(
+                f"enclosing hull of {pred} and {gt} is too large: its squared diagonal overflows"
+            ) from None
         self.d_diag_sq = (
             2.0 * hull_w * w0 + 2.0 * hull_h * 0.0,
             2.0 * hull_w * 0.0 + 2.0 * hull_h * h1,

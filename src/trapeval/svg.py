@@ -28,6 +28,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _widened(lo: float, hi: float) -> float:
+    """The top of a plotted range: a flat range gets a width of 1, or of
+    ``|lo|`` from 2^53 on, where adding 1 to ``lo`` changes nothing."""
+    if hi != lo:
+        return hi
+    hi = lo + 1.0
+    return hi if hi != lo else lo + abs(lo)
+
+
 @dataclass
 class LineChart:
     title: str
@@ -58,11 +67,7 @@ class LineChart:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
-        if x_hi == x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        return x_lo, x_hi, y_lo, y_hi
+        return x_lo, _widened(x_lo, x_hi), y_lo, _widened(y_lo, y_hi)
 
     def to_svg(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()

@@ -122,6 +122,18 @@ def test_losslab_deterministic(tmp_path, capsys):
         assert path.read_bytes() == (out_b / path.name).read_bytes(), path.name
 
 
+def test_losslab_takes_boxes_that_start_with_a_minus_in_the_equals_form(tmp_path, capsys):
+    # argparse reads "--gt -2,-2,3,3" as an option after --gt; README "Loss lab"
+    # documents --gt=... and --start=... for such boxes.
+    out = tmp_path / "lab"
+    code, stdout, err = run(capsys, "losslab", "--kinds", "diou", "--iters", "20",
+                            "--start=-1,-1,0,0", "--gt=-2,-2,3,3", "--out-dir", str(out))
+    assert code == 0 and err == ""
+    rows = (out / "trajectory_diou.csv").read_text().splitlines()
+    assert rows[1].split(",")[5:] == ["-1", "-1", "0", "0"]
+    assert float(rows[-1].split(",")[2]) > float(rows[1].split(",")[2])  # IoU with the gt grows
+
+
 # sha256 of every output and of stdout of three losslab runs, as the former
 # per-step descent wrote them. Only the third run clamps at the arena (after
 # its start) and re-orders corners mid-descent.
@@ -384,6 +396,14 @@ def test_svg_chart_handles_flat_series():
     chart = LineChart("flat", "x", "y")
     chart.add_series("const", [0, 1], [2.0, 2.0])
     assert "<polyline" in chart.to_svg()
+    assert chart._bounds() == (0.0, 1.0, 2.0, 3.0)  # widened by 1 wherever that moves lo
+    # From 2^53 on, lo + 1 == lo: the range is widened by |lo| instead.
+    for flat in (2.0**53, 1e17, -1e17, 1e300, -1.7e308):
+        chart = LineChart("flat", "x", "y")
+        chart.add_series("const", [flat, flat], [flat, flat])
+        x_lo, x_hi, y_lo, y_hi = chart._bounds()
+        assert x_hi > x_lo == flat and y_hi > y_lo == flat
+        assert "<polyline" in chart.to_svg()
 
 
 def polyline_points_definition(chart):
@@ -642,16 +662,23 @@ def test_gradcam_checks_alpha_category_and_scale_before_the_forward_pass(
 # --- the CLI's OpenBLAS setting ---------------------------------------------------------
 
 NUMPY_IMPORT_PROBE = """
-import os, sys
+import contextlib, io, os, sys
 class Probe:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
-            print("at numpy:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            print("at numpy:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"), file=sys.__stdout__)
             sys.meta_path.remove(self)
 sys.meta_path.insert(0, Probe())
 import {module}
+{then}
 print("after:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 """
+
+# Importing trapeval.cli loads no numpy; a command that uses it does.
+LOAD_NUMPY = {
+    "trapeval.cli": "with contextlib.redirect_stdout(io.StringIO()): "
+                    "trapeval.cli.main(['shapes', 'improved', '--size', '64'])",
+}
 
 
 def python_without_timeout(argv, preset=None, **kwargs):
@@ -675,8 +702,47 @@ def python_without_timeout(argv, preset=None, **kwargs):
     ],
 )
 def test_only_the_cli_sets_the_openblas_thread_timeout_before_numpy_loads(module, preset, lines):
-    done = python_without_timeout(["-c", NUMPY_IMPORT_PROBE.format(module=module)], preset)
+    probe = NUMPY_IMPORT_PROBE.format(module=module, then=LOAD_NUMPY.get(module, ""))
+    done = python_without_timeout(["-c", probe], preset)
     assert done.stdout.splitlines() == lines
+
+
+# --- what each command imports ----------------------------------------------------------
+
+COMMAND_IMPORTS_PROBE = """
+import contextlib, importlib, io, sys
+import trapeval.cli
+heavy = ["numpy"] + ["trapeval." + m for m in
+                     ("dataset", "evaluation", "gradcam", "graph", "nn", "tensor", "ppm")]
+print("on import:", [m for m in heavy if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [trapeval.cli.main(argv) for argv in {commands!r}]
+print("exit codes:", codes, "numpy:", "numpy" in sys.modules)
+for name, home in {names!r}:
+    home = importlib.import_module("trapeval." + home)
+    print(name, getattr(trapeval.cli, name) is getattr(home, name))
+"""
+
+# The names bench/tracing.py replaces on trapeval.cli, with their home modules.
+TRACED_CLI_NAMES = [
+    ("Graph", "graph"), ("parse_graph_text", "graph"), ("read_ppm", "ppm"),
+    ("write_ppm", "ppm"), ("write_pgm", "ppm"), ("simulate_regression", "losses"),
+    ("write_trajectory_csv", "losses"), ("focusing_coefficient", "losses"),
+]
+
+
+def test_losslab_and_split_never_load_numpy(tmp_path, split_corpus):
+    commands = [
+        ["losslab", "--iters", "20", "--out-dir", str(tmp_path / "lab")],
+        ["split", split_corpus, "--seed", "7", "--out-dir", str(tmp_path / "split")],
+    ]
+    probe = COMMAND_IMPORTS_PROBE.format(commands=commands, names=TRACED_CLI_NAMES)
+    done = python_without_timeout(["-c", probe])
+    assert done.stdout.splitlines() == [
+        "on import: []",
+        "exit codes: [0, 0] numpy: False",
+        *(f"{name} True" for name, _ in TRACED_CLI_NAMES),
+    ]
 
 
 def test_gradcam_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):

@@ -10,18 +10,16 @@ import random
 import numpy as np
 import pytest
 
+from trapeval.augment import AugmentOp, augment, resize_with_boxes
 from trapeval.boxes import BoundingBox, GroundTruth
 from trapeval.dataset import (
-    AugmentOp,
     Dataset,
     ImageRecord,
     SplitConfig,
     REFERENCE_SPLIT_COUNTS,
-    augment,
     class_distribution,
     filter_empty,
     parse_annotations,
-    resize_with_boxes,
     split_cis_trans,
     split_report,
     verify_split,

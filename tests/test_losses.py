@@ -117,6 +117,17 @@ def test_degenerate_hull_errors():
         loss_eiou(zero_width, BoundingBox(1, 3, 1, 5))
 
 
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_a_hull_whose_squared_diagonal_overflows_is_a_defined_error(kind):
+    wide, unit = BoundingBox(0, 0, 1e200, 1), BoundingBox(0, 0, 1, 1)
+    with pytest.raises(DegenerateHullError, match="squared diagonal overflows") as info:
+        evaluate_loss(kind, wide, unit, state=WiouState())
+    assert repr(wide) in str(info.value) and repr(unit) in str(info.value)
+    arena = (-1e300, -1e300, 1e300, 1e300)
+    with pytest.raises(DegenerateHullError, match="squared diagonal overflows"):
+        simulate_regression(kind, wide, unit, step=0.01, iters=5, arena=arena)
+
+
 def test_focal_eiou_spot_values():
     pred, gt = OVERLAP
     expected = math.sqrt(1 / 7) * (6 / 7 + 2 / 18)
