@@ -16,7 +16,7 @@ import numpy as np
 
 from .boxes import BoundingBox, GroundTruth
 from .dataset import ImageRecord, _clamp_box
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .tensor import Tensor3
 
 
@@ -30,7 +30,7 @@ def resize_with_boxes(
             f"does not match declared {record.height}x{record.width}"
         )
     if target < 1:
-        raise ValueError("target must be >= 1")
+        raise ConfigError("target must be >= 1")
     rows = (np.arange(target) * record.height) // target
     cols = (np.arange(target) * record.width) // target
     resized = Tensor3(raster.data[:, rows][:, :, cols])
@@ -61,11 +61,11 @@ class AugmentOp:
 
     def __post_init__(self):
         if self.kind not in ("rotate90", "scale", "brightness", "contrast"):
-            raise ValueError(f"unknown augmentation {self.kind!r}")
+            raise ConfigError(f"unknown augmentation {self.kind!r}")
         if self.value is not None and self.kind in AUGMENT_RANGES:
             lo, hi = AUGMENT_RANGES[self.kind]
             if not lo <= self.value <= hi:
-                raise ValueError(f"{self.kind} value {self.value} outside [{lo}, {hi}]")
+                raise ConfigError(f"{self.kind} value {self.value} outside [{lo}, {hi}]")
 
 
 def _rotate90_box(box: BoundingBox, width: float) -> BoundingBox:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
@@ -66,7 +68,7 @@ class Detection:
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+            raise ConfigError(f"confidence {self.confidence} outside [0, 1]")
 
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:

@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 # Only what the parser, main and losslab need is imported here; every other
 # command imports the rest when it runs, so losslab and split never load numpy.
 from .boxes import BoundingBox  # noqa: E402  (after the OpenBLAS setting)
-from .errors import ConfigError, DivergedError, TrapevalError
+from .errors import ConfigError, DivergedError, SplitError, TrapevalError
 from .losses import (
     LossKind,
     LossParams,
@@ -96,8 +96,7 @@ def cmd_shapes(args) -> int:
     spec = build_graph(args.variant, args.size, num_categories=args.categories, seed=args.seed)
     _, rows = spec.propagate_shapes()
     if args.check and args.size != 640:
-        print("error: --check applies to the reference 640 input", file=sys.stderr)
-        return 1
+        raise ConfigError("--check applies to the reference 640 input")
     # Opened before the table is printed, so a bad path prints nothing.
     with open(args.emit, "w", encoding="utf-8") if args.emit else nullcontext() as stream:
         for row in rows:
@@ -250,8 +249,7 @@ def cmd_split(args) -> int:
                 f"--trans-test {args.trans_test!r} must be a comma list of integer locations"
             ) from exc
         if args.trans_val is None:
-            print("error: --trans-val is required with --trans-test", file=sys.stderr)
-            return 1
+            raise ConfigError("--trans-val is required with --trans-test")
         config = make_config(trans_test, args.trans_val)
     data = ds.filter_empty(ds.parse_annotations(args.annotations))
     if config is None:
@@ -259,8 +257,7 @@ def cmd_split(args) -> int:
 
         locations = sorted({r.location_id for r in data.records})
         if len(locations) < 10:
-            print(f"error: need >= 10 locations, have {len(locations)}", file=sys.stderr)
-            return 1
+            raise SplitError(f"need >= 10 locations, have {len(locations)}")
         picked = random.Random(args.seed).sample(locations, 10)
         trans_test, trans_val = tuple(picked[:9]), picked[9]
         print(
@@ -350,10 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TrapevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TrapevalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

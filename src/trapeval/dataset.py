@@ -1,6 +1,6 @@
-"""Camera-trap annotation ingestion, empty-frame filtering, the
-location-based cis/trans split protocol and category-distribution
-reporting. Augmentation lives in ``trapeval.augment``.
+"""Camera-trap annotation ingestion, empty-frame filtering and the
+location-based cis/trans split protocol. Augmentation lives in
+``trapeval.augment``.
 
 Annotations are COCO-style JSON with per-image ``location`` and ``date``
 fields; boxes are stored as [x, y, w, h] and converted to corner form on
@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .boxes import BoundingBox, GroundTruth
 from .errors import FormatError, SplitError
@@ -157,94 +157,90 @@ def parse_annotations(path: "str | Path") -> Dataset:
     if paused:
         gc.disable()
     try:
-        return _parse_annotations(path)
+        try:
+            with open(path, "r", encoding="utf-8") as stream:
+                payload = json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: top level must be an object")
+
+        categories: dict[int, str] = {}
+        for i, cat in enumerate(_section(payload, "categories", path)):
+            context = f"categories[{i}]"
+            cat = _object(cat, context)
+            cid = _integer(cat, "id", context)
+            categories[cid] = str(_require(cat, "name", context))
+
+        # An element whose fields have exact JSON types (str ids, dates and file
+        # names, int sizes, locations and category ids, a list box) and pass
+        # every check is read directly; any other element goes through _image or
+        # _annotation, which run the checks in order and name it in any error.
+        # image id -> (location, date, width, height, file name), in file order
+        images: dict[str, tuple[int, dt.date, int, int, str]] = {}
+        dates: dict[str, dt.date] = {}  # each distinct date string, parsed once
+        for i, img in enumerate(_section(payload, "images", path)):
+            try:
+                image_id, raw_date = img["id"], img["date"]
+                location, width, height = img["location"], img["width"], img["height"]
+                file_name = img.get("file_name", "")
+            except (KeyError, TypeError):  # not an object, or a field missing
+                image_id = None
+            if (
+                type(image_id) is str
+                and type(raw_date) is str
+                and type(location) is int
+                and type(width) is int
+                and type(height) is int
+                and type(file_name) is str
+                and image_id not in images
+            ):
+                capture_date = dates.get(raw_date)
+                if capture_date is None:
+                    capture_date = dates[raw_date] = _date(raw_date, f"images[{i}]")
+                images[image_id] = (location, capture_date, width, height, file_name)
+            else:
+                image_id, fields = _image(img, f"images[{i}]", images)
+                images[image_id] = fields
+
+        annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
+        isfinite = math.isfinite
+        for i, ann in enumerate(_section(payload, "annotations", path)):
+            try:
+                image_id, category_id, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
+                attached = annotations.get(image_id)  # None unless a known (str) image id
+                x, y, w, h = map(float, bbox)  # as _annotation converts them
+            except (KeyError, TypeError, ValueError, OverflowError):  # as above, or a bad box
+                attached = None
+            if not (
+                attached is not None
+                and type(category_id) is int
+                and category_id in categories
+                and type(bbox) is list
+                and isfinite(x + y + w + h)  # all four are finite
+            ):
+                image_id, category_id, x, y, w, h = _annotation(
+                    ann, f"annotations[{i}]", annotations, categories
+                )
+                attached = annotations[image_id]
+            _, _, width, height, _ = images[image_id]
+            x2, y2 = x + w, y + h
+            # _clamp_box leaves a box that lies inside the image as it is.
+            if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
+                box = BoundingBox(x, y, x2, y2)
+            else:
+                box = _clamp_box(x, y, x2, y2, width, height)
+            attached.append(GroundTruth(box, category_id, image_id))
+        del payload  # free the parsed JSON before the records are built: a lower peak
+
+        records = tuple(
+            ImageRecord(image_id, *fields, tuple(annotations[image_id]))
+            for image_id, fields in images.items()
+        )
+        return Dataset(records, categories)
     finally:
         if paused:
             gc.enable()
-
-
-def _parse_annotations(path: "str | Path") -> Dataset:
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: top level must be an object")
-
-    categories: dict[int, str] = {}
-    for i, cat in enumerate(_section(payload, "categories", path)):
-        context = f"categories[{i}]"
-        cat = _object(cat, context)
-        cid = _integer(cat, "id", context)
-        categories[cid] = str(_require(cat, "name", context))
-
-    # An element whose fields have exact JSON types (str ids, dates and file
-    # names, int sizes, locations and category ids, a list box) and pass
-    # every check is read directly; any other element goes through _image or
-    # _annotation, which run the checks in order and name it in any error.
-    # image id -> (location, date, width, height, file name), in file order
-    images: dict[str, tuple[int, dt.date, int, int, str]] = {}
-    dates: dict[str, dt.date] = {}  # each distinct date string, parsed once
-    for i, img in enumerate(_section(payload, "images", path)):
-        try:
-            image_id, raw_date = img["id"], img["date"]
-            location, width, height = img["location"], img["width"], img["height"]
-            file_name = img.get("file_name", "")
-        except (KeyError, TypeError):  # not an object, or a field missing
-            image_id = None
-        if (
-            type(image_id) is str
-            and type(raw_date) is str
-            and type(location) is int
-            and type(width) is int
-            and type(height) is int
-            and type(file_name) is str
-            and image_id not in images
-        ):
-            capture_date = dates.get(raw_date)
-            if capture_date is None:
-                capture_date = dates[raw_date] = _date(raw_date, f"images[{i}]")
-            images[image_id] = (location, capture_date, width, height, file_name)
-        else:
-            image_id, fields = _image(img, f"images[{i}]", images)
-            images[image_id] = fields
-
-    annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
-    isfinite = math.isfinite
-    for i, ann in enumerate(_section(payload, "annotations", path)):
-        try:
-            image_id, category_id, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
-            attached = annotations.get(image_id)  # None unless a known (str) image id
-            x, y, w, h = map(float, bbox)  # as _annotation converts them
-        except (KeyError, TypeError, ValueError, OverflowError):  # as above, or a bad box
-            attached = None
-        if not (
-            attached is not None
-            and type(category_id) is int
-            and category_id in categories
-            and type(bbox) is list
-            and isfinite(x + y + w + h)  # all four are finite
-        ):
-            image_id, category_id, x, y, w, h = _annotation(
-                ann, f"annotations[{i}]", annotations, categories
-            )
-            attached = annotations[image_id]
-        _, _, width, height, _ = images[image_id]
-        x2, y2 = x + w, y + h
-        # _clamp_box leaves a box that lies inside the image as it is.
-        if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
-            box = BoundingBox(x, y, x2, y2)
-        else:
-            box = _clamp_box(x, y, x2, y2, width, height)
-        attached.append(GroundTruth(box, category_id, image_id))
-    del payload  # free the parsed JSON before the records are built: a lower peak
-
-    records = tuple(
-        ImageRecord(image_id, *fields, tuple(annotations[image_id]))
-        for image_id, fields in images.items()
-    )
-    return Dataset(records, categories)
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -497,20 +493,3 @@ def split_report(result: SplitResult, expected: dict[str, int] | None = None) ->
             got = len(result.all_parts()[name])
             lines.append(f"{name},{want},{got},{got - want}")
     return "\n".join(lines) + "\n"
-
-
-def class_distribution(records: Iterable[ImageRecord]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for record in records:
-        for gt in record.annotations:
-            counts[gt.category_id] = counts.get(gt.category_id, 0) + 1
-    return counts
-
-
-def write_distribution_csv(
-    distribution: dict[int, int], categories: dict[int, str], stream
-) -> None:
-    stream.write("category_id,name,count\n")
-    for cid in sorted(distribution):
-        name = categories.get(cid, "")
-        stream.write(f"{cid},{name},{distribution[cid]}\n")

@@ -138,7 +138,7 @@ def match_detections(
 def precision(tp: int, fp: int) -> float:
     """tp / (tp + fp); vacuously 1.0 when there are no predictions."""
     if tp < 0 or fp < 0:
-        raise ValueError("counts must be >= 0")
+        raise ConfigError("counts must be >= 0")
     if tp + fp == 0:
         return 1.0
     return tp / (tp + fp)
@@ -147,7 +147,7 @@ def precision(tp: int, fp: int) -> float:
 def recall(tp: int, fn: int) -> float:
     """tp / (tp + fn); 0.0 when there are no ground truths."""
     if tp < 0 or fn < 0:
-        raise ValueError("counts must be >= 0")
+        raise ConfigError("counts must be >= 0")
     if tp + fn == 0:
         return 0.0
     return tp / (tp + fn)
@@ -250,7 +250,7 @@ def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
     Monotonically non-increasing in r; 0 beyond the highest achieved recall.
     """
     if not curve:
-        raise ValueError("curve must be non-empty")
+        raise ConfigError("curve must be non-empty")
     by_recall = sorted(curve, key=lambda p: p.recall)
     return _envelope([p.recall for p in by_recall], [p.precision for p in by_recall])
 
@@ -269,7 +269,7 @@ def _area(recalls: Sequence[float], precisions: Sequence[float], mode: str) -> f
         for lo, hi in zip(knots, knots[1:]):
             area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
         return area
-    raise ValueError(f"unknown AP mode {mode!r}")
+    raise ConfigError(f"unknown AP mode {mode!r}")
 
 
 def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
@@ -428,10 +428,10 @@ def map_over_iou_range(
 ) -> float:
     """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95)."""
     if not thresholds:
-        raise ValueError("thresholds must be non-empty")
+        raise ConfigError("thresholds must be non-empty")
     for t in thresholds:
         if not 0.0 < t < 1.0:
-            raise ValueError(f"IoU threshold {t} outside (0, 1)")
+            raise ConfigError(f"IoU threshold {t} outside (0, 1)")
     config = config or MatchConfig()
     values = []
     for t in thresholds:
@@ -747,23 +747,6 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
             )
         )
     return detections
-
-
-def write_detections_csv(detections: Sequence[Detection], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(DETECTIONS_CSV_HEADER)
-    for d in detections:
-        writer.writerow(
-            [
-                d.image_id,
-                d.category_id,
-                f"{d.confidence:.12g}",
-                f"{d.box.x1:.12g}",
-                f"{d.box.y1:.12g}",
-                f"{d.box.x2:.12g}",
-                f"{d.box.y2:.12g}",
-            ]
-        )
 
 
 def write_metrics_csv(metrics: CorpusMetrics, stream: IO[str]) -> None:

@@ -325,7 +325,13 @@ def loss_focal_eiou(
         return LossEval(0.0, _ZERO4)
     e_value, e_grad = _eiou_core(g)
     scale = g.iou**params.gamma
-    d_scale = _vscale(g.d_iou, params.gamma * g.iou ** (params.gamma - 1.0))
+    try:
+        d_scale = _vscale(g.d_iou, params.gamma * g.iou ** (params.gamma - 1.0))
+    except OverflowError:
+        raise ConfigError(
+            f"gamma {params.gamma}: the focal-EIoU gradient of {pred} against {gt} "
+            f"leaves the float range (IoU^(gamma - 1) overflows at IoU {g.iou!r})"
+        ) from None
     grad = _vadd(_vscale(e_grad, scale), _vscale(d_scale, e_value))
     return LossEval(scale * e_value, grad)
 
@@ -362,7 +368,7 @@ def outlier_degree(
     if state.mean_iou_loss <= 0.0:
         if current_iou_loss == 0.0:
             return 1.0
-        raise ValueError("running mean of IoU loss is not positive")
+        raise ConfigError("running mean of IoU loss is not positive")
     return current_iou_loss / state.mean_iou_loss
 
 
@@ -373,7 +379,7 @@ def focusing_coefficient(beta: float, params: LossParams | None = None) -> float
     """
     params = params or LossParams()
     if beta < 0:
-        raise ValueError("beta must be >= 0")
+        raise ConfigError("beta must be >= 0")
     try:
         return beta / (params.delta * params.alpha ** (beta - params.delta))
     except (OverflowError, ZeroDivisionError):
@@ -477,7 +483,7 @@ def finite_diff_grad(
     kinks the two must agree.
     """
     if h <= 0:
-        raise ValueError("step h must be > 0")
+        raise ConfigError("step h must be > 0")
     params = params or LossParams()
     f = _frozen_value_fn(kind, pred, gt, params, state)
     base = list(pred.corners())

@@ -1,4 +1,4 @@
-"""Binary PPM (P6) and PGM (P5) readers/writers, maxval 255.
+"""Binary PPM (P6) reader and writer and PGM (P5) writer, maxval 255.
 
 Tensor channels 0, 1, 2 map to R, G, B; pixel bytes become float64 values in
 [0, 255] so the write/read cycle is lossless for integer-valued tensors.
@@ -13,7 +13,23 @@ from typing import IO
 import numpy as np
 
 from .errors import FormatError
-from .tensor import Tensor3, read_at_most
+from .tensor import Tensor3
+
+_READ_CHUNK = 1 << 24
+
+
+def _read_at_most(stream: IO[bytes], size: int) -> bytes:
+    """Up to ``size`` bytes, fewer at end of file. Reads in chunks, so a
+    header declaring more data than the file holds allocates only what is
+    there, however large the declared size."""
+    chunks = []
+    while size > 0:
+        chunk = stream.read(min(size, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 def _read_token(stream: IO[bytes]) -> bytes:
@@ -55,7 +71,7 @@ def _read_header(stream: IO[bytes], magic: bytes) -> tuple[int, int]:
 def read_ppm(path: "str | Path") -> Tensor3:
     with open(path, "rb") as stream:
         width, height = _read_header(stream, b"P6")
-        payload = read_at_most(stream, 3 * width * height)
+        payload = _read_at_most(stream, 3 * width * height)
         if len(payload) != 3 * width * height:
             raise FormatError(
                 f"truncated pixel data: got {len(payload)} of {3 * width * height} bytes"
@@ -73,18 +89,6 @@ def write_ppm(tensor: Tensor3, path: "str | Path") -> None:
     with open(path, "wb") as stream:
         stream.write(f"P6\n{tensor.width} {tensor.height}\n255\n".encode("ascii"))
         stream.write(pixels.tobytes(order="C"))
-
-
-def read_pgm(path: "str | Path") -> np.ndarray:
-    """Grayscale image as a (H, W) float64 array in [0, 255]."""
-    with open(path, "rb") as stream:
-        width, height = _read_header(stream, b"P5")
-        payload = read_at_most(stream, width * height)
-        if len(payload) != width * height:
-            raise FormatError(
-                f"truncated pixel data: got {len(payload)} of {width * height} bytes"
-            )
-        return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).astype(np.float64)
 
 
 def write_pgm(values: np.ndarray, path: "str | Path") -> None:

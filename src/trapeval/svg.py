@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -51,7 +53,7 @@ class LineChart:
         self, name: str, xs: list[float], ys: list[float], color: str | None = None
     ) -> None:
         if len(xs) != len(ys):
-            raise ValueError("series xs and ys must have equal length")
+            raise ConfigError("series xs and ys must have equal length")
         if color is None:
             color = PALETTE[len(self.series) % len(PALETTE)]
         self.series.append((name, list(map(float, xs)), list(map(float, ys)), color))

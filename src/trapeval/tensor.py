@@ -1,22 +1,20 @@
 """Channels-by-height-by-width tensor values and the primitive array ops.
 
 Layout contract: values are stored channel-major, row-major within each
-channel (a C-contiguous float64 ndarray of shape (C, H, W)); file dumps use
-exactly this order. Each primitive has a forward and a matching
-input-gradient backward, which is all reverse mode needs here since weights
-are never trained.
+channel (a C-contiguous float64 ndarray of shape (C, H, W)). Each primitive
+has a forward and a matching input-gradient backward, which is all reverse
+mode needs here since weights are never trained.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -71,56 +69,6 @@ class Tensor3:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    @staticmethod
-    def full(channels: int, height: int, width: int, value: float) -> "Tensor3":
-        return Tensor3(np.full((channels, height, width), float(value)))
-
-
-TENSOR_DUMP_MAGIC = b"TNSR"
-
-
-def write_tensor_dump(tensor: Tensor3, stream: IO[bytes]) -> None:
-    """Binary dump: magic, three little-endian uint32 dims (C, H, W), then
-    float64 little-endian values in layout order."""
-    c, h, w = tensor.shape
-    stream.write(TENSOR_DUMP_MAGIC)
-    stream.write(struct.pack("<III", c, h, w))
-    stream.write(tensor.data.astype("<f8").tobytes(order="C"))
-
-
-_READ_CHUNK = 1 << 24
-
-
-def read_at_most(stream: IO[bytes], size: int) -> bytes:
-    """Up to ``size`` bytes, fewer at end of file. Reads in chunks, so a
-    header declaring more data than the file holds allocates only what is
-    there, however large the declared size."""
-    chunks = []
-    while size > 0:
-        chunk = stream.read(min(size, _READ_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_tensor_dump(stream: IO[bytes]) -> Tensor3:
-    magic = stream.read(4)
-    if magic != TENSOR_DUMP_MAGIC:
-        raise FormatError(f"bad tensor dump magic {magic!r}")
-    header = stream.read(12)
-    if len(header) != 12:
-        raise FormatError("truncated tensor dump header")
-    c, h, w = struct.unpack("<III", header)
-    payload = read_at_most(stream, 8 * c * h * w)
-    if len(payload) != 8 * c * h * w:
-        raise FormatError(
-            f"truncated tensor dump payload: got {len(payload)} of {8 * c * h * w} bytes"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(c, h, w)
-    return Tensor3(data.copy())
 
 
 # --- activations ------------------------------------------------------------
@@ -292,7 +240,7 @@ def upsample_backward(dout: np.ndarray, factor: int) -> np.ndarray:
 
 def concat_forward(xs: Sequence[np.ndarray]) -> np.ndarray:
     if not xs:
-        raise ValueError("concat of no inputs")
+        raise ConfigError("concat of no inputs")
     base = xs[0].shape[1:]
     for i, x in enumerate(xs[1:], start=1):
         if x.shape[1:] != base:

@@ -8,7 +8,7 @@ import json
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from trapeval.boxes import BoundingBox, Detection, GroundTruth
 
@@ -170,3 +170,32 @@ def annotation_file(tmp_path):
         return str(path)
 
     return write
+
+
+def mutants(valid, alphabet, max_edits: int = 4):
+    """Strategy: ``valid`` (a str or bytes) after 1 to ``max_edits`` edits,
+    each an insertion, deletion or replacement of one symbol drawn from
+    ``alphabet`` (symbols of the same type), or a truncation."""
+    symbols = [valid[i : i + 1] for i in range(len(valid))]
+    edit = st.tuples(
+        st.sampled_from(("insert", "delete", "replace", "truncate")),
+        st.integers(0, len(valid)),
+        st.sampled_from(alphabet),
+    )
+
+    def apply(edits) -> str | bytes:
+        parts = list(symbols)
+        for op, at, symbol in edits:
+            at %= len(parts) + 1
+            if op == "insert":
+                parts.insert(at, symbol)
+            elif op == "truncate":
+                del parts[at:]
+            elif at < len(parts):
+                if op == "delete":
+                    del parts[at]
+                else:
+                    parts[at] = symbol
+        return valid[:0].join(parts)
+
+    return st.lists(edit, min_size=1, max_size=max_edits).map(apply)

@@ -618,12 +618,21 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["losslab", "--gamma", "nan"], "gamma nan must be finite"),
         (["losslab", "--step", "nan"], "step nan must be finite"),
         (["losslab", "--step", "inf"], "step inf must be finite"),
+        (["split", "{few}"], "need >= 10 locations, have 3"),
+        (["eval", "{latin1}", "{ann}"], "'utf-8' codec can't decode byte 0xe9"),
+        (["eval", "{det}", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
+        (["split", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
+        (["gradcam", "{latin1}", "{image}", "--layer", "img", "--category", "0"],
+         "'utf-8' codec can't decode byte 0xe9"),
     ],
 )
 def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corpus, argv, message):
     graph, image = write_tiny_graph(tmp_path, "")
     names = {"det": identity_corpus[0], "ann": identity_corpus[1], "graph": graph,
-             "image": image, "missing": tmp_path / "missing"}
+             "image": image, "missing": tmp_path / "missing",
+             "few": write_bad_annotations(tmp_path, "few.json", lambda p: None),
+             "latin1": tmp_path / "latin1.txt"}
+    names["latin1"].write_bytes("caf\u00e9\n".encode("latin-1"))  # not UTF-8
     out = tmp_path / "out"
     argv = [a.format(**names) for a in argv]
     if argv[0] != "shapes":
@@ -657,6 +666,17 @@ def test_gradcam_checks_alpha_category_and_scale_before_the_forward_pass(
     code, _, err = run(capsys, "gradcam", graph, image, "--layer", "img", "--category", "0",
                        *extra, "--out-dir", str(tmp_path / "out"))
     assert code == 1 and err == f"error: {message}\n"
+
+
+def test_losslab_focal_eiou_gradient_overflow_exits_1(tmp_path, capsys):
+    code, stdout, err = run(
+        capsys, "losslab", "--kinds", "focal_eiou", "--gamma", "0.01",
+        "--start=0,0,1e-160,1e-160", "--gt", "0,0,1,1", "--iters", "2",
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: gamma 0.01: the focal-EIoU gradient of ")
+    assert err.count("\n") == 1 and err.endswith("\n")  # the error line alone
 
 
 # --- the CLI's OpenBLAS setting ---------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from trapeval.augment import AugmentOp, augment, resize_with_boxes
 from trapeval.boxes import BoundingBox, GroundTruth
@@ -17,21 +18,19 @@ from trapeval.dataset import (
     ImageRecord,
     SplitConfig,
     REFERENCE_SPLIT_COUNTS,
-    class_distribution,
     filter_empty,
     parse_annotations,
     split_cis_trans,
     split_report,
     verify_split,
     write_annotations,
-    write_distribution_csv,
     _clamp_box,
 )
-from trapeval.errors import FormatError, SplitError
-from trapeval.ppm import read_ppm, read_pgm, write_pgm, write_ppm
+from trapeval.errors import FormatError, SplitError, TrapevalError
+from trapeval.ppm import read_ppm, write_pgm, write_ppm
 from trapeval.tensor import Tensor3
 
-from conftest import make_annotation_payload
+from conftest import make_annotation_payload, mutants
 
 
 def record(image_id="im0", location=0, date=dt.date(2023, 5, 4), size=(100, 80), boxes=()):
@@ -836,29 +835,6 @@ def test_boxes_stay_inside_bounds_after_augmentation():
             assert 0 <= gt.box.y1 <= gt.box.y2 <= out_rec.height
 
 
-# --- distribution ----------------------------------------------------------------------
-
-def test_class_distribution():
-    assert class_distribution([]) == {}
-    rec = record(boxes=([(0, 0, 5, 5), 3], [(1, 1, 4, 4), 3], [(2, 2, 3, 3), 3]))
-    assert class_distribution([rec]) == {3: 3}
-    rng = random.Random(8)
-    counts = {1: 0, 2: 0}
-    records = []
-    for i in range(50):
-        cat = rng.choice([1, 2])
-        counts[cat] += 1
-        records.append(record(f"x{i}", boxes=([(0, 0, 5, 5), cat],)))
-    assert class_distribution(records) == counts
-
-
-def test_distribution_csv(tmp_path):
-    out = tmp_path / "dist.csv"
-    with open(out, "w", encoding="utf-8") as stream:
-        write_distribution_csv({1: 4, 2: 7}, {1: "bobcat", 2: "dog"}, stream)
-    assert out.read_text(encoding="utf-8") == "category_id,name,count\n1,bobcat,4\n2,dog,7\n"
-
-
 # --- raster I/O --------------------------------------------------------------------------
 
 def test_ppm_round_trip(tmp_path):
@@ -899,16 +875,33 @@ def test_ppm_rejects_malformed(tmp_path, payload):
         read_ppm(path)
 
 
-@pytest.mark.parametrize("magic,read", [(b"P6", read_ppm), (b"P5", read_pgm)])
+@pytest.mark.parametrize("magic,read", [(b"P6", read_ppm)])
 @pytest.mark.parametrize("side", [100_000, 10_000_000_000])
 def test_raster_readers_reject_sizes_beyond_the_file(tmp_path, magic, read, side):
     """The header's size is not allocated up front: a 30 GB or
     past-sys.maxsize claim on a 3-byte payload reads as truncated."""
     path = tmp_path / "huge.img"
     path.write_bytes(magic + f"\n{side} {side}\n255\n".encode("ascii") + b"abc")
-    expected = (3 if magic == b"P6" else 1) * side * side
+    expected = 3 * side * side
     with pytest.raises(FormatError, match=f"truncated pixel data: got 3 of {expected} bytes"):
         read(path)
+
+
+VALID_PPM = b"P6\n# comment\n3 2\n255\n" + bytes(range(0, 180, 10))
+PPM_SYMBOLS = tuple(bytes([c]) for c in b"0123456789 \t\n#P56+-a\x00\xff")
+
+
+@given(data=mutants(VALID_PPM, PPM_SYMBOLS))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_mutated_ppm_reads_or_raises_a_trapeval_error(tmp_path, data):
+    path = tmp_path / "mutant.ppm"  # each example writes it anew
+    path.write_bytes(data)
+    try:
+        read_ppm(path)
+    except TrapevalError:
+        pass
 
 
 def test_ppm_write_validation(tmp_path):
@@ -923,5 +916,4 @@ def test_pgm_round_trip(tmp_path):
     values = rng.integers(0, 256, (4, 6)).astype(float)
     path = tmp_path / "gray.pgm"
     write_pgm(values, path)
-    assert np.array_equal(read_pgm(path), values)
-    assert path.read_bytes().startswith(b"P5\n6 4\n255\n")
+    assert path.read_bytes() == b"P5\n6 4\n255\n" + values.astype(np.uint8).tobytes()

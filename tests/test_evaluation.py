@@ -6,10 +6,11 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from trapeval import evaluation
 from trapeval.boxes import BoundingBox, Detection, GroundTruth, iou
-from trapeval.errors import CategoryError, EvalError, FormatError
+from trapeval.errors import CategoryError, EvalError, FormatError, TrapevalError
 from trapeval.evaluation import (
     MatchConfig,
     average_precision,
@@ -25,12 +26,11 @@ from trapeval.evaluation import (
     precision,
     read_detections_csv,
     recall,
-    write_detections_csv,
     write_metrics_csv,
     PrPoint,
 )
 
-from conftest import random_box, synthetic_instance
+from conftest import mutants, random_box, synthetic_instance
 
 B = BoundingBox
 
@@ -697,10 +697,12 @@ def test_detections_csv_round_trip():
         Detection(B(0, 0, 2.5, 2.5), 1, 0.875, "im0"),
         Detection(B(1, 1, 3, 4), 2, 0.25, "im1"),
     ]
-    buffer = io.StringIO()
-    write_detections_csv(dets, buffer)
-    parsed = read_detections_csv(io.StringIO(buffer.getvalue()))
-    assert parsed == dets
+    text = (
+        "image_id,category_id,confidence,x1,y1,x2,y2\n"
+        "im0,1,0.875,0,0,2.5,2.5\n"
+        "im1,2,0.25,1,1,3,4\n"
+    )
+    assert read_detections_csv(io.StringIO(text, newline="")) == dets
 
 
 def test_detections_csv_rejects_bad_input():
@@ -715,6 +717,23 @@ def test_detections_csv_rejects_bad_input():
         read_detections_csv(io.StringIO(header + "im0,1,1.5,0,0,1,1\n"))
     with pytest.raises(FormatError):
         read_detections_csv(io.StringIO(header + "im0,1,0.5,0,0,1\n"))
+
+
+VALID_CSV = (
+    "image_id,category_id,confidence,x1,y1,x2,y2\n"
+    "im0,1,0.875,0,0,2.5,2.5\n"
+    "im1,2,0.25,4,3,1,1\n"
+)
+CSV_SYMBOLS = tuple('0123456789,.-+e_"\n\r \x00nai\u00e9\u0661')
+
+
+@given(mutants(VALID_CSV, CSV_SYMBOLS))
+@settings(max_examples=150, deadline=None)
+def test_mutated_detections_csv_parses_or_raises_a_trapeval_error(text):
+    try:
+        read_detections_csv(io.StringIO(text, newline=""))  # as the CLI opens it
+    except TrapevalError:
+        pass
 
 
 def test_metrics_csv_contains_summary_lines():

@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from trapeval import nn
-from trapeval.errors import FormatError, GraphError, ShapeError
+from trapeval.errors import FormatError, GraphError, ShapeError, TrapevalError
 from trapeval.gradcam import gradcam_heatmap
 from trapeval.graph import (
     LAYER_TABLE,
@@ -20,6 +21,8 @@ from trapeval.graph import (
     write_graph_text,
 )
 from trapeval.tensor import Tensor3
+
+from conftest import mutants
 
 
 def tiny_spec(categories: int = 3, seed_base: int = 10) -> GraphSpec:
@@ -683,3 +686,23 @@ det detect in=c0 categories=2 seed=3
         parse_graph_text(io.StringIO("img input channels=3 height=x width=8\n"))
     with pytest.raises(FormatError):
         parse_graph_text(io.StringIO("c0 conv in=missing out_channels=4\n"))
+
+
+def tiny_text() -> str:
+    buffer = io.StringIO()
+    write_graph_text(tiny_spec(), buffer)
+    return buffer.getvalue()
+
+
+# Digits and signs make bad numbers, the others bad tokens and lines; an
+# Arabic-Indic digit and a no-break space are a digit and a space to Python.
+GRAPH_SYMBOLS = tuple("0123456789-+=,#_ \n\tax\u00e9\u0661\u00a0")
+
+
+@given(mutants(tiny_text(), GRAPH_SYMBOLS))
+@settings(max_examples=150, deadline=None)
+def test_mutated_graph_text_builds_or_raises_a_trapeval_error(text):
+    try:
+        Graph(parse_graph_text(io.StringIO(text)))
+    except TrapevalError:
+        pass

@@ -15,15 +15,18 @@ import io
 import math
 import random
 
+import pytest
 import reference_losses as ref
 
 from trapeval.boxes import BoundingBox
+from trapeval.errors import ConfigError
 from trapeval.losses import (
     DEFAULT_ARENA,
     LossKind,
     LossParams,
     WiouState,
     evaluate_loss,
+    loss_focal_eiou,
     simulate_regression,
     write_trajectory_csv,
 )
@@ -132,3 +135,27 @@ def test_descent_and_csv_equal_their_definition_on_seeded_runs():
         ran += 1
         diverged += ours.startswith("DivergedError")
     assert ran >= 200 and 0 < diverged < ran
+
+
+@pytest.mark.parametrize("gamma,overflows", [(0.01, True), (0.04, True), (0.5, False)])
+def test_focal_eiou_gradient_overflow_is_a_defined_error(gamma, overflows):
+    """With 0 < gamma < 1, IoU^(gamma - 1) overflows at a subnormal IoU. That
+    raises ConfigError naming both boxes and gamma; every other result
+    equals the definition bit for bit."""
+    gt, params = BoundingBox(0, 0, 1, 1), LossParams(gamma=gamma)
+    raised = 0
+    for exponent in range(150, 164):  # IoU 1e-300 down to 0
+        pred = BoundingBox(0, 0, 10.0**-exponent, 10.0**-exponent)
+        try:
+            expected = repr(ref.loss_focal_eiou(pred, gt, params))
+        except OverflowError:
+            raised += 1
+            with pytest.raises(ConfigError) as info:
+                loss_focal_eiou(pred, gt, params)
+            message = str(info.value)
+            assert f"gamma {gamma}" in message and repr(pred) in message and repr(gt) in message
+            with pytest.raises(ConfigError, match=f"gamma {gamma}"):
+                simulate_regression(LossKind.FOCAL_EIOU, pred, gt, step=0.01, iters=2, params=params)
+        else:
+            assert repr(loss_focal_eiou(pred, gt, params)) == expected
+    assert (raised > 0) == overflows

@@ -1,10 +1,7 @@
-import io
-import struct
-
 import numpy as np
 import pytest
 
-from trapeval.errors import FormatError, ShapeError
+from trapeval.errors import ShapeError
 from trapeval.tensor import (
     ShapeSpec,
     Tensor3,
@@ -15,7 +12,6 @@ from trapeval.tensor import (
     conv_output_dim,
     maxpool2d_backward,
     maxpool2d_forward,
-    read_tensor_dump,
     relu,
     relu_backward,
     sigmoid,
@@ -24,7 +20,6 @@ from trapeval.tensor import (
     silu_backward,
     upsample_backward,
     upsample_forward,
-    write_tensor_dump,
 )
 
 
@@ -177,37 +172,9 @@ def test_sigmoid_is_stable_for_large_inputs():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
-def test_tensor_dump_round_trip():
-    rng = np.random.default_rng(5)
-    t = Tensor3(rng.normal(size=(3, 4, 5)))
-    buffer = io.BytesIO()
-    write_tensor_dump(t, buffer)
-    raw = buffer.getvalue()
-    assert raw[:4] == b"TNSR"
-    assert len(raw) == 4 + 12 + 8 * 3 * 4 * 5
-    restored = read_tensor_dump(io.BytesIO(raw))
-    assert np.array_equal(restored.data, t.data)
-
-
-def test_tensor_dump_rejects_corruption():
-    t = Tensor3(np.zeros((1, 2, 2)))
-    buffer = io.BytesIO()
-    write_tensor_dump(t, buffer)
-    raw = buffer.getvalue()
-    with pytest.raises(FormatError):
-        read_tensor_dump(io.BytesIO(b"XXXX" + raw[4:]))
-    with pytest.raises(FormatError):
-        read_tensor_dump(io.BytesIO(raw[:-8]))
-    with pytest.raises(FormatError):
-        read_tensor_dump(io.BytesIO(raw[:10]))
-    huge = b"TNSR" + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + raw[16:]
-    with pytest.raises(FormatError, match=f"got 32 of {8 * 0xFFFFFFFF**3} bytes"):
-        read_tensor_dump(io.BytesIO(huge))
-
-
 def test_tensor3_validates_shape():
     with pytest.raises(ShapeError):
         Tensor3(np.zeros((2, 2)))
-    t = Tensor3.full(2, 3, 4, 1.5)
+    t = Tensor3(np.full((2, 3, 4), 1.5, dtype=np.float32))
     assert t.shape == (2, 3, 4)
     assert t.data.dtype == np.float64
