@@ -48,9 +48,6 @@ class BoundingBox:
     def translated(self, dx: float, dy: float) -> "BoundingBox":
         return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
-    def scaled(self, s: float) -> "BoundingBox":
-        return BoundingBox(self.x1 * s, self.y1 * s, self.x2 * s, self.y2 * s)
-
 
 @dataclass(frozen=True, slots=True)
 class GroundTruth:

@@ -26,11 +26,10 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 # Only what the parser, main and losslab need is imported here; every other
 # command imports the rest when it runs, so losslab and split never load numpy.
 from .boxes import BoundingBox  # noqa: E402  (after the OpenBLAS setting)
-from .errors import ConfigError, DivergedError, SplitError, TrapevalError
+from .errors import ConfigError, DivergedError, FormatError, SplitError, TrapevalError
 from .losses import (
     LossKind,
     LossParams,
-    WiouState,
     check_descent,
     focusing_coefficient,
     simulate_regression,
@@ -117,7 +116,9 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_losslab(args) -> int:
-    params = LossParams(gamma=args.gamma, alpha=args.alpha, delta=args.delta)
+    # The parser leaves a parameter not given as None: LossParams holds the defaults.
+    given = {"gamma": args.gamma, "alpha": args.alpha, "delta": args.delta}
+    params = LossParams(**{k: v for k, v in given.items() if v is not None})
     check_descent(args.step, args.iters)
     # The curve checks alpha and delta over beta 0-10 before anything is written.
     betas = [i / 100.0 for i in range(0, 1001)]
@@ -135,7 +136,6 @@ def cmd_losslab(args) -> int:
                 step=args.step,
                 iters=args.iters,
                 params=params,
-                state=WiouState() if kind is LossKind.WIOU_V3 else None,
             )
         except DivergedError as exc:
             print(f"{kind.value}: diverged at iteration {exc.iteration}", file=sys.stderr)
@@ -157,7 +157,7 @@ def cmd_losslab(args) -> int:
 
     focus = LineChart("focusing coefficient r(beta)", "beta", "r")
     focus.add_series("r", betas, values)
-    peak = 1.0 / math.log(args.alpha)
+    peak = 1.0 / math.log(params.alpha)
     focus.add_vline(peak, f"beta*={peak:.4g}")
     focus.write(out / "focusing_curve.svg")
     with open(out / "focusing_curve.csv", "w", encoding="utf-8") as stream:
@@ -175,8 +175,11 @@ def cmd_eval(args) -> int:
     # The parser leaves a threshold not given as None: MatchConfig holds the defaults.
     given = {"iou_threshold": args.iou_thresh, "confidence_threshold": args.conf_thresh}
     config = ev.MatchConfig(**{k: v for k, v in given.items() if v is not None})
-    with open(args.detections, "r", encoding="utf-8", newline="") as stream:
-        detections = ev.read_detections_csv(stream)
+    try:
+        with open(args.detections, "r", encoding="utf-8", newline="") as stream:
+            detections = ev.read_detections_csv(stream)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.detections}: not UTF-8 ({exc})") from exc
     data = ds.parse_annotations(args.annotations)
     ground_truths = [gt for record in data.records for gt in record.annotations]
     categories = data.category_ids() if data.categories else None
@@ -214,8 +217,11 @@ def cmd_gradcam(args) -> int:
 
     cli = sys.modules[__name__]  # the _LAZY names, as set on this module
     gc.check_alpha(args.alpha_overlay)
-    with open(args.graph, "r", encoding="utf-8") as stream:
-        spec = cli.parse_graph_text(stream)
+    try:
+        with open(args.graph, "r", encoding="utf-8") as stream:
+            spec = cli.parse_graph_text(stream)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.graph}: not UTF-8 ({exc})") from exc
     image = cli.read_ppm(args.image)
     graph = cli.Graph(spec)
     selector = ScoreSelector(category=args.category, scale=args.scale)
@@ -303,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--gt", type=_parse_box, default=BoundingBox(2, 2, 3, 3))
     p_loss.add_argument("--step", type=float, default=0.01)
     p_loss.add_argument("--iters", type=int, default=500)
-    p_loss.add_argument("--gamma", type=float, default=0.5)
-    p_loss.add_argument("--alpha", type=float, default=1.9)
-    p_loss.add_argument("--delta", type=float, default=3.0)
+    p_loss.add_argument("--gamma", type=float, default=None)
+    p_loss.add_argument("--alpha", type=float, default=None)
+    p_loss.add_argument("--delta", type=float, default=None)
     p_loss.add_argument("--out-dir", default="out")
     p_loss.set_defaults(func=cmd_losslab)
 
@@ -347,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrapevalError, OSError, UnicodeDecodeError) as exc:
+    except (TrapevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

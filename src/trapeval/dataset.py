@@ -162,6 +162,8 @@ def parse_annotations(path: "str | Path") -> Dataset:
                 payload = json.load(stream)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: top level must be an object")
 

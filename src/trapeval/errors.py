@@ -20,9 +20,9 @@ class DegenerateBoxError(TrapevalError):
 class DivergedError(TrapevalError):
     """A descent trajectory produced non-finite values."""
 
-    def __init__(self, iteration: int, message: str | None = None):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(message or f"trajectory diverged at iteration {iteration}")
+        super().__init__(f"trajectory diverged at iteration {iteration}")
 
 
 class CategoryError(TrapevalError):

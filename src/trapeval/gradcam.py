@@ -89,7 +89,7 @@ def gradcam_heatmap(run: GraphRun, layer: str, selector: ScoreSelector) -> Heatm
     grads = run.graph.backward_to_layer(run, pinned, layer).data
     cam = activation_cam(grads, run.activations[layer])
 
-    _, img_h, img_w = run.graph.input_shape
+    _, img_h, img_w = run.graph.spec.input_shape
     h, w = cam.shape
     if img_h % h != 0 or img_w % w != 0:
         raise ShapeError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable, Collection, Mapping, Sequence
+from typing import IO, Callable, Collection, Mapping
 
 import numpy as np
 
@@ -213,7 +213,7 @@ class GraphSpec:
             raise GraphError("first layer must be the input declaration")
         seen: set[str] = set()
         for index, layer in enumerate(self.layers):
-            if layer.kind not in LAYER_KINDS:
+            if layer.kind not in LAYER_TABLE:
                 raise GraphError(f"layer {layer.name}: unknown kind {layer.kind!r}")
             kind = LAYER_TABLE[layer.kind]
             if index > 0 and kind.build is None:
@@ -289,8 +289,6 @@ def build_graph(
     input_size: int,
     num_categories: int = DEFAULT_CATEGORIES,
     seed: int = 0,
-    gam_rate: int = 4,
-    depths: Sequence[int] = BACKBONE_DEPTHS,
 ) -> GraphSpec:
     """Construct the baseline or improved detector topology.
 
@@ -300,10 +298,7 @@ def build_graph(
         raise GraphError(f"unknown variant {variant!r}")
     if input_size % 32 != 0 or input_size <= 0:
         raise GraphError(f"input size {input_size} must be a positive multiple of 32")
-    w = BACKBONE_WIDTHS
-    d = tuple(depths)
-    if len(d) != 4:
-        raise GraphError("depths must list four backbone stage depths")
+    w, d = BACKBONE_WIDTHS, BACKBONE_DEPTHS
 
     layers: list[LayerSpec] = [
         LayerSpec("img", "input", (), {"channels": 3, "height": input_size, "width": input_size})
@@ -333,7 +328,7 @@ def build_graph(
     p5 = conv(c6, w[4])
     c8 = add("c2f", (p5,), out_channels=w[4], n=d[3])
     if variant == "improved":
-        c8 = add("gam", (c8,), rate=gam_rate)
+        c8 = add("gam", (c8,), rate=4)
     sppf = add("sppf", (c8,), kernel=5)
 
     # FPN top-down path.
@@ -399,8 +394,9 @@ REFERENCE_GAM_640 = (512, 20, 20)
 
 
 def check_reference_shapes(spec: GraphSpec, variant: str) -> list[str]:
-    """Compare propagated shapes of a 640-input graph against the embedded
-    reference table; returns human-readable mismatch lines (empty = pass)."""
+    """Compare propagated shapes of a 640-input ``build_graph`` topology
+    against the embedded reference table; returns human-readable mismatch
+    lines (empty = pass)."""
     shapes, rows = spec.propagate_shapes()
     problems: list[str] = []
 
@@ -411,26 +407,17 @@ def check_reference_shapes(spec: GraphSpec, variant: str) -> list[str]:
 
     for name, want in REFERENCE_BACKBONE_640:
         expect(name, want)
-    sppf_rows = [r for r in rows if r.kind == "sppf.concat"]
-    if not sppf_rows:
-        problems.append("no pooling-pyramid concat row found")
-    elif sppf_rows[0].shape != REFERENCE_SPPF_CONCAT_640:
-        problems.append(
-            f"sppf concat: expected {REFERENCE_SPPF_CONCAT_640}, got {sppf_rows[0].shape}"
-        )
-    sppf_name = next((l.name for l in spec.layers if l.kind == "sppf"), None)
-    if sppf_name is not None:
-        expect(sppf_name, REFERENCE_SPPF_OUT_640)
+    concat = next(r.shape for r in rows if r.kind == "sppf.concat")
+    if concat != REFERENCE_SPPF_CONCAT_640:
+        problems.append(f"sppf concat: expected {REFERENCE_SPPF_CONCAT_640}, got {concat}")
+    expect(next(l.name for l in spec.layers if l.kind == "sppf"), REFERENCE_SPPF_OUT_640)
     if variant == "improved":
-        gam = next((l for l in spec.layers if l.kind == "gam"), None)
-        if gam is None:
-            problems.append("improved variant is missing the attention layer")
-        else:
-            if shapes.get(gam.inputs[0]) != REFERENCE_GAM_640:
-                problems.append(
-                    f"gam input: expected {REFERENCE_GAM_640}, got {shapes.get(gam.inputs[0])}"
-                )
-            expect(gam.name, REFERENCE_GAM_640)
+        gam = next(l for l in spec.layers if l.kind == "gam")
+        if shapes.get(gam.inputs[0]) != REFERENCE_GAM_640:
+            problems.append(
+                f"gam input: expected {REFERENCE_GAM_640}, got {shapes.get(gam.inputs[0])}"
+            )
+        expect(gam.name, REFERENCE_GAM_640)
     return problems
 
 
@@ -493,7 +480,6 @@ class HeadOutput:
     """One scale's head planes; ``box`` is None on a lean run."""
 
     scale_index: int
-    source: str
     box: np.ndarray | None
     cls: np.ndarray
 
@@ -509,11 +495,6 @@ class GraphRun:
     caches: Mapping[str, object]
     head: tuple[HeadOutput, ...]
     target: str | None = None
-
-    def activation(self, name: str) -> Tensor3:
-        if name not in self.activations:
-            raise GraphError(f"no recorded activation for layer {name!r}")
-        return Tensor3(self.activations[name].copy())
 
 
 @dataclass(frozen=True)
@@ -537,8 +518,6 @@ class ScoreSelector:
 
     def resolve(self, run: "GraphRun") -> tuple[int, int, int, float]:
         head = run.head
-        if not head:
-            raise GraphError("graph has no head outputs")
         self.check(run.graph)
         scales = range(len(head)) if self.scale is None else (self.scale,)
         best: tuple[float, int, int, int] | None = None
@@ -590,10 +569,6 @@ class Graph:
         if layer.kind == "detect":
             return _build_detect(layer, shapes, scales)
         return LAYER_TABLE[layer.kind].build(layer, shapes)
-
-    @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return self.spec.input_shape
 
     def _planes(self, tag: str) -> set[str]:
         detect = self.detect_spec
@@ -653,9 +628,9 @@ class Graph:
         """
         lean = target is not None
         first_cached = self._first_cached(target) if lean else 0
-        if image.shape != self.input_shape:
+        if image.shape != self.spec.input_shape:
             raise ShapeError(
-                f"image shape {image.shape} != graph input {self.input_shape}"
+                f"image shape {image.shape} != graph input {self.spec.input_shape}"
             )
         overrides = overrides or {}
         self._check_overrides(overrides, lean)
@@ -684,7 +659,7 @@ class Graph:
                     box, cls, branch_cache = branch.forward(values[ref])
                     if box is not None:
                         box = record(f"{detect_name}/box{i}", box)
-                    head.append(HeadOutput(i, ref, box, record(f"{detect_name}/cls{i}", cls)))
+                    head.append(HeadOutput(i, box, record(f"{detect_name}/cls{i}", cls)))
                     cache.append(branch_cache)
             else:
                 xs = [values[ref] for ref in layer.inputs]
@@ -771,7 +746,7 @@ class Graph:
         branch_caches = take(detect_name)
         branches = self._module(self.detect_spec, lean, per_scale)
         for si, seed in per_scale.items():
-            upstream = branches[si].backward(None, seed, branch_caches[si])
+            upstream = branches[si].backward(seed, branch_caches[si])
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
         del branches

@@ -568,8 +568,6 @@ def simulate_regression(
     """
     check_descent(step, iters)
     params = params or LossParams()
-    if kind is LossKind.WIOU_V3 and state is None:
-        state = WiouState()
 
     # Each step works on four floats; min/max/sorted are spelled as the
     # conditionals that return what the builtins return, ties and NaN included.

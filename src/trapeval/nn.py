@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import (
     ShapeSpec,
     concat_backward,
@@ -71,15 +71,13 @@ class Conv:
         self,
         c_in: int,
         c_out: int,
-        kernel: int = 3,
-        stride: int = 1,
-        padding: int | None = None,
+        kernel: int,
+        stride: int,
+        padding: int,
         act: bool = True,
         seed: "int | np.random.Generator" = 0,
     ):
         rng = _as_rng(seed)
-        if padding is None:
-            padding = kernel // 2
         self.spec = ShapeSpec(kernel, stride, padding)
         self.act = act
         self.weights = _uniform_weights(rng, c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
@@ -299,8 +297,6 @@ class Upsample:
     """Nearest-neighbour upsampling by an integer factor."""
 
     def __init__(self, factor: int = 2):
-        if factor < 1:
-            raise ConfigError("factor must be >= 1")
         self.factor = factor
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
@@ -364,13 +360,9 @@ class HeadBranch:
         cls, c_c2 = self.cls_out.forward(s1)
         return box, cls, (c_r1, c_r2, c_c1, c_c2)
 
-    def backward(self, dbox: np.ndarray | None, dcls: np.ndarray, cache: Any) -> np.ndarray:
-        """Input gradient; ``dbox=None`` means no gradient reaches the box
+    def backward(self, dcls: np.ndarray, cache: Any) -> np.ndarray:
+        """Input gradient of the category logits; no gradient reaches the box
         deltas, so the box convs are not run backward at all."""
-        c_r1, c_r2, c_c1, c_c2 = cache
+        _, _, c_c1, c_c2 = cache
         ds1 = self.cls_out.backward(dcls, c_c2)
-        dx = self.cls_conv.backward(ds1, c_c1)
-        if dbox is None:
-            return dx
-        dr1 = self.reg_out.backward(dbox, c_r2)
-        return self.reg_conv.backward(dr1, c_r1) + dx
+        return self.cls_conv.backward(ds1, c_c1)

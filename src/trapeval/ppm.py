@@ -83,7 +83,8 @@ def read_ppm(path: "str | Path") -> Tensor3:
 def write_ppm(tensor: Tensor3, path: "str | Path") -> None:
     if tensor.channels != 3:
         raise FormatError(f"PPM needs 3 channels, got {tensor.channels}")
-    if tensor.data.min() < 0.0 or tensor.data.max() > 255.0:
+    # Written so that NaN fails the check.
+    if not (tensor.data.min() >= 0.0 and tensor.data.max() <= 255.0):
         raise FormatError("PPM pixel values must lie in [0, 255]")
     pixels = np.rint(tensor.data).astype(np.uint8).transpose(1, 2, 0)
     with open(path, "wb") as stream:
@@ -95,7 +96,8 @@ def write_pgm(values: np.ndarray, path: "str | Path") -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FormatError(f"PGM needs a 2-dim grid, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 255.0:
+    # Written so that NaN fails the check.
+    if not (arr.min() >= 0.0 and arr.max() <= 255.0):
         raise FormatError("PGM pixel values must lie in [0, 255]")
     with open(path, "wb") as stream:
         stream.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))

@@ -20,6 +20,8 @@ PALETTE = (
     "#17becf",
 )
 
+_WIDTH = 640
+_HEIGHT = 480
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 40
@@ -44,26 +46,20 @@ class LineChart:
     title: str
     x_label: str
     y_label: str
-    width: int = 640
-    height: int = 480
-    series: list[tuple[str, list[float], list[float], str]] = field(default_factory=list)
+    series: list[tuple[str, list[float], list[float]]] = field(default_factory=list)
     vlines: list[tuple[float, str]] = field(default_factory=list)
 
-    def add_series(
-        self, name: str, xs: list[float], ys: list[float], color: str | None = None
-    ) -> None:
+    def add_series(self, name: str, xs: list[float], ys: list[float]) -> None:
         if len(xs) != len(ys):
             raise ConfigError("series xs and ys must have equal length")
-        if color is None:
-            color = PALETTE[len(self.series) % len(PALETTE)]
-        self.series.append((name, list(map(float, xs)), list(map(float, ys)), color))
+        self.series.append((name, list(map(float, xs)), list(map(float, ys))))
 
     def add_vline(self, x: float, label: str) -> None:
         self.vlines.append((float(x), label))
 
     def _bounds(self) -> tuple[float, float, float, float]:
-        xs = [x for _, sx, _, _ in self.series for x in sx]
-        ys = [y for _, _, sy, _ in self.series for y in sy]
+        xs = [x for _, sx, _ in self.series for x in sx]
+        ys = [y for _, _, sy in self.series for y in sy]
         xs.extend(x for x, _ in self.vlines)
         if not xs:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
@@ -73,8 +69,8 @@ class LineChart:
 
     def to_svg(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()
-        plot_w = self.width - _MARGIN_LEFT - _MARGIN_RIGHT
-        plot_h = self.height - _MARGIN_TOP - _MARGIN_BOTTOM
+        plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+        plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
         def px(x: float) -> float:
             return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -84,10 +80,10 @@ class LineChart:
 
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" fill="#ffffff"/>',
-            f'<text x="{self.width // 2}" y="20" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{self.title}</text>',
         ]
         # Axes.
@@ -112,7 +108,7 @@ class LineChart:
                 f'font-family="monospace" font-size="10">{_fmt(ty)}</text>'
             )
         out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w // 2}" y="{self.height - 10}" '
+            f'<text x="{_MARGIN_LEFT + plot_w // 2}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle" font-family="monospace" font-size="12">{self.x_label}</text>'
         )
         out.append(
@@ -130,7 +126,8 @@ class LineChart:
                 f'font-family="monospace" font-size="10">{label}</text>'
             )
         x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, _MARGIN_TOP + plot_h
-        for idx, (name, xs, ys, color) in enumerate(self.series):
+        for idx, (name, xs, ys) in enumerate(self.series):
+            color = PALETTE[idx % len(PALETTE)]
             if xs:
                 # px and py inlined: the same operations in the same order.
                 points = " ".join([

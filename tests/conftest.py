@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+import warnings
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -16,6 +17,18 @@ from trapeval.boxes import BoundingBox, Detection, GroundTruth
 # the same inputs; explicit per-test settings still apply on top.
 settings.register_profile("trapeval", derandomize=True)
 settings.load_profile("trapeval")
+
+# When a property test fails, hypothesis imports its patch writer, whose
+# libcst import warns DeprecationWarning (mypy_extensions.TypedDict). Under
+# the error filter in pyproject.toml that warning ends the whole session in
+# INTERNALERROR; imported once here with it ignored, a failure is reported
+# as FAILED and the session goes on.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Central differences use h = 1e-6; pairs are rejected while any min/max tie
 # or overlap boundary sits close enough to a kink (or an ill-conditioned

@@ -70,7 +70,9 @@ def test_iou_symmetric_and_bounded(a, b):
 
 @given(boxes(), boxes(), st.floats(0.1, 10))
 def test_iou_scale_invariant(a, b, s):
-    assert iou(a.scaled(s), b.scaled(s)) == pytest.approx(iou(a, b), abs=1e-9)
+    sa = BoundingBox(a.x1 * s, a.y1 * s, a.x2 * s, a.y2 * s)
+    sb = BoundingBox(b.x1 * s, b.y1 * s, b.x2 * s, b.y2 * s)
+    assert iou(sa, sb) == pytest.approx(iou(a, b), abs=1e-9)
 
 
 @given(boxes(), boxes())

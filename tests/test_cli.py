@@ -409,8 +409,8 @@ def test_svg_chart_handles_flat_series():
 def polyline_points_definition(chart):
     """Each polyline's points as to_svg formatted them through px, py and _fmt."""
     x_lo, x_hi, y_lo, y_hi = chart._bounds()
-    plot_w = chart.width - svg._MARGIN_LEFT - svg._MARGIN_RIGHT
-    plot_h = chart.height - svg._MARGIN_TOP - svg._MARGIN_BOTTOM
+    plot_w = svg._WIDTH - svg._MARGIN_LEFT - svg._MARGIN_RIGHT
+    plot_h = svg._HEIGHT - svg._MARGIN_TOP - svg._MARGIN_BOTTOM
 
     def px(x):
         return svg._MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -420,7 +420,7 @@ def polyline_points_definition(chart):
 
     return [
         " ".join(f"{svg._fmt(px(x))},{svg._fmt(py(y))}" for x, y in zip(xs, ys))
-        for _, xs, ys, _ in chart.series
+        for _, xs, ys in chart.series
         if xs
     ]
 
@@ -429,7 +429,7 @@ def test_svg_polyline_points_equal_their_definition():
     rng = random.Random(11)
     scales = (1.0, 1e-9, 1e6, 1e150, 1e300)
     for case in range(300):
-        chart = LineChart("t", "x", "y", width=rng.choice((640, 300, 97)), height=rng.choice((480, 200, 89)))
+        chart = LineChart("t", "x", "y")
         for _ in range(rng.randint(1, 4)):
             n = rng.choice((0, 2, 7, 60))
             xs = [rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(n)]
@@ -634,6 +634,7 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
              "latin1": tmp_path / "latin1.txt"}
     names["latin1"].write_bytes("caf\u00e9\n".encode("latin-1"))  # not UTF-8
     out = tmp_path / "out"
+    non_utf8 = "{latin1}" in argv
     argv = [a.format(**names) for a in argv]
     if argv[0] != "shapes":
         argv += ["--out-dir", str(out)]
@@ -642,6 +643,8 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and stdout == ""
     assert err.count("\n") == 1 and err.endswith("\n")  # the error line alone
+    if non_utf8:  # the error names the file
+        assert f"error: {names['latin1']}: not UTF-8 (" in err
     assert not out.exists()
     assert not (tmp_path / "missing").exists()
 

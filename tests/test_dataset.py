@@ -911,6 +911,16 @@ def test_ppm_write_validation(tmp_path):
         write_ppm(Tensor3(np.full((3, 2, 2), 300.0)), tmp_path / "x.ppm")
 
 
+def test_raster_writers_reject_nan_before_opening_the_file(tmp_path):
+    values = np.full((3, 2, 2), 7.0)
+    values[1, 0, 1] = math.nan
+    with pytest.raises(FormatError, match=r"PPM pixel values must lie in \[0, 255\]"):
+        write_ppm(Tensor3(values), tmp_path / "x.ppm")
+    with pytest.raises(FormatError, match=r"PGM pixel values must lie in \[0, 255\]"):
+        write_pgm(values[1], tmp_path / "x.pgm")
+    assert not any(tmp_path.iterdir())
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.integers(0, 256, (4, 6)).astype(float)

@@ -418,14 +418,6 @@ def test_baseline_override_of_the_wrong_shape_names_the_layer():
         graph.forward(Tensor3(np.zeros((3, 64, 64))), overrides={"l5": np.zeros((1, 1, 1))})
 
 
-def test_activation_accessor():
-    run = Graph(tiny_spec()).forward(tiny_image())
-    tensor = run.activation("c0")
-    assert tensor.shape == (8, 4, 4)
-    with pytest.raises(GraphError):
-        run.activation("nope")
-
-
 # --- backward ---------------------------------------------------------------------------
 
 def test_backward_identity_is_one_hot():
@@ -533,8 +525,7 @@ def test_lean_run_serves_one_backward_to_its_target():
     for other in ("c0", "img", "det/cls0"):
         with pytest.raises(GraphError, match="recorded for target 'c1'"):
             graph.backward_to_layer(run, selector, other)
-    with pytest.raises(GraphError, match="no recorded activation"):
-        run.activation("c0")
+    assert "c0" not in run.activations
     graph.backward_to_layer(run, selector, "c1")
     with pytest.raises(GraphError, match="target 'c1' was consumed"):
         graph.backward_from_head(run, {(0, 1, 1, 1): 1.0}, "c1")
