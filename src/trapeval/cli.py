@@ -230,8 +230,9 @@ def cmd_gradcam(args) -> int:
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)
     out = _out_dir(args)
-    cli.write_ppm(gc.colorize(heat), out / "heatmap.ppm")
-    cli.write_ppm(gc.overlay(image, heat, args.alpha_overlay), out / "overlay.ppm")
+    colors = gc.colorize(heat)
+    cli.write_ppm(colors, out / "heatmap.ppm")
+    cli.write_ppm(gc.overlay(image, colors, args.alpha_overlay), out / "overlay.ppm")
     if args.pgm:
         cli.write_pgm(np.rint(heat.data * 255.0), out / "heatmap.pgm")
     print(f"score,{score:.12g}")

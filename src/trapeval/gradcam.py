@@ -135,15 +135,12 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha {alpha} outside [0, 1]")
 
 
-def overlay(image: Tensor3, heat: Heatmap, alpha: float = 0.5) -> Tensor3:
-    """Blend the colormapped heatmap onto a 3-channel image: alpha 0 keeps
-    the image, alpha 1 shows the pure heatmap colors."""
+def overlay(image: Tensor3, colors: Tensor3, alpha: float = 0.5) -> Tensor3:
+    """Blend a colorized heatmap (``colorize``'s output) onto a 3-channel
+    image: alpha 0 keeps the image, alpha 1 shows the pure heatmap colors."""
     check_alpha(alpha)
     if image.channels != 3:
         raise ShapeError(f"overlay expects a 3-channel image, got {image.channels}")
-    if (image.height, image.width) != (heat.height, heat.width):
-        raise ShapeError(
-            f"image {image.height}x{image.width} vs heatmap {heat.height}x{heat.width}"
-        )
-    colors = colorize(heat)
+    if image.shape != colors.shape:
+        raise ShapeError(f"image {image.shape} vs heatmap colors {colors.shape}")
     return Tensor3((1.0 - alpha) * image.data + alpha * colors.data)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable, Collection, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
@@ -73,13 +73,17 @@ class LayerKind:
     """One layer kind: its input count (None: one or more), its parameters,
     its shape rule (layer, input shapes) -> (output shape or None when the
     layer has no single output, detail rows), which allocates nothing and
-    raises every error the builder could, and its module builder over the
-    same arguments (None: no module), which draws the layer's weights."""
+    raises every error the builder could, and its module maker over the
+    same arguments and the seed its weights come from (None: no module)."""
 
     arity: int | None
     params: Mapping[str, Param]
     shape: Callable[[LayerSpec, list[Shape]], tuple[Shape | None, list[ShapeRow]]]
-    build: Callable[[LayerSpec, list[Shape]], object] | None = None
+    make: Callable[[LayerSpec, list[Shape], nn.Seed], object] | None = None
+
+    def build(self, layer: LayerSpec, shapes: list[Shape]) -> object:
+        """The layer's module, its weights drawn now."""
+        return self.make(layer, shapes, layer.seed)
 
     def validate(self, layer: LayerSpec) -> None:
         n = len(layer.inputs)
@@ -143,25 +147,10 @@ def _detect_shape(layer: LayerSpec, shapes: list[Shape]):
     return None, rows
 
 
-def _build_detect(
-    layer: LayerSpec, shapes: list[Shape], scales: Collection[int] | None = None
-) -> list[nn.HeadBranch | None]:
-    """One branch per scale, all drawing from one generator in scale order.
-    Given ``scales``, only those scales' class branches are built (``None``
-    for the others) and every other draw is skipped, so each weight built
-    equals the full build's."""
-    rng = nn._as_rng(layer.seed)
-    n_cat = layer.param("categories")
-    if scales is None:
-        return [nn.HeadBranch(c, n_cat, seed=rng) for c, _, _ in shapes]
-    branches: list[nn.HeadBranch | None] = []
-    for i, (c, _, _) in enumerate(shapes):
-        if i in scales:
-            branches.append(nn.HeadBranch.class_branch(c, n_cat, seed=rng))
-        else:
-            nn._skip_weights(rng, sum(nn.HeadBranch.weight_counts(c, n_cat)))
-            branches.append(None)
-    return branches
+def _make_detect(layer: LayerSpec, shapes: list[Shape], seed: nn.Seed) -> list[nn.HeadBranch]:
+    """One branch per scale, all drawing from one generator in scale order."""
+    rng = nn._as_rng(seed)
+    return [nn.HeadBranch(c, layer.param("categories"), seed=rng) for c, _, _ in shapes]
 
 
 LAYER_TABLE: dict[str, LayerKind] = {
@@ -174,31 +163,31 @@ LAYER_TABLE: dict[str, LayerKind] = {
         {"out_channels": Param(), "kernel": Param(3), "stride": Param(1),
          "padding": Param(1, low=0), "act": Param(1, low=0, high=1)},
         _conv_shape,
-        lambda l, s: nn.Conv(
+        lambda l, s, seed: nn.Conv(
             s[0][0], l.param("out_channels"), l.param("kernel"), l.param("stride"),
-            l.param("padding"), act=bool(l.param("act")), seed=l.seed,
+            l.param("padding"), act=bool(l.param("act")), seed=seed,
         ),
     ),
     "c2f": LayerKind(
         1, {"out_channels": Param(), "n": Param(1, low=0)}, _c2f_shape,
-        lambda l, s: nn.C2f(s[0][0], l.param("out_channels"), l.param("n"), seed=l.seed),
+        lambda l, s, seed: nn.C2f(s[0][0], l.param("out_channels"), l.param("n"), seed=seed),
     ),
     "sppf": LayerKind(
         1, {"kernel": Param(5)}, _sppf_shape,
-        lambda l, s: nn.Sppf(s[0][0], l.param("kernel"), seed=l.seed),
+        lambda l, s, seed: nn.Sppf(s[0][0], l.param("kernel"), seed=seed),
     ),
     "upsample": LayerKind(
         1, {"factor": Param(2)},
         lambda l, s: ((s[0][0], s[0][1] * l.param("factor"), s[0][2] * l.param("factor")), []),
-        lambda l, s: nn.Upsample(l.param("factor")),
+        lambda l, s, seed: nn.Upsample(l.param("factor")),
     ),
-    "concat": LayerKind(None, {}, _concat_shape, lambda l, s: nn.Concat()),
+    "concat": LayerKind(None, {}, _concat_shape, lambda l, s, seed: nn.Concat()),
     "gam": LayerKind(
         1, {"rate": Param(4)}, _gam_shape,
-        lambda l, s: nn.Gam(s[0][0], l.param("rate"), seed=l.seed),
+        lambda l, s, seed: nn.Gam(s[0][0], l.param("rate"), seed=seed),
     ),
     "detect": LayerKind(
-        None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _build_detect
+        None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _make_detect
     ),
 }
 LAYER_KINDS = tuple(LAYER_TABLE)
@@ -216,7 +205,7 @@ class GraphSpec:
             if layer.kind not in LAYER_TABLE:
                 raise GraphError(f"layer {layer.name}: unknown kind {layer.kind!r}")
             kind = LAYER_TABLE[layer.kind]
-            if index > 0 and kind.build is None:
+            if index > 0 and kind.make is None:
                 raise GraphError(f"layer {layer.name}: {layer.kind} may only be the first layer")
             if layer.name in seen:
                 raise GraphError(f"duplicate layer name {layer.name!r}")
@@ -559,16 +548,14 @@ class Graph:
             for layer in self.spec.layers[1:]
         }
 
-    def _module(self, layer: LayerSpec, lean: bool, scales: Collection[int] | None = None):
+    def _module(self, layer: LayerSpec, lean: bool):
         """The layer's module: the kept one for a full run; for a lean run a
-        fresh draw, which the caller drops once the layer has run, and for
-        the detect layer only the class branches of ``scales``."""
+        build from an ``nn.Stream``, which draws nothing until an op reads a
+        weight tensor, and then that tensor alone."""
         if not lean:
             return self.modules[layer.name]
         shapes = [self.shapes[r] for r in layer.inputs]
-        if layer.kind == "detect":
-            return _build_detect(layer, shapes, scales)
-        return LAYER_TABLE[layer.kind].build(layer, shapes)
+        return LAYER_TABLE[layer.kind].make(layer, shapes, nn.Stream(layer.seed))
 
     def _planes(self, tag: str) -> set[str]:
         detect = self.detect_spec
@@ -622,9 +609,9 @@ class Graph:
         only what one backward pass to the target reads: the caches of the
         layers after the target (none for a head plane), the target's
         activation and the class planes. Every other activation is dropped
-        once its last consumer has run, each layer's weights are drawn just
-        before it runs and dropped after, and the head's box branches are
-        neither drawn nor run, so ``head[i].box`` is None.
+        once its last consumer has run, each weight tensor is drawn just
+        before an op reads it and dropped after, and the head's box branches
+        are neither drawn nor run, so ``head[i].box`` is None.
         """
         lean = target is not None
         first_cached = self._first_cached(target) if lean else 0
@@ -652,20 +639,20 @@ class Graph:
             return arr
 
         for index, layer in enumerate(self.spec.layers[1:], start=1):
+            module = self._module(layer, lean)
             if layer.name == detect_name:
-                branches = self._module(layer, lean, range(len(layer.inputs)))
                 cache = []
-                for i, (ref, branch) in enumerate(zip(layer.inputs, branches)):
-                    box, cls, branch_cache = branch.forward(values[ref])
-                    if box is not None:
+                for i, (ref, branch) in enumerate(zip(layer.inputs, module)):
+                    if lean:
+                        box, (cls, branch_cache) = None, branch.classify(values[ref])
+                    else:
+                        box, cls, branch_cache = branch.forward(values[ref])
                         box = record(f"{detect_name}/box{i}", box)
                     head.append(HeadOutput(i, box, record(f"{detect_name}/cls{i}", cls)))
                     cache.append(branch_cache)
             else:
                 xs = [values[ref] for ref in layer.inputs]
-                module = self._module(layer, lean)
                 out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
-                del module  # a lean run's weights go before the next layer draws
                 if out.shape != self.shapes[layer.name]:
                     raise ShapeError(
                         f"layer {layer.name}: activation {out.shape} contradicts "
@@ -700,9 +687,11 @@ class Graph:
         (scale, category, cell_y, cell_x), w.r.t. a recorded activation.
 
         On a lean run (one with a ``target``) only ``layer_name == target``
-        is served, and the pass consumes the run's caches. It draws again the
-        weights of each layer it visits, one layer at a time, and of the
-        head only the selected scales' class branches."""
+        is served, and the pass consumes the run's caches: first it drops
+        those of the layers off the selected scales' paths, then each
+        layer's as it visits the layer. It draws again each weight tensor it
+        reads, one at a time, of the head only the selected scales' class
+        branches."""
         if run.target is not None and layer_name != run.target:
             raise GraphError(
                 f"run was recorded for target {run.target!r}; "
@@ -729,7 +718,8 @@ class Graph:
                 return Tensor3(seed)
 
         sources = {si: self.detect_spec.inputs[si] for si in per_scale}
-        if not any(layer_name in self.spec.ancestors(src) for src in sources.values()):
+        paths = set().union(*(self.spec.ancestors(src) for src in sources.values()))
+        if layer_name not in paths:
             raise GraphError(
                 f"layer {layer_name!r} is not an ancestor of the selected score "
                 f"(scales {sorted(per_scale)} fed by {sorted(set(sources.values()))})"
@@ -741,23 +731,24 @@ class Graph:
             )
         lean = run.target is not None
         take = run.caches.pop if lean else run.caches.__getitem__
+        if lean:
+            for name in run.caches.keys() - paths - {detect_name}:
+                del run.caches[name]
 
         grads: dict[str, np.ndarray] = {}
         branch_caches = take(detect_name)
-        branches = self._module(self.detect_spec, lean, per_scale)
+        branches = self._module(self.detect_spec, lean)
         for si, seed in per_scale.items():
             upstream = branches[si].backward(seed, branch_caches[si])
             source = sources[si]
             grads[source] = grads[source] + upstream if source in grads else upstream
-        del branches
+        del branch_caches  # the unselected scales' head caches go with it
         for layer in reversed(self.spec.layers[1:]):
             if layer.name == layer_name:
                 break
             if layer.name not in grads:
                 continue
-            module = self._module(layer, lean)
-            upstream = module.backward(grads.pop(layer.name), take(layer.name))
-            del module
+            upstream = self._module(layer, lean).backward(grads.pop(layer.name), take(layer.name))
             parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
             for ref, d in zip(layer.inputs, parts):
                 grads[ref] = grads[ref] + d if ref in grads else d

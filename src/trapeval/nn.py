@@ -2,13 +2,16 @@
 
 Weights are immutable after construction and drawn from a PCG64 generator in
 declaration order: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases
-zero. Forward passes return (output, cache); backward consumes the cache so
-one block instance can serve many concurrent runs.
+zero. A block built from a ``Stream`` (a lean build) draws nothing: each of
+its weight tensors is ``Pending`` and is drawn by the op that reads it, for
+that read alone. Forward passes return (output, cache); backward consumes
+the cache so one block instance can serve many concurrent runs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -33,9 +36,38 @@ from .tensor import (
 )
 
 
-def _as_rng(seed: "int | np.random.Generator | None") -> "np.random.Generator | None":
+class Stream:
+    """A lean build's place in one layer's weight stream, the PCG64 of
+    ``seed``: it hands out ``Pending`` tensors and moves past them."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.offset = 0
+
+
+@dataclass(frozen=True)
+class Pending:
+    """A weight tensor not drawn yet: its layer's seed and where the tensor
+    starts in that seed's stream."""
+
+    seed: int
+    offset: int
+    fan_in: int
+    shape: tuple[int, ...]
+
+    def draw(self) -> np.ndarray:
+        """The bytes an eager build of the layer keeps for this tensor."""
+        rng = _as_rng(self.seed)
+        _skip_weights(rng, self.offset)
+        return _uniform_weights(rng, self.fan_in, self.shape)
+
+
+Seed = int | np.random.Generator | Stream
+
+
+def _as_rng(seed: "Seed | None"):
     """Negative integer seeds mean zero-initialized weights (ablation aid)."""
-    if seed is None or isinstance(seed, np.random.Generator):
+    if seed is None or isinstance(seed, (np.random.Generator, Stream)):
         return seed
     if seed < 0:
         return None
@@ -64,6 +96,22 @@ def _skip_weights(rng: "np.random.Generator | None", count: int) -> None:
         rng.bit_generator.advance(count)
 
 
+def _weights(rng, fan_in: int, shape: tuple[int, ...]) -> "np.ndarray | Pending":
+    """The next tensor of a build: drawn for an eager one, pending for a
+    lean one, whose stream moves past it."""
+    if not isinstance(rng, Stream):
+        return _uniform_weights(rng, fan_in, shape)
+    pending = Pending(rng.seed, rng.offset, fan_in, shape)
+    rng.offset += math.prod(shape)
+    return pending
+
+
+def _read(weights: "np.ndarray | Pending") -> np.ndarray:
+    """The tensor an op reads: a kept one, or a pending one drawn for this
+    read, which goes once the op returns."""
+    return weights.draw() if isinstance(weights, Pending) else weights
+
+
 class Conv:
     """Convolution block: conv2d plus optional SiLU."""
 
@@ -75,16 +123,16 @@ class Conv:
         stride: int,
         padding: int,
         act: bool = True,
-        seed: "int | np.random.Generator" = 0,
+        seed: Seed = 0,
     ):
         rng = _as_rng(seed)
         self.spec = ShapeSpec(kernel, stride, padding)
         self.act = act
-        self.weights = _uniform_weights(rng, c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
+        self.weights = _weights(rng, c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
         self.bias = np.zeros(c_out)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        pre = conv2d_forward(x, self.weights, self.bias, self.spec)
+        pre = conv2d_forward(x, _read(self.weights), self.bias, self.spec)
         if self.act:
             return silu(pre), (x.shape, pre)
         return pre, (x.shape, None)
@@ -93,13 +141,13 @@ class Conv:
         in_shape, pre = cache
         if self.act:
             dout = silu_backward(dout, pre)
-        return conv2d_backward_input(dout, self.weights, in_shape, self.spec)
+        return conv2d_backward_input(dout, _read(self.weights), in_shape, self.spec)
 
 
 class Bottleneck:
     """Two 3x3 conv blocks with a residual shortcut (element-wise addition)."""
 
-    def __init__(self, channels: int, seed: "int | np.random.Generator" = 0):
+    def __init__(self, channels: int, seed: Seed = 0):
         rng = _as_rng(seed)
         self.conv1 = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.conv2 = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
@@ -124,7 +172,7 @@ class C2f:
         c_in: int,
         c_out: int,
         n: int = 1,
-        seed: "int | np.random.Generator" = 0,
+        seed: Seed = 0,
     ):
         if c_out % 2 != 0:
             raise ShapeError(f"c2f needs an even output channel count, got {c_out}")
@@ -162,9 +210,7 @@ class C2f:
 class Sppf:
     """Three chained 5x5 max-pools, concat with the input, 1x1 fuse conv."""
 
-    def __init__(
-        self, channels: int, kernel: int = 5, seed: "int | np.random.Generator" = 0
-    ):
+    def __init__(self, channels: int, kernel: int = 5, seed: Seed = 0):
         rng = _as_rng(seed)
         self.channels = channels
         self.kernel = kernel
@@ -193,22 +239,22 @@ class GamChannelAttention:
     """Channel gate: 3D permutation to (H*W, C), two-layer MLP squeezing to
     C/4, reverse permutation, sigmoid, elementwise rescale of the input."""
 
-    def __init__(self, channels: int, seed: "int | np.random.Generator" = 0):
+    def __init__(self, channels: int, seed: Seed = 0):
         if channels % 4 != 0:
             raise ShapeError(f"channel attention needs C divisible by 4, got {channels}")
         rng = _as_rng(seed)
         self.hidden = channels // 4
-        self.w1 = _uniform_weights(rng, channels, (self.hidden, channels))
+        self.w1 = _weights(rng, channels, (self.hidden, channels))
         self.b1 = np.zeros(self.hidden)
-        self.w2 = _uniform_weights(rng, self.hidden, (channels, self.hidden))
+        self.w2 = _weights(rng, self.hidden, (channels, self.hidden))
         self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         c, h, w = x.shape
         permuted = x.reshape(c, h * w).T  # (H*W, C)
-        l1 = permuted @ self.w1.T + self.b1
+        l1 = permuted @ _read(self.w1).T + self.b1
         hidden = relu(l1)
-        l2 = hidden @ self.w2.T + self.b2
+        l2 = hidden @ _read(self.w2).T + self.b2
         restored = l2.T.reshape(c, h, w)
         gate = sigmoid(restored)
         cache = {
@@ -228,9 +274,9 @@ class GamChannelAttention:
         dgate = dout * x
         drestored = sigmoid_backward(dgate, gate)
         dl2 = drestored.reshape(c, h * w).T
-        dhidden = dl2 @ self.w2
+        dhidden = dl2 @ _read(self.w2)
         dl1 = relu_backward(dhidden, cache["l1"])
-        dpermuted = dl1 @ self.w1
+        dpermuted = dl1 @ _read(self.w1)
         dx += dpermuted.T.reshape(c, h, w)
         return dx
 
@@ -239,9 +285,7 @@ class GamSpatialAttention:
     """Spatial gate: 7x7 conv squeezing channels by ``rate``, ReLU, 7x7 conv
     restoring them, sigmoid, elementwise rescale."""
 
-    def __init__(
-        self, channels: int, rate: int = 4, seed: "int | np.random.Generator" = 0
-    ):
+    def __init__(self, channels: int, rate: int = 4, seed: Seed = 0):
         if channels % rate != 0:
             raise ShapeError(
                 f"spatial attention needs C divisible by rate {rate}, got {channels}"
@@ -249,15 +293,15 @@ class GamSpatialAttention:
         rng = _as_rng(seed)
         mid = channels // rate
         self.spec = ShapeSpec(7, 1, 3)
-        self.w1 = _uniform_weights(rng, channels * 49, (mid, channels, 7, 7))
+        self.w1 = _weights(rng, channels * 49, (mid, channels, 7, 7))
         self.b1 = np.zeros(mid)
-        self.w2 = _uniform_weights(rng, mid * 49, (channels, mid, 7, 7))
+        self.w2 = _weights(rng, mid * 49, (channels, mid, 7, 7))
         self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        a = conv2d_forward(x, self.w1, self.b1, self.spec)
+        a = conv2d_forward(x, _read(self.w1), self.b1, self.spec)
         r = relu(a)
-        pre = conv2d_forward(r, self.w2, self.b2, self.spec)
+        pre = conv2d_forward(r, _read(self.w2), self.b2, self.spec)
         gate = sigmoid(pre)
         return x * gate, {"x": x, "a": a, "r_shape": r.shape, "gate": gate}
 
@@ -266,18 +310,16 @@ class GamSpatialAttention:
         dx = dout * gate
         dgate = dout * x
         dpre = sigmoid_backward(dgate, gate)
-        dr = conv2d_backward_input(dpre, self.w2, cache["r_shape"], self.spec)
+        dr = conv2d_backward_input(dpre, _read(self.w2), cache["r_shape"], self.spec)
         da = relu_backward(dr, cache["a"])
-        dx += conv2d_backward_input(da, self.w1, x.shape, self.spec)
+        dx += conv2d_backward_input(da, _read(self.w1), x.shape, self.spec)
         return dx
 
 
 class Gam:
     """Global attention: channel gate then spatial gate, shape preserving."""
 
-    def __init__(
-        self, channels: int, rate: int = 4, seed: "int | np.random.Generator" = 0
-    ):
+    def __init__(self, channels: int, rate: int = 4, seed: Seed = 0):
         rng = _as_rng(seed)
         self.channel_attention = GamChannelAttention(channels, seed=rng)
         self.spatial_attention = GamSpatialAttention(channels, rate, seed=rng)
@@ -320,49 +362,30 @@ class HeadBranch:
     """Decoupled per-scale head stub: separate conv stacks emitting raw
     box deltas (4 channels) and category logits. The box convs draw first."""
 
-    def __init__(
-        self, channels: int, num_categories: int, seed: "int | np.random.Generator" = 0
-    ):
+    def __init__(self, channels: int, num_categories: int, seed: Seed = 0):
         rng = _as_rng(seed)
         self.reg_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.reg_out = Conv(channels, 4, 1, 1, 0, act=False, seed=rng)
-        self._class_convs(channels, num_categories, rng)
-
-    def _class_convs(self, channels: int, num_categories: int, rng) -> None:
         self.cls_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
         self.cls_out = Conv(channels, num_categories, 1, 1, 0, act=False, seed=rng)
 
-    @staticmethod
-    def weight_counts(channels: int, num_categories: int) -> tuple[int, int]:
-        """How many weights the box convs and the class convs draw."""
-        return channels * (9 * channels + 4), channels * (9 * channels + num_categories)
-
-    @classmethod
-    def class_branch(
-        cls, channels: int, num_categories: int, seed: "int | np.random.Generator" = 0
-    ) -> "HeadBranch":
-        """The branch without its box convs, whose draws are skipped: its
-        class convs equal those of a full branch drawn from the same
-        generator position. Its forward emits no box deltas (``None``)."""
-        rng = _as_rng(seed)
-        _skip_weights(rng, cls.weight_counts(channels, num_categories)[0])
-        branch = cls.__new__(cls)
-        branch.reg_conv = branch.reg_out = None
-        branch._class_convs(channels, num_categories, rng)
-        return branch
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, Any]:
-        box = c_r1 = c_r2 = None
-        if self.reg_conv is not None:
-            r1, c_r1 = self.reg_conv.forward(x)
-            box, c_r2 = self.reg_out.forward(r1)
-        s1, c_c1 = self.cls_conv.forward(x)
-        cls, c_c2 = self.cls_out.forward(s1)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+        r1, c_r1 = self.reg_conv.forward(x)
+        box, c_r2 = self.reg_out.forward(r1)
+        cls, (c_c1, c_c2) = self.classify(x)
         return box, cls, (c_r1, c_r2, c_c1, c_c2)
 
+    def classify(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
+        """The category logits and the cache ``backward`` reads, without
+        running the box convs: all a lean run needs of the head."""
+        s1, c_c1 = self.cls_conv.forward(x)
+        cls, c_c2 = self.cls_out.forward(s1)
+        return cls, (c_c1, c_c2)
+
     def backward(self, dcls: np.ndarray, cache: Any) -> np.ndarray:
-        """Input gradient of the category logits; no gradient reaches the box
-        deltas, so the box convs are not run backward at all."""
-        _, _, c_c1, c_c2 = cache
+        """Input gradient of the category logits, from the cache of
+        ``forward`` or ``classify``; no gradient reaches the box deltas, so
+        the box convs are not run backward at all."""
+        *_, c_c1, c_c2 = cache
         ds1 = self.cls_out.backward(dcls, c_c2)
         return self.cls_conv.backward(ds1, c_c1)

@@ -109,23 +109,25 @@ def test_colorize_matches_pointwise_map():
 
 def test_overlay_blend_arithmetic():
     image = Tensor3(np.full((3, 1, 1), 100.0))
-    heat = Heatmap(np.array([[0.0]]))
-    assert np.array_equal(overlay(image, heat, 0.0).data, image.data)
-    pure = overlay(image, heat, 1.0)
+    colors = colorize(Heatmap(np.array([[0.0]])))
+    assert np.array_equal(overlay(image, colors, 0.0).data, image.data)
+    pure = overlay(image, colors, 1.0)
     assert tuple(pure.data[:, 0, 0]) == (68.0, 1.0, 84.0)
-    half = overlay(image, heat, 0.5)
+    half = overlay(image, colors, 0.5)
     assert np.allclose(half.data[:, 0, 0], [(100 + 68) / 2, (100 + 1) / 2, (100 + 84) / 2])
 
 
 def test_overlay_validates_inputs():
     image = Tensor3(np.zeros((3, 2, 2)))
-    heat = Heatmap(np.zeros((3, 3)))
+    colors = colorize(Heatmap(np.zeros((2, 2))))
     with pytest.raises(ShapeError):
-        overlay(image, heat)
+        overlay(image, colorize(Heatmap(np.zeros((3, 3)))))
+    with pytest.raises(ShapeError):
+        overlay(image, Tensor3(np.zeros((1, 2, 2))))
     with pytest.raises(ValueError):
-        overlay(image, Heatmap(np.zeros((2, 2))), alpha=1.5)
+        overlay(image, colors, alpha=1.5)
     with pytest.raises(ShapeError):
-        overlay(Tensor3(np.zeros((1, 2, 2))), Heatmap(np.zeros((2, 2))))
+        overlay(Tensor3(np.zeros((1, 2, 2))), colors)
 
 
 def test_heatmap_type_validation():

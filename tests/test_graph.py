@@ -542,16 +542,18 @@ def test_lean_run_serves_one_backward_to_its_target():
 
 
 class WeightTally:
-    """Counts the weight arrays ``nn._uniform_weights`` hands out and how
-    many bytes of them are alive, through ``weakref.finalize``."""
+    """Counts the weight arrays ``nn._uniform_weights`` hands out, the
+    largest of them and how many bytes of them are alive, through
+    ``weakref.finalize``."""
 
     def __init__(self, monkeypatch):
-        self.draws = self.live = self.peak = 0
+        self.draws = self.live = self.peak = self.largest = 0
         draw = nn._uniform_weights
 
         def tallied(rng, fan_in, shape):
             weights = draw(rng, fan_in, shape)
             self.draws += 1
+            self.largest = max(self.largest, weights.nbytes)
             self.live += weights.nbytes
             self.peak = max(self.peak, self.live)
             weakref.finalize(weights, self._free, weights.nbytes)
@@ -625,32 +627,37 @@ def test_graph_rejects_what_a_module_would_without_drawing(monkeypatch, line, me
 
 @pytest.mark.parametrize("variant", ["baseline", "improved"])
 def test_lean_run_holds_at_most_one_layers_weights(monkeypatch, variant):
+    """Tighter than the name: at most one weight tensor is alive at a time."""
     spec = build_graph(variant, 64, num_categories=4, seed=6)
-    largest = max(nbytes for _, nbytes in layer_weights(spec))
+    eager = sum(draws for draws, _ in layer_weights(spec))
+    tally = WeightTally(monkeypatch)
+    Graph(spec).modules  # a full build, which sizes the largest tensor
+    largest = tally.largest
     graph = Graph(spec)
     image = Tensor3(np.random.default_rng(6).uniform(0, 255, (3, 64, 64)))
     pivot = next(layer.name for layer in spec.layers if layer.kind in ("gam", "sppf"))
-    tally = WeightTally(monkeypatch)
-    class_branch = nn.HeadBranch.class_branch
-    built = []
+    head_calls = []
+    for method in ("forward", "classify", "backward"):
+        def counted(self, *args, method=method, original=getattr(nn.HeadBranch, method)):
+            head_calls.append(method)
+            return original(self, *args)
 
-    def counted(channels, num_categories, seed):
-        built.append(channels)
-        return class_branch(channels, num_categories, seed=seed)
-
-    monkeypatch.setattr(nn.HeadBranch, "class_branch", counted)
+        monkeypatch.setattr(nn.HeadBranch, method, counted)
     n_scales = len(graph.detect_spec.inputs)
     for target in ("img", "l2", pivot, f"{graph.detect_spec.name}/cls0"):
-        tally.peak = 0
-        built.clear()
+        tally.peak = tally.draws = 0
+        head_calls.clear()
         run = graph.forward(image, target=target)
         assert all(head.box is None for head in run.head)
-        assert len(built) == n_scales
+        # Every tensor but the box convs' drawn once, one class branch at a time.
+        assert tally.draws == eager - 2 * n_scales, target
+        assert head_calls == ["classify"] * n_scales
         gradcam_heatmap(run, target, ScoreSelector(category=3))
         assert 0 < tally.peak <= largest, target
         assert tally.live == 0, target
-        # Backward draws the pinned scale's class branch alone (none for a head plane).
-        assert len(built) == n_scales + ("/" not in target)
+        assert not run.caches, target
+        # Backward runs the pinned scale's class branch alone (none for a head plane).
+        assert head_calls == ["classify"] * n_scales + ["backward"] * ("/" not in target)
     assert "modules" not in vars(graph)
 
 

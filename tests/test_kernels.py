@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from trapeval import nn
 from trapeval.errors import ShapeError
 from trapeval.gradcam import gradcam_heatmap, pin_selector
-from trapeval.graph import Graph, ScoreSelector, _build_detect, build_graph
+from trapeval.graph import LAYER_TABLE, Graph, ScoreSelector, build_graph
 from trapeval.tensor import (
     ShapeSpec,
     Tensor3,
@@ -301,25 +301,67 @@ def test_class_branches_equal_the_full_head_bitwise(categories, seed):
     spec = build_graph("improved", 64, num_categories=categories, seed=seed)
     detect = spec.detect_layer()
     shapes = [Graph(spec).shapes[ref] for ref in detect.inputs]
-    full = _build_detect(detect, shapes)
-    n = len(shapes)
-    for scales in [range(n)] + [{si} for si in range(n)] + [{0, n - 1}]:
-        lean = _build_detect(detect, shapes, scales)
-        assert len(lean) == n
-        for si, (branch, reference) in enumerate(zip(lean, full)):
-            if si not in scales:
-                assert branch is None
-                continue
-            assert branch.reg_conv is None and branch.reg_out is None
-            assert_bitwise(branch.cls_conv.weights, reference.cls_conv.weights)
-            assert_bitwise(branch.cls_out.weights, reference.cls_out.weights)
-            if seed < 0:
-                assert not branch.cls_conv.weights.any() and not branch.cls_out.weights.any()
-    for c, _, _ in shapes:
-        branch = nn.HeadBranch.class_branch(c, categories, seed=seed)
-        reference = nn.HeadBranch(c, categories, seed=seed)
-        assert_bitwise(branch.cls_conv.weights, reference.cls_conv.weights)
-        assert_bitwise(branch.cls_out.weights, reference.cls_out.weights)
+    full = LAYER_TABLE["detect"].build(detect, shapes)
+    lean = LAYER_TABLE["detect"].make(detect, shapes, nn.Stream(detect.seed))
+    assert len(lean) == len(full) == len(shapes)
+    for branch, reference, (c, h, w) in zip(lean, full, shapes):
+        for conv in ("cls_conv", "cls_out"):
+            drawn = getattr(branch, conv).weights.draw()
+            assert_bitwise(drawn, getattr(reference, conv).weights)
+            assert drawn.any() == (seed >= 0)
+        x = np.random.default_rng(c).normal(size=(c, h, w))
+        cls, cache = branch.classify(x)
+        _, full_cls, full_cache = reference.forward(x)
+        assert_bitwise(cls, full_cls)
+        dcls = np.random.default_rng(h).normal(size=cls.shape)
+        assert_bitwise(branch.backward(dcls, cache), reference.backward(dcls, full_cache))
+
+
+def weight_tensors(block):
+    """A block's weight tensors, nested blocks' included, in declaration order."""
+    for key, value in vars(block).items():
+        if key in ("weights", "w1", "w2"):
+            yield value
+        for item in value if isinstance(value, list) else [value]:
+            if hasattr(item, "backward"):
+                yield from weight_tensors(item)
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a lean build drew a weight")
+
+
+BLOCKS = [
+    (nn.Conv, (3, 5, 3, 2, 1), (3, 7, 7)),
+    (nn.Bottleneck, (4,), (4, 5, 5)),
+    (nn.C2f, (6, 8, 2), (6, 5, 5)),
+    (nn.Sppf, (4, 5), (4, 6, 6)),
+    (nn.Gam, (8,), (8, 6, 6)),
+    (nn.HeadBranch, (6, 3), (6, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("block,args,in_shape", BLOCKS, ids=[b.__name__ for b, _, _ in BLOCKS])
+@pytest.mark.parametrize("seed", [5, -1])
+def test_deferred_weights_equal_eager_ones_bitwise(monkeypatch, block, args, in_shape, seed):
+    eager = block(*args, seed=seed)
+    monkeypatch.setattr(nn, "_uniform_weights", no_draw)
+    lean = block(*args, seed=nn.Stream(seed))
+    monkeypatch.undo()
+    kept, pending = list(weight_tensors(eager)), list(weight_tensors(lean))
+    assert len(pending) == len(kept) > 0
+    for deferred, weights in zip(pending, kept):
+        assert isinstance(deferred, nn.Pending) and isinstance(weights, np.ndarray)
+        assert_bitwise(deferred.draw(), weights)
+        assert weights.any() == (seed >= 0)
+    # Outputs and input gradients match too, each tensor drawn as it is read.
+    rng = np.random.default_rng(abs(seed))
+    x = rng.normal(size=in_shape)
+    run = (lambda b: b.classify(x)) if block is nn.HeadBranch else (lambda b: b.forward(x))
+    (out, cache), (lean_out, lean_cache) = run(eager), run(lean)
+    assert_bitwise(lean_out, out)
+    dout = rng.normal(size=out.shape)
+    assert_bitwise(lean.backward(dout, lean_cache), eager.backward(dout, cache))
 
 
 # --- lean runs ---------------------------------------------------------------
