@@ -73,17 +73,14 @@ class LayerKind:
     """One layer kind: its input count (None: one or more), its parameters,
     its shape rule (layer, input shapes) -> (output shape or None when the
     layer has no single output, detail rows), which allocates nothing and
-    raises every error the builder could, and its module maker over the
-    same arguments and the seed its weights come from (None: no module)."""
+    raises every error the builder could, and its module builder over the
+    same arguments, whose weights are drawn from the layer's seed only as
+    they are read (None: no module)."""
 
     arity: int | None
     params: Mapping[str, Param]
     shape: Callable[[LayerSpec, list[Shape]], tuple[Shape | None, list[ShapeRow]]]
-    make: Callable[[LayerSpec, list[Shape], nn.Seed], object] | None = None
-
-    def build(self, layer: LayerSpec, shapes: list[Shape]) -> object:
-        """The layer's module, its weights drawn now."""
-        return self.make(layer, shapes, layer.seed)
+    build: Callable[[LayerSpec, list[Shape]], object] | None = None
 
     def validate(self, layer: LayerSpec) -> None:
         n = len(layer.inputs)
@@ -147,10 +144,10 @@ def _detect_shape(layer: LayerSpec, shapes: list[Shape]):
     return None, rows
 
 
-def _make_detect(layer: LayerSpec, shapes: list[Shape], seed: nn.Seed) -> list[nn.HeadBranch]:
-    """One branch per scale, all drawing from one generator in scale order."""
-    rng = nn._as_rng(seed)
-    return [nn.HeadBranch(c, layer.param("categories"), seed=rng) for c, _, _ in shapes]
+def _build_detect(layer: LayerSpec, shapes: list[Shape]) -> list[nn.HeadBranch]:
+    """One branch per scale, all taking from one stream in scale order."""
+    stream = nn.Stream(layer.seed)
+    return [nn.HeadBranch(c, layer.param("categories"), seed=stream) for c, _, _ in shapes]
 
 
 LAYER_TABLE: dict[str, LayerKind] = {
@@ -163,31 +160,31 @@ LAYER_TABLE: dict[str, LayerKind] = {
         {"out_channels": Param(), "kernel": Param(3), "stride": Param(1),
          "padding": Param(1, low=0), "act": Param(1, low=0, high=1)},
         _conv_shape,
-        lambda l, s, seed: nn.Conv(
+        lambda l, s: nn.Conv(
             s[0][0], l.param("out_channels"), l.param("kernel"), l.param("stride"),
-            l.param("padding"), act=bool(l.param("act")), seed=seed,
+            l.param("padding"), act=bool(l.param("act")), seed=l.seed,
         ),
     ),
     "c2f": LayerKind(
         1, {"out_channels": Param(), "n": Param(1, low=0)}, _c2f_shape,
-        lambda l, s, seed: nn.C2f(s[0][0], l.param("out_channels"), l.param("n"), seed=seed),
+        lambda l, s: nn.C2f(s[0][0], l.param("out_channels"), l.param("n"), seed=l.seed),
     ),
     "sppf": LayerKind(
         1, {"kernel": Param(5)}, _sppf_shape,
-        lambda l, s, seed: nn.Sppf(s[0][0], l.param("kernel"), seed=seed),
+        lambda l, s: nn.Sppf(s[0][0], l.param("kernel"), seed=l.seed),
     ),
     "upsample": LayerKind(
         1, {"factor": Param(2)},
         lambda l, s: ((s[0][0], s[0][1] * l.param("factor"), s[0][2] * l.param("factor")), []),
-        lambda l, s, seed: nn.Upsample(l.param("factor")),
+        lambda l, s: nn.Upsample(l.param("factor")),
     ),
-    "concat": LayerKind(None, {}, _concat_shape, lambda l, s, seed: nn.Concat()),
+    "concat": LayerKind(None, {}, _concat_shape, lambda l, s: nn.Concat()),
     "gam": LayerKind(
         1, {"rate": Param(4)}, _gam_shape,
-        lambda l, s, seed: nn.Gam(s[0][0], l.param("rate"), seed=seed),
+        lambda l, s: nn.Gam(s[0][0], l.param("rate"), seed=l.seed),
     ),
     "detect": LayerKind(
-        None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _make_detect
+        None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _build_detect
     ),
 }
 LAYER_KINDS = tuple(LAYER_TABLE)
@@ -205,7 +202,7 @@ class GraphSpec:
             if layer.kind not in LAYER_TABLE:
                 raise GraphError(f"layer {layer.name}: unknown kind {layer.kind!r}")
             kind = LAYER_TABLE[layer.kind]
-            if index > 0 and kind.make is None:
+            if index > 0 and kind.build is None:
                 raise GraphError(f"layer {layer.name}: {layer.kind} may only be the first layer")
             if layer.name in seen:
                 raise GraphError(f"duplicate layer name {layer.name!r}")
@@ -466,10 +463,9 @@ def parse_graph_text(stream: IO[str]) -> GraphSpec:
 
 @dataclass(frozen=True)
 class HeadOutput:
-    """One scale's head planes; ``box`` is None on a lean run."""
+    """One scale's category logits."""
 
     scale_index: int
-    box: np.ndarray | None
     cls: np.ndarray
 
 
@@ -536,26 +532,18 @@ class Graph:
         self.plane_shapes = {
             f"{row.name}/{row.kind.split('.', 1)[1]}": row.shape
             for row in rows
-            if row.kind.startswith("detect.")
+            if row.kind.startswith("detect.cls")
         }
 
     @cached_property
     def modules(self) -> dict[str, object]:
-        """Every layer's module, drawn on first use and kept: what a full
-        run (one without a target) reads. A lean run never touches it."""
+        """Every layer's module, built on first use and kept; every run
+        reads it. Building draws no weight: each op draws the tensor it
+        reads just before use and drops it after."""
         return {
             layer.name: LAYER_TABLE[layer.kind].build(layer, [self.shapes[r] for r in layer.inputs])
             for layer in self.spec.layers[1:]
         }
-
-    def _module(self, layer: LayerSpec, lean: bool):
-        """The layer's module: the kept one for a full run; for a lean run a
-        build from an ``nn.Stream``, which draws nothing until an op reads a
-        weight tensor, and then that tensor alone."""
-        if not lean:
-            return self.modules[layer.name]
-        shapes = [self.shapes[r] for r in layer.inputs]
-        return LAYER_TABLE[layer.kind].make(layer, shapes, nn.Stream(layer.seed))
 
     def _planes(self, tag: str) -> set[str]:
         detect = self.detect_spec
@@ -576,17 +564,15 @@ class Graph:
             )
         return 1 + self.spec.layers.index(self.spec.layer(target))
 
-    def _check_overrides(self, overrides: Mapping[str, np.ndarray], lean: bool) -> None:
-        """Each key must name an array the run records, with its propagated
-        shape; a lean run records no box planes."""
+    def _check_overrides(self, overrides: Mapping[str, np.ndarray]) -> None:
+        """Each key must name an array a run records, with its propagated
+        shape."""
         for key, value in overrides.items():
             shape = self.shapes.get(key, self.plane_shapes.get(key))
             if shape is None:
                 raise GraphError(
-                    f"override {key!r} names neither a layer output nor a head plane"
+                    f"override {key!r} names neither a layer output nor a head class plane"
                 )
-            if lean and key in self._planes("box"):
-                raise GraphError(f"override {key!r}: a run with a target computes no box planes")
             if np.shape(value) != shape:
                 raise ShapeError(
                     f"override {key!r} has shape {np.shape(value)}, "
@@ -599,19 +585,17 @@ class Graph:
         overrides: Mapping[str, np.ndarray] | None = None,
         target: str | None = None,
     ) -> GraphRun:
-        """Run every layer on ``image``; ``overrides`` replace named
-        activations or head planes as they are recorded. Each override is
-        checked for its name and shape before anything runs.
+        """Run every layer of ``modules`` on ``image``; ``overrides``
+        replace named activations or head class planes as they are recorded.
+        Each override is checked for its name and shape before anything
+        runs.
 
-        Without a ``target`` the run keeps every activation and cache, and
-        reads the weights kept in ``modules``. With one (a layer name, or a
-        head class plane such as ``l29/cls0``) the run is lean: it keeps
-        only what one backward pass to the target reads: the caches of the
-        layers after the target (none for a head plane), the target's
-        activation and the class planes. Every other activation is dropped
-        once its last consumer has run, each weight tensor is drawn just
-        before an op reads it and dropped after, and the head's box branches
-        are neither drawn nor run, so ``head[i].box`` is None.
+        Without a ``target`` the run keeps every activation and cache. With
+        one (a layer name, or a head class plane such as ``l29/cls0``) the
+        run is lean: it keeps only what one backward pass to the target
+        reads: the caches of the layers after the target (none for a head
+        plane), the target's activation and the class planes. Every other
+        activation is dropped once its last consumer has run.
         """
         lean = target is not None
         first_cached = self._first_cached(target) if lean else 0
@@ -620,7 +604,7 @@ class Graph:
                 f"image shape {image.shape} != graph input {self.spec.input_shape}"
             )
         overrides = overrides or {}
-        self._check_overrides(overrides, lean)
+        self._check_overrides(overrides)
         input_name = self.spec.layers[0].name
         values: dict[str, np.ndarray] = {input_name: image.data}
         if input_name in overrides:
@@ -639,16 +623,12 @@ class Graph:
             return arr
 
         for index, layer in enumerate(self.spec.layers[1:], start=1):
-            module = self._module(layer, lean)
+            module = self.modules[layer.name]
             if layer.name == detect_name:
                 cache = []
                 for i, (ref, branch) in enumerate(zip(layer.inputs, module)):
-                    if lean:
-                        box, (cls, branch_cache) = None, branch.classify(values[ref])
-                    else:
-                        box, cls, branch_cache = branch.forward(values[ref])
-                        box = record(f"{detect_name}/box{i}", box)
-                    head.append(HeadOutput(i, box, record(f"{detect_name}/cls{i}", cls)))
+                    cls, branch_cache = branch.forward(values[ref])
+                    head.append(HeadOutput(i, record(f"{detect_name}/cls{i}", cls)))
                     cache.append(branch_cache)
             else:
                 xs = [values[ref] for ref in layer.inputs]
@@ -689,9 +669,8 @@ class Graph:
         On a lean run (one with a ``target``) only ``layer_name == target``
         is served, and the pass consumes the run's caches: first it drops
         those of the layers off the selected scales' paths, then each
-        layer's as it visits the layer. It draws again each weight tensor it
-        reads, one at a time, of the head only the selected scales' class
-        branches."""
+        layer's as it visits the layer. Each key must name a category and a
+        cell of its scale's head."""
         if run.target is not None and layer_name != run.target:
             raise GraphError(
                 f"run was recorded for target {run.target!r}; "
@@ -703,11 +682,18 @@ class Graph:
             raise GraphError("no head scores selected")
         detect_name = self.detect_spec.name
         per_scale: dict[int, np.ndarray] = {}
-        for (si, category, cy, cx), weight in seeds.items():
+        for key, weight in seeds.items():
+            si, *index = key
             if not 0 <= si < len(run.head):
                 raise GraphError(f"scale {si} outside 0..{len(run.head) - 1}")
-            seed = per_scale.setdefault(si, np.zeros_like(run.head[si].cls))
-            seed[category, cy, cx] += weight
+            plane = run.head[si].cls
+            if not all(0 <= i < n for i, n in zip(index, plane.shape)):
+                raise GraphError(
+                    f"seed {key}: category or cell outside scale {si}'s head "
+                    f"(categories, height, width) {plane.shape}"
+                )
+            seed = per_scale.setdefault(si, np.zeros_like(plane))
+            seed[tuple(index)] += weight
 
         for si, seed in per_scale.items():
             if layer_name == f"{detect_name}/cls{si}":
@@ -737,7 +723,7 @@ class Graph:
 
         grads: dict[str, np.ndarray] = {}
         branch_caches = take(detect_name)
-        branches = self._module(self.detect_spec, lean)
+        branches = self.modules[detect_name]
         for si, seed in per_scale.items():
             upstream = branches[si].backward(seed, branch_caches[si])
             source = sources[si]
@@ -748,7 +734,7 @@ class Graph:
                 break
             if layer.name not in grads:
                 continue
-            upstream = self._module(layer, lean).backward(grads.pop(layer.name), take(layer.name))
+            upstream = self.modules[layer.name].backward(grads.pop(layer.name), take(layer.name))
             parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
             for ref, d in zip(layer.inputs, parts):
                 grads[ref] = grads[ref] + d if ref in grads else d

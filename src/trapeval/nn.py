@@ -1,11 +1,11 @@
 """Network building blocks with hand-written input-gradient backwards.
 
-Weights are immutable after construction and drawn from a PCG64 generator in
-declaration order: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases
-zero. A block built from a ``Stream`` (a lean build) draws nothing: each of
-its weight tensors is ``Pending`` and is drawn by the op that reads it, for
-that read alone. Forward passes return (output, cache); backward consumes
-the cache so one block instance can serve many concurrent runs.
+A block build draws nothing. Each weight tensor is a ``Pending`` record of
+its place in its layer's PCG64 stream, taken in declaration order, and the
+op that reads the tensor draws it just before use and drops it after:
+uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Biases are zero. Forward
+passes return (output, cache); backward consumes the cache so one block
+instance can serve many concurrent runs.
 """
 
 from __future__ import annotations
@@ -37,12 +37,18 @@ from .tensor import (
 
 
 class Stream:
-    """A lean build's place in one layer's weight stream, the PCG64 of
-    ``seed``: it hands out ``Pending`` tensors and moves past them."""
+    """One layer's weight stream, the PCG64 of ``seed``: a build takes its
+    tensors from it in declaration order, as ``Pending`` records."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self.offset = 0
+
+    def take(self, fan_in: int, shape: tuple[int, ...]) -> "Pending":
+        """The next tensor, not drawn; the stream moves past it."""
+        pending = Pending(self.seed, self.offset, fan_in, shape)
+        self.offset += math.prod(shape)
+        return pending
 
 
 @dataclass(frozen=True)
@@ -56,22 +62,19 @@ class Pending:
     shape: tuple[int, ...]
 
     def draw(self) -> np.ndarray:
-        """The bytes an eager build of the layer keeps for this tensor."""
-        rng = _as_rng(self.seed)
-        _skip_weights(rng, self.offset)
+        """The tensor, the same bytes at every draw. Each weight takes one
+        64-bit output, so advancing the stream past ``offset`` weights
+        equals drawing them. A negative seed gives zeros (an ablation aid)."""
+        rng = None
+        if self.seed >= 0:
+            rng = np.random.Generator(np.random.PCG64(self.seed))
+            rng.bit_generator.advance(self.offset)
         return _uniform_weights(rng, self.fan_in, self.shape)
 
 
-Seed = int | np.random.Generator | Stream
-
-
-def _as_rng(seed: "Seed | None"):
-    """Negative integer seeds mean zero-initialized weights (ablation aid)."""
-    if seed is None or isinstance(seed, (np.random.Generator, Stream)):
-        return seed
-    if seed < 0:
-        return None
-    return np.random.Generator(np.random.PCG64(seed))
+def _stream(seed: "int | Stream") -> Stream:
+    """A block's stream: its own for an integer seed, else its parent's."""
+    return seed if isinstance(seed, Stream) else Stream(seed)
 
 
 def _uniform_weights(
@@ -79,7 +82,7 @@ def _uniform_weights(
 ) -> np.ndarray:
     """``rng.uniform(-bound, bound, shape)`` bit for bit, without its
     temporaries: the same draws, then ``low + (high - low) * u`` as the same
-    two IEEE operations, in place."""
+    two IEEE operations, in place. No generator gives zeros."""
     if rng is None:
         return np.zeros(shape)
     bound = 1.0 / math.sqrt(fan_in)
@@ -87,29 +90,6 @@ def _uniform_weights(
     weights *= bound + bound
     weights += -bound
     return weights
-
-
-def _skip_weights(rng: "np.random.Generator | None", count: int) -> None:
-    """Move ``rng`` past ``count`` weights without drawing them: each weight
-    takes one 64-bit output, so later draws equal those after drawing them."""
-    if rng is not None:
-        rng.bit_generator.advance(count)
-
-
-def _weights(rng, fan_in: int, shape: tuple[int, ...]) -> "np.ndarray | Pending":
-    """The next tensor of a build: drawn for an eager one, pending for a
-    lean one, whose stream moves past it."""
-    if not isinstance(rng, Stream):
-        return _uniform_weights(rng, fan_in, shape)
-    pending = Pending(rng.seed, rng.offset, fan_in, shape)
-    rng.offset += math.prod(shape)
-    return pending
-
-
-def _read(weights: "np.ndarray | Pending") -> np.ndarray:
-    """The tensor an op reads: a kept one, or a pending one drawn for this
-    read, which goes once the op returns."""
-    return weights.draw() if isinstance(weights, Pending) else weights
 
 
 class Conv:
@@ -123,16 +103,16 @@ class Conv:
         stride: int,
         padding: int,
         act: bool = True,
-        seed: Seed = 0,
+        seed: "int | Stream" = 0,
     ):
-        rng = _as_rng(seed)
+        stream = _stream(seed)
         self.spec = ShapeSpec(kernel, stride, padding)
         self.act = act
-        self.weights = _weights(rng, c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
+        self.weights = stream.take(c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
         self.bias = np.zeros(c_out)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        pre = conv2d_forward(x, _read(self.weights), self.bias, self.spec)
+        pre = conv2d_forward(x, self.weights.draw(), self.bias, self.spec)
         if self.act:
             return silu(pre), (x.shape, pre)
         return pre, (x.shape, None)
@@ -141,16 +121,16 @@ class Conv:
         in_shape, pre = cache
         if self.act:
             dout = silu_backward(dout, pre)
-        return conv2d_backward_input(dout, _read(self.weights), in_shape, self.spec)
+        return conv2d_backward_input(dout, self.weights.draw(), in_shape, self.spec)
 
 
 class Bottleneck:
     """Two 3x3 conv blocks with a residual shortcut (element-wise addition)."""
 
-    def __init__(self, channels: int, seed: Seed = 0):
-        rng = _as_rng(seed)
-        self.conv1 = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
-        self.conv2 = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
+    def __init__(self, channels: int, seed: "int | Stream" = 0):
+        stream = _stream(seed)
+        self.conv1 = Conv(channels, channels, 3, 1, 1, act=True, seed=stream)
+        self.conv2 = Conv(channels, channels, 3, 1, 1, act=True, seed=stream)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         y1, c1 = self.conv1.forward(x)
@@ -172,16 +152,16 @@ class C2f:
         c_in: int,
         c_out: int,
         n: int = 1,
-        seed: Seed = 0,
+        seed: "int | Stream" = 0,
     ):
         if c_out % 2 != 0:
             raise ShapeError(f"c2f needs an even output channel count, got {c_out}")
-        rng = _as_rng(seed)
+        stream = _stream(seed)
         self.hidden = c_out // 2
         self.n = n
-        self.cv1 = Conv(c_in, 2 * self.hidden, 1, 1, 0, act=True, seed=rng)
-        self.bottlenecks = [Bottleneck(self.hidden, seed=rng) for _ in range(n)]
-        self.cv2 = Conv((2 + n) * self.hidden, c_out, 1, 1, 0, act=True, seed=rng)
+        self.cv1 = Conv(c_in, 2 * self.hidden, 1, 1, 0, act=True, seed=stream)
+        self.bottlenecks = [Bottleneck(self.hidden, seed=stream) for _ in range(n)]
+        self.cv2 = Conv((2 + n) * self.hidden, c_out, 1, 1, 0, act=True, seed=stream)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         y, c_cv1 = self.cv1.forward(x)
@@ -210,12 +190,12 @@ class C2f:
 class Sppf:
     """Three chained 5x5 max-pools, concat with the input, 1x1 fuse conv."""
 
-    def __init__(self, channels: int, kernel: int = 5, seed: Seed = 0):
-        rng = _as_rng(seed)
+    def __init__(self, channels: int, kernel: int = 5, seed: "int | Stream" = 0):
+        stream = _stream(seed)
         self.channels = channels
         self.kernel = kernel
         self.padding = kernel // 2
-        self.fuse = Conv(4 * channels, channels, 1, 1, 0, act=True, seed=rng)
+        self.fuse = Conv(4 * channels, channels, 1, 1, 0, act=True, seed=stream)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         p1, i1 = maxpool2d_forward(x, self.kernel, self.padding)
@@ -239,22 +219,22 @@ class GamChannelAttention:
     """Channel gate: 3D permutation to (H*W, C), two-layer MLP squeezing to
     C/4, reverse permutation, sigmoid, elementwise rescale of the input."""
 
-    def __init__(self, channels: int, seed: Seed = 0):
+    def __init__(self, channels: int, seed: "int | Stream" = 0):
         if channels % 4 != 0:
             raise ShapeError(f"channel attention needs C divisible by 4, got {channels}")
-        rng = _as_rng(seed)
+        stream = _stream(seed)
         self.hidden = channels // 4
-        self.w1 = _weights(rng, channels, (self.hidden, channels))
+        self.w1 = stream.take(channels, (self.hidden, channels))
         self.b1 = np.zeros(self.hidden)
-        self.w2 = _weights(rng, self.hidden, (channels, self.hidden))
+        self.w2 = stream.take(self.hidden, (channels, self.hidden))
         self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         c, h, w = x.shape
         permuted = x.reshape(c, h * w).T  # (H*W, C)
-        l1 = permuted @ _read(self.w1).T + self.b1
+        l1 = permuted @ self.w1.draw().T + self.b1
         hidden = relu(l1)
-        l2 = hidden @ _read(self.w2).T + self.b2
+        l2 = hidden @ self.w2.draw().T + self.b2
         restored = l2.T.reshape(c, h, w)
         gate = sigmoid(restored)
         cache = {
@@ -274,9 +254,9 @@ class GamChannelAttention:
         dgate = dout * x
         drestored = sigmoid_backward(dgate, gate)
         dl2 = drestored.reshape(c, h * w).T
-        dhidden = dl2 @ _read(self.w2)
+        dhidden = dl2 @ self.w2.draw()
         dl1 = relu_backward(dhidden, cache["l1"])
-        dpermuted = dl1 @ _read(self.w1)
+        dpermuted = dl1 @ self.w1.draw()
         dx += dpermuted.T.reshape(c, h, w)
         return dx
 
@@ -285,23 +265,23 @@ class GamSpatialAttention:
     """Spatial gate: 7x7 conv squeezing channels by ``rate``, ReLU, 7x7 conv
     restoring them, sigmoid, elementwise rescale."""
 
-    def __init__(self, channels: int, rate: int = 4, seed: Seed = 0):
+    def __init__(self, channels: int, rate: int = 4, seed: "int | Stream" = 0):
         if channels % rate != 0:
             raise ShapeError(
                 f"spatial attention needs C divisible by rate {rate}, got {channels}"
             )
-        rng = _as_rng(seed)
+        stream = _stream(seed)
         mid = channels // rate
         self.spec = ShapeSpec(7, 1, 3)
-        self.w1 = _weights(rng, channels * 49, (mid, channels, 7, 7))
+        self.w1 = stream.take(channels * 49, (mid, channels, 7, 7))
         self.b1 = np.zeros(mid)
-        self.w2 = _weights(rng, mid * 49, (channels, mid, 7, 7))
+        self.w2 = stream.take(mid * 49, (channels, mid, 7, 7))
         self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        a = conv2d_forward(x, _read(self.w1), self.b1, self.spec)
+        a = conv2d_forward(x, self.w1.draw(), self.b1, self.spec)
         r = relu(a)
-        pre = conv2d_forward(r, _read(self.w2), self.b2, self.spec)
+        pre = conv2d_forward(r, self.w2.draw(), self.b2, self.spec)
         gate = sigmoid(pre)
         return x * gate, {"x": x, "a": a, "r_shape": r.shape, "gate": gate}
 
@@ -310,19 +290,19 @@ class GamSpatialAttention:
         dx = dout * gate
         dgate = dout * x
         dpre = sigmoid_backward(dgate, gate)
-        dr = conv2d_backward_input(dpre, _read(self.w2), cache["r_shape"], self.spec)
+        dr = conv2d_backward_input(dpre, self.w2.draw(), cache["r_shape"], self.spec)
         da = relu_backward(dr, cache["a"])
-        dx += conv2d_backward_input(da, _read(self.w1), x.shape, self.spec)
+        dx += conv2d_backward_input(da, self.w1.draw(), x.shape, self.spec)
         return dx
 
 
 class Gam:
     """Global attention: channel gate then spatial gate, shape preserving."""
 
-    def __init__(self, channels: int, rate: int = 4, seed: Seed = 0):
-        rng = _as_rng(seed)
-        self.channel_attention = GamChannelAttention(channels, seed=rng)
-        self.spatial_attention = GamSpatialAttention(channels, rate, seed=rng)
+    def __init__(self, channels: int, rate: int = 4, seed: "int | Stream" = 0):
+        stream = _stream(seed)
+        self.channel_attention = GamChannelAttention(channels, seed=stream)
+        self.spatial_attention = GamSpatialAttention(channels, rate, seed=stream)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         y, c_ch = self.channel_attention.forward(x)
@@ -359,33 +339,25 @@ class Concat:
 
 
 class HeadBranch:
-    """Decoupled per-scale head stub: separate conv stacks emitting raw
-    box deltas (4 channels) and category logits. The box convs draw first."""
+    """Per-scale head stub: the class conv stack of a decoupled head,
+    emitting category logits. The head's box convs (a 3x3 conv and a 1x1
+    conv to 4 deltas) come first in its stream, and their weights still
+    take their place there, but nothing reads box deltas, so they are
+    neither kept nor run."""
 
-    def __init__(self, channels: int, num_categories: int, seed: Seed = 0):
-        rng = _as_rng(seed)
-        self.reg_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
-        self.reg_out = Conv(channels, 4, 1, 1, 0, act=False, seed=rng)
-        self.cls_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=rng)
-        self.cls_out = Conv(channels, num_categories, 1, 1, 0, act=False, seed=rng)
+    def __init__(self, channels: int, num_categories: int, seed: "int | Stream" = 0):
+        stream = _stream(seed)
+        for c_out, kernel in ((channels, 3), (4, 1)):
+            stream.take(channels * kernel * kernel, (c_out, channels, kernel, kernel))
+        self.cls_conv = Conv(channels, channels, 3, 1, 1, act=True, seed=stream)
+        self.cls_out = Conv(channels, num_categories, 1, 1, 0, act=False, seed=stream)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
-        r1, c_r1 = self.reg_conv.forward(x)
-        box, c_r2 = self.reg_out.forward(r1)
-        cls, (c_c1, c_c2) = self.classify(x)
-        return box, cls, (c_r1, c_r2, c_c1, c_c2)
-
-    def classify(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        """The category logits and the cache ``backward`` reads, without
-        running the box convs: all a lean run needs of the head."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         s1, c_c1 = self.cls_conv.forward(x)
         cls, c_c2 = self.cls_out.forward(s1)
         return cls, (c_c1, c_c2)
 
     def backward(self, dcls: np.ndarray, cache: Any) -> np.ndarray:
-        """Input gradient of the category logits, from the cache of
-        ``forward`` or ``classify``; no gradient reaches the box deltas, so
-        the box convs are not run backward at all."""
-        *_, c_c1, c_c2 = cache
+        c_c1, c_c2 = cache
         ds1 = self.cls_out.backward(dcls, c_c2)
         return self.cls_conv.backward(ds1, c_c1)

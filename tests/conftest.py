@@ -212,3 +212,25 @@ def mutants(valid, alphabet, max_edits: int = 4):
         return valid[:0].join(parts)
 
     return st.lists(edit, min_size=1, max_size=max_edits).map(apply)
+
+
+class Drawn:
+    """A weight tensor given as an array, which ``nn`` ops read as they read
+    an ``nn.Pending``: through ``draw``."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def draw(self):
+        return self.array
+
+
+def weight_tensors(module):
+    """The weight tensors of a module (or of a list of them, such as a
+    detect layer's branches), nested blocks' included, in declaration order."""
+    for item in module if isinstance(module, list) else [module]:
+        for key, value in vars(item).items():
+            if key in ("weights", "w1", "w2"):
+                yield value
+            elif isinstance(value, list) or hasattr(value, "backward"):
+                yield from weight_tensors(value)

@@ -1,22 +1,30 @@
 """The benchmark's tracer (``bench/tracing.py``) wraps trapeval's names by
 attribute. Installing it here makes a deleted or renamed name it patches
-fail tier-1, not only a traced benchmark run."""
+fail tier-1, not only a traced benchmark run, and a traced ``gradcam``
+checks that its per-layer spans still see the modules a run reads."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from trapeval.cli import main
+from trapeval.graph import build_graph, write_graph_text
+from trapeval.ppm import write_ppm
+from trapeval.tensor import Tensor3
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def load_tracer_class() -> type:
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
 
 
 def test_bench_tracer_installs_and_uninstalls_against_the_package():
-    tracer = load_tracer_class()()
+    tracer = load_tracing().Tracer()
     try:
         tracer.install()
         patched = list(tracer._undo)
@@ -25,3 +33,24 @@ def test_bench_tracer_installs_and_uninstalls_against_the_package():
     assert len(patched) > 30
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_gradcam_times_every_layer_kind_and_the_caches_it_reads(tmp_path, capsys):
+    with open(tmp_path / "graph.txt", "w", encoding="utf-8") as stream:
+        write_graph_text(build_graph("improved", 64, seed=2), stream)
+    pixels = np.random.default_rng(2).integers(0, 256, (3, 64, 64)).astype(np.float64)
+    write_ppm(Tensor3(pixels), tmp_path / "img.ppm")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin(0)
+        code = main(["gradcam", str(tmp_path / "graph.txt"), str(tmp_path / "img.ppm"),
+                     "--layer", "l2", "--category", "3", "--out-dir", str(tmp_path / "out")])
+        values = tracer.end()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("score,")
+    for kind in tracing.NN_KINDS:
+        assert values[f"nn.{kind}.forward_s"] > 0, kind
+    assert 0 < values["graph.cache_read_mib"] < values["graph.cache_mib"]

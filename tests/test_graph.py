@@ -1,4 +1,5 @@
 import io
+import math
 import weakref
 
 import numpy as np
@@ -9,7 +10,6 @@ from trapeval import nn
 from trapeval.errors import FormatError, GraphError, ShapeError, TrapevalError
 from trapeval.gradcam import gradcam_heatmap
 from trapeval.graph import (
-    LAYER_TABLE,
     Graph,
     GraphSpec,
     LayerSpec,
@@ -22,7 +22,7 @@ from trapeval.graph import (
 )
 from trapeval.tensor import Tensor3
 
-from conftest import mutants
+from conftest import Drawn, mutants, weight_tensors
 
 
 def tiny_spec(categories: int = 3, seed_base: int = 10) -> GraphSpec:
@@ -185,7 +185,7 @@ def test_forward_shapes_equal_propagated_shapes(variant, size):
     run = Graph(spec).forward(Tensor3(np.zeros((3, size, size))))
     expected = dict(shapes)
     for row in rows:
-        if row.kind.startswith("detect."):
+        if row.kind.startswith("detect.cls"):
             expected[f"{row.name}/{row.kind.split('.')[1]}"] = row.shape
         elif row.kind == "sppf.concat":
             # the fuse conv's cached input is the pooled concat
@@ -209,7 +209,6 @@ def test_improved_head_grids_at_64():
     assert grids == [(16, 16), (8, 8), (4, 4), (2, 2)]
     for scale in ((8, 8), (4, 4), (2, 2)):
         assert scale in grids
-    assert all(h.box.shape[0] == 4 for h in run.head)
     assert all(h.cls.shape[0] == 4 for h in run.head)
 
 
@@ -250,7 +249,7 @@ def test_c2f_zero_bottlenecks_reduce_to_split_and_fuse():
     block = nn.C2f(4, 4, n=2, seed=5)
     for bottleneck in block.bottlenecks:
         for conv in (bottleneck.conv1, bottleneck.conv2):
-            conv.weights[:] = 0.0
+            conv.weights = Drawn(np.zeros(conv.weights.shape))
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 1, 1))
     out, _ = block.forward(x)
@@ -275,11 +274,12 @@ def test_c2f_shape_preservation():
 def test_sppf_constant_input_stays_constant_with_identity_fuse():
     block = nn.Sppf(2, seed=2)
     # identity-style fuse: each output channel averages its four pooled copies
-    block.fuse.weights[:] = 0.0
+    weights = np.zeros(block.fuse.weights.shape)
     block.fuse.act = False
     for c in range(2):
         for k in range(4):
-            block.fuse.weights[c, c + 2 * k, 0, 0] = 0.25
+            weights[c, c + 2 * k, 0, 0] = 0.25
+    block.fuse.weights = Drawn(weights)
     x = np.full((2, 6, 6), 1.5)
     out, _ = block.forward(x)
     assert np.allclose(out, 1.5)
@@ -401,12 +401,9 @@ def test_forward_rejects_a_bad_override_before_any_compute(monkeypatch, override
 
 def test_overrides_of_a_lean_run_name_what_it_records():
     graph = Graph(tiny_spec())
-    box = np.zeros((4, 4, 4))
-    with pytest.raises(GraphError, match="override 'det/box0': a run with a target computes no box planes"):
-        graph.forward(tiny_image(), overrides={"det/box0": box}, target="c1")
-    assert (graph.forward(tiny_image(), overrides={"det/box0": box}).head[0].box == 0).all()
-    with pytest.raises(ShapeError, match=r"override 'det/box0' has shape \(3, 4, 4\)"):
-        graph.forward(tiny_image(), overrides={"det/box0": np.zeros((3, 4, 4))})
+    for target in (None, "c1"):
+        with pytest.raises(GraphError, match="override 'det/box0' names neither a layer output nor a head class plane"):
+            graph.forward(tiny_image(), overrides={"det/box0": np.zeros((4, 4, 4))}, target=target)
     cls = np.full((3, 4, 4), 0.25)
     lean = graph.forward(tiny_image(), overrides={"det/cls0": cls}, target="c1")
     assert (lean.head[0].cls == cls).all()
@@ -480,6 +477,21 @@ def test_backward_rejects_non_ancestors():
         graph.backward_to_layer(run, ScoreSelector(category=0, scale=0), "l22/box0")
     with pytest.raises(GraphError):
         graph.backward_to_layer(run, ScoreSelector(category=0, scale=0), "ghost")
+
+
+@pytest.mark.parametrize("key", [(0, 0, -1, 0), (0, -1, 0, 0), (0, 99, 0, 0), (0, 0, 0, 4)])
+def test_backward_rejects_a_seed_outside_the_head_before_using_the_run(key):
+    graph = Graph(tiny_spec(categories=3))
+    for target in (None, "c1"):
+        run = graph.forward(tiny_image(), target=target)
+        caches = dict(run.caches)
+        message = f"seed {key}: category or cell outside scale 0's head (categories, height, width) (3, 4, 4)"
+        with pytest.raises(GraphError) as excinfo:
+            graph.backward_from_head(run, {(0, 0, 0, 0): 1.0, key: 1.0}, "c1")
+        assert message in str(excinfo.value)
+        assert run.caches.keys() == caches.keys()
+        assert all(run.caches[name] is cache for name, cache in caches.items())
+        graph.backward_from_head(run, {(0, 2, 3, 3): 1.0}, "c1")
 
 
 def test_score_selector_validation():
@@ -569,40 +581,29 @@ def no_draw(*args, **kwargs):
     raise AssertionError("a weight was drawn")
 
 
-def layer_weights(spec):
-    """(draws, bytes) of each non-input layer's weights, building each alone."""
-    shapes, _ = spec.propagate_shapes()
-    sizes = []
-    draw = nn._uniform_weights
-    for layer in spec.layers[1:]:
-        drawn = []
-
-        def recorded(*args):
-            drawn.append(draw(*args))
-            return drawn[-1]
-
-        nn._uniform_weights = recorded
-        try:
-            LAYER_TABLE[layer.kind].build(layer, [shapes[r] for r in layer.inputs])
-        finally:
-            nn._uniform_weights = draw
-        sizes.append((len(drawn), sum(w.nbytes for w in drawn)))
-    return sizes
+def weight_sizes(graph):
+    """How many weight tensors the graph's modules hold, and the bytes of
+    the largest."""
+    tensors = [tensor for module in graph.modules.values() for tensor in weight_tensors(module)]
+    return len(tensors), max(8 * math.prod(tensor.shape) for tensor in tensors)
 
 
-def test_graph_draws_nothing_until_a_full_run_draws_every_layer_once(monkeypatch):
+def test_modules_draw_nothing_and_a_full_run_holds_one_weight_tensor_at_a_time(monkeypatch):
     spec = build_graph("improved", 64, seed=4)
-    expected = sum(draws for draws, _ in layer_weights(spec))
     monkeypatch.setattr(nn, "_uniform_weights", no_draw)
     graph = Graph(spec)
+    assert set(graph.modules) == {layer.name for layer in spec.layers[1:]}
     monkeypatch.undo()
+    _, largest = weight_sizes(graph)
     tally = WeightTally(monkeypatch)
     image = Tensor3(np.random.default_rng(4).uniform(0, 255, (3, 64, 64)))
     first = graph.forward(image)
-    assert tally.draws == expected
+    assert tally.live == 0
+    seeds = {(head.scale_index, 3, 0, 0): 1.0 for head in first.head}
+    graph.backward_from_head(first, seeds, "img")
+    assert 0 < tally.peak <= largest
+    assert tally.live == 0
     second = graph.forward(image)
-    assert tally.draws == expected
-    assert set(graph.modules) == {layer.name for layer in spec.layers[1:]}
     for name in first.activations:
         assert first.activations[name].tobytes() == second.activations[name].tobytes()
 
@@ -629,15 +630,13 @@ def test_graph_rejects_what_a_module_would_without_drawing(monkeypatch, line, me
 def test_lean_run_holds_at_most_one_layers_weights(monkeypatch, variant):
     """Tighter than the name: at most one weight tensor is alive at a time."""
     spec = build_graph(variant, 64, num_categories=4, seed=6)
-    eager = sum(draws for draws, _ in layer_weights(spec))
-    tally = WeightTally(monkeypatch)
-    Graph(spec).modules  # a full build, which sizes the largest tensor
-    largest = tally.largest
     graph = Graph(spec)
+    count, largest = weight_sizes(graph)
+    tally = WeightTally(monkeypatch)
     image = Tensor3(np.random.default_rng(6).uniform(0, 255, (3, 64, 64)))
     pivot = next(layer.name for layer in spec.layers if layer.kind in ("gam", "sppf"))
     head_calls = []
-    for method in ("forward", "classify", "backward"):
+    for method in ("forward", "backward"):
         def counted(self, *args, method=method, original=getattr(nn.HeadBranch, method)):
             head_calls.append(method)
             return original(self, *args)
@@ -648,17 +647,15 @@ def test_lean_run_holds_at_most_one_layers_weights(monkeypatch, variant):
         tally.peak = tally.draws = 0
         head_calls.clear()
         run = graph.forward(image, target=target)
-        assert all(head.box is None for head in run.head)
-        # Every tensor but the box convs' drawn once, one class branch at a time.
-        assert tally.draws == eager - 2 * n_scales, target
-        assert head_calls == ["classify"] * n_scales
+        # Every tensor drawn once, one class branch at a time.
+        assert tally.draws == count, target
+        assert head_calls == ["forward"] * n_scales
         gradcam_heatmap(run, target, ScoreSelector(category=3))
         assert 0 < tally.peak <= largest, target
         assert tally.live == 0, target
         assert not run.caches, target
         # Backward runs the pinned scale's class branch alone (none for a head plane).
-        assert head_calls == ["classify"] * n_scales + ["backward"] * ("/" not in target)
-    assert "modules" not in vars(graph)
+        assert head_calls == ["forward"] * n_scales + ["backward"] * ("/" not in target)
 
 
 # --- serialization ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ order, so every comparison is bitwise (``.view(np.int64)``): signed zeros,
 subnormals, infinities and NaN payloads included.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from trapeval.tensor import (
     silu_backward,
     upsample_backward,
 )
+
+from conftest import Drawn, weight_tensors
 
 # --- oracles -----------------------------------------------------------------
 
@@ -89,16 +92,53 @@ def oracle_upsample_backward(dout, factor):
     return dout.reshape(c, hf // factor, factor, wf // factor, factor).sum(axis=(2, 4))
 
 
-def oracle_head_backward(self, dcls, cache):
-    """The head backward that always ran the box path, on a zero box
-    gradient."""
-    dbox = np.zeros((4,) + dcls.shape[1:])
-    c_r1, c_r2, c_c1, c_c2 = cache
-    dr1 = self.reg_out.backward(dbox, c_r2)
-    dx = self.reg_conv.backward(dr1, c_r1)
-    ds1 = self.cls_out.backward(dcls, c_c2)
-    dx += self.cls_conv.backward(ds1, c_c1)
-    return dx
+def oracle_rng(seed):
+    """The generator a layer's weights were drawn from in one sequence; none
+    (zero weights) for a negative seed."""
+    return None if seed < 0 else np.random.Generator(np.random.PCG64(seed))
+
+
+def oracle_conv(rng, c_in, c_out, kernel, act):
+    """A stride-1, same-padded ``nn.Conv`` whose weights ``rng`` draws now."""
+    conv = nn.Conv(c_in, c_out, kernel, 1, kernel // 2, act=act)
+    conv.weights = Drawn(oracle_uniform_weights(rng, c_in * kernel * kernel, conv.weights.shape))
+    return conv
+
+
+class OracleHead:
+    """The decoupled head whose class half ``nn.HeadBranch`` is: box convs,
+    then class convs, drawn in that order from one generator. Its forward
+    runs the box convs too, and its backward runs the box path on a zero box
+    gradient before it adds the class path."""
+
+    def __init__(self, channels, categories, rng):
+        self.reg_conv = oracle_conv(rng, channels, channels, 3, True)
+        self.reg_out = oracle_conv(rng, channels, 4, 1, False)
+        self.cls_conv = oracle_conv(rng, channels, channels, 3, True)
+        self.cls_out = oracle_conv(rng, channels, categories, 1, False)
+
+    def forward(self, x):
+        r1, c_r1 = self.reg_conv.forward(x)
+        _, c_r2 = self.reg_out.forward(r1)
+        s1, c_c1 = self.cls_conv.forward(x)
+        cls, c_c2 = self.cls_out.forward(s1)
+        return cls, (c_r1, c_r2, c_c1, c_c2)
+
+    def backward(self, dcls, cache):
+        c_r1, c_r2, c_c1, c_c2 = cache
+        dbox = np.zeros((4,) + dcls.shape[1:])
+        dr1 = self.reg_out.backward(dbox, c_r2)
+        dx = self.reg_conv.backward(dr1, c_r1)
+        ds1 = self.cls_out.backward(dcls, c_c2)
+        dx += self.cls_conv.backward(ds1, c_c1)
+        return dx
+
+
+def oracle_detect(layer, shapes):
+    """A detect layer's oracle heads, one per scale, drawing from the layer's
+    generator in scale order."""
+    rng = oracle_rng(layer.seed)
+    return [OracleHead(c, layer.param("categories"), rng) for c, _, _ in shapes]
 
 
 def assert_bitwise(actual, expected):
@@ -214,11 +254,13 @@ def test_upsample_backward_equals_its_oracle_bitwise(factor):
 
 
 def test_head_backward_equals_its_oracle_bitwise():
-    head = nn.HeadBranch(8, 3, seed=4)
+    head, oracle = nn.HeadBranch(8, 3, seed=4), OracleHead(8, 3, oracle_rng(4))
     rng = np.random.default_rng(4)
-    _, cls, cache = head.forward(rng.normal(size=(8, 6, 5)))
+    x = rng.normal(size=(8, 6, 5))
+    (cls, cache), (oracle_cls, oracle_cache) = head.forward(x), oracle.forward(x)
+    assert_bitwise(cls, oracle_cls)
     dcls = rng.normal(size=cls.shape)
-    assert_bitwise(head.backward(dcls, cache), oracle_head_backward(head, dcls, cache))
+    assert_bitwise(head.backward(dcls, cache), oracle.backward(dcls, oracle_cache))
 
 
 def graph_outputs(graph, image):
@@ -242,9 +284,9 @@ def graph_outputs(graph, image):
 @pytest.mark.parametrize("variant", ["baseline", "improved"])
 @pytest.mark.parametrize("size", [64, 96])
 def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
-    graph = Graph(build_graph(variant, size, seed=size))
+    spec = build_graph(variant, size, seed=size)
     image = Tensor3(np.random.default_rng(size).integers(0, 256, (3, size, size)).astype(np.float64))
-    fast = graph_outputs(graph, image)
+    fast = graph_outputs(Graph(spec), image)
     for name, oracle in [
         ("sigmoid", oracle_sigmoid),
         ("silu", oracle_silu),
@@ -254,8 +296,8 @@ def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
         ("upsample_backward", oracle_upsample_backward),
     ]:
         monkeypatch.setattr(nn, name, oracle)
-    monkeypatch.setattr(nn.HeadBranch, "backward", oracle_head_backward)
-    slow = graph_outputs(graph, image)
+    monkeypatch.setitem(LAYER_TABLE, "detect", dataclasses.replace(LAYER_TABLE["detect"], build=oracle_detect))
+    slow = graph_outputs(Graph(spec), image)
     assert fast.keys() == slow.keys()
     for key in slow:
         assert_bitwise(fast[key], slow[key])
@@ -279,89 +321,63 @@ def test_uniform_weights_equal_their_oracle_bitwise(seed):
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
-def test_negative_seeds_still_give_zero_weights():
-    for shape in WEIGHT_SHAPES:
-        weights = nn._uniform_weights(nn._as_rng(-1), 9, shape)
-        assert weights.shape == shape and not weights.any()
-        assert_bitwise(weights, np.zeros(shape))
-
-
-def test_skipping_weights_equals_drawing_them():
-    drawn = np.random.Generator(np.random.PCG64(5))
-    skipped = np.random.Generator(np.random.PCG64(5))
-    nn._uniform_weights(drawn, 27, (4, 3, 3, 3))
-    nn._skip_weights(skipped, 4 * 3 * 3 * 3)
-    assert_bitwise(nn._uniform_weights(skipped, 8, (3, 8)), nn._uniform_weights(drawn, 8, (3, 8)))
-    nn._skip_weights(None, 10)  # a zero-weight layer has no generator to move
-
-
 @pytest.mark.parametrize("categories", [1, 4, 16])
 @pytest.mark.parametrize("seed", [3, -1])
 def test_class_branches_equal_the_full_head_bitwise(categories, seed):
     spec = build_graph("improved", 64, num_categories=categories, seed=seed)
     detect = spec.detect_layer()
     shapes = [Graph(spec).shapes[ref] for ref in detect.inputs]
-    full = LAYER_TABLE["detect"].build(detect, shapes)
-    lean = LAYER_TABLE["detect"].make(detect, shapes, nn.Stream(detect.seed))
-    assert len(lean) == len(full) == len(shapes)
-    for branch, reference, (c, h, w) in zip(lean, full, shapes):
+    branches = LAYER_TABLE["detect"].build(detect, shapes)
+    oracles = oracle_detect(detect, shapes)
+    assert len(branches) == len(oracles) == len(shapes)
+    for branch, oracle, (c, h, w) in zip(branches, oracles, shapes):
         for conv in ("cls_conv", "cls_out"):
             drawn = getattr(branch, conv).weights.draw()
-            assert_bitwise(drawn, getattr(reference, conv).weights)
+            assert_bitwise(drawn, getattr(oracle, conv).weights.draw())
             assert drawn.any() == (seed >= 0)
         x = np.random.default_rng(c).normal(size=(c, h, w))
-        cls, cache = branch.classify(x)
-        _, full_cls, full_cache = reference.forward(x)
-        assert_bitwise(cls, full_cls)
+        (cls, cache), (oracle_cls, oracle_cache) = branch.forward(x), oracle.forward(x)
+        assert_bitwise(cls, oracle_cls)
         dcls = np.random.default_rng(h).normal(size=cls.shape)
-        assert_bitwise(branch.backward(dcls, cache), reference.backward(dcls, full_cache))
-
-
-def weight_tensors(block):
-    """A block's weight tensors, nested blocks' included, in declaration order."""
-    for key, value in vars(block).items():
-        if key in ("weights", "w1", "w2"):
-            yield value
-        for item in value if isinstance(value, list) else [value]:
-            if hasattr(item, "backward"):
-                yield from weight_tensors(item)
+        assert_bitwise(branch.backward(dcls, cache), oracle.backward(dcls, oracle_cache))
 
 
 def no_draw(*args, **kwargs):
-    raise AssertionError("a lean build drew a weight")
+    raise AssertionError("a block build drew a weight")
 
 
 BLOCKS = [
-    (nn.Conv, (3, 5, 3, 2, 1), (3, 7, 7)),
-    (nn.Bottleneck, (4,), (4, 5, 5)),
-    (nn.C2f, (6, 8, 2), (6, 5, 5)),
-    (nn.Sppf, (4, 5), (4, 6, 6)),
-    (nn.Gam, (8,), (8, 6, 6)),
-    (nn.HeadBranch, (6, 3), (6, 4, 4)),
+    (nn.Conv, (3, 5, 3, 2, 1)),
+    (nn.Bottleneck, (4,)),
+    (nn.C2f, (6, 8, 2)),
+    (nn.Sppf, (4, 5)),
+    (nn.Gam, (8,)),
+    (nn.HeadBranch, (6, 3)),
 ]
 
 
-@pytest.mark.parametrize("block,args,in_shape", BLOCKS, ids=[b.__name__ for b, _, _ in BLOCKS])
+@pytest.mark.parametrize("block,args", BLOCKS, ids=[b.__name__ for b, _ in BLOCKS])
 @pytest.mark.parametrize("seed", [5, -1])
-def test_deferred_weights_equal_eager_ones_bitwise(monkeypatch, block, args, in_shape, seed):
-    eager = block(*args, seed=seed)
+def test_deferred_weights_equal_eager_ones_bitwise(monkeypatch, block, args, seed):
+    """A build draws nothing, and its ``Pending`` tensors draw what one
+    sequential draw of the layer's generator gives in declaration order
+    (zeros for a negative seed), at every draw. A head's box convs take
+    the first draws, which are discarded."""
     monkeypatch.setattr(nn, "_uniform_weights", no_draw)
-    lean = block(*args, seed=nn.Stream(seed))
+    built = block(*args, seed=seed)
     monkeypatch.undo()
-    kept, pending = list(weight_tensors(eager)), list(weight_tensors(lean))
-    assert len(pending) == len(kept) > 0
-    for deferred, weights in zip(pending, kept):
-        assert isinstance(deferred, nn.Pending) and isinstance(weights, np.ndarray)
-        assert_bitwise(deferred.draw(), weights)
-        assert weights.any() == (seed >= 0)
-    # Outputs and input gradients match too, each tensor drawn as it is read.
-    rng = np.random.default_rng(abs(seed))
-    x = rng.normal(size=in_shape)
-    run = (lambda b: b.classify(x)) if block is nn.HeadBranch else (lambda b: b.forward(x))
-    (out, cache), (lean_out, lean_cache) = run(eager), run(lean)
-    assert_bitwise(lean_out, out)
-    dout = rng.normal(size=out.shape)
-    assert_bitwise(lean.backward(dout, lean_cache), eager.backward(dout, cache))
+    pending = list(weight_tensors(built))
+    assert pending and all(isinstance(tensor, nn.Pending) for tensor in pending)
+    rng = oracle_rng(seed)
+    if block is nn.HeadBranch:
+        c = args[0]
+        for shape in ((c, c, 3, 3), (4, c, 1, 1)):
+            oracle_uniform_weights(rng, math.prod(shape[1:]), shape)
+    for tensor in pending:
+        drawn = tensor.draw()
+        assert_bitwise(drawn, oracle_uniform_weights(rng, math.prod(tensor.shape[1:]), tensor.shape))
+        assert drawn.any() == (seed >= 0)
+        assert_bitwise(tensor.draw(), drawn)
 
 
 # --- lean runs ---------------------------------------------------------------
@@ -384,17 +400,14 @@ def test_lean_run_equals_the_full_run_bitwise(variant, size):
     full = graph.forward(image)
     names = [layer.name for layer in graph.spec.layers]
     n_cat = full.head[0].cls.shape[0]
-    planes = {f"{names[-1]}/{tag}{i}" for i in range(len(full.head)) for tag in ("box", "cls")}
-    class_planes = {plane for plane in planes if "/cls" in plane}
-    assert set(full.activations) == set(names[:-1]) | planes
+    class_planes = {f"{names[-1]}/cls{i}" for i in range(len(full.head))}
+    assert set(full.activations) == set(names[:-1]) | class_planes
     assert list(full.caches) == names[1:]
     for target in lean_targets(graph):
         selector, _ = pin_selector(full, target, ScoreSelector(n_cat - 1))
         lean = graph.forward(image, target=target)
         assert lean.target == target and full.target is None
         assert set(lean.activations) == {target} | class_planes
-        assert all(head.box is None for head in lean.head)
-        assert all(head.box is not None for head in full.head)
         assert list(lean.caches) == (names[names.index(target) + 1:] if target in names else [])
         for name in lean.activations:
             assert_bitwise(lean.activations[name], full.activations[name])
