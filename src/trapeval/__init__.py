@@ -1,25 +1,11 @@
 """trapeval: box-regression losses, detection metrics, a small CNN graph
-engine with gradient-based heatmaps, and camera-trap dataset tooling."""
+engine with gradient-based heatmaps, and camera-trap dataset tooling.
 
-from .boxes import BoundingBox, Detection, GroundTruth, center_distance_sq, enclosing_box, iou
-from .errors import TrapevalError
-from .losses import (
-    LossEval,
-    LossKind,
-    LossParams,
-    WiouState,
-    finite_diff_grad,
-    focusing_coefficient,
-    loss_ciou,
-    loss_diou,
-    loss_eiou,
-    loss_focal_eiou,
-    loss_giou,
-    loss_iou,
-    loss_wiou_v1,
-    loss_wiou_v3,
-    simulate_regression,
-)
+Importing the package loads none of its submodules: each public name below
+is read from its home module, which the first access imports (PEP 562).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -47,3 +33,25 @@ __all__ = [
     "loss_wiou_v3",
     "simulate_regression",
 ]
+
+_HOME = {
+    name: home
+    for home, names in {
+        "boxes": ("BoundingBox", "Detection", "GroundTruth", "center_distance_sq", "enclosing_box", "iou"),
+        "errors": ("TrapevalError",),
+        "losses": (
+            "LossEval", "LossKind", "LossParams", "WiouState", "finite_diff_grad",
+            "focusing_coefficient", "loss_ciou", "loss_diou", "loss_eiou", "loss_focal_eiou",
+            "loss_giou", "loss_iou", "loss_wiou_v1", "loss_wiou_v3", "simulate_regression",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{home}", __name__), name)

@@ -23,30 +23,23 @@ from pathlib import Path
 # environment wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-# Only what the parser, main and losslab need is imported here; every other
-# command imports the rest when it runs, so losslab and split never load numpy.
-from .boxes import BoundingBox  # noqa: E402  (after the OpenBLAS setting)
-from .errors import ConfigError, DivergedError, FormatError, SplitError, TrapevalError
-from .losses import (
-    LossKind,
-    LossParams,
-    check_descent,
-    focusing_coefficient,
-    simulate_regression,
-    write_trajectory_csv,
-)
-from .svg import LineChart
+# Only what the parser and main need is imported here; each command imports
+# what it runs when it runs, so no command loads another's modules.
+from .errors import ConfigError, DivergedError, FormatError, SplitError, TrapevalError  # noqa: E402
 
 # Attributes of this module read from their home module, which the first
-# access imports (PEP 562). cmd_gradcam calls them as attributes of this
-# module, so a caller that sets one (a tracer wrapping it) replaces what the
-# command calls.
+# access imports (PEP 562). cmd_gradcam and cmd_losslab call them as
+# attributes of this module, so a caller that sets one (a tracer wrapping
+# it) replaces what the command calls.
 _LAZY = {
     "Graph": "graph",
     "parse_graph_text": "graph",
     "read_ppm": "ppm",
     "write_ppm": "ppm",
     "write_pgm": "ppm",
+    "simulate_regression": "losses",
+    "write_trajectory_csv": "losses",
+    "focusing_coefficient": "losses",
 }
 
 
@@ -59,6 +52,8 @@ def __getattr__(name: str):
 
 
 def _parse_box(text: str) -> BoundingBox:
+    from .boxes import BoundingBox
+
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"box must be x1,y1,x2,y2 (got {text!r})")
@@ -69,6 +64,8 @@ def _parse_box(text: str) -> BoundingBox:
 
 
 def _parse_kinds(text: str) -> list[LossKind]:
+    from .losses import LossKind
+
     if text == "all":
         return list(LossKind)
     kinds = []
@@ -116,23 +113,31 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_losslab(args) -> int:
+    from .boxes import BoundingBox
+    from .losses import LossKind, LossParams, check_descent
+    from .svg import LineChart
+
+    cli = sys.modules[__name__]  # the _LAZY names, as set on this module
     # The parser leaves a parameter not given as None: LossParams holds the defaults.
     given = {"gamma": args.gamma, "alpha": args.alpha, "delta": args.delta}
     params = LossParams(**{k: v for k, v in given.items() if v is not None})
     check_descent(args.step, args.iters)
     # The curve checks alpha and delta over beta 0-10 before anything is written.
     betas = [i / 100.0 for i in range(0, 1001)]
-    values = [focusing_coefficient(b, params) for b in betas]
+    focusing = cli.focusing_coefficient  # each lookup runs the module __getattr__
+    values = [focusing(b, params) for b in betas]
     out = _out_dir(args)
-    kinds = args.kinds
+    kinds = list(LossKind) if args.kinds is None else args.kinds
+    start = BoundingBox(0, 0, 1, 1) if args.start is None else args.start
+    gt = BoundingBox(2, 2, 3, 3) if args.gt is None else args.gt
     chart = LineChart("loss vs iteration", "iteration", "loss")
     failures = 0
     for kind in kinds:
         try:
-            trajectory = simulate_regression(
+            trajectory = cli.simulate_regression(
                 kind,
-                args.start,
-                args.gt,
+                start,
+                gt,
                 step=args.step,
                 iters=args.iters,
                 params=params,
@@ -143,7 +148,7 @@ def cmd_losslab(args) -> int:
             continue
         path = out / f"trajectory_{kind.value}.csv"
         with open(path, "w", encoding="utf-8", newline="") as stream:
-            write_trajectory_csv(trajectory, stream)
+            cli.write_trajectory_csv(trajectory, stream)
         chart.add_series(
             kind.value,
             [float(r.iteration) for r in trajectory.rows],
@@ -171,6 +176,7 @@ def cmd_losslab(args) -> int:
 def cmd_eval(args) -> int:
     from . import dataset as ds
     from . import evaluation as ev
+    from .svg import LineChart
 
     # The parser leaves a threshold not given as None: MatchConfig holds the defaults.
     given = {"iou_threshold": args.iou_thresh, "confidence_threshold": args.conf_thresh}
@@ -305,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_loss = sub.add_parser("losslab", help="gradient-descent trajectories per loss kind")
-    p_loss.add_argument("--kinds", type=_parse_kinds, default=list(LossKind))
-    p_loss.add_argument("--start", type=_parse_box, default=BoundingBox(0, 0, 1, 1))
-    p_loss.add_argument("--gt", type=_parse_box, default=BoundingBox(2, 2, 3, 3))
+    p_loss.add_argument("--kinds", type=_parse_kinds, default=None)
+    p_loss.add_argument("--start", type=_parse_box, default=None)
+    p_loss.add_argument("--gt", type=_parse_box, default=None)
     p_loss.add_argument("--step", type=float, default=0.01)
     p_loss.add_argument("--iters", type=int, default=500)
     p_loss.add_argument("--gamma", type=float, default=None)

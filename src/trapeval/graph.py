@@ -187,7 +187,6 @@ LAYER_TABLE: dict[str, LayerKind] = {
         None, {"categories": Param(DEFAULT_CATEGORIES)}, _detect_shape, _build_detect
     ),
 }
-LAYER_KINDS = tuple(LAYER_TABLE)
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,13 @@ class Tensor3:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for x < 0,
     without branches: both forms are e' / (1 + e) with e = exp(-|x|) and
-    e' = e or 1. ``minimum(x, -x)`` is -|x| that keeps a NaN's sign bit."""
+    e' = e or 1. ``minimum(x, -x)`` is -|x| that keeps a NaN's sign bit.
+    Since 0 <= e <= 1, e' is ``maximum(e, x >= 0)``; where x is NaN, e' and
+    1 + e are both e's NaN, which the quotient keeps."""
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.where(x < 0, e, 1.0)
+    out = np.maximum(e, x >= 0.0)
     e += 1.0
     out /= e
     return out

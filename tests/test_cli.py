@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -765,6 +766,92 @@ def test_losslab_and_split_never_load_numpy(tmp_path, split_corpus):
         "on import: []",
         "exit codes: [0, 0] numpy: False",
         *(f"{name} True" for name, _ in TRACED_CLI_NAMES),
+    ]
+
+
+PACKAGE_IMPORT_PROBE = """
+import sys
+import {module}
+print(sorted(m for m in sys.modules if m.startswith("trapeval")), "dataclasses" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("trapeval", ["trapeval"]),
+        ("trapeval.cli", ["trapeval", "trapeval.cli", "trapeval.errors"]),
+    ],
+)
+def test_importing_the_package_or_the_cli_loads_no_command_module(module, loaded):
+    done = python_without_timeout(["-c", PACKAGE_IMPORT_PROBE.format(module=module)])
+    assert done.stdout.splitlines() == [f"{loaded} False"]
+
+
+COMMAND_MODULES_PROBE = """
+import contextlib, io, sys
+import trapeval.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = trapeval.cli.main({argv!r})
+print(code, sorted(m for m in sys.modules if m.startswith("trapeval.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "command,unloaded",
+    [
+        ("gradcam", {"losses", "boxes", "svg", "dataset", "evaluation"}),
+        ("shapes", {"losses", "boxes", "svg", "dataset", "evaluation"}),
+        ("split", {"losses", "svg", "evaluation"}),
+        ("eval", {"losses"}),
+    ],
+)
+def test_each_command_loads_none_of_another_commands_modules(
+    tmp_path, capsys, identity_corpus, split_corpus, command, unloaded
+):
+    graph, image = tmp_path / "graph.txt", tmp_path / "input.ppm"
+    assert main(["shapes", "improved", "--size", "64", "--seed", "5", "--emit", str(graph)]) == 0
+    capsys.readouterr()
+    write_image(image, seed=3)
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {
+        "gradcam": ["gradcam", str(graph), str(image), "--layer", "l2", "--category", "3", *out],
+        "shapes": ["shapes", "improved", "--size", "64"],
+        "split": ["split", split_corpus, "--seed", "7", *out],
+        "eval": ["eval", *identity_corpus, *out],
+    }[command]
+    done = python_without_timeout(["-c", COMMAND_MODULES_PROBE.format(argv=argv)])
+    code, loaded = done.stdout.split(" ", 1)
+    assert code == "0"
+    assert not {f"trapeval.{m}" for m in unloaded} & set(ast.literal_eval(loaded))
+
+
+PUBLIC_NAMES_PROBE = """
+import sys
+import trapeval
+for first in ("TrapevalError", "BoundingBox"):
+    getattr(trapeval, first)
+    print(first, sorted(m for m in sys.modules if m.startswith("trapeval.")))
+from trapeval import *
+for name in trapeval.__all__:
+    obj = globals()[name]
+    home = sys.modules[obj.__module__]
+    print(name, obj.__module__, obj is getattr(trapeval, name) is getattr(home, name))
+"""
+
+
+def test_every_public_name_is_the_object_in_its_home_module_imported_on_first_use():
+    done = python_without_timeout(["-c", PUBLIC_NAMES_PROBE])
+    homes = {
+        "boxes": {"BoundingBox", "Detection", "GroundTruth", "center_distance_sq",
+                  "enclosing_box", "iou"},
+        "errors": {"TrapevalError"},
+    }
+    assert done.stdout.splitlines() == [
+        "TrapevalError ['trapeval.errors']",
+        "BoundingBox ['trapeval.boxes', 'trapeval.errors']",
+        *(f"{name} trapeval.{next((h for h, n in homes.items() if name in n), 'losses')} True"
+          for name in trapeval.__all__),
     ]
 
 
