@@ -20,6 +20,13 @@ from .errors import ConfigError, FormatError
 from .tensor import Tensor3
 
 
+def _resize_nearest(data: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Nearest-neighbour resample of a (C, H, W) array to height x width."""
+    rows = (np.arange(height) * data.shape[1]) // height
+    cols = (np.arange(width) * data.shape[2]) // width
+    return data[:, rows][:, :, cols]
+
+
 def resize_with_boxes(
     record: ImageRecord, raster: Tensor3, target: int
 ) -> tuple[ImageRecord, Tensor3]:
@@ -31,9 +38,7 @@ def resize_with_boxes(
         )
     if target < 1:
         raise ConfigError("target must be >= 1")
-    rows = (np.arange(target) * record.height) // target
-    cols = (np.arange(target) * record.width) // target
-    resized = Tensor3(raster.data[:, rows][:, :, cols])
+    resized = Tensor3(_resize_nearest(raster.data, target, target))
     sx = target / record.width
     sy = target / record.height
     annotations = tuple(
@@ -106,9 +111,7 @@ def augment(
             AugmentOp("scale", s)  # re-validate sampled or given value
             new_w = max(1, int(round(width * s)))
             new_h = max(1, int(round(height * s)))
-            rows = (np.arange(new_h) * int(height)) // new_h
-            cols = (np.arange(new_w) * int(width)) // new_w
-            data = data[:, rows][:, :, cols]
+            data = _resize_nearest(data, new_h, new_w)
             rx, ry = new_w / width, new_h / height
             boxes = [
                 BoundingBox(b.x1 * rx, b.y1 * ry, b.x2 * rx, b.y2 * ry) for b in boxes

@@ -51,11 +51,11 @@ def pin_selector(run: GraphRun, layer: str, selector: ScoreSelector) -> tuple[Sc
     if selector.scale is not None:
         si, cy, cx, value = selector.resolve(run)
         return replace(selector, scale=si, cell=(cy, cx)), value
-    detect = run.graph.detect_spec
+    graph = run.graph
     eligible = [
         i
-        for i, src in enumerate(detect.inputs)
-        if layer == f"{detect.name}/cls{i}" or layer in run.graph.spec.ancestors(src)
+        for i, (plane, src) in enumerate(zip(graph.planes, graph.detect_spec.inputs))
+        if layer == plane or layer in graph.spec.ancestors(src)
     ]
     if not eligible:
         raise GraphError(f"layer {layer!r} is not an ancestor of any head scale")

@@ -461,23 +461,15 @@ def parse_graph_text(stream: IO[str]) -> GraphSpec:
 # --- instantiated graph ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class HeadOutput:
-    """One scale's category logits."""
-
-    scale_index: int
-    cls: np.ndarray
-
-
-@dataclass(frozen=True)
 class GraphRun:
-    """Forward results: named activations, per-layer caches for the backward
-    pass, and the per-scale head outputs. A run with a ``target`` is lean
-    (see ``Graph.forward``): it serves one backward pass, to that target."""
+    """Forward results: named activations, the head's class planes among
+    them (``Graph.planes``), and per-layer caches for the backward pass. A
+    run with a ``target`` is lean (see ``Graph.forward``): it serves one
+    backward pass, to that target."""
 
     graph: "Graph"
     activations: Mapping[str, np.ndarray]
     caches: Mapping[str, object]
-    head: tuple[HeadOutput, ...]
     target: str | None = None
 
 
@@ -501,12 +493,12 @@ class ScoreSelector:
             raise GraphError(f"scale {self.scale} outside 0..{len(detect.inputs) - 1}")
 
     def resolve(self, run: "GraphRun") -> tuple[int, int, int, float]:
-        head = run.head
+        planes = run.graph.planes
         self.check(run.graph)
-        scales = range(len(head)) if self.scale is None else (self.scale,)
+        scales = range(len(planes)) if self.scale is None else (self.scale,)
         best: tuple[float, int, int, int] | None = None
         for si in scales:
-            plane = head[si].cls[self.category]
+            plane = run.activations[planes[si]][self.category]
             if self.cell is not None:
                 cy, cx = self.cell
                 if not (0 <= cy < plane.shape[0] and 0 <= cx < plane.shape[1]):
@@ -526,13 +518,15 @@ class Graph:
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.shapes, rows = spec.propagate_shapes()
-        self.detect_spec = spec.detect_layer()
-        self.plane_shapes = {
-            f"{row.name}/{row.kind.split('.', 1)[1]}": row.shape
-            for row in rows
-            if row.kind.startswith("detect.cls")
-        }
+        shapes, _ = spec.propagate_shapes()
+        detect = self.detect_spec = spec.detect_layer()
+        # The head class planes' names, in scale order.
+        self.planes = tuple(f"{detect.name}/cls{i}" for i in range(len(detect.inputs)))
+        # The shape of every array a run records: class planes and layer outputs.
+        self.shapes = {
+            plane: (detect.param("categories"), *shapes[ref][1:])
+            for plane, ref in zip(self.planes, detect.inputs)
+        } | shapes
 
     @cached_property
     def modules(self) -> dict[str, object]:
@@ -544,18 +538,14 @@ class Graph:
             for layer in self.spec.layers[1:]
         }
 
-    def _planes(self, tag: str) -> set[str]:
-        detect = self.detect_spec
-        return {f"{detect.name}/{tag}{i}" for i in range(len(detect.inputs))}
-
     def _first_cached(self, target: str) -> int:
         """Index of the first layer whose cache a backward pass to ``target``
         reads: the one after the target layer, or past the end for a head
-        class plane (``<detect>/cls<i>``), which the pass reaches without any."""
+        class plane, which the pass reaches without any."""
         detect = self.detect_spec
-        if target in self._planes("cls"):
+        if target in self.planes:
             return len(self.spec.layers)
-        if target in self._planes("box"):
+        if target in {f"{detect.name}/box{i}" for i in range(len(self.planes))}:
             raise GraphError(f"box plane {target!r} gets no gradient from a class score")
         if target == detect.name or target.startswith(f"{detect.name}/"):
             raise GraphError(
@@ -567,7 +557,7 @@ class Graph:
         """Each key must name an array a run records, with its propagated
         shape."""
         for key, value in overrides.items():
-            shape = self.shapes.get(key, self.plane_shapes.get(key))
+            shape = self.shapes.get(key)
             if shape is None:
                 raise GraphError(
                     f"override {key!r} names neither a layer output nor a head class plane"
@@ -584,10 +574,11 @@ class Graph:
         overrides: Mapping[str, np.ndarray] | None = None,
         target: str | None = None,
     ) -> GraphRun:
-        """Run every layer of ``modules`` on ``image``; ``overrides``
-        replace named activations or head class planes as they are recorded.
-        Each override is checked for its name and shape before anything
-        runs.
+        """Run every layer of ``modules`` on ``image``, recording each
+        layer's output and each head class plane (``planes``) in the run's
+        ``activations``; ``overrides`` replace any of them as it is
+        recorded. Each override is checked for its name and shape before
+        anything runs.
 
         Without a ``target`` the run keeps every activation and cache. With
         one (a layer name, or a head class plane such as ``l29/cls0``) the
@@ -609,7 +600,6 @@ class Graph:
         if input_name in overrides:
             values[input_name] = np.asarray(overrides[input_name], dtype=np.float64)
         caches: dict[str, object] = {}
-        head: list[HeadOutput] = []
         detect_name = self.detect_spec.name
         last_use = {ref: i for i, layer in enumerate(self.spec.layers) for ref in layer.inputs}
 
@@ -625,9 +615,9 @@ class Graph:
             module = self.modules[layer.name]
             if layer.name == detect_name:
                 cache = []
-                for i, (ref, branch) in enumerate(zip(layer.inputs, module)):
+                for plane, ref, branch in zip(self.planes, layer.inputs, module):
                     cls, branch_cache = branch.forward(values[ref])
-                    head.append(HeadOutput(i, record(f"{detect_name}/cls{i}", cls)))
+                    record(plane, cls)
                     cache.append(branch_cache)
             else:
                 xs = [values[ref] for ref in layer.inputs]
@@ -644,7 +634,7 @@ class Graph:
                 for name in (*layer.inputs, layer.name):
                     if last_use.get(name, index) == index and name != target:
                         values.pop(name, None)
-        return GraphRun(self, values, caches, tuple(head), target)
+        return GraphRun(self, values, caches, target)
 
     def backward_to_layer(
         self, run: GraphRun, selector: ScoreSelector, layer_name: str
@@ -683,9 +673,9 @@ class Graph:
         per_scale: dict[int, np.ndarray] = {}
         for key, weight in seeds.items():
             si, *index = key
-            if not 0 <= si < len(run.head):
-                raise GraphError(f"scale {si} outside 0..{len(run.head) - 1}")
-            plane = run.head[si].cls
+            if not 0 <= si < len(self.planes):
+                raise GraphError(f"scale {si} outside 0..{len(self.planes) - 1}")
+            plane = run.activations[self.planes[si]]
             if not all(0 <= i < n for i, n in zip(index, plane.shape)):
                 raise GraphError(
                     f"seed {key}: category or cell outside scale {si}'s head "
@@ -695,7 +685,7 @@ class Graph:
             seed[tuple(index)] += weight
 
         for si, seed in per_scale.items():
-            if layer_name == f"{detect_name}/cls{si}":
+            if layer_name == self.planes[si]:
                 if len(per_scale) > 1:
                     raise GraphError(
                         "mixed-scale seeds cannot target a single head plane"

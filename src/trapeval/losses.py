@@ -205,11 +205,7 @@ def loss_iou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     return _from_core(_iou_core, pred, gt)
 
 
-def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """IoU loss plus the hull-gap penalty (hull - union) / hull."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    g = _Geom(pred, gt)
+def _giou_core(g: _Geom) -> tuple[float, Vec4]:
     value, grad = _iou_core(g)
     if g.hull_area > 0.0:
         ha, u, du, dh = g.hull_area, g.union, g.d_union, g.d_hull_area
@@ -221,7 +217,12 @@ def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
             grad[2] + -(du[2] * ha - u * dh[2]) / c2,
             grad[3] + -(du[3] * ha - u * dh[3]) / c2,
         )
-    return LossEval(value, grad)
+    return value, grad
+
+
+def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
+    """IoU loss plus the hull-gap penalty (hull - union) / hull."""
+    return _from_core(_giou_core, pred, gt)
 
 
 def _diou_core(g: _Geom) -> tuple[float, Vec4]:
@@ -244,11 +245,7 @@ def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     return _from_core(_diou_core, pred, gt)
 
 
-def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """DIoU plus the aspect-ratio consistency term alpha * v."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    g = _Geom(pred, gt)
+def _ciou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.h <= 0.0 or g.hg <= 0.0:
         raise DegenerateBoxError("aspect ratio undefined for zero-height box")
     value, grad = _diou_core(g)
@@ -279,7 +276,12 @@ def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
             grad[2] + (v2 * dv[2] * s - vv * (d_liou[2] + dv[2])) / ss,
             grad[3] + (v2 * dv[3] * s - vv * (d_liou[3] + dv[3])) / ss,
         )
-    return LossEval(value, grad)
+    return value, grad
+
+
+def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
+    """DIoU plus the aspect-ratio consistency term alpha * v."""
+    return _from_core(_ciou_core, pred, gt)
 
 
 def _eiou_core(g: _Geom) -> tuple[float, Vec4]:

@@ -80,25 +80,25 @@ def read_ppm(path: "str | Path") -> Tensor3:
         return Tensor3(pixels.transpose(2, 0, 1).astype(np.float64))
 
 
+def _write_raster(path: "str | Path", kind: str, magic: str, pixels: np.ndarray) -> None:
+    """Write ``pixels`` (height, width[, 3]) as a maxval-255 raster once
+    they are checked to lie in [0, 255]; ``kind`` names the format."""
+    # Written so that NaN fails the check.
+    if not (pixels.min() >= 0.0 and pixels.max() <= 255.0):
+        raise FormatError(f"{kind} pixel values must lie in [0, 255]")
+    with open(path, "wb") as stream:
+        stream.write(f"{magic}\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
+        stream.write(np.rint(pixels).astype(np.uint8).tobytes(order="C"))
+
+
 def write_ppm(tensor: Tensor3, path: "str | Path") -> None:
     if tensor.channels != 3:
         raise FormatError(f"PPM needs 3 channels, got {tensor.channels}")
-    # Written so that NaN fails the check.
-    if not (tensor.data.min() >= 0.0 and tensor.data.max() <= 255.0):
-        raise FormatError("PPM pixel values must lie in [0, 255]")
-    pixels = np.rint(tensor.data).astype(np.uint8).transpose(1, 2, 0)
-    with open(path, "wb") as stream:
-        stream.write(f"P6\n{tensor.width} {tensor.height}\n255\n".encode("ascii"))
-        stream.write(pixels.tobytes(order="C"))
+    _write_raster(path, "PPM", "P6", tensor.data.transpose(1, 2, 0))
 
 
 def write_pgm(values: np.ndarray, path: "str | Path") -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FormatError(f"PGM needs a 2-dim grid, got shape {arr.shape}")
-    # Written so that NaN fails the check.
-    if not (arr.min() >= 0.0 and arr.max() <= 255.0):
-        raise FormatError("PGM pixel values must lie in [0, 255]")
-    with open(path, "wb") as stream:
-        stream.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        stream.write(np.rint(arr).astype(np.uint8).tobytes(order="C"))
+    _write_raster(path, "PGM", "P5", arr)

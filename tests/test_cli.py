@@ -705,13 +705,16 @@ LOAD_NUMPY = {
 }
 
 
-def python_without_timeout(argv, preset=None, **kwargs):
+def python_without_timeout(argv, preset=None, coretype=None, **kwargs):
     """Run a fresh interpreter on this checkout with OPENBLAS_THREAD_TIMEOUT
-    unset, or preset to ``preset``."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    unset, or preset to ``preset``, and OPENBLAS_CORETYPE unset, or set to
+    ``coretype``."""
+    unset = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_CORETYPE")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = str(Path(trapeval.__file__).resolve().parents[1])
-    if preset is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    for name, value in zip(unset, (preset, coretype)):
+        if value is not None:
+            env[name] = value
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           check=True, timeout=120, **kwargs)
 
@@ -855,17 +858,32 @@ def test_every_public_name_is_the_object_in_its_home_module_imported_on_first_us
     ]
 
 
-def test_gradcam_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):
+def gradcam_outputs(tmp_path, capsys, envs):
+    """stdout and every output file of one fresh-process ``gradcam`` run
+    (the seed-5 ``improved`` graph at 64, a seed-3 image, layer l2,
+    category 3) per ``(preset, coretype)`` of ``python_without_timeout``."""
     graph = tmp_path / "graph.txt"
     assert main(["shapes", "improved", "--size", "64", "--seed", "5", "--emit", str(graph)]) == 0
     capsys.readouterr()
     image = tmp_path / "input.ppm"
     write_image(image, seed=3)
     outputs = []
-    for preset in (None, "30"):
-        out = tmp_path / f"cam{preset}"
+    for i, (preset, coretype) in enumerate(envs):
+        out = tmp_path / f"cam{i}"
         done = python_without_timeout(
             ["-m", "trapeval.cli", "gradcam", str(graph), str(image), "--layer", "l2",
-             "--category", "3", "--pgm", "--out-dir", str(out)], preset)
+             "--category", "3", "--pgm", "--out-dir", str(out)], preset, coretype)
         outputs.append((done.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    return outputs
+
+
+def test_gradcam_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):
+    outputs = gradcam_outputs(tmp_path, capsys, [(None, None), ("30", None)])
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == 3
+
+
+def test_gradcam_bytes_do_not_depend_on_the_blas_kernel(tmp_path, capsys):
+    # The Prescott kernel moves the score float in its last digits; no
+    # printed digit and no output byte may follow it.
+    outputs = gradcam_outputs(tmp_path, capsys, [(None, None), (None, "Prescott")])
     assert outputs[0] == outputs[1] and len(outputs[0][1]) == 3

@@ -62,9 +62,9 @@ def test_heatmap_deterministic_across_runs():
     assert np.array_equal(a.data, b.data)
 
 
-def test_pin_selector_restricts_to_influencing_scales():
-    # two-scale head: p2 sees only the first branch's path
-    spec = GraphSpec(
+def two_scale_spec() -> GraphSpec:
+    """A two-scale head: c1 lies only on the second scale's path."""
+    return GraphSpec(
         (
             LayerSpec("img", "input", (), {"channels": 3, "height": 8, "width": 8}),
             LayerSpec("c0", "conv", ("img",), {"out_channels": 4, "kernel": 3, "stride": 2, "padding": 1, "act": 1}, seed=1),
@@ -72,12 +72,42 @@ def test_pin_selector_restricts_to_influencing_scales():
             LayerSpec("det", "detect", ("c0", "c1"), {"categories": 2}, seed=3),
         )
     )
-    graph = Graph(spec)
+
+
+def test_pin_selector_restricts_to_influencing_scales():
+    graph = Graph(two_scale_spec())
     run = graph.forward(tiny_image(7))
     pinned, _ = pin_selector(run, "c1", ScoreSelector(category=0))
     assert pinned.scale == 1  # only the second scale path contains c1
     heat = gradcam_heatmap(run, "c1", ScoreSelector(category=0))
     assert (heat.height, heat.width) == (8, 8)
+
+
+def test_equal_logits_pick_the_first_scale_then_the_first_cell_in_row_major_order():
+    graph = Graph(two_scale_spec())
+    # Category 0 peaks at 5 on two cells of each scale; the first in
+    # row-major order comes second in column-major order.
+    cls0, cls1 = np.zeros((2, 4, 4)), np.zeros((2, 2, 2))
+    cls0[0, 3, 0] = cls0[0, 1, 2] = cls0[0, 2, 3] = 5.0
+    cls1[0, 1, 0] = cls1[0, 0, 1] = 5.0
+    run = graph.forward(tiny_image(7), overrides={"det/cls0": cls0, "det/cls1": cls1})
+    assert ScoreSelector(0).resolve(run) == (0, 1, 2, 5.0)
+    assert ScoreSelector(0, scale=1).resolve(run) == (1, 0, 1, 5.0)
+    for layer, selector, scale, cell in [
+        ("img", ScoreSelector(0), 0, (1, 2)),
+        ("c0", ScoreSelector(0), 0, (1, 2)),
+        ("c1", ScoreSelector(0), 1, (0, 1)),
+        ("det/cls1", ScoreSelector(0), 1, (0, 1)),
+        ("c0", ScoreSelector(0, scale=1), 1, (0, 1)),
+    ]:
+        pinned, value = pin_selector(run, layer, selector)
+        assert (pinned.scale, pinned.cell, value) == (scale, cell, 5.0)
+    flat = graph.forward(
+        tiny_image(7), overrides={"det/cls0": np.ones((2, 4, 4)), "det/cls1": np.ones((2, 2, 2))}
+    )
+    assert ScoreSelector(1).resolve(flat) == (0, 0, 0, 1.0)
+    pinned, value = pin_selector(flat, "img", ScoreSelector(1))
+    assert (pinned.scale, pinned.cell, value) == (0, (0, 0), 1.0)
     with pytest.raises(GraphError):
         pin_selector(run, "det/box0", ScoreSelector(category=0))
 

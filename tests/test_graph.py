@@ -204,12 +204,13 @@ def test_build_graph_rejects_bad_sizes():
 
 def test_improved_head_grids_at_64():
     spec = build_graph("improved", 64, num_categories=4, seed=3)
-    run = Graph(spec).forward(Tensor3(np.zeros((3, 64, 64))))
-    grids = [h.cls.shape[1:] for h in run.head]
+    graph = Graph(spec)
+    run = graph.forward(Tensor3(np.zeros((3, 64, 64))))
+    grids = [run.activations[plane].shape[1:] for plane in graph.planes]
     assert grids == [(16, 16), (8, 8), (4, 4), (2, 2)]
     for scale in ((8, 8), (4, 4), (2, 2)):
         assert scale in grids
-    assert all(h.cls.shape[0] == 4 for h in run.head)
+    assert all(run.activations[plane].shape[0] == 4 for plane in graph.planes)
 
 
 def test_concat_mismatch_names_layer():
@@ -406,7 +407,7 @@ def test_overrides_of_a_lean_run_name_what_it_records():
             graph.forward(tiny_image(), overrides={"det/box0": np.zeros((4, 4, 4))}, target=target)
     cls = np.full((3, 4, 4), 0.25)
     lean = graph.forward(tiny_image(), overrides={"det/cls0": cls}, target="c1")
-    assert (lean.head[0].cls == cls).all()
+    assert (lean.activations["det/cls0"] == cls).all()
 
 
 def test_baseline_override_of_the_wrong_shape_names_the_layer():
@@ -504,7 +505,7 @@ def test_score_selector_validation():
     with pytest.raises(GraphError):
         ScoreSelector(category=0, scale=0, cell=(9, 9)).resolve(run)
     si, cy, cx, value = ScoreSelector(category=1).resolve(run)
-    assert value == run.head[si].cls[1, cy, cx]
+    assert value == run.activations[graph.planes[si]][1, cy, cx]
 
 
 # --- lean runs ------------------------------------------------------------------------------
@@ -599,7 +600,7 @@ def test_modules_draw_nothing_and_a_full_run_holds_one_weight_tensor_at_a_time(m
     image = Tensor3(np.random.default_rng(4).uniform(0, 255, (3, 64, 64)))
     first = graph.forward(image)
     assert tally.live == 0
-    seeds = {(head.scale_index, 3, 0, 0): 1.0 for head in first.head}
+    seeds = {(si, 3, 0, 0): 1.0 for si in range(len(graph.planes))}
     graph.backward_from_head(first, seeds, "img")
     assert 0 < tally.peak <= largest
     assert tally.live == 0

@@ -268,12 +268,12 @@ def graph_outputs(graph, image):
     multi-scale seed into l0, l2, the GAM layer and the image."""
     run = graph.forward(image)
     out = {name: value for name, value in run.activations.items()}
-    n_cat = run.head[0].cls.shape[0]
+    n_cat = run.activations[graph.planes[0]].shape[0]
     seeds = {}
-    for head in run.head:
-        _, gh, gw = head.cls.shape
-        seeds[(head.scale_index, n_cat - 1, gh - 1, 0)] = 1.0
-        seeds[(head.scale_index, 0, gh // 2, gw // 2)] = -0.5
+    for si, plane in enumerate(graph.planes):
+        _, gh, gw = run.activations[plane].shape
+        seeds[(si, n_cat - 1, gh - 1, 0)] = 1.0
+        seeds[(si, 0, gh // 2, gw // 2)] = -0.5
     targets = ["l0", "l2", "img"] + [layer.name for layer in graph.spec.layers if layer.kind == "gam"]
     for name in targets:
         out[f"grad/{name}"] = graph.backward_from_head(run, seeds, name).data
@@ -399,8 +399,8 @@ def test_lean_run_equals_the_full_run_bitwise(variant, size):
     image = Tensor3(np.random.default_rng(size).integers(0, 256, (3, size, size)).astype(np.float64))
     full = graph.forward(image)
     names = [layer.name for layer in graph.spec.layers]
-    n_cat = full.head[0].cls.shape[0]
-    class_planes = {f"{names[-1]}/cls{i}" for i in range(len(full.head))}
+    n_cat = full.activations[graph.planes[0]].shape[0]
+    class_planes = {f"{names[-1]}/cls{i}" for i in range(len(graph.planes))}
     assert set(full.activations) == set(names[:-1]) | class_planes
     assert list(full.caches) == names[1:]
     for target in lean_targets(graph):
