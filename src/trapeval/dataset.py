@@ -20,6 +20,7 @@ import gc
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -143,6 +144,21 @@ def _annotation(ann, context: str, annotations: dict, categories: dict) -> tuple
     return image_id, category_id, x, y, w, h
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block and restore it as it
+    was found, also when the block raises. For readers that build many
+    containers with no reference cycles, which the collector would walk
+    again and again while they are built."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_annotations(path: "str | Path") -> Dataset:
     """Read an annotation file into one record per image.
 
@@ -150,13 +166,8 @@ def parse_annotations(path: "str | Path") -> Dataset:
     non-numeric fields, non-integral ids, sizes and locations, and
     non-finite boxes are rejected with the offending element named.
     """
-    # The parsed JSON and the records are a few hundred thousand containers
-    # with no reference cycles, which the cyclic collector would walk again
-    # and again while they are built; it is paused, and restored as it was.
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
+    # The parsed JSON and the records are a few hundred thousand containers.
+    with collector_paused():
         try:
             with open(path, "r", encoding="utf-8") as stream:
                 payload = json.load(stream)
@@ -240,9 +251,6 @@ def parse_annotations(path: "str | Path") -> Dataset:
             for image_id, fields in images.items()
         )
         return Dataset(records, categories)
-    finally:
-        if paused:
-            gc.enable()
 
 
 _json_string = json.encoder.encode_basestring_ascii

@@ -31,6 +31,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detection, GroundTruth, iou
+from .dataset import collector_paused
 from .errors import CategoryError, ConfigError, EvalError, FormatError
 
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -718,34 +719,44 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
         raise FormatError(
             f"detections CSV header {header!r} != {DETECTIONS_CSV_HEADER!r}"
         )
-    detections = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 7:
-            raise FormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-        try:
-            image_id = row[0]
-            category_id = int(row[1])
-            confidence = float(row[2])
-            x1, y1, x2, y2 = (float(v) for v in row[3:7])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        if not 0.0 <= confidence <= 1.0:
-            raise FormatError(f"line {lineno}: confidence {confidence} outside [0, 1]")
-        if not all(map(math.isfinite, (x1, y1, x2, y2))):
-            raise FormatError(f"line {lineno}: non-finite coordinate")
-        # Corners in order as BoundingBox.normalized() puts them, one box built.
-        x1, x2 = (x2, x1) if x2 < x1 else (x1, x2)
-        y1, y2 = (y2, y1) if y2 < y1 else (y1, y2)
-        detections.append(
-            Detection(
-                box=BoundingBox(x1, y1, x2, y2),
-                category_id=category_id,
-                confidence=confidence,
-                image_id=image_id,
-            )
-        )
+    # One pass, each row checked in order: its field count, then the
+    # conversions (category, confidence, x1, y1, x2, y2), the confidence
+    # range and the finite corners. The detections and their boxes are tens
+    # of thousands of objects with no reference cycles.
+    detections: list[Detection] = []
+    append = detections.append
+    isfinite = math.isfinite
+    with collector_paused():
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                image_id, category_id, confidence, x1, y1, x2, y2 = row
+            except ValueError:
+                raise FormatError(f"line {lineno}: expected 7 fields, got {len(row)}") from None
+            try:
+                category_id = int(category_id)
+                confidence = float(confidence)
+                x1 = float(x1)
+                y1 = float(y1)
+                x2 = float(x2)
+                y2 = float(y2)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            if not 0.0 <= confidence <= 1.0:
+                raise FormatError(f"line {lineno}: confidence {confidence} outside [0, 1]")
+            # A finite sum means four finite corners; four finite ones can
+            # still overflow it, so only then is each corner checked.
+            if not isfinite(x1 + y1 + x2 + y2) and not (
+                isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
+            ):
+                raise FormatError(f"line {lineno}: non-finite coordinate")
+            # Corners in order as BoundingBox.normalized() puts them, one box built.
+            if x2 < x1:
+                x1, x2 = x2, x1
+            if y2 < y1:
+                y1, y2 = y2, y1
+            append(Detection(BoundingBox(x1, y1, x2, y2), category_id, confidence, image_id))
     return detections
 
 

@@ -212,6 +212,13 @@ class GraphSpec:
                     )
             kind.validate(layer)
             seen.add(layer.name)
+        # A run records the head's planes as "<detect>/cls<i>"; a layer may not share them.
+        for head in [layer.name for layer in self.layers if layer.kind == "detect"]:
+            for layer in self.layers:
+                if layer.name.startswith(f"{head}/"):
+                    raise GraphError(
+                        f"layer {layer.name}: a name under {head}/ would shadow a plane of detect layer {head}"
+                    )
 
     @property
     def input_shape(self) -> Shape:

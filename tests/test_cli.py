@@ -488,6 +488,24 @@ def test_malformed_graph_exits_1_naming_layer(tmp_path, capsys, line, layer):
     assert "Traceback" not in err and stdout == ""
 
 
+@pytest.mark.parametrize("target", ["head/cls0", "img"])
+def test_a_layer_named_like_a_head_plane_exits_1_naming_it(tmp_path, capsys, target):
+    graph = tmp_path / "g.txt"
+    graph.write_text(
+        "img input channels=3 height=8 width=8\n"
+        "head/cls0 conv in=img out_channels=4\n"
+        "head detect in=head/cls0 categories=2\n",
+        encoding="utf-8",
+    )
+    image = tmp_path / "img.ppm"
+    write_image(image, size=8)
+    code, stdout, err = run(capsys, "gradcam", str(graph), str(image), "--layer", target,
+                            "--category", "0", "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: layer head/cls0: a name under head/ would shadow a plane of detect layer head\n"
+    assert stdout == ""
+
+
 def test_gradcam_rejects_a_bad_layer_before_drawing_a_weight(tmp_path, capsys, monkeypatch):
     graph, image = write_tiny_graph(tmp_path, "")
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import random
@@ -734,6 +735,45 @@ def test_mutated_detections_csv_parses_or_raises_a_trapeval_error(text):
         read_detections_csv(io.StringIO(text, newline=""))  # as the CLI opens it
     except TrapevalError:
         pass
+
+
+class LineProbe:
+    """Lines of a text, noting whether the cyclic collector was enabled as
+    each one was read."""
+
+    def __init__(self, text):
+        self.lines = io.StringIO(text, newline="")
+        self.enabled = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.lines)
+        self.enabled.append(gc.isenabled())
+        return line
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_detections_csv_pauses_the_cyclic_gc_and_restores_it(enabled, valid):
+    rows = ["im0,1,0.5,0,0,1,1", "im1,2,0.25,4,3,1,1", "im2,0,0.75,1,1,2,2"]
+    if not valid:
+        rows[1] = "im1,2,1.5,4,3,1,1"
+    probe = LineProbe("image_id,category_id,confidence,x1,y1,x2,y2\n" + "\n".join(rows) + "\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            assert len(read_detections_csv(probe)) == 3
+        else:
+            with pytest.raises(FormatError, match="line 3: confidence 1.5"):
+                read_detections_csv(probe)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert probe.enabled[0] == enabled  # the header
+    assert probe.enabled[1:] == [False] * (3 if valid else 2)  # every row read
 
 
 def test_metrics_csv_contains_summary_lines():
