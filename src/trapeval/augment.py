@@ -9,7 +9,7 @@ reading and splitting annotations loads no numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -42,8 +42,7 @@ def resize_with_boxes(
     sx = target / record.width
     sy = target / record.height
     annotations = tuple(
-        replace(
-            gt,
+        gt._replace(
             box=_clamp_box(
                 gt.box.x1 * sx, gt.box.y1 * sy, gt.box.x2 * sx, gt.box.y2 * sy, target, target
             ),
@@ -51,7 +50,7 @@ def resize_with_boxes(
         for gt in record.annotations
     )
     return (
-        replace(record, width=target, height=target, annotations=annotations),
+        record._replace(width=target, height=target, annotations=annotations),
         resized,
     )
 
@@ -131,8 +130,7 @@ def augment(
         clamped = _clamp_box(box.x1, box.y1, box.x2, box.y2, int(width), int(height))
         if clamped.area >= 1.0:
             kept.append(GroundTruth(clamped, category, record.image_id))
-    new_record = replace(
-        record,
+    new_record = record._replace(
         width=int(width),
         height=int(height),
         annotations=tuple(kept),

@@ -4,17 +4,20 @@ Boxes are kept in corner form (x1, y1, x2, y2); center/size views are derived
 on demand. Degenerate (zero-area) boxes are legal everywhere: IoU with a
 degenerate union is 0 by convention and the enclosing hull is still defined.
 All arithmetic is double precision.
+
+The records are named tuples, since one is built per box, detection and
+ground truth: immutable, equal and hashed by their fields, and cheap to
+build. Change one with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -49,23 +52,36 @@ class BoundingBox:
         return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     box: BoundingBox
     category_id: int
     image_id: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
+class _DetectionFields(NamedTuple):
     box: BoundingBox
     category_id: int
     confidence: float
     image_id: str = ""
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ConfigError(f"confidence {self.confidence} outside [0, 1]")
+
+class Detection(_DetectionFields):
+    """A scored box. Every path that builds one checks that the confidence
+    lies in [0, 1]: the constructor, ``_make`` and ``_replace`` (which goes
+    through ``_make``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, box: BoundingBox, category_id: int, confidence: float, image_id: str = ""):
+        if not 0.0 <= confidence <= 1.0:
+            raise ConfigError(f"confidence {confidence} outside [0, 1]")
+        return tuple.__new__(cls, (box, category_id, confidence, image_id))
+
+    @classmethod
+    def _make(cls, iterable) -> "Detection":
+        # The base _make checks the length but builds through tuple.__new__,
+        # which skips the check above.
+        return cls(*super()._make(iterable))
 
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:

@@ -23,7 +23,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .boxes import BoundingBox, GroundTruth
 from .errors import FormatError, SplitError
@@ -31,8 +31,7 @@ from .errors import FormatError, SplitError
 EMPTY_CATEGORY_NAME = "empty"
 
 
-@dataclass(frozen=True, slots=True)
-class ImageRecord:
+class ImageRecord(NamedTuple):
     image_id: str
     location_id: int
     capture_date: dt.date
@@ -294,8 +293,7 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
     annotations = []
     ann_id = 0
     for record in dataset.records:
-        image_id, file_name = record.image_id, record.file_name
-        height, location_id, width = record.height, record.location_id, record.width
+        image_id, location_id, capture_date, width, height, file_name, ground_truths = record
         # Exact ints print as their repr in the template; anything else, and
         # every string, is rendered first.
         if (
@@ -309,7 +307,7 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
             )
         images.append(
             f"""  {{
-   "date": {_json_string(record.capture_date.isoformat())},
+   "date": {_json_string(capture_date.isoformat())},
    "file_name": {file_name},
    "height": {height},
    "id": {image_id},
@@ -317,17 +315,14 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
    "width": {width}
   }}"""
         )
-        for gt in record.annotations:
+        for (x, y, x2, y2), category_id, _ in ground_truths:
             ann_id += 1
-            b = gt.box
-            x, y = b.x1, b.y1
-            w, h = b.x2 - x, b.y2 - y  # b.width and b.height, without two property calls
+            w, h = x2 - x, y2 - y  # the box's width and height
             # Finite floats (a finite sum implies them) print as their repr.
             if float is type(x) is type(y) is type(w) is type(h) and math.isfinite(x + y + w + h):
                 bbox = f"{x!r},\n    {y!r},\n    {w!r},\n    {h!r}"
             else:
                 bbox = ",\n    ".join(map(_json_scalar, (x, y, w, h)))
-            category_id = gt.category_id
             if type(category_id) is not int:
                 category_id = _json_scalar(category_id)
             annotations.append(

@@ -25,6 +25,7 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import attrgetter
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -485,8 +486,9 @@ def _pairs(counts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return pair_det, first_gt[pair_det] + offset
 
 
-def _corners(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+def _corners(boxes: list[BoundingBox]) -> np.ndarray:
+    # A box is already its corner row: the rows are read as one flat run.
+    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
 
 
 def _block_iou(
@@ -500,8 +502,8 @@ def _block_iou(
     pass. A non-finite corner, or one past ``_EXACT_CORNER``, sends the
     block through the scalar ``iou``: numpy's min/max propagate NaN where
     Python's keep their first argument."""
-    a = _corners(d.box for d in detections)
-    b = _corners(g.box for g in ground_truths)
+    a = _corners([d.box for d in detections])
+    b = _corners([g.box for g in ground_truths])
     if not ((np.abs(a) <= _EXACT_CORNER).all() and (np.abs(b) <= _EXACT_CORNER).all()):
         return np.array(
             [

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 from .boxes import BoundingBox, center_distance_sq, iou  # noqa: F401 (re-exported)
 from .errors import ConfigError, DegenerateBoxError, DegenerateHullError, DivergedError
@@ -67,8 +67,7 @@ class LossParams:
             )
 
 
-@dataclass(frozen=True)
-class WiouState:
+class WiouState(NamedTuple):
     """Running mean of the plain IoU loss, seeded by the first observation."""
 
     mean_iou_loss: float = 0.0
@@ -81,8 +80,7 @@ class WiouState:
         return WiouState(mean, self.sample_count + 1)
 
 
-@dataclass(frozen=True)
-class LossEval:
+class LossEval(NamedTuple):
     value: float
     grad: Vec4
 
@@ -103,14 +101,16 @@ class _Geom:
     """
 
     __slots__ = (
-        "w", "h", "wg", "hg", "union", "d_union", "iou", "d_iou", "hull_w", "hull_h",
-        "d_hull_w", "d_hull_h", "hull_area", "d_hull_area", "diag_sq", "d_diag_sq",
+        "pred", "gt", "w", "h", "wg", "hg", "union", "d_union", "iou", "d_iou", "hull_w",
+        "hull_h", "d_hull_w", "d_hull_h", "hull_area", "d_hull_area", "diag_sq", "d_diag_sq",
         "dist_sq", "d_dist_sq",
     )
 
     def __init__(self, pred: BoundingBox, gt: BoundingBox):
-        x1, y1, x2, y2 = pred.x1, pred.y1, pred.x2, pred.y2
-        a1, b1, a2, b2 = gt.x1, gt.y1, gt.x2, gt.y2
+        self.pred = pred
+        self.gt = gt
+        x1, y1, x2, y2 = pred
+        a1, b1, a2, b2 = gt
         self.w = w = x2 - x1
         self.h = h = y2 - y1
         self.wg = wg = a2 - a1
@@ -165,9 +165,7 @@ class _Geom:
         try:
             self.diag_sq = hull_w**2 + hull_h**2
         except OverflowError:
-            raise DegenerateHullError(
-                f"enclosing hull of {pred} and {gt} is too large: its squared diagonal overflows"
-            ) from None
+            raise _hull_error(pred, gt, "is too large: its squared diagonal overflows") from None
         self.d_diag_sq = (
             2.0 * hull_w * w0 + 2.0 * hull_h * 0.0,
             2.0 * hull_w * 0.0 + 2.0 * hull_h * h1,
@@ -178,6 +176,10 @@ class _Geom:
         dy = (y1 + y2) / 2.0 - (b1 + b2) / 2.0
         self.dist_sq = dx * dx + dy * dy
         self.d_dist_sq = (dx, dy, dx, dy)
+
+
+def _hull_error(pred: BoundingBox, gt: BoundingBox, what: str) -> DegenerateHullError:
+    return DegenerateHullError(f"enclosing hull of {pred} and {gt} {what}")
 
 
 def _is_identical(pred: BoundingBox, gt: BoundingBox) -> bool:
@@ -227,7 +229,7 @@ def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
 
 def _diou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
-        raise DegenerateHullError("enclosing hull has zero diagonal")
+        raise _hull_error(g.pred, g.gt, "has zero diagonal")
     value, grad = _iou_core(g)
     c, d, dd, dc = g.diag_sq, g.dist_sq, g.d_dist_sq, g.d_diag_sq
     q = c * c
@@ -286,7 +288,7 @@ def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
 
 def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.hull_w <= 0.0 or g.hull_h <= 0.0:
-        raise DegenerateHullError("enclosing hull has a zero side")
+        raise _hull_error(g.pred, g.gt, "has a zero side")
     value, grad = _diou_core(g)
     dw_diff = g.w - g.wg
     dh_diff = g.h - g.hg
@@ -340,7 +342,7 @@ def loss_focal_eiou(
 
 def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
-        raise DegenerateHullError("enclosing hull has zero diagonal")
+        raise _hull_error(g.pred, g.gt, "has zero diagonal")
     # The squared diagonal is a frozen constant here: only dist_sq carries
     # gradient through the exponential factor.
     factor = math.exp(g.dist_sq / g.diag_sq)
@@ -460,7 +462,7 @@ def _frozen_value_fn(
         return lambda p: evaluate(p, gt, params, state)[0].value
     base = _Geom(pred, gt)
     if base.diag_sq <= 0.0:
-        raise DegenerateHullError("enclosing hull has zero diagonal")
+        raise _hull_error(pred, gt, "has zero diagonal")
     diag_sq = base.diag_sq
     r = focus(base, params, state)
 
@@ -510,8 +512,7 @@ def evaluate_loss(
     return LOSSES[kind][0](pred, gt, params or LossParams(), state)
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     iteration: int
     loss: float
     iou: float

@@ -234,3 +234,23 @@ def weight_tensors(module):
                 yield value
             elif isinstance(value, list) or hasattr(value, "backward"):
                 yield from weight_tensors(value)
+
+
+def assert_value_record(cls, fields: dict, text: str, defaults: dict) -> None:
+    """A record built from ``fields`` (by name, in order) is immutable,
+    equal to and hashed as another built from the same values (the hash of
+    the field tuple), prints as ``text``, and fills ``defaults`` when they
+    are left out."""
+    record = cls(*fields.values())
+    assert repr(record) == text
+    twin = cls(**fields)
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    required = [value for name, value in fields.items() if name not in defaults]
+    assert cls(*required) == cls(*required, *defaults.values())
+    for name, value in defaults.items():
+        assert getattr(cls(*required), name) == value

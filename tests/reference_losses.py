@@ -46,6 +46,7 @@ class _Geom:
     """Shared geometry of a (pred, gt) pair and its pred-corner derivatives."""
 
     def __init__(self, pred: BoundingBox, gt: BoundingBox):
+        self.pred, self.gt = pred, gt
         x1, y1, x2, y2 = pred.corners()
         a1, b1, a2, b2 = gt.corners()
         self.w = x2 - x1
@@ -163,7 +164,7 @@ def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
 
 def _diou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
-        raise DegenerateHullError("enclosing hull has zero diagonal")
+        raise DegenerateHullError(f"enclosing hull of {g.pred} and {g.gt} has zero diagonal")
     value, grad = _iou_core(g)
     q = g.diag_sq * g.diag_sq
     value += g.dist_sq / g.diag_sq
@@ -216,7 +217,7 @@ def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
 
 def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.hull_w <= 0.0 or g.hull_h <= 0.0:
-        raise DegenerateHullError("enclosing hull has a zero side")
+        raise DegenerateHullError(f"enclosing hull of {g.pred} and {g.gt} has a zero side")
     value, grad = _diou_core(g)
     dw_diff = g.w - g.wg
     dh_diff = g.h - g.hg
@@ -264,7 +265,7 @@ def loss_focal_eiou(
 
 def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
-        raise DegenerateHullError("enclosing hull has zero diagonal")
+        raise DegenerateHullError(f"enclosing hull of {g.pred} and {g.gt} has zero diagonal")
     # The squared diagonal is a frozen constant here: only dist_sq carries
     # gradient through the exponential factor.
     factor = math.exp(g.dist_sq / g.diag_sq)

@@ -1,3 +1,5 @@
+import datetime as dt
+import math
 import random
 
 import pytest
@@ -6,11 +8,16 @@ from hypothesis import given, strategies as st
 from trapeval.boxes import (
     BoundingBox,
     Detection,
+    GroundTruth,
     center_distance_sq,
     enclosing_box,
     intersection_area,
     iou,
 )
+from trapeval.dataset import ImageRecord
+from trapeval.errors import ConfigError
+
+from conftest import assert_value_record
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 sides = st.floats(0.1, 20, allow_nan=False, allow_infinity=False)
@@ -117,7 +124,71 @@ def test_normalized_reorders_corners():
 
 def test_detection_confidence_validated():
     box = BoundingBox(0, 0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Detection(box, 0, 1.5, "im")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Detection(box, 0, -0.1, "im")
+
+
+@pytest.mark.parametrize("confidence", [1.5, -0.1, math.nan])
+def test_every_path_that_builds_a_detection_checks_its_confidence(confidence):
+    box = BoundingBox(0, 0, 1, 1)
+    message = f"confidence {confidence} outside \\[0, 1\\]"
+    with pytest.raises(ConfigError, match=message):
+        Detection(box, 0, confidence, "im")
+    with pytest.raises(ConfigError, match=message):
+        Detection(box, 0, 0.5, "im")._replace(confidence=confidence)
+    with pytest.raises(ConfigError, match=message):
+        Detection._make((box, 0, confidence, "im"))
+    assert Detection._make((box, 0, 1.0, "im")) == Detection(box, 0, 1.0, "im")
+    with pytest.raises(TypeError):
+        Detection._make((box, 0, 0.5))  # every field, as a named tuple's _make wants
+
+
+UNIT = BoundingBox(0, 0, 1, 1)
+UNIT_TEXT = "BoundingBox(x1=0, y1=0, x2=1, y2=1)"
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text, defaults",
+    [
+        (BoundingBox, dict(x1=0, y1=0, x2=1, y2=1), UNIT_TEXT, {}),
+        (
+            BoundingBox,
+            dict(x1=1e200, y1=-0.0, x2=math.inf, y2=2.5),
+            "BoundingBox(x1=1e+200, y1=-0.0, x2=inf, y2=2.5)",
+            {},
+        ),
+        (
+            GroundTruth,
+            dict(box=UNIT, category_id=3, image_id="im"),
+            f"GroundTruth(box={UNIT_TEXT}, category_id=3, image_id='im')",
+            {"image_id": ""},
+        ),
+        (
+            Detection,
+            dict(box=UNIT, category_id=3, confidence=0.25, image_id="im"),
+            f"Detection(box={UNIT_TEXT}, category_id=3, confidence=0.25, image_id='im')",
+            {"image_id": ""},
+        ),
+        (
+            ImageRecord,
+            dict(
+                image_id="im",
+                location_id=7,
+                capture_date=dt.date(2024, 5, 1),
+                width=640,
+                height=480,
+                file_name="a.jpg",
+                annotations=(GroundTruth(UNIT, 3, "im"),),
+            ),
+            "ImageRecord(image_id='im', location_id=7, capture_date=datetime.date(2024, 5, 1), "
+            f"width=640, height=480, file_name='a.jpg', annotations=(GroundTruth(box={UNIT_TEXT}, "
+            "category_id=3, image_id='im'),))",
+            {"file_name": "", "annotations": ()},
+        ),
+    ],
+    ids=["box", "odd-box", "ground-truth", "detection", "image-record"],
+)
+def test_records_are_immutable_equal_by_value_and_print_as_before(cls, fields, text, defaults):
+    assert_value_record(cls, fields, text, defaults)

@@ -135,6 +135,15 @@ def test_losslab_takes_boxes_that_start_with_a_minus_in_the_equals_form(tmp_path
     assert float(rows[-1].split(",")[2]) > float(rows[1].split(",")[2])  # IoU with the gt grows
 
 
+def test_losslab_on_a_point_box_exits_1_naming_both_boxes(tmp_path, capsys):
+    code, stdout, err = run(capsys, "losslab", "--start", "1,1,1,1", "--gt", "1,1,1,1",
+                            "--out-dir", str(tmp_path / "lab"))
+    assert code == 1
+    assert stdout.splitlines() == ["iou,1,0,0", "giou,1,0,0"]  # the kinds before diou ran
+    point = "BoundingBox(x1=1.0, y1=1.0, x2=1.0, y2=1.0)"
+    assert err == f"error: enclosing hull of {point} and {point} has zero diagonal\n"
+
+
 # sha256 of every output and of stdout of three losslab runs, as the former
 # per-step descent wrote them. Only the third run clamps at the arena (after
 # its start) and re-orders corners mid-descent.

@@ -4,7 +4,6 @@ import io
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -598,10 +597,10 @@ ODD_BOXES = (
 def _odd_corner_corpus(rng):
     detections, ground_truths = _edge_case_corpus(rng)
     detections = [
-        replace(d, box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else d for d in detections
+        d._replace(box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else d for d in detections
     ]
     ground_truths = [
-        replace(g, box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else g for g in ground_truths
+        g._replace(box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else g for g in ground_truths
     ]
     return detections, ground_truths
 

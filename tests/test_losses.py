@@ -12,6 +12,7 @@ from trapeval.losses import (
     LossKind,
     LossParams,
     TRAJECTORY_CSV_HEADER,
+    TrajectoryRow,
     WiouState,
     evaluate_loss,
     finite_diff_grad,
@@ -29,7 +30,7 @@ from trapeval.losses import (
     write_trajectory_csv,
 )
 
-from conftest import gradient_pairs
+from conftest import assert_value_record, gradient_pairs
 
 OVERLAP = (BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
 DISJOINT = (BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 3))
@@ -108,13 +109,25 @@ def test_eiou_spot_values():
 
 def test_degenerate_hull_errors():
     point = BoundingBox(1, 1, 1, 1)
-    with pytest.raises(DegenerateHullError):
-        loss_diou(point, point)
-    with pytest.raises(DegenerateHullError):
-        loss_wiou_v1(point, point)
+    zero_diagonal = (
+        "enclosing hull of BoundingBox(x1=1, y1=1, x2=1, y2=1) and "
+        "BoundingBox(x1=1, y1=1, x2=1, y2=1) has zero diagonal"
+    )
+    for call in (
+        lambda: loss_diou(point, point),
+        lambda: loss_wiou_v1(point, point),
+        lambda: finite_diff_grad(LossKind.WIOU_V3, point, point),
+    ):
+        with pytest.raises(DegenerateHullError) as info:
+            call()
+        assert str(info.value) == zero_diagonal
     zero_width = BoundingBox(1, 0, 1, 2)
-    with pytest.raises(DegenerateHullError):
+    with pytest.raises(DegenerateHullError) as info:
         loss_eiou(zero_width, BoundingBox(1, 3, 1, 5))
+    assert str(info.value) == (
+        "enclosing hull of BoundingBox(x1=1, y1=0, x2=1, y2=2) and "
+        "BoundingBox(x1=1, y1=3, x2=1, y2=5) has a zero side"
+    )
 
 
 @pytest.mark.parametrize("kind", list(LossKind))
@@ -126,6 +139,44 @@ def test_a_hull_whose_squared_diagonal_overflows_is_a_defined_error(kind):
     arena = (-1e300, -1e300, 1e300, 1e300)
     with pytest.raises(DegenerateHullError, match="squared diagonal overflows"):
         simulate_regression(kind, wide, unit, step=0.01, iters=5, arena=arena)
+
+
+def test_the_hull_overflow_error_prints_both_boxes_as_before():
+    with pytest.raises(DegenerateHullError) as info:
+        loss_diou(BoundingBox(1e200, 0, 2e200, 1), BoundingBox(0, 0, 1, 1))
+    assert str(info.value) == (
+        "enclosing hull of BoundingBox(x1=1e+200, y1=0, x2=2e+200, y2=1) and "
+        "BoundingBox(x1=0, y1=0, x2=1, y2=1) is too large: its squared diagonal overflows"
+    )
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text, defaults",
+    [
+        (
+            LossEval,
+            dict(value=0.5, grad=(0.0, -0.25, 1.0, 0.0)),
+            "LossEval(value=0.5, grad=(0.0, -0.25, 1.0, 0.0))",
+            {},
+        ),
+        (
+            WiouState,
+            dict(mean_iou_loss=0.75, sample_count=4),
+            "WiouState(mean_iou_loss=0.75, sample_count=4)",
+            {"mean_iou_loss": 0.0, "sample_count": 0},
+        ),
+        (
+            TrajectoryRow,
+            dict(iteration=3, loss=0.25, iou=0.5, center_dist=1.0, area=2.0, box=BoundingBox(0, 0, 1, 2)),
+            "TrajectoryRow(iteration=3, loss=0.25, iou=0.5, center_dist=1.0, area=2.0, "
+            "box=BoundingBox(x1=0, y1=0, x2=1, y2=2))",
+            {},
+        ),
+    ],
+    ids=["loss-eval", "wiou-state", "trajectory-row"],
+)
+def test_loss_records_are_immutable_equal_by_value_and_print_as_before(cls, fields, text, defaults):
+    assert_value_record(cls, fields, text, defaults)
 
 
 def test_focal_eiou_spot_values():
