@@ -203,6 +203,93 @@ def test_losslab_bytes_are_pinned(tmp_path, capsys, argv, digests):
 
 # --- eval --------------------------------------------------------------------------
 
+def write_eval_corpus(tmp_path, images=200, seed=21):
+    """A seeded detections CSV and annotation file: 0-3 ground truths per
+    image over categories 1-6 (7 is configured but never annotated), 0-4
+    jittered detections each, some relabelled, some with swapped corners,
+    confidences on a 0.01 grid so that ties occur, and image ids whose sorted
+    order is not their numeric one."""
+    rng = random.Random(seed)
+    payload = {
+        "images": [
+            {"id": f"img{i}", "width": 320, "height": 240, "location": i % 10,
+             "date": "2023-06-01", "file_name": f"img{i}.jpg"}
+            for i in range(images)
+        ],
+        "annotations": [],
+        "categories": [{"id": c, "name": f"species{c}"} for c in range(1, 8)],
+    }
+    rows = ["image_id,category_id,confidence,x1,y1,x2,y2"]
+    for i in range(images):
+        for _ in range(rng.randint(0, 3)):
+            w, h = rng.uniform(8, 120), rng.uniform(8, 100)
+            x, y = rng.uniform(0, 320 - w), rng.uniform(0, 240 - h)
+            category = rng.randint(1, 6)
+            payload["annotations"].append(
+                {"id": len(payload["annotations"]) + 1, "image_id": f"img{i}",
+                 "category_id": category, "bbox": [round(x, 2), round(y, 2), round(w, 2), round(h, 2)]}
+            )
+            for _ in range(rng.randint(0, 4)):
+                s = rng.uniform(0.0, 0.3)
+                x1, y1 = x + rng.gauss(0, s * w), y + rng.gauss(0, s * h)
+                x2, y2 = x + w + rng.gauss(0, s * w), y + h + rng.gauss(0, s * h)
+                if rng.random() < 0.1:
+                    x1, x2 = x2, x1
+                label = rng.randint(1, 7) if rng.random() < 0.2 else category
+                rows.append(f"img{i},{label},{round(rng.random(), 2)},{x1:.2f},{y1:.2f},{x2:.2f},{y2:.2f}")
+    det, ann = tmp_path / "dets.csv", tmp_path / "ann.json"
+    det.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    ann.write_text(json.dumps(payload), encoding="utf-8")
+    return str(det), str(ann)
+
+
+EVAL_PINS = [
+    (
+        [],
+        {
+            "ap_modes.csv": "b06d3990e0a49ed1bc0bf0093cfe3a254f0ffb20e843ee173e0bc284c3512690",
+            "confusion_matrix.csv": "7ec374a5dc6fd72cf9291ec0e12e28643d772a61542f04f36c90bd82fb134754",
+            "metrics.csv": "dc16ee15f2a3d3ca3ce19ac21c533dde4d93bf1f55e2c89373c65713e9e35785",
+            "pr_curve_cat1.svg": "f667137958a6693b8d3bf1d98d3a4db04be9c82ecd56e6007aed3217700b3dd2",
+            "pr_curve_cat2.svg": "b41ea7bf95b855b9abbe2d27217a7ee86c8af7a42eed707dff586268bff523cd",
+            "pr_curve_cat3.svg": "7e96e0f823d23f625f0014d2096d79b57d8155f26b71df6ab2f0aa8fb3e0531d",
+            "pr_curve_cat4.svg": "51897b82f919150f7fa263bf7eb87a7fbc3ce70c797f5203bde282c2fcc5d602",
+            "pr_curve_cat5.svg": "a0f8533826060855ffd27fc50957af25152d0c5686c4830e9c1844c14c7b990d",
+            "pr_curve_cat6.svg": "2c3454c38fa3717b6af86fc6ad368ac539bea27c92a47d40b71b0028cb0dbed6",
+            "pr_curves_all.svg": "66f499a03eea89b09d5c1c7336a59d4f74b262bca87a08406532b72fb5e6e1b0",
+            "stdout": "a987ec46f54c5dc7584173c10c018b56910c2d999b6589656202b40c2969972d",
+        },
+    ),
+    (
+        ["--iou-thresh", "0.6", "--conf-thresh", "0.1"],
+        {
+            "ap_modes.csv": "b06d3990e0a49ed1bc0bf0093cfe3a254f0ffb20e843ee173e0bc284c3512690",
+            "confusion_matrix.csv": "09976e32ee91ba8d690011612f00db6587a868b7ad923f1f9aad061e91704bc0",
+            "metrics.csv": "7409704dafd9a28b13fa02a4edbde1eb3cdb53cf9bb7108912a13c0cc03dd650",
+            "pr_curve_cat1.svg": "f667137958a6693b8d3bf1d98d3a4db04be9c82ecd56e6007aed3217700b3dd2",
+            "pr_curve_cat2.svg": "b41ea7bf95b855b9abbe2d27217a7ee86c8af7a42eed707dff586268bff523cd",
+            "pr_curve_cat3.svg": "7e96e0f823d23f625f0014d2096d79b57d8155f26b71df6ab2f0aa8fb3e0531d",
+            "pr_curve_cat4.svg": "51897b82f919150f7fa263bf7eb87a7fbc3ce70c797f5203bde282c2fcc5d602",
+            "pr_curve_cat5.svg": "a0f8533826060855ffd27fc50957af25152d0c5686c4830e9c1844c14c7b990d",
+            "pr_curve_cat6.svg": "2c3454c38fa3717b6af86fc6ad368ac539bea27c92a47d40b71b0028cb0dbed6",
+            "pr_curves_all.svg": "66f499a03eea89b09d5c1c7336a59d4f74b262bca87a08406532b72fb5e6e1b0",
+            "stdout": "a987ec46f54c5dc7584173c10c018b56910c2d999b6589656202b40c2969972d",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digests", EVAL_PINS)
+def test_eval_bytes_are_pinned(tmp_path, capsys, argv, digests):
+    det, ann = write_eval_corpus(tmp_path)
+    out = tmp_path / "ev"
+    code, stdout, err = run(capsys, "eval", det, ann, *argv, "--out-dir", str(out))
+    assert code == 0 and err == ""
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert got == digests
+
+
 def test_eval_identity_predictor(tmp_path, capsys, identity_corpus):
     det, ann = identity_corpus
     out = tmp_path / "ev"
