@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
     config = ev.MatchConfig(**{k: v for k, v in given.items() if v is not None})
     try:
         with open(args.detections, "r", encoding="utf-8", newline="") as stream:
-            detections = ev.read_detections_csv(stream)
+            detections = ev.read_detection_columns(stream)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{args.detections}: not UTF-8 ({exc})") from exc
     data = ds.parse_annotations(args.annotations)

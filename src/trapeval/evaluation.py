@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import attrgetter
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,10 +103,10 @@ def match_detections(
         known = set(categories)
         for d in detections:
             if d.category_id not in known:
-                raise CategoryError(f"detection references unknown category {d.category_id}")
+                raise _unknown_category("detection", d.category_id)
         for g in ground_truths:
             if g.category_id not in known:
-                raise CategoryError(f"ground truth references unknown category {g.category_id}")
+                raise _unknown_category("ground truth", g.category_id)
 
     retained = [
         (i, d) for i, d in enumerate(detections) if d.confidence >= config.confidence_threshold
@@ -135,6 +135,10 @@ def match_detections(
         flags=tuple(flags),
         unmatched_gt_indices=tuple(sorted(available)),
     )
+
+
+def _unknown_category(kind: str, category_id: int) -> CategoryError:
+    return CategoryError(f"{kind} references unknown category {category_id}")
 
 
 def precision(tp: int, fp: int) -> float:
@@ -392,13 +396,11 @@ class CorpusMetrics:
 
 
 def _category_set(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    categories: Iterable[int] | None,
+    det_cats: Iterable[int], gt_cats: Iterable[int], categories: Iterable[int] | None
 ) -> tuple[int, ...]:
     if categories is not None:
         return tuple(sorted(set(categories)))
-    return tuple(sorted({g.category_id for g in ground_truths} | {d.category_id for d in detections}))
+    return tuple(sorted(set(gt_cats).union(det_cats)))
 
 
 def per_category_ap(
@@ -411,7 +413,8 @@ def per_category_ap(
     """AP per category with at least one ground truth; others are excluded."""
     config = config or MatchConfig()
     result: dict[int, float] = {}
-    for cat in _category_set(detections, ground_truths, categories):
+    det_cats = (d.category_id for d in detections)
+    for cat in _category_set(det_cats, (g.category_id for g in ground_truths), categories):
         cat_gts = [g for g in ground_truths if g.category_id == cat]
         if not cat_gts:
             continue
@@ -453,32 +456,95 @@ _EXACT_CORNER = 2.0**24
 _GRID = np.array(RECALL_GRID)
 
 
-def _blocks(images: Mapping[str, tuple[list[Detection], list[GroundTruth]]]):
-    """Images in sorted id order, gathered until a block holds
-    ``_BLOCK_PAIRS`` same-image pairs. Yields per block its detections and
-    ground truths, image after image, and the index arrays of its pairs,
-    listed by detection, ground truths ascending."""
-    dets: list[Detection] = []
-    gts: list[GroundTruth] = []
-    counts: list[tuple[int, int]] = []
-    pairs = 0
-    for image_id in sorted(images):
-        image_dets, image_gts = images[image_id]
-        dets += image_dets
-        gts += image_gts
-        counts.append((len(image_dets), len(image_gts)))
-        pairs += len(image_dets) * len(image_gts)
-        if pairs >= _BLOCK_PAIRS:
-            yield dets, gts, *_pairs(counts)
-            dets, gts, counts, pairs = [], [], [], 0
-    if counts:
-        yield dets, gts, *_pairs(counts)
+class BoxColumns(NamedTuple):
+    """Detections or ground truths as columns, row i for record i: image
+    ids, category ids, (n, 4) corner rows and, for detections, confidences.
+    ``boxes`` holds the records' own boxes, which the scalar ``iou``
+    fallback reads; it is None where the corners were read as doubles, so
+    that each row is its box."""
+
+    image_id: list[str]
+    category_id: np.ndarray
+    corners: np.ndarray
+    confidence: np.ndarray | None = None
+    boxes: Sequence[BoundingBox] | None = None
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[Detection] | Sequence[GroundTruth], scored: bool = False
+    ) -> "BoxColumns":
+        """The columns of ``records``; with ``scored``, their confidences too."""
+        boxes = [r.box for r in records]
+        return cls(
+            [r.image_id for r in records],
+            np.array([r.category_id for r in records]),
+            # A box is already its corner row: the rows are read as one flat run.
+            np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4),
+            np.array([r.confidence for r in records], dtype=np.float64) if scored else None,
+            boxes,
+        )
+
+    def boxes_at(self, rows: np.ndarray) -> list[BoundingBox]:
+        """The boxes of ``rows``: the records' own, or built from the corner rows."""
+        if self.boxes is None:
+            return [BoundingBox(*corners) for corners in self.corners[rows].tolist()]
+        return [self.boxes[k] for k in rows.tolist()]
 
 
-def _pairs(counts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+def _image_codes(det_ids: list[str], gt_ids: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each row's image as its rank among the distinct image ids of both
+    lists, in ``sorted`` order, and the number of distinct ids."""
+    ids = sorted(set(det_ids).union(gt_ids))
+    rank = dict(zip(ids, range(len(ids))))
+    return (
+        np.fromiter(map(rank.__getitem__, det_ids), np.intp, len(det_ids)),
+        np.fromiter(map(rank.__getitem__, gt_ids), np.intp, len(gt_ids)),
+        len(ids),
+    )
+
+
+def _walk(dets: BoxColumns, gts: BoxColumns):
+    """The images in sorted id order, gathered until a block holds
+    ``_BLOCK_PAIRS`` same-image pairs. Yields per block the rows of its
+    detections, in processing order (descending confidence, ties in input
+    order), and of its ground truths, in input order, image after image;
+    the index arrays into those of its pairs, listed by detection, ground
+    truths ascending; and each pair's IoU."""
+    det_code, gt_code, n_images = _image_codes(dets.image_id, gts.image_id)
+    det_rows = np.lexsort((-dets.confidence, det_code))
+    gt_rows = np.argsort(gt_code, kind="stable")
+    a, b = dets.corners[det_rows], gts.corners[gt_rows]
+    n_det = np.bincount(det_code, minlength=n_images)
+    n_gt = np.bincount(gt_code, minlength=n_images)
+    # Per image, the pairs, detections and ground truths of the images before it.
+    pairs_before = np.concatenate(([0], np.cumsum(n_det * n_gt)))
+    det_before = [0, *np.cumsum(n_det).tolist()]
+    gt_before = [0, *np.cumsum(n_gt).tolist()]
+    start = 0
+    while start < n_images:
+        # The block ends with the image at which its pairs reach the budget.
+        stop = int(np.searchsorted(pairs_before, pairs_before[start] + _BLOCK_PAIRS))
+        stop = min(stop, n_images)
+        d0, d1, g0, g1 = det_before[start], det_before[stop], gt_before[start], gt_before[stop]
+        pair_det, pair_gt = _pairs(n_det[start:stop], n_gt[start:stop])
+        block_a, block_b = a[d0:d1], b[g0:g1]
+        if (np.abs(block_a) <= _EXACT_CORNER).all() and (np.abs(block_b) <= _EXACT_CORNER).all():
+            overlap = _block_iou(block_a, block_b, pair_det, pair_gt)
+        else:
+            # The scalar iou on the boxes as given: numpy's min/max propagate
+            # NaN where Python's keep their first argument.
+            da, gb = dets.boxes_at(det_rows[d0:d1]), gts.boxes_at(gt_rows[g0:g1])
+            overlap = np.array(
+                [iou(da[i], gb[j]) for i, j in zip(pair_det.tolist(), pair_gt.tolist())],
+                dtype=np.float64,
+            )
+        yield det_rows[d0:d1], gt_rows[g0:g1], pair_det, pair_gt, overlap
+        start = stop
+
+
+def _pairs(n_det: np.ndarray, n_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(detection, ground truth) indices of every same-image pair of images
-    holding ``counts`` = (detections, ground truths) each, in that order."""
-    n_det, n_gt = np.array(counts, dtype=np.intp).T
+    holding ``n_det`` detections and ``n_gt`` ground truths each."""
     per_det = np.repeat(n_gt, n_det)  # the ground truths beside each detection
     first_gt = np.repeat(np.cumsum(n_gt) - n_gt, n_det)
     pair_det = np.repeat(np.arange(per_det.size), per_det)
@@ -486,32 +552,12 @@ def _pairs(counts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return pair_det, first_gt[pair_det] + offset
 
 
-def _corners(boxes: list[BoundingBox]) -> np.ndarray:
-    # A box is already its corner row: the rows are read as one flat run.
-    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
-
-
 def _block_iou(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    pair_det: np.ndarray,
-    pair_gt: np.ndarray,
+    a: np.ndarray, b: np.ndarray, pair_det: np.ndarray, pair_gt: np.ndarray
 ) -> np.ndarray:
-    """``iou(detections[i].box, ground_truths[j].box)`` for each pair (i, j),
-    bit for bit: ``boxes.iou``'s operations in its order, each one array
-    pass. A non-finite corner, or one past ``_EXACT_CORNER``, sends the
-    block through the scalar ``iou``: numpy's min/max propagate NaN where
-    Python's keep their first argument."""
-    a = _corners([d.box for d in detections])
-    b = _corners([g.box for g in ground_truths])
-    if not ((np.abs(a) <= _EXACT_CORNER).all() and (np.abs(b) <= _EXACT_CORNER).all()):
-        return np.array(
-            [
-                iou(detections[i].box, ground_truths[j].box)
-                for i, j in zip(pair_det.tolist(), pair_gt.tolist())
-            ],
-            dtype=np.float64,
-        )
+    """``iou`` of corner rows ``a[i]`` and ``b[j]`` for each pair (i, j),
+    bit for bit for finite corners within ``_EXACT_CORNER``:
+    ``boxes.iou``'s operations in its order, each one array pass."""
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
     iw = np.minimum(ax2[pair_det], bx2[pair_gt]) - np.maximum(ax1[pair_det], bx1[pair_gt])
@@ -589,13 +635,15 @@ def _sweep(category_id: int, masks: np.ndarray, n_gt: int) -> _CategorySweep:
 
 
 def evaluate_corpus(
-    detections: Sequence[Detection],
+    detections: Sequence[Detection] | BoxColumns,
     ground_truths: Sequence[GroundTruth],
     config: MatchConfig | None = None,
     categories: Iterable[int] | None = None,
 ) -> CorpusMetrics:
     """Full evaluation: per-category AP and operating-point counts, mAP50,
-    mAP50-95, the confusion matrix and the IoU-0.5 PR curves.
+    mAP50-95, the confusion matrix and the IoU-0.5 PR curves. The
+    detections come as records or as the columns ``read_detection_columns``
+    gives; records are turned into the same columns.
 
     One walk over the images in sorted id order, in blocks, computes each
     same-image detection x ground-truth IoU once, and both greedy passes
@@ -612,35 +660,47 @@ def evaluate_corpus(
     which stay as the definition.
     """
     config = config or MatchConfig()
-    cats = _category_set(detections, ground_truths, categories)
-    index = {c: i for i, c in enumerate(cats)}
-    if not index.keys() >= {d.category_id for d in detections} | {
-        g.category_id for g in ground_truths
-    }:
-        match_corpus(detections, ground_truths, config, cats)  # raises the definition's error
+    if not isinstance(detections, BoxColumns):
+        detections = BoxColumns.from_records(detections, scored=True)
+    gts = BoxColumns.from_records(ground_truths)
+    det_cats, gt_cats = detections.category_id.tolist(), gts.category_id.tolist()
+    cats = _category_set(det_cats, gt_cats, categories)
+    known = set(cats)
+    if not (known.issuperset(det_cats) and known.issuperset(gt_cats)):
+        # match_corpus's error: the first image in id order that holds an
+        # unknown category; in it, the first such detection in input order,
+        # else the first such ground truth.
+        det_code, gt_code, _ = _image_codes(detections.image_id, gts.image_id)
+        *_, kind, category = min(
+            chain(
+                ((code, 0, i, "detection", c)
+                 for i, (code, c) in enumerate(zip(det_code.tolist(), det_cats)) if c not in known),
+                ((code, 1, i, "ground truth", c)
+                 for i, (code, c) in enumerate(zip(gt_code.tolist(), gt_cats)) if c not in known),
+            )
+        )
+        raise _unknown_category(kind, category)
     n = len(cats)
-    # Processing order: descending confidence, ties in input order.
-    images = _group_by_image(
-        sorted(detections, key=attrgetter("confidence"), reverse=True), ground_truths
-    )
+    cat_ids = np.array(cats)
+    det_index = np.searchsorted(cat_ids, detections.category_id)
+    gt_index = np.searchsorted(cat_ids, gts.category_id)
     grid = np.zeros((n + 1) * (n + 1), dtype=np.int64)
     # Per detection in walk order; empty starts, so an empty corpus concatenates.
     confidences = [np.empty(0)]
-    det_cats = [np.empty(0, dtype=np.intp)]
+    walk_cats = [np.empty(0, dtype=np.intp)]
     det_masks = [np.empty(0, dtype=np.int64)]
-    for dets, gts, pair_det, pair_gt in _blocks(images):
-        conf = np.array([d.confidence for d in dets], dtype=np.float64)
-        dcat = np.array([index[d.category_id] for d in dets], dtype=np.intp)
-        gcat = np.array([index[g.category_id] for g in gts], dtype=np.intp)
-        overlap = _block_iou(dets, gts, pair_det, pair_gt)
+    for det_rows, gt_rows, pair_det, pair_gt, overlap in _walk(detections, gts):
+        conf = detections.confidence[det_rows]
+        dcat = det_index[det_rows]
+        gcat = gt_index[gt_rows]
 
         # Operating point: any-category pairs of the retained detections.
         retained = conf >= config.confidence_threshold
         hits = np.flatnonzero((overlap >= config.iou_threshold) & retained[pair_det])
         hits = _greedy(hits, pair_det, pair_gt, overlap)
-        true_row = np.full(len(dets), n)  # background unless matched
+        true_row = np.full(det_rows.size, n)  # background unless matched
         true_row[pair_det[hits]] = gcat[pair_gt[hits]]
-        free = np.ones(len(gts), dtype=bool)
+        free = np.ones(gt_rows.size, dtype=bool)
         free[pair_gt[hits]] = False
         cells = np.concatenate(
             (true_row[retained] * (n + 1) + dcat[retained], gcat[free] * (n + 1) + n)
@@ -648,7 +708,7 @@ def evaluate_corpus(
         np.add.at(grid, cells, 1)  # no grid-sized temporary per block
 
         # AP sweep: same-category pairs, one greedy pass per threshold.
-        mask = np.zeros(len(dets), dtype=np.int64)
+        mask = np.zeros(det_rows.size, dtype=np.int64)
         same = np.flatnonzero(dcat[pair_det] == gcat[pair_gt])
         for bit, threshold in enumerate(MAP_RANGE_THRESHOLDS):
             same = same[overlap[same] >= threshold]
@@ -656,13 +716,13 @@ def evaluate_corpus(
                 break
             mask[pair_det[_greedy(same, pair_det, pair_gt, overlap)]] |= 1 << bit
         confidences.append(conf)
-        det_cats.append(dcat)
+        walk_cats.append(dcat)
         det_masks.append(mask)
 
     counts = grid.reshape(n + 1, n + 1).tolist()
     gt_total = [sum(row) for row in counts[:n]]
     retained_total = [sum(column) for column in zip(*counts)]
-    dcat = np.concatenate(det_cats)
+    dcat = np.concatenate(walk_cats)
     # pr_curve's order per category: descending confidence, ties in walk order.
     masks = np.concatenate(det_masks)[np.lexsort((-np.concatenate(confidences), dcat))]
     bounds = [0, *np.cumsum(np.bincount(dcat, minlength=n)).tolist()]
@@ -760,6 +820,80 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
                 y1, y2 = y2, y1
             append(Detection(BoundingBox(x1, y1, x2, y2), category_id, confidence, image_id))
     return detections
+
+
+# A row as loadtxt reads it. The id leads the row, as bytes (the text is
+# ASCII), and loadtxt cuts it at _ID_WIDTH.
+_ID_WIDTH = 32
+_CSV_ROW = np.dtype(
+    [
+        ("image_id", f"S{_ID_WIDTH}"),
+        ("category_id", "i8"),
+        ("confidence", "f8"),
+        ("corners", "f8", (4,)),
+    ]
+)
+# Characters loadtxt reads otherwise than the row loop: a quote (loadtxt
+# knows no CSV quoting), a NUL (it ends an id) and the separators
+# \x1c-\x1f (whitespace to loadtxt, not to int() and float()). Non-ASCII
+# text goes the row loop too: loadtxt takes digits such as "①" that int()
+# rejects.
+_ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def read_detection_columns(stream: IO[str]) -> BoxColumns:
+    """``read_detections_csv`` as columns, from the stream's text read
+    whole and split into lines as ``newline=""`` splits them.
+
+    After the header check, ``np.loadtxt`` parses the body, and the
+    confidence range, the finite corners and the id width are checked as
+    array passes. Text that loadtxt could read otherwise than the row loop,
+    a loadtxt error and a row that fails a check all send the text through
+    ``read_detections_csv``, which stays the definition and gives every
+    error message."""
+    text = stream.read()
+    columns = _loadtxt_columns(text)
+    if columns is None:
+        detections = read_detections_csv(io.StringIO(text, newline=""))
+        columns = BoxColumns.from_records(detections, scored=True)
+    return columns
+
+
+def _loadtxt_columns(text: str) -> BoxColumns | None:
+    header, _, body = text.partition("\n")
+    if not (
+        text.isascii()
+        and not any(c in text for c in _ROW_LOOP_ONLY)
+        and "\r" not in header[:-1]  # csv ends the header at a CR, unless a CRLF
+        and body.strip("\r\n")  # loadtxt warns on a body without rows
+        and [h.strip() for h in header.split(",")] == DETECTIONS_CSV_HEADER
+    ):
+        return None
+    try:
+        # From bytes: a str stream would hold the body as 4-byte code points.
+        rows = np.loadtxt(
+            io.BytesIO(body.encode()),
+            dtype=_CSV_ROW,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    confidence, corners = rows["confidence"], rows["corners"]
+    # An id of _ID_WIDTH characters may have been cut: its last byte is not NUL.
+    cut = rows.view(np.uint8).reshape(rows.size, -1)[:, _ID_WIDTH - 1].any()
+    in_range = ((confidence >= 0.0) & (confidence <= 1.0)).all()
+    if cut or not in_range or not np.isfinite(corners).all():
+        return None
+    # The row loop's corner order: a pair is swapped only where x2 < x1
+    # (y2 < y1), so a -0.0 stays where it was read.
+    first, second = corners[:, :2], corners[:, 2:]
+    swap = second < first
+    ordered = np.hstack((np.where(swap, second, first), np.where(swap, first, second)))
+    ids = list(map(bytes.decode, rows["image_id"].tolist()))
+    return BoxColumns(ids, rows["category_id"], ordered, confidence)
 
 
 def write_metrics_csv(metrics: CorpusMetrics, stream: IO[str]) -> None:

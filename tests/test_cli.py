@@ -243,6 +243,9 @@ def write_eval_corpus(tmp_path, images=200, seed=21):
     return str(det), str(ann)
 
 
+# sha256 of every output and of stdout of eval on write_eval_corpus, as the
+# row-loop reader and the record-based evaluation wrote them, at the default
+# thresholds and at non-default ones (which move only the operating point).
 EVAL_PINS = [
     (
         [],
@@ -337,6 +340,67 @@ def test_eval_bad_input_exits_nonzero(tmp_path, capsys, identity_corpus):
     assert code != 0
     assert "error:" in err
     assert "mAP" not in stdout
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # Across images the first in sorted id order wins ("img10" < "img2"),
+        # not the first in the file.
+        (["img2,7,0.9,0,0,1,1", "img10,8,0.1,0,0,1,1"], "detection references unknown category 8"),
+        # Within one image the first in input order wins, not the most confident.
+        (["img2,1,0.9,0,0,1,1", "img2,7,0.1,0,0,1,1", "img2,8,0.9,0,0,1,1"],
+         "detection references unknown category 7"),
+    ],
+)
+def test_eval_unknown_detection_category_exits_1_as_match_corpus_raises(tmp_path, capsys, rows, message):
+    from trapeval.errors import CategoryError
+    from trapeval.evaluation import MatchConfig, match_corpus, read_detections_csv
+
+    payload = make_annotation_payload(num_images=3)
+    for image, entry in zip(("img2", "img10", "img0"), payload["images"]):
+        entry["id"] = entry["file_name"] = image
+    for image, entry in zip(("img2", "img10", "img0"), payload["annotations"]):
+        entry["image_id"] = image
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps(payload), encoding="utf-8")
+    det = tmp_path / "dets.csv"
+    det.write_text("\n".join(["image_id,category_id,confidence,x1,y1,x2,y2", *rows]) + "\n", encoding="utf-8")
+    data = parse_annotations(str(ann))
+    with open(det, encoding="utf-8", newline="") as stream:
+        detections = read_detections_csv(stream)
+    ground_truths = [g for record in data.records for g in record.annotations]
+    with pytest.raises(CategoryError) as info:
+        match_corpus(detections, ground_truths, MatchConfig(), data.category_ids())
+    assert str(info.value) == message
+    code, stdout, err = run(capsys, "eval", str(det), str(ann), "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_unknown_annotation_category_exits_1_naming_the_annotation(tmp_path, capsys):
+    payload = make_annotation_payload(num_images=3)
+    payload["annotations"][1]["category_id"] = 9
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps(payload), encoding="utf-8")
+    det = tmp_path / "dets.csv"
+    # The annotation file is read before any category is matched, so its
+    # error wins over the detection's unknown category.
+    det.write_text("image_id,category_id,confidence,x1,y1,x2,y2\nimg0000,8,0.5,0,0,1,1\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "eval", str(det), str(ann), "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", "error: annotations[1]: unknown category id 9\n")
+
+
+def test_eval_names_the_line_of_a_bad_row_after_ten_thousand_good_ones(tmp_path, capsys, identity_corpus):
+    _, ann = identity_corpus
+    good = [f"img{i % 10:04d},1,0.5,{i % 7},0,{i % 7 + 1},1" for i in range(10_000)]
+    det = tmp_path / "dets.csv"
+    det.write_text(
+        "\n".join(["image_id,category_id,confidence,x1,y1,x2,y2", *good, "img0001,1,1.5,0,0,1,1", *good]) + "\n",
+        encoding="utf-8",
+    )
+    code, stdout, err = run(capsys, "eval", str(det), ann, "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", "error: line 10002: confidence 1.5 outside [0, 1]\n")
 
 
 # --- gradcam -----------------------------------------------------------------------

@@ -625,26 +625,52 @@ def _assert_operating_point_matches_definition(detections, ground_truths, catego
     ]
 
 
+def _walk_table(detections, ground_truths, **columns):
+    """(detection index, ground-truth index, IoU hex) of every pair the
+    columnar walk visits, in its order."""
+    dets = evaluation.BoxColumns.from_records(detections, scored=True)._replace(**columns)
+    gts = evaluation.BoxColumns.from_records(ground_truths)._replace(**columns)
+    table = []
+    for det_rows, gt_rows, pair_det, pair_gt, overlap in evaluation._walk(dets, gts):
+        rows_d, rows_g = det_rows.tolist(), gt_rows.tolist()
+        table += [
+            (rows_d[i], rows_g[j], value.hex())
+            for i, j, value in zip(pair_det.tolist(), pair_gt.tolist(), overlap.tolist())
+        ]
+    return table
+
+
 @pytest.mark.parametrize("budget", [1, 5, 10**9])
 def test_block_iou_table_equals_scalar_iou_bitwise(monkeypatch, budget):
     monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", budget)
     rng = random.Random(2718)
     for corpus in (_edge_case_corpus, _odd_corner_corpus) * 150:
-        images = evaluation._group_by_image(*corpus(rng))
-        expected = [
-            (id(d), id(g), iou(d.box, g.box).hex())
-            for image_id in sorted(images)
-            for d in images[image_id][0]
-            for g in images[image_id][1]
-        ]
-        table = []
-        for dets, gts, pair_det, pair_gt in evaluation._blocks(images):
-            values = evaluation._block_iou(dets, gts, pair_det, pair_gt).tolist()
-            table += [
-                (id(dets[i]), id(gts[j]), value.hex())
-                for i, j, value in zip(pair_det.tolist(), pair_gt.tolist(), values)
-            ]
-        assert table == expected
+        detections, ground_truths = corpus(rng)
+        # The definition's walk: images in sorted id order; in each, the
+        # detections by descending confidence (ties in input order), then
+        # every ground truth in input order.
+        images = defaultdict(lambda: ([], []))
+        by_confidence = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+        for i in by_confidence:
+            images[detections[i].image_id][0].append(i)
+        for j, g in enumerate(ground_truths):
+            images[g.image_id][1].append(j)
+        pairs = [(i, j) for dets, gts in map(images.get, sorted(images)) for i in dets for j in gts]
+        expected = [(i, j, iou(detections[i].box, ground_truths[j].box).hex()) for i, j in pairs]
+        assert _walk_table(detections, ground_truths) == expected
+        # Without the records' boxes the scalar fallback reads the corner
+        # rows, which are the boxes as doubles.
+        det_doubles = [B(*map(float, d.box)) for d in detections]
+        gt_doubles = [B(*map(float, g.box)) for g in ground_truths]
+        expected = [(i, j, iou(det_doubles[i], gt_doubles[j]).hex()) for i, j in pairs]
+        assert _walk_table(detections, ground_truths, boxes=None) == expected
+
+
+def test_block_iou_reads_int_corners_as_the_records_hold_them():
+    # Int corners whose areas pass 2**53: as doubles they give another IoU.
+    a, b = B(0, 0, 85261181, 1099511628553), B(0, 0, 90002594, 1099511627818)
+    assert iou(a, b) != iou(B(*map(float, a)), B(*map(float, b)))
+    assert _walk_table([det(a)], [gt(b)]) == [(0, 0, iou(a, b).hex())]
 
 
 @pytest.mark.parametrize("budget", [1, 10**9])

@@ -1,12 +1,14 @@
-"""The one-loop detections CSV reader against its definition.
+"""The detections CSV readers against their definition.
 
 ``reference_evaluation.py`` keeps the former reader verbatim. On every input
-``trapeval.evaluation.read_detections_csv`` must return the same detections,
-every corner and confidence equal by ``float.hex`` (so -0.0 lands where it
-did), or raise ``FormatError`` with the same message, line number included.
-The fixed inputs aim at the places the loop can differ from the definition:
-blank and quoted lines, CRLF, -0.0 and swapped corners, NaN confidence, and
-finite corners whose sum overflows.
+``trapeval.evaluation.read_detections_csv`` (the row loop) and
+``read_detection_columns`` (``np.loadtxt`` with the row loop as fallback)
+must return the same detections, every corner and confidence equal by
+``float.hex`` (so -0.0 lands where it did), or raise ``FormatError`` with
+the same message, line number included. The fixed inputs aim at the places
+either reader can differ from the definition: blank and quoted lines, CRLF,
+-0.0 and swapped corners, NaN confidence, finite corners whose sum
+overflows, and each text that loadtxt reads otherwise than the row loop.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import pytest
 import reference_evaluation as ref
 from hypothesis import given, settings
 
+from trapeval import evaluation
 from trapeval.errors import FormatError
-from trapeval.evaluation import read_detections_csv
+from trapeval.evaluation import read_detection_columns, read_detections_csv
 
 from conftest import mutants
 from test_evaluation import CSV_SYMBOLS, VALID_CSV
@@ -32,6 +35,16 @@ def outcome(read, text: str):
         detections = read(io.StringIO(text, newline=""))  # as the CLI opens it
     except FormatError as exc:
         return f"FormatError: {exc}"
+    if isinstance(detections, evaluation.BoxColumns):
+        return [
+            (image_id, type(category_id), category_id, confidence.hex(), tuple(map(float.hex, corners)))
+            for image_id, category_id, confidence, corners in zip(
+                detections.image_id,
+                detections.category_id.tolist(),
+                detections.confidence.tolist(),
+                detections.corners.tolist(),
+            )
+        ]
     return [
         (
             d.image_id,
@@ -47,6 +60,7 @@ def outcome(read, text: str):
 def assert_same(text: str):
     expected = outcome(ref.read_detections_csv, text)
     assert outcome(read_detections_csv, text) == expected
+    assert outcome(read_detection_columns, text) == expected
     return expected
 
 
@@ -96,7 +110,56 @@ def test_fixed_csv_reads_as_the_definition_reads_it(body, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "\n", "image_id,category_id,confidence,x1,y1,x2\n", HEADER, " image_id , category_id,confidence,x1,y1,x2,y2\n"],
+    ["", "\n", "image_id,category_id,confidence,x1,y1,x2,y2\n", HEADER, " image_id , category_id,confidence,x1,y1,x2,y2\n"],
 )
 def test_header_reads_as_the_definition_reads_it(text):
     assert_same(text)
+
+
+GOOD = "im0,1,0.5,0,0,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "text,row_loop",
+    [
+        # read alike by loadtxt and the row loop
+        (HEADER + GOOD, False),
+        (HEADER + " im0 ,1,0.5,0,0,1,1\n", False),  # the spaces stay in the id
+        (HEADER + "im0,+1,0.5,+1,0,1,1\n", False),
+        (HEADER + "im0,1, 0.5 ,0,0,1,1\n", False),
+        (HEADER.replace("\n", "\r\n") + GOOD.replace("\n", "\r\n") * 2, False),
+        (HEADER + "i" * 31 + ",1,0.5,0,0,1,1\n", False),
+        (HEADER + "#im0,1,0.5,0,0,1,1\n", False),  # with comments=None, "#" is text
+        # read otherwise, so the row loop reads them
+        (HEADER + "im0\x00,1,0.5,0,0,1,1\n", True),  # loadtxt drops the NUL
+        (HEADER + "#\n" + GOOD, True),
+        (HEADER + "im0,1_0,0.5,0,0,1,1\n", True),
+        (HEADER + "im0,1,0.5,1_0,0,1,1\n", True),
+        (HEADER + "im0,٣,0.5,0,0,1,1\n", True),
+        (HEADER + "im0,1,0.5,٣,0,1,1\n", True),
+        (HEADER + "im0,①,0.5,0,0,1,1\n", True),  # loadtxt takes it as 1
+        (HEADER + "im0,\x1c1,0.5,0,0,1,1\n", True),  # whitespace to loadtxt only
+        (HEADER + "im0,1,0.5,Infinity,0,1,1\n", True),
+        (HEADER + "i" * 32 + ",1,0.5,0,0,1,1\n", True),
+        (HEADER + "i" * 33 + ",1,0.5,0,0,1,1\n", True),  # loadtxt cuts the id
+        (HEADER + GOOD + " \n", True),
+        (HEADER + GOOD + "\t\n", True),
+        (HEADER + '"im0",1,0.5,0,0,1,1\n', True),
+        (HEADER + "imé,1,0.5,0,0,1,1\n", True),
+        (HEADER, True),
+        (HEADER + "\r\n\n", True),
+        (HEADER.rstrip("\n"), True),
+        (HEADER.replace("\n", "\r") + GOOD, True),
+        (HEADER.replace(",", "\r,", 1) + GOOD, True),  # csv ends the header at the CR
+        (HEADER + "im0,1,1.5,0,0,1,1\n", True),
+        (HEADER + GOOD * 3 + "im0,1,0.5,0,0,1\n", True),
+    ],
+)
+def test_columns_read_each_text_as_the_definition_through_the_path_it_names(monkeypatch, text, row_loop):
+    calls = []
+    row_reader = evaluation.read_detections_csv
+    monkeypatch.setattr(
+        evaluation, "read_detections_csv", lambda stream: calls.append(1) or row_reader(stream)
+    )
+    assert outcome(read_detection_columns, text) == outcome(ref.read_detections_csv, text)
+    assert bool(calls) == row_loop
