@@ -24,6 +24,7 @@ import bisect
 import csv
 import io
 import math
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -103,10 +104,10 @@ def match_detections(
         known = set(categories)
         for d in detections:
             if d.category_id not in known:
-                raise _unknown_category("detection", d.category_id)
+                raise CategoryError(f"detection references unknown category {d.category_id}")
         for g in ground_truths:
             if g.category_id not in known:
-                raise _unknown_category("ground truth", g.category_id)
+                raise CategoryError(f"ground truth references unknown category {g.category_id}")
 
     retained = [
         (i, d) for i, d in enumerate(detections) if d.confidence >= config.confidence_threshold
@@ -135,10 +136,6 @@ def match_detections(
         flags=tuple(flags),
         unmatched_gt_indices=tuple(sorted(available)),
     )
-
-
-def _unknown_category(kind: str, category_id: int) -> CategoryError:
-    return CategoryError(f"{kind} references unknown category {category_id}")
 
 
 def precision(tp: int, fp: int) -> float:
@@ -660,6 +657,7 @@ def evaluate_corpus(
     which stay as the definition.
     """
     config = config or MatchConfig()
+    records = detections
     if not isinstance(detections, BoxColumns):
         detections = BoxColumns.from_records(detections, scored=True)
     gts = BoxColumns.from_records(ground_truths)
@@ -667,19 +665,12 @@ def evaluate_corpus(
     cats = _category_set(det_cats, gt_cats, categories)
     known = set(cats)
     if not (known.issuperset(det_cats) and known.issuperset(gt_cats)):
-        # match_corpus's error: the first image in id order that holds an
-        # unknown category; in it, the first such detection in input order,
-        # else the first such ground truth.
-        det_code, gt_code, _ = _image_codes(detections.image_id, gts.image_id)
-        *_, kind, category = min(
-            chain(
-                ((code, 0, i, "detection", c)
-                 for i, (code, c) in enumerate(zip(det_code.tolist(), det_cats)) if c not in known),
-                ((code, 1, i, "ground truth", c)
-                 for i, (code, c) in enumerate(zip(gt_code.tolist(), gt_cats)) if c not in known),
+        if isinstance(records, BoxColumns):
+            boxes = records.boxes_at(np.arange(len(records.image_id)))
+            records = list(
+                map(Detection, boxes, det_cats, records.confidence.tolist(), records.image_id)
             )
-        )
-        raise _unknown_category(kind, category)
+        match_corpus(records, ground_truths, config, cats)  # raises the definition's error
     n = len(cats)
     cat_ids = np.array(cats)
     det_index = np.searchsorted(cat_ids, detections.category_id)
@@ -870,16 +861,20 @@ def _loadtxt_columns(text: str) -> BoxColumns | None:
     ):
         return None
     try:
-        # From bytes: a str stream would hold the body as 4-byte code points.
-        rows = np.loadtxt(
-            io.BytesIO(body.encode()),
-            dtype=_CSV_ROW,
-            delimiter=",",
-            comments=None,
-            quotechar=None,
-            ndmin=1,
-        )
-    except ValueError:
+        # numpy 1.x reads an integer written as a float ("1.0", "2.5") by
+        # truncating it, with a DeprecationWarning; int() rejects it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            # From bytes: a str stream would hold the body as 4-byte code points.
+            rows = np.loadtxt(
+                io.BytesIO(body.encode()),
+                dtype=_CSV_ROW,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
         return None
     confidence, corners = rows["confidence"], rows["corners"]
     # An id of _ID_WIDTH characters may have been cut: its last byte is not NUL.

@@ -14,7 +14,9 @@ overflows, and each text that loadtxt reads otherwise than the row loop.
 from __future__ import annotations
 
 import io
+import warnings
 
+import numpy as np
 import pytest
 import reference_evaluation as ref
 from hypothesis import given, settings
@@ -110,7 +112,7 @@ def test_fixed_csv_reads_as_the_definition_reads_it(body, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "\n", "image_id,category_id,confidence,x1,y1,x2,y2\n", HEADER, " image_id , category_id,confidence,x1,y1,x2,y2\n"],
+    ["", "\n", "image_id,category_id,confidence,x1,y1,x2\n", HEADER, " image_id , category_id,confidence,x1,y1,x2,y2\n"],
 )
 def test_header_reads_as_the_definition_reads_it(text):
     assert_same(text)
@@ -140,6 +142,10 @@ GOOD = "im0,1,0.5,0,0,1,1\n"
         (HEADER + "im0,①,0.5,0,0,1,1\n", True),  # loadtxt takes it as 1
         (HEADER + "im0,\x1c1,0.5,0,0,1,1\n", True),  # whitespace to loadtxt only
         (HEADER + "im0,1,0.5,Infinity,0,1,1\n", True),
+        # an integer written as a float: numpy 1.x truncates it with a warning
+        (HEADER + "im0,1.0,0.5,0,0,1,1\n", True),
+        (HEADER + "im0,2.5,0.5,0,0,1,1\n", True),
+        (HEADER + "im0,1e0,0.5,0,0,1,1\n", True),
         (HEADER + "i" * 32 + ",1,0.5,0,0,1,1\n", True),
         (HEADER + "i" * 33 + ",1,0.5,0,0,1,1\n", True),  # loadtxt cuts the id
         (HEADER + GOOD + " \n", True),
@@ -163,3 +169,18 @@ def test_columns_read_each_text_as_the_definition_through_the_path_it_names(monk
     )
     assert outcome(read_detection_columns, text) == outcome(ref.read_detections_csv, text)
     assert bool(calls) == row_loop
+
+
+def test_a_loadtxt_deprecation_warning_sends_the_text_through_the_row_loop(monkeypatch):
+    # As numpy 1.x reads "2.5" into an integer field: truncated, with a warning.
+    loadtxt = np.loadtxt
+
+    def truncating(stream, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(io.BytesIO(stream.read().replace(b"2.5", b"2")), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+    text = HEADER + "im0,2.5,0.5,0,0,1,1\n"
+    expected = "FormatError: line 2: invalid literal for int() with base 10: '2.5'"
+    assert outcome(ref.read_detections_csv, text) == expected
+    assert outcome(read_detection_columns, text) == expected
