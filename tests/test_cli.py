@@ -35,6 +35,13 @@ def write_image(path, seed=0, size=64):
     write_ppm(Tensor3(rng.integers(0, 256, (3, size, size)).astype(float)), path)
 
 
+def output_digests(out, stdout):
+    """sha256 of every file in the directory ``out`` and of ``stdout``."""
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    return got
+
+
 @pytest.fixture
 def identity_corpus(tmp_path):
     payload = make_annotation_payload(num_images=10, seed=2)
@@ -75,6 +82,44 @@ def test_shapes_emit_round_trips(tmp_path, capsys):
     with open(target, "r", encoding="utf-8") as stream:
         spec = parse_graph_text(stream)
     assert spec.detect_layer().name == "l29"
+
+
+# sha256 of stdout and of the emitted graph text of shapes, as the parent of
+# the array greedy resolver wrote them: the reference check at 640 for both
+# topologies, and the description that the gradcam pins below read.
+SHAPES_PINS = [
+    (["baseline", "--size", "640", "--check"], "shape check passed\n",
+     {
+         "stdout": "0e026eb768e179c0f4269e88fde9027ba580d5596c8dd93711f1fccb5c1a62a3",
+     }),
+    (["improved", "--size", "640", "--check"], "shape check passed\n",
+     {
+         "stdout": "f54f75b1860bc80cad1a3a7ddc5ded2738e855e5c45442d07c93b9bfd213bd66",
+     }),
+    (["baseline", "--size", "64", "--categories", "4", "--seed", "5", "--emit"], None,
+     {
+         "graph.txt": "dde1938030c4fefd1803e9d0a587734fc4d0cff968784bd3e1e63b373bca4404",
+         "stdout": "120a045441792b068144e8ecdadeb0af7929cbd782a043c91f06233936e8cd2a",
+     }),
+    (["improved", "--size", "64", "--categories", "4", "--seed", "5", "--emit"], None,
+     {
+         "graph.txt": "b17135fcc84e4418a8ca10275f378d2feaed29cd43aaeec1e350cb708e03fc47",
+         "stdout": "b6aee8765d991ae79135f6ac9da015dc84992fc2380c2363fef6b17e91b8a44d",
+     }),
+]
+
+
+@pytest.mark.parametrize("argv,stderr,digests", SHAPES_PINS)
+def test_shapes_bytes_are_pinned(tmp_path, capsys, argv, stderr, digests):
+    out = tmp_path / "shapes"
+    out.mkdir()
+    target = out / "graph.txt"
+    if argv[-1] == "--emit":
+        argv = [*argv, str(target)]
+        stderr = f"wrote graph description to {target}\n"
+    code, stdout, err = run(capsys, "shapes", *argv)
+    assert (code, err) == (0, stderr)
+    assert output_digests(out, stdout) == digests
 
 
 # --- losslab ----------------------------------------------------------------------
@@ -196,9 +241,7 @@ def test_losslab_bytes_are_pinned(tmp_path, capsys, argv, digests):
     out = tmp_path / "lab"
     code, stdout, err = run(capsys, "losslab", *argv, "--out-dir", str(out))
     assert code == 0 and err == ""
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-    assert got == digests
+    assert output_digests(out, stdout) == digests
 
 
 # --- eval --------------------------------------------------------------------------
@@ -288,9 +331,7 @@ def test_eval_bytes_are_pinned(tmp_path, capsys, argv, digests):
     out = tmp_path / "ev"
     code, stdout, err = run(capsys, "eval", det, ann, *argv, "--out-dir", str(out))
     assert code == 0 and err == ""
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-    assert got == digests
+    assert output_digests(out, stdout) == digests
 
 
 def test_eval_identity_predictor(tmp_path, capsys, identity_corpus):
@@ -477,6 +518,49 @@ def test_gradcam_bad_layer_fails(tmp_path, capsys, graph_and_image):
     )
     assert code != 0 and "error:" in err
 
+# sha256 of stdout and of every output of gradcam at 64, as the parent of the
+# array greedy resolver wrote them: both topologies (the seed-5 descriptions
+# of SHAPES_PINS) on a seed-1 image, at a backbone layer and a neck layer.
+GRADCAM_PINS = [
+    ("baseline", "l2", {
+        "heatmap.pgm": "c162905e1598710e8e132f5ddbdd054b4224b780095ab7529df23bcd035a39ca",
+        "heatmap.ppm": "e22be9fa630524ebfc54ad54c8f1a69b4dcdac462888a691c580c8e7e8600ed1",
+        "overlay.ppm": "6087babe7023def31ce40069da79dccc636bc5cf5630af3cb4e655221e22f152",
+        "stdout": "6594ff6c54d53e4ca7dc94d295048f28dc376c13908fe440c4def5522c75f51e",
+    }),
+    ("baseline", "l16", {
+        "heatmap.pgm": "4f2f44b41c9a394ba3ecd0adee7a4b2804f03f3f2e9c8cc8c726b549dfa8696b",
+        "heatmap.ppm": "794d4aecf033c539007efcb8c6ec805ccc1121bdaf11302ec31bb621f7b6635d",
+        "overlay.ppm": "a177e66e0e29b8d013a6e670318a3c46302b9f42a6679e65756717e6812e3877",
+        "stdout": "fd6b1c50cb965b9be167d2f76d1fa1112900ee07cee5813dde5008ba83f0850e",
+    }),
+    ("improved", "l2", {
+        "heatmap.pgm": "448a61991280f7ca5855a195f9ae3b67eb250b89d47589ffa528617e37392370",
+        "heatmap.ppm": "3b9a87531e8ee3718960238d829ebde090a432bc5c56fa88b4117df6404ff101",
+        "overlay.ppm": "ab913ebed250c64b35232431d6720b5616cfb0432a8ea35c9fee6203147eb31e",
+        "stdout": "a08121bbd41398b953ae8196840fea83e6dd85f5220ef4b41d8274f3ca392838",
+    }),
+    ("improved", "l16", {
+        "heatmap.pgm": "18bc1c5d7cc0716764ba7b12654d819444cde9624a10a22abdffc97e9fd77ef5",
+        "heatmap.ppm": "a7ea435171e0fc94de4bb7ad9b42617ea2c7e886a07a87f090af240b9d77d919",
+        "overlay.ppm": "bfb255b5754e0135b79a72c9481c97f74bd320c57203a2af2fc394e64bc057b4",
+        "stdout": "a08121bbd41398b953ae8196840fea83e6dd85f5220ef4b41d8274f3ca392838",
+    }),
+]
+
+
+@pytest.mark.parametrize("variant,layer,digests", GRADCAM_PINS)
+def test_gradcam_bytes_are_pinned(tmp_path, capsys, variant, layer, digests):
+    graph, image, out = tmp_path / "graph.txt", tmp_path / "input.ppm", tmp_path / "cam"
+    assert main(["shapes", variant, "--size", "64", "--categories", "4", "--seed", "5",
+                 "--emit", str(graph)]) == 0
+    capsys.readouterr()
+    write_image(image, seed=1)
+    code, stdout, err = run(capsys, "gradcam", str(graph), str(image), "--layer", layer,
+                            "--category", "2", "--pgm", "--out-dir", str(out))
+    assert (code, err) == (0, "")
+    assert output_digests(out, stdout) == digests
+
 
 # --- split -------------------------------------------------------------------------
 
@@ -534,6 +618,47 @@ def test_split_requires_val_with_explicit_test(tmp_path, capsys, split_corpus):
         "--out-dir", str(tmp_path / "x"),
     )
     assert code != 0 and "--trans-val" in err
+
+
+# sha256 of stdout and of the five split files and the report of split on a
+# seeded 500-image file (and its stderr as text), as the parent of the array greedy resolver wrote
+# them: a seeded random trans pick with the reference-count report, and
+# explicit trans locations counted by day of year.
+SPLIT_PINS = [
+    (["--seed", "7", "--check-reference-counts"],
+     "picked trans test locations [1, 2, 4, 5, 8, 10, 12, 13, 16] and validation location 9\n",
+     {
+         "cis_test.json": "a8086130d586d7da42fe0b17ec7252c99071a873ecb32876387e79e7ef538836",
+         "cis_val.json": "0d254cf70d147887d3fa41e0398907bede288c724598eb73a7c57292fe54f3fd",
+         "report.csv": "9d6feda992160214adff8b95ad8db61324ce9e0557808127954045b0a7ea3150",
+         "stdout": "9d6feda992160214adff8b95ad8db61324ce9e0557808127954045b0a7ea3150",
+         "train.json": "1d3a460272eb0ab7ff6f783d17a7199b43ddc0a38abde9f35185186e1bb93892",
+         "trans_test.json": "131bb46d55c2f7818493dfa368c98c9b17f06931b09dc455ce69cf078939056a",
+         "trans_val.json": "ad3900355befaa76349ce24fa5643da703e32dd01a8791a5bf092b15a7119764",
+     }),
+    (["--trans-test", "0,1,2,3,4,5,6,7,8", "--trans-val", "9", "--val-fraction", "0.1",
+      "--day-basis", "day_of_year", "--seed", "3"],
+     "",
+     {
+         "cis_test.json": "de8b58779e3a1977643f06c59cb05ff4ed89d54f34adf362b81df5cbf41c7a8c",
+         "cis_val.json": "d15794d6bd98438680f5f728e92e7c7762ee9d2d9fdfc08e91a91c4bc5f0ae02",
+         "report.csv": "f6a6bfbdc2767f5189e152782b1313b85bd49a7de03e12965692cdb21bd71c55",
+         "stdout": "f6a6bfbdc2767f5189e152782b1313b85bd49a7de03e12965692cdb21bd71c55",
+         "train.json": "4e8e1493b2a369896854162d7454598e6e7800c4eb3c4c8bf712fb49cb79e480",
+         "trans_test.json": "617fb3d105b77a1c438bc6a8dab38b97c6d5c4d28737ad5180e7532c5d0879ad",
+         "trans_val.json": "ad3900355befaa76349ce24fa5643da703e32dd01a8791a5bf092b15a7119764",
+     }),
+]
+
+
+@pytest.mark.parametrize("argv,stderr,digests", SPLIT_PINS)
+def test_split_bytes_are_pinned(tmp_path, capsys, argv, stderr, digests):
+    corpus, out = tmp_path / "corpus.json", tmp_path / "sp"
+    payload = make_annotation_payload(num_images=500, num_locations=20, seed=13, empty_every=9)
+    corpus.write_text(json.dumps(payload), encoding="utf-8")
+    code, stdout, err = run(capsys, "split", str(corpus), *argv, "--out-dir", str(out))
+    assert (code, err) == (0, stderr)
+    assert output_digests(out, stdout) == digests
 
 
 # --- svg helper -----------------------------------------------------------------------
