@@ -564,34 +564,33 @@ def _block_iou(
     return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
-def _greedy(
-    candidates: np.ndarray, pair_det: np.ndarray, pair_gt: np.ndarray, overlap: np.ndarray
-) -> np.ndarray:
-    """The ``candidates`` (indices into a block's pairs, each at or above
-    the IoU threshold) that ``match_detections``' greedy rule takes. They
-    come by detection in processing order, ground truths ascending; each
-    detection takes the still-free ground truth of highest IoU, the first
-    on ties."""
-    taken: set[int] = set()
-    picked: list[int] = []
-    current = best = best_gt = -1
-    best_iou = 0.0
-    for k, d, g, o in zip(
-        candidates.tolist(),
-        pair_det[candidates].tolist(),
-        pair_gt[candidates].tolist(),
-        overlap[candidates].tolist(),
-    ):
-        if d != current:
-            if best >= 0:
-                taken.add(best_gt)
-                picked.append(best)
-            current, best, best_iou = d, -1, 0.0
-        if o > best_iou and g not in taken:
-            best, best_gt, best_iou = k, g, o
-    if best >= 0:
-        picked.append(best)
-    return np.array(picked, dtype=np.intp)
+def _resolve(det_key: np.ndarray, gt_key: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """The positions of the candidate pairs that ``match_detections``'
+    greedy rule takes: each detection takes the still-free ground truth of
+    highest IoU, the first on ties. The pairs come by detection key, in
+    processing order, ground truths ascending, each at or above its IoU
+    threshold. Each round resolves every detection that no earlier
+    unresolved one contends with for any of its ground truths, then drops
+    the ground truths taken; the first unresolved one always resolves."""
+    live, won = np.arange(det_key.size), [np.empty(0, dtype=np.intp)]
+    first = np.empty(int(gt_key.max(initial=-1)) + 1, dtype=det_key.dtype)
+    free = np.ones(first.size, dtype=bool)
+    while live.size:
+        d, g = det_key[live], gt_key[live]
+        first[g] = d[-1]  # then the first detection still holding each ground truth
+        np.minimum.at(first, g, d)
+        blocked = np.zeros(d[-1] + 1, dtype=bool)
+        blocked[d[first[g] < d]] = True
+        final = ~blocked[d]
+        # Per final detection, its first pair at its highest IoU.
+        fd, fo = d[final], overlap[live[final]]
+        top = np.zeros(d[-1] + 1)
+        np.maximum.at(top, fd, fo)
+        best = np.flatnonzero(fo == top[fd])
+        won.append(live[final][best[np.append(True, fd[best[1:]] != fd[best[:-1]])]])
+        free[gt_key[won[-1]]] = False
+        live = live[~final & free[g]]
+    return np.concatenate(won)
 
 
 @dataclass(frozen=True)
@@ -643,14 +642,14 @@ def evaluate_corpus(
     gives; records are turned into the same columns.
 
     One walk over the images in sorted id order, in blocks, computes each
-    same-image detection x ground-truth IoU once, and both greedy passes
-    read it. The operating point at ``config`` fills the confusion grid,
-    whose diagonal and margins give the tp/fp/fn counts. The same-category
-    pairs, one pass per threshold in MAP_RANGE_THRESHOLDS, give each
-    detection a bitmask of the thresholds it is a TP at, from which
-    ``_sweep`` takes AP, mAP and the curves. Greedy matching never lets
-    two images or two categories share a ground truth, so one pass over a
-    block's candidates equals one pass per (image, category).
+    same-image detection x ground-truth IoU once, and ``_resolve`` matches
+    a block's eleven greedy passes at once. The operating point at
+    ``config`` fills the confusion grid, whose diagonal and margins give
+    the tp/fp/fn counts. The same-category pairs, one pass per threshold
+    in MAP_RANGE_THRESHOLDS, give each detection a bitmask of the
+    thresholds it is a TP at, from which ``_sweep`` takes AP, mAP and the
+    curves. Greedy matching never lets two images or two categories share
+    a ground truth, so one pass over a block equals one per (image, category).
 
     Equal, value for value, to ``match_corpus`` + ``confusion_matrix`` and
     to ``pr_curve`` + ``average_precision`` per category and threshold,
@@ -685,10 +684,20 @@ def evaluate_corpus(
         dcat = det_index[det_rows]
         gcat = gt_index[gt_rows]
 
-        # Operating point: any-category pairs of the retained detections.
+        # Eleven greedy passes, each with its own detection and ground-truth
+        # keys: the operating point (any-category pairs of the retained
+        # detections), then the same-category pairs at each threshold.
         retained = conf >= config.confidence_threshold
-        hits = np.flatnonzero((overlap >= config.iou_threshold) & retained[pair_det])
-        hits = _greedy(hits, pair_det, pair_gt, overlap)
+        candidates = [np.flatnonzero((overlap >= config.iou_threshold) & retained[pair_det])]
+        same = np.flatnonzero(dcat[pair_det] == gcat[pair_gt])
+        for threshold in MAP_RANGE_THRESHOLDS:
+            same = same[overlap[same] >= threshold]
+            candidates.append(same)
+        passes = np.repeat(np.arange(len(candidates)), [c.size for c in candidates])
+        pairs = np.concatenate(candidates)
+        det_key = passes * det_rows.size + pair_det[pairs]
+        won = _resolve(det_key, passes * gt_rows.size + pair_gt[pairs], overlap[pairs])
+        hits = pairs[won[passes[won] == 0]]
         true_row = np.full(det_rows.size, n)  # background unless matched
         true_row[pair_det[hits]] = gcat[pair_gt[hits]]
         free = np.ones(gt_rows.size, dtype=bool)
@@ -698,14 +707,10 @@ def evaluate_corpus(
         )
         np.add.at(grid, cells, 1)  # no grid-sized temporary per block
 
-        # AP sweep: same-category pairs, one greedy pass per threshold.
+        # AP sweep: each detection's bitmask of the thresholds it is a TP at.
         mask = np.zeros(det_rows.size, dtype=np.int64)
-        same = np.flatnonzero(dcat[pair_det] == gcat[pair_gt])
-        for bit, threshold in enumerate(MAP_RANGE_THRESHOLDS):
-            same = same[overlap[same] >= threshold]
-            if not same.size:
-                break
-            mask[pair_det[_greedy(same, pair_det, pair_gt, overlap)]] |= 1 << bit
+        swept = won[passes[won] > 0]
+        np.bitwise_or.at(mask, pair_det[pairs[swept]], 1 << (passes[swept] - 1))
         confidences.append(conf)
         walk_cats.append(dcat)
         det_masks.append(mask)
@@ -764,14 +769,6 @@ DETECTIONS_CSV_HEADER = ["image_id", "category_id", "confidence", "x1", "y1", "x
 
 def read_detections_csv(stream: IO[str]) -> list[Detection]:
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("detections CSV is empty (missing header)")
-    if [h.strip() for h in header] != DETECTIONS_CSV_HEADER:
-        raise FormatError(
-            f"detections CSV header {header!r} != {DETECTIONS_CSV_HEADER!r}"
-        )
     # One pass, each row checked in order: its field count, then the
     # conversions (category, confidence, x1, y1, x2, y2), the confidence
     # range and the finite corners. The detections and their boxes are tens
@@ -779,37 +776,47 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
     detections: list[Detection] = []
     append = detections.append
     isfinite = math.isfinite
-    with collector_paused():
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                image_id, category_id, confidence, x1, y1, x2, y2 = row
-            except ValueError:
-                raise FormatError(f"line {lineno}: expected 7 fields, got {len(row)}") from None
-            try:
-                category_id = int(category_id)
-                confidence = float(confidence)
-                x1 = float(x1)
-                y1 = float(y1)
-                x2 = float(x2)
-                y2 = float(y2)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            if not 0.0 <= confidence <= 1.0:
-                raise FormatError(f"line {lineno}: confidence {confidence} outside [0, 1]")
-            # A finite sum means four finite corners; four finite ones can
-            # still overflow it, so only then is each corner checked.
-            if not isfinite(x1 + y1 + x2 + y2) and not (
-                isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
-            ):
-                raise FormatError(f"line {lineno}: non-finite coordinate")
-            # Corners in order as BoundingBox.normalized() puts them, one box built.
-            if x2 < x1:
-                x1, x2 = x2, x1
-            if y2 < y1:
-                y1, y2 = y2, y1
-            append(Detection(BoundingBox(x1, y1, x2, y2), category_id, confidence, image_id))
+    lineno = 0  # the last line read: a csv error names the next one
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("detections CSV is empty (missing header)")
+        if [h.strip() for h in header] != DETECTIONS_CSV_HEADER:
+            raise FormatError(f"detections CSV header {header!r} != {DETECTIONS_CSV_HEADER!r}")
+        lineno = 1
+        with collector_paused():
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    image_id, category_id, confidence, x1, y1, x2, y2 = row
+                except ValueError:
+                    raise FormatError(f"line {lineno}: expected 7 fields, got {len(row)}") from None
+                try:
+                    category_id = int(category_id)
+                    confidence = float(confidence)
+                    x1 = float(x1)
+                    y1 = float(y1)
+                    x2 = float(x2)
+                    y2 = float(y2)
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from exc
+                if not 0.0 <= confidence <= 1.0:
+                    raise FormatError(f"line {lineno}: confidence {confidence} outside [0, 1]")
+                # A finite sum means four finite corners; four finite ones can
+                # still overflow it, so only then is each corner checked.
+                if not isfinite(x1 + y1 + x2 + y2) and not (
+                    isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
+                ):
+                    raise FormatError(f"line {lineno}: non-finite coordinate")
+                # Corners in order as BoundingBox.normalized() puts them, one box built.
+                if x2 < x1:
+                    x1, x2 = x2, x1
+                if y2 < y1:
+                    y1, y2 = y2, y1
+                append(Detection(BoundingBox(x1, y1, x2, y2), category_id, confidence, image_id))
+    except csv.Error as exc:  # a field past csv's size limit, a lone CR, ...
+        raise FormatError(f"line {lineno + 1}: {exc}") from None
     return detections
 
 

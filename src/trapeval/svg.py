@@ -129,12 +129,12 @@ class LineChart:
         for idx, (name, xs, ys) in enumerate(self.series):
             color = PALETTE[idx % len(PALETTE)]
             if xs:
-                # px and py inlined: the same operations in the same order.
-                points = " ".join([
-                    f"{_MARGIN_LEFT + (x - x_lo) / x_span * plot_w:.6g},"
-                    f"{y_base - (y - y_lo) / y_span * plot_h:.6g}"
-                    for x, y in zip(xs, ys)
-                ])
+                # px and py inlined: the same operations in the same order;
+                # "%.6g" writes what _fmt writes, and one format call writes all.
+                coords = [0.0] * (2 * len(xs))
+                coords[::2] = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs]
+                coords[1::2] = [y_base - (y - y_lo) / y_span * plot_h for y in ys]
+                points = " ".join(["%.6g,%.6g"] * len(xs)) % tuple(coords)
                 out.append(
                     f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )

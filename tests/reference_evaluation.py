@@ -1,10 +1,17 @@
-"""The detections CSV reader of trapeval.evaluation as it was before its rows
-were read in one tight loop with the cyclic collector paused.
+"""Two pieces of trapeval.evaluation as they were before their fast paths,
+kept verbatim as definition-level oracles:
 
-Kept verbatim as the definition-level oracle for
-``test_evaluation_reference.py``: the reader must return the same detections
-(every corner equal by ``float.hex``) or raise the same ``FormatError``
-message. Types and the header come from the package.
+- the detections CSV reader as it was before its rows were read in one
+  tight loop with the cyclic collector paused. ``test_evaluation_reference.py``
+  checks that the readers return the same detections (every corner equal
+  by ``float.hex``) or raise the same ``FormatError`` message. Where this
+  reader lets a ``csv.Error`` out, they raise a ``FormatError`` with the
+  same text after the line number;
+- ``_greedy``, one Python step per candidate pair, which ``evaluate_corpus``
+  ran once per block and pass before each block's eleven passes were
+  resolved together as arrays (``evaluation._resolve``).
+
+Types and the header come from the package.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from typing import IO
+
+import numpy as np
 
 from trapeval.boxes import BoundingBox, Detection
 from trapeval.errors import FormatError
@@ -57,3 +66,33 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
             )
         )
     return detections
+
+
+def _greedy(
+    candidates: np.ndarray, pair_det: np.ndarray, pair_gt: np.ndarray, overlap: np.ndarray
+) -> np.ndarray:
+    """The ``candidates`` (indices into a block's pairs, each at or above
+    the IoU threshold) that ``match_detections``' greedy rule takes. They
+    come by detection in processing order, ground truths ascending; each
+    detection takes the still-free ground truth of highest IoU, the first
+    on ties."""
+    taken: set[int] = set()
+    picked: list[int] = []
+    current = best = best_gt = -1
+    best_iou = 0.0
+    for k, d, g, o in zip(
+        candidates.tolist(),
+        pair_det[candidates].tolist(),
+        pair_gt[candidates].tolist(),
+        overlap[candidates].tolist(),
+    ):
+        if d != current:
+            if best >= 0:
+                taken.add(best_gt)
+                picked.append(best)
+            current, best, best_iou = d, -1, 0.0
+        if o > best_iou and g not in taken:
+            best, best_gt, best_iou = k, g, o
+    if best >= 0:
+        picked.append(best)
+    return np.array(picked, dtype=np.intp)

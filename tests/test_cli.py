@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import trapeval
 from trapeval import nn, svg
@@ -109,7 +110,10 @@ SHAPES_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv,stderr,digests", SHAPES_PINS)
+@pytest.mark.parametrize(
+    "argv,stderr,digests", SHAPES_PINS,
+    ids=["baseline-check", "improved-check", "baseline-emit", "improved-emit"],
+)
 def test_shapes_bytes_are_pinned(tmp_path, capsys, argv, stderr, digests):
     out = tmp_path / "shapes"
     out.mkdir()
@@ -444,6 +448,17 @@ def test_eval_names_the_line_of_a_bad_row_after_ten_thousand_good_ones(tmp_path,
     assert (code, stdout, err) == (1, "", "error: line 10002: confidence 1.5 outside [0, 1]\n")
 
 
+def test_eval_names_the_line_of_a_field_past_the_csv_size_limit(tmp_path, capsys, identity_corpus):
+    _, ann = identity_corpus
+    det = tmp_path / "long.csv"
+    det.write_text(
+        "image_id,category_id,confidence,x1,y1,x2,y2\n" + "i" * 200_000 + ",1,0.5,0,0,1,1\n",
+        encoding="utf-8",
+    )
+    code, stdout, err = run(capsys, "eval", str(det), ann, "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", "error: line 2: field larger than field limit (131072)\n")
+
+
 # --- gradcam -----------------------------------------------------------------------
 
 @pytest.fixture
@@ -549,7 +564,9 @@ GRADCAM_PINS = [
 ]
 
 
-@pytest.mark.parametrize("variant,layer,digests", GRADCAM_PINS)
+@pytest.mark.parametrize(
+    "variant,layer,digests", GRADCAM_PINS, ids=[f"{v}-{layer}" for v, layer, _ in GRADCAM_PINS]
+)
 def test_gradcam_bytes_are_pinned(tmp_path, capsys, variant, layer, digests):
     graph, image, out = tmp_path / "graph.txt", tmp_path / "input.ppm", tmp_path / "cam"
     assert main(["shapes", variant, "--size", "64", "--categories", "4", "--seed", "5",
@@ -651,7 +668,7 @@ SPLIT_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv,stderr,digests", SPLIT_PINS)
+@pytest.mark.parametrize("argv,stderr,digests", SPLIT_PINS, ids=["random-trans", "day-of-year"])
 def test_split_bytes_are_pinned(tmp_path, capsys, argv, stderr, digests):
     corpus, out = tmp_path / "corpus.json", tmp_path / "sp"
     payload = make_annotation_payload(num_images=500, num_locations=20, seed=13, empty_every=9)
@@ -729,6 +746,22 @@ def test_svg_polyline_points_equal_their_definition():
             chart.add_vline(rng.uniform(-2.0, 2.0), "v")
         points = re.findall(r'<polyline points="([^"]*)"', chart.to_svg())
         assert points == polyline_points_definition(chart), case
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(999999.5)
+@example(1.7976931348623157e308)
+@settings(max_examples=500)
+def test_percent_g_writes_every_double_as_the_format_spec_does(value):
+    # to_svg writes polyline points with "%.6g" and every other number with _fmt.
+    assert "%.6g,%.6g" % (value, -value) == f"{svg._fmt(value)},{svg._fmt(-value)}"
 
 
 # --- defined errors: exit 1, name the culprit, no traceback ---------------------
@@ -1073,6 +1106,28 @@ def test_losslab_and_split_never_load_numpy(tmp_path, split_corpus):
         "exit codes: [0, 0] numpy: False",
         *(f"{name} True" for name, _ in TRACED_CLI_NAMES),
     ]
+
+
+EVAL_IMPORTS_PROBE = """
+import contextlib, io, sys
+import trapeval.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [trapeval.cli.main(argv) for argv in {commands!r}]
+print("exit codes:", codes, "numpy:", "numpy" in sys.modules, "numpy.ma:", "numpy.ma" in sys.modules)
+"""
+
+
+def test_eval_never_loads_numpy_ma(tmp_path):
+    # np.unique and np.intersect1d import numpy.ma, about 0.6 MiB of RSS.
+    det, ann = write_eval_corpus(tmp_path)
+    quoted = tmp_path / "quoted.csv"  # read by the row loop, not loadtxt
+    quoted.write_text(Path(det).read_text(encoding="utf-8").replace("img1,", '"img1",'), encoding="utf-8")
+    commands = [
+        ["eval", det, ann, "--out-dir", str(tmp_path / "a")],
+        ["eval", str(quoted), ann, "--iou-thresh", "0.6", "--out-dir", str(tmp_path / "b")],
+    ]
+    done = python_without_timeout(["-c", EVAL_IMPORTS_PROBE.format(commands=commands)])
+    assert done.stdout.splitlines() == ["exit codes: [0, 0] numpy: True numpy.ma: False"]
 
 
 PACKAGE_IMPORT_PROBE = """
