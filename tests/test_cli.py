@@ -561,6 +561,20 @@ GRADCAM_PINS = [
         "overlay.ppm": "bfb255b5754e0135b79a72c9481c97f74bd320c57203a2af2fc394e64bc057b4",
         "stdout": "a08121bbd41398b953ae8196840fea83e6dd85f5220ef4b41d8274f3ca392838",
     }),
+    # The input layer, the one command path through an upsample by 1; frozen
+    # before that upsample lost its copying branch.
+    ("baseline", "img", {
+        "heatmap.pgm": "a4822cc70eeffa89756439c08f75a5506bfac265d1f0c383c003210695af0716",
+        "heatmap.ppm": "b0c635aea908f79a109112f4d90fbf3942165e87b66bcb13166bbce54bd15302",
+        "overlay.ppm": "f7427e46f3045ad33f6aba3747426dea9f192273f543b3af87e71390dc855b62",
+        "stdout": "6594ff6c54d53e4ca7dc94d295048f28dc376c13908fe440c4def5522c75f51e",
+    }),
+    ("improved", "img", {
+        "heatmap.pgm": "e938010fc4e60bfaf95b8a861b6b294a5a8d7978a6443b09c49e4df839e87af9",
+        "heatmap.ppm": "db06c7f464b60d5f40473a8b16ef3bffcdcc6336bbb2cf3840969356a71c1f11",
+        "overlay.ppm": "9cc45fe158eef3f18becb2059e0d181b4f8ad33de823f841c5396d5e82678006",
+        "stdout": "a08121bbd41398b953ae8196840fea83e6dd85f5220ef4b41d8274f3ca392838",
+    }),
 ]
 
 

@@ -2,6 +2,7 @@ import copy
 import datetime as dt
 import enum
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -833,6 +834,47 @@ def test_boxes_stay_inside_bounds_after_augmentation():
         for gt in out_rec.annotations:
             assert 0 <= gt.box.x1 <= gt.box.x2 <= out_rec.width
             assert 0 <= gt.box.y1 <= gt.box.y2 <= out_rec.height
+
+
+AUGMENT_KINDS = ("rotate90", "scale", "brightness", "contrast")
+AUGMENT_OPS = {
+    "given": [AugmentOp("rotate90", 3), AugmentOp("scale", 0.75), AugmentOp("brightness", -20.5),
+              AugmentOp("contrast", 1.25), AugmentOp("rotate90", 1), AugmentOp("scale", 1.5),
+              AugmentOp("brightness", 64.0), AugmentOp("contrast", 0.5)],
+    "sampled": [AugmentOp(kind) for kind in AUGMENT_KINDS * 2],
+}
+# sha256 of augment's record (its repr, every float exact) and raster (dtype,
+# shape and bytes) on a seeded raster with seeded boxes; frozen before the
+# range re-checks of the given and sampled values left augment.
+AUGMENT_PINS = {
+    ("given", 0): "b1e3dbfe1bda6daea8de18bf78e7574cb0e6b1aa6a4bf68ea35240cf0bed3de8",
+    ("given", 1): "c5fdc6bf0cba0d6498d41ce75be110a08f67018fce55a98dda15463a4a75cbab",
+    ("given", 2): "afa403d719e97975f9fbb7a547d989d0a8a9f59ebf2bfb6718f78471087a3d61",
+    ("sampled", 0): "f2b7864f2fb7159a2748ac0d78b3214416184e308cc31a1c407e1e228918e64d",
+    ("sampled", 1): "699d9ba7b836602e00b285c07c6e5800adf1d984acb0b28afdbdca9f7e105c37",
+    ("sampled", 2): "df9ce9342074b5fc9a8447878e1f148f72b359de3495a8609ad25ea17c9b638a",
+}
+
+
+def augment_digest(ops: str, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    w, h = 23 + seed, 17 + 2 * seed
+    xs = np.sort(rng.uniform(0, w, (4, 2))).tolist()
+    ys = np.sort(rng.uniform(0, h, (4, 2))).tolist()
+    boxes = [((x1, y1, x2, y2), i + 1) for i, ((x1, x2), (y1, y2)) in enumerate(zip(xs, ys))]
+    rec = record(size=(w, h), boxes=boxes)
+    raster = Tensor3(rng.integers(0, 256, (3, h, w)).astype(float))
+    out_rec, out_raster = augment(rec, raster, AUGMENT_OPS[ops], seed=seed)
+    digest = hashlib.sha256(repr(out_rec).encode())
+    for part in (out_raster.data.dtype.str, repr(out_raster.shape)):
+        digest.update(part.encode())
+    digest.update(out_raster.data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("ops,seed", list(AUGMENT_PINS))
+def test_augment_bytes_are_pinned(ops, seed):
+    assert augment_digest(ops, seed) == AUGMENT_PINS[ops, seed]
 
 
 # --- raster I/O --------------------------------------------------------------------------
