@@ -9,31 +9,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundingBox",
-    "Detection",
-    "GroundTruth",
-    "LossEval",
-    "LossKind",
-    "LossParams",
-    "TrapevalError",
-    "WiouState",
-    "center_distance_sq",
-    "enclosing_box",
-    "finite_diff_grad",
-    "focusing_coefficient",
-    "iou",
-    "loss_ciou",
-    "loss_diou",
-    "loss_eiou",
-    "loss_focal_eiou",
-    "loss_giou",
-    "loss_iou",
-    "loss_wiou_v1",
-    "loss_wiou_v3",
-    "simulate_regression",
-]
-
 _HOME = {
     name: home
     for home, names in {
@@ -47,6 +22,7 @@ _HOME = {
     }.items()
     for name in names
 }
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -107,7 +107,6 @@ def augment(
                 width, height = height, width
         elif op.kind == "scale":
             s = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["scale"])
-            AugmentOp("scale", s)  # re-validate sampled or given value
             new_w = max(1, int(round(width * s)))
             new_h = max(1, int(round(height * s)))
             data = _resize_nearest(data, new_h, new_w)
@@ -118,11 +117,9 @@ def augment(
             width, height = float(new_w), float(new_h)
         elif op.kind == "brightness":
             b = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["brightness"])
-            AugmentOp("brightness", b)
             data = np.clip(data + b, 0.0, 255.0)
         elif op.kind == "contrast":
             c = op.value if op.value is not None else rng.uniform(*AUGMENT_RANGES["contrast"])
-            AugmentOp("contrast", c)
             data = np.clip((data - 128.0) * c + 128.0, 0.0, 255.0)
 
     kept: list[GroundTruth] = []

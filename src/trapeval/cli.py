@@ -216,8 +216,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
-    import numpy as np
-
     from . import gradcam as gc
     from .graph import ScoreSelector
 
@@ -240,7 +238,7 @@ def cmd_gradcam(args) -> int:
     cli.write_ppm(colors, out / "heatmap.ppm")
     cli.write_ppm(gc.overlay(image, colors, args.alpha_overlay), out / "overlay.ppm")
     if args.pgm:
-        cli.write_pgm(np.rint(heat.data * 255.0), out / "heatmap.pgm")
+        cli.write_pgm(heat.data * 255.0, out / "heatmap.pgm")
     print(f"score,{score:.12g}")
     return 0
 

@@ -21,7 +21,7 @@ import json
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -399,13 +399,7 @@ class SplitResult:
     config: SplitConfig
 
     def all_parts(self) -> dict[str, tuple[ImageRecord, ...]]:
-        return {
-            "train": self.train,
-            "cis_val": self.cis_val,
-            "cis_test": self.cis_test,
-            "trans_val": self.trans_val,
-            "trans_test": self.trans_test,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
 
 
 def _day_number(record: ImageRecord, basis: str) -> int:

@@ -776,16 +776,18 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
     detections: list[Detection] = []
     append = detections.append
     isfinite = math.isfinite
-    lineno = 0  # the last line read: a csv error names the next one
     try:
         header = next(reader, None)
         if header is None:
             raise FormatError("detections CSV is empty (missing header)")
         if [h.strip() for h in header] != DETECTIONS_CSV_HEADER:
             raise FormatError(f"detections CSV header {header!r} != {DETECTIONS_CSV_HEADER!r}")
-        lineno = 1
+        end = reader.line_num  # the last line read
         with collector_paused():
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                # A message names the line where the record starts: a quoted
+                # field may hold line breaks.
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 try:
@@ -816,7 +818,7 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
                     y1, y2 = y2, y1
                 append(Detection(BoundingBox(x1, y1, x2, y2), category_id, confidence, image_id))
     except csv.Error as exc:  # a field past csv's size limit, a lone CR, ...
-        raise FormatError(f"line {lineno + 1}: {exc}") from None
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
     return detections
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._viridis import VIRIDIS_256
-from .errors import ConfigError, GraphError, ShapeError
+from .errors import ConfigError, ShapeError
 from .graph import GraphRun, ScoreSelector
 from .tensor import Tensor3, upsample_forward
 
@@ -42,29 +42,10 @@ class Heatmap:
 
 
 def pin_selector(run: GraphRun, layer: str, selector: ScoreSelector) -> tuple[ScoreSelector, float]:
-    """Pin an open selector to the best head cell the layer can influence.
-
-    A selector without an explicit scale considers each head scale; only
-    scales whose input path contains the layer are eligible, so the heatmap
-    always has gradient flow. An explicit scale is honored as-is.
-    """
-    if selector.scale is not None:
-        si, cy, cx, value = selector.resolve(run)
-        return replace(selector, scale=si, cell=(cy, cx)), value
-    graph = run.graph
-    eligible = [
-        i
-        for i, (plane, src) in enumerate(zip(graph.planes, graph.detect_spec.inputs))
-        if layer == plane or layer in graph.spec.ancestors(src)
-    ]
-    if not eligible:
-        raise GraphError(f"layer {layer!r} is not an ancestor of any head scale")
-    best: tuple[float, ScoreSelector] | None = None
-    for i in eligible:
-        si, cy, cx, value = replace(selector, scale=i).resolve(run)
-        if best is None or value > best[0]:
-            best = (value, replace(selector, scale=si, cell=(cy, cx)))
-    return best[1], best[0]  # type: ignore[index]
+    """Pin a selector to the head cell ``ScoreSelector.resolve`` picks for
+    the layer, so the heatmap always has gradient flow."""
+    si, cy, cx, value = selector.resolve(run, layer)
+    return replace(selector, scale=si, cell=(cy, cx)), value
 
 
 def activation_cam(grads: np.ndarray, activation: np.ndarray) -> np.ndarray:

@@ -499,10 +499,20 @@ class ScoreSelector:
         if self.scale is not None and not 0 <= self.scale < len(detect.inputs):
             raise GraphError(f"scale {self.scale} outside 0..{len(detect.inputs) - 1}")
 
-    def resolve(self, run: "GraphRun") -> tuple[int, int, int, float]:
-        planes = run.graph.planes
-        self.check(run.graph)
+    def resolve(self, run: "GraphRun", layer: str | None = None) -> tuple[int, int, int, float]:
+        """The scale, cell and value of the selected logit. An open scale
+        ranges over every head scale, or with a ``layer`` over the scales
+        it can influence: those whose input path holds it, or whose class
+        plane it is. Ties go to the first scale, then the first cell."""
+        graph = run.graph
+        planes = graph.planes
         scales = range(len(planes)) if self.scale is None else (self.scale,)
+        if self.scale is None and layer is not None:
+            inputs = graph.detect_spec.inputs
+            scales = [i for i in scales if layer == planes[i] or layer in graph.spec.ancestors(inputs[i])]
+            if not scales:
+                raise GraphError(f"layer {layer!r} is not an ancestor of any head scale")
+        self.check(graph)
         best: tuple[float, int, int, int] | None = None
         for si in scales:
             plane = run.activations[planes[si]][self.category]

@@ -6,7 +6,9 @@ kept verbatim as definition-level oracles:
   checks that the readers return the same detections (every corner equal
   by ``float.hex``) or raise the same ``FormatError`` message. Where this
   reader lets a ``csv.Error`` out, they raise a ``FormatError`` with the
-  same text after the line number;
+  same text after the line number. One change since: a message names the
+  physical line where its record starts (``csv.reader.line_num``), not the
+  record's count, which a quoted field holding a line break put behind;
 - ``_greedy``, one Python step per candidate pair, which ``evaluate_corpus``
   ran once per block and pass before each block's eleven passes were
   resolved together as arrays (``evaluation._resolve``).
@@ -38,7 +40,9 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
             f"detections CSV header {header!r} != {DETECTIONS_CSV_HEADER!r}"
         )
     detections = []
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != 7:

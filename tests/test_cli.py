@@ -250,13 +250,17 @@ def test_losslab_bytes_are_pinned(tmp_path, capsys, argv, digests):
 
 # --- eval --------------------------------------------------------------------------
 
-def write_eval_corpus(tmp_path, images=200, seed=21):
-    """A seeded detections CSV and annotation file: 0-3 ground truths per
-    image over categories 1-6 (7 is configured but never annotated), 0-4
-    jittered detections each, some relabelled, some with swapped corners,
-    confidences on a 0.01 grid so that ties occur, and image ids whose sorted
-    order is not their numeric one."""
+def eval_corpus(images=200, seed=21, distinct=False):
+    """A seeded annotation payload and detection rows ``[image_id,
+    category_id, confidence, x1, y1, x2, y2]``: 0-3 ground truths per image
+    over categories 1-6 (7 is configured but never annotated), 0-4 jittered
+    detections each, some relabelled, some with swapped corners, every
+    coordinate rounded to 0.01, and image ids whose sorted order is not
+    their numeric one. The confidences are on a 0.01 grid so that ties
+    occur, or with ``distinct`` all different (drawn from a second stream,
+    so the rest of the corpus is the same)."""
     rng = random.Random(seed)
+    distinct_confidences = iter(random.Random(seed + 1000).sample(range(1, 10**6), 12 * images))
     payload = {
         "images": [
             {"id": f"img{i}", "width": 320, "height": 240, "location": i % 10,
@@ -266,7 +270,7 @@ def write_eval_corpus(tmp_path, images=200, seed=21):
         "annotations": [],
         "categories": [{"id": c, "name": f"species{c}"} for c in range(1, 8)],
     }
-    rows = ["image_id,category_id,confidence,x1,y1,x2,y2"]
+    rows = []
     for i in range(images):
         for _ in range(rng.randint(0, 3)):
             w, h = rng.uniform(8, 120), rng.uniform(8, 100)
@@ -283,11 +287,25 @@ def write_eval_corpus(tmp_path, images=200, seed=21):
                 if rng.random() < 0.1:
                     x1, x2 = x2, x1
                 label = rng.randint(1, 7) if rng.random() < 0.2 else category
-                rows.append(f"img{i},{label},{round(rng.random(), 2)},{x1:.2f},{y1:.2f},{x2:.2f},{y2:.2f}")
-    det, ann = tmp_path / "dets.csv", tmp_path / "ann.json"
-    det.write_text("\n".join(rows) + "\n", encoding="utf-8")
+                confidence = round(rng.random(), 2)
+                if distinct:
+                    confidence = next(distinct_confidences) / 10**6
+                rows.append([f"img{i}", label, confidence, *(round(v, 2) for v in (x1, y1, x2, y2))])
+    return payload, rows
+
+
+def write_eval_files(directory, payload, rows):
+    """The corpus as a detections CSV (each float as its shortest exact
+    text) and an annotation file in ``directory``; their paths."""
+    det, ann = directory / "dets.csv", directory / "ann.json"
+    lines = ["image_id,category_id,confidence,x1,y1,x2,y2", *(",".join(map(str, row)) for row in rows)]
+    det.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ann.write_text(json.dumps(payload), encoding="utf-8")
     return str(det), str(ann)
+
+
+def write_eval_corpus(tmp_path, images=200, seed=21):
+    return write_eval_files(tmp_path, *eval_corpus(images, seed))
 
 
 # sha256 of every output and of stdout of eval on write_eval_corpus, as the
@@ -457,6 +475,17 @@ def test_eval_names_the_line_of_a_field_past_the_csv_size_limit(tmp_path, capsys
     )
     code, stdout, err = run(capsys, "eval", str(det), ann, "--out-dir", str(tmp_path / "out"))
     assert (code, stdout, err) == (1, "", "error: line 2: field larger than field limit (131072)\n")
+
+
+def test_eval_names_the_physical_line_after_a_quoted_line_break(tmp_path, capsys, identity_corpus):
+    _, ann = identity_corpus
+    det = tmp_path / "quoted.csv"
+    det.write_text(
+        'image_id,category_id,confidence,x1,y1,x2,y2\n"im\n0",1,0.5,0,0,1,1\nim1,1,0.5,0,0,1\n',
+        encoding="utf-8",
+    )
+    code, stdout, err = run(capsys, "eval", str(det), ann, "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", "error: line 4: expected 7 fields, got 6\n")
 
 
 # --- gradcam -----------------------------------------------------------------------

@@ -103,7 +103,10 @@ def test_mutated_csv_reads_as_the_definition_reads_it(text):
         (" \n", "FormatError: line 2: expected 7 fields, got 1"),
         # quoted fields, one holding a comma and one a line break
         ('"im,0","1","0.5","0","0","1","1"\n', 1),
-        ('"im\n0",1,0.5,0,0,1,1\nim1,1,0.5,0,0,1\n', "FormatError: line 3: expected 7 fields, got 6"),
+        # a message names the physical line where its record starts
+        ('"im\n0",1,0.5,0,0,1,1\nim1,1,0.5,0,0,1\n', "FormatError: line 4: expected 7 fields, got 6"),
+        ('"im\n\n0",1,0.5,0,0,1\n', "FormatError: line 2: expected 7 fields, got 6"),
+        ('\n"im\r\n0",1,0.5,0,0,1,1\r\n\r\nim1,1,2,0,0,1,1\r\n', "FormatError: line 6: confidence 2.0 outside [0, 1]"),
         ('im0,"1",0.5,0,0,"one",1\n', "FormatError: line 2: could not convert string to float: 'one'"),
         # CRLF line ends
         ("im0,1,0.5,0,0,1,1\r\nim1,2,0.25,1,1,2,2\r\n", 2),

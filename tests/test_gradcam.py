@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_gradcam as ref
 
 from trapeval._viridis import VIRIDIS_256
 from trapeval.errors import GraphError, ShapeError
@@ -13,7 +14,7 @@ from trapeval.gradcam import (
     pin_selector,
     viridis_map,
 )
-from trapeval.graph import Graph, GraphSpec, LayerSpec, ScoreSelector
+from trapeval.graph import Graph, GraphSpec, LayerSpec, ScoreSelector, build_graph
 from trapeval.tensor import Tensor3
 
 from test_graph import tiny_image, tiny_spec
@@ -110,6 +111,46 @@ def test_equal_logits_pick_the_first_scale_then_the_first_cell_in_row_major_orde
     assert (pinned.scale, pinned.cell, value) == (0, (0, 0), 1.0)
     with pytest.raises(GraphError):
         pin_selector(run, "det/box0", ScoreSelector(category=0))
+
+
+def pinned_or_error(pin, run, layer, selector):
+    """The pinned selector and its value (as hex), or the error's text."""
+    try:
+        pinned, value = pin(run, layer, selector)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+    return pinned, value.hex()
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+def test_pin_selector_pins_what_the_per_scale_loop_pinned(variant):
+    graph = Graph(build_graph(variant, 64, num_categories=4, seed=5))
+    rng = np.random.default_rng(8)
+    image = Tensor3(rng.uniform(0, 255, (3, 64, 64)))
+    # Besides the plain run: equal planes, which tie every cell of every
+    # scale, and planes that peak at 5 on two seeded cells each, which tie
+    # across scales at different cells.
+    flat = {plane: np.ones(graph.shapes[plane]) for plane in graph.planes}
+    peaks = {}
+    for plane in graph.planes:
+        peaks[plane] = np.zeros(graph.shapes[plane])
+        for cls in peaks[plane]:
+            cls.flat[rng.choice(cls.size, 2, replace=False)] = 5.0
+    detect = graph.detect_spec
+    boxes = [f"{detect.name}/box{i}" for i in range(len(graph.planes))]
+    layers = [layer.name for layer in graph.spec.layers] + [*graph.planes, *boxes]
+    scales = [None, *range(len(graph.planes))]
+    for overrides in ({}, flat, peaks):
+        run = graph.forward(image, overrides=overrides)
+        for layer in layers:
+            for category in range(4):
+                for scale in scales:
+                    for cell in (None, (3, 3)):  # (3, 3) lies outside the 2x2 grid
+                        selector = ScoreSelector(category, scale, cell)
+                        got = pinned_or_error(pin_selector, run, layer, selector)
+                        assert got == pinned_or_error(ref.pin_selector, run, layer, selector)
+                        if scale is None and (layer in boxes or layer == detect.name):
+                            assert got == f"GraphError: layer {layer!r} is not an ancestor of any head scale"
 
 
 def test_viridis_endpoints_and_interpolation():
