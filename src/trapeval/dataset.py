@@ -241,7 +241,11 @@ def parse_annotations(path: "str | Path") -> Dataset:
             if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
                 box = BoundingBox(x, y, x2, y2)
             else:
-                box = _clamp_box(x, y, x2, y2, width, height)
+                try:
+                    box = _clamp_box(x, y, x2, y2, width, height)
+                except OverflowError:  # x + w or y + h overflowed, and float(size) would
+                    bbox = ann["bbox"]
+                    raise FormatError(f"annotations[{i}]: bbox {bbox!r} ends past the double range") from None
             attached.append(GroundTruth(box, category_id, image_id))
         del payload  # free the parsed JSON before the records are built: a lower peak
 

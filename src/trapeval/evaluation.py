@@ -447,45 +447,45 @@ def map_over_iou_range(
 # Same-image detection x ground-truth pairs per IoU block: a block's arrays
 # stay a few hundred KiB whatever the size of the corpus.
 _BLOCK_PAIRS = 4096
-# Up to this magnitude double arithmetic is exact on integer corners (their
-# areas and sums stay below 2**53), so it equals ``iou``'s int arithmetic.
-_EXACT_CORNER = 2.0**24
 _GRID = np.array(RECALL_GRID)
+
+
+def _double(value) -> float:
+    """``value`` as a double; NaN for an int past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 class BoxColumns(NamedTuple):
     """Detections or ground truths as columns, row i for record i: image
-    ids, category ids, (n, 4) corner rows and, for detections, confidences.
-    ``boxes`` holds the records' own boxes, which the scalar ``iou``
-    fallback reads; it is None where the corners were read as doubles, so
-    that each row is its box."""
+    ids, category ids, (n, 4) corner rows as doubles and, for detections,
+    confidences."""
 
     image_id: list[str]
     category_id: np.ndarray
     corners: np.ndarray
     confidence: np.ndarray | None = None
-    boxes: Sequence[BoundingBox] | None = None
 
     @classmethod
     def from_records(
         cls, records: Sequence[Detection] | Sequence[GroundTruth], scored: bool = False
     ) -> "BoxColumns":
-        """The columns of ``records``; with ``scored``, their confidences too."""
+        """The columns of ``records``; with ``scored``, their confidences too.
+        An int corner past the double range reads as NaN."""
         boxes = [r.box for r in records]
+        # A box is already its corner row: the rows are read as one flat run.
+        try:
+            corners = np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes))
+        except OverflowError:
+            corners = np.fromiter(map(_double, chain.from_iterable(boxes)), np.float64)
         return cls(
             [r.image_id for r in records],
             np.array([r.category_id for r in records]),
-            # A box is already its corner row: the rows are read as one flat run.
-            np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4),
+            corners.reshape(-1, 4),
             np.array([r.confidence for r in records], dtype=np.float64) if scored else None,
-            boxes,
         )
-
-    def boxes_at(self, rows: np.ndarray) -> list[BoundingBox]:
-        """The boxes of ``rows``: the records' own, or built from the corner rows."""
-        if self.boxes is None:
-            return [BoundingBox(*corners) for corners in self.corners[rows].tolist()]
-        return [self.boxes[k] for k in rows.tolist()]
 
 
 def _image_codes(det_ids: list[str], gt_ids: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -524,17 +524,7 @@ def _walk(dets: BoxColumns, gts: BoxColumns):
         stop = min(stop, n_images)
         d0, d1, g0, g1 = det_before[start], det_before[stop], gt_before[start], gt_before[stop]
         pair_det, pair_gt = _pairs(n_det[start:stop], n_gt[start:stop])
-        block_a, block_b = a[d0:d1], b[g0:g1]
-        if (np.abs(block_a) <= _EXACT_CORNER).all() and (np.abs(block_b) <= _EXACT_CORNER).all():
-            overlap = _block_iou(block_a, block_b, pair_det, pair_gt)
-        else:
-            # The scalar iou on the boxes as given: numpy's min/max propagate
-            # NaN where Python's keep their first argument.
-            da, gb = dets.boxes_at(det_rows[d0:d1]), gts.boxes_at(gt_rows[g0:g1])
-            overlap = np.array(
-                [iou(da[i], gb[j]) for i, j in zip(pair_det.tolist(), pair_gt.tolist())],
-                dtype=np.float64,
-            )
+        overlap = _block_iou(a[d0:d1], b[g0:g1], pair_det, pair_gt)
         yield det_rows[d0:d1], gt_rows[g0:g1], pair_det, pair_gt, overlap
         start = stop
 
@@ -552,16 +542,17 @@ def _pairs(n_det: np.ndarray, n_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _block_iou(
     a: np.ndarray, b: np.ndarray, pair_det: np.ndarray, pair_gt: np.ndarray
 ) -> np.ndarray:
-    """``iou`` of corner rows ``a[i]`` and ``b[j]`` for each pair (i, j),
-    bit for bit for finite corners within ``_EXACT_CORNER``:
-    ``boxes.iou``'s operations in its order, each one array pass."""
+    """``iou`` of corner rows ``a[i]`` and ``b[j]`` for each pair (i, j), bit
+    for bit for finite corners, overflows to infinity included: ``boxes.iou``'s
+    operations in its order, each one array pass."""
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
-    iw = np.minimum(ax2[pair_det], bx2[pair_gt]) - np.maximum(ax1[pair_det], bx1[pair_gt])
-    ih = np.minimum(ay2[pair_det], by2[pair_gt]) - np.maximum(ay1[pair_det], by1[pair_gt])
-    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-    union = ((ax2 - ax1) * (ay2 - ay1))[pair_det] + ((bx2 - bx1) * (by2 - by1))[pair_gt] - inter
-    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(ax2[pair_det], bx2[pair_gt]) - np.maximum(ax1[pair_det], bx1[pair_gt])
+        ih = np.minimum(ay2[pair_det], by2[pair_gt]) - np.maximum(ay1[pair_det], by1[pair_gt])
+        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+        union = ((ax2 - ax1) * (ay2 - ay1))[pair_det] + ((bx2 - bx1) * (by2 - by1))[pair_gt] - inter
+        return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
 def _resolve(det_key: np.ndarray, gt_key: np.ndarray, overlap: np.ndarray) -> np.ndarray:
@@ -653,10 +644,11 @@ def evaluate_corpus(
 
     Equal, value for value, to ``match_corpus`` + ``confusion_matrix`` and
     to ``pr_curve`` + ``average_precision`` per category and threshold,
-    which stay as the definition.
+    which stay as the definition, on the boxes as doubles. Raises
+    ``match_corpus``'s CategoryError, then EvalError for the first
+    detection, else ground truth, with a corner that is not a finite double.
     """
     config = config or MatchConfig()
-    records = detections
     if not isinstance(detections, BoxColumns):
         detections = BoxColumns.from_records(detections, scored=True)
     gts = BoxColumns.from_records(ground_truths)
@@ -664,12 +656,19 @@ def evaluate_corpus(
     cats = _category_set(det_cats, gt_cats, categories)
     known = set(cats)
     if not (known.issuperset(det_cats) and known.issuperset(gt_cats)):
-        if isinstance(records, BoxColumns):
-            boxes = records.boxes_at(np.arange(len(records.image_id)))
-            records = list(
-                map(Detection, boxes, det_cats, records.confidence.tolist(), records.image_id)
-            )
-        match_corpus(records, ground_truths, config, cats)  # raises the definition's error
+        # match_corpus's order: images in sorted id order; in each, the
+        # detections ("detection" sorts first), then the ground truths, each
+        # in input order (min keeps the first of equal keys).
+        det_image, gt_image, _ = _image_codes(detections.image_id, gts.image_id)
+        listed = [(im, "detection", c) for im, c in zip(det_image.tolist(), det_cats)]
+        listed += [(im, "ground truth", c) for im, c in zip(gt_image.tolist(), gt_cats)]
+        _, what, cat = min((r for r in listed if r[2] not in known), key=lambda r: r[:2])
+        raise CategoryError(f"{what} references unknown category {cat}")
+    for what, columns in (("detection", detections), ("ground truth", gts)):
+        bad = np.flatnonzero(~np.isfinite(columns.corners).all(axis=1)).tolist()
+        if bad:
+            i, image_id = bad[0], columns.image_id[bad[0]]
+            raise EvalError(f"{what} {i} in image {image_id!r}: a corner is not a finite double")
     n = len(cats)
     cat_ids = np.array(cats)
     det_index = np.searchsorted(cat_ids, detections.category_id)

@@ -14,6 +14,7 @@ extra high-resolution scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable, Mapping
@@ -263,10 +264,13 @@ class GraphSpec:
                 shape, detail = rule(layer, [shapes[ref] for ref in layer.inputs])
             except ShapeError as exc:
                 raise ShapeError(f"layer {layer.name}: {exc}") from exc
-            rows.extend(detail)
             if shape is not None:
                 shapes[layer.name] = shape
-                rows.append(ShapeRow(layer.name, layer.kind, shape))
+                detail = [*detail, ShapeRow(layer.name, layer.kind, shape)]
+            for row in detail:  # numpy refuses more doubles in one array, allocating nothing
+                if math.prod(row.shape) > np.iinfo(np.intp).max // 8:
+                    raise ShapeError(f"layer {layer.name}: {row.kind} {row.shape} is too large for numpy")
+            rows.extend(detail)
         return shapes, rows
 
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from trapeval.svg import LineChart
 from trapeval.tensor import Tensor3
 
 from conftest import make_annotation_payload
+from test_evaluation import DEFINITION
 
 
 def run(capsys, *argv):
@@ -308,6 +310,17 @@ def write_eval_corpus(tmp_path, images=200, seed=21):
     return write_eval_files(tmp_path, *eval_corpus(images, seed))
 
 
+def scaled_corpus(payload, rows, factor):
+    """The corpus with every image size and coordinate times ``factor``."""
+    scaled = copy.deepcopy(payload)
+    for image in scaled["images"]:
+        image["width"] *= factor
+        image["height"] *= factor
+    for annotation in scaled["annotations"]:
+        annotation["bbox"] = [factor * v for v in annotation["bbox"]]
+    return scaled, [[*row[:3], *(factor * v for v in row[3:])] for row in rows]
+
+
 # sha256 of every output and of stdout of eval on write_eval_corpus, as the
 # row-loop reader and the record-based evaluation wrote them, at the default
 # thresholds and at non-default ones (which move only the operating point).
@@ -354,6 +367,23 @@ def test_eval_bytes_are_pinned(tmp_path, capsys, argv, digests):
     code, stdout, err = run(capsys, "eval", det, ann, *argv, "--out-dir", str(out))
     assert code == 0 and err == ""
     assert output_digests(out, stdout) == digests
+
+
+# 2**25 is exact in doubles and puts every corner past 2**24.
+@pytest.mark.parametrize("factor", [1, 2**25])
+def test_eval_reaches_no_definition_function(tmp_path, capsys, monkeypatch, factor):
+    import trapeval.evaluation as ev
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eval called a definition function")
+
+    for name in DEFINITION:
+        monkeypatch.setattr(ev, name, unreachable)
+    det, ann = write_eval_files(tmp_path, *scaled_corpus(*eval_corpus(), factor))
+    out = tmp_path / "ev"
+    code, stdout, err = run(capsys, "eval", det, ann, "--out-dir", str(out))
+    assert code == 0 and err == ""
+    assert output_digests(out, stdout) == EVAL_PINS[0][1]
 
 
 def test_eval_identity_predictor(tmp_path, capsys, identity_corpus):
@@ -849,6 +879,26 @@ def test_malformed_graph_exits_1_naming_layer(tmp_path, capsys, line, layer):
     assert "Traceback" not in err and stdout == ""
 
 
+# 2**61 doubles are 2**64 bytes: numpy refuses such an array before allocating.
+@pytest.mark.parametrize(
+    "line,head,message",
+    [
+        (f"wide conv in=img out_channels={2**61}", "in=wide categories=2",
+         f"layer wide: conv ({2**61}, 8, 8) is too large for numpy"),
+        ("", f"in=img categories={2**61}",
+         f"layer head: detect.cls0 ({2**61}, 8, 8) is too large for numpy"),
+    ],
+    ids=["out_channels", "categories"],
+)
+def test_gradcam_on_a_layer_too_large_for_numpy_exits_1_naming_it(tmp_path, capsys, line, head, message):
+    graph, image = write_tiny_graph(tmp_path, line)
+    text = Path(graph).read_text(encoding="utf-8").replace("in=img categories=2", head)
+    Path(graph).write_text(text, encoding="utf-8")
+    code, stdout, err = run(capsys, "gradcam", graph, image, "--layer", "img", "--category", "0",
+                            "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("target", ["head/cls0", "img"])
 def test_a_layer_named_like_a_head_plane_exits_1_naming_it(tmp_path, capsys, target):
     graph = tmp_path / "g.txt"
@@ -929,6 +979,11 @@ def write_bad_annotations(tmp_path, name, mutate):
          "box plane 'head/box0'"),
         (["gradcam", "{graph}", "{image}", "--layer", "head/cls7", "--category", "0"],
          "'head/cls7' is not a head class plane"),
+        # x + w overflows, and clamping it to a width past doubles would too.
+        (["eval", "{det}", "{past_doubles}"],
+         "annotations[0]: bbox [1e+308, 0, 1e+308, 1] ends past the double range"),
+        (["split", "{past_doubles}"],
+         "annotations[0]: bbox [1e+308, 0, 1e+308, 1] ends past the double range"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
@@ -945,6 +1000,14 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         ),
         "width_fraction": write_bad_annotations(
             tmp_path, "width.json", lambda p: p["images"][0].update(width=10.9)
+        ),
+        "past_doubles": write_bad_annotations(
+            tmp_path,
+            "past.json",
+            lambda p: (
+                p["images"][0].update(width=10**400),
+                p["annotations"][0].update(bbox=[1e308, 0, 1e308, 1]),
+            ),
         ),
         "split": split_corpus,
         "image_number": write_bad_annotations(

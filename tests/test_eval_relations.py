@@ -2,10 +2,11 @@
 whose effect on every output is known without computing any metric.
 
 Each test runs ``main`` in process on a 200-image corpus and on its
-transform. Doubling every coordinate, permuting the detection rows (with
-distinct confidences) and renaming the images in their sorted order must
-leave every output byte as it was. Relabelling the categories must permute
-the rows of the tables and keep each PR curve's points.
+transform. Scaling every coordinate by a power of two, permuting the
+detection rows (with distinct confidences) and renaming the images in their
+sorted order must leave every output byte as it was. Relabelling the
+categories must permute the rows of the tables and keep each PR curve's
+points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from trapeval.cli import main
 
-from test_cli import eval_corpus, write_eval_files
+from test_cli import eval_corpus, scaled_corpus, write_eval_files
 
 
 def run_eval(tmp_path, capsys, name: str, payload, rows) -> dict[str, str]:
@@ -34,18 +35,16 @@ def run_eval(tmp_path, capsys, name: str, payload, rows) -> dict[str, str]:
     return outputs
 
 
+@pytest.mark.parametrize("factor", [2, 2**25])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_doubling_every_coordinate_changes_no_output_byte(tmp_path, capsys, seed):
-    # Doubling is exact in doubles, and IoU is a ratio of areas.
+def test_scaling_every_coordinate_by_a_power_of_two_changes_no_output_byte(
+    tmp_path, capsys, seed, factor
+):
+    # Power-of-two scaling is exact in doubles, and IoU is a ratio of areas;
+    # 2**25 puts every corner past 2**24.
     payload, rows = eval_corpus(seed=seed)
-    doubled = copy.deepcopy(payload)
-    for image in doubled["images"]:
-        image["width"] *= 2
-        image["height"] *= 2
-    for annotation in doubled["annotations"]:
-        annotation["bbox"] = [2 * v for v in annotation["bbox"]]
-    doubled_rows = [[*row[:3], *(2 * v for v in row[3:])] for row in rows]
-    assert run_eval(tmp_path, capsys, "doubled", doubled, doubled_rows) == run_eval(
+    scaled = scaled_corpus(payload, rows, factor)
+    assert run_eval(tmp_path, capsys, "scaled", *scaled) == run_eval(
         tmp_path, capsys, "base", payload, rows
     )
 

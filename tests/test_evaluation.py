@@ -546,63 +546,72 @@ def test_evaluate_corpus_edge_cases_equal_definition():
     assert metrics.pr_curves == () and metrics.map50_95 == 0.0
 
 
-def test_evaluate_corpus_computes_each_same_category_iou_once(monkeypatch):
-    import trapeval.evaluation as evaluation
+# The definition, which the columnar evaluation reaches none of.
+DEFINITION = (
+    "match_detections", "match_corpus", "iou", "pr_curve", "confusion_matrix",
+    "per_category_ap", "map_over_iou_range",
+)
 
+
+def test_evaluate_corpus_reaches_no_definition_function(monkeypatch):
     detections, ground_truths = synthetic_instance(
         random.Random(8), max_detections=40, max_ground_truths=12, images=3
     )
-    calls = 0
-    real_iou = evaluation.iou
+    # Scaled by 2**25 (exact in doubles), every corner lies past 2**24.
+    scaled = [r._replace(box=B(*(2**25 * v for v in r.box))) for r in detections + ground_truths]
+    corpora = [(detections, ground_truths), (scaled[: len(detections)], scaled[len(detections) :])]
+    expected = [evaluate_corpus(*corpus, MatchConfig(0.45, 0.25)) for corpus in corpora]
 
-    def counting_iou(a, b):
-        nonlocal calls
-        calls += 1
-        return real_iou(a, b)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluate_corpus called a definition function")
 
-    monkeypatch.setattr(evaluation, "iou", counting_iou)
-    config = MatchConfig(0.45, 0.25)
-    match_corpus(detections, ground_truths, config)
-    operating_point = calls
-    calls = 0
-    evaluate_corpus(detections, ground_truths, config)
-    pairs = sum(
-        1
-        for d in detections
-        for g in ground_truths
-        if (d.image_id, d.category_id) == (g.image_id, g.category_id)
-    )
-    assert operating_point > 0 and pairs > 0
-    assert calls <= operating_point + pairs
+    for name in DEFINITION:
+        monkeypatch.setattr(evaluation, name, unreachable)
+    assert [evaluate_corpus(*corpus, MatchConfig(0.45, 0.25)) for corpus in corpora] == expected
+    assert expected[0] == expected[1]
 
 
 # --- the blockwise IoU table and the operating point against the definition -------
 
-# Corners where array arithmetic could part from the scalar iou: NaN (numpy's
-# min/max propagate it, Python's keep their first argument), infinities, an
-# area that overflows, integers too large for doubles to stay exact, -0.0,
-# corners out of order (a negative area, so a negative union).
+# Finite corners where array arithmetic could part from the scalar iou:
+# corners out of order (a negative area, so a negative union), differences
+# and areas that overflow (up to the largest double), subnormals, -0.0, and
+# integers whose areas pass 2**53, which the columns read as their doubles.
 ODD_BOXES = (
     B(3, 0, 1, 2),
+    B(1e300, 0, 1.5e300, 1e300),
+    B(-1.7976931348623157e308, 0, 1.7976931348623157e308, 1),
+    B(5e-324, 0, 1.5e-323, 5e-324),
+    B(0, -5e-324, 2.2250738585072014e-308, 0),
+    B(0, 0, 3 * 2**40, 2**40 + 1),
+    B(2**25, 2**25, 2**25 + 3, 2**26),
+    B(-0.0, 0, 1, 1),
+)
+# Corners that are not finite doubles: NaN, the infinities, and an int past
+# the double range.
+NON_FINITE_BOXES = (
     B(math.nan, 0, 2, 1),
     B(0, 0, 2, math.nan),
     B(0, 0, math.inf, 1),
     B(-math.inf, 0, 1, 1),
-    B(1e300, 0, 1.5e300, 1e300),
-    B(0, 0, 3 * 2**40, 2**40 + 1),
-    B(-0.0, 0, 1, 1),
+    B(0, 0, 2**1024, 1),
 )
 
 
-def _odd_corner_corpus(rng):
+def _odd_corner_corpus(rng, boxes=ODD_BOXES):
     detections, ground_truths = _edge_case_corpus(rng)
     detections = [
-        d._replace(box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else d for d in detections
+        d._replace(box=rng.choice(boxes)) if rng.random() < 0.2 else d for d in detections
     ]
     ground_truths = [
-        g._replace(box=rng.choice(ODD_BOXES)) if rng.random() < 0.2 else g for g in ground_truths
+        g._replace(box=rng.choice(boxes)) if rng.random() < 0.2 else g for g in ground_truths
     ]
     return detections, ground_truths
+
+
+def _as_doubles(records):
+    """The records with each corner as its double."""
+    return [r._replace(box=B(*map(float, r.box))) for r in records]
 
 
 def _assert_operating_point_matches_definition(detections, ground_truths, categories=None):
@@ -625,11 +634,11 @@ def _assert_operating_point_matches_definition(detections, ground_truths, catego
     ]
 
 
-def _walk_table(detections, ground_truths, **columns):
+def _walk_table(detections, ground_truths):
     """(detection index, ground-truth index, IoU hex) of every pair the
     columnar walk visits, in its order."""
-    dets = evaluation.BoxColumns.from_records(detections, scored=True)._replace(**columns)
-    gts = evaluation.BoxColumns.from_records(ground_truths)._replace(**columns)
+    dets = evaluation.BoxColumns.from_records(detections, scored=True)
+    gts = evaluation.BoxColumns.from_records(ground_truths)
     table = []
     for det_rows, gt_rows, pair_det, pair_gt, overlap in evaluation._walk(dets, gts):
         rows_d, rows_g = det_rows.tolist(), gt_rows.tolist()
@@ -656,21 +665,18 @@ def test_block_iou_table_equals_scalar_iou_bitwise(monkeypatch, budget):
         for j, g in enumerate(ground_truths):
             images[g.image_id][1].append(j)
         pairs = [(i, j) for dets, gts in map(images.get, sorted(images)) for i in dets for j in gts]
-        expected = [(i, j, iou(detections[i].box, ground_truths[j].box).hex()) for i, j in pairs]
+        # The scalar iou on the corners as doubles, as the columns hold them.
+        dets, gts = _as_doubles(detections), _as_doubles(ground_truths)
+        expected = [(i, j, iou(dets[i].box, gts[j].box).hex()) for i, j in pairs]
         assert _walk_table(detections, ground_truths) == expected
-        # Without the records' boxes the scalar fallback reads the corner
-        # rows, which are the boxes as doubles.
-        det_doubles = [B(*map(float, d.box)) for d in detections]
-        gt_doubles = [B(*map(float, g.box)) for g in ground_truths]
-        expected = [(i, j, iou(det_doubles[i], gt_doubles[j]).hex()) for i, j in pairs]
-        assert _walk_table(detections, ground_truths, boxes=None) == expected
 
 
-def test_block_iou_reads_int_corners_as_the_records_hold_them():
+def test_block_iou_reads_int_corners_as_their_doubles():
     # Int corners whose areas pass 2**53: as doubles they give another IoU.
     a, b = B(0, 0, 85261181, 1099511628553), B(0, 0, 90002594, 1099511627818)
-    assert iou(a, b) != iou(B(*map(float, a)), B(*map(float, b)))
-    assert _walk_table([det(a)], [gt(b)]) == [(0, 0, iou(a, b).hex())]
+    doubles = iou(B(*map(float, a)), B(*map(float, b)))
+    assert iou(a, b) != doubles
+    assert _walk_table([det(a)], [gt(b)]) == [(0, 0, doubles.hex())]
 
 
 @pytest.mark.parametrize("budget", [1, 10**9])
@@ -684,12 +690,54 @@ def test_evaluate_corpus_equals_the_definition_at_any_block_size(monkeypatch, bu
             _assert_operating_point_matches_definition(detections, ground_truths, categories)
 
 
-def test_evaluate_corpus_with_non_finite_or_huge_corners_equals_the_definition():
+def test_evaluate_corpus_with_extreme_finite_corners_equals_the_definition_on_doubles():
     rng = random.Random(577)
     for _ in range(150):
         detections, ground_truths = _odd_corner_corpus(rng)
-        _assert_matches_definition(detections, ground_truths)
-        _assert_operating_point_matches_definition(detections, ground_truths)
+        doubles = _as_doubles(detections), _as_doubles(ground_truths)
+        metrics = _assert_matches_definition(*doubles)
+        assert evaluate_corpus(detections, ground_truths, MatchConfig(0.45, 0.25)) == metrics
+        _assert_operating_point_matches_definition(*doubles)
+
+
+def _finite_double(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        return False
+
+
+def test_evaluate_corpus_names_the_first_corner_that_is_not_a_finite_double():
+    rng = random.Random(31)
+    raised = set()
+    for _ in range(300):
+        detections, ground_truths = _odd_corner_corpus(rng, ODD_BOXES + NON_FINITE_BOXES)
+        lists = (("detection", detections), ("ground truth", ground_truths))
+        first = next(
+            (
+                f"{what} {i} in image {r.image_id!r}: a corner is not a finite double"
+                for what, records in lists
+                for i, r in enumerate(records)
+                if not all(map(_finite_double, r.box))
+            ),
+            None,
+        )
+        if first is None:
+            evaluate_corpus(detections, ground_truths)
+            continue
+        with pytest.raises(EvalError) as info:
+            evaluate_corpus(detections, ground_truths)
+        assert str(info.value) == first
+        raised.add(first.split(" ")[0])
+        # The same from columns, as the CLI passes the detections.
+        columns = evaluation.BoxColumns.from_records(detections, scored=True)
+        with pytest.raises(EvalError) as info:
+            evaluate_corpus(columns, ground_truths)
+        assert str(info.value) == first
+    assert raised == {"detection", "ground"}
+    # The unknown category is named before the corner.
+    with pytest.raises(CategoryError, match="^ground truth references unknown category 9$"):
+        evaluate_corpus([det(B(math.nan, 0, 1, 1))], [gt(B(0, 0, 1, 1), cat=9)], categories=[0])
 
 
 def test_evaluate_corpus_raises_the_definitions_category_error():

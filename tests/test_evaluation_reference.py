@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 import pytest
 import reference_evaluation as ref
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from trapeval import evaluation
 from trapeval.errors import FormatError
@@ -88,7 +88,12 @@ def assert_same(text: str):
     return expected
 
 
-@given(mutants(VALID_CSV, CSV_SYMBOLS))
+# VALID_CSV with a line break quoted in its first id: after it, an edit that
+# fails the next row tells line numbers from record numbers.
+QUOTED_CSV = VALID_CSV.replace("im0,", '"im\n0",')
+
+
+@given(st.one_of(mutants(VALID_CSV, CSV_SYMBOLS), mutants(QUOTED_CSV, CSV_SYMBOLS)))
 @settings(max_examples=300, deadline=None)
 def test_mutated_csv_reads_as_the_definition_reads_it(text):
     assert_same(text)
