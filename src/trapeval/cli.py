@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # Only what the parser and main need is imported here; each command imports
 # what it runs when it runs, so no command loads another's modules.
-from .errors import ConfigError, DivergedError, FormatError, SplitError, TrapevalError  # noqa: E402
+from .errors import ConfigError, DivergedError, FormatError, TrapevalError  # noqa: E402
 
 # Attributes of this module read from their home module, which the first
 # access imports (PEP 562). cmd_gradcam and cmd_losslab call them as
@@ -266,10 +266,7 @@ def cmd_split(args) -> int:
     if config is None:
         import random
 
-        locations = sorted({r.location_id for r in data.records})
-        if len(locations) < 10:
-            raise SplitError(f"need >= 10 locations, have {len(locations)}")
-        picked = random.Random(args.seed).sample(locations, 10)
+        picked = random.Random(args.seed).sample(ds.split_locations(data.records), 10)
         trans_test, trans_val = tuple(picked[:9]), picked[9]
         print(
             f"picked trans test locations {sorted(trans_test)} and validation "

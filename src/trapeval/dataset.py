@@ -412,11 +412,17 @@ def _day_number(record: ImageRecord, basis: str) -> int:
     return record.capture_date.day
 
 
+def split_locations(records: Sequence[ImageRecord]) -> list[int]:
+    """The records' distinct locations, sorted; a split needs ten of them."""
+    locations = sorted({r.location_id for r in records})
+    if len(locations) < 10:
+        raise SplitError(f"need >= 10 locations, have {len(locations)}")
+    return locations
+
+
 def split_cis_trans(records: Sequence[ImageRecord], config: SplitConfig) -> SplitResult:
     """Apply the location / day-parity split protocol under the config seed."""
-    locations = {r.location_id for r in records}
-    if len(locations) < 10:
-        raise SplitError(f"need >= 10 distinct locations, got {len(locations)}")
+    locations = set(split_locations(records))
     trans_locations = set(config.trans_test_locations) | {config.trans_val_location}
     missing = trans_locations - locations
     if missing:

@@ -65,13 +65,12 @@ def normalize_unit(cam: np.ndarray) -> np.ndarray:
 
 
 def gradcam_heatmap(run: GraphRun, layer: str, selector: ScoreSelector) -> Heatmap:
-    """Weighted-channel activation map for one layer, upscaled and normalized."""
-    pinned, _ = pin_selector(run, layer, selector)
-    grads = run.graph.backward_to_layer(run, pinned, layer).data
-    cam = activation_cam(grads, run.activations[layer])
-
+    """Weighted-channel activation map for one layer, upscaled and normalized.
+    The layer's grid is checked before the backward pass, which resolves the
+    selector for the layer as ``pin_selector`` does."""
     _, img_h, img_w = run.graph.spec.input_shape
-    h, w = cam.shape
+    # A name no run records passes here; the backward pass rejects it.
+    _, h, w = run.graph.shapes.get(layer, run.graph.spec.input_shape)
     if img_h % h != 0 or img_w % w != 0:
         raise ShapeError(
             f"layer grid {h}x{w} does not divide image size {img_h}x{img_w}"
@@ -79,6 +78,8 @@ def gradcam_heatmap(run: GraphRun, layer: str, selector: ScoreSelector) -> Heatm
     factor = img_h // h
     if img_w // w != factor:
         raise ShapeError(f"non-uniform upsample factors for grid {h}x{w}")
+    grads = run.graph.backward_to_layer(run, selector, layer).data
+    cam = activation_cam(grads, run.activations[layer])
     upsampled = upsample_forward(cam[None, :, :], factor)[0]
     return Heatmap(normalize_unit(upsampled))
 

@@ -661,8 +661,9 @@ class Graph:
         self, run: GraphRun, selector: ScoreSelector, layer_name: str
     ) -> Tensor3:
         """Gradient of the selected head score with respect to the named
-        layer's recorded activation."""
-        si, cy, cx, _ = selector.resolve(run)
+        layer's recorded activation; an open selector resolves among the
+        scales the layer can influence."""
+        si, cy, cx, _ = selector.resolve(run, layer_name)
         return self.backward_from_head(
             run, {(si, selector.category, cy, cx): 1.0}, layer_name
         )

@@ -249,7 +249,7 @@ def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
 
 def _ciou_core(g: _Geom) -> tuple[float, Vec4]:
     if g.h <= 0.0 or g.hg <= 0.0:
-        raise DegenerateBoxError("aspect ratio undefined for zero-height box")
+        raise DegenerateBoxError(f"aspect ratio undefined: {g.pred} or {g.gt} has zero height")
     value, grad = _diou_core(g)
 
     k = 4.0 / math.pi**2

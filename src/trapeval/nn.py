@@ -3,9 +3,10 @@
 A block build draws nothing. Each weight tensor is a ``Pending`` record of
 its place in its layer's PCG64 stream, taken in declaration order, and the
 op that reads the tensor draws it just before use and drops it after:
-uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Biases are zero. Forward
-passes return (output, cache); backward consumes the cache so one block
-instance can serve many concurrent runs.
+uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. A built block holds no
+array, only ``Pending`` weights: no conv or GAM layer adds a constant term.
+Forward passes return (output, cache); backward consumes the cache so one
+block instance can serve many concurrent runs.
 """
 
 from __future__ import annotations
@@ -109,10 +110,9 @@ class Conv:
         self.spec = ShapeSpec(kernel, stride, padding)
         self.act = act
         self.weights = stream.take(c_in * kernel * kernel, (c_out, c_in, kernel, kernel))
-        self.bias = np.zeros(c_out)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        pre = conv2d_forward(x, self.weights.draw(), self.bias, self.spec)
+        pre = conv2d_forward(x, self.weights.draw(), self.spec)
         if self.act:
             return silu(pre), (x.shape, pre)
         return pre, (x.shape, None)
@@ -192,26 +192,24 @@ class Sppf:
 
     def __init__(self, channels: int, kernel: int = 5, seed: "int | Stream" = 0):
         stream = _stream(seed)
-        self.channels = channels
         self.kernel = kernel
-        self.padding = kernel // 2
         self.fuse = Conv(4 * channels, channels, 1, 1, 0, act=True, seed=stream)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        p1, i1 = maxpool2d_forward(x, self.kernel, self.padding)
-        p2, i2 = maxpool2d_forward(p1, self.kernel, self.padding)
-        p3, i3 = maxpool2d_forward(p2, self.kernel, self.padding)
+        p1, i1 = maxpool2d_forward(x, self.kernel)
+        p2, i2 = maxpool2d_forward(p1, self.kernel)
+        p3, i3 = maxpool2d_forward(p2, self.kernel)
         z = concat_forward([x, p1, p2, p3])
         out, c_fuse = self.fuse.forward(z)
-        return out, (x.shape, (i1, i2, i3), c_fuse)
+        return out, ((i1, i2, i3), c_fuse)
 
     def backward(self, dout: np.ndarray, cache: Any) -> np.ndarray:
-        in_shape, (i1, i2, i3), c_fuse = cache
+        (i1, i2, i3), c_fuse = cache
         dz = self.fuse.backward(dout, c_fuse)
-        dx, dp1, dp2, dp3 = concat_backward(dz, [self.channels] * 4)
-        dp2 += maxpool2d_backward(dp3, i3, in_shape, self.kernel, self.padding)
-        dp1 += maxpool2d_backward(dp2, i2, in_shape, self.kernel, self.padding)
-        dx += maxpool2d_backward(dp1, i1, in_shape, self.kernel, self.padding)
+        dx, dp1, dp2, dp3 = concat_backward(dz, [dz.shape[0] // 4] * 4)
+        dp2 += maxpool2d_backward(dp3, i3, self.kernel)
+        dp1 += maxpool2d_backward(dp2, i2, self.kernel)
+        dx += maxpool2d_backward(dp1, i1, self.kernel)
         return dx
 
 
@@ -225,16 +223,14 @@ class GamChannelAttention:
         stream = _stream(seed)
         self.hidden = channels // 4
         self.w1 = stream.take(channels, (self.hidden, channels))
-        self.b1 = np.zeros(self.hidden)
         self.w2 = stream.take(self.hidden, (channels, self.hidden))
-        self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         c, h, w = x.shape
         permuted = x.reshape(c, h * w).T  # (H*W, C)
-        l1 = permuted @ self.w1.draw().T + self.b1
+        l1 = permuted @ self.w1.draw().T
         hidden = relu(l1)
-        l2 = hidden @ self.w2.draw().T + self.b2
+        l2 = hidden @ self.w2.draw().T
         restored = l2.T.reshape(c, h, w)
         gate = sigmoid(restored)
         cache = {
@@ -274,14 +270,12 @@ class GamSpatialAttention:
         mid = channels // rate
         self.spec = ShapeSpec(7, 1, 3)
         self.w1 = stream.take(channels * 49, (mid, channels, 7, 7))
-        self.b1 = np.zeros(mid)
         self.w2 = stream.take(mid * 49, (channels, mid, 7, 7))
-        self.b2 = np.zeros(channels)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        a = conv2d_forward(x, self.w1.draw(), self.b1, self.spec)
+        a = conv2d_forward(x, self.w1.draw(), self.spec)
         r = relu(a)
-        pre = conv2d_forward(r, self.w2.draw(), self.b2, self.spec)
+        pre = conv2d_forward(r, self.w2.draw(), self.spec)
         gate = sigmoid(pre)
         return x * gate, {"x": x, "a": a, "r_shape": r.shape, "gate": gate}
 

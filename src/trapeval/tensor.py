@@ -141,9 +141,7 @@ def _im2col(x: np.ndarray, spec: ShapeSpec, ho: int, wo: int) -> np.ndarray:
     return cols
 
 
-def conv2d_forward(
-    x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None, spec: ShapeSpec
-) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, weights: np.ndarray, spec: ShapeSpec) -> np.ndarray:
     """Standard 2D convolution. weights: (C_out, C_in, k, k).
 
     One GEMM of the (C_out, C_in*k*k) weights with the (C_in*k*k, ho*wo)
@@ -158,10 +156,7 @@ def conv2d_forward(
     ho = conv_output_dim(h, spec)
     wo = conv_output_dim(w, spec)
     cols = x if _pointwise(spec) else _im2col(x, spec, ho, wo)
-    y = np.dot(weights.reshape(c_out, -1), cols.reshape(-1, ho * wo)).reshape(c_out, ho, wo)
-    if bias is not None:
-        y += bias[:, None, None]
-    return y
+    return np.dot(weights.reshape(c_out, -1), cols.reshape(-1, ho * wo)).reshape(c_out, ho, wo)
 
 
 def conv2d_backward_input(
@@ -186,39 +181,32 @@ def conv2d_backward_input(
     return dxp[:, p : p + h, p : p + w]
 
 
-# --- max pooling (stride 1, padding k//2: shape preserving) -----------------
+# --- max pooling (odd kernel k, stride 1, padding k//2: shape preserving) ---
 
-def maxpool2d_forward(
-    x: np.ndarray, kernel: int, padding: int
-) -> tuple[np.ndarray, np.ndarray]:
+def maxpool2d_forward(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel window max; returns (out, argmax) with argmax holding the
     flat within-window winner index (first occurrence in row-major scan)."""
+    if kernel % 2 == 0:
+        raise ConfigError(f"max-pool needs an odd kernel, got {kernel}")
     c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)), constant_values=-np.inf)
+    p = kernel // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=-np.inf)
     windows = sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
-    ho = h + 2 * padding - kernel + 1
-    wo = w + 2 * padding - kernel + 1
-    flat = windows.reshape(c, ho, wo, kernel * kernel)
+    flat = windows.reshape(c, h, w, kernel * kernel)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     return out, idx
 
 
-def maxpool2d_backward(
-    dout: np.ndarray,
-    argmax: np.ndarray,
-    input_shape: tuple[int, int, int],
-    kernel: int,
-    padding: int,
-) -> np.ndarray:
-    c, h, w = input_shape
-    ho, wo = dout.shape[1:]
-    ci, ri, cj = np.indices((c, ho, wo))
+def maxpool2d_backward(dout: np.ndarray, argmax: np.ndarray, kernel: int) -> np.ndarray:
+    c, h, w = dout.shape
+    p = kernel // 2
+    ci, ri, cj = np.indices((c, h, w))
     u = argmax // kernel
     v = argmax % kernel
-    dxp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    dxp = np.zeros((c, h + 2 * p, w + 2 * p))
     np.add.at(dxp, (ci, ri + u, cj + v), dout)
-    return dxp[:, padding : padding + h, padding : padding + w]
+    return dxp[:, p : p + h, p : p + w]
 
 
 # --- nearest-neighbour upsampling -------------------------------------------

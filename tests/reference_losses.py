@@ -185,7 +185,7 @@ def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
         return LossEval(0.0, _ZERO4)
     g = _Geom(pred, gt)
     if g.h <= 0.0 or g.hg <= 0.0:
-        raise DegenerateBoxError("aspect ratio undefined for zero-height box")
+        raise DegenerateBoxError(f"aspect ratio undefined: {g.pred} or {g.gt} has zero height")
     value, grad = _diou_core(g)
 
     k = 4.0 / math.pi**2

@@ -18,7 +18,7 @@ import trapeval
 from trapeval import nn, svg
 from trapeval.cli import main
 from trapeval.dataset import parse_annotations
-from trapeval.graph import Graph, parse_graph_text
+from trapeval.graph import Graph, ScoreSelector, parse_graph_text
 from trapeval.ppm import write_ppm
 from trapeval.svg import LineChart
 from trapeval.tensor import Tensor3
@@ -193,6 +193,15 @@ def test_losslab_on_a_point_box_exits_1_naming_both_boxes(tmp_path, capsys):
     assert stdout.splitlines() == ["iou,1,0,0", "giou,1,0,0"]  # the kinds before diou ran
     point = "BoundingBox(x1=1.0, y1=1.0, x2=1.0, y2=1.0)"
     assert err == f"error: enclosing hull of {point} and {point} has zero diagonal\n"
+
+
+def test_losslab_ciou_on_a_zero_height_box_exits_1_naming_both_boxes(tmp_path, capsys):
+    code, stdout, err = run(capsys, "losslab", "--kinds", "all", "--start", "0,0,1,0",
+                            "--gt", "2,2,3,3", "--out-dir", str(tmp_path / "lab"))
+    assert code == 1
+    assert [line.split(",")[0] for line in stdout.splitlines()] == ["iou", "giou", "diou"]
+    start, gt = "BoundingBox(x1=0.0, y1=0.0, x2=1.0, y2=0.0)", "BoundingBox(x1=2.0, y1=2.0, x2=3.0, y2=3.0)"
+    assert err == f"error: aspect ratio undefined: {start} or {gt} has zero height\n"
 
 
 # sha256 of every output and of stdout of three losslab runs, as the former
@@ -591,6 +600,48 @@ def test_gradcam_bad_layer_fails(tmp_path, capsys, graph_and_image):
         "--out-dir", str(tmp_path / "cx"),
     )
     assert code != 0 and "error:" in err
+
+
+def test_gradcam_resolves_its_open_selector_once(tmp_path, capsys, monkeypatch, graph_and_image):
+    graph, image = graph_and_image
+    calls = []
+    resolve = ScoreSelector.resolve
+
+    def recorded(self, run, layer=None):
+        calls.append((self.scale, self.cell, layer))
+        return resolve(self, run, layer)
+
+    monkeypatch.setattr(ScoreSelector, "resolve", recorded)
+    code, _, err = run(capsys, "gradcam", graph, image, "--layer", "l2", "--category", "2",
+                       "--out-dir", str(tmp_path / "cam"))
+    assert (code, err) == (0, "")
+    # The CLI pins the open selector for l2; the backward pass resolves the
+    # pinned one, for the same layer.
+    assert [call for call in calls if call[1] is None] == [(None, None, "l2")]
+    assert len(calls) == 2 and calls[1][1] is not None and calls[1][2] == "l2"
+
+
+def test_gradcam_checks_the_layer_grid_before_the_backward_pass(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.txt"
+    graph.write_text(
+        "img input channels=3 height=64 width=64\n"
+        "l0 conv in=img out_channels=4 kernel=3 stride=2 padding=0\n"
+        "head detect in=l0 categories=2\n",
+        encoding="utf-8",
+    )
+    image = tmp_path / "img.ppm"
+    write_image(image)
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("the backward pass ran before the layer grid was checked")
+
+    monkeypatch.setattr(Graph, "backward_from_head", no_backward)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "gradcam", str(graph), str(image), "--layer", "l0",
+                            "--category", "0", "--out-dir", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error: layer grid 31x31 does not divide image size 64x64\n"
+    assert not out.exists()
 
 # sha256 of stdout and of every output of gradcam at 64, as the parent of the
 # array greedy resolver wrote them: both topologies (the seed-5 descriptions
@@ -1062,6 +1113,7 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["losslab", "--step", "nan"], "step nan must be finite"),
         (["losslab", "--step", "inf"], "step inf must be finite"),
         (["split", "{few}"], "need >= 10 locations, have 3"),
+        (["split", "{few}", "--trans-test", "1,2", "--trans-val", "3"], "need >= 10 locations, have 3"),
         (["eval", "{latin1}", "{ann}"], "'utf-8' codec can't decode byte 0xe9"),
         (["eval", "{det}", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
         (["split", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),

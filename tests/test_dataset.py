@@ -642,7 +642,7 @@ def test_split_deterministic_per_seed():
 
 
 def test_split_validates_inputs():
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="^need >= 10 locations, have 8$"):
         split_cis_trans(synthetic_records(locations=8), make_config())
     missing = SplitConfig(trans_test_locations=(50, 51, 52), trans_val_location=53)
     with pytest.raises(SplitError):

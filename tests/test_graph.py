@@ -189,7 +189,7 @@ def test_forward_shapes_equal_propagated_shapes(variant, size):
             expected[f"{row.name}/{row.kind.split('.')[1]}"] = row.shape
         elif row.kind == "sppf.concat":
             # the fuse conv's cached input is the pooled concat
-            assert run.caches[row.name][2][0] == row.shape
+            assert run.caches[row.name][1][0] == row.shape
     assert {name: value.shape for name, value in run.activations.items()} == expected
 
 
@@ -318,10 +318,10 @@ def test_gam_spatial_attention_zero_convs_halve_input():
         nn.GamSpatialAttention(9, rate=4, seed=0)
 
 
-def test_gam_saturated_gates_pass_input_through():
+def test_gam_saturated_gates_pass_input_through(monkeypatch):
     block = nn.Gam(8, rate=4, seed=-1)
-    block.channel_attention.b2[:] = 20.0  # sigmoid(20) ~ 1
-    block.spatial_attention.b2[:] = 20.0
+    sigmoid = nn.sigmoid
+    monkeypatch.setattr(nn, "sigmoid", lambda x: sigmoid(x + 20.0))  # sigmoid(20) ~ 1
     x = np.random.default_rng(10).normal(size=(8, 4, 4))
     out, _ = block.forward(x)
     assert np.allclose(out, x, atol=1e-6)
@@ -587,6 +587,29 @@ def weight_sizes(graph):
     the largest."""
     tensors = [tensor for module in graph.modules.values() for tensor in weight_tensors(module)]
     return len(tensors), max(8 * math.prod(tensor.shape) for tensor in tensors)
+
+
+def module_leaves(obj):
+    """Every value a built module holds, nested blocks and lists walked through."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from module_leaves(item)
+    elif hasattr(obj, "backward"):
+        for value in vars(obj).values():
+            yield from module_leaves(value)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+def test_built_modules_hold_no_array_only_pending_weights(variant):
+    graph = Graph(build_graph(variant, 64, seed=4))
+    leaves = [leaf for module in graph.modules.values() for leaf in module_leaves(module)]
+    assert [type(leaf) for leaf in leaves if isinstance(leaf, np.ndarray)] == []
+    pending = [leaf for leaf in leaves if isinstance(leaf, nn.Pending)]
+    assert len(pending) == weight_sizes(graph)[0]
+    sppf = [module for module in graph.modules.values() if isinstance(module, nn.Sppf)]
+    assert sppf and all(vars(module).keys() == {"kernel", "fuse"} for module in sppf)
 
 
 def test_modules_draw_nothing_and_a_full_run_holds_one_weight_tensor_at_a_time(monkeypatch):

@@ -52,7 +52,7 @@ def oracle_silu_backward(dout, x):
     return dout * (s * (1.0 + x * (1.0 - s)))
 
 
-def oracle_conv2d_forward(x, weights, bias, spec):
+def oracle_conv2d_forward(x, weights, spec):
     c_in, h, w = x.shape
     ho = conv_output_dim(h, spec)
     wo = conv_output_dim(w, spec)
@@ -60,10 +60,7 @@ def oracle_conv2d_forward(x, weights, bias, spec):
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))
     cols = windows[:, ::s, ::s][:, :ho, :wo]  # (C_in, ho, wo, k, k)
-    y = np.tensordot(weights, cols, axes=([1, 2, 3], [0, 3, 4]))
-    if bias is not None:
-        y = y + bias[:, None, None]
-    return y
+    return np.tensordot(weights, cols, axes=([1, 2, 3], [0, 3, 4]))
 
 
 def oracle_conv2d_backward_input(dout, weights, input_shape, spec):
@@ -197,7 +194,7 @@ def conv_operands(rng, c_in, k, c_out=3):
     weights = rng.uniform(-1, 1, (c_out, c_in, k, k))
     weights.flat[::5] = 0.0
     weights.flat[1::7] = -0.0
-    return weights, rng.uniform(-1, 1, c_out)
+    return weights
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
@@ -210,15 +207,14 @@ def test_conv_equals_its_oracle_bitwise(kernel, stride):
         for shape in CONV_INPUTS:
             x = rng.normal(size=shape)
             x.flat[::4] = -0.0
-            weights, bias = conv_operands(rng, shape[0], kernel)
+            weights = conv_operands(rng, shape[0], kernel)
             try:
                 out_shape = (3, conv_output_dim(shape[1], spec), conv_output_dim(shape[2], spec))
             except ShapeError:
                 with pytest.raises(ShapeError):
-                    conv2d_forward(x, weights, bias, spec)
+                    conv2d_forward(x, weights, spec)
                 continue
-            for b in (bias, None):
-                assert_bitwise(conv2d_forward(x, weights, b, spec), oracle_conv2d_forward(x, weights, b, spec))
+            assert_bitwise(conv2d_forward(x, weights, spec), oracle_conv2d_forward(x, weights, spec))
             # -0.0 and 0.0 upstream gradients: the sign of each zero must match
             for dout in (rng.normal(size=out_shape), np.full(out_shape, -0.0), np.zeros(out_shape)):
                 assert_bitwise(
@@ -232,9 +228,9 @@ def test_conv_equals_its_oracle_bitwise(kernel, stride):
 def test_pointwise_conv_on_a_strided_input_equals_its_oracle():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 10, 12))[::2, 1:, ::2]
-    weights, bias = conv_operands(rng, 4, 1, c_out=5)
+    weights = conv_operands(rng, 4, 1, c_out=5)
     spec = ShapeSpec(1, 1, 0)
-    assert_bitwise(conv2d_forward(x, weights, bias, spec), oracle_conv2d_forward(x, weights, bias, spec))
+    assert_bitwise(conv2d_forward(x, weights, spec), oracle_conv2d_forward(x, weights, spec))
     dout = rng.normal(size=(10, 9, 6))[::2]
     assert_bitwise(
         conv2d_backward_input(dout, weights, x.shape, spec),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trapeval.errors import ShapeError
+from trapeval.errors import ConfigError, ShapeError
 from trapeval.tensor import (
     ShapeSpec,
     Tensor3,
@@ -38,7 +38,7 @@ def test_conv2d_shapes_and_zero_weights():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 16, 16))
     weights = np.zeros((8, 3, 3, 3))
-    out = conv2d_forward(x, weights, None, ShapeSpec(3, 2, 1))
+    out = conv2d_forward(x, weights, ShapeSpec(3, 2, 1))
     assert out.shape == (8, 8, 8)
     assert np.all(out == 0.0)
 
@@ -47,16 +47,16 @@ def test_conv2d_identity_kernel():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 6, 6))
     weights = np.ones((1, 1, 1, 1))
-    out = conv2d_forward(x, weights, None, ShapeSpec(1, 1, 0))
+    out = conv2d_forward(x, weights, ShapeSpec(1, 1, 0))
     assert np.allclose(out, x)
 
 
 def test_conv2d_weight_shape_validation():
     x = np.zeros((3, 8, 8))
     with pytest.raises(ShapeError):
-        conv2d_forward(x, np.zeros((4, 2, 3, 3)), None, ShapeSpec(3, 1, 1))
+        conv2d_forward(x, np.zeros((4, 2, 3, 3)), ShapeSpec(3, 1, 1))
     with pytest.raises(ShapeError):
-        conv2d_forward(x, np.zeros((4, 3, 5, 5)), None, ShapeSpec(3, 1, 1))
+        conv2d_forward(x, np.zeros((4, 3, 5, 5)), ShapeSpec(3, 1, 1))
 
 
 def test_conv2d_backward_matches_finite_differences():
@@ -64,7 +64,7 @@ def test_conv2d_backward_matches_finite_differences():
     x = rng.normal(size=(2, 5, 5))
     weights = rng.normal(size=(3, 2, 3, 3))
     spec = ShapeSpec(3, 2, 1)
-    out = conv2d_forward(x, weights, None, spec)
+    out = conv2d_forward(x, weights, spec)
     dout = rng.normal(size=out.shape)
     dx = conv2d_backward_input(dout, weights, x.shape, spec)
     h = 1e-6
@@ -74,24 +74,24 @@ def test_conv2d_backward_matches_finite_differences():
         hi[ix] += h
         lo[ix] -= h
         fd = (
-            (conv2d_forward(hi, weights, None, spec) * dout).sum()
-            - (conv2d_forward(lo, weights, None, spec) * dout).sum()
+            (conv2d_forward(hi, weights, spec) * dout).sum()
+            - (conv2d_forward(lo, weights, spec) * dout).sum()
         ) / (2 * h)
         assert fd == pytest.approx(dx[ix], rel=1e-5, abs=1e-8)
 
 
 def test_maxpool_preserves_shape_and_constants():
     x = np.full((2, 20, 20), 3.25)
-    out, _ = maxpool2d_forward(x, 5, 2)
+    out, _ = maxpool2d_forward(x, 5)
     assert out.shape == (2, 20, 20)
     assert np.all(out == 3.25)
-    assert maxpool2d_forward(np.full((512, 20, 20), 1.0), 5, 2)[0].shape == (512, 20, 20)
+    assert maxpool2d_forward(np.full((512, 20, 20), 1.0), 5)[0].shape == (512, 20, 20)
 
 
 def test_maxpool_single_bright_pixel_dilates():
     x = np.zeros((1, 9, 9))
     x[0, 4, 4] = 7.0
-    out, _ = maxpool2d_forward(x, 5, 2)
+    out, _ = maxpool2d_forward(x, 5)
     expected = np.zeros((9, 9))
     expected[2:7, 2:7] = 7.0
     assert np.array_equal(out[0], expected)
@@ -99,16 +99,23 @@ def test_maxpool_single_bright_pixel_dilates():
 
 def test_maxpool_backward_routes_to_argmax_deterministically():
     x = np.zeros((1, 4, 4))  # all ties: first-scan order wins
-    out, idx = maxpool2d_forward(x, 3, 1)
+    out, idx = maxpool2d_forward(x, 3)
     dout = np.ones_like(out)
-    dx1 = maxpool2d_backward(dout, idx, x.shape, 3, 1)
-    dx2 = maxpool2d_backward(dout, idx, x.shape, 3, 1)
+    dx1 = maxpool2d_backward(dout, idx, 3)
+    dx2 = maxpool2d_backward(dout, idx, 3)
     assert np.array_equal(dx1, dx2)
     assert dx1.sum() == dout.size  # one winner per window
     x2 = np.arange(16, dtype=float).reshape(1, 4, 4)
-    out2, idx2 = maxpool2d_forward(x2, 3, 1)
-    dx = maxpool2d_backward(np.ones_like(out2), idx2, x2.shape, 3, 1)
+    out2, idx2 = maxpool2d_forward(x2, 3)
+    dx = maxpool2d_backward(np.ones_like(out2), idx2, 3)
     assert dx[0, 3, 3] == 4.0  # bottom-right max wins its four windows
+
+
+@pytest.mark.parametrize("kernel", [2, 4])
+def test_maxpool_rejects_an_even_kernel(kernel):
+    # Padded by kernel // 2, an even window would grow the map by one.
+    with pytest.raises(ConfigError, match=f"max-pool needs an odd kernel, got {kernel}"):
+        maxpool2d_forward(np.zeros((1, 6, 6)), kernel)
 
 
 def test_upsample_worked_matrix():
