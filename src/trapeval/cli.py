@@ -128,8 +128,8 @@ def cmd_losslab(args) -> int:
     values = [focusing(b, params) for b in betas]
     out = _out_dir(args)
     kinds = list(LossKind) if args.kinds is None else args.kinds
-    start = BoundingBox(0, 0, 1, 1) if args.start is None else args.start
-    gt = BoundingBox(2, 2, 3, 3) if args.gt is None else args.gt
+    start = BoundingBox(0.0, 0.0, 1.0, 1.0) if args.start is None else args.start
+    gt = BoundingBox(2.0, 2.0, 3.0, 3.0) if args.gt is None else args.gt
     chart = LineChart("loss vs iteration", "iteration", "loss")
     failures = 0
     for kind in kinds:
@@ -186,9 +186,9 @@ def cmd_eval(args) -> int:
             detections = ev.read_detection_columns(stream)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{args.detections}: not UTF-8 ({exc})") from exc
-    data = ds.parse_annotations(args.annotations)
-    ground_truths = [gt for record in data.records for gt in record.annotations]
-    categories = data.category_ids() if data.categories else None
+    annotations = ds.read_annotation_columns(args.annotations)
+    ground_truths = ev.BoxColumns.from_annotations(annotations)
+    categories = sorted(annotations.categories) or None
     metrics = ev.evaluate_corpus(detections, ground_truths, config, categories)
     out = _out_dir(args)
 

@@ -22,6 +22,7 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -45,9 +46,6 @@ class ImageRecord(NamedTuple):
 class Dataset:
     records: tuple[ImageRecord, ...]
     categories: dict[int, str] = field(default_factory=dict)
-
-    def category_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.categories))
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -76,6 +74,8 @@ def _clamp_box(x1: float, y1: float, x2: float, y2: float, width: int, height: i
 
 def _integer(mapping: dict, key: str, context: str) -> int:
     value = _require(mapping, key, context)
+    if value is True or value is False:  # int() would read a JSON boolean as 1 or 0
+        raise FormatError(f"{context}: {key} {value!r} is not a number")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -121,12 +121,19 @@ def _image(img, context: str, images: dict) -> tuple[str, tuple[int, dt.date, in
     )
 
 
-def _annotation(ann, context: str, annotations: dict, categories: dict) -> tuple:
+def _coordinate(value) -> float:
+    """A bbox value as a float; float() would read a JSON boolean as 1.0 or 0.0."""
+    if value is True or value is False:
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _annotation(ann, context: str, images: dict, categories: dict) -> tuple:
     """(image id, category id, x, y, w, h) of one element of "annotations",
     every check in order."""
     ann = _object(ann, context)
     image_id = str(_require(ann, "image_id", context))
-    if image_id not in annotations:
+    if image_id not in images:
         raise FormatError(f"{context}: unknown image id {image_id!r}")
     category_id = _integer(ann, "category_id", context)
     if category_id not in categories:
@@ -135,7 +142,7 @@ def _annotation(ann, context: str, annotations: dict, categories: dict) -> tuple
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise FormatError(f"{context}: bbox must be [x, y, w, h]")
     try:
-        x, y, w, h = map(float, bbox)
+        x, y, w, h = map(_coordinate, bbox)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
@@ -158,14 +165,28 @@ def collector_paused():
             gc.enable()
 
 
-def parse_annotations(path: "str | Path") -> Dataset:
-    """Read an annotation file into one record per image.
+class AnnotationColumns(NamedTuple):
+    """An annotation file as read: its categories, its images' fields by
+    image id in file order and, per annotation in file order, its image id,
+    its category id and the four clamped corners of its box, one flat run
+    of floats (x1, y1, x2, y2 of each annotation in turn)."""
+
+    categories: dict[int, str]
+    images: dict[str, tuple[int, dt.date, int, int, str]]
+    image_id: list[str]
+    category_id: list[int]
+    corners: list[float]
+
+
+def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
+    """Read and check an annotation file without building a record.
 
     Annotations attach by image id; unknown category or image references,
-    non-numeric fields, non-integral ids, sizes and locations, and
-    non-finite boxes are rejected with the offending element named.
+    non-numeric fields (JSON booleans included), non-integral ids, sizes
+    and locations, and non-finite boxes are rejected with the offending
+    element named.
     """
-    # The parsed JSON and the records are a few hundred thousand containers.
+    # The parsed JSON is a few hundred thousand containers.
     with collector_paused():
         try:
             with open(path, "r", encoding="utf-8") as stream:
@@ -185,9 +206,10 @@ def parse_annotations(path: "str | Path") -> Dataset:
             categories[cid] = str(_require(cat, "name", context))
 
         # An element whose fields have exact JSON types (str ids, dates and file
-        # names, int sizes, locations and category ids, a list box) and pass
-        # every check is read directly; any other element goes through _image or
-        # _annotation, which run the checks in order and name it in any error.
+        # names, int sizes, locations and category ids, a list box of numbers)
+        # and pass every check is read directly; any other element goes through
+        # _image or _annotation, which run the checks in order and name it in
+        # any error.
         # image id -> (location, date, width, height, file name), in file order
         images: dict[str, tuple[int, dt.date, int, int, str]] = {}
         dates: dict[str, dt.date] = {}  # each distinct date string, parsed once
@@ -215,45 +237,69 @@ def parse_annotations(path: "str | Path") -> Dataset:
                 image_id, fields = _image(img, f"images[{i}]", images)
                 images[image_id] = fields
 
-        annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in images}
+        image_ids: list[str] = []
+        category_ids: list[int] = []
+        corners: list[float] = []
         isfinite = math.isfinite
         for i, ann in enumerate(_section(payload, "annotations", path)):
             try:
                 image_id, category_id, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
-                attached = annotations.get(image_id)  # None unless a known (str) image id
-                x, y, w, h = map(float, bbox)  # as _annotation converts them
+                fields = images.get(image_id)  # None unless a known (str) image id
+                bx, by, bw, bh = bbox
+                x, y, w, h = float(bx), float(by), float(bw), float(bh)
             except (KeyError, TypeError, ValueError, OverflowError):  # as above, or a bad box
-                attached = None
+                fields = None
             if not (
-                attached is not None
+                fields is not None
                 and type(category_id) is int
                 and category_id in categories
                 and type(bbox) is list
+                # as _coordinate converts them: no JSON boolean
+                and type(bx) is not bool
+                and type(by) is not bool
+                and type(bw) is not bool
+                and type(bh) is not bool
                 and isfinite(x + y + w + h)  # all four are finite
             ):
                 image_id, category_id, x, y, w, h = _annotation(
-                    ann, f"annotations[{i}]", annotations, categories
+                    ann, f"annotations[{i}]", images, categories
                 )
-                attached = annotations[image_id]
-            _, _, width, height, _ = images[image_id]
+                fields = images[image_id]
+            _, _, width, height, _ = fields
             x2, y2 = x + w, y + h
+            image_ids.append(image_id)
+            category_ids.append(category_id)
             # _clamp_box leaves a box that lies inside the image as it is.
             if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
-                box = BoundingBox(x, y, x2, y2)
+                corners += x, y, x2, y2
             else:
                 try:
-                    box = _clamp_box(x, y, x2, y2, width, height)
+                    corners += _clamp_box(x, y, x2, y2, width, height)
                 except OverflowError:  # x + w or y + h overflowed, and float(size) would
                     bbox = ann["bbox"]
                     raise FormatError(f"annotations[{i}]: bbox {bbox!r} ends past the double range") from None
-            attached.append(GroundTruth(box, category_id, image_id))
-        del payload  # free the parsed JSON before the records are built: a lower peak
+        return AnnotationColumns(categories, images, image_ids, category_ids, corners)
 
+
+def parse_annotations(path: "str | Path") -> Dataset:
+    """Read an annotation file into one record per image, its annotations
+    in file order: ``read_annotation_columns``, whose checks and errors
+    these are, with the records built once the parsed JSON is freed."""
+    new = tuple.__new__  # what the named tuples' __new__ calls, without its Python frame
+    # The columns and the records are a few hundred thousand containers.
+    with collector_paused():
+        read = read_annotation_columns(path)
+        quads = iter(read.corners)
+        boxes = map(new, repeat(BoundingBox), zip(quads, quads, quads, quads))
+        ground_truths = map(new, repeat(GroundTruth), zip(boxes, read.category_id, read.image_id))
+        annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in read.images}
+        for image_id, gt in zip(read.image_id, ground_truths):
+            annotations[image_id].append(gt)
         records = tuple(
-            ImageRecord(image_id, *fields, tuple(annotations[image_id]))
-            for image_id, fields in images.items()
+            new(ImageRecord, (image_id, *fields, tuple(annotations[image_id])))
+            for image_id, fields in read.images.items()
         )
-        return Dataset(records, categories)
+        return Dataset(records, read.categories)
 
 
 _json_string = json.encoder.encode_basestring_ascii

@@ -33,7 +33,7 @@ from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detection, GroundTruth, iou
-from .dataset import collector_paused
+from .dataset import AnnotationColumns, collector_paused
 from .errors import CategoryError, ConfigError, EvalError, FormatError
 
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -487,6 +487,17 @@ class BoxColumns(NamedTuple):
             np.array([r.confidence for r in records], dtype=np.float64) if scored else None,
         )
 
+    @classmethod
+    def from_annotations(cls, annotations: AnnotationColumns) -> "BoxColumns":
+        """The ground truths of ``dataset.read_annotation_columns``, in
+        file order: the columns of its records, whose clamped corners are
+        finite floats, without building them."""
+        return cls(
+            annotations.image_id,
+            np.array(annotations.category_id),
+            np.array(annotations.corners, dtype=np.float64).reshape(-1, 4),
+        )
+
 
 def _image_codes(det_ids: list[str], gt_ids: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
     """Each row's image as its rank among the distinct image ids of both
@@ -623,14 +634,17 @@ def _sweep(category_id: int, masks: np.ndarray, n_gt: int) -> _CategorySweep:
 
 def evaluate_corpus(
     detections: Sequence[Detection] | BoxColumns,
-    ground_truths: Sequence[GroundTruth],
+    ground_truths: Sequence[GroundTruth] | BoxColumns,
     config: MatchConfig | None = None,
     categories: Iterable[int] | None = None,
 ) -> CorpusMetrics:
     """Full evaluation: per-category AP and operating-point counts, mAP50,
     mAP50-95, the confusion matrix and the IoU-0.5 PR curves. The
     detections come as records or as the columns ``read_detection_columns``
-    gives; records are turned into the same columns.
+    gives, the ground truths as records or as the columns
+    ``BoxColumns.from_annotations`` gives; records are turned into the same
+    columns. The metrics depend only on the order of the ground truths
+    within each image.
 
     One walk over the images in sorted id order, in blocks, computes each
     same-image detection x ground-truth IoU once, and ``_resolve`` matches
@@ -651,7 +665,9 @@ def evaluate_corpus(
     config = config or MatchConfig()
     if not isinstance(detections, BoxColumns):
         detections = BoxColumns.from_records(detections, scored=True)
-    gts = BoxColumns.from_records(ground_truths)
+    gts = ground_truths
+    if not isinstance(gts, BoxColumns):
+        gts = BoxColumns.from_records(gts)
     det_cats, gt_cats = detections.category_id.tolist(), gts.category_id.tolist()
     cats = _category_set(det_cats, gt_cats, categories)
     known = set(cats)

@@ -204,6 +204,22 @@ def test_losslab_ciou_on_a_zero_height_box_exits_1_naming_both_boxes(tmp_path, c
     assert err == f"error: aspect ratio undefined: {start} or {gt} has zero height\n"
 
 
+@pytest.mark.parametrize(
+    "given,start,gt",
+    [
+        (["--start", "0,0,1,0"], "0.0, y1=0.0, x2=1.0, y2=0.0", "2.0, y1=2.0, x2=3.0, y2=3.0"),
+        (["--gt", "2,2,3,2"], "0.0, y1=0.0, x2=1.0, y2=1.0", "2.0, y1=2.0, x2=3.0, y2=2.0"),
+    ],
+)
+def test_losslab_names_a_default_box_with_float_corners_as_a_given_one(tmp_path, capsys, given, start, gt):
+    code, stdout, err = run(capsys, "losslab", "--kinds", "all", *given, "--out-dir", str(tmp_path / "lab"))
+    assert code == 1
+    assert [line.split(",")[0] for line in stdout.splitlines()] == ["iou", "giou", "diou"]
+    assert err == (
+        f"error: aspect ratio undefined: BoundingBox(x1={start}) or BoundingBox(x1={gt}) has zero height\n"
+    )
+
+
 # sha256 of every output and of stdout of three losslab runs, as the former
 # per-step descent wrote them. Only the third run clamps at the arena (after
 # its start) and re-orders corners mid-descent.
@@ -395,6 +411,26 @@ def test_eval_reaches_no_definition_function(tmp_path, capsys, monkeypatch, fact
     assert output_digests(out, stdout) == EVAL_PINS[0][1]
 
 
+def test_eval_builds_no_ground_truth_record(tmp_path, capsys, monkeypatch):
+    import trapeval.boxes as boxes
+    import trapeval.dataset as ds
+    import trapeval.evaluation as ev
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("eval built a record of the annotation file")
+
+    # The constructors, and the readers that build records with tuple.__new__.
+    for cls in (boxes.BoundingBox, boxes.GroundTruth, ds.ImageRecord):
+        monkeypatch.setattr(cls, "__new__", unbuilt)
+    monkeypatch.setattr(ds, "parse_annotations", unbuilt)
+    monkeypatch.setattr(ev.BoxColumns, "from_records", unbuilt)
+    det, ann = write_eval_corpus(tmp_path)
+    out = tmp_path / "ev"
+    code, stdout, err = run(capsys, "eval", det, ann, "--out-dir", str(out))
+    assert code == 0 and err == ""
+    assert output_digests(out, stdout) == EVAL_PINS[0][1]
+
+
 def test_eval_identity_predictor(tmp_path, capsys, identity_corpus):
     det, ann = identity_corpus
     out = tmp_path / "ev"
@@ -473,7 +509,7 @@ def test_eval_unknown_detection_category_exits_1_as_match_corpus_raises(tmp_path
         detections = read_detections_csv(stream)
     ground_truths = [g for record in data.records for g in record.annotations]
     with pytest.raises(CategoryError) as info:
-        match_corpus(detections, ground_truths, MatchConfig(), data.category_ids())
+        match_corpus(detections, ground_truths, MatchConfig(), sorted(data.categories))
     assert str(info.value) == message
     code, stdout, err = run(capsys, "eval", str(det), str(ann), "--out-dir", str(tmp_path / "out"))
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
@@ -1035,6 +1071,11 @@ def write_bad_annotations(tmp_path, name, mutate):
          "annotations[0]: bbox [1e+308, 0, 1e+308, 1] ends past the double range"),
         (["split", "{past_doubles}"],
          "annotations[0]: bbox [1e+308, 0, 1e+308, 1] ends past the double range"),
+        (["eval", "{det}", "{bbox_bool}"], "annotations[0]: bbox [True, 0, 5, False] has a non-numeric value"),
+        (["split", "{bbox_bool}"], "annotations[0]: bbox [True, 0, 5, False] has a non-numeric value"),
+        (["eval", "{det}", "{category_bool}"], "annotations[0]: category_id True is not a number"),
+        (["split", "{location_bool}"], "images[0]: location True is not a number"),
+        (["eval", "{det}", "{height_bool}"], "images[1]: height True is not a number"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
@@ -1059,6 +1100,18 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
                 p["images"][0].update(width=10**400),
                 p["annotations"][0].update(bbox=[1e308, 0, 1e308, 1]),
             ),
+        ),
+        "bbox_bool": write_bad_annotations(
+            tmp_path, "bbox_bool.json", lambda p: p["annotations"][0].update(bbox=[True, 0, 5, False])
+        ),
+        "category_bool": write_bad_annotations(
+            tmp_path, "category_bool.json", lambda p: p["annotations"][0].update(category_id=True)
+        ),
+        "location_bool": write_bad_annotations(
+            tmp_path, "location_bool.json", lambda p: p["images"][0].update(location=True)
+        ),
+        "height_bool": write_bad_annotations(
+            tmp_path, "height_bool.json", lambda p: p["images"][1].update(height=True)
         ),
         "split": split_corpus,
         "image_number": write_bad_annotations(

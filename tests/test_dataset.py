@@ -21,6 +21,7 @@ from trapeval.dataset import (
     REFERENCE_SPLIT_COUNTS,
     filter_empty,
     parse_annotations,
+    read_annotation_columns,
     split_cis_trans,
     split_report,
     verify_split,
@@ -72,6 +73,9 @@ def test_parse_attaches_annotations(annotation_file):
     assert rec.location_id == 3 and rec.capture_date == dt.date(2023, 4, 5)
     assert len(rec.annotations) == 2
     assert rec.annotations[0].box == BoundingBox(1, 2, 11, 14)
+    assert type(rec) is ImageRecord
+    assert {type(gt) for gt in rec.annotations} == {GroundTruth}
+    assert {type(gt.box) for gt in rec.annotations} == {BoundingBox}
 
 
 def test_parse_round_trip(tmp_path, annotation_file):
@@ -113,6 +117,16 @@ def test_parse_round_trip(tmp_path, annotation_file):
         (lambda p: p["categories"].insert(0, [1, "deer"]), r"categories\[0\]: must be an object"),
         (lambda p: p.update(categories=3), r"categories must be a list, got 3"),
         (lambda p: p.update(images={"id": "a"}), r"images must be a list, got \{'id'"),
+        # int() and float() read a JSON boolean as 1 or 0.
+        (lambda p: p["images"][0].update(location=True), r"images\[0\]: location True is not a number"),
+        (lambda p: p["images"][1].update(height=True), r"images\[1\]: height True is not a number"),
+        (lambda p: p["images"][2].update(width=False), r"images\[2\]: width False is not a number"),
+        (lambda p: p["categories"][1].update(id=True), r"categories\[1\]: id True is not a number"),
+        (lambda p: p["annotations"][0].update(category_id=True), r"annotations\[0\]: category_id True is not a number"),
+        (lambda p: p["annotations"][1].update(bbox=[True, 0, 5, False]),
+         r"annotations\[1\]: bbox \[True, 0, 5, False\] has a non-numeric value"),
+        (lambda p: p["annotations"][2].update(bbox=[1, 2, 3, False]),
+         r"annotations\[2\]: bbox \[1, 2, 3, False\] has a non-numeric value"),
     ],
 )
 def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):
@@ -133,9 +147,9 @@ def test_parse_rejects_bad_json(tmp_path):
 
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("valid", [True, False])
-def test_parse_pauses_the_cyclic_gc_and_restores_it(monkeypatch, annotation_file, enabled, valid):
+def assert_read_pauses_the_cyclic_gc(monkeypatch, annotation_file, read, enabled, valid):
+    """``read`` loads the JSON with the collector paused and leaves it as it
+    found it, also when the file is rejected."""
     payload = make_annotation_payload(num_images=3)
     if not valid:
         payload["annotations"][0]["bbox"] = ["x", 1, 2, 3]
@@ -147,14 +161,32 @@ def test_parse_pauses_the_cyclic_gc_and_restores_it(monkeypatch, annotation_file
     (gc.enable if enabled else gc.disable)()
     try:
         if valid:
-            assert len(parse_annotations(path).records) == 3
+            assert read(path)
         else:
             with pytest.raises(FormatError, match="non-numeric"):
-                parse_annotations(path)
+                read(path)
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_parse_pauses_the_cyclic_gc_and_restores_it(monkeypatch, annotation_file, enabled, valid):
+    def read(path):
+        return len(parse_annotations(path).records) == 3
+
+    assert_read_pauses_the_cyclic_gc(monkeypatch, annotation_file, read, enabled, valid)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_read_annotation_columns_pauses_the_cyclic_gc_and_restores_it(monkeypatch, annotation_file, enabled, valid):
+    def read(path):
+        return len(read_annotation_columns(path).images) == 3
+
+    assert_read_pauses_the_cyclic_gc(monkeypatch, annotation_file, read, enabled, valid)
 
 
 def test_parse_accepts_integral_numbers(annotation_file):
@@ -205,6 +237,8 @@ def _require_definition(mapping, key, context):
 
 def _integer_definition(mapping, key, context):
     value = _require_definition(mapping, key, context)
+    if isinstance(value, bool):
+        raise FormatError(f"{context}: {key} {value!r} is not a number")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -225,9 +259,11 @@ def _objects_definition(payload, section, path):
         yield context, element
 
 
-def parse_annotations_definition(path) -> Dataset:
-    """What parse_annotations reads: every element through every check, in
-    order, with the first failing check naming the element."""
+def read_annotations_definition(path):
+    """What read_annotation_columns reads: every element through every
+    check, in order, with the first failing check naming the element. The
+    categories, the images' fields by id and the ground truths in file
+    order."""
     try:
         with open(path, "r", encoding="utf-8") as stream:
             payload = json.load(stream)
@@ -259,11 +295,10 @@ def parse_annotations_definition(path) -> Dataset:
             str(img.get("file_name", "")),
         )
 
-    annotations = {image_id: [] for image_id in images}
+    ground_truths = []
     for context, ann in _objects_definition(payload, "annotations", path):
         image_id = str(_require_definition(ann, "image_id", context))
-        attached = annotations.get(image_id)
-        if attached is None:
+        if image_id not in images:
             raise FormatError(f"{context}: unknown image id {image_id!r}")
         category_id = _integer_definition(ann, "category_id", context)
         if category_id not in categories:
@@ -272,6 +307,8 @@ def parse_annotations_definition(path) -> Dataset:
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise FormatError(f"{context}: bbox must be [x, y, w, h]")
         try:
+            if any(isinstance(v, bool) for v in bbox):
+                raise TypeError("a boolean is not a number")
             x, y, w, h = map(float, bbox)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
@@ -279,7 +316,17 @@ def parse_annotations_definition(path) -> Dataset:
             raise FormatError(f"{context}: bbox {bbox!r} has a non-finite value")
         _, _, width, height, _ = images[image_id]
         box = clamp_box_definition(x, y, x + w, y + h, width, height)
-        attached.append(GroundTruth(box, category_id, image_id))
+        ground_truths.append(GroundTruth(box, category_id, image_id))
+    return categories, images, ground_truths
+
+
+def parse_annotations_definition(path) -> Dataset:
+    """What parse_annotations reads: one record per image, in file order,
+    with its ground truths in file order."""
+    categories, images, ground_truths = read_annotations_definition(path)
+    annotations = {image_id: [] for image_id in images}
+    for gt in ground_truths:
+        annotations[gt.image_id].append(gt)
     records = tuple(
         ImageRecord(image_id, *fields, annotations=tuple(annotations[image_id]))
         for image_id, fields in images.items()
@@ -287,11 +334,12 @@ def parse_annotations_definition(path) -> Dataset:
     return Dataset(records, categories)
 
 
+def leaf(value):
+    return type(value), repr(value)
+
+
 def exact_dataset(dataset: Dataset) -> list:
     """Every field of every record and category, by type and repr."""
-    def leaf(value):
-        return type(value), repr(value)
-
     records = [
         [leaf(getattr(rec, name)) for name in ("image_id", "location_id", "capture_date", "width", "height", "file_name")]
         + [[leaf(gt.category_id), leaf(gt.image_id), exact(gt.box)] for gt in rec.annotations]
@@ -300,9 +348,30 @@ def exact_dataset(dataset: Dataset) -> list:
     return [records, [(leaf(cid), leaf(name)) for cid, name in dataset.categories.items()]]
 
 
-def read_outcome(parse, path):
+def exact_read(categories, images, ground_truths) -> list:
+    """A read as ``read_annotations_definition`` gives it, every field by
+    type and repr, the ground truths in file order."""
+    return [
+        [(leaf(cid), leaf(name)) for cid, name in categories.items()],
+        [(leaf(image_id), [leaf(f) for f in fields]) for image_id, fields in images.items()],
+        [[leaf(gt.image_id), leaf(gt.category_id), exact(gt.box)] for gt in ground_truths],
+    ]
+
+
+def exact_columns(read) -> list:
+    """``read_annotation_columns``' result in ``exact_read``'s form."""
+    quads = iter(read.corners)
+    ground_truths = [
+        GroundTruth(BoundingBox(*box), category_id, image_id)
+        for image_id, category_id, box in zip(read.image_id, read.category_id, zip(quads, quads, quads, quads))
+    ]
+    assert len(read.corners) == 4 * len(read.image_id) == 4 * len(read.category_id)
+    return exact_read(read.categories, read.images, ground_truths)
+
+
+def read_outcome(parse, path, exact_form=exact_dataset):
     try:
-        return "records", exact_dataset(parse(path))
+        return "records", exact_form(parse(path))
     except FormatError as exc:
         return "error", str(exc)
 
@@ -407,6 +476,9 @@ def test_parse_equals_its_definition_on_mutated_files(tmp_path):
         path.write_text(json.dumps(payload).replace(f'"{HUGE}"', "1e400"), encoding="utf-8")
         expected = read_outcome(parse_annotations_definition, path)
         assert read_outcome(parse_annotations, path) == expected, path.read_text()
+        # The columns are the same read: the ground truths flattened in file order.
+        columns = read_outcome(read_annotation_columns, path, exact_columns)
+        assert columns == read_outcome(read_annotations_definition, path, lambda r: exact_read(*r))
         outcomes.add(expected[0] if expected[0] == "records" else expected[1].split(": ")[-1][:12])
     assert len(outcomes) > 20  # both outcomes, and many kinds of error
 

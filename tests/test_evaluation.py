@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from trapeval import evaluation
 from trapeval.boxes import BoundingBox, Detection, GroundTruth, iou
 from trapeval.errors import CategoryError, EvalError, FormatError, TrapevalError
+from trapeval.dataset import parse_annotations, read_annotation_columns
 from trapeval.evaluation import (
+    BoxColumns,
     MatchConfig,
     average_precision,
     confusion_matrix,
@@ -24,6 +26,7 @@ from trapeval.evaluation import (
     per_category_ap,
     pr_curve,
     precision,
+    read_detection_columns,
     read_detections_csv,
     recall,
     write_metrics_csv,
@@ -571,6 +574,58 @@ def test_evaluate_corpus_reaches_no_definition_function(monkeypatch):
     assert expected[0] == expected[1]
 
 
+def _annotation_file_corpus(rng):
+    """An annotation payload whose annotations come out of image order and
+    interleaved, with boxes across the image edge and a last image without
+    any; and detections near its boxes, on a 0.05 confidence grid."""
+    images = [
+        {"id": f"im{i}", "width": 60, "height": 40, "location": 0, "date": "2023-06-01"}
+        for i in range(rng.randint(2, 6))
+    ]
+    annotations = []
+    for n in range(rng.randint(1, 30)):
+        box = [rng.uniform(-10, 55), rng.uniform(-10, 35), rng.uniform(1, 25), rng.uniform(1, 25)]
+        image_id = rng.choice(images[:-1])["id"]
+        annotations.append({"id": n, "image_id": image_id, "category_id": rng.randint(1, 3), "bbox": box})
+    detections = []
+    for _ in range(rng.randint(0, 40)):
+        ann = rng.choice(annotations)
+        x, y, w, h = ann["bbox"]
+        jitter = [rng.gauss(0, 2) for _ in range(4)]
+        box = B(x + jitter[0], y + jitter[1], x + w + jitter[2], y + h + jitter[3]).normalized()
+        image_id = ann["image_id"] if rng.random() < 0.9 else images[-1]["id"]
+        detections.append(Detection(box, rng.randint(1, 3), rng.randrange(21) / 20, image_id))
+    payload = {
+        "images": images,
+        "annotations": annotations,
+        "categories": [{"id": c, "name": f"species{c}"} for c in (1, 2, 3)],
+    }
+    return payload, detections
+
+
+def test_evaluate_corpus_on_annotation_columns_equals_it_on_the_records(annotation_file):
+    rng = random.Random(26)
+    seen = Counter()
+    for i in range(200):
+        payload, detections = _annotation_file_corpus(rng)
+        path = annotation_file(payload, f"ann{i}.json")
+        data = parse_annotations(path)
+        records = [gt for record in data.records for gt in record.annotations]
+        read = read_annotation_columns(path)
+        columns = BoxColumns.from_annotations(read)
+        categories = sorted(read.categories)
+        for dets in (detections, BoxColumns.from_records(detections, scored=True)):
+            for config in (MatchConfig(0.45, 0.25), MatchConfig(0.6, 0.1)):
+                expected = evaluate_corpus(detections, records, config, categories)
+                assert evaluate_corpus(dets, columns, config, categories) == expected
+        seen["out of image order"] += read.image_id != [gt.image_id for gt in records]
+        seen["clamped"] += any(
+            x < 0 or y < 0 or x + w > 60 or y + h > 40 for x, y, w, h in (a["bbox"] for a in payload["annotations"])
+        )
+        seen["matched"] += any(row.tp for row in expected.per_category)
+    assert min(seen.values()) > 100, seen
+
+
 # --- the blockwise IoU table and the operating point against the definition -------
 
 # Finite corners where array arithmetic could part from the scalar iou:
@@ -791,6 +846,14 @@ def test_detections_csv_rejects_bad_input():
         read_detections_csv(io.StringIO(header + "im0,1,1.5,0,0,1,1\n"))
     with pytest.raises(FormatError):
         read_detections_csv(io.StringIO(header + "im0,1,0.5,0,0,1\n"))
+
+
+def test_detection_columns_reject_a_lone_cr_inside_the_header():
+    # csv ends the header at the CR: its fields are only the first two.
+    text = "image_id,category_id\r ,confidence,x1,y1,x2,y2\nim0,1,0.5,0,0,1,1\n"
+    message = r"detections CSV header \['image_id', 'category_id'\] != \['image_id', 'category_id', 'confidence'"
+    with pytest.raises(FormatError, match=message):
+        read_detection_columns(io.StringIO(text, newline=""))
 
 
 VALID_CSV = (
