@@ -175,6 +175,60 @@ def make_annotation_payload(
     }
 
 
+AWKWARD_NAMES = ("caf\u00e9", 'say "cheese"', "it's", "\u96ea\u8c79", "\U0001f98a fox", "back\\slash", "plain")
+
+
+def awkward_split_payload(seed: int, num_images: int = 60, num_locations: int = 12) -> dict:
+    """A split input with what ``make_annotation_payload`` never has: images
+    with 2-5 annotations, listed out of image order and interleaved; images
+    with no annotation, with only an 'empty' one, and with an 'empty' and an
+    animal one; boxes past the image edge and int-valued bbox entries; ids
+    and file names with non-ASCII characters and quotes; dates with a time
+    suffix; a missing file name; and a category that no annotation uses."""
+    rng = random.Random(seed)
+    categories = {7: "bobcat", 2: "coyote \u00e9", 3: "empty", 11: 'unused "owl"'}
+    images = []
+    annotations = []
+    for i in range(num_images):
+        image_id = f"{rng.choice(AWKWARD_NAMES)}{i}"
+        width, height = rng.choice(((640, 480), (100, 80), (1920, 1080)))
+        date = dt.date(2023, 1, 1) + dt.timedelta(days=rng.randrange(365))
+        image = {
+            "id": image_id,
+            "width": width,
+            "height": height,
+            "location": rng.randrange(num_locations),
+            "date": date.isoformat() + rng.choice(("", "", "", "T08:15:00")),
+            "file_name": f"{rng.choice(AWKWARD_NAMES)}/{i}.jpg",
+        }
+        if rng.random() < 0.1:
+            del image["file_name"]
+        images.append(image)
+        kind = rng.random()
+        if kind < 0.1:
+            continue  # no annotation
+        if kind < 0.2:
+            labels = [3]
+        elif kind < 0.35:
+            labels = rng.sample([3, rng.choice((7, 2))], 2)
+        else:
+            labels = [rng.choice((7, 2)) for _ in range(rng.choice((1, 2, 3, 4, 5)))]
+        for category in labels:
+            x, y = rng.uniform(-0.1 * width, width), rng.uniform(-0.1 * height, height)
+            box = [x, y, rng.uniform(1.0, 0.6 * width), rng.uniform(1.0, 0.6 * height)]
+            if rng.random() < 0.3:
+                box = [round(v) for v in box]
+            annotations.append({"image_id": image_id, "category_id": category, "bbox": box})
+    rng.shuffle(annotations)
+    for n, annotation in enumerate(annotations):
+        annotation["id"] = rng.randrange(10**6) if n % 5 else f"a{n}"
+    return {
+        "categories": [{"id": c, "name": n} for c, n in categories.items()],
+        "annotations": annotations,
+        "images": images,
+    }
+
+
 @pytest.fixture
 def annotation_file(tmp_path):
     def write(payload: dict, name: str = "annotations.json") -> str:

@@ -23,7 +23,7 @@ from trapeval.ppm import write_ppm
 from trapeval.svg import LineChart
 from trapeval.tensor import Tensor3
 
-from conftest import make_annotation_payload
+from conftest import awkward_split_payload, make_annotation_payload
 from test_evaluation import DEFINITION
 
 
@@ -797,12 +797,18 @@ def test_split_requires_val_with_explicit_test(tmp_path, capsys, split_corpus):
     assert code != 0 and "--trans-val" in err
 
 
-# sha256 of stdout and of the five split files and the report of split on a
-# seeded 500-image file (and its stderr as text), as the parent of the array greedy resolver wrote
-# them: a seeded random trans pick with the reference-count report, and
-# explicit trans locations counted by day of year.
+def plain_split_corpus():
+    return make_annotation_payload(num_images=500, num_locations=20, seed=13, empty_every=9)
+
+
+# sha256 of stdout and of the five split files and the report of split (and
+# its stderr as text). On a seeded 500-image file, as the parent of the array
+# greedy resolver wrote them: a seeded random trans pick with the
+# reference-count report, and explicit trans locations counted by day of
+# year. On a seeded awkward 300-image file, as the record-building split
+# wrote them: a random trans pick by day of year with a 20% validation share.
 SPLIT_PINS = [
-    (["--seed", "7", "--check-reference-counts"],
+    (plain_split_corpus, ["--seed", "7", "--check-reference-counts"],
      "picked trans test locations [1, 2, 4, 5, 8, 10, 12, 13, 16] and validation location 9\n",
      {
          "cis_test.json": "a8086130d586d7da42fe0b17ec7252c99071a873ecb32876387e79e7ef538836",
@@ -813,7 +819,8 @@ SPLIT_PINS = [
          "trans_test.json": "131bb46d55c2f7818493dfa368c98c9b17f06931b09dc455ce69cf078939056a",
          "trans_val.json": "ad3900355befaa76349ce24fa5643da703e32dd01a8791a5bf092b15a7119764",
      }),
-    (["--trans-test", "0,1,2,3,4,5,6,7,8", "--trans-val", "9", "--val-fraction", "0.1",
+    (plain_split_corpus,
+     ["--trans-test", "0,1,2,3,4,5,6,7,8", "--trans-val", "9", "--val-fraction", "0.1",
       "--day-basis", "day_of_year", "--seed", "3"],
      "",
      {
@@ -825,14 +832,27 @@ SPLIT_PINS = [
          "trans_test.json": "617fb3d105b77a1c438bc6a8dab38b97c6d5c4d28737ad5180e7532c5d0879ad",
          "trans_val.json": "ad3900355befaa76349ce24fa5643da703e32dd01a8791a5bf092b15a7119764",
      }),
+    (lambda: awkward_split_payload(31, num_images=300),
+     ["--seed", "4", "--day-basis", "day_of_year", "--val-fraction", "0.2"],
+     "picked trans test locations [0, 1, 3, 4, 5, 6, 7, 9, 10] and validation location 8\n",
+     {
+         "cis_test.json": "3fc167cf17366675d68d6989a7ff9c1920471ca6e11628a8bc0be28221f60392",
+         "cis_val.json": "d3523e6a1bf33c478fcbb23e7c9471772f368598c649b7b27a6ef8a3dbef9d81",
+         "report.csv": "1a73f2209e8da9e55504b86a9331362a12cc80966d41b93e3c3678777f85c71a",
+         "stdout": "1a73f2209e8da9e55504b86a9331362a12cc80966d41b93e3c3678777f85c71a",
+         "train.json": "fa289da1802a43db08914e4b4f4ca003744357820117becc98d8fda82be75471",
+         "trans_test.json": "bad14f82d329a37c9e11a8e3c580c8e22a240227b93ce83b22c1bf40e1296f4b",
+         "trans_val.json": "7b8cbfacbf0feee7f56d0ec4ed7f13e6efdfe305065031cb9a2fa1b1acadf306",
+     }),
 ]
 
 
-@pytest.mark.parametrize("argv,stderr,digests", SPLIT_PINS, ids=["random-trans", "day-of-year"])
-def test_split_bytes_are_pinned(tmp_path, capsys, argv, stderr, digests):
+@pytest.mark.parametrize(
+    "corpus_payload,argv,stderr,digests", SPLIT_PINS, ids=["random-trans", "day-of-year", "awkward"]
+)
+def test_split_bytes_are_pinned(tmp_path, capsys, corpus_payload, argv, stderr, digests):
     corpus, out = tmp_path / "corpus.json", tmp_path / "sp"
-    payload = make_annotation_payload(num_images=500, num_locations=20, seed=13, empty_every=9)
-    corpus.write_text(json.dumps(payload), encoding="utf-8")
+    corpus.write_text(json.dumps(corpus_payload()), encoding="utf-8")
     code, stdout, err = run(capsys, "split", str(corpus), *argv, "--out-dir", str(out))
     assert (code, err) == (0, stderr)
     assert output_digests(out, stdout) == digests
