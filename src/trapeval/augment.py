@@ -43,8 +43,8 @@ def resize_with_boxes(
     sy = target / record.height
     annotations = tuple(
         gt._replace(
-            box=_clamp_box(
-                gt.box.x1 * sx, gt.box.y1 * sy, gt.box.x2 * sx, gt.box.y2 * sy, target, target
+            box=BoundingBox(
+                *_clamp_box(gt.box.x1 * sx, gt.box.y1 * sy, gt.box.x2 * sx, gt.box.y2 * sy, target, target)
             ),
         )
         for gt in record.annotations
@@ -124,7 +124,7 @@ def augment(
 
     kept: list[GroundTruth] = []
     for box, category in zip(boxes, categories):
-        clamped = _clamp_box(box.x1, box.y1, box.x2, box.y2, int(width), int(height))
+        clamped = BoundingBox(*_clamp_box(box.x1, box.y1, box.x2, box.y2, int(width), int(height)))
         if clamped.area >= 1.0:
             kept.append(GroundTruth(clamped, category, record.image_id))
     new_record = record._replace(

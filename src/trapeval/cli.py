@@ -262,11 +262,11 @@ def cmd_split(args) -> int:
         if args.trans_val is None:
             raise ConfigError("--trans-val is required with --trans-test")
         config = make_config(trans_test, args.trans_val)
-    data = ds.filter_empty(ds.parse_annotations(args.annotations))
+    rows = ds.nonempty_rows(read := ds.read_annotation_columns(args.annotations))
     if config is None:
         import random
 
-        picked = random.Random(args.seed).sample(ds.split_locations(data.records), 10)
+        picked = random.Random(args.seed).sample(ds.split_locations(rows), 10)
         trans_test, trans_val = tuple(picked[:9]), picked[9]
         print(
             f"picked trans test locations {sorted(trans_test)} and validation "
@@ -274,7 +274,7 @@ def cmd_split(args) -> int:
             file=sys.stderr,
         )
         config = make_config(trans_test, trans_val)
-    result = ds.split_cis_trans(list(data.records), config)
+    result = ds.split_cis_trans(rows, config)
     problems = ds.verify_split(result)
     if problems:
         for problem in problems:
@@ -282,7 +282,7 @@ def cmd_split(args) -> int:
         return 1
     out = _out_dir(args)
     for name, part in result.all_parts().items():
-        ds.write_annotations(ds.Dataset(tuple(part), data.categories), out / f"{name}.json")
+        ds.write_annotation_rows(part, read.categories, read.category_id, read.corners, out / f"{name}.json")
     expected = ds.REFERENCE_SPLIT_COUNTS if args.check_reference_counts else None
     report = ds.split_report(result, expected)
     (out / "report.csv").write_text(report, encoding="utf-8")

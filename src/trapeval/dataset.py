@@ -54,11 +54,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _clamp_box(x1: float, y1: float, x2: float, y2: float, width: int, height: int) -> BoundingBox:
+def _clamp_box(
+    x1: float, y1: float, x2: float, y2: float, width: int, height: int
+) -> tuple[float, float, float, float]:
     """Corners clamped to the image as floats, each pair in ascending order:
-    ``BoundingBox(min(max(x1, 0.0), width), ...).normalized()`` with the
-    ``min``/``max`` and two-value ``sorted`` calls spelled out (-0.0 and NaN
-    land where those put them)."""
+    the corners of ``BoundingBox(min(max(x1, 0.0), width), ...).normalized()``
+    with the ``min``/``max`` and two-value ``sorted`` calls spelled out (-0.0
+    and NaN land where those put them)."""
     x1 = 0.0 if 0.0 > x1 else x1
     y1 = 0.0 if 0.0 > y1 else y1
     x2 = 0.0 if 0.0 > x2 else x2
@@ -69,12 +71,13 @@ def _clamp_box(x1: float, y1: float, x2: float, y2: float, width: int, height: i
     y2 = float(height if height < y2 else y2)
     x1, x2 = (x2, x1) if x2 < x1 else (x1, x2)
     y1, y2 = (y2, y1) if y2 < y1 else (y1, y2)
-    return BoundingBox(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 def _integer(mapping: dict, key: str, context: str) -> int:
     value = _require(mapping, key, context)
-    if value is True or value is False:  # int() would read a JSON boolean as 1 or 0
+    # int() would read a JSON boolean as 1 or 0, and a string such as " 7 " as 7
+    if value is True or value is False or isinstance(value, str):
         raise FormatError(f"{context}: {key} {value!r} is not a number")
     try:
         number = int(value)
@@ -122,8 +125,9 @@ def _image(img, context: str, images: dict) -> tuple[str, tuple[int, dt.date, in
 
 
 def _coordinate(value) -> float:
-    """A bbox value as a float; float() would read a JSON boolean as 1.0 or 0.0."""
-    if value is True or value is False:
+    """A bbox value as a float; float() would read a JSON boolean as 1.0 or
+    0.0, and a string such as "1_0" as 10.0."""
+    if value is True or value is False or isinstance(value, str):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
@@ -182,9 +186,9 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
     """Read and check an annotation file without building a record.
 
     Annotations attach by image id; unknown category or image references,
-    non-numeric fields (JSON booleans included), non-integral ids, sizes
-    and locations, and non-finite boxes are rejected with the offending
-    element named.
+    non-numeric fields (JSON booleans and strings included), non-integral
+    ids, sizes and locations, and non-finite boxes are rejected with the
+    offending element named.
     """
     # The parsed JSON is a few hundred thousand containers.
     with collector_paused():
@@ -254,11 +258,11 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
                 and type(category_id) is int
                 and category_id in categories
                 and type(bbox) is list
-                # as _coordinate converts them: no JSON boolean
-                and type(bx) is not bool
-                and type(by) is not bool
-                and type(bw) is not bool
-                and type(bh) is not bool
+                # as _coordinate converts them: JSON numbers, no boolean or string
+                and (type(bx) is float or type(bx) is int)
+                and (type(by) is float or type(by) is int)
+                and (type(bw) is float or type(bw) is int)
+                and (type(bh) is float or type(bh) is int)
                 and isfinite(x + y + w + h)  # all four are finite
             ):
                 image_id, category_id, x, y, w, h = _annotation(
@@ -278,6 +282,7 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
                 except OverflowError:  # x + w or y + h overflowed, and float(size) would
                     bbox = ann["bbox"]
                     raise FormatError(f"annotations[{i}]: bbox {bbox!r} ends past the double range") from None
+        del payload  # freed while the collector is paused, so it never walks it
         return AnnotationColumns(categories, images, image_ids, category_ids, corners)
 
 
@@ -300,6 +305,42 @@ def parse_annotations(path: "str | Path") -> Dataset:
             for image_id, fields in read.images.items()
         )
         return Dataset(records, read.categories)
+
+
+class ImageRow(NamedTuple):
+    """An image as ``split`` reads it: an ``ImageRecord``'s fields, with the
+    row numbers of its annotations in the columns it was read from, in file
+    order, in place of its ground truths."""
+
+    image_id: str
+    location_id: int
+    capture_date: dt.date
+    width: int
+    height: int
+    file_name: str
+    annotations: list[int]
+
+
+def nonempty_rows(read: AnnotationColumns) -> list[ImageRow]:
+    """``filter_empty`` on the columns: in file order, a row for each image
+    with an annotation of a category other than 'empty'."""
+    empty_ids = {cid for cid, name in read.categories.items() if name == EMPTY_CATEGORY_NAME}
+    new = tuple.__new__
+    # The rows and their lists are tens of thousands of containers.
+    with collector_paused():
+        annotations: dict[str, list[int]] = {image_id: [] for image_id in read.images}
+        for row, image_id in enumerate(read.image_id):
+            annotations[image_id].append(row)
+        kept = {
+            image_id
+            for image_id, category_id in zip(read.image_id, read.category_id)
+            if category_id not in empty_ids
+        }
+        return [
+            new(ImageRow, (image_id, *fields, annotations[image_id]))
+            for image_id, fields in read.images.items()
+            if image_id in kept
+        ]
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -332,18 +373,39 @@ def _json_list(items: list[str]) -> str:
 
 
 def write_annotations(dataset: Dataset, path: "str | Path") -> None:
-    """Inverse of parse_annotations (boxes back to [x, y, w, h]).
+    """Inverse of parse_annotations (boxes back to [x, y, w, h]):
+    ``write_annotation_rows`` of the records, their ground truths flattened
+    into columns."""
+    category_ids = []
+    corners = []
+    rows = []
+    for record in dataset.records:
+        first = len(category_ids)
+        for box, category_id, _ in record.annotations:
+            corners += box
+            category_ids.append(category_id)
+        rows.append((*record[:6], range(first, len(category_ids))))
+    write_annotation_rows(rows, dataset.categories, category_ids, corners, path)
+
+
+def write_annotation_rows(
+    rows: "Sequence[ImageRow]", categories: dict, category_id: list, corners: list, path: "str | Path"
+) -> None:
+    """Write images and their annotations as an annotation file: each row's
+    fields, and for each of its annotation row numbers ``r`` the category
+    ``category_id[r]`` and the box with corners ``corners[4 * r : 4 * r + 4]``
+    back as [x, y, w, h].
 
     The bytes are those of ``json.dump(payload, stream, indent=1,
     sort_keys=True)`` plus a newline, for the payload of "images",
-    "annotations" (ids from 1 in record order) and "categories" (by id);
-    each element is written from a template with its keys in sorted order.
+    "annotations" (ids from 1 in row order) and "categories" (by id); each
+    element is written from a template with its keys in sorted order.
     """
     images = []
     annotations = []
     ann_id = 0
-    for record in dataset.records:
-        image_id, location_id, capture_date, width, height, file_name, ground_truths = record
+    dates: dict[dt.date, str] = {}  # each distinct date, rendered once
+    for image_id, location_id, capture_date, width, height, file_name, numbers in rows:
         # Exact ints print as their repr in the template; anything else, and
         # every string, is rendered first.
         if (
@@ -355,9 +417,12 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
             image_id, file_name, height, location_id, width = map(
                 _json_scalar, (image_id, file_name, height, location_id, width)
             )
+        date = dates.get(capture_date)
+        if date is None:
+            date = dates[capture_date] = _json_string(capture_date.isoformat())
         images.append(
             f"""  {{
-   "date": {_json_string(capture_date.isoformat())},
+   "date": {date},
    "file_name": {file_name},
    "height": {height},
    "id": {image_id},
@@ -365,38 +430,41 @@ def write_annotations(dataset: Dataset, path: "str | Path") -> None:
    "width": {width}
   }}"""
         )
-        for (x, y, x2, y2), category_id, _ in ground_truths:
+        for row in numbers:
             ann_id += 1
+            i = 4 * row
+            x, y, x2, y2 = corners[i : i + 4]
             w, h = x2 - x, y2 - y  # the box's width and height
             # Finite floats (a finite sum implies them) print as their repr.
             if float is type(x) is type(y) is type(w) is type(h) and math.isfinite(x + y + w + h):
                 bbox = f"{x!r},\n    {y!r},\n    {w!r},\n    {h!r}"
             else:
                 bbox = ",\n    ".join(map(_json_scalar, (x, y, w, h)))
-            if type(category_id) is not int:
-                category_id = _json_scalar(category_id)
+            category = category_id[row]
+            if type(category) is not int:
+                category = _json_scalar(category)
             annotations.append(
                 f"""  {{
    "bbox": [
     {bbox}
    ],
-   "category_id": {category_id},
+   "category_id": {category},
    "id": {ann_id},
    "image_id": {image_id}
   }}"""
             )
-    categories = [
+    category_elements = [
         f"""  {{
    "id": {_json_scalar(cid)},
    "name": {_json_scalar(name)}
   }}"""
-        for cid, name in sorted(dataset.categories.items())
+        for cid, name in sorted(categories.items())
     ]
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(
             f"""{{
  "annotations": {_json_list(annotations)},
- "categories": {_json_list(categories)},
+ "categories": {_json_list(category_elements)},
  "images": {_json_list(images)}
 }}
 """
@@ -439,35 +507,43 @@ class SplitConfig:
             raise SplitError(f"unknown day basis {self.day_basis!r}")
 
 
+# What the split protocol takes: an ImageRecord or an ImageRow, of which it
+# reads only the image id, location, capture date and annotation count.
+SplitRow = ImageRecord | ImageRow
+
+
 @dataclass(frozen=True)
 class SplitResult:
-    train: tuple[ImageRecord, ...]
-    cis_val: tuple[ImageRecord, ...]
-    cis_test: tuple[ImageRecord, ...]
-    trans_val: tuple[ImageRecord, ...]
-    trans_test: tuple[ImageRecord, ...]
+    train: tuple[SplitRow, ...]
+    cis_val: tuple[SplitRow, ...]
+    cis_test: tuple[SplitRow, ...]
+    trans_val: tuple[SplitRow, ...]
+    trans_test: tuple[SplitRow, ...]
     config: SplitConfig
 
-    def all_parts(self) -> dict[str, tuple[ImageRecord, ...]]:
+    def all_parts(self) -> dict[str, tuple[SplitRow, ...]]:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
 
 
-def _day_number(record: ImageRecord, basis: str) -> int:
+def _day_number(record: SplitRow, basis: str) -> int:
     if basis == "day_of_year":
         return record.capture_date.timetuple().tm_yday
     return record.capture_date.day
 
 
-def split_locations(records: Sequence[ImageRecord]) -> list[int]:
-    """The records' distinct locations, sorted; a split needs ten of them."""
+def split_locations(records: Sequence[SplitRow]) -> list[int]:
+    """The records' distinct locations, sorted; a split needs ten of them.
+    Reads only each record's location."""
     locations = sorted({r.location_id for r in records})
     if len(locations) < 10:
         raise SplitError(f"need >= 10 locations, have {len(locations)}")
     return locations
 
 
-def split_cis_trans(records: Sequence[ImageRecord], config: SplitConfig) -> SplitResult:
-    """Apply the location / day-parity split protocol under the config seed."""
+def split_cis_trans(records: Sequence[SplitRow], config: SplitConfig) -> SplitResult:
+    """Apply the location / day-parity split protocol under the config seed.
+    Reads only each record's image id, location and capture date; the parts
+    hold the records themselves, in the order given."""
     locations = set(split_locations(records))
     trans_locations = set(config.trans_test_locations) | {config.trans_val_location}
     missing = trans_locations - locations
@@ -495,7 +571,8 @@ def split_cis_trans(records: Sequence[ImageRecord], config: SplitConfig) -> Spli
 
 
 def verify_split(result: SplitResult) -> list[str]:
-    """Check split invariants; returns human-readable violations (empty = ok)."""
+    """Check split invariants; returns human-readable violations (empty = ok).
+    Reads only each record's image id, location and capture date."""
     problems: list[str] = []
     config = result.config
     cis_parts = result.train + result.cis_val + result.cis_test
@@ -529,7 +606,8 @@ REFERENCE_SPLIT_COUNTS = {"train": 12099, "cis_val": 1665, "cis_test": 12691, "t
 
 
 def split_report(result: SplitResult, expected: dict[str, int] | None = None) -> str:
-    """Count summary per split, per-location table, optional expected diff."""
+    """Count summary per split, per-location table, optional expected diff.
+    Reads only each record's location and annotation count."""
     lines = ["split,images,annotations"]
     for name, part in result.all_parts().items():
         lines.append(f"{name},{len(part)},{sum(len(r.annotations) for r in part)}")

@@ -1,9 +1,11 @@
 """The benchmark's tracer (``bench/tracing.py``) wraps trapeval's names by
 attribute. Installing it here makes a deleted or renamed name it patches
-fail tier-1, not only a traced benchmark run, and a traced ``gradcam``
-checks that its per-layer spans still see the modules a run reads."""
+fail tier-1, not only a traced benchmark run. A traced ``gradcam`` checks
+that its per-layer spans still see the modules a run reads, and a traced
+``split`` that the split protocol's spans still see its stages."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,8 @@ from trapeval.cli import main
 from trapeval.graph import build_graph, write_graph_text
 from trapeval.ppm import write_ppm
 from trapeval.tensor import Tensor3
+
+from conftest import awkward_split_payload
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,3 +58,26 @@ def test_traced_gradcam_times_every_layer_kind_and_the_caches_it_reads(tmp_path,
     for kind in tracing.NN_KINDS:
         assert values[f"nn.{kind}.forward_s"] > 0, kind
     assert 0 < values["graph.cache_read_mib"] < values["graph.cache_mib"]
+
+
+def test_traced_split_changes_no_output_and_times_the_split_protocol(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(awkward_split_payload(5, num_images=200)), encoding="utf-8")
+    argv = ["split", str(corpus), "--seed", "3", "--check-reference-counts", "--out-dir"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    untraced = capsys.readouterr()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        tracer.begin(0)
+        code = main(argv + [str(tmp_path / "traced")])
+        values = tracer.end()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr() == untraced
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "traced").iterdir())
+    for path in plain:
+        assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes()
+    for stage in ("split_cis_trans", "verify_split", "split_report"):
+        assert values[f"dataset.{stage}_s"] > 0, stage

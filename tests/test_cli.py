@@ -15,15 +15,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trapeval
-from trapeval import nn, svg
+from trapeval import dataset as ds, nn, svg
 from trapeval.cli import main
 from trapeval.dataset import parse_annotations
+from trapeval.errors import TrapevalError
 from trapeval.graph import Graph, ScoreSelector, parse_graph_text
 from trapeval.ppm import write_ppm
 from trapeval.svg import LineChart
 from trapeval.tensor import Tensor3
 
 from conftest import awkward_split_payload, make_annotation_payload
+from test_dataset import write_annotations_definition
 from test_evaluation import DEFINITION
 
 
@@ -858,6 +860,78 @@ def test_split_bytes_are_pinned(tmp_path, capsys, corpus_payload, argv, stderr, 
     assert output_digests(out, stdout) == digests
 
 
+def test_split_builds_no_ground_truth_record(tmp_path, capsys, monkeypatch):
+    import trapeval.boxes as boxes
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("split built a record of the annotation file")
+
+    # The constructors, and the readers and writers that build or take records.
+    for cls in (boxes.BoundingBox, boxes.GroundTruth, ds.ImageRecord):
+        monkeypatch.setattr(cls, "__new__", unbuilt)
+    for name in ("parse_annotations", "filter_empty", "write_annotations"):
+        monkeypatch.setattr(ds, name, unbuilt)
+    corpus_payload, argv, stderr, digests = SPLIT_PINS[2]
+    corpus, out = tmp_path / "corpus.json", tmp_path / "sp"
+    corpus.write_text(json.dumps(corpus_payload()), encoding="utf-8")
+    code, stdout, err = run(capsys, "split", str(corpus), *argv, "--out-dir", str(out))
+    assert (code, err) == (0, stderr)
+    assert output_digests(out, stdout) == digests
+
+
+def split_definition(path, seed, trans, fraction, day_basis, check):
+    """What ``split`` writes, from the records: ``parse_annotations``,
+    ``filter_empty``, the split and its check, each part through
+    ``json.dumps`` and the report. (exit code, stdout, stderr, files)."""
+    stderr = ""
+    try:
+        data = ds.filter_empty(ds.parse_annotations(path))
+        if trans is None:
+            picked = random.Random(seed).sample(ds.split_locations(data.records), 10)
+            trans = tuple(picked[:9]), picked[9]
+            stderr = f"picked trans test locations {sorted(trans[0])} and validation location {trans[1]}\n"
+        config = ds.SplitConfig(*trans, cis_val_fraction=fraction, seed=seed, day_basis=day_basis)
+        result = ds.split_cis_trans(list(data.records), config)
+    except TrapevalError as exc:
+        return 1, "", f"{stderr}error: {exc}\n", {}
+    assert ds.verify_split(result) == []
+    files = {
+        f"{name}.json": write_annotations_definition(ds.Dataset(part, data.categories)).encode("ascii")
+        for name, part in result.all_parts().items()
+    }
+    report = ds.split_report(result, ds.REFERENCE_SPLIT_COUNTS if check else None)
+    files["report.csv"] = report.encode()
+    return 0, report, stderr, files
+
+
+def test_split_equals_its_record_definition_on_awkward_files(tmp_path, capsys):
+    rng = random.Random(27)
+    outcomes = set()
+    for i in range(120):
+        payload = awkward_split_payload(rng.randrange(10**6), rng.randint(30, 90), rng.randint(10, 13))
+        path = tmp_path / f"corpus{i}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        seed = rng.randrange(100)
+        fraction = rng.choice((0.0, 0.05, 0.3))
+        day_basis = rng.choice(("day_of_month", "day_of_year"))
+        check = rng.random() < 0.5
+        trans = None
+        argv = ["split", str(path), "--seed", str(seed), "--val-fraction", str(fraction), "--day-basis", day_basis]
+        if i % 2:  # explicit trans locations, one of them now and then absent from the file
+            picked = rng.sample(range(13), 10)
+            trans = tuple(picked[:9]), picked[9]
+            argv += ["--trans-test", ",".join(map(str, trans[0])), "--trans-val", str(trans[1])]
+        if check:
+            argv.append("--check-reference-counts")
+        out = tmp_path / f"sp{i}"
+        code, stdout, err = run(capsys, *argv, "--out-dir", str(out))
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        expected = split_definition(path, seed, trans, fraction, day_basis, check)
+        assert (code, stdout, err, files) == expected, (i, argv)
+        outcomes.add((i % 2, day_basis, code))
+    assert len(outcomes) == 8  # both trans modes and day bases, each split and refused
+
+
 # --- svg helper -----------------------------------------------------------------------
 
 def test_svg_chart_renders_series_and_marker(tmp_path):
@@ -1096,6 +1170,9 @@ def write_bad_annotations(tmp_path, name, mutate):
         (["eval", "{det}", "{category_bool}"], "annotations[0]: category_id True is not a number"),
         (["split", "{location_bool}"], "images[0]: location True is not a number"),
         (["eval", "{det}", "{height_bool}"], "images[1]: height True is not a number"),
+        # int() and float() read these strings as numbers.
+        (["split", "{width_string}"], "images[0]: width '1_00' is not a number"),
+        (["eval", "{det}", "{bbox_string}"], "annotations[0]: bbox ['1_0', ' 2', '3e0', '4'] has a non-numeric value"),
     ],
 )
 def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, split_corpus, argv, element):
@@ -1132,6 +1209,12 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         ),
         "height_bool": write_bad_annotations(
             tmp_path, "height_bool.json", lambda p: p["images"][1].update(height=True)
+        ),
+        "width_string": write_bad_annotations(
+            tmp_path, "width_string.json", lambda p: p["images"][0].update(width="1_00")
+        ),
+        "bbox_string": write_bad_annotations(
+            tmp_path, "bbox_string.json", lambda p: p["annotations"][0].update(bbox=["1_0", " 2", "3e0", "4"])
         ),
         "split": split_corpus,
         "image_number": write_bad_annotations(

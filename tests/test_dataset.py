@@ -127,6 +127,16 @@ def test_parse_round_trip(tmp_path, annotation_file):
          r"annotations\[1\]: bbox \[True, 0, 5, False\] has a non-numeric value"),
         (lambda p: p["annotations"][2].update(bbox=[1, 2, 3, False]),
          r"annotations\[2\]: bbox \[1, 2, 3, False\] has a non-numeric value"),
+        # int() and float() read a string such as "1_00" or " 7 " as a number.
+        (lambda p: p["images"][0].update(width="1_00"), r"images\[0\]: width '1_00' is not a number"),
+        (lambda p: p["images"][1].update(location=" 7 "), r"images\[1\]: location ' 7 ' is not a number"),
+        (lambda p: p["images"][2].update(height="80"), r"images\[2\]: height '80' is not a number"),
+        (lambda p: p["categories"][0].update(id="1"), r"categories\[0\]: id '1' is not a number"),
+        (lambda p: p["annotations"][0].update(category_id="2"), r"annotations\[0\]: category_id '2' is not a number"),
+        (lambda p: p["annotations"][1].update(bbox=["1_0", " 2", "3e0", "4"]),
+         r"annotations\[1\]: bbox \['1_0', ' 2', '3e0', '4'\] has a non-numeric value"),
+        (lambda p: p["annotations"][2].update(bbox=[1, 2, 3, "4"]),
+         r"annotations\[2\]: bbox \[1, 2, 3, '4'\] has a non-numeric value"),
     ],
 )
 def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):
@@ -224,7 +234,7 @@ def test_clamp_box_equals_its_definition():
     for width, height in ((10, 8), (0, 0)):
         for corners in itertools.product(values, repeat=4):
             expected = clamp_box_definition(*corners, width, height)
-            assert exact(_clamp_box(*corners, width, height)) == exact(expected), corners
+            assert exact(BoundingBox(*_clamp_box(*corners, width, height))) == exact(expected), corners
 
 
 # --- the reader against its definition ---------------------------------------
@@ -237,7 +247,7 @@ def _require_definition(mapping, key, context):
 
 def _integer_definition(mapping, key, context):
     value = _require_definition(mapping, key, context)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise FormatError(f"{context}: {key} {value!r} is not a number")
     try:
         number = int(value)
@@ -307,8 +317,8 @@ def read_annotations_definition(path):
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise FormatError(f"{context}: bbox must be [x, y, w, h]")
         try:
-            if any(isinstance(v, bool) for v in bbox):
-                raise TypeError("a boolean is not a number")
+            if any(isinstance(v, (bool, str)) for v in bbox):
+                raise TypeError("a boolean or a string is not a number")
             x, y, w, h = map(float, bbox)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{context}: bbox {bbox!r} has a non-numeric value") from exc
@@ -395,8 +405,8 @@ def retyped(value, rng: random.Random):
         return float(int(number))
     if kind == 2:
         return number + rng.choice((0.5, -0.25, 1e-9))
-    if kind == 3:  # a list (a box) becomes four digits
-        return "1234" if isinstance(value, list) else str(number)
+    if kind == 3:  # a list (a box) becomes four digits; a number, a string int() or float() reads
+        return "1234" if isinstance(value, list) else rng.choice((str(number), f" {number} ", "1_0", "3e0"))
     if kind == 4:
         return None
     if kind == 5:
@@ -434,7 +444,7 @@ def mutate_annotations(payload: dict, rng: random.Random) -> None:
         box[:] = (box + [1.5])[: rng.choice((3, 5))]
     elif op == 3 and boxes and (box := rng.choice(boxes)):  # one unusual box value
         box[rng.randrange(len(box))] = rng.choice(
-            (math.nan, math.inf, -math.inf, HUGE, -0.0, 10**400, -5.5, 1000.25, True, "7",
+            (math.nan, math.inf, -math.inf, HUGE, -0.0, 10**400, -5.5, 1000.25, True, "7", " 2", "1_0", "3e0",
              0, 60.0, 80, 99.5)  # the last four place a box on or across the image edge
         )
     elif op == 4 and annotations and images:
