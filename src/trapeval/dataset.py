@@ -20,6 +20,7 @@ import gc
 import json
 import math
 import random
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -101,9 +102,28 @@ def _object(element, context: str) -> dict:
     return element
 
 
+# YYYY-MM-DD, optionally followed by T or one space, HH:MM[:SS[.ffffff]] and
+# an optional Z or +-HH:MM; ASCII digits only.
+_DATE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"(?:[T ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?(?:Z|[+-]([0-9]{2}):([0-9]{2}))?)?"
+)
+
+
 def _date(raw_date, context: str) -> dt.date:
+    """The day a JSON date string names; a time of day is checked, then
+    dropped. Read by one pattern, not date.fromisoformat, whose grammar
+    differs between Python versions."""
+    match = _DATE.fullmatch(raw_date) if isinstance(raw_date, str) else None
     try:
-        return dt.date.fromisoformat(str(raw_date)[:10])
+        if match is None:
+            raise ValueError("not YYYY-MM-DD[(T| )HH:MM[:SS[.ffffff]][Z|+-HH:MM]]")
+        year, month, day, hour, minute, second, micro, zone_h, zone_m = match.groups()
+        if hour is not None:
+            dt.time(int(hour), int(minute), int(second or 0), int(micro or 0))
+        if zone_h is not None and (int(zone_h) > 23 or int(zone_m) > 59):
+            raise ValueError(f"offset {zone_h}:{zone_m} out of range")
+        return dt.date(int(year), int(month), int(day))
     except ValueError as exc:
         raise FormatError(f"{context}: bad date {raw_date!r}") from exc
 

@@ -81,3 +81,31 @@ def test_traced_split_changes_no_output_and_times_the_split_protocol(tmp_path, c
         assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes()
     for stage in ("split_cis_trans", "verify_split", "split_report"):
         assert values[f"dataset.{stage}_s"] > 0, stage
+
+
+def test_traced_losslab_changes_no_output_and_counts_the_loss_evaluations(tmp_path, capsys):
+    """The default IoU and Focal-EIoU descents sit at a fixed point from
+    iteration 0 and evaluate their loss once; the six other kinds evaluate it
+    on each of their 501 rows: 6 * 501 + 2 = 3008. Only WIoUv3 reads
+    boxes.iou, once a row."""
+    assert main(["losslab", "--out-dir", str(tmp_path / "plain")]) == 0
+    untraced = capsys.readouterr()
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        # The worker's order: the counters bind the counts that begin makes.
+        tracer.begin(0)
+        tracer.install()
+        code = main(["losslab", "--out-dir", str(tmp_path / "traced")])
+        values = tracer.end()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr() == untraced
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "traced").iterdir())
+    for path in plain:
+        assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes()
+    for kind in tracing.LOSS_KINDS:
+        assert values[f"losses.{kind}.simulate_s"] > 0, kind
+    assert values["losses.evaluate_loss_calls"] == 3008
+    assert values["boxes.losses_calls"] == 501

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,59 @@ def test_parse_rejects_malformed_input(annotation_file, mutate, fragment):
         parse_annotations(annotation_file(payload))
 
 
+# (date as written, the day it names, or None where it is a bad date). The
+# accepted texts read alike on Python 3.10 and later; 3.11's
+# date.fromisoformat reads "20230504", "2023-W18-4" and the int 20230504 too.
+DATES = [
+    ("2023-05-04", dt.date(2023, 5, 4)),
+    ("2023-05-04T08:15", dt.date(2023, 5, 4)),
+    ("2023-05-04 08:15:00", dt.date(2023, 5, 4)),
+    ("2023-05-04T08:15:00.123456Z", dt.date(2023, 5, 4)),
+    ("2023-05-04T00:00:00+02:00", dt.date(2023, 5, 4)),
+    ("2024-02-29T23:59:59-23:59", dt.date(2024, 2, 29)),
+    ("0001-01-01", dt.date(1, 1, 1)),
+    ("2023-05-04 not a date at all", None),
+    ("20230504", None),
+    ("2023-W18-4", None),
+    (20230504, None),
+    ("2023-5-4", None),
+    ("2023-02-29", None),
+    ("0000-01-01", None),
+    ("2023-05-04Z", None),
+    ("2023-05-04T08", None),
+    ("2023-05-04T24:00", None),
+    ("2023-05-04T08:60", None),
+    ("2023-05-04T08:15:60", None),
+    ("2023-05-04T08:15:00.123", None),
+    ("2023-05-04T08:15:00,123456", None),
+    ("2023-05-04T08:15+24:00", None),
+    ("2023-05-04T08:15+01:60", None),
+    ("2023-05-04T08:15+0200", None),
+    ("2023-05-04  08:15", None),
+    ("2023-05-04\n", None),
+    ("\uff12\uff10\uff12\uff13-05-04", None),  # fullwidth digits
+]
+
+
+@pytest.mark.parametrize("raw,day", DATES)
+def test_a_date_reads_the_same_on_every_interpreter(annotation_file, raw, day):
+    payload = make_annotation_payload(num_images=3)
+    payload["images"][1]["date"] = raw
+    path = annotation_file(payload)
+    image_id = payload["images"][1]["id"]
+    reads = (
+        lambda: parse_annotations(path).records[1].capture_date,
+        lambda: read_annotation_columns(path).images[image_id][1],
+        lambda: parse_annotations_definition(path).records[1].capture_date,
+    )
+    for read in reads:
+        if day is None:
+            with pytest.raises(FormatError, match=re.escape(f"images[1]: bad date {raw!r}")):
+                read()
+        else:
+            assert read() == day
+
+
 def test_parse_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope", encoding="utf-8")
@@ -258,6 +312,35 @@ def _integer_definition(mapping, key, context):
     return number
 
 
+# Every text a date may be: an ASCII digit at each 9, the other characters as
+# they stand.
+DATE_SHAPES = {"9999-99-99"} | {
+    f"9999-99-99{sep}{clock}{zone}"
+    for sep in "T "
+    for clock in ("99:99", "99:99:99", "99:99:99.999999")
+    for zone in ("", "Z", "+99:99", "-99:99")
+}
+
+
+def date_definition(raw_date, context):
+    """The day a JSON date string of one of DATE_SHAPES names, its time of
+    day and offset in range. Every shape is one that date.fromisoformat reads
+    on Python 3.10 as on later versions, once a Z reads as +00:00."""
+    try:
+        if not isinstance(raw_date, str) or "".join(
+            "9" if c in "0123456789" else c for c in raw_date
+        ) not in DATE_SHAPES:
+            raise ValueError("not a date of a documented shape")
+        text = raw_date.removesuffix("Z")
+        if len(text) > 10 and text[-6] in "+-":
+            if int(text[-5:-3]) > 23 or int(text[-2:]) > 59:
+                raise ValueError("offset out of range")
+            text = text[:-6]
+        return dt.datetime.fromisoformat(text).date()
+    except ValueError as exc:
+        raise FormatError(f"{context}: bad date {raw_date!r}") from exc
+
+
 def _objects_definition(payload, section, path):
     elements = payload.get(section, [])
     if not isinstance(elements, list):
@@ -292,11 +375,7 @@ def read_annotations_definition(path):
         image_id = str(_require_definition(img, "id", context))
         if image_id in images:
             raise FormatError(f"{context}: duplicate image id {image_id!r}")
-        raw_date = _require_definition(img, "date", context)
-        try:
-            capture_date = dt.date.fromisoformat(str(raw_date)[:10])
-        except ValueError as exc:
-            raise FormatError(f"{context}: bad date {raw_date!r}") from exc
+        capture_date = date_definition(_require_definition(img, "date", context), context)
         images[image_id] = (
             _integer_definition(img, "location", context),
             capture_date,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from trapeval import nn
+from trapeval import nn, tensor
 from trapeval.errors import ShapeError
 from trapeval.gradcam import gradcam_heatmap, pin_selector
 from trapeval.graph import LAYER_TABLE, Graph, ScoreSelector, build_graph
@@ -197,7 +197,7 @@ def conv_operands(rng, c_in, k, c_out=3):
     return weights
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5, 7])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_conv_equals_its_oracle_bitwise(kernel, stride):
     rng = np.random.default_rng(kernel * 10 + stride)
@@ -236,6 +236,34 @@ def test_pointwise_conv_on_a_strided_input_equals_its_oracle():
         conv2d_backward_input(dout, weights, x.shape, spec),
         oracle_conv2d_backward_input(dout, weights, x.shape, spec),
     )
+
+
+def test_pointwise_conv_builds_no_patch_matrix(monkeypatch):
+    """A 1x1, stride-1, unpadded conv multiplies x itself, forward and
+    backward; every other conv goes through im2col."""
+    calls = []
+    im2col = tensor._im2col
+
+    def recorded(x, spec, ho, wo):
+        calls.append(spec)
+        return im2col(x, spec, ho, wo)
+
+    monkeypatch.setattr(tensor, "_im2col", recorded)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 6, 5))
+    weights = conv_operands(rng, 4, 1, c_out=3)
+    spec = ShapeSpec(1, 1, 0)
+    assert_bitwise(conv2d_forward(x, weights, spec), oracle_conv2d_forward(x, weights, spec))
+    dout = rng.normal(size=(3, 6, 5))
+    assert_bitwise(
+        conv2d_backward_input(dout, weights, x.shape, spec),
+        oracle_conv2d_backward_input(dout, weights, x.shape, spec),
+    )
+    assert calls == []
+    others = [ShapeSpec(1, 2, 0), ShapeSpec(1, 1, 1)]
+    for other in others:
+        assert_bitwise(conv2d_forward(x, weights, other), oracle_conv2d_forward(x, weights, other))
+    assert calls == others
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])

@@ -18,6 +18,7 @@ import random
 import pytest
 import reference_losses as ref
 
+from trapeval import losses
 from trapeval.boxes import BoundingBox
 from trapeval.errors import ConfigError
 from trapeval.losses import (
@@ -114,6 +115,19 @@ def descent_cases():
         yield kind, BoundingBox(math.nan, 0, 1, 1), BoundingBox(2, 2, 3, 3), 0.5, 5, DEFAULT_ARENA
         # Finite values whose sum overflows: the descent goes on.
         yield kind, BoundingBox(*HUGE), BoundingBox(*HUGE), 0.1, 3, (-1.7e308, -1.7e308, 1.7e308, 1.7e308)
+    # Descents that reach a zero gradient after iteration 0, where the descent
+    # stops stepping: a step of 20 overshoots to a box disjoint from the
+    # target, where IoU has zero gradient from iteration 18 and Focal-EIoU
+    # from iteration 1.
+    yield (LossKind.IOU, BoundingBox(-2.5895, -2.4832, 2.1267, 2.8482),
+           BoundingBox(-1.1125, -1.1046, 0.0127, -0.8923), 20.0, 30, DEFAULT_ARENA)
+    yield (LossKind.FOCAL_EIOU, BoundingBox(0.4872, -2.0497, 0.6357, 0.6408),
+           BoundingBox(-0.416, -0.6388, 1.3381, 2.9689), 20.0, 30, DEFAULT_ARENA)
+    # Zero-gradient starts with -0.0 corners: IoU's -0.0 gradient steps them
+    # to 0.0, Focal-EIoU's 0.0 gradient keeps them -0.0. (WIoUv3 started on
+    # its target is the per-kind case above.)
+    for kind in (LossKind.IOU, LossKind.FOCAL_EIOU):
+        yield kind, BoundingBox(-0.0, -0.0, 1.0, 1.0), BoundingBox(2.0, 2.0, 3.0, 3.0), 0.5, 6, DEFAULT_ARENA
 
 
 def trajectory_and_csv(simulate, write, kind, start, gt, step, iters, arena):
@@ -135,6 +149,30 @@ def test_descent_and_csv_equal_their_definition_on_seeded_runs():
         ran += 1
         diverged += ours.startswith("DivergedError")
     assert ran >= 200 and 0 < diverged < ran
+
+
+def test_a_descent_at_a_fixed_point_evaluates_its_loss_once(monkeypatch):
+    """losslab's default IoU and Focal-EIoU descents start disjoint from the
+    target, where both have zero gradient: one evaluation, then that row for
+    every later iteration. WIoUv3 on its target has zero gradient too, but
+    each evaluation advances its state, so it evaluates every step."""
+    calls = []
+
+    def counted(kind, *args):
+        calls.append(kind)
+        return evaluate_loss(kind, *args)
+
+    monkeypatch.setattr(losses, "evaluate_loss", counted)
+    disjoint = (BoundingBox(0.0, 0.0, 1.0, 1.0), BoundingBox(2.0, 2.0, 3.0, 3.0))
+    for kind, (start, gt), evaluations in (
+        (LossKind.IOU, disjoint, 1),
+        (LossKind.FOCAL_EIOU, disjoint, 1),
+        (LossKind.WIOU_V3, (disjoint[1], disjoint[1]), 501),
+    ):
+        calls.clear()
+        rows = simulate_regression(kind, start, gt, step=0.01, iters=500).rows
+        assert calls == [kind] * evaluations
+        assert repr(rows) == repr(ref.simulate_regression(kind, start, gt, step=0.01, iters=500).rows)
 
 
 @pytest.mark.parametrize("gamma,overflows", [(0.01, True), (0.04, True), (0.5, False)])
