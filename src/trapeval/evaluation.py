@@ -26,7 +26,7 @@ import io
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -165,70 +165,6 @@ class PrPoint:
     recall: float
 
 
-def _group_by_image(
-    detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]
-) -> dict[str, tuple[list[Detection], list[GroundTruth]]]:
-    grouped: dict[str, tuple[list[Detection], list[GroundTruth]]] = defaultdict(
-        lambda: ([], [])
-    )
-    for d in detections:
-        grouped[d.image_id][0].append(d)
-    for g in ground_truths:
-        grouped[g.image_id][1].append(g)
-    return dict(grouped)
-
-
-def pr_curve(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    config: MatchConfig | None = None,
-) -> list[PrPoint]:
-    """Cumulative precision/recall table for one category across the corpus.
-
-    Inputs must already be restricted to a single category. The confidence
-    threshold is deliberately ignored: the curve itself sweeps confidence.
-    """
-    config = config or MatchConfig()
-    categories = {g.category_id for g in ground_truths} | {
-        d.category_id for d in detections
-    }
-    if len(categories) > 1:
-        raise EvalError(f"pr_curve expects one category, got {sorted(categories)}")
-    if not ground_truths:
-        raise EvalError("no ground truths for the category; AP undefined")
-
-    sweep = replace(config, confidence_threshold=0.0)
-    grouped = _group_by_image(detections, ground_truths)
-    scored: list[tuple[float, int, bool]] = []
-    position = 0
-    for image_id in sorted(grouped):
-        dets, gts = grouped[image_id]
-        outcome = match_detections(dets, gts, sweep)
-        for flag in outcome.flags:
-            scored.append(
-                (outcome.detections[flag.detection_index].confidence, position, flag.is_tp)
-            )
-            position += 1
-    scored.sort(key=lambda item: (-item[0], item[1]))
-
-    n_gt = len(ground_truths)
-    points: list[PrPoint] = []
-    cum_tp = cum_fp = 0
-    for confidence, _, is_tp in scored:
-        cum_tp += 1 if is_tp else 0
-        cum_fp += 0 if is_tp else 1
-        points.append(
-            PrPoint(
-                confidence=confidence,
-                cum_tp=cum_tp,
-                cum_fp=cum_fp,
-                precision=precision(cum_tp, cum_fp),
-                recall=cum_tp / n_gt,
-            )
-        )
-    return points
-
-
 def _envelope(recalls: Sequence[float], precisions: Sequence[float]) -> Callable[[float], float]:
     """p(r) over points already sorted by recall: the max precision over
     points whose recall is >= r, 0 beyond the highest recall."""
@@ -247,23 +183,17 @@ def _envelope(recalls: Sequence[float], precisions: Sequence[float]) -> Callable
     return interpolated
 
 
-def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
-    """p(r) = max precision over curve points whose recall is >= r.
+def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
+    """Area-style summary of the interpolated PR envelope; 0.0 for an empty
+    curve.
 
-    Monotonically non-increasing in r; 0 beyond the highest achieved recall.
+    ``grid101``: mean interpolated precision over recalls 0.00..1.00 step
+    0.01 (primary). ``trapezoid``: trapezoidal area under the envelope over
+    the achieved recall breakpoints (secondary).
     """
-    if not curve:
-        raise ConfigError("curve must be non-empty")
     by_recall = sorted(curve, key=lambda p: p.recall)
-    return _envelope([p.recall for p in by_recall], [p.precision for p in by_recall])
-
-
-def _area(recalls: Sequence[float], precisions: Sequence[float], mode: str) -> float:
-    """AP of precision/recall sequences sorted by recall (0.0 when empty);
-    see ``average_precision``."""
-    if not recalls:
-        return 0.0
-    interp = _envelope(recalls, precisions)
+    recalls = [p.recall for p in by_recall]
+    interp = _envelope(recalls, [p.precision for p in by_recall])
     if mode == "grid101":
         return sum(interp(r) for r in RECALL_GRID) / len(RECALL_GRID)
     if mode == "trapezoid":
@@ -273,17 +203,6 @@ def _area(recalls: Sequence[float], precisions: Sequence[float], mode: str) -> f
             area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
         return area
     raise ConfigError(f"unknown AP mode {mode!r}")
-
-
-def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
-    """Area-style summary of the interpolated PR envelope.
-
-    ``grid101``: mean interpolated precision over recalls 0.00..1.00 step
-    0.01 (primary). ``trapezoid``: trapezoidal area under the envelope over
-    the achieved recall breakpoints (secondary).
-    """
-    by_recall = sorted(curve, key=lambda p: p.recall)
-    return _area([p.recall for p in by_recall], [p.precision for p in by_recall], mode)
 
 
 def mean_average_precision(per_category_ap: Mapping[int, float]) -> float:
@@ -322,9 +241,13 @@ class ConfusionMatrix:
         return len(self.categories)
 
     def cell(self, true_category: int | None, predicted_category: int | None) -> int:
-        row = self.background_index if true_category is None else self.categories.index(true_category)
-        col = self.background_index if predicted_category is None else self.categories.index(predicted_category)
-        return self.grid[row][col]
+        labels = (*self.categories, None)  # None is the background
+        for category in (true_category, predicted_category):
+            if category not in labels:
+                raise CategoryError(
+                    f"category {category!r} is not in the confusion matrix {self.categories}"
+                )
+        return self.grid[labels.index(true_category)][labels.index(predicted_category)]
 
     def write_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -368,7 +291,11 @@ def match_corpus(
 ) -> list[MatchOutcome]:
     """Per-image matching over a corpus, in image id order."""
     config = config or MatchConfig()
-    grouped = _group_by_image(detections, ground_truths)
+    grouped: dict[str, tuple[list[Detection], list[GroundTruth]]] = defaultdict(lambda: ([], []))
+    for d in detections:
+        grouped[d.image_id][0].append(d)
+    for g in ground_truths:
+        grouped[g.image_id][1].append(g)
     cats = tuple(categories) if categories is not None else None
     return [match_detections(*grouped[i], config, cats) for i in sorted(grouped)]
 
@@ -390,58 +317,6 @@ class CorpusMetrics:
     map50_95: float
     confusion: ConfusionMatrix
     pr_curves: tuple[PrCurve, ...]  # categories with ground truths, ascending
-
-
-def _category_set(
-    det_cats: Iterable[int], gt_cats: Iterable[int], categories: Iterable[int] | None
-) -> tuple[int, ...]:
-    if categories is not None:
-        return tuple(sorted(set(categories)))
-    return tuple(sorted(set(gt_cats).union(det_cats)))
-
-
-def per_category_ap(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    config: MatchConfig | None = None,
-    categories: Iterable[int] | None = None,
-    mode: str = "grid101",
-) -> dict[int, float]:
-    """AP per category with at least one ground truth; others are excluded."""
-    config = config or MatchConfig()
-    result: dict[int, float] = {}
-    det_cats = (d.category_id for d in detections)
-    for cat in _category_set(det_cats, (g.category_id for g in ground_truths), categories):
-        cat_gts = [g for g in ground_truths if g.category_id == cat]
-        if not cat_gts:
-            continue
-        cat_dets = [d for d in detections if d.category_id == cat]
-        curve = pr_curve(cat_dets, cat_gts, config)
-        result[cat] = average_precision(curve, mode=mode)
-    return result
-
-
-def map_over_iou_range(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    thresholds: Sequence[float] = MAP_RANGE_THRESHOLDS,
-    config: MatchConfig | None = None,
-    categories: Iterable[int] | None = None,
-) -> float:
-    """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95)."""
-    if not thresholds:
-        raise ConfigError("thresholds must be non-empty")
-    for t in thresholds:
-        if not 0.0 < t < 1.0:
-            raise ConfigError(f"IoU threshold {t} outside (0, 1)")
-    config = config or MatchConfig()
-    values = []
-    for t in thresholds:
-        aps = per_category_ap(
-            detections, ground_truths, replace(config, iou_threshold=t), categories
-        )
-        values.append(mean_average_precision(aps))
-    return sum(values) / len(values)
 
 
 # Same-image detection x ground-truth pairs per IoU block: a block's arrays
@@ -597,19 +472,26 @@ def _resolve(det_key: np.ndarray, gt_key: np.ndarray, overlap: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class _CategorySweep:
-    aps: tuple[float, ...]  # grid101 AP at each of MAP_RANGE_THRESHOLDS (0.5 first)
-    ap50_trapezoid: float
+    """One category's grid101 AP at each threshold of an engine run and, at
+    its first threshold, its trapezoid AP and ``pr_curve``'s columns."""
+
+    aps: tuple[float, ...]
+    trapezoid: float
+    confidence: np.ndarray  # the detections' confidences, in pr_curve's order
+    cum_tp: np.ndarray
     curve: PrCurve
 
 
-def _sweep(category_id: int, masks: np.ndarray, n_gt: int) -> _CategorySweep:
-    """``pr_curve`` + ``average_precision`` of one category at every
-    threshold in MAP_RANGE_THRESHOLDS, from its detections' TP bitmasks in
+def _sweep(
+    category_id: int, masks: np.ndarray, confidence: np.ndarray, n_gt: int, passes: int
+) -> _CategorySweep:
+    """``average_precision`` of one category's curve at each of ``passes``
+    thresholds, from its detections' TP bitmasks and confidences in
     ``pr_curve``'s order. The grid values and trapezoid terms are summed
-    left to right in Python, as ``_area`` sums them."""
+    left to right in Python, as ``average_precision`` sums them."""
     if not masks.size:
-        return _CategorySweep((0.0,) * len(MAP_RANGE_THRESHOLDS), 0.0, PrCurve(category_id, (), ()))
-    bits = np.arange(len(MAP_RANGE_THRESHOLDS))[:, None]
+        return _CategorySweep((0.0,) * passes, 0.0, confidence, masks, PrCurve(category_id, (), ()))
+    bits = np.arange(passes)[:, None]
     cum_tp = np.cumsum(masks >> bits & 1, axis=1)
     recalls = cum_tp / n_gt
     precisions = cum_tp / np.arange(1, masks.size + 1)  # precision(cum_tp, rank - cum_tp)
@@ -629,48 +511,33 @@ def _sweep(category_id: int, masks: np.ndarray, n_gt: int) -> _CategorySweep:
     for term in ((knots[1:] - knots[:-1]) * (at[:-1] + at[1:]) / 2.0).tolist():
         trapezoid += term
     curve = PrCurve(category_id, tuple(recalls[0].tolist()), tuple(precisions[0].tolist()))
-    return _CategorySweep(aps, trapezoid, curve)
+    return _CategorySweep(aps, trapezoid, confidence, cum_tp[0], curve)
 
 
-def evaluate_corpus(
+# The thresholds one engine run takes: a detection's TP bits sit below the
+# sign bit of an int64.
+_MASK_BITS = 63
+
+
+def _evaluate(
     detections: Sequence[Detection] | BoxColumns,
     ground_truths: Sequence[GroundTruth] | BoxColumns,
-    config: MatchConfig | None = None,
-    categories: Iterable[int] | None = None,
-) -> CorpusMetrics:
-    """Full evaluation: per-category AP and operating-point counts, mAP50,
-    mAP50-95, the confusion matrix and the IoU-0.5 PR curves. The
-    detections come as records or as the columns ``read_detection_columns``
-    gives, the ground truths as records or as the columns
-    ``BoxColumns.from_annotations`` gives; records are turned into the same
-    columns. The metrics depend only on the order of the ground truths
-    within each image.
-
-    One walk over the images in sorted id order, in blocks, computes each
-    same-image detection x ground-truth IoU once, and ``_resolve`` matches
-    a block's eleven greedy passes at once. The operating point at
-    ``config`` fills the confusion grid, whose diagonal and margins give
-    the tp/fp/fn counts. The same-category pairs, one pass per threshold
-    in MAP_RANGE_THRESHOLDS, give each detection a bitmask of the
-    thresholds it is a TP at, from which ``_sweep`` takes AP, mAP and the
-    curves. Greedy matching never lets two images or two categories share
-    a ground truth, so one pass over a block equals one per (image, category).
-
-    Equal, value for value, to ``match_corpus`` + ``confusion_matrix`` and
-    to ``pr_curve`` + ``average_precision`` per category and threshold,
-    which stay as the definition, on the boxes as doubles. Raises
-    ``match_corpus``'s CategoryError, then EvalError for the first
-    detection, else ground truth, with a corner that is not a finite double.
-    """
-    config = config or MatchConfig()
+    config: MatchConfig,
+    categories: Iterable[int] | None,
+    thresholds: tuple[float, ...],
+) -> tuple[tuple[int, ...], list[list[int]], dict[int, _CategorySweep]]:
+    """The one matching pass behind every count and AP: the categories, the
+    confusion grid at ``config``'s operating point and, for each category
+    with ground truths, ascending, its sweep over ``thresholds``, at most
+    _MASK_BITS of them in any order. See ``evaluate_corpus``."""
     if not isinstance(detections, BoxColumns):
         detections = BoxColumns.from_records(detections, scored=True)
     gts = ground_truths
     if not isinstance(gts, BoxColumns):
         gts = BoxColumns.from_records(gts)
     det_cats, gt_cats = detections.category_id.tolist(), gts.category_id.tolist()
-    cats = _category_set(det_cats, gt_cats, categories)
-    known = set(cats)
+    known = set(categories) if categories is not None else set(gt_cats).union(det_cats)
+    cats = tuple(sorted(known))
     if not (known.issuperset(det_cats) and known.issuperset(gt_cats)):
         # match_corpus's order: images in sorted id order; in each, the
         # detections ("detection" sorts first), then the ground truths, each
@@ -699,15 +566,15 @@ def evaluate_corpus(
         dcat = det_index[det_rows]
         gcat = gt_index[gt_rows]
 
-        # Eleven greedy passes, each with its own detection and ground-truth
-        # keys: the operating point (any-category pairs of the retained
-        # detections), then the same-category pairs at each threshold.
+        # Greedy passes, each with its own detection and ground-truth keys:
+        # the operating point (any-category pairs of the retained
+        # detections), then the same-category pairs at each threshold, each
+        # filtered from all of them, as the thresholds need not ascend.
         retained = conf >= config.confidence_threshold
         candidates = [np.flatnonzero((overlap >= config.iou_threshold) & retained[pair_det])]
         same = np.flatnonzero(dcat[pair_det] == gcat[pair_gt])
-        for threshold in MAP_RANGE_THRESHOLDS:
-            same = same[overlap[same] >= threshold]
-            candidates.append(same)
+        same_overlap = overlap[same]
+        candidates += [same[same_overlap >= threshold] for threshold in thresholds]
         passes = np.repeat(np.arange(len(candidates)), [c.size for c in candidates])
         pairs = np.concatenate(candidates)
         det_key = passes * det_rows.size + pair_det[pairs]
@@ -731,30 +598,71 @@ def evaluate_corpus(
         det_masks.append(mask)
 
     counts = grid.reshape(n + 1, n + 1).tolist()
-    gt_total = [sum(row) for row in counts[:n]]
-    retained_total = [sum(column) for column in zip(*counts)]
     dcat = np.concatenate(walk_cats)
+    confidence = np.concatenate(confidences)
     # pr_curve's order per category: descending confidence, ties in walk order.
-    masks = np.concatenate(det_masks)[np.lexsort((-np.concatenate(confidences), dcat))]
+    order = np.lexsort((-confidence, dcat))
+    masks, confidence = np.concatenate(det_masks)[order], confidence[order]
     bounds = [0, *np.cumsum(np.bincount(dcat, minlength=n)).tolist()]
-    sweeps = {
-        cat: _sweep(cat, masks[bounds[c] : bounds[c + 1]], gt_total[c])
-        for c, cat in enumerate(cats)
-        if gt_total[c]
-    }
+    sweeps = {}
+    for c, cat in enumerate(cats):
+        lo, hi, n_gt = bounds[c], bounds[c + 1], sum(counts[c])
+        if n_gt:
+            sweeps[cat] = _sweep(cat, masks[lo:hi], confidence[lo:hi], n_gt, len(thresholds))
+    return cats, counts, sweeps
+
+
+def evaluate_corpus(
+    detections: Sequence[Detection] | BoxColumns,
+    ground_truths: Sequence[GroundTruth] | BoxColumns,
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+) -> CorpusMetrics:
+    """Full evaluation: per-category AP and operating-point counts, mAP50,
+    mAP50-95, the confusion matrix and the IoU-0.5 PR curves. The
+    detections come as records or as the columns ``read_detection_columns``
+    gives, the ground truths as records or as the columns
+    ``BoxColumns.from_annotations`` gives; records are turned into the same
+    columns. The metrics depend only on the order of the ground truths
+    within each image.
+
+    It runs the engine, ``_evaluate``, at MAP_RANGE_THRESHOLDS. One walk
+    over the images in sorted id order, in blocks, computes each same-image
+    detection x ground-truth IoU once, and ``_resolve`` matches a block's
+    greedy passes at once. The operating point at ``config`` fills the
+    confusion grid, whose diagonal and margins give the tp/fp/fn counts.
+    The same-category pairs, one pass per threshold, give each detection a
+    bitmask of the thresholds it is a TP at, from which ``_sweep`` takes
+    AP, mAP and the curves. Greedy matching never lets two images or two
+    categories share a ground truth, so one pass over a block equals one
+    per (image, category).
+
+    ``pr_curve``, ``per_category_ap`` and ``map_over_iou_range`` run on the
+    same engine. ``match_detections``, ``match_corpus`` and
+    ``confusion_matrix`` stay as the operating-point definition, and the
+    per-image AP definition is the test oracle in
+    ``tests/reference_evaluation.py``; the engine equals both, value for
+    value, on the boxes as doubles. Raises ``match_corpus``'s
+    CategoryError, then EvalError for the first detection, else ground
+    truth, with a corner that is not a finite double.
+    """
+    cats, counts, sweeps = _evaluate(
+        detections, ground_truths, config or MatchConfig(), categories, MAP_RANGE_THRESHOLDS
+    )
+    retained_total = [sum(column) for column in zip(*counts)]
     rows = []
     for c, cat in enumerate(cats):
         tp = counts[c][c]
         fp = retained_total[c] - tp
-        if gt_total[c] == 0 and tp == 0 and fp == 0:
+        fn = sum(counts[c]) - tp
+        if not (tp or fp or fn):
             continue
-        fn = gt_total[c] - tp
         sweep = sweeps.get(cat)
         rows.append(
             CategoryMetrics(
                 category_id=cat,
                 ap=sweep.aps[0] if sweep else 0.0,
-                ap_trapezoid=sweep.ap50_trapezoid if sweep else 0.0,
+                ap_trapezoid=sweep.trapezoid if sweep else 0.0,
                 tp=tp,
                 fp=fp,
                 fn=fn,
@@ -777,6 +685,93 @@ def evaluate_corpus(
         confusion=ConfusionMatrix(cats, tuple(map(tuple, counts))),
         pr_curves=tuple(s.curve for s in sweeps.values()),
     )
+
+
+def pr_curve(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+) -> list[PrPoint]:
+    """Cumulative precision/recall table for one category across the
+    corpus, a point per detection by descending confidence (ties in image
+    id order, then input order): the engine at ``config``'s IoU threshold.
+
+    Inputs must already be restricted to a single category. The confidence
+    threshold is deliberately ignored: the curve itself sweeps confidence.
+    """
+    config = config or MatchConfig()
+    categories = {g.category_id for g in ground_truths} | {
+        d.category_id for d in detections
+    }
+    if len(categories) > 1:
+        raise EvalError(f"pr_curve expects one category, got {sorted(categories)}")
+    if not ground_truths:
+        raise EvalError("no ground truths for the category; AP undefined")
+    _, _, sweeps = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
+    (sweep,) = sweeps.values()
+    curve = sweep.curve
+    columns = zip(sweep.confidence.tolist(), sweep.cum_tp.tolist(), curve.precision, curve.recall)
+    return [PrPoint(c, tp, rank - tp, p, r) for rank, (c, tp, p, r) in enumerate(columns, 1)]
+
+
+def _within(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    categories: Iterable[int] | None,
+) -> tuple[Sequence[Detection], Sequence[GroundTruth]]:
+    """The records of ``categories``; all of them when it is None."""
+    if categories is None:
+        return detections, ground_truths
+    known = set(categories)
+    return (
+        [d for d in detections if d.category_id in known],
+        [g for g in ground_truths if g.category_id in known],
+    )
+
+
+def per_category_ap(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+    mode: str = "grid101",
+) -> dict[int, float]:
+    """AP per category with at least one ground truth, at ``config``'s IoU
+    threshold; others, and records outside ``categories``, are excluded."""
+    if mode not in ("grid101", "trapezoid"):
+        raise ConfigError(f"unknown AP mode {mode!r}")
+    config = config or MatchConfig()
+    detections, ground_truths = _within(detections, ground_truths, categories)
+    _, _, sweeps = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
+    return {cat: s.aps[0] if mode == "grid101" else s.trapezoid for cat, s in sweeps.items()}
+
+
+def map_over_iou_range(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    thresholds: Sequence[float] = MAP_RANGE_THRESHOLDS,
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+) -> float:
+    """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95), in
+    the order given: one engine run per _MASK_BITS thresholds."""
+    if not thresholds:
+        raise ConfigError("thresholds must be non-empty")
+    for t in thresholds:
+        if not 0.0 < t < 1.0:
+            raise ConfigError(f"IoU threshold {t} outside (0, 1)")
+    config = config or MatchConfig()
+    detections, ground_truths = _within(detections, ground_truths, categories)
+    thresholds = tuple(thresholds)
+    values = []
+    for start in range(0, len(thresholds), _MASK_BITS):
+        run = thresholds[start : start + _MASK_BITS]
+        _, _, sweeps = _evaluate(detections, ground_truths, config, None, run)
+        values += [
+            mean_average_precision({cat: s.aps[i] for cat, s in sweeps.items()})
+            for i in range(len(run))
+        ]
+    return sum(values) / len(values)
 
 
 DETECTIONS_CSV_HEADER = ["image_id", "category_id", "confidence", "x1", "y1", "x2", "y2"]

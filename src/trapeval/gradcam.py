@@ -84,22 +84,6 @@ def gradcam_heatmap(run: GraphRun, layer: str, selector: ScoreSelector) -> Heatm
     return Heatmap(normalize_unit(upsampled))
 
 
-def viridis_map(value: float) -> tuple[int, int, int]:
-    """Map a [0, 1] value to RGB bytes by linear interpolation over the
-    embedded 256-entry viridis table; out-of-range values are clamped."""
-    v = min(max(float(value), 0.0), 1.0)
-    position = v * 255.0
-    lo = int(position)
-    hi = min(lo + 1, 255)
-    t = position - lo
-    a, b = VIRIDIS_256[lo], VIRIDIS_256[hi]
-    return (
-        int(round(a[0] + (b[0] - a[0]) * t)),
-        int(round(a[1] + (b[1] - a[1]) * t)),
-        int(round(a[2] + (b[2] - a[2]) * t)),
-    )
-
-
 def colorize(heat: Heatmap) -> Tensor3:
     """Render a heatmap through the viridis table as a 3-channel byte image."""
     table = np.asarray(VIRIDIS_256, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Two pieces of trapeval.evaluation as they were before their fast paths,
+"""Pieces of trapeval.evaluation as they were before their fast paths,
 kept verbatim as definition-level oracles:
 
 - the detections CSV reader as it was before its rows were read in one
@@ -11,22 +11,42 @@ kept verbatim as definition-level oracles:
   record's count, which a quoted field holding a line break put behind;
 - ``_greedy``, one Python step per candidate pair, which ``evaluate_corpus``
   ran once per block and pass before each block's eleven passes were
-  resolved together as arrays (``evaluation._resolve``).
+  resolved together as arrays (``evaluation._resolve``);
+- the per-image AP definition: ``pr_curve`` matches each image with
+  ``match_detections`` and sorts the flags, ``per_category_ap`` runs it per
+  category and ``map_over_iou_range`` per threshold, and
+  ``interpolate_precision`` is the envelope ``average_precision`` reads.
+  The package's ``pr_curve``, ``per_category_ap``, ``map_over_iou_range``
+  and ``evaluate_corpus`` run on one blockwise engine instead;
+  ``test_evaluation.py`` checks them against these, value for value.
 
-Types and the header come from the package.
+Types, the header, the operating-point matching (``match_detections``)
+and ``average_precision`` come from the package.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import IO
+from collections import defaultdict
+from dataclasses import replace
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from trapeval.boxes import BoundingBox, Detection
-from trapeval.errors import FormatError
-from trapeval.evaluation import DETECTIONS_CSV_HEADER
+from trapeval.boxes import BoundingBox, Detection, GroundTruth
+from trapeval.errors import ConfigError, EvalError, FormatError
+from trapeval.evaluation import (
+    DETECTIONS_CSV_HEADER,
+    MAP_RANGE_THRESHOLDS,
+    MatchConfig,
+    PrPoint,
+    _envelope,
+    average_precision,
+    match_detections,
+    mean_average_precision,
+    precision,
+)
 
 
 def read_detections_csv(stream: IO[str]) -> list[Detection]:
@@ -100,3 +120,125 @@ def _greedy(
     if best >= 0:
         picked.append(best)
     return np.array(picked, dtype=np.intp)
+
+
+def _group_by_image(
+    detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]
+) -> dict[str, tuple[list[Detection], list[GroundTruth]]]:
+    grouped: dict[str, tuple[list[Detection], list[GroundTruth]]] = defaultdict(
+        lambda: ([], [])
+    )
+    for d in detections:
+        grouped[d.image_id][0].append(d)
+    for g in ground_truths:
+        grouped[g.image_id][1].append(g)
+    return dict(grouped)
+
+
+def pr_curve(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+) -> list[PrPoint]:
+    """Cumulative precision/recall table for one category across the corpus.
+
+    Inputs must already be restricted to a single category. The confidence
+    threshold is deliberately ignored: the curve itself sweeps confidence.
+    """
+    config = config or MatchConfig()
+    categories = {g.category_id for g in ground_truths} | {
+        d.category_id for d in detections
+    }
+    if len(categories) > 1:
+        raise EvalError(f"pr_curve expects one category, got {sorted(categories)}")
+    if not ground_truths:
+        raise EvalError("no ground truths for the category; AP undefined")
+
+    sweep = replace(config, confidence_threshold=0.0)
+    grouped = _group_by_image(detections, ground_truths)
+    scored: list[tuple[float, int, bool]] = []
+    position = 0
+    for image_id in sorted(grouped):
+        dets, gts = grouped[image_id]
+        outcome = match_detections(dets, gts, sweep)
+        for flag in outcome.flags:
+            scored.append(
+                (outcome.detections[flag.detection_index].confidence, position, flag.is_tp)
+            )
+            position += 1
+    scored.sort(key=lambda item: (-item[0], item[1]))
+
+    n_gt = len(ground_truths)
+    points: list[PrPoint] = []
+    cum_tp = cum_fp = 0
+    for confidence, _, is_tp in scored:
+        cum_tp += 1 if is_tp else 0
+        cum_fp += 0 if is_tp else 1
+        points.append(
+            PrPoint(
+                confidence=confidence,
+                cum_tp=cum_tp,
+                cum_fp=cum_fp,
+                precision=precision(cum_tp, cum_fp),
+                recall=cum_tp / n_gt,
+            )
+        )
+    return points
+
+
+def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
+    """p(r) = max precision over curve points whose recall is >= r.
+
+    Monotonically non-increasing in r; 0 beyond the highest achieved recall.
+    """
+    if not curve:
+        raise ConfigError("curve must be non-empty")
+    by_recall = sorted(curve, key=lambda p: p.recall)
+    return _envelope([p.recall for p in by_recall], [p.precision for p in by_recall])
+
+
+def per_category_ap(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+    mode: str = "grid101",
+) -> dict[int, float]:
+    """AP per category with at least one ground truth; others are excluded."""
+    config = config or MatchConfig()
+    result: dict[int, float] = {}
+    if categories is not None:
+        cats = sorted(set(categories))
+    else:
+        cats = sorted({g.category_id for g in ground_truths}.union(d.category_id for d in detections))
+    for cat in cats:
+        cat_gts = [g for g in ground_truths if g.category_id == cat]
+        if not cat_gts:
+            continue
+        cat_dets = [d for d in detections if d.category_id == cat]
+        curve = pr_curve(cat_dets, cat_gts, config)
+        result[cat] = average_precision(curve, mode=mode)
+    return result
+
+
+def map_over_iou_range(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    thresholds: Sequence[float] = MAP_RANGE_THRESHOLDS,
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+) -> float:
+    """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95)."""
+    if not thresholds:
+        raise ConfigError("thresholds must be non-empty")
+    for t in thresholds:
+        if not 0.0 < t < 1.0:
+            raise ConfigError(f"IoU threshold {t} outside (0, 1)")
+    config = config or MatchConfig()
+    values = []
+    for t in thresholds:
+        aps = per_category_ap(
+            detections, ground_truths, replace(config, iou_threshold=t), categories
+        )
+        values.append(mean_average_precision(aps))
+    return sum(values) / len(values)

@@ -11,10 +11,11 @@ from trapeval.boxes import BoundingBox, Detection
 from trapeval.dataset import ImageRecord
 from trapeval.errors import TrapevalError
 from trapeval.evaluation import (
+    ConfusionMatrix,
     PrPoint,
     average_precision,
-    interpolate_precision,
     map_over_iou_range,
+    per_category_ap,
     precision,
     recall,
 )
@@ -28,7 +29,9 @@ BAD_CALLS = {
     "precision": lambda: precision(-1, 0),
     "recall": lambda: recall(0, -1),
     "average_precision-mode": lambda: average_precision([PrPoint(0.9, 1, 0, 1.0, 1.0)], mode="nope"),
-    "interpolate_precision-empty": lambda: interpolate_precision([]),
+    "average_precision-mode-empty": lambda: average_precision([], mode="nope"),
+    "per_category_ap-mode-empty": lambda: per_category_ap([], [], mode="nope"),
+    "ConfusionMatrix.cell-category": lambda: ConfusionMatrix((1, 2), ((0,) * 3,) * 3).cell(99, None),
     "map_over_iou_range-no-thresholds": lambda: map_over_iou_range([], [], thresholds=()),
     "map_over_iou_range-threshold": lambda: map_over_iou_range([], [], thresholds=(1.0,)),
     "LineChart.add_series-lengths": lambda: LineChart("t", "x", "y").add_series("s", [0.0], []),

@@ -6,6 +6,7 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
+import reference_evaluation as ref
 from hypothesis import given, settings
 
 from trapeval import evaluation
@@ -14,11 +15,11 @@ from trapeval.errors import CategoryError, EvalError, FormatError, TrapevalError
 from trapeval.dataset import parse_annotations, read_annotation_columns
 from trapeval.evaluation import (
     BoxColumns,
+    ConfusionMatrix,
     MatchConfig,
     average_precision,
     confusion_matrix,
     evaluate_corpus,
-    interpolate_precision,
     map_over_iou_range,
     match_corpus,
     match_detections,
@@ -227,7 +228,7 @@ def point(recall_value, precision_value):
 
 def test_interpolated_precision_example():
     curve = [point(0.2, 1.0), point(0.5, 0.6), point(0.5, 0.8)]
-    interp = interpolate_precision(curve)
+    interp = ref.interpolate_precision(curve)
     assert interp(0.3) == 0.8
     assert interp(0.0) == 1.0
     assert interp(0.51) == 0.0
@@ -235,14 +236,14 @@ def test_interpolated_precision_example():
 
 def test_interpolation_envelope_non_increasing():
     curve = [point(r / 10, p) for r, p in enumerate((1.0, 0.4, 0.9, 0.2, 0.7, 0.1))]
-    interp = interpolate_precision(curve)
+    interp = ref.interpolate_precision(curve)
     samples = [interp(r / 100) for r in range(101)]
     assert samples == sorted(samples, reverse=True)
 
 
 def test_interpolation_requires_points():
     with pytest.raises(ValueError):
-        interpolate_precision([])
+        ref.interpolate_precision([])
 
 
 def test_average_precision_perfect_and_zero():
@@ -351,6 +352,13 @@ def test_confusion_matrix_perfect_corpus():
     matrix = confusion_matrix(outcomes, [1, 2])
     assert matrix.cell(1, 1) == 1 and matrix.cell(2, 2) == 1
     assert matrix.cell(None, 1) == 0 and matrix.cell(1, None) == 0
+
+
+def test_confusion_matrix_cell_names_a_category_it_does_not_hold():
+    matrix = ConfusionMatrix((1, 2), ((0,) * 3,) * 3)
+    for true_category, predicted in ((99, None), (None, 99), (1, 99)):
+        with pytest.raises(CategoryError, match=r"^category 99 is not in the confusion matrix \(1, 2\)$"):
+            matrix.cell(true_category, predicted)
 
 
 def test_confusion_matrix_no_detections():
@@ -489,7 +497,18 @@ def _edge_case_corpus(rng):
     return detections, ground_truths
 
 
+def _result(function, *args, **kwargs):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return function(*args, **kwargs)
+    except TrapevalError as exc:
+        return type(exc), str(exc)
+
+
 def _assert_matches_definition(detections, ground_truths, categories=None):
+    """evaluate_corpus, per_category_ap, map_over_iou_range and pr_curve,
+    which all run on the engine, equal the per-image definition value for
+    value, or raise its error."""
     metrics = evaluate_corpus(detections, ground_truths, MatchConfig(0.45, 0.25), categories)
     cats = sorted(
         set(categories)
@@ -497,23 +516,27 @@ def _assert_matches_definition(detections, ground_truths, categories=None):
         else {g.category_id for g in ground_truths} | {d.category_id for d in detections}
     )
     config50 = MatchConfig(0.5, 0.25)
-    aps = per_category_ap(detections, ground_truths, config50, cats)
-    traps = per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid")
+    aps = ref.per_category_ap(detections, ground_truths, config50, cats)
+    traps = ref.per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid")
+    assert per_category_ap(detections, ground_truths, config50, cats) == aps
+    assert per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid") == traps
     for row in metrics.per_category:
         assert row.ap == aps.get(row.category_id, 0.0)
         assert row.ap_trapezoid == traps.get(row.category_id, 0.0)
     assert metrics.map50 == (mean_average_precision(aps) if aps else 0.0)
-    assert metrics.map50_95 == (
-        map_over_iou_range(detections, ground_truths, categories=cats) if aps else 0.0
-    )
+    expected = _result(ref.map_over_iou_range, detections, ground_truths, categories=cats)
+    assert _result(map_over_iou_range, detections, ground_truths, categories=cats) == expected
+    assert metrics.map50_95 == (expected if aps else 0.0)
     assert [c.category_id for c in metrics.pr_curves] == list(aps)
     for curve in metrics.pr_curves:
         cat = curve.category_id
-        oracle = pr_curve(
+        records = (
             [d for d in detections if d.category_id == cat],
             [g for g in ground_truths if g.category_id == cat],
             config50,
         )
+        oracle = ref.pr_curve(*records)
+        assert pr_curve(*records) == oracle
         assert list(curve.recall) == [p.recall for p in oracle]
         assert list(curve.precision) == [p.precision for p in oracle]
     return metrics
@@ -549,11 +572,12 @@ def test_evaluate_corpus_edge_cases_equal_definition():
     assert metrics.pr_curves == () and metrics.map50_95 == 0.0
 
 
-# The definition, which the columnar evaluation reaches none of.
-DEFINITION = (
-    "match_detections", "match_corpus", "iou", "pr_curve", "confusion_matrix",
-    "per_category_ap", "map_over_iou_range",
-)
+# The operating-point definition, which the engine reaches none of.
+DEFINITION = ("match_detections", "match_corpus", "iou", "confusion_matrix")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the engine called a definition function")
 
 
 def test_evaluate_corpus_reaches_no_definition_function(monkeypatch):
@@ -564,14 +588,81 @@ def test_evaluate_corpus_reaches_no_definition_function(monkeypatch):
     scaled = [r._replace(box=B(*(2**25 * v for v in r.box))) for r in detections + ground_truths]
     corpora = [(detections, ground_truths), (scaled[: len(detections)], scaled[len(detections) :])]
     expected = [evaluate_corpus(*corpus, MatchConfig(0.45, 0.25)) for corpus in corpora]
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("evaluate_corpus called a definition function")
-
     for name in DEFINITION:
-        monkeypatch.setattr(evaluation, name, unreachable)
+        monkeypatch.setattr(evaluation, name, _unreachable)
     assert [evaluate_corpus(*corpus, MatchConfig(0.45, 0.25)) for corpus in corpora] == expected
     assert expected[0] == expected[1]
+
+
+def _ap_calls(detections, ground_truths):
+    """The AP functions on a corpus: their values, or their errors."""
+    curves = [
+        _result(
+            pr_curve,
+            [d for d in detections if d.category_id == cat],
+            [g for g in ground_truths if g.category_id == cat],
+            MatchConfig(0.6),
+        )
+        for cat in sorted({g.category_id for g in ground_truths})
+    ]
+    return [
+        _result(per_category_ap, detections, ground_truths),
+        _result(per_category_ap, detections, ground_truths, categories=range(3), mode="trapezoid"),
+        _result(map_over_iou_range, detections, ground_truths, (0.9, 0.5)),
+        curves,
+    ]
+
+
+def test_the_ap_functions_reach_no_definition_function(monkeypatch):
+    rng = random.Random(29)
+    corpora = [_edge_case_corpus(rng) for _ in range(30)]
+    expected = [_ap_calls(*corpus) for corpus in corpora]
+    assert any(isinstance(value[0], dict) and value[0] for value in expected)
+    for name in DEFINITION:
+        monkeypatch.setattr(evaluation, name, _unreachable)
+    with pytest.raises(AssertionError, match="definition function"):
+        ref.pr_curve([det(B(0, 0, 1, 1))], [gt(B(0, 0, 1, 1))])  # the oracle does reach it
+    assert [_ap_calls(*corpus) for corpus in corpora] == expected
+
+
+def test_map_over_iou_range_equals_the_definition_in_any_threshold_order():
+    rng = random.Random(4242)
+    levels = (0.05, 0.3, 0.45, 0.5, 0.55, 0.6, 0.75, 0.9, 0.95)
+    fixed = [(0.9, 0.5), (0.95, 0.5, 0.7), (0.5, 0.5), (0.75, 0.55, 0.6, 0.3)]
+    for i in range(200):
+        detections, ground_truths = _edge_case_corpus(rng)
+        if i < len(fixed):
+            thresholds = fixed[i]
+        else:
+            thresholds = tuple(rng.choice(levels) for _ in range(rng.randint(1, 5)))
+        for categories in (None, range(3)):  # categories 3 and 4 fall outside range(3)
+            call = (detections, ground_truths, list(thresholds), MatchConfig(0.45, 0.25), categories)
+            assert _result(map_over_iou_range, *call) == _result(ref.map_over_iou_range, *call)
+            call = (detections, ground_truths, MatchConfig(thresholds[0]), categories)
+            assert _result(per_category_ap, *call) == _result(ref.per_category_ap, *call)
+
+
+def test_map_over_iou_range_takes_more_thresholds_than_one_engine_run():
+    # One detection at IoU 0.87: a TP at the 64 thresholds below it, not at the 6 above.
+    thresholds = tuple(0.3 + 0.009 * i for i in range(70))
+    detections, ground_truths = [det(B(0, 0, 87, 1))], [gt(B(0, 0, 100, 1))]
+    expected = ref.map_over_iou_range(detections, ground_truths, thresholds)
+    assert expected == pytest.approx(64 / 70)
+    assert map_over_iou_range(detections, ground_truths, thresholds) == expected
+    rng = random.Random(64)
+    levels = (0.05, 0.3, 0.45, 0.5, 0.55, 0.6, 0.75, 0.9, 0.95)
+    for _ in range(8):
+        detections, ground_truths = _edge_case_corpus(rng)
+        thresholds = [rng.choice(levels) for _ in range(rng.randint(64, 130))]
+        call = (detections, ground_truths, thresholds)
+        assert _result(map_over_iou_range, *call) == _result(ref.map_over_iou_range, *call)
+
+
+def test_pr_curve_names_a_corner_that_is_not_a_finite_double():
+    # The per-image definition read a NaN corner as an IoU below every
+    # threshold and returned a false positive; the engine raises.
+    with pytest.raises(EvalError, match=r"^detection 0 in image 'im0': a corner is not a finite double$"):
+        pr_curve([det(B(math.nan, 0, 1, 1))], [gt(B(0, 0, 1, 1))])
 
 
 def _annotation_file_corpus(rng):

@@ -12,7 +12,6 @@ from trapeval.gradcam import (
     normalize_unit,
     overlay,
     pin_selector,
-    viridis_map,
 )
 from trapeval.graph import Graph, GraphSpec, LayerSpec, ScoreSelector, build_graph
 from trapeval.tensor import Tensor3
@@ -154,18 +153,18 @@ def test_pin_selector_pins_what_the_per_scale_loop_pinned(variant):
 
 
 def test_viridis_endpoints_and_interpolation():
-    assert viridis_map(0.0) == (68, 1, 84)
-    assert viridis_map(1.0) == (253, 231, 37)
-    assert viridis_map(-0.5) == (68, 1, 84)  # clamped
-    assert viridis_map(1.5) == (253, 231, 37)
+    assert ref.viridis_map(0.0) == (68, 1, 84)
+    assert ref.viridis_map(1.0) == (253, 231, 37)
+    assert ref.viridis_map(-0.5) == (68, 1, 84)  # clamped
+    assert ref.viridis_map(1.5) == (253, 231, 37)
     a, b = VIRIDIS_256[10], VIRIDIS_256[11]
-    midpoint = viridis_map(10.5 / 255.0)
+    midpoint = ref.viridis_map(10.5 / 255.0)
     for got, lo, hi in zip(midpoint, a, b):
         assert min(lo, hi) <= got <= max(lo, hi)
 
 
 def test_viridis_green_channel_monotone():
-    greens = [viridis_map(i / 100)[1] for i in range(101)]
+    greens = [ref.viridis_map(i / 100)[1] for i in range(101)]
     assert greens == sorted(greens)
 
 
@@ -175,7 +174,7 @@ def test_colorize_matches_pointwise_map():
     assert image.shape == (3, 2, 2)
     for y in range(2):
         for x in range(2):
-            assert tuple(int(v) for v in image.data[:, y, x]) == viridis_map(heat.data[y, x])
+            assert tuple(int(v) for v in image.data[:, y, x]) == ref.viridis_map(heat.data[y, x])
 
 
 def test_overlay_blend_arithmetic():
