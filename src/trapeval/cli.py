@@ -127,38 +127,29 @@ def cmd_losslab(args) -> int:
     betas = [i / 100.0 for i in range(0, 1001)]
     focusing = cli.focusing_coefficient  # each lookup runs the module __getattr__
     values = [focusing(b, params) for b in betas]
-    out = _out_dir(args)
     kinds = list(LossKind) if args.kinds is None else args.kinds
     start = BoundingBox(0.0, 0.0, 1.0, 1.0) if args.start is None else args.start
     gt = BoundingBox(2.0, 2.0, 3.0, 3.0) if args.gt is None else args.gt
-    chart = LineChart("loss vs iteration", "iteration", "loss")
-    failures = 0
+    # Every descent runs before anything is written, so an error in any kind
+    # leaves no output; a diverged kind is only left out.
+    trajectories = []
     for kind in kinds:
         try:
-            trajectory = cli.simulate_regression(
-                kind,
-                start,
-                gt,
-                step=args.step,
-                iters=args.iters,
-                params=params,
+            trajectories.append(
+                cli.simulate_regression(kind, start, gt, step=args.step, iters=args.iters, params=params)
             )
         except DivergedError as exc:
             print(f"{kind.value}: diverged at iteration {exc.iteration}", file=sys.stderr)
-            failures += 1
-            continue
+    out = _out_dir(args)
+    chart = LineChart("loss vs iteration", "iteration", "loss")
+    for trajectory in trajectories:
+        kind = trajectory.kind
         path = out / f"trajectory_{kind.value}.csv"
         with open(path, "w", encoding="utf-8", newline="") as stream:
             cli.write_trajectory_csv(trajectory, stream)
-        chart.add_series(
-            kind.value,
-            [float(r.iteration) for r in trajectory.rows],
-            [r.loss for r in trajectory.rows],
-        )
-        final = trajectory.rows[-1]
-        print(
-            f"{kind.value},{final.loss:.12g},{final.iou:.12g},{final.center_dist:.12g}"
-        )
+        rows = trajectory.rows
+        chart.add_series(kind.value, [float(r.iteration) for r in rows], [r.loss for r in rows])
+        print(f"{kind.value},{rows[-1].loss:.12g},{rows[-1].iou:.12g},{rows[-1].center_dist:.12g}")
     chart.write(out / "loss_curves.svg")
 
     focus = LineChart("focusing coefficient r(beta)", "beta", "r")
@@ -169,7 +160,7 @@ def cmd_losslab(args) -> int:
     with open(out / "focusing_curve.csv", "w", encoding="utf-8") as stream:
         stream.write(f"# gain peaks at beta = 1/ln(alpha) = {peak:.12g}\nbeta,r\n")
         stream.write("%.12g,%.12g\n" * len(betas) % tuple(chain.from_iterable(zip(betas, values))))
-    return 1 if failures else 0
+    return 1 if len(trajectories) < len(kinds) else 0
 
 
 def cmd_eval(args) -> int:

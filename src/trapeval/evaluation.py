@@ -20,7 +20,6 @@ threshold applies only to operating-point reporting, never to curves or AP.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
@@ -28,11 +27,11 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, GroundTruth, iou
+from .boxes import BoundingBox, Detection, GroundTruth, iou  # noqa: F401 (re-exported)
 from .dataset import AnnotationColumns, collector_paused
 from .errors import CategoryError, ConfigError, EvalError, FormatError
 
@@ -40,6 +39,7 @@ DEFAULT_IOU_THRESHOLD = 0.45
 DEFAULT_CONFIDENCE_THRESHOLD = 0.25
 MAP_RANGE_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = tuple(k / 100.0 for k in range(101))
+_GRID = np.array(RECALL_GRID)
 
 
 @dataclass(frozen=True)
@@ -92,50 +92,36 @@ def match_detections(
     config: MatchConfig | None = None,
     categories: Iterable[int] | None = None,
 ) -> MatchOutcome:
-    """Greedy one-image matching per the confusion-matrix flow.
+    """Greedy matching of records read as one image, whatever their ids:
+    the engine's operating-point pass (see ``evaluate_corpus``).
 
     Detections below the confidence threshold are discarded; the rest are
     processed in decreasing confidence (ties by input order), each consuming
     the still-unmatched ground truth with the highest IoU at or above the IoU
-    threshold. Same category => TP, otherwise FP.
+    threshold, the first on ties. Same category => TP, otherwise FP.
     """
     config = config or MatchConfig()
-    if categories is not None:
-        known = set(categories)
-        for d in detections:
-            if d.category_id not in known:
-                raise CategoryError(f"detection references unknown category {d.category_id}")
-        for g in ground_truths:
-            if g.category_id not in known:
-                raise CategoryError(f"ground truth references unknown category {g.category_id}")
+    *_, matched = _evaluate(detections, ground_truths, config, categories, (), one_image=True)
+    return _outcome(detections, ground_truths, matched.tolist(), config.confidence_threshold)
 
-    retained = [
-        (i, d) for i, d in enumerate(detections) if d.confidence >= config.confidence_threshold
-    ]
-    retained.sort(key=lambda item: -item[1].confidence)
 
-    available = set(range(len(ground_truths)))
-    flags: list[DetectionFlag] = []
-    for det_index, det in retained:
-        best_gt = None
-        best_iou = 0.0
-        for gi in sorted(available):
-            overlap = iou(det.box, ground_truths[gi].box)
-            if overlap >= config.iou_threshold and overlap > best_iou:
-                best_iou = overlap
-                best_gt = gi
-        if best_gt is None:
-            flags.append(DetectionFlag(det_index, False, None))
-        else:
-            available.discard(best_gt)
-            correct = ground_truths[best_gt].category_id == det.category_id
-            flags.append(DetectionFlag(det_index, correct, best_gt))
-    return MatchOutcome(
-        detections=tuple(detections),
-        ground_truths=tuple(ground_truths),
-        flags=tuple(flags),
-        unmatched_gt_indices=tuple(sorted(available)),
-    )
+def _outcome(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    matched: list[int],
+    confidence_threshold: float,
+) -> MatchOutcome:
+    """One image's outcome, from the index of the ground truth each
+    detection took, -1 for none."""
+    retained = [i for i, d in enumerate(detections) if d.confidence >= confidence_threshold]
+    retained.sort(key=lambda i: -detections[i].confidence)
+    flags = []
+    for i in retained:
+        j = matched[i]
+        correct = j >= 0 and ground_truths[j].category_id == detections[i].category_id
+        flags.append(DetectionFlag(i, correct, j if j >= 0 else None))
+    unmatched = tuple(sorted(set(range(len(ground_truths))).difference(matched)))
+    return MatchOutcome(tuple(detections), tuple(ground_truths), tuple(flags), unmatched)
 
 
 def precision(tp: int, fp: int) -> float:
@@ -165,51 +151,62 @@ class PrPoint:
     recall: float
 
 
-def _envelope(recalls: Sequence[float], precisions: Sequence[float]) -> Callable[[float], float]:
-    """p(r) over points already sorted by recall: the max precision over
-    points whose recall is >= r, 0 beyond the highest recall."""
-    suffix_max: list[float] = [0.0] * len(recalls)
-    running = 0.0
-    for i in range(len(recalls) - 1, -1, -1):
-        running = max(running, precisions[i])
-        suffix_max[i] = running
+def _running_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` adds floats
+    before Python 3.12, which compensates: the same AP on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
-    def interpolated(r: float) -> float:
-        i = bisect.bisect_left(recalls, r)
-        if i >= len(recalls):
-            return 0.0
-        return suffix_max[i]
 
-    return interpolated
+def _ap_areas(recalls: np.ndarray, precisions: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """The grid101 AP of each row of a curve's recall and precision
+    columns, and the trapezoid AP of its first row. Each row's points
+    ascend in recall within [0, 1]. The envelope p(r) is the max precision
+    over the points whose recall is >= r, 0 past the last point."""
+    envelope = np.zeros((recalls.shape[0], recalls.shape[1] + 1))
+    envelope[:, :-1] = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
+    aps = tuple(
+        _running_sum(env[np.searchsorted(r, _GRID)].tolist()) / len(RECALL_GRID)
+        for r, env in zip(recalls, envelope)
+    )
+    # sorted({0.0, 1.0, *recalls[0]}), as the recalls ascend within [0, 1]
+    # (and np.unique would import numpy.ma, 0.6 MiB).
+    knots = np.concatenate(([0.0], recalls[0], [1.0]))
+    knots = knots[np.append(True, knots[1:] != knots[:-1])]
+    at = envelope[0][np.searchsorted(recalls[0], knots)]
+    return aps, _running_sum(((knots[1:] - knots[:-1]) * (at[:-1] + at[1:]) / 2.0).tolist())
 
 
 def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
-    """Area-style summary of the interpolated PR envelope; 0.0 for an empty
-    curve.
+    """Area-style summary of the interpolated PR envelope of a curve whose
+    points come in any order; 0.0 for an empty curve. A point whose recall
+    or precision is NaN or outside [0, 1] raises EvalError naming it.
 
     ``grid101``: mean interpolated precision over recalls 0.00..1.00 step
     0.01 (primary). ``trapezoid``: trapezoidal area under the envelope over
     the achieved recall breakpoints (secondary).
     """
-    by_recall = sorted(curve, key=lambda p: p.recall)
-    recalls = [p.recall for p in by_recall]
-    interp = _envelope(recalls, [p.precision for p in by_recall])
-    if mode == "grid101":
-        return sum(interp(r) for r in RECALL_GRID) / len(RECALL_GRID)
-    if mode == "trapezoid":
-        knots = sorted({0.0, 1.0, *recalls})
-        area = 0.0
-        for lo, hi in zip(knots, knots[1:]):
-            area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
-        return area
-    raise ConfigError(f"unknown AP mode {mode!r}")
+    if mode not in ("grid101", "trapezoid"):
+        raise ConfigError(f"unknown AP mode {mode!r}")
+    for i, p in enumerate(curve):
+        if not (0.0 <= p.recall <= 1.0 and 0.0 <= p.precision <= 1.0):
+            raise EvalError(
+                f"curve point {i}: recall {p.recall!r} and precision {p.precision!r} must lie in [0, 1]"
+            )
+    recalls = np.array([p.recall for p in curve], dtype=np.float64)
+    order = np.argsort(recalls, kind="stable")
+    precisions = np.array([p.precision for p in curve], dtype=np.float64)[order]
+    aps, trapezoid = _ap_areas(recalls[order][None], precisions[None])
+    return aps[0] if mode == "grid101" else trapezoid
 
 
 def mean_average_precision(per_category_ap: Mapping[int, float]) -> float:
     """Unweighted mean over categories that have a defined AP."""
     if not per_category_ap:
         raise EvalError("mean average precision over an empty category map")
-    return sum(per_category_ap.values()) / len(per_category_ap)
+    return _running_sum(per_category_ap.values()) / len(per_category_ap)
 
 
 @dataclass(frozen=True)
@@ -289,15 +286,22 @@ def match_corpus(
     config: MatchConfig | None = None,
     categories: Iterable[int] | None = None,
 ) -> list[MatchOutcome]:
-    """Per-image matching over a corpus, in image id order."""
+    """``match_detections`` on each image, in image id order, from one
+    engine run over the corpus."""
     config = config or MatchConfig()
-    grouped: dict[str, tuple[list[Detection], list[GroundTruth]]] = defaultdict(lambda: ([], []))
-    for d in detections:
-        grouped[d.image_id][0].append(d)
-    for g in ground_truths:
-        grouped[g.image_id][1].append(g)
-    cats = tuple(categories) if categories is not None else None
-    return [match_detections(*grouped[i], config, cats) for i in sorted(grouped)]
+    *_, matched = _evaluate(detections, ground_truths, config, categories, ())
+    images = defaultdict(lambda: ([], []))
+    for i, d in enumerate(detections):
+        images[d.image_id][0].append(i)
+    for j, g in enumerate(ground_truths):
+        images[g.image_id][1].append(j)
+    outcomes = []
+    for dets, gts in map(images.get, sorted(images)):
+        local = {j: k for k, j in enumerate(gts)}  # corpus index -> index in the image
+        took = [local.get(j, -1) for j in matched[dets].tolist()]
+        dets, gts = [detections[i] for i in dets], [ground_truths[j] for j in gts]
+        outcomes.append(_outcome(dets, gts, took, config.confidence_threshold))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -322,7 +326,6 @@ class CorpusMetrics:
 # Same-image detection x ground-truth pairs per IoU block: a block's arrays
 # stay a few hundred KiB whatever the size of the corpus.
 _BLOCK_PAIRS = 4096
-_GRID = np.array(RECALL_GRID)
 
 
 def _double(value) -> float:
@@ -386,14 +389,14 @@ def _image_codes(det_ids: list[str], gt_ids: list[str]) -> tuple[np.ndarray, np.
     )
 
 
-def _walk(dets: BoxColumns, gts: BoxColumns):
-    """The images in sorted id order, gathered until a block holds
-    ``_BLOCK_PAIRS`` same-image pairs. Yields per block the rows of its
-    detections, in processing order (descending confidence, ties in input
-    order), and of its ground truths, in input order, image after image;
-    the index arrays into those of its pairs, listed by detection, ground
-    truths ascending; and each pair's IoU."""
-    det_code, gt_code, n_images = _image_codes(dets.image_id, gts.image_id)
+def _walk(dets: BoxColumns, gts: BoxColumns, codes: tuple[np.ndarray, np.ndarray, int]):
+    """The images in the order of their ``_image_codes``, gathered until a
+    block holds ``_BLOCK_PAIRS`` same-image pairs. Yields per block the rows
+    of its detections, in processing order (descending confidence, ties in
+    input order), and of its ground truths, in input order, image after
+    image; the index arrays into those of its pairs, listed by detection,
+    ground truths ascending; and each pair's IoU."""
+    det_code, gt_code, n_images = codes
     det_rows = np.lexsort((-dets.confidence, det_code))
     gt_rows = np.argsort(gt_code, kind="stable")
     a, b = dets.corners[det_rows], gts.corners[gt_rows]
@@ -442,9 +445,9 @@ def _block_iou(
 
 
 def _resolve(det_key: np.ndarray, gt_key: np.ndarray, overlap: np.ndarray) -> np.ndarray:
-    """The positions of the candidate pairs that ``match_detections``'
-    greedy rule takes: each detection takes the still-free ground truth of
-    highest IoU, the first on ties. The pairs come by detection key, in
+    """The positions of the candidate pairs that the greedy rule takes:
+    each detection takes the still-free ground truth of highest IoU, the
+    first on ties. The pairs come by detection key, in
     processing order, ground truths ascending, each at or above its IoU
     threshold. Each round resolves every detection that no earlier
     unresolved one contends with for any of its ground truths, then drops
@@ -487,29 +490,11 @@ def _sweep(
 ) -> _CategorySweep:
     """``average_precision`` of one category's curve at each of ``passes``
     thresholds, from its detections' TP bitmasks and confidences in
-    ``pr_curve``'s order. The grid values and trapezoid terms are summed
-    left to right in Python, as ``average_precision`` sums them."""
-    if not masks.size:
-        return _CategorySweep((0.0,) * passes, 0.0, confidence, masks, PrCurve(category_id, (), ()))
-    bits = np.arange(passes)[:, None]
-    cum_tp = np.cumsum(masks >> bits & 1, axis=1)
+    ``pr_curve``'s order."""
+    cum_tp = np.cumsum(masks >> np.arange(passes)[:, None] & 1, axis=1)
     recalls = cum_tp / n_gt
     precisions = cum_tp / np.arange(1, masks.size + 1)  # precision(cum_tp, rank - cum_tp)
-    # _envelope: the max precision at recall >= r, 0 past the last point.
-    envelope = np.zeros((bits.size, masks.size + 1))
-    envelope[:, :-1] = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
-    aps = tuple(
-        sum(env[np.searchsorted(r, _GRID)].tolist()) / len(RECALL_GRID)
-        for r, env in zip(recalls, envelope)
-    )
-    # sorted({0.0, 1.0, *recalls}), as recalls ascend within [0, 1] (and
-    # np.unique would import numpy.ma, 0.6 MiB).
-    knots = np.concatenate(([0.0], recalls[0], [1.0]))
-    knots = knots[np.append(True, knots[1:] != knots[:-1])]
-    at = envelope[0][np.searchsorted(recalls[0], knots)]
-    trapezoid = 0.0
-    for term in ((knots[1:] - knots[:-1]) * (at[:-1] + at[1:]) / 2.0).tolist():
-        trapezoid += term
+    aps, trapezoid = _ap_areas(recalls, precisions)
     curve = PrCurve(category_id, tuple(recalls[0].tolist()), tuple(precisions[0].tolist()))
     return _CategorySweep(aps, trapezoid, confidence, cum_tp[0], curve)
 
@@ -525,33 +510,34 @@ def _evaluate(
     config: MatchConfig,
     categories: Iterable[int] | None,
     thresholds: tuple[float, ...],
-) -> tuple[tuple[int, ...], list[list[int]], dict[int, _CategorySweep]]:
+    one_image: bool = False,
+) -> tuple[tuple[int, ...], list[list[int]], dict[int, _CategorySweep], np.ndarray]:
     """The one matching pass behind every count and AP: the categories, the
-    confusion grid at ``config``'s operating point and, for each category
-    with ground truths, ascending, its sweep over ``thresholds``, at most
-    _MASK_BITS of them in any order. See ``evaluate_corpus``."""
+    confusion grid at ``config``'s operating point, for each category with
+    ground truths, ascending, its sweep over ``thresholds`` (at most
+    _MASK_BITS, in any order; none skips the sweeps) and per detection the
+    ground truth the operating point gave it, -1 for none. ``one_image``
+    reads all records as one image. See ``evaluate_corpus``."""
     if not isinstance(detections, BoxColumns):
         detections = BoxColumns.from_records(detections, scored=True)
     gts = ground_truths
     if not isinstance(gts, BoxColumns):
         gts = BoxColumns.from_records(gts)
+    ids = detections.image_id, gts.image_id
+    codes = _image_codes(*([0] * len(i) for i in ids) if one_image else ids)
     det_cats, gt_cats = detections.category_id.tolist(), gts.category_id.tolist()
     known = set(categories) if categories is not None else set(gt_cats).union(det_cats)
     cats = tuple(sorted(known))
     if not (known.issuperset(det_cats) and known.issuperset(gt_cats)):
-        # match_corpus's order: images in sorted id order; in each, the
-        # detections ("detection" sorts first), then the ground truths, each
-        # in input order (min keeps the first of equal keys).
-        det_image, gt_image, _ = _image_codes(detections.image_id, gts.image_id)
-        listed = [(im, "detection", c) for im, c in zip(det_image.tolist(), det_cats)]
-        listed += [(im, "ground truth", c) for im, c in zip(gt_image.tolist(), gt_cats)]
+        # The walk's image order; in each image the detections ("detection"
+        # sorts first), then the ground truths, each in input order (min
+        # keeps the first of equal keys).
+        listed = [(im, "detection", c) for im, c in zip(codes[0].tolist(), det_cats)]
+        listed += [(im, "ground truth", c) for im, c in zip(codes[1].tolist(), gt_cats)]
         _, what, cat = min((r for r in listed if r[2] not in known), key=lambda r: r[:2])
         raise CategoryError(f"{what} references unknown category {cat}")
-    for what, columns in (("detection", detections), ("ground truth", gts)):
-        bad = np.flatnonzero(~np.isfinite(columns.corners).all(axis=1)).tolist()
-        if bad:
-            i, image_id = bad[0], columns.image_id[bad[0]]
-            raise EvalError(f"{what} {i} in image {image_id!r}: a corner is not a finite double")
+    _require_finite("detection", detections)
+    _require_finite("ground truth", gts)
     n = len(cats)
     cat_ids = np.array(cats)
     det_index = np.searchsorted(cat_ids, detections.category_id)
@@ -561,7 +547,8 @@ def _evaluate(
     confidences = [np.empty(0)]
     walk_cats = [np.empty(0, dtype=np.intp)]
     det_masks = [np.empty(0, dtype=np.int64)]
-    for det_rows, gt_rows, pair_det, pair_gt, overlap in _walk(detections, gts):
+    matched = np.full(len(detections.image_id), -1)
+    for det_rows, gt_rows, pair_det, pair_gt, overlap in _walk(detections, gts, codes):
         conf = detections.confidence[det_rows]
         dcat = det_index[det_rows]
         gcat = gt_index[gt_rows]
@@ -580,6 +567,7 @@ def _evaluate(
         det_key = passes * det_rows.size + pair_det[pairs]
         won = _resolve(det_key, passes * gt_rows.size + pair_gt[pairs], overlap[pairs])
         hits = pairs[won[passes[won] == 0]]
+        matched[det_rows[pair_det[hits]]] = gt_rows[pair_gt[hits]]
         true_row = np.full(det_rows.size, n)  # background unless matched
         true_row[pair_det[hits]] = gcat[pair_gt[hits]]
         free = np.ones(gt_rows.size, dtype=bool)
@@ -607,9 +595,19 @@ def _evaluate(
     sweeps = {}
     for c, cat in enumerate(cats):
         lo, hi, n_gt = bounds[c], bounds[c + 1], sum(counts[c])
-        if n_gt:
+        if n_gt and thresholds:
             sweeps[cat] = _sweep(cat, masks[lo:hi], confidence[lo:hi], n_gt, len(thresholds))
-    return cats, counts, sweeps
+    return cats, counts, sweeps, matched
+
+
+def _require_finite(what: str, columns: BoxColumns, numbers: Sequence[int] | None = None) -> None:
+    """EvalError for the first row of ``columns`` with a corner that is not
+    a finite double, named by its entry in ``numbers`` (its row by default)."""
+    bad = np.flatnonzero(~np.isfinite(columns.corners).all(axis=1)).tolist()
+    if bad:
+        i = bad[0]
+        number = i if numbers is None else numbers[i]
+        raise EvalError(f"{what} {number} in image {columns.image_id[i]!r}: a corner is not a finite double")
 
 
 def evaluate_corpus(
@@ -637,16 +635,16 @@ def evaluate_corpus(
     categories share a ground truth, so one pass over a block equals one
     per (image, category).
 
-    ``pr_curve``, ``per_category_ap`` and ``map_over_iou_range`` run on the
-    same engine. ``match_detections``, ``match_corpus`` and
-    ``confusion_matrix`` stay as the operating-point definition, and the
-    per-image AP definition is the test oracle in
-    ``tests/reference_evaluation.py``; the engine equals both, value for
-    value, on the boxes as doubles. Raises ``match_corpus``'s
-    CategoryError, then EvalError for the first detection, else ground
-    truth, with a corner that is not a finite double.
+    ``match_detections``, ``match_corpus``, ``pr_curve``,
+    ``per_category_ap`` and ``map_over_iou_range`` run on the same engine,
+    and ``average_precision`` on ``_sweep``'s ``_ap_areas``. The per-image
+    greedy loop and AP definition are the test oracle in
+    ``tests/reference_evaluation.py``; the engine equals it, value for
+    value, on the boxes as doubles. Raises the oracle's CategoryError, then
+    EvalError for the first detection, else ground truth, with a corner
+    that is not a finite double.
     """
-    cats, counts, sweeps = _evaluate(
+    cats, counts, sweeps, _ = _evaluate(
         detections, ground_truths, config or MatchConfig(), categories, MAP_RANGE_THRESHOLDS
     )
     retained_total = [sum(column) for column in zip(*counts)]
@@ -677,7 +675,7 @@ def evaluate_corpus(
             for i in range(len(MAP_RANGE_THRESHOLDS))
         ]
         map50 = per_threshold[0]
-        map50_95 = sum(per_threshold) / len(per_threshold)
+        map50_95 = _running_sum(per_threshold) / len(per_threshold)
     return CorpusMetrics(
         per_category=tuple(rows),
         map50=map50,
@@ -707,7 +705,7 @@ def pr_curve(
         raise EvalError(f"pr_curve expects one category, got {sorted(categories)}")
     if not ground_truths:
         raise EvalError("no ground truths for the category; AP undefined")
-    _, _, sweeps = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
+    _, _, sweeps, _ = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
     (sweep,) = sweeps.values()
     curve = sweep.curve
     columns = zip(sweep.confidence.tolist(), sweep.cum_tp.tolist(), curve.precision, curve.recall)
@@ -718,15 +716,18 @@ def _within(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     categories: Iterable[int] | None,
-) -> tuple[Sequence[Detection], Sequence[GroundTruth]]:
-    """The records of ``categories``; all of them when it is None."""
-    if categories is None:
-        return detections, ground_truths
-    known = set(categories)
-    return (
-        [d for d in detections if d.category_id in known],
-        [g for g in ground_truths if g.category_id in known],
-    )
+) -> tuple[BoxColumns, BoxColumns]:
+    """The columns of the records of ``categories``; of all of them when it
+    is None. A kept record with a corner that is not a finite double raises
+    the engine's EvalError, numbered among all the records given."""
+    known = None if categories is None else set(categories)
+    kept = []
+    for what, records in (("detection", detections), ("ground truth", ground_truths)):
+        rows = [i for i, r in enumerate(records) if known is None or r.category_id in known]
+        columns = BoxColumns.from_records([records[i] for i in rows], scored=what == "detection")
+        _require_finite(what, columns, rows)
+        kept.append(columns)
+    return kept[0], kept[1]
 
 
 def per_category_ap(
@@ -741,8 +742,8 @@ def per_category_ap(
     if mode not in ("grid101", "trapezoid"):
         raise ConfigError(f"unknown AP mode {mode!r}")
     config = config or MatchConfig()
-    detections, ground_truths = _within(detections, ground_truths, categories)
-    _, _, sweeps = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
+    dets, gts = _within(detections, ground_truths, categories)
+    _, _, sweeps, _ = _evaluate(dets, gts, config, None, (config.iou_threshold,))
     return {cat: s.aps[0] if mode == "grid101" else s.trapezoid for cat, s in sweeps.items()}
 
 
@@ -761,17 +762,17 @@ def map_over_iou_range(
         if not 0.0 < t < 1.0:
             raise ConfigError(f"IoU threshold {t} outside (0, 1)")
     config = config or MatchConfig()
-    detections, ground_truths = _within(detections, ground_truths, categories)
+    dets, gts = _within(detections, ground_truths, categories)
     thresholds = tuple(thresholds)
     values = []
     for start in range(0, len(thresholds), _MASK_BITS):
         run = thresholds[start : start + _MASK_BITS]
-        _, _, sweeps = _evaluate(detections, ground_truths, config, None, run)
+        _, _, sweeps, _ = _evaluate(dets, gts, config, None, run)
         values += [
             mean_average_precision({cat: s.aps[i] for cat, s in sweeps.items()})
             for i in range(len(run))
         ]
-    return sum(values) / len(values)
+    return _running_sum(values) / len(values)
 
 
 DETECTIONS_CSV_HEADER = ["image_id", "category_id", "confidence", "x1", "y1", "x2", "y2"]

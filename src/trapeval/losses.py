@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from struct import pack
 from typing import IO, Callable, NamedTuple
 
 from .boxes import BoundingBox, center_distance_sq, iou  # noqa: F401 (re-exported)
@@ -570,16 +571,14 @@ def simulate_regression(
     box never inverts mid-descent. Raises DivergedError (naming the
     iteration) if any value goes non-finite.
 
-    The descent stops stepping at a fixed point: when the step just
-    evaluated has all four gradient components == 0.0, its evaluation
-    handed back the state it was given (every kind but WIoUv3) and no
-    corner is -0.0, the next step would leave the box as it is, so every
-    later row is that row with only ``iteration`` changed. A -0.0 corner is
-    excluded because a zero step can still change it: ``-0.0 - step * -0.0``
-    is 0.0. Plain IoU and Focal-EIoU have zero gradient on every box
-    disjoint from the target, so losslab's default descents of those two
-    kinds evaluate their loss once, not 501 times; with the one-call CSV
-    writer, losslab's wall_s fell from 0.0625 to 0.0501 s in BENCH_28.json.
+    The descent stops stepping at a fixed point: when the stepped, ordered
+    corners equal the current ones bit for bit (the sign of zero included)
+    and the evaluation handed back the state it was given (every kind but
+    WIoUv3), every later row is that row with only ``iteration`` changed.
+    Plain IoU and Focal-EIoU have zero gradient on every box disjoint from
+    the target, so losslab's default descents of those two kinds evaluate
+    their loss once, not 501 times; with the one-call CSV writer, losslab's
+    wall_s fell from 0.0625 to 0.0501 s in BENCH_28.json.
     """
     check_descent(step, iters)
     params = params or LossParams()
@@ -629,16 +628,7 @@ def simulate_regression(
         rows.append(row)
         if it == iters:
             break
-        if (
-            not (g0 or g1 or g2 or g3)
-            and next_state is state
-            and not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (x1, y1, x2, y2))
-        ):
-            # A fixed point: the step leaves every corner as it is, so every
-            # later evaluation, and row, repeats this one.
-            rows += [TrajectoryRow(i, *row[1:]) for i in range(it + 1, iters + 1)]
-            break
-        state = next_state
+        corners = (x1, y1, x2, y2)
         # Step, then order each pair as sorted() does.
         x1, x2 = x1 - step * g0, x2 - step * g2
         y1, y2 = y1 - step * g1, y2 - step * g3
@@ -646,4 +636,11 @@ def simulate_regression(
             x1, x2 = x2, x1
         if y2 < y1:
             y1, y2 = y2, y1
+        stepped = (x1, y1, x2, y2)
+        # == takes -0.0 for 0.0; the packed bits do not.
+        if next_state is state and stepped == corners and pack("4d", *stepped) == pack("4d", *corners):
+            # A fixed point: every later evaluation, and row, repeats this one.
+            rows += [TrajectoryRow(i, *row[1:]) for i in range(it + 1, iters + 1)]
+            break
+        state = next_state
     return Trajectory(kind, tuple(rows))

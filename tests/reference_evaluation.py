@@ -12,20 +12,25 @@ kept verbatim as definition-level oracles:
 - ``_greedy``, one Python step per candidate pair, which ``evaluate_corpus``
   ran once per block and pass before each block's eleven passes were
   resolved together as arrays (``evaluation._resolve``);
+- the per-image greedy matching: ``match_detections``, one Python loop
+  over an image's detections and its free ground truths, and
+  ``match_corpus``, which runs it on each image;
 - the per-image AP definition: ``pr_curve`` matches each image with
   ``match_detections`` and sorts the flags, ``per_category_ap`` runs it per
   category and ``map_over_iou_range`` per threshold, and
-  ``interpolate_precision`` is the envelope ``average_precision`` reads.
-  The package's ``pr_curve``, ``per_category_ap``, ``map_over_iou_range``
-  and ``evaluate_corpus`` run on one blockwise engine instead;
-  ``test_evaluation.py`` checks them against these, value for value.
+  ``average_precision`` reads the envelope ``_envelope`` builds, as
+  ``interpolate_precision`` does.
 
-Types, the header, the operating-point matching (``match_detections``)
-and ``average_precision`` come from the package.
+The package runs all of these on one blockwise engine instead
+(``evaluation._evaluate``), and its ``average_precision`` on the engine's
+areas; ``test_evaluation.py`` checks them against these, value for value.
+The float sums are left-to-right additions, as the package's are. Types,
+the header and ``mean_average_precision`` come from the package.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from collections import defaultdict
@@ -34,16 +39,16 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from trapeval.boxes import BoundingBox, Detection, GroundTruth
-from trapeval.errors import ConfigError, EvalError, FormatError
+from trapeval.boxes import BoundingBox, Detection, GroundTruth, iou
+from trapeval.errors import CategoryError, ConfigError, EvalError, FormatError
 from trapeval.evaluation import (
     DETECTIONS_CSV_HEADER,
     MAP_RANGE_THRESHOLDS,
+    RECALL_GRID,
+    DetectionFlag,
     MatchConfig,
+    MatchOutcome,
     PrPoint,
-    _envelope,
-    average_precision,
-    match_detections,
     mean_average_precision,
     precision,
 )
@@ -90,6 +95,75 @@ def read_detections_csv(stream: IO[str]) -> list[Detection]:
             )
         )
     return detections
+
+
+def match_detections(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+) -> MatchOutcome:
+    """Greedy one-image matching per the confusion-matrix flow.
+
+    Detections below the confidence threshold are discarded; the rest are
+    processed in decreasing confidence (ties by input order), each consuming
+    the still-unmatched ground truth with the highest IoU at or above the IoU
+    threshold. Same category => TP, otherwise FP.
+    """
+    config = config or MatchConfig()
+    if categories is not None:
+        known = set(categories)
+        for d in detections:
+            if d.category_id not in known:
+                raise CategoryError(f"detection references unknown category {d.category_id}")
+        for g in ground_truths:
+            if g.category_id not in known:
+                raise CategoryError(f"ground truth references unknown category {g.category_id}")
+
+    retained = [
+        (i, d) for i, d in enumerate(detections) if d.confidence >= config.confidence_threshold
+    ]
+    retained.sort(key=lambda item: -item[1].confidence)
+
+    available = set(range(len(ground_truths)))
+    flags: list[DetectionFlag] = []
+    for det_index, det in retained:
+        best_gt = None
+        best_iou = 0.0
+        for gi in sorted(available):
+            overlap = iou(det.box, ground_truths[gi].box)
+            if overlap >= config.iou_threshold and overlap > best_iou:
+                best_iou = overlap
+                best_gt = gi
+        if best_gt is None:
+            flags.append(DetectionFlag(det_index, False, None))
+        else:
+            available.discard(best_gt)
+            correct = ground_truths[best_gt].category_id == det.category_id
+            flags.append(DetectionFlag(det_index, correct, best_gt))
+    return MatchOutcome(
+        detections=tuple(detections),
+        ground_truths=tuple(ground_truths),
+        flags=tuple(flags),
+        unmatched_gt_indices=tuple(sorted(available)),
+    )
+
+
+def match_corpus(
+    detections: Sequence[Detection],
+    ground_truths: Sequence[GroundTruth],
+    config: MatchConfig | None = None,
+    categories: Iterable[int] | None = None,
+) -> list[MatchOutcome]:
+    """Per-image matching over a corpus, in image id order."""
+    config = config or MatchConfig()
+    grouped: dict[str, tuple[list[Detection], list[GroundTruth]]] = defaultdict(lambda: ([], []))
+    for d in detections:
+        grouped[d.image_id][0].append(d)
+    for g in ground_truths:
+        grouped[g.image_id][1].append(g)
+    cats = tuple(categories) if categories is not None else None
+    return [match_detections(*grouped[i], config, cats) for i in sorted(grouped)]
 
 
 def _greedy(
@@ -186,6 +260,49 @@ def pr_curve(
     return points
 
 
+def _envelope(recalls: Sequence[float], precisions: Sequence[float]) -> Callable[[float], float]:
+    """p(r) over points already sorted by recall: the max precision over
+    points whose recall is >= r, 0 beyond the highest recall."""
+    suffix_max: list[float] = [0.0] * len(recalls)
+    running = 0.0
+    for i in range(len(recalls) - 1, -1, -1):
+        running = max(running, precisions[i])
+        suffix_max[i] = running
+
+    def interpolated(r: float) -> float:
+        i = bisect.bisect_left(recalls, r)
+        if i >= len(recalls):
+            return 0.0
+        return suffix_max[i]
+
+    return interpolated
+
+
+def average_precision(curve: Sequence[PrPoint], mode: str = "grid101") -> float:
+    """Area-style summary of the interpolated PR envelope; 0.0 for an empty
+    curve.
+
+    ``grid101``: mean interpolated precision over recalls 0.00..1.00 step
+    0.01 (primary). ``trapezoid``: trapezoidal area under the envelope over
+    the achieved recall breakpoints (secondary).
+    """
+    by_recall = sorted(curve, key=lambda p: p.recall)
+    recalls = [p.recall for p in by_recall]
+    interp = _envelope(recalls, [p.precision for p in by_recall])
+    if mode == "grid101":
+        total = 0.0
+        for r in RECALL_GRID:
+            total += interp(r)
+        return total / len(RECALL_GRID)
+    if mode == "trapezoid":
+        knots = sorted({0.0, 1.0, *recalls})
+        area = 0.0
+        for lo, hi in zip(knots, knots[1:]):
+            area += (hi - lo) * (interp(lo) + interp(hi)) / 2.0
+        return area
+    raise ConfigError(f"unknown AP mode {mode!r}")
+
+
 def interpolate_precision(curve: Sequence[PrPoint]) -> Callable[[float], float]:
     """p(r) = max precision over curve points whose recall is >= r.
 
@@ -235,10 +352,10 @@ def map_over_iou_range(
         if not 0.0 < t < 1.0:
             raise ConfigError(f"IoU threshold {t} outside (0, 1)")
     config = config or MatchConfig()
-    values = []
+    total = 0.0
     for t in thresholds:
         aps = per_category_ap(
             detections, ground_truths, replace(config, iou_threshold=t), categories
         )
-        values.append(mean_average_precision(aps))
-    return sum(values) / len(values)
+        total += mean_average_precision(aps)
+    return total / len(thresholds)

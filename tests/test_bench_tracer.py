@@ -1,8 +1,9 @@
 """The benchmark's tracer (``bench/tracing.py``) wraps trapeval's names by
 attribute. Installing it here makes a deleted or renamed name it patches
 fail tier-1, not only a traced benchmark run. A traced ``gradcam`` checks
-that its per-layer spans still see the modules a run reads, and a traced
-``split`` that the split protocol's spans still see its stages."""
+that its per-layer spans still see the modules a run reads, a traced
+``split`` that the split protocol's spans still see its stages, and a
+traced ``eval`` that wrapping the evaluation names changes no output."""
 
 import importlib.util
 import json
@@ -16,6 +17,7 @@ from trapeval.ppm import write_ppm
 from trapeval.tensor import Tensor3
 
 from conftest import awkward_split_payload
+from test_cli import write_eval_corpus
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -81,6 +83,27 @@ def test_traced_split_changes_no_output_and_times_the_split_protocol(tmp_path, c
         assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes()
     for stage in ("split_cis_trans", "verify_split", "split_report"):
         assert values[f"dataset.{stage}_s"] > 0, stage
+
+
+def test_traced_eval_changes_no_output_and_times_its_stages(tmp_path, capsys):
+    det, ann = write_eval_corpus(tmp_path, images=120, seed=5)
+    assert main(["eval", det, ann, "--out-dir", str(tmp_path / "plain")]) == 0
+    untraced = capsys.readouterr()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.begin(0)
+        tracer.install()
+        code = main(["eval", det, ann, "--out-dir", str(tmp_path / "traced")])
+        values = tracer.end()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr() == untraced
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "traced").iterdir())
+    for path in plain:
+        assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes()
+    for name in ("evaluation.evaluate_corpus_s", "evaluation.write_csv_s", "svg.write_s"):
+        assert values[name] > 0, name
 
 
 def test_traced_losslab_changes_no_output_and_counts_the_loss_evaluations(tmp_path, capsys):

@@ -191,8 +191,8 @@ def test_losslab_takes_boxes_that_start_with_a_minus_in_the_equals_form(tmp_path
 def test_losslab_on_a_point_box_exits_1_naming_both_boxes(tmp_path, capsys):
     code, stdout, err = run(capsys, "losslab", "--start", "1,1,1,1", "--gt", "1,1,1,1",
                             "--out-dir", str(tmp_path / "lab"))
-    assert code == 1
-    assert stdout.splitlines() == ["iou,1,0,0", "giou,1,0,0"]  # the kinds before diou ran
+    # iou and giou ran before diou raised, yet nothing is printed or written.
+    assert (code, stdout) == (1, "") and not (tmp_path / "lab").exists()
     point = "BoundingBox(x1=1.0, y1=1.0, x2=1.0, y2=1.0)"
     assert err == f"error: enclosing hull of {point} and {point} has zero diagonal\n"
 
@@ -200,8 +200,8 @@ def test_losslab_on_a_point_box_exits_1_naming_both_boxes(tmp_path, capsys):
 def test_losslab_ciou_on_a_zero_height_box_exits_1_naming_both_boxes(tmp_path, capsys):
     code, stdout, err = run(capsys, "losslab", "--kinds", "all", "--start", "0,0,1,0",
                             "--gt", "2,2,3,3", "--out-dir", str(tmp_path / "lab"))
-    assert code == 1
-    assert [line.split(",")[0] for line in stdout.splitlines()] == ["iou", "giou", "diou"]
+    # iou, giou and diou ran before ciou raised, yet nothing is printed or written.
+    assert (code, stdout) == (1, "") and not (tmp_path / "lab").exists()
     start, gt = "BoundingBox(x1=0.0, y1=0.0, x2=1.0, y2=0.0)", "BoundingBox(x1=2.0, y1=2.0, x2=3.0, y2=3.0)"
     assert err == f"error: aspect ratio undefined: {start} or {gt} has zero height\n"
 
@@ -215,11 +215,31 @@ def test_losslab_ciou_on_a_zero_height_box_exits_1_naming_both_boxes(tmp_path, c
 )
 def test_losslab_names_a_default_box_with_float_corners_as_a_given_one(tmp_path, capsys, given, start, gt):
     code, stdout, err = run(capsys, "losslab", "--kinds", "all", *given, "--out-dir", str(tmp_path / "lab"))
-    assert code == 1
-    assert [line.split(",")[0] for line in stdout.splitlines()] == ["iou", "giou", "diou"]
+    assert (code, stdout) == (1, "") and not (tmp_path / "lab").exists()
     assert err == (
         f"error: aspect ratio undefined: BoundingBox(x1={start}) or BoundingBox(x1={gt}) has zero height\n"
     )
+
+
+def test_losslab_leaves_a_diverged_kind_out_and_writes_the_others(tmp_path, capsys, monkeypatch):
+    from trapeval.errors import DivergedError
+    from trapeval.losses import LossKind
+
+    simulate = trapeval.cli.simulate_regression
+
+    def diverging(kind, *args, **kwargs):
+        if kind is LossKind.GIOU:
+            raise DivergedError(3)
+        return simulate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(trapeval.cli, "simulate_regression", diverging)
+    out = tmp_path / "lab"
+    code, stdout, err = run(capsys, "losslab", "--kinds", "iou,giou,diou", "--iters", "5", "--out-dir", str(out))
+    assert (code, err) == (1, "giou: diverged at iteration 3\n")
+    assert [line.split(",")[0] for line in stdout.splitlines()] == ["iou", "diou"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "focusing_curve.csv", "focusing_curve.svg", "loss_curves.svg", "trajectory_diou.csv", "trajectory_iou.csv",
+    ]
 
 
 # sha256 of every output and of stdout of three losslab runs, as the former
@@ -494,8 +514,9 @@ def test_eval_bad_input_exits_nonzero(tmp_path, capsys, identity_corpus):
     ],
 )
 def test_eval_unknown_detection_category_exits_1_as_match_corpus_raises(tmp_path, capsys, rows, message):
+    import reference_evaluation as ref
     from trapeval.errors import CategoryError
-    from trapeval.evaluation import MatchConfig, match_corpus, read_detections_csv
+    from trapeval.evaluation import MatchConfig, read_detections_csv
 
     payload = make_annotation_payload(num_images=3)
     for image, entry in zip(("img2", "img10", "img0"), payload["images"]):
@@ -511,7 +532,7 @@ def test_eval_unknown_detection_category_exits_1_as_match_corpus_raises(tmp_path
         detections = read_detections_csv(stream)
     ground_truths = [g for record in data.records for g in record.annotations]
     with pytest.raises(CategoryError) as info:
-        match_corpus(detections, ground_truths, MatchConfig(), sorted(data.categories))
+        ref.match_corpus(detections, ground_truths, MatchConfig(), sorted(data.categories))
     assert str(info.value) == message
     code, stdout, err = run(capsys, "eval", str(det), str(ann), "--out-dir", str(tmp_path / "out"))
     assert (code, stdout, err) == (1, "", f"error: {message}\n")

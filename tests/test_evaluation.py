@@ -1,3 +1,4 @@
+import builtins
 import csv
 import gc
 import io
@@ -572,8 +573,9 @@ def test_evaluate_corpus_edge_cases_equal_definition():
     assert metrics.pr_curves == () and metrics.map50_95 == 0.0
 
 
-# The operating-point definition, which the engine reaches none of.
-DEFINITION = ("match_detections", "match_corpus", "iou", "confusion_matrix")
+# The package's per-image names, which the engine reaches none of; the
+# oracle runs its own copies of the matching and the area.
+DEFINITION = ("match_detections", "match_corpus", "iou", "confusion_matrix", "average_precision")
 
 
 def _unreachable(*args, **kwargs):
@@ -618,10 +620,10 @@ def test_the_ap_functions_reach_no_definition_function(monkeypatch):
     corpora = [_edge_case_corpus(rng) for _ in range(30)]
     expected = [_ap_calls(*corpus) for corpus in corpora]
     assert any(isinstance(value[0], dict) and value[0] for value in expected)
+    oracle = ref.per_category_ap(*corpora[0])
     for name in DEFINITION:
         monkeypatch.setattr(evaluation, name, _unreachable)
-    with pytest.raises(AssertionError, match="definition function"):
-        ref.pr_curve([det(B(0, 0, 1, 1))], [gt(B(0, 0, 1, 1))])  # the oracle does reach it
+    assert ref.per_category_ap(*corpora[0]) == oracle  # the oracle reaches none of them either
     assert [_ap_calls(*corpus) for corpus in corpora] == expected
 
 
@@ -768,7 +770,10 @@ def _assert_operating_point_matches_definition(detections, ground_truths, catego
         if categories is not None
         else {g.category_id for g in ground_truths} | {d.category_id for d in detections}
     )
-    outcomes = match_corpus(detections, ground_truths, config, cats)
+    outcomes = ref.match_corpus(detections, ground_truths, config, cats)
+    assert match_corpus(detections, ground_truths, config, cats) == outcomes
+    expected = ref.match_detections(detections, ground_truths, config, cats)
+    assert match_detections(detections, ground_truths, config, cats) == expected
     assert metrics.confusion == confusion_matrix(outcomes, cats)
     tp, fp = Counter(), Counter()
     for outcome in outcomes:
@@ -786,7 +791,8 @@ def _walk_table(detections, ground_truths):
     dets = evaluation.BoxColumns.from_records(detections, scored=True)
     gts = evaluation.BoxColumns.from_records(ground_truths)
     table = []
-    for det_rows, gt_rows, pair_det, pair_gt, overlap in evaluation._walk(dets, gts):
+    codes = evaluation._image_codes(dets.image_id, gts.image_id)
+    for det_rows, gt_rows, pair_det, pair_gt, overlap in evaluation._walk(dets, gts, codes):
         rows_d, rows_g = det_rows.tolist(), gt_rows.tolist()
         table += [
             (rows_d[i], rows_g[j], value.hex())
@@ -899,15 +905,137 @@ def test_evaluate_corpus_raises_the_definitions_category_error():
     raised = set()
     for detections, ground_truths in cases:
         try:
-            match_corpus(detections, ground_truths, MatchConfig(), range(3))
+            ref.match_corpus(detections, ground_truths, MatchConfig(), range(3))
         except CategoryError as exc:
-            with pytest.raises(CategoryError) as info:
-                evaluate_corpus(detections, ground_truths, MatchConfig(), range(3))
-            assert str(info.value) == str(exc)
+            for function in (evaluate_corpus, match_corpus):
+                with pytest.raises(CategoryError) as info:
+                    function(detections, ground_truths, MatchConfig(), range(3))
+                assert str(info.value) == str(exc)
             raised.add(str(exc).split(" references")[0])
         else:
             evaluate_corpus(detections, ground_truths, MatchConfig(), range(3))
     assert raised == {"detection", "ground truth"}
+
+
+# --- the package's matching and area against the per-image oracle ----------------------
+
+def test_match_corpus_and_match_detections_equal_the_per_image_loop():
+    rng = random.Random(1729)
+    configs = (MatchConfig(0.45, 0.25), MatchConfig(0.5, 0.0), MatchConfig(0.75, 0.5))
+    seen = Counter()
+    for i in range(400):
+        detections, ground_truths = _edge_case_corpus(rng)
+        config = configs[i % len(configs)]
+        for categories in (None, range(3)):  # categories 3 and 4 fall outside range(3)
+            call = (detections, ground_truths, config, categories)
+            expected = _result(ref.match_corpus, *call)
+            assert _result(match_corpus, *call) == expected
+            # match_detections reads every record as one image, whatever its id.
+            assert _result(match_detections, *call) == _result(ref.match_detections, *call)
+            if isinstance(expected, list):
+                seen["images"] += len(expected) > 1
+                flags = [f for outcome in expected for f in outcome.flags]
+                seen["tp"] += any(f.is_tp for f in flags)
+                seen["cross"] += any(not f.is_tp and f.matched_gt_index is not None for f in flags)
+            else:
+                seen["error"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_matching_names_a_corner_that_is_not_a_finite_double():
+    # The per-image loop read a NaN corner as an IoU below every threshold
+    # and returned a false positive; the engine raises.
+    detections = [det(B(0, 0, 1, 1)), det(B(0, 0, 1, 1), image="im1"), det(B(math.nan, 0, 1, 1), image="im1")]
+    ground_truths = [gt(B(0, 0, 1, 1)), gt(B(0, 0, 1, 1), image="im1")]
+    assert [o.fp_count for o in ref.match_corpus(detections, ground_truths)] == [0, 1]
+    message = r"^detection 2 in image 'im1': a corner is not a finite double$"
+    for function in (match_corpus, match_detections):
+        with pytest.raises(EvalError, match=message):
+            function(detections, ground_truths)
+    ground_truths[1] = gt(B(0, 0, math.inf, 1), image="im1")
+    with pytest.raises(EvalError, match=r"^ground truth 1 in image 'im1': a corner is not a finite double$"):
+        match_detections(detections[:2], ground_truths)
+
+
+def _random_curve(rng):
+    """Up to 12 points in any order: recalls and precisions on a coarse
+    grid (so recalls tie), -0.0 among them, or drawn from [0, 1]."""
+    grid = (0.0, -0.0, 0.25, 0.5, 0.5, 1 / 3, 2 / 3, 1.0)
+    points = []
+    for _ in range(rng.randint(0, 12)):
+        r = rng.choice(grid) if rng.random() < 0.6 else rng.random()
+        p = rng.choice(grid) if rng.random() < 0.4 else rng.random()
+        points.append(PrPoint(rng.random(), 0, 0, p, r))
+    return points
+
+
+def test_average_precision_equals_the_envelope_definition_bit_for_bit():
+    rng = random.Random(3000)
+    for _ in range(3000):
+        curve = _random_curve(rng)
+        for mode in ("grid101", "trapezoid"):
+            assert average_precision(curve, mode).hex() == ref.average_precision(curve, mode).hex()
+
+
+@pytest.mark.parametrize(
+    "recall_value,precision_value",
+    [(math.nan, 0.5), (0.5, math.nan), (1.5, 0.5), (-0.25, 0.5), (math.inf, 0.5), (0.5, 1.0000000000000002), (0.5, -1.0)],
+)
+def test_average_precision_names_a_point_outside_the_unit_square(recall_value, precision_value):
+    # The envelope returned a number for such a curve.
+    curve = [point(0.2, 1.0), point(recall_value, precision_value), point(math.nan, math.nan)]
+    for mode in ("grid101", "trapezoid"):
+        with pytest.raises(EvalError) as info:
+            average_precision(curve, mode)
+        assert str(info.value) == (
+            f"curve point 1: recall {recall_value!r} and precision {precision_value!r} must lie in [0, 1]"
+        )
+
+
+def _compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 and later add floats, here rounded once
+    (``math.fsum``); any other values as the builtin adds them."""
+    values = list(values)
+    if any(isinstance(v, float) for v in values):
+        return math.fsum(values) + start
+    return builtins.sum(values, start)
+
+
+def test_ap_and_map_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    rng = random.Random(1312)
+    corpora = [synthetic_instance(rng, max_detections=40, images=4) for _ in range(40)]
+
+    def results():
+        return [
+            (
+                evaluate_corpus(dets, gts),
+                per_category_ap(dets, gts),
+                per_category_ap(dets, gts, mode="trapezoid"),
+                map_over_iou_range(dets, gts),
+            )
+            for dets, gts in corpora
+            if gts
+        ]
+
+    expected = results()
+    monkeypatch.setattr(evaluation, "sum", _compensated_sum, raising=False)
+    assert results() == expected
+
+
+def test_per_category_ap_numbers_a_corner_among_all_the_records_given():
+    detections = [Detection(B(0, 0, 1, 1), 5, 0.9, "a"), Detection(B(math.nan, 0, 1, 1), 1, 0.9, "b")]
+    ground_truths = [GroundTruth(B(0, 0, 1, 1), 1, "b")]
+    with pytest.raises(EvalError, match=r"^detection 1 in image 'b': a corner is not a finite double$"):
+        per_category_ap(detections, ground_truths, categories=[1])
+    assert per_category_ap(detections, ground_truths, categories=[5]) == {}  # a record left out is not read
+
+
+def test_map_over_iou_range_numbers_a_corner_among_all_the_records_given():
+    detections = [Detection(B(0, 0, 1, 1), 1, 0.9, "b")]
+    ground_truths = [GroundTruth(B(0, 0, 1, 1), 7, "a"), GroundTruth(B(0, 0, math.inf, 1), 1, "b")]
+    with pytest.raises(EvalError, match=r"^ground truth 1 in image 'b': a corner is not a finite double$"):
+        map_over_iou_range(detections, ground_truths, categories=[1])
+    assert map_over_iou_range(detections, ground_truths[:1], categories=[1, 7]) == 0.0
 
 
 # --- CSV interfaces --------------------------------------------------------------------

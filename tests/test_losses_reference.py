@@ -154,8 +154,10 @@ def test_descent_and_csv_equal_their_definition_on_seeded_runs():
 def test_a_descent_at_a_fixed_point_evaluates_its_loss_once(monkeypatch):
     """losslab's default IoU and Focal-EIoU descents start disjoint from the
     target, where both have zero gradient: one evaluation, then that row for
-    every later iteration. WIoUv3 on its target has zero gradient too, but
-    each evaluation advances its state, so it evaluates every step."""
+    every later iteration. Focal-EIoU's +0.0 gradient keeps a -0.0 corner
+    -0.0, a fixed point too; IoU's -0.0 gradient steps it to 0.0, so one
+    evaluation more. WIoUv3 on its target has zero gradient too, but each
+    evaluation advances its state, so it evaluates every step."""
     calls = []
 
     def counted(kind, *args):
@@ -164,9 +166,12 @@ def test_a_descent_at_a_fixed_point_evaluates_its_loss_once(monkeypatch):
 
     monkeypatch.setattr(losses, "evaluate_loss", counted)
     disjoint = (BoundingBox(0.0, 0.0, 1.0, 1.0), BoundingBox(2.0, 2.0, 3.0, 3.0))
+    minus_zero = (BoundingBox(-0.0, -0.0, 1.0, 1.0), disjoint[1])
     for kind, (start, gt), evaluations in (
         (LossKind.IOU, disjoint, 1),
         (LossKind.FOCAL_EIOU, disjoint, 1),
+        (LossKind.FOCAL_EIOU, minus_zero, 1),
+        (LossKind.IOU, minus_zero, 2),
         (LossKind.WIOU_V3, (disjoint[1], disjoint[1]), 501),
     ):
         calls.clear()
