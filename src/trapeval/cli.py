@@ -59,9 +59,13 @@ def _parse_box(text: str) -> BoundingBox:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"box must be x1,y1,x2,y2 (got {text!r})")
     try:
-        return BoundingBox(*(float(p) for p in parts)).normalized()
+        box = BoundingBox(*(float(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    for name, value in zip(box._fields, box):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"corner {name} {value} must be finite")
+    return box.normalized()
 
 
 def _parse_kinds(text: str) -> list[LossKind]:

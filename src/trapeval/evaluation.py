@@ -233,10 +233,6 @@ class ConfusionMatrix:
     categories: tuple[int, ...]
     grid: tuple[tuple[int, ...], ...]
 
-    @property
-    def background_index(self) -> int:
-        return len(self.categories)
-
     def cell(self, true_category: int | None, predicted_category: int | None) -> int:
         labels = (*self.categories, None)  # None is the background
         for category in (true_category, predicted_category):

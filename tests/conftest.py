@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+import sys
 import warnings
 
 import pytest
@@ -227,6 +228,25 @@ def awkward_split_payload(seed: int, num_images: int = 60, num_locations: int = 
         "annotations": annotations,
         "images": images,
     }
+
+
+def forget_lazy_cli_names() -> None:
+    """Drop from ``trapeval.cli`` the lazy names (``cli._LAZY``) that a
+    setattr wrote into its namespace: the benchmark tracer's uninstall and a
+    monkeypatch undo both restore a name that way. The module's
+    ``__getattr__`` then reads each from its home module again, so a patch
+    there reaches the command."""
+    cli = sys.modules.get("trapeval.cli")
+    if cli is not None:
+        for name in cli._LAZY:
+            vars(cli).pop(name, None)
+
+
+@pytest.fixture(autouse=True)
+def _lazy_cli_names():
+    """No test sees the lazy names an earlier test left in ``trapeval.cli``."""
+    yield
+    forget_lazy_cli_names()
 
 
 @pytest.fixture

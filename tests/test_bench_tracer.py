@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
+import trapeval.cli
+from trapeval import losses
 from trapeval.cli import main
 from trapeval.graph import build_graph, write_graph_text
 from trapeval.ppm import write_ppm
 from trapeval.tensor import Tensor3
 
-from conftest import awkward_split_payload
+from conftest import awkward_split_payload, forget_lazy_cli_names
 from test_cli import write_eval_corpus
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -132,3 +134,26 @@ def test_traced_losslab_changes_no_output_and_counts_the_loss_evaluations(tmp_pa
         assert values[f"losses.{kind}.simulate_s"] > 0, kind
     assert values["losses.evaluate_loss_calls"] == 3008
     assert values["boxes.losses_calls"] == 501
+
+
+def test_a_patch_of_a_home_module_reaches_the_cli_once_the_lazy_names_are_forgotten(tmp_path, monkeypatch):
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.begin(0)
+        tracer.install()
+        assert main(["losslab", "--kinds", "iou", "--out-dir", str(tmp_path / "traced")]) == 0
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    forget_lazy_cli_names()
+    assert not vars(trapeval.cli).keys() & trapeval.cli._LAZY.keys()
+    calls = []
+    simulate = losses.simulate_regression
+
+    def spy(kind, *args, **kwargs):
+        calls.append(kind)
+        return simulate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "simulate_regression", spy)
+    assert main(["losslab", "--kinds", "iou,diou", "--out-dir", str(tmp_path / "patched")]) == 0
+    assert calls == [losses.LossKind.IOU, losses.LossKind.DIOU]

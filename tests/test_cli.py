@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -73,6 +74,17 @@ def test_shapes_check_passes_for_both_variants(capsys):
     code, out, err = run(capsys, "shapes", "improved", "--size", "640", "--check")
     assert code == 0
     assert "l9       gam          20x20x512" in out
+
+
+def test_shapes_check_prints_each_mismatch_with_the_reference_table(capsys, monkeypatch):
+    from trapeval import graph
+
+    _, table, _ = run(capsys, "shapes", "baseline", "--check")
+    reference = dict(graph.REFERENCE_BACKBONE_640)
+    monkeypatch.setattr(graph, "REFERENCE_BACKBONE_640", tuple({**reference, "l2": (64, 80, 80)}.items()))
+    code, stdout, err = run(capsys, "shapes", "baseline", "--check")
+    assert (code, stdout) == (1, table)
+    assert err == "shape mismatch: l2: expected (64, 80, 80), got (64, 160, 160)\n"
 
 
 def test_shapes_rejects_unaligned_size(capsys):
@@ -820,6 +832,25 @@ def test_split_requires_val_with_explicit_test(tmp_path, capsys, split_corpus):
     assert code != 0 and "--trans-val" in err
 
 
+def test_split_that_breaks_an_invariant_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, split_corpus):
+    split = ds.split_cis_trans
+
+    def leaky(rows, config):  # the split, with a trans test image also in train
+        result = split(rows, config)
+        return dataclasses.replace(result, train=result.train + result.trans_test[:1])
+
+    monkeypatch.setattr(ds, "split_cis_trans", leaky)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "split", split_corpus, "--seed", "1", "--out-dir", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.splitlines()[1:] == [
+        "invariant violation: cis and trans location sets overlap: [2]",
+        "invariant violation: train image img0002 not on an even day",  # taken on 2023-12-25
+        "invariant violation: image img0002 appears in both train and trans_test",
+    ]
+    assert not out.exists()
+
+
 def plain_split_corpus():
     return make_annotation_payload(num_images=500, num_locations=20, seed=13, empty_every=9)
 
@@ -1296,6 +1327,13 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["split", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
         (["gradcam", "{latin1}", "{image}", "--layer", "img", "--category", "0"],
          "'utf-8' codec can't decode byte 0xe9"),
+        (["gradcam", "{no_channels}", "{image}", "--layer", "img", "--category", "0"],
+         "layer l0: missing parameter 'out_channels'"),
+        (["gradcam", "{graph}", "{zero_width}", "--layer", "img", "--category", "0"],
+         "bad dimensions 0x5"),
+        # A 3x3 conv without padding takes the 4-high, 3-wide input to a 2x1 grid.
+        (["gradcam", "{narrow}", "{narrow_image}", "--layer", "l0", "--category", "0"],
+         "non-uniform upsample factors for grid 2x1"),
     ],
 )
 def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corpus, argv, message):
@@ -1305,6 +1343,15 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
              "few": write_bad_annotations(tmp_path, "few.json", lambda p: None),
              "latin1": tmp_path / "latin1.txt"}
     names["latin1"].write_bytes("caf\u00e9\n".encode("latin-1"))  # not UTF-8
+    for name, text in (("no_channels", "img input channels=3 height=8 width=8\nl0 conv in=img\n"),
+                       ("narrow", "img input channels=3 height=4 width=3\nl0 conv in=img out_channels=2 "
+                                  "kernel=3 padding=0\nhead detect in=l0 categories=2\n")):
+        names[name] = tmp_path / f"{name}.txt"
+        names[name].write_text(text, encoding="utf-8")
+    names["zero_width"] = tmp_path / "zero_width.ppm"
+    names["zero_width"].write_bytes(b"P6\n0 5\n255\n")
+    names["narrow_image"] = tmp_path / "narrow.ppm"
+    write_ppm(Tensor3(np.zeros((3, 4, 3))), names["narrow_image"])
     out = tmp_path / "out"
     non_utf8 = "{latin1}" in argv
     argv = [a.format(**names) for a in argv]
@@ -1319,6 +1366,32 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
         assert f"error: {names['latin1']}: not UTF-8 (" in err
     assert not out.exists()
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--start", "0,0,1"], "argument --start: box must be x1,y1,x2,y2 (got '0,0,1')"),
+        (["--start", "0,0,x,1"], "argument --start: could not convert string to float: 'x'"),
+        (["--kinds", "foo"], "argument --kinds: unknown loss kind 'foo' (valid: iou,"),
+        (["--iters", "x"], "argument --iters: invalid int value: 'x'"),
+        (["--kinds", "iou", "--gt=1,1,1,nan"], "argument --gt: corner y2 nan must be finite"),
+        (["--gt=1,inf,3,3"], "argument --gt: corner y1 inf must be finite"),
+        (["--gt=-inf,1,1,1"], "argument --gt: corner x1 -inf must be finite"),
+        (["--start=nan,0,1,1"], "argument --start: corner x1 nan must be finite"),
+        (["--start=0,0,inf,1"], "argument --start: corner x2 inf must be finite"),
+        (["--start=0,0,1,-inf"], "argument --start: corner y2 -inf must be finite"),
+    ],
+)
+def test_an_argument_the_parser_cannot_convert_exits_2_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["losslab", *argv, "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: trapeval losslab ")
+    assert f"\ntrapeval losslab: error: {message}" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1549,6 +1622,7 @@ def test_every_public_name_is_the_object_in_its_home_module_imported_on_first_us
         *(f"{name} trapeval.{next((h for h, n in homes.items() if name in n), 'losses')} True"
           for name in trapeval.__all__),
     ]
+    assert trapeval.TrapevalError is TrapevalError  # the same lookup in this process
 
 
 def gradcam_outputs(tmp_path, capsys, envs):

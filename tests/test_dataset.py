@@ -703,6 +703,16 @@ def test_write_annotations_equals_json_dump(tmp_path, annotation_file):
         assert out.read_bytes() == write_annotations_definition(dataset).encode("ascii")
 
 
+def test_write_annotations_rejects_a_value_as_json_dump_does(tmp_path):
+    dataset = Dataset((record("a")._replace(location_id=np.int64(3)),), {})
+    with pytest.raises(TypeError) as written:
+        write_annotations(dataset, tmp_path / "out.json")
+    with pytest.raises(TypeError) as dumped:
+        write_annotations_definition(dataset)
+    assert str(written.value) == str(dumped.value) == "Object of type int64 is not JSON serializable"
+    assert not (tmp_path / "out.json").exists()
+
+
 # --- empty filtering -------------------------------------------------------------
 
 def test_filter_empty_cases():
@@ -859,6 +869,19 @@ def test_verify_split_catches_violations():
         config=result.config,
     )
     assert any("appears in both" in p for p in verify_split(duplicated))
+    swapped = type(result)(
+        train=result.cis_test[:1],
+        cis_val=result.cis_test[1:2],
+        cis_test=result.train[:1],
+        trans_val=(),
+        trans_test=(),
+        config=result.config,
+    )
+    assert verify_split(swapped) == [
+        f"cis_test image {result.train[0].image_id} not on an odd day",
+        f"train image {result.cis_test[0].image_id} not on an even day",
+        f"cis_val image {result.cis_test[1].image_id} not on an even day",
+    ]
 
 
 def test_split_report_includes_expected_diff():
@@ -1063,18 +1086,20 @@ def test_ppm_header_comments(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload,message",
     [
-        b"P5\n1 1\n255\n\x00",  # wrong magic for ppm
-        b"P6\n1 1\n65535\n\x00\x00\x00",  # bad maxval
-        b"P6\n2 2\n255\n\x00\x00\x00",  # truncated
-        b"P6\nx 1\n255\n\x00\x00\x00",  # non-numeric
+        (b"P5\n1 1\n255\n\x00", "bad magic b'P5', expected b'P6'"),
+        (b"P6\n1 1\n65535\n\x00\x00\x00", "unsupported maxval 65535"),
+        (b"P6\n2 2\n255\n\x00\x00\x00", "truncated pixel data: got 3 of 12 bytes"),
+        (b"P6\nx 1\n255\n\x00\x00\x00", "non-numeric header field"),
+        (b"P6\n0 5\n255\n", "bad dimensions 0x5"),
+        (b"P6\n5 -1\n255\n", "bad dimensions 5x-1"),
     ],
 )
-def test_ppm_rejects_malformed(tmp_path, payload):
+def test_ppm_rejects_malformed(tmp_path, payload, message):
     path = tmp_path / "bad.ppm"
     path.write_bytes(payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=message):
         read_ppm(path)
 
 
@@ -1112,6 +1137,9 @@ def test_ppm_write_validation(tmp_path):
         write_ppm(Tensor3(np.zeros((1, 2, 2))), tmp_path / "x.ppm")
     with pytest.raises(FormatError):
         write_ppm(Tensor3(np.full((3, 2, 2), 300.0)), tmp_path / "x.ppm")
+    with pytest.raises(FormatError, match=r"^PGM needs a 2-dim grid, got shape \(3, 2, 2\)$"):
+        write_pgm(np.zeros((3, 2, 2)), tmp_path / "x.pgm")
+    assert not any(tmp_path.iterdir())
 
 
 def test_raster_writers_reject_nan_before_opening_the_file(tmp_path):

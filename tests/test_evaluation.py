@@ -362,6 +362,16 @@ def test_confusion_matrix_cell_names_a_category_it_does_not_hold():
             matrix.cell(true_category, predicted)
 
 
+def test_confusion_matrix_names_a_category_it_was_not_given():
+    dets = [det(B(0, 0, 2, 2), cat=1), det(B(4, 4, 6, 6), cat=2, conf=0.8)]
+    gts = [gt(B(0, 0, 2, 2), cat=1), gt(B(8, 8, 9, 9), cat=3)]
+    outcomes = match_corpus(dets, gts)
+    with pytest.raises(CategoryError, match=r"^detection category 2 not configured$"):
+        confusion_matrix(outcomes, [1, 3])
+    with pytest.raises(CategoryError, match=r"^ground-truth category 3 not configured$"):
+        confusion_matrix(outcomes, [1, 2])
+
+
 def test_confusion_matrix_no_detections():
     gts = [gt(B(0, 0, 2, 2), cat=1), gt(B(4, 4, 6, 6), cat=2)]
     matrix = confusion_matrix(match_corpus([], gts), [1, 2])

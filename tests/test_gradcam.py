@@ -16,7 +16,7 @@ from trapeval.gradcam import (
 from trapeval.graph import Graph, GraphSpec, LayerSpec, ScoreSelector, build_graph
 from trapeval.tensor import Tensor3
 
-from test_graph import tiny_image, tiny_spec
+from test_graph import tiny_image, tiny_spec, two_scale_spec
 
 
 def test_activation_cam_hand_case():
@@ -60,18 +60,6 @@ def test_heatmap_deterministic_across_runs():
     a = gradcam_heatmap(Graph(tiny_spec()).forward(tiny_image(5)), "c1", ScoreSelector(0))
     b = gradcam_heatmap(Graph(tiny_spec()).forward(tiny_image(5)), "c1", ScoreSelector(0))
     assert np.array_equal(a.data, b.data)
-
-
-def two_scale_spec() -> GraphSpec:
-    """A two-scale head: c1 lies only on the second scale's path."""
-    return GraphSpec(
-        (
-            LayerSpec("img", "input", (), {"channels": 3, "height": 8, "width": 8}),
-            LayerSpec("c0", "conv", ("img",), {"out_channels": 4, "kernel": 3, "stride": 2, "padding": 1, "act": 1}, seed=1),
-            LayerSpec("c1", "conv", ("c0",), {"out_channels": 4, "kernel": 3, "stride": 2, "padding": 1, "act": 1}, seed=2),
-            LayerSpec("det", "detect", ("c0", "c1"), {"categories": 2}, seed=3),
-        )
-    )
 
 
 def test_pin_selector_restricts_to_influencing_scales():
@@ -198,6 +186,27 @@ def test_overlay_validates_inputs():
         overlay(image, colors, alpha=1.5)
     with pytest.raises(ShapeError):
         overlay(Tensor3(np.zeros((1, 2, 2))), colors)
+
+
+@pytest.mark.parametrize(
+    "height,width,message",
+    [
+        (5, 5, "layer grid 3x3 does not divide image size 5x5"),
+        (4, 3, "non-uniform upsample factors for grid 2x1"),
+    ],
+)
+def test_heatmap_rejects_a_layer_grid_it_cannot_upsample_to_the_image(height, width, message):
+    spec = GraphSpec(
+        (
+            LayerSpec("img", "input", (), {"channels": 3, "height": height, "width": width}),
+            LayerSpec("l0", "conv", ("img",), {"out_channels": 2, "padding": 0}, seed=1),
+            LayerSpec("head", "detect", ("l0",), {"categories": 2}, seed=2),
+        )
+    )
+    run = Graph(spec).forward(Tensor3(np.zeros((3, height, width))), target="l0")
+    with pytest.raises(ShapeError) as excinfo:
+        gradcam_heatmap(run, "l0", ScoreSelector(category=0))
+    assert str(excinfo.value) == message
 
 
 def test_heatmap_type_validation():

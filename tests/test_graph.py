@@ -4,12 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, strategies as st
 
 from trapeval import nn
 from trapeval.errors import FormatError, GraphError, ShapeError, TrapevalError
 from trapeval.gradcam import gradcam_heatmap
 from trapeval.graph import (
+    REFERENCE_BACKBONE_640,
     Graph,
     GraphSpec,
     LayerSpec,
@@ -40,6 +41,18 @@ def tiny_spec(categories: int = 3, seed_base: int = 10) -> GraphSpec:
             LayerSpec("g1", "gam", ("c1",), {"rate": 4}, seed=seed_base + 2),
             LayerSpec("s1", "sppf", ("g1",), {"kernel": 5}, seed=seed_base + 3),
             LayerSpec("det", "detect", ("s1",), {"categories": categories}, seed=seed_base + 4),
+        )
+    )
+
+
+def two_scale_spec() -> GraphSpec:
+    """A two-scale head: c1 lies only on the second scale's path."""
+    return GraphSpec(
+        (
+            LayerSpec("img", "input", (), {"channels": 3, "height": 8, "width": 8}),
+            LayerSpec("c0", "conv", ("img",), {"out_channels": 4, "kernel": 3, "stride": 2, "padding": 1, "act": 1}, seed=1),
+            LayerSpec("c1", "conv", ("c0",), {"out_channels": 4, "kernel": 3, "stride": 2, "padding": 1, "act": 1}, seed=2),
+            LayerSpec("det", "detect", ("c0", "c1"), {"categories": 2}, seed=3),
         )
     )
 
@@ -75,6 +88,18 @@ def test_improved_640_keeps_backbone_and_adds_attention():
     assert [l.name for l in spec.layers if l.kind == "c2f"][-1] == "l28"
     assert spec.detect_layer().name == "l29"
     assert len(spec.detect_layer().inputs) == 4
+
+
+def test_reference_check_names_each_shape_off_the_640_table():
+    # At 64 every grid is a tenth of the reference one.
+    problems = check_reference_shapes(build_graph("improved", 64), "improved")
+    assert problems == [
+        *(f"{name}: expected {(c, h, w)}, got {(c, h // 10, w // 10)}" for name, (c, h, w) in REFERENCE_BACKBONE_640),
+        "sppf concat: expected (2048, 20, 20), got (2048, 2, 2)",
+        "l10: expected (512, 20, 20), got (512, 2, 2)",
+        "gam input: expected (512, 20, 20), got (512, 2, 2)",
+        "l9: expected (512, 20, 20), got (512, 2, 2)",
+    ]
 
 
 def test_input_size_scales_all_dimensions():
@@ -191,6 +216,43 @@ def test_forward_shapes_equal_propagated_shapes(variant, size):
             # the fuse conv's cached input is the pooled concat
             assert run.caches[row.name][1][0] == row.shape
     assert {name: value.shape for name, value in run.activations.items()} == expected
+
+
+LAYER_DRAWS = {
+    "conv": st.fixed_dictionaries({
+        "out_channels": st.sampled_from((4, 8)), "kernel": st.integers(1, 4),
+        "stride": st.integers(1, 3), "padding": st.integers(0, 2), "act": st.integers(0, 1),
+    }),
+    "c2f": st.fixed_dictionaries({"out_channels": st.sampled_from((4, 8)), "n": st.integers(0, 2)}),
+    "sppf": st.fixed_dictionaries({"kernel": st.sampled_from((1, 3, 5))}),
+    "upsample": st.fixed_dictionaries({"factor": st.integers(1, 3)}),
+    "concat": st.just({}),
+    "gam": st.fixed_dictionaries({"rate": st.sampled_from((1, 2, 4))}),
+}
+
+
+@given(
+    size=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+    layers=st.lists(st.sampled_from(sorted(LAYER_DRAWS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), LAYER_DRAWS[kind])), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_layer_kind_records_its_propagated_shape(size, layers):
+    """Graph.forward does not check an activation against its propagated
+    shape, so each kind's module must give that shape for any parameters
+    the spec accepts. A concat here joins the previous layer to itself."""
+    h, w = size
+    specs = [LayerSpec("img", "input", (), {"channels": 4, "height": h, "width": w})]
+    for i, (kind, params) in enumerate(layers):
+        ref = specs[-1].name
+        specs.append(LayerSpec(f"l{i}", kind, (ref, ref) if kind == "concat" else (ref,), params, seed=i))
+    specs.append(LayerSpec("det", "detect", (specs[-1].name,), {"categories": 2}, seed=9))
+    try:
+        graph = Graph(GraphSpec(tuple(specs)))
+    except ShapeError:
+        reject()
+    run = graph.forward(Tensor3(np.random.default_rng(0).uniform(-1, 1, (4, h, w))))
+    assert {name: value.shape for name, value in run.activations.items()} == graph.shapes
 
 
 def test_build_graph_rejects_bad_sizes():
@@ -400,6 +462,15 @@ def test_forward_rejects_a_bad_override_before_any_compute(monkeypatch, override
         assert message in str(excinfo.value)
 
 
+def test_an_override_of_the_input_runs_the_graph_on_it():
+    graph = Graph(tiny_spec())
+    given = graph.forward(tiny_image(1), overrides={"img": tiny_image(2).data})
+    run = graph.forward(tiny_image(2))
+    assert given.activations.keys() == run.activations.keys()
+    for name, value in run.activations.items():
+        assert (given.activations[name] == value).all(), name
+
+
 def test_overrides_of_a_lean_run_name_what_it_records():
     graph = Graph(tiny_spec())
     for target in (None, "c1"):
@@ -493,6 +564,24 @@ def test_backward_rejects_a_seed_outside_the_head_before_using_the_run(key):
         assert run.caches.keys() == caches.keys()
         assert all(run.caches[name] is cache for name, cache in caches.items())
         graph.backward_from_head(run, {(0, 2, 3, 3): 1.0}, "c1")
+
+
+@pytest.mark.parametrize(
+    "seeds,layer,message",
+    [
+        ({}, "c1", "no head scores selected"),
+        ({(4, 0, 0, 0): 1.0}, "c1", "scale 4 outside 0..1"),
+        ({(-1, 0, 0, 0): 1.0}, "c0", "scale -1 outside 0..1"),
+        ({(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0}, "det/cls0", "mixed-scale seeds cannot target a single head plane"),
+        ({(1, 0, 0, 0): 1.0, (0, 1, 1, 1): 2.0}, "det/cls1", "mixed-scale seeds cannot target a single head plane"),
+    ],
+)
+def test_backward_rejects_seeds_it_cannot_serve(seeds, layer, message):
+    graph = Graph(two_scale_spec())
+    run = graph.forward(tiny_image(5))
+    with pytest.raises(GraphError) as excinfo:
+        graph.backward_from_head(run, seeds, layer)
+    assert str(excinfo.value) == message
 
 
 def test_score_selector_validation():
@@ -705,6 +794,8 @@ det detect in=c0 categories=2 seed=3
         parse_graph_text(io.StringIO("img input channels=3 height=x width=8\n"))
     with pytest.raises(FormatError):
         parse_graph_text(io.StringIO("c0 conv in=missing out_channels=4\n"))
+    with pytest.raises(FormatError, match=r"^layer l0: missing parameter 'out_channels'$"):
+        parse_graph_text(io.StringIO("img input channels=3 height=8 width=8\nl0 conv in=img\n"))
 
 
 def tiny_text() -> str:

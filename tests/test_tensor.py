@@ -118,6 +118,21 @@ def test_maxpool_rejects_an_even_kernel(kernel):
         maxpool2d_forward(np.zeros((1, 6, 6)), kernel)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: ShapeSpec(0), "bad conv shape parameters ShapeSpec(kernel=0, stride=1, padding=0)"),
+        (lambda: ShapeSpec(3, 0), "bad conv shape parameters ShapeSpec(kernel=3, stride=0, padding=0)"),
+        (lambda: ShapeSpec(3, 1, -1), "bad conv shape parameters ShapeSpec(kernel=3, stride=1, padding=-1)"),
+        (lambda: upsample_forward(np.zeros((1, 2, 2)), 0), "upsample factor must be >= 1"),
+    ],
+)
+def test_a_bad_kernel_parameter_is_a_config_error(make, message):
+    with pytest.raises(ConfigError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 def test_upsample_worked_matrix():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     out = upsample_forward(x, 2)
