@@ -266,14 +266,17 @@ def confusion_matrix(
             if flag.matched_gt_index is None:
                 grid[n][col] += 1
             else:
-                gt = outcome.ground_truths[flag.matched_gt_index]
-                grid[index[gt.category_id]][col] += 1
+                grid[_row(index, outcome.ground_truths[flag.matched_gt_index])][col] += 1
         for gi in outcome.unmatched_gt_indices:
-            gt = outcome.ground_truths[gi]
-            if gt.category_id not in index:
-                raise CategoryError(f"ground-truth category {gt.category_id} not configured")
-            grid[index[gt.category_id]][n] += 1
+            grid[_row(index, outcome.ground_truths[gi])][n] += 1
     return ConfusionMatrix(cats, tuple(tuple(row) for row in grid))
+
+
+def _row(index: Mapping[int, int], gt: GroundTruth) -> int:
+    """The confusion-grid row of a ground truth's category."""
+    if gt.category_id not in index:
+        raise CategoryError(f"ground-truth category {gt.category_id} not configured")
+    return index[gt.category_id]
 
 
 def match_corpus(
@@ -596,14 +599,13 @@ def _evaluate(
     return cats, counts, sweeps, matched
 
 
-def _require_finite(what: str, columns: BoxColumns, numbers: Sequence[int] | None = None) -> None:
-    """EvalError for the first row of ``columns`` with a corner that is not
-    a finite double, named by its entry in ``numbers`` (its row by default)."""
+def _require_finite(what: str, columns: BoxColumns) -> None:
+    """EvalError naming the first row of ``columns`` with a corner that is
+    not a finite double."""
     bad = np.flatnonzero(~np.isfinite(columns.corners).all(axis=1)).tolist()
     if bad:
         i = bad[0]
-        number = i if numbers is None else numbers[i]
-        raise EvalError(f"{what} {number} in image {columns.image_id[i]!r}: a corner is not a finite double")
+        raise EvalError(f"{what} {i} in image {columns.image_id[i]!r}: a corner is not a finite double")
 
 
 def evaluate_corpus(
@@ -708,38 +710,18 @@ def pr_curve(
     return [PrPoint(c, tp, rank - tp, p, r) for rank, (c, tp, p, r) in enumerate(columns, 1)]
 
 
-def _within(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    categories: Iterable[int] | None,
-) -> tuple[BoxColumns, BoxColumns]:
-    """The columns of the records of ``categories``; of all of them when it
-    is None. A kept record with a corner that is not a finite double raises
-    the engine's EvalError, numbered among all the records given."""
-    known = None if categories is None else set(categories)
-    kept = []
-    for what, records in (("detection", detections), ("ground truth", ground_truths)):
-        rows = [i for i, r in enumerate(records) if known is None or r.category_id in known]
-        columns = BoxColumns.from_records([records[i] for i in rows], scored=what == "detection")
-        _require_finite(what, columns, rows)
-        kept.append(columns)
-    return kept[0], kept[1]
-
-
 def per_category_ap(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     config: MatchConfig | None = None,
-    categories: Iterable[int] | None = None,
     mode: str = "grid101",
 ) -> dict[int, float]:
     """AP per category with at least one ground truth, at ``config``'s IoU
-    threshold; others, and records outside ``categories``, are excluded."""
+    threshold; others are excluded."""
     if mode not in ("grid101", "trapezoid"):
         raise ConfigError(f"unknown AP mode {mode!r}")
     config = config or MatchConfig()
-    dets, gts = _within(detections, ground_truths, categories)
-    _, _, sweeps, _ = _evaluate(dets, gts, config, None, (config.iou_threshold,))
+    _, _, sweeps, _ = _evaluate(detections, ground_truths, config, None, (config.iou_threshold,))
     return {cat: s.aps[0] if mode == "grid101" else s.trapezoid for cat, s in sweeps.items()}
 
 
@@ -748,17 +730,18 @@ def map_over_iou_range(
     ground_truths: Sequence[GroundTruth],
     thresholds: Sequence[float] = MAP_RANGE_THRESHOLDS,
     config: MatchConfig | None = None,
-    categories: Iterable[int] | None = None,
 ) -> float:
     """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95), in
-    the order given: one engine run per _MASK_BITS thresholds."""
+    the order given: one engine run per _MASK_BITS thresholds, all on the
+    records' columns built once."""
     if not thresholds:
         raise ConfigError("thresholds must be non-empty")
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ConfigError(f"IoU threshold {t} outside (0, 1)")
     config = config or MatchConfig()
-    dets, gts = _within(detections, ground_truths, categories)
+    dets = BoxColumns.from_records(detections, scored=True)
+    gts = BoxColumns.from_records(ground_truths)
     thresholds = tuple(thresholds)
     values = []
     for start in range(0, len(thresholds), _MASK_BITS):

@@ -657,26 +657,14 @@ class Graph:
     ) -> Tensor3:
         """Gradient of the selected head score with respect to the named
         layer's recorded activation; an open selector resolves among the
-        scales the layer can influence."""
-        si, cy, cx, _ = selector.resolve(run, layer_name)
-        return self.backward_from_head(
-            run, {(si, selector.category, cy, cx): 1.0}, layer_name
-        )
-
-    def backward_from_head(
-        self,
-        run: GraphRun,
-        seeds: Mapping[tuple[int, int, int, int], float],
-        layer_name: str,
-    ) -> Tensor3:
-        """Gradient of a weighted sum of head category logits, keyed by
-        (scale, category, cell_y, cell_x), w.r.t. a recorded activation.
+        scales the layer can influence.
 
         On a lean run (one with a ``target``) only ``layer_name == target``
         is served, and the pass consumes the run's caches: first it drops
-        those of the layers off the selected scales' paths, then each
-        layer's as it visits the layer. Each key must name a category and a
-        cell of its scale's head."""
+        those of the layers off the selected scale's path, then each
+        layer's as it visits the layer. Every check runs before any cache
+        is touched."""
+        si, cy, cx, _ = selector.resolve(run, layer_name)
         if run.target is not None and layer_name != run.target:
             raise GraphError(
                 f"run was recorded for target {run.target!r}; "
@@ -684,57 +672,31 @@ class Graph:
             )
         if layer_name not in run.activations:
             raise GraphError(f"unknown layer {layer_name!r}")
-        if not seeds:
-            raise GraphError("no head scores selected")
+        seed = np.zeros_like(run.activations[self.planes[si]])
+        seed[selector.category, cy, cx] = 1.0
+        if layer_name == self.planes[si]:
+            return Tensor3(seed)
         detect_name = self.detect_spec.name
-        per_scale: dict[int, np.ndarray] = {}
-        for key, weight in seeds.items():
-            si, *index = key
-            if not 0 <= si < len(self.planes):
-                raise GraphError(f"scale {si} outside 0..{len(self.planes) - 1}")
-            plane = run.activations[self.planes[si]]
-            if not all(0 <= i < n for i, n in zip(index, plane.shape)):
-                raise GraphError(
-                    f"seed {key}: category or cell outside scale {si}'s head "
-                    f"(categories, height, width) {plane.shape}"
-                )
-            seed = per_scale.setdefault(si, np.zeros_like(plane))
-            seed[tuple(index)] += weight
-
-        for si, seed in per_scale.items():
-            if layer_name == self.planes[si]:
-                if len(per_scale) > 1:
-                    raise GraphError(
-                        "mixed-scale seeds cannot target a single head plane"
-                    )
-                return Tensor3(seed)
-
-        sources = {si: self.detect_spec.inputs[si] for si in per_scale}
-        paths = set().union(*(self.spec.ancestors(src) for src in sources.values()))
-        if layer_name not in paths:
+        source = self.detect_spec.inputs[si]
+        path = self.spec.ancestors(source)
+        if layer_name not in path:
             raise GraphError(
                 f"layer {layer_name!r} is not an ancestor of the selected score "
-                f"(scales {sorted(per_scale)} fed by {sorted(set(sources.values()))})"
+                f"(scale {si} fed by {source})"
             )
-        if run.target is not None and detect_name not in run.caches:
+        lean = run.target is not None
+        if lean and detect_name not in run.caches:
             raise GraphError(
                 f"run for target {run.target!r} was consumed by an earlier backward pass; "
                 "run forward again"
             )
-        lean = run.target is not None
         take = run.caches.pop if lean else run.caches.__getitem__
         if lean:
-            for name in run.caches.keys() - paths - {detect_name}:
+            for name in run.caches.keys() - path - {detect_name}:
                 del run.caches[name]
 
-        grads: dict[str, np.ndarray] = {}
-        branch_caches = take(detect_name)
-        branches = self.modules[detect_name]
-        for si, seed in per_scale.items():
-            upstream = branches[si].backward(seed, branch_caches[si])
-            source = sources[si]
-            grads[source] = grads[source] + upstream if source in grads else upstream
-        del branch_caches  # the unselected scales' head caches go with it
+        # The other scales' head caches go with the list.
+        grads = {source: self.modules[detect_name][si].backward(seed, take(detect_name)[si])}
         for layer in reversed(self.spec.layers[1:]):
             if layer.name == layer_name:
                 break

@@ -53,7 +53,6 @@ class LossParams:
     gamma: float = 0.5
     alpha: float = 1.9
     delta: float = 3.0
-    running_mean_momentum: float = 0.99
 
     def __post_init__(self):
         # Written so that NaN and infinity fail every check.
@@ -63,10 +62,10 @@ class LossParams:
             raise ConfigError(f"alpha {self.alpha} must be finite and > 1")
         if not 0 < self.delta < math.inf:
             raise ConfigError(f"delta {self.delta} must be finite and > 0")
-        if not 0.0 < self.running_mean_momentum <= 1.0:
-            raise ConfigError(
-                f"running_mean_momentum {self.running_mean_momentum} must be in (0, 1]"
-            )
+
+
+# The weight WIoUv3's running mean keeps on its previous value per observation.
+WIOU_MOMENTUM = 0.99
 
 
 class WiouState(NamedTuple):
@@ -75,10 +74,10 @@ class WiouState(NamedTuple):
     mean_iou_loss: float = 0.0
     sample_count: int = 0
 
-    def observe(self, iou_loss: float, momentum: float) -> "WiouState":
+    def observe(self, iou_loss: float) -> "WiouState":
         if self.sample_count == 0:
             return WiouState(iou_loss, 1)
-        mean = momentum * self.mean_iou_loss + (1.0 - momentum) * iou_loss
+        mean = WIOU_MOMENTUM * self.mean_iou_loss + (1.0 - WIOU_MOMENTUM) * iou_loss
         return WiouState(mean, self.sample_count + 1)
 
 
@@ -410,7 +409,7 @@ def loss_wiou_v3(
     current = 1.0 - iou(pred, gt)
     beta = outlier_degree(current, state)
     r = focusing_coefficient(beta, params)
-    new_state = state.observe(current, params.running_mean_momentum)
+    new_state = state.observe(current)
     if _is_identical(pred, gt):
         return LossEval(0.0, _ZERO4), new_state
     value, grad = _wiou_v1_core(_Geom(pred, gt))
@@ -562,13 +561,12 @@ def simulate_regression(
     step: float,
     iters: int,
     params: LossParams | None = None,
-    state: WiouState | None = None,
-    arena: tuple[float, float, float, float] = DEFAULT_ARENA,
 ) -> Trajectory:
-    """Plain gradient descent on the chosen loss over predicted corners.
+    """Plain gradient descent on the chosen loss over predicted corners,
+    WIoUv3's from a fresh running mean.
 
-    Corners are re-ordered and clamped to the arena after every step so the
-    box never inverts mid-descent. Raises DivergedError (naming the
+    Corners are re-ordered and clamped to DEFAULT_ARENA after every step so
+    the box never inverts mid-descent. Raises DivergedError (naming the
     iteration) if any value goes non-finite.
 
     The descent stops stepping at a fixed point: when the stepped, ordered
@@ -582,10 +580,11 @@ def simulate_regression(
     """
     check_descent(step, iters)
     params = params or LossParams()
+    state = None  # evaluate_loss starts WIoUv3 from WiouState()
 
     # Each step works on four floats; min/max/sorted are spelled as the
     # conditionals that return what the builtins return, ties and NaN included.
-    xmin, ymin, xmax, ymax = arena
+    xmin, ymin, xmax, ymax = DEFAULT_ARENA
     a1, b1, a2, b2 = gt.x1, gt.y1, gt.x2, gt.y2
     gt_area = (a2 - a1) * (b2 - b1)
     gcx, gcy = (a1 + a2) / 2.0, (b1 + b2) / 2.0

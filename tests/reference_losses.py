@@ -299,7 +299,7 @@ def loss_wiou_v3(
     current = 1.0 - iou(pred, gt)
     beta = outlier_degree(current, state)
     r = focusing_coefficient(beta, params)
-    new_state = state.observe(current, params.running_mean_momentum)
+    new_state = state.observe(current)
     if _is_identical(pred, gt):
         return LossEval(0.0, _ZERO4), new_state
     value, grad = _wiou_v1_core(_Geom(pred, gt))
@@ -367,22 +367,20 @@ def simulate_regression(
     step: float,
     iters: int,
     params: LossParams | None = None,
-    state: WiouState | None = None,
-    arena: tuple[float, float, float, float] = DEFAULT_ARENA,
 ) -> Trajectory:
-    """Plain gradient descent on the chosen loss over predicted corners.
+    """Plain gradient descent on the chosen loss over predicted corners,
+    WIoUv3's from a fresh running mean.
 
-    Corners are re-ordered and clamped to the arena after every step so the
-    box never inverts mid-descent. Raises DivergedError (naming the
+    Corners are re-ordered and clamped to DEFAULT_ARENA after every step so
+    the box never inverts mid-descent. Raises DivergedError (naming the
     iteration) if any value goes non-finite.
     """
     check_descent(step, iters)
     params = params or LossParams()
-    if kind is LossKind.WIOU_V3 and state is None:
-        state = WiouState()
+    state = WiouState() if kind is LossKind.WIOU_V3 else None
 
     def clamp(b: BoundingBox) -> BoundingBox:
-        xmin, ymin, xmax, ymax = arena
+        xmin, ymin, xmax, ymax = DEFAULT_ARENA
         return BoundingBox(
             min(max(b.x1, xmin), xmax),
             min(max(b.y1, ymin), ymax),

@@ -61,6 +61,8 @@ def test_traced_gradcam_times_every_layer_kind_and_the_caches_it_reads(tmp_path,
     assert code == 0 and capsys.readouterr().out.startswith("score,")
     for kind in tracing.NN_KINDS:
         assert values[f"nn.{kind}.forward_s"] > 0, kind
+    # The tracer wraps backward_to_layer: gradcam must still reach it.
+    assert values["graph.backward_s"] > 0
     assert 0 < values["graph.cache_read_mib"] < values["graph.cache_mib"]
 
 

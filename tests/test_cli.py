@@ -706,7 +706,7 @@ def test_gradcam_checks_the_layer_grid_before_the_backward_pass(tmp_path, capsys
     def no_backward(*args, **kwargs):
         raise AssertionError("the backward pass ran before the layer grid was checked")
 
-    monkeypatch.setattr(Graph, "backward_from_head", no_backward)
+    monkeypatch.setattr(Graph, "backward_to_layer", no_backward)
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "gradcam", str(graph), str(image), "--layer", "l0",
                             "--category", "0", "--out-dir", str(out))

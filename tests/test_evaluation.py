@@ -317,7 +317,7 @@ def test_mean_average_precision_examples():
 def test_per_category_ap_excludes_categories_without_ground_truth():
     dets = [det(B(0, 0, 2, 2), cat=1, conf=0.9), det(B(5, 5, 6, 6), cat=2, conf=0.8)]
     gts = [gt(B(0, 0, 2, 2), cat=1)]
-    aps = per_category_ap(dets, gts, MatchConfig(0.5, 0.25), categories=[1, 2])
+    aps = per_category_ap(dets, gts, MatchConfig(0.5, 0.25))
     assert set(aps) == {1}
     assert aps[1] == 1.0
 
@@ -370,6 +370,11 @@ def test_confusion_matrix_names_a_category_it_was_not_given():
         confusion_matrix(outcomes, [1, 3])
     with pytest.raises(CategoryError, match=r"^ground-truth category 3 not configured$"):
         confusion_matrix(outcomes, [1, 2])
+    # A detection that took a ground truth of an unconfigured category.
+    matched = match_corpus([Detection(B(0, 0, 2, 2), 1, 0.9, "a")], [GroundTruth(B(0, 0, 2, 2), 3, "a")])
+    assert matched[0].flags[0].matched_gt_index == 0
+    with pytest.raises(CategoryError, match=r"^ground-truth category 3 not configured$"):
+        confusion_matrix(matched, [1])
 
 
 def test_confusion_matrix_no_detections():
@@ -516,27 +521,38 @@ def _result(function, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _in_categories(categories, detections, ground_truths):
+    """The detections and ground truths whose category is in
+    ``categories``; all of them for None."""
+    if categories is None:
+        return detections, ground_truths
+    known = set(categories)
+    return [d for d in detections if d.category_id in known], [g for g in ground_truths if g.category_id in known]
+
+
 def _assert_matches_definition(detections, ground_truths, categories=None):
     """evaluate_corpus, per_category_ap, map_over_iou_range and pr_curve,
     which all run on the engine, equal the per-image definition value for
-    value, or raise its error."""
+    value, or raise its error. The AP functions get the records of
+    ``categories``; the definition filters them itself."""
     metrics = evaluate_corpus(detections, ground_truths, MatchConfig(0.45, 0.25), categories)
     cats = sorted(
         set(categories)
         if categories is not None
         else {g.category_id for g in ground_truths} | {d.category_id for d in detections}
     )
+    within = _in_categories(categories, detections, ground_truths)
     config50 = MatchConfig(0.5, 0.25)
     aps = ref.per_category_ap(detections, ground_truths, config50, cats)
     traps = ref.per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid")
-    assert per_category_ap(detections, ground_truths, config50, cats) == aps
-    assert per_category_ap(detections, ground_truths, config50, cats, mode="trapezoid") == traps
+    assert per_category_ap(*within, config50) == aps
+    assert per_category_ap(*within, config50, mode="trapezoid") == traps
     for row in metrics.per_category:
         assert row.ap == aps.get(row.category_id, 0.0)
         assert row.ap_trapezoid == traps.get(row.category_id, 0.0)
     assert metrics.map50 == (mean_average_precision(aps) if aps else 0.0)
     expected = _result(ref.map_over_iou_range, detections, ground_truths, categories=cats)
-    assert _result(map_over_iou_range, detections, ground_truths, categories=cats) == expected
+    assert _result(map_over_iou_range, *within) == expected
     assert metrics.map50_95 == (expected if aps else 0.0)
     assert [c.category_id for c in metrics.pr_curves] == list(aps)
     for curve in metrics.pr_curves:
@@ -619,7 +635,7 @@ def _ap_calls(detections, ground_truths):
     ]
     return [
         _result(per_category_ap, detections, ground_truths),
-        _result(per_category_ap, detections, ground_truths, categories=range(3), mode="trapezoid"),
+        _result(per_category_ap, *_in_categories(range(3), detections, ground_truths), mode="trapezoid"),
         _result(map_over_iou_range, detections, ground_truths, (0.9, 0.5)),
         curves,
     ]
@@ -648,10 +664,15 @@ def test_map_over_iou_range_equals_the_definition_in_any_threshold_order():
         else:
             thresholds = tuple(rng.choice(levels) for _ in range(rng.randint(1, 5)))
         for categories in (None, range(3)):  # categories 3 and 4 fall outside range(3)
-            call = (detections, ground_truths, list(thresholds), MatchConfig(0.45, 0.25), categories)
-            assert _result(map_over_iou_range, *call) == _result(ref.map_over_iou_range, *call)
-            call = (detections, ground_truths, MatchConfig(thresholds[0]), categories)
-            assert _result(per_category_ap, *call) == _result(ref.per_category_ap, *call)
+            within = _in_categories(categories, detections, ground_truths)
+            config = MatchConfig(0.45, 0.25)
+            assert _result(map_over_iou_range, *within, list(thresholds), config) == _result(
+                ref.map_over_iou_range, detections, ground_truths, list(thresholds), config, categories
+            )
+            config = MatchConfig(thresholds[0])
+            assert _result(per_category_ap, *within, config) == _result(
+                ref.per_category_ap, detections, ground_truths, config, categories
+            )
 
 
 def test_map_over_iou_range_takes_more_thresholds_than_one_engine_run():
@@ -1033,19 +1054,20 @@ def test_ap_and_map_do_not_depend_on_how_sum_adds_floats(monkeypatch):
 
 
 def test_per_category_ap_numbers_a_corner_among_all_the_records_given():
+    # Detection 0 is of a category no ground truth has; it still counts.
     detections = [Detection(B(0, 0, 1, 1), 5, 0.9, "a"), Detection(B(math.nan, 0, 1, 1), 1, 0.9, "b")]
     ground_truths = [GroundTruth(B(0, 0, 1, 1), 1, "b")]
     with pytest.raises(EvalError, match=r"^detection 1 in image 'b': a corner is not a finite double$"):
-        per_category_ap(detections, ground_truths, categories=[1])
-    assert per_category_ap(detections, ground_truths, categories=[5]) == {}  # a record left out is not read
+        per_category_ap(detections, ground_truths)
+    assert per_category_ap(detections[:1], ground_truths) == {1: 0.0}
 
 
 def test_map_over_iou_range_numbers_a_corner_among_all_the_records_given():
     detections = [Detection(B(0, 0, 1, 1), 1, 0.9, "b")]
     ground_truths = [GroundTruth(B(0, 0, 1, 1), 7, "a"), GroundTruth(B(0, 0, math.inf, 1), 1, "b")]
     with pytest.raises(EvalError, match=r"^ground truth 1 in image 'b': a corner is not a finite double$"):
-        map_over_iou_range(detections, ground_truths, categories=[1])
-    assert map_over_iou_range(detections, ground_truths[:1], categories=[1, 7]) == 0.0
+        map_over_iou_range(detections, ground_truths)
+    assert map_over_iou_range(detections, ground_truths[:1]) == 0.0
 
 
 # --- CSV interfaces --------------------------------------------------------------------

@@ -528,14 +528,17 @@ def test_backward_matches_finite_differences():
             assert fd == pytest.approx(grad[ix], rel=1e-3, abs=1e-9)
 
 
-def test_backward_linearity():
-    graph = Graph(tiny_spec())
-    run = graph.forward(tiny_image(13))
-    a, b = 0.7, -2.5
-    g1 = graph.backward_from_head(run, {(0, 0, 1, 1): 1.0}, "c1").data
-    g2 = graph.backward_from_head(run, {(0, 2, 3, 0): 1.0}, "c1").data
-    combined = graph.backward_from_head(run, {(0, 0, 1, 1): a, (0, 2, 3, 0): b}, "c1").data
-    assert np.allclose(combined, a * g1 + b * g2, atol=1e-10)
+def test_a_full_run_serves_any_selector_in_any_order_as_a_lean_run_does():
+    graph = Graph(two_scale_spec())
+    image = tiny_image(9)
+    selectors = [ScoreSelector(1, 1, (0, 1)), ScoreSelector(0, 0, (3, 2)), ScoreSelector(1, 0, (0, 0))]
+    lean = {s: graph.backward_to_layer(graph.forward(image, target="c0"), s, "c0").data for s in selectors}
+    run = graph.forward(image)
+    caches = dict(run.caches)
+    for s in selectors + selectors[::-1]:
+        assert (graph.backward_to_layer(run, s, "c0").data == lean[s]).all()
+    assert run.caches.keys() == caches.keys()
+    assert all(run.caches[name] is cache for name, cache in caches.items())
 
 
 def test_backward_rejects_non_ancestors():
@@ -543,7 +546,7 @@ def test_backward_rejects_non_ancestors():
     graph = Graph(spec)
     run = graph.forward(Tensor3(np.random.default_rng(14).uniform(-1, 1, (3, 64, 64))))
     # l21 feeds only the coarsest scale; scale 0 is fed by l15
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"'l21' is not an ancestor of the selected score \(scale 0 fed by l15\)"):
         graph.backward_to_layer(run, ScoreSelector(category=0, scale=0), "l21")
     with pytest.raises(GraphError):
         graph.backward_to_layer(run, ScoreSelector(category=0, scale=0), "l22/box0")
@@ -551,37 +554,36 @@ def test_backward_rejects_non_ancestors():
         graph.backward_to_layer(run, ScoreSelector(category=0, scale=0), "ghost")
 
 
-@pytest.mark.parametrize("key", [(0, 0, -1, 0), (0, -1, 0, 0), (0, 99, 0, 0), (0, 0, 0, 4)])
-def test_backward_rejects_a_seed_outside_the_head_before_using_the_run(key):
+@pytest.mark.parametrize(
+    "selector,message",
+    [
+        (ScoreSelector(0, 0, (-1, 0)), "cell (-1, 0) outside head grid (4, 4)"),
+        (ScoreSelector(-1, 0, (0, 0)), "category -1 outside 0..2"),
+        (ScoreSelector(99, 0, (0, 0)), "category 99 outside 0..2"),
+        (ScoreSelector(0, 0, (0, 4)), "cell (0, 4) outside head grid (4, 4)"),
+        (ScoreSelector(0, 1, (0, 0)), "scale 1 outside 0..0"),
+    ],
+)
+def test_backward_rejects_a_seed_outside_the_head_before_using_the_run(selector, message):
     graph = Graph(tiny_spec(categories=3))
     for target in (None, "c1"):
         run = graph.forward(tiny_image(), target=target)
         caches = dict(run.caches)
-        message = f"seed {key}: category or cell outside scale 0's head (categories, height, width) (3, 4, 4)"
         with pytest.raises(GraphError) as excinfo:
-            graph.backward_from_head(run, {(0, 0, 0, 0): 1.0, key: 1.0}, "c1")
-        assert message in str(excinfo.value)
+            graph.backward_to_layer(run, selector, "c1")
+        assert str(excinfo.value) == message
         assert run.caches.keys() == caches.keys()
         assert all(run.caches[name] is cache for name, cache in caches.items())
-        graph.backward_from_head(run, {(0, 2, 3, 3): 1.0}, "c1")
+        graph.backward_to_layer(run, ScoreSelector(2, 0, (3, 3)), "c1")
 
 
-@pytest.mark.parametrize(
-    "seeds,layer,message",
-    [
-        ({}, "c1", "no head scores selected"),
-        ({(4, 0, 0, 0): 1.0}, "c1", "scale 4 outside 0..1"),
-        ({(-1, 0, 0, 0): 1.0}, "c0", "scale -1 outside 0..1"),
-        ({(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0}, "det/cls0", "mixed-scale seeds cannot target a single head plane"),
-        ({(1, 0, 0, 0): 1.0, (0, 1, 1, 1): 2.0}, "det/cls1", "mixed-scale seeds cannot target a single head plane"),
-    ],
-)
-def test_backward_rejects_seeds_it_cannot_serve(seeds, layer, message):
+@pytest.mark.parametrize("scale,layer", [(4, "c1"), (-1, "c0")])
+def test_backward_rejects_seeds_it_cannot_serve(scale, layer):
     graph = Graph(two_scale_spec())
     run = graph.forward(tiny_image(5))
     with pytest.raises(GraphError) as excinfo:
-        graph.backward_from_head(run, seeds, layer)
-    assert str(excinfo.value) == message
+        graph.backward_to_layer(run, ScoreSelector(0, scale), layer)
+    assert str(excinfo.value) == f"scale {scale} outside 0..1"
 
 
 def test_score_selector_validation():
@@ -630,7 +632,7 @@ def test_lean_run_serves_one_backward_to_its_target():
     assert "c0" not in run.activations
     graph.backward_to_layer(run, selector, "c1")
     with pytest.raises(GraphError, match="target 'c1' was consumed"):
-        graph.backward_from_head(run, {(0, 1, 1, 1): 1.0}, "c1")
+        graph.backward_to_layer(run, selector, "c1")
     with pytest.raises(GraphError, match="recorded for target 'c1'"):
         graph.backward_to_layer(run, selector, "g1")
 
@@ -712,8 +714,8 @@ def test_modules_draw_nothing_and_a_full_run_holds_one_weight_tensor_at_a_time(m
     image = Tensor3(np.random.default_rng(4).uniform(0, 255, (3, 64, 64)))
     first = graph.forward(image)
     assert tally.live == 0
-    seeds = {(si, 3, 0, 0): 1.0 for si in range(len(graph.planes))}
-    graph.backward_from_head(first, seeds, "img")
+    for si in range(len(graph.planes)):
+        graph.backward_to_layer(first, ScoreSelector(3, si, (0, 0)), "img")
     assert 0 < tally.peak <= largest
     assert tally.live == 0
     second = graph.forward(image)

@@ -288,19 +288,18 @@ def test_head_backward_equals_its_oracle_bitwise():
 
 
 def graph_outputs(graph, image):
-    """Every activation (head planes included) and the gradients of a
-    multi-scale seed into l0, l2, the GAM layer and the image."""
+    """Every activation (head planes included) and, into l0, l2, the image
+    and the GAM layer, the gradients of a pinned logit and of the open
+    selector's. The pinned logits take the scales in turn: each topology
+    has as many scales as targets, so each scale is seeded once."""
     run = graph.forward(image)
     out = {name: value for name, value in run.activations.items()}
     n_cat = run.activations[graph.planes[0]].shape[0]
-    seeds = {}
-    for si, plane in enumerate(graph.planes):
-        _, gh, gw = run.activations[plane].shape
-        seeds[(si, n_cat - 1, gh - 1, 0)] = 1.0
-        seeds[(si, 0, gh // 2, gw // 2)] = -0.5
     targets = ["l0", "l2", "img"] + [layer.name for layer in graph.spec.layers if layer.kind == "gam"]
-    for name in targets:
-        out[f"grad/{name}"] = graph.backward_from_head(run, seeds, name).data
+    for i, name in enumerate(targets):
+        si = i % len(graph.planes)
+        pinned = ScoreSelector(n_cat - 1, si, (run.activations[graph.planes[si]].shape[1] - 1, 0))
+        out[f"grad/{name}"] = graph.backward_to_layer(run, pinned, name).data
         out[f"cam/{name}"] = graph.backward_to_layer(run, ScoreSelector(n_cat - 1), name).data
     return out
 

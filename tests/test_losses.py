@@ -13,6 +13,7 @@ from trapeval.losses import (
     LossParams,
     TRAJECTORY_CSV_HEADER,
     TrajectoryRow,
+    WIOU_MOMENTUM,
     WiouState,
     evaluate_loss,
     finite_diff_grad,
@@ -136,9 +137,9 @@ def test_a_hull_whose_squared_diagonal_overflows_is_a_defined_error(kind):
     with pytest.raises(DegenerateHullError, match="squared diagonal overflows") as info:
         evaluate_loss(kind, wide, unit, state=WiouState())
     assert repr(wide) in str(info.value) and repr(unit) in str(info.value)
-    arena = (-1e300, -1e300, 1e300, 1e300)
+    # The arena clamps the predicted box, never the target.
     with pytest.raises(DegenerateHullError, match="squared diagonal overflows"):
-        simulate_regression(kind, wide, unit, step=0.01, iters=5, arena=arena)
+        simulate_regression(kind, unit, wide, step=0.01, iters=5)
 
 
 def test_the_hull_overflow_error_prints_both_boxes_as_before():
@@ -255,15 +256,20 @@ def test_wiou_v3_identity_and_bootstrap():
 
 
 def test_running_mean_converges_geometrically():
-    params = LossParams()
     state = WiouState()
     for _ in range(600):
-        state = state.observe(0.25, params.running_mean_momentum)
+        state = state.observe(0.25)
     assert state.mean_iou_loss == pytest.approx(0.25, abs=1e-3)
     assert state.sample_count == 600
     # seeded by the first observation, so a constant stream is exact
-    fresh = WiouState().observe(0.25, params.running_mean_momentum)
+    fresh = WiouState().observe(0.25)
     assert fresh.mean_iou_loss == 0.25
+
+
+def test_observe_weights_the_running_mean_by_wiou_momentum():
+    assert WIOU_MOMENTUM == 0.99
+    state = WiouState(0.5, 3).observe(0.25)
+    assert state == WiouState(0.99 * 0.5 + (1.0 - 0.99) * 0.25, 4)
 
 
 def test_loss_params_validation():
@@ -273,8 +279,6 @@ def test_loss_params_validation():
         LossParams(alpha=1.0)
     with pytest.raises(ValueError):
         LossParams(delta=0.0)
-    with pytest.raises(ValueError):
-        LossParams(running_mean_momentum=0.0)
 
 
 # --- gradients ---------------------------------------------------------------
@@ -356,11 +360,20 @@ def test_simulate_diou_reduces_center_distance():
 @pytest.mark.parametrize("kind", list(LossKind))
 def test_simulate_from_target_stays_at_zero(kind):
     gt = BoundingBox(1, 1, 3, 3)
-    trajectory = simulate_regression(
-        kind, gt, gt, step=0.01, iters=20, state=WiouState()
-    )
+    trajectory = simulate_regression(kind, gt, gt, step=0.01, iters=20)
     assert all(row.loss == 0.0 for row in trajectory.rows)
     assert trajectory.rows[-1].box == gt
+
+
+def test_each_descent_starts_wiou_v3_from_a_fresh_state():
+    first = simulate_regression(LossKind.WIOU_V3, *OVERLAP, step=0.05, iters=30)
+    assert simulate_regression(LossKind.WIOU_V3, *OVERLAP, step=0.05, iters=30) == first
+    # Each row's loss is WIoUv3 at that box under the running mean of the rows before it.
+    state = None
+    for row in first.rows:
+        ev, state = evaluate_loss(LossKind.WIOU_V3, row.box, OVERLAP[1], state=state)
+        assert row.loss == ev.value
+    assert state.sample_count == len(first.rows)
 
 
 def test_simulate_validates_arguments_and_divergence():
@@ -388,15 +401,16 @@ def test_trajectory_csv_layout():
 
 
 def test_simulate_normalizes_and_clamps():
+    # An inverted start with a corner past the arena (±1e4).
     trajectory = simulate_regression(
         LossKind.GIOU,
-        BoundingBox(0, 0, 1, 1),
+        BoundingBox(1, 1, -2e4, 0),
         BoundingBox(2, 2, 3, 3),
         step=0.5,
         iters=50,
-        arena=(-2, -2, 4, 4),
     )
+    assert trajectory.rows[0].box == BoundingBox(-1e4, 0, 1, 1)
     for row in trajectory.rows:
         b = row.box
         assert b.x1 <= b.x2 and b.y1 <= b.y2
-        assert -2 <= b.x1 and b.x2 <= 4 and -2 <= b.y1 and b.y2 <= 4
+        assert -1e4 <= b.x1 and b.x2 <= 1e4 and -1e4 <= b.y1 and b.y2 <= 1e4
