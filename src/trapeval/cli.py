@@ -276,7 +276,7 @@ def cmd_split(args) -> int:
         return 1
     out = _out_dir(args)
     for name, part in result.all_parts().items():
-        ds.write_annotation_rows(part, read.categories, read.category_id, read.corners, out / f"{name}.json")
+        ds.write_annotation_rows(part, read, out / f"{name}.json")
     expected = ds.REFERENCE_SPLIT_COUNTS if args.check_reference_counts else None
     report = ds.split_report(result, expected)
     (out / "report.csv").write_text(report, encoding="utf-8")

@@ -23,7 +23,6 @@ import random
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -215,10 +214,12 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
         try:
             with open(path, "r", encoding="utf-8") as stream:
                 payload = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
+        # ValueError: bad JSON, or an integer past Python's digit limit;
+        # RecursionError: arrays or objects nested past the recursion limit.
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: top level must be an object")
 
@@ -309,22 +310,17 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
 def parse_annotations(path: "str | Path") -> Dataset:
     """Read an annotation file into one record per image, its annotations
     in file order: ``read_annotation_columns``, whose checks and errors
-    these are, with the records built once the parsed JSON is freed."""
-    new = tuple.__new__  # what the named tuples' __new__ calls, without its Python frame
-    # The columns and the records are a few hundred thousand containers.
-    with collector_paused():
-        read = read_annotation_columns(path)
-        quads = iter(read.corners)
-        boxes = map(new, repeat(BoundingBox), zip(quads, quads, quads, quads))
-        ground_truths = map(new, repeat(GroundTruth), zip(boxes, read.category_id, read.image_id))
-        annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in read.images}
-        for image_id, gt in zip(read.image_id, ground_truths):
-            annotations[image_id].append(gt)
-        records = tuple(
-            new(ImageRecord, (image_id, *fields, tuple(annotations[image_id])))
-            for image_id, fields in read.images.items()
-        )
-        return Dataset(records, read.categories)
+    these are."""
+    read = read_annotation_columns(path)
+    quads = iter(read.corners)
+    annotations: dict[str, list[GroundTruth]] = {image_id: [] for image_id in read.images}
+    for image_id, category_id, *corners in zip(read.image_id, read.category_id, quads, quads, quads, quads):
+        annotations[image_id].append(GroundTruth(BoundingBox(*corners), category_id, image_id))
+    records = tuple(
+        ImageRecord(image_id, *fields, tuple(annotations[image_id]))
+        for image_id, fields in read.images.items()
+    )
+    return Dataset(records, read.categories)
 
 
 class ImageRow(NamedTuple):
@@ -366,26 +362,6 @@ def nonempty_rows(read: AnnotationColumns) -> list[ImageRow]:
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_scalar(value) -> str:
-    """One value as ``json.dump`` writes it by default: strings ASCII-escaped,
-    NaN and the infinities allowed."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _json_list(items: list[str]) -> str:
     """A list of elements already written at depth 2, as ``json.dump`` with
     ``indent=1`` closes it at depth 1."""
@@ -393,92 +369,90 @@ def _json_list(items: list[str]) -> str:
 
 
 def write_annotations(dataset: Dataset, path: "str | Path") -> None:
-    """Inverse of parse_annotations (boxes back to [x, y, w, h]):
-    ``write_annotation_rows`` of the records, their ground truths flattened
-    into columns."""
-    category_ids = []
-    corners = []
-    rows = []
-    for record in dataset.records:
-        first = len(category_ids)
-        for box, category_id, _ in record.annotations:
-            corners += box
-            category_ids.append(category_id)
-        rows.append((*record[:6], range(first, len(category_ids))))
-    write_annotation_rows(rows, dataset.categories, category_ids, corners, path)
+    """Inverse of parse_annotations (boxes back to [x, y, w, h]): the
+    payload of "images", "annotations" (ids from 1 in record order) and
+    "categories" (by id) through ``json.dumps(payload, indent=1,
+    sort_keys=True)``, plus a newline. A value that ``json.dumps`` rejects
+    raises its ``TypeError`` before the file is opened."""
+    images = []
+    annotations = []
+    for rec in dataset.records:
+        images.append(
+            {"id": rec.image_id, "width": rec.width, "height": rec.height, "location": rec.location_id,
+             "date": rec.capture_date.isoformat(), "file_name": rec.file_name}
+        )
+        for gt in rec.annotations:
+            b = gt.box
+            annotations.append(
+                {"id": len(annotations) + 1, "image_id": rec.image_id, "category_id": gt.category_id,
+                 "bbox": [b.x1, b.y1, b.width, b.height]}
+            )
+    payload = {
+        "images": images,
+        "annotations": annotations,
+        "categories": [{"id": cid, "name": name} for cid, name in sorted(dataset.categories.items())],
+    }
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(text)
 
 
-def write_annotation_rows(
-    rows: "Sequence[ImageRow]", categories: dict, category_id: list, corners: list, path: "str | Path"
-) -> None:
-    """Write images and their annotations as an annotation file: each row's
-    fields, and for each of its annotation row numbers ``r`` the category
-    ``category_id[r]`` and the box with corners ``corners[4 * r : 4 * r + 4]``
-    back as [x, y, w, h].
+def write_annotation_rows(rows: "Sequence[ImageRow]", read: AnnotationColumns, path: "str | Path") -> None:
+    """Write images read by ``read_annotation_columns`` and their
+    annotations as an annotation file: each row's fields, and for each of
+    its annotation row numbers ``r`` the category ``read.category_id[r]``
+    and the box with corners ``read.corners[4 * r : 4 * r + 4]`` back as
+    [x, y, w, h].
 
-    The bytes are those of ``json.dump(payload, stream, indent=1,
-    sort_keys=True)`` plus a newline, for the payload of "images",
-    "annotations" (ids from 1 in row order) and "categories" (by id); each
-    element is written from a template with its keys in sorted order.
+    The bytes are those ``write_annotations`` writes for the same images;
+    each element is written from a template with its keys in sorted order.
+    The reader's types make that exact: str ids, file names and names
+    (ASCII-escaped here), int sizes, locations and category ids, and finite
+    float corners, each printed as its repr.
     """
+    category_id, corners = read.category_id, read.corners
     images = []
     annotations = []
     ann_id = 0
     dates: dict[dt.date, str] = {}  # each distinct date, rendered once
     for image_id, location_id, capture_date, width, height, file_name, numbers in rows:
-        # Exact ints print as their repr in the template; anything else, and
-        # every string, is rendered first.
-        if (
-            int is type(height) is type(location_id) is type(width)
-            and str is type(image_id) is type(file_name)
-        ):
-            image_id, file_name = _json_string(image_id), _json_string(file_name)
-        else:
-            image_id, file_name, height, location_id, width = map(
-                _json_scalar, (image_id, file_name, height, location_id, width)
-            )
+        image_id = _json_string(image_id)
         date = dates.get(capture_date)
         if date is None:
             date = dates[capture_date] = _json_string(capture_date.isoformat())
         images.append(
             f"""  {{
    "date": {date},
-   "file_name": {file_name},
-   "height": {height},
+   "file_name": {_json_string(file_name)},
+   "height": {height!r},
    "id": {image_id},
-   "location": {location_id},
-   "width": {width}
+   "location": {location_id!r},
+   "width": {width!r}
   }}"""
         )
         for row in numbers:
             ann_id += 1
             i = 4 * row
             x, y, x2, y2 = corners[i : i + 4]
-            w, h = x2 - x, y2 - y  # the box's width and height
-            # Finite floats (a finite sum implies them) print as their repr.
-            if float is type(x) is type(y) is type(w) is type(h) and math.isfinite(x + y + w + h):
-                bbox = f"{x!r},\n    {y!r},\n    {w!r},\n    {h!r}"
-            else:
-                bbox = ",\n    ".join(map(_json_scalar, (x, y, w, h)))
-            category = category_id[row]
-            if type(category) is not int:
-                category = _json_scalar(category)
             annotations.append(
                 f"""  {{
    "bbox": [
-    {bbox}
+    {x!r},
+    {y!r},
+    {x2 - x!r},
+    {y2 - y!r}
    ],
-   "category_id": {category},
+   "category_id": {category_id[row]!r},
    "id": {ann_id},
    "image_id": {image_id}
   }}"""
             )
     category_elements = [
         f"""  {{
-   "id": {_json_scalar(cid)},
-   "name": {_json_scalar(name)}
+   "id": {cid!r},
+   "name": {_json_string(name)}
   }}"""
-        for cid, name in sorted(categories.items())
+        for cid, name in sorted(read.categories.items())
     ]
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(

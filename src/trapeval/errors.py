@@ -14,7 +14,8 @@ class DegenerateHullError(TrapevalError):
 
 
 class DegenerateBoxError(TrapevalError):
-    """A box has zero width or height where the operation needs a ratio."""
+    """A box is too small for the operation: a zero height where it needs a
+    ratio, or a size whose square underflows to zero where it divides by it."""
 
 
 class DivergedError(TrapevalError):

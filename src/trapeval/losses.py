@@ -135,12 +135,15 @@ class _Geom:
         if union > 0.0:
             uu = union * union
             self.iou = inter / union
-            self.d_iou = (
-                (i0 * union - inter * u0) / uu,
-                (i1 * union - inter * u1) / uu,
-                (i2 * union - inter * u2) / uu,
-                (i3 * union - inter * u3) / uu,
-            )
+            try:
+                self.d_iou = (
+                    (i0 * union - inter * u0) / uu,
+                    (i1 * union - inter * u1) / uu,
+                    (i2 * union - inter * u2) / uu,
+                    (i3 * union - inter * u3) / uu,
+                )
+            except ZeroDivisionError:  # the union's square underflowed
+                raise _underflow_error(pred, gt) from None
         else:
             self.iou = 0.0
             self.d_iou = _ZERO4
@@ -183,6 +186,10 @@ def _hull_error(pred: BoundingBox, gt: BoundingBox, what: str) -> DegenerateHull
     return DegenerateHullError(f"enclosing hull of {pred} and {gt} {what}")
 
 
+def _underflow_error(pred: BoundingBox, gt: BoundingBox) -> DegenerateBoxError:
+    return DegenerateBoxError(f"loss of {pred} against {gt} is undefined: a squared size underflows to zero")
+
+
 def _is_identical(pred: BoundingBox, gt: BoundingBox) -> bool:
     return (
         pred.x1 == gt.x1 and pred.y1 == gt.y1 and pred.x2 == gt.x2 and pred.y2 == gt.y2
@@ -200,7 +207,12 @@ def _from_core(
     """The core loss of the pair; zero with zero gradient at pred == gt."""
     if _is_identical(pred, gt):
         return LossEval(0.0, _ZERO4)
-    return LossEval(*core(_Geom(pred, gt)))
+    # Each core divides only by positive values and their squares and cubes,
+    # which are zero only where they underflow.
+    try:
+        return LossEval(*core(_Geom(pred, gt)))
+    except ZeroDivisionError:
+        raise _underflow_error(pred, gt) from None
 
 
 def loss_iou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
@@ -314,6 +326,23 @@ def loss_eiou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     return _from_core(_eiou_core, pred, gt)
 
 
+def _focal_eiou_core(g: _Geom, gamma: float) -> tuple[float, Vec4]:
+    if g.iou == 0.0:
+        # IoU^gamma annihilates both value and gradient; kept as the formula
+        # states even though it reinstates the vanishing-gradient regime.
+        return 0.0, _ZERO4
+    e_value, e_grad = _eiou_core(g)
+    scale = g.iou**gamma
+    try:
+        d_scale = _vscale(g.d_iou, gamma * g.iou ** (gamma - 1.0))
+    except OverflowError:
+        raise ConfigError(
+            f"gamma {gamma}: the focal-EIoU gradient of {g.pred} against {g.gt} "
+            f"leaves the float range (IoU^(gamma - 1) overflows at IoU {g.iou!r})"
+        ) from None
+    return scale * e_value, _vadd(_vscale(e_grad, scale), _vscale(d_scale, e_value))
+
+
 def loss_focal_eiou(
     pred: BoundingBox, gt: BoundingBox, params: LossParams | None = None
 ) -> LossEval:
@@ -321,24 +350,7 @@ def loss_focal_eiou(
     params = params or LossParams()
     if params.gamma == 0.0:
         return loss_eiou(pred, gt)
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    g = _Geom(pred, gt)
-    if g.iou == 0.0:
-        # IoU^gamma annihilates both value and gradient; kept as the formula
-        # states even though it reinstates the vanishing-gradient regime.
-        return LossEval(0.0, _ZERO4)
-    e_value, e_grad = _eiou_core(g)
-    scale = g.iou**params.gamma
-    try:
-        d_scale = _vscale(g.d_iou, params.gamma * g.iou ** (params.gamma - 1.0))
-    except OverflowError:
-        raise ConfigError(
-            f"gamma {params.gamma}: the focal-EIoU gradient of {pred} against {gt} "
-            f"leaves the float range (IoU^(gamma - 1) overflows at IoU {g.iou!r})"
-        ) from None
-    grad = _vadd(_vscale(e_grad, scale), _vscale(d_scale, e_value))
-    return LossEval(scale * e_value, grad)
+    return _from_core(lambda g: _focal_eiou_core(g, params.gamma), pred, gt)
 
 
 def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:

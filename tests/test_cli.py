@@ -218,6 +218,16 @@ def test_losslab_ciou_on_a_zero_height_box_exits_1_naming_both_boxes(tmp_path, c
     assert err == f"error: aspect ratio undefined: {start} or {gt} has zero height\n"
 
 
+@pytest.mark.parametrize("kind", ["iou", "giou", "diou", "ciou", "eiou", "focal_eiou", "wiou_v1", "wiou_v3"])
+def test_losslab_on_boxes_whose_squares_underflow_exits_1_naming_both_boxes(tmp_path, capsys, kind):
+    code, stdout, err = run(capsys, "losslab", "--kinds", kind, "--start", "0,0,1e-160,1e-160",
+                            "--gt", "0,0,2e-160,1e-160", "--iters", "2", "--out-dir", str(tmp_path / "lab"))
+    assert (code, stdout) == (1, "") and not (tmp_path / "lab").exists()
+    start = "BoundingBox(x1=0.0, y1=0.0, x2=1e-160, y2=1e-160)"
+    gt = "BoundingBox(x1=0.0, y1=0.0, x2=2e-160, y2=1e-160)"
+    assert err == f"error: loss of {start} against {gt} is undefined: a squared size underflows to zero\n"
+
+
 @pytest.mark.parametrize(
     "given,start,gt",
     [
@@ -984,6 +994,37 @@ def test_split_equals_its_record_definition_on_awkward_files(tmp_path, capsys):
     assert len(outcomes) == 8  # both trans modes and day bases, each split and refused
 
 
+def test_split_equals_its_record_definition_on_extreme_values(tmp_path, capsys):
+    """Values at the edges of what the reader takes, each written by the
+    template as json.dumps writes it: corners of -0.0 and 5e-324, a box
+    clamped on a 10**300-wide image, control characters and U+2028 in ids
+    and names, and negative category ids."""
+    payload = awkward_split_payload(8, num_images=40)
+    payload["categories"] += [{"id": -4, "name": "line\u2028sep"}, {"id": -1, "name": "ctl\x00\x1f\x7f"}]
+    wide, tiny, odd = payload["images"][:3]
+    wide["width"] = 10**300
+    for ann in payload["annotations"]:
+        if ann["image_id"] == odd["id"]:
+            ann["image_id"] = "\x00tab\tnl\n\u2028\u2029"
+    odd["id"] = odd["file_name"] = "\x00tab\tnl\n\u2028\u2029"
+    payload["annotations"] += [
+        {"image_id": wide["id"], "category_id": -4, "bbox": [1e300, 0, 5e300, 10]},
+        {"image_id": wide["id"], "category_id": 7, "bbox": [-5, -5, 1e299, 3]},
+        {"image_id": tiny["id"], "category_id": -1, "bbox": [-0.0, 5e-324, 5e-324, -0.0]},
+        {"image_id": odd["id"], "category_id": -1, "bbox": [0.5, 0.25, 5e-324, 1e-300]},
+    ]
+    path = tmp_path / "extremes.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "sp"
+    code, stdout, err = run(capsys, "split", str(path), "--seed", "5", "--out-dir", str(out))
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert (code, stdout, err, files) == split_definition(path, 5, None, 0.05, "day_of_month", False)
+    written = b"".join(files.values())
+    for value in (b'"width": 1' + b"0" * 300, b"-0.0", b"5e-324", b"1e+300", b"\\u2028", b"\\u0000tab",
+                  b'"category_id": -4', b'"id": -1', b'"name": "ctl\\u0000\\u001f\\u007f"'):
+        assert value in written, value
+
+
 # --- svg helper -----------------------------------------------------------------------
 
 def test_svg_chart_renders_series_and_marker(tmp_path):
@@ -1325,6 +1366,11 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["eval", "{latin1}", "{ann}"], "'utf-8' codec can't decode byte 0xe9"),
         (["eval", "{det}", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
         (["split", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
+        # JSON that keeps to the grammar but that Python cannot read into values
+        (["eval", "{det}", "{long_int}"], "long_int.json: invalid JSON (Exceeds the limit (4300 digits)"),
+        (["split", "{long_int}"], "long_int.json: invalid JSON (Exceeds the limit (4300 digits)"),
+        (["eval", "{det}", "{deep}"], "deep.json: invalid JSON (maximum recursion depth exceeded"),
+        (["split", "{deep}"], "deep.json: invalid JSON (maximum recursion depth exceeded"),
         (["gradcam", "{latin1}", "{image}", "--layer", "img", "--category", "0"],
          "'utf-8' codec can't decode byte 0xe9"),
         (["gradcam", "{no_channels}", "{image}", "--layer", "img", "--category", "0"],
@@ -1343,6 +1389,12 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
              "few": write_bad_annotations(tmp_path, "few.json", lambda p: None),
              "latin1": tmp_path / "latin1.txt"}
     names["latin1"].write_bytes("caf\u00e9\n".encode("latin-1"))  # not UTF-8
+    payload = make_annotation_payload(num_images=3)
+    payload["images"][0]["width"] = "long"
+    names["long_int"] = tmp_path / "long_int.json"  # a 5,000-digit width
+    names["long_int"].write_text(json.dumps(payload).replace('"long"', "9" * 5000), encoding="utf-8")
+    names["deep"] = tmp_path / "deep.json"
+    names["deep"].write_text("[" * 100_000, encoding="utf-8")
     for name, text in (("no_channels", "img input channels=3 height=8 width=8\nl0 conv in=img\n"),
                        ("narrow", "img input channels=3 height=4 width=3\nl0 conv in=img out_channels=2 "
                                   "kernel=3 padding=0\nhead detect in=l0 categories=2\n")):

@@ -33,7 +33,7 @@ from trapeval.errors import FormatError, SplitError, TrapevalError
 from trapeval.ppm import read_ppm, write_pgm, write_ppm
 from trapeval.tensor import Tensor3
 
-from conftest import make_annotation_payload, mutants
+from conftest import awkward_split_payload, make_annotation_payload, mutants
 
 
 def record(image_id="im0", location=0, date=dt.date(2023, 5, 4), size=(100, 80), boxes=()):
@@ -210,6 +210,25 @@ def test_parse_rejects_bad_json(tmp_path):
         parse_annotations(path)
 
 
+@pytest.mark.parametrize(
+    "text,cause",
+    [
+        ('{"images": [{"width": ' + "9" * 5000 + "}]}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["5000-digit-int", "nested-100000-deep"],
+)
+@pytest.mark.parametrize("read", [read_annotation_columns, parse_annotations])
+def test_read_rejects_json_that_python_cannot_hold(tmp_path, read, text, cause):
+    """JSON that keeps to the grammar but not to Python's limits on integer
+    digits and nesting is a FormatError naming the file, like any bad JSON."""
+    path = tmp_path / "limits.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: invalid JSON ({cause}")
+
+
 
 def assert_read_pauses_the_cyclic_gc(monkeypatch, annotation_file, read, enabled, valid):
     """``read`` loads the JSON with the collector paused and leaves it as it
@@ -251,6 +270,39 @@ def test_read_annotation_columns_pauses_the_cyclic_gc_and_restores_it(monkeypatc
         return len(read_annotation_columns(path).images) == 3
 
     assert_read_pauses_the_cyclic_gc(monkeypatch, annotation_file, read, enabled, valid)
+
+
+def test_the_columns_hold_only_exact_json_types(tmp_path):
+    """``write_annotation_rows`` prints what ``read_annotation_columns``
+    returns with no type test, so the columns hold exact types only: str
+    ids, file names and category names, non-bool int sizes, locations and
+    category ids, and finite float or int corners. Checked on seeded awkward
+    files, some fields written as integral floats or image ids as numbers,
+    which the reader takes through its checked path."""
+    rng = random.Random(34)
+    for i in range(40):
+        payload = awkward_split_payload(rng.randrange(10**6), rng.randint(5, 40))
+        for element in payload["categories"] + payload["images"] + payload["annotations"]:
+            for key in ("id", "location", "width", "height", "category_id"):
+                if type(element.get(key)) is int and rng.random() < 0.3:
+                    element[key] = float(element[key])
+        for image in rng.sample(payload["images"], 2):  # a number as image id, in every reference
+            number = rng.choice((rng.randrange(10**6), rng.randrange(100) + 0.5))
+            for ann in payload["annotations"]:
+                if ann["image_id"] == image["id"]:
+                    ann["image_id"] = number
+            image["id"] = number
+        path = tmp_path / f"awkward{i}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        read = read_annotation_columns(path)
+        assert {type(k) for k in read.categories} | {type(n) for n in read.categories.values()} == {int, str}
+        for image_id, (location, capture_date, width, height, file_name) in read.images.items():
+            assert (type(image_id), type(location), type(width), type(height)) == (str, int, int, int)
+            assert (type(capture_date), type(file_name)) == (dt.date, str)
+        assert all(type(image_id) is str for image_id in read.image_id)
+        assert all(type(category_id) is int for category_id in read.category_id)
+        assert all(type(c) in (float, int) and math.isfinite(c) for c in read.corners)
+        assert len(read.corners) == 4 * len(read.image_id) == 4 * len(payload["annotations"])
 
 
 def test_parse_accepts_integral_numbers(annotation_file):

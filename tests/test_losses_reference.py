@@ -20,7 +20,7 @@ import reference_losses as ref
 
 from trapeval import losses
 from trapeval.boxes import BoundingBox
-from trapeval.errors import ConfigError
+from trapeval.errors import ConfigError, DegenerateBoxError
 from trapeval.losses import (
     LossKind,
     LossParams,
@@ -196,3 +196,29 @@ def test_focal_eiou_gradient_overflow_is_a_defined_error(gamma, overflows):
         else:
             assert repr(loss_focal_eiou(pred, gt, params)) == expected
     assert (raised > 0) == overflows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_square_that_underflows_is_a_defined_error(kind):
+    """A positive union below about 1e-162 squares to 0.0; on a tall hull
+    narrower than about 1e-108, so does EIoU's and Focal-EIoU's cube of the
+    hull width. Where the definition then divides by zero, the loss and a
+    descent from the pair raise DegenerateBoxError naming both boxes; every
+    other result equals the definition bit for bit."""
+    square = [(10.0**-e, 10.0**-e) for e in range(76, 90)]
+    tall = [(10.0**-e, 1e10) for e in range(100, 176, 3)]
+    raised = 0
+    for width, height in square + tall:
+        pred, gt = BoundingBox(0.0, 0.0, width, height), BoundingBox(0.0, 0.0, 2.0 * width, height)
+        try:
+            expected = repr(ref.evaluate_loss(kind, pred, gt, LossParams(), None))
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(DegenerateBoxError) as info:
+                evaluate_loss(kind, pred, gt)
+            assert str(info.value) == f"loss of {pred} against {gt} is undefined: a squared size underflows to zero"
+            with pytest.raises(DegenerateBoxError, match="underflows"):
+                simulate_regression(kind, pred, gt, step=0.01, iters=2)
+        else:
+            assert repr(evaluate_loss(kind, pred, gt)) == expected
+    assert raised == (8 + 23 if kind.value.endswith("eiou") else 8 + 1)
