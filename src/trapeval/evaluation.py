@@ -484,23 +484,16 @@ class _CategorySweep:
     curve: PrCurve
 
 
-def _sweep(
-    category_id: int, masks: np.ndarray, confidence: np.ndarray, n_gt: int, passes: int
-) -> _CategorySweep:
-    """``average_precision`` of one category's curve at each of ``passes``
-    thresholds, from its detections' TP bitmasks and confidences in
-    ``pr_curve``'s order."""
-    cum_tp = np.cumsum(masks >> np.arange(passes)[:, None] & 1, axis=1)
+def _sweep(category_id: int, hits: np.ndarray, confidence: np.ndarray, n_gt: int) -> _CategorySweep:
+    """``average_precision`` of one category's curve at each threshold, from
+    its detections' TP flags (a row per threshold, a column per detection)
+    and confidences in ``pr_curve``'s order."""
+    cum_tp = np.cumsum(hits, axis=1)
     recalls = cum_tp / n_gt
-    precisions = cum_tp / np.arange(1, masks.size + 1)  # precision(cum_tp, rank - cum_tp)
+    precisions = cum_tp / np.arange(1, hits.shape[1] + 1)  # precision(cum_tp, rank - cum_tp)
     aps, trapezoid = _ap_areas(recalls, precisions)
     curve = PrCurve(category_id, tuple(recalls[0].tolist()), tuple(precisions[0].tolist()))
     return _CategorySweep(aps, trapezoid, confidence, cum_tp[0], curve)
-
-
-# The thresholds one engine run takes: a detection's TP bits sit below the
-# sign bit of an int64.
-_MASK_BITS = 63
 
 
 def _evaluate(
@@ -513,8 +506,8 @@ def _evaluate(
 ) -> tuple[tuple[int, ...], list[list[int]], dict[int, _CategorySweep], np.ndarray]:
     """The one matching pass behind every count and AP: the categories, the
     confusion grid at ``config``'s operating point, for each category with
-    ground truths, ascending, its sweep over ``thresholds`` (at most
-    _MASK_BITS, in any order; none skips the sweeps) and per detection the
+    ground truths, ascending, its sweep over ``thresholds`` (any number, in
+    any order; none skips the sweeps) and per detection the
     ground truth the operating point gave it, -1 for none. ``one_image``
     reads all records as one image. See ``evaluate_corpus``."""
     if not isinstance(detections, BoxColumns):
@@ -545,7 +538,7 @@ def _evaluate(
     # Per detection in walk order; empty starts, so an empty corpus concatenates.
     confidences = [np.empty(0)]
     walk_cats = [np.empty(0, dtype=np.intp)]
-    det_masks = [np.empty(0, dtype=np.int64)]
+    det_hits = [np.empty((len(thresholds), 0), dtype=bool)]
     matched = np.full(len(detections.image_id), -1)
     for det_rows, gt_rows, pair_det, pair_gt, overlap in _walk(detections, gts, codes):
         conf = detections.confidence[det_rows]
@@ -576,26 +569,26 @@ def _evaluate(
         )
         np.add.at(grid, cells, 1)  # no grid-sized temporary per block
 
-        # AP sweep: each detection's bitmask of the thresholds it is a TP at.
-        mask = np.zeros(det_rows.size, dtype=np.int64)
+        # AP sweep: per threshold, whether each detection is a TP at it.
+        hit = np.zeros((len(thresholds), det_rows.size), dtype=bool)
         swept = won[passes[won] > 0]
-        np.bitwise_or.at(mask, pair_det[pairs[swept]], 1 << (passes[swept] - 1))
+        hit[passes[swept] - 1, pair_det[pairs[swept]]] = True
         confidences.append(conf)
         walk_cats.append(dcat)
-        det_masks.append(mask)
+        det_hits.append(hit)
 
     counts = grid.reshape(n + 1, n + 1).tolist()
     dcat = np.concatenate(walk_cats)
     confidence = np.concatenate(confidences)
     # pr_curve's order per category: descending confidence, ties in walk order.
     order = np.lexsort((-confidence, dcat))
-    masks, confidence = np.concatenate(det_masks)[order], confidence[order]
+    hits, confidence = np.concatenate(det_hits, axis=1)[:, order], confidence[order]
     bounds = [0, *np.cumsum(np.bincount(dcat, minlength=n)).tolist()]
     sweeps = {}
     for c, cat in enumerate(cats):
         lo, hi, n_gt = bounds[c], bounds[c + 1], sum(counts[c])
         if n_gt and thresholds:
-            sweeps[cat] = _sweep(cat, masks[lo:hi], confidence[lo:hi], n_gt, len(thresholds))
+            sweeps[cat] = _sweep(cat, hits[:, lo:hi], confidence[lo:hi], n_gt)
     return cats, counts, sweeps, matched
 
 
@@ -628,10 +621,10 @@ def evaluate_corpus(
     greedy passes at once. The operating point at ``config`` fills the
     confusion grid, whose diagonal and margins give the tp/fp/fn counts.
     The same-category pairs, one pass per threshold, give each detection a
-    bitmask of the thresholds it is a TP at, from which ``_sweep`` takes
-    AP, mAP and the curves. Greedy matching never lets two images or two
-    categories share a ground truth, so one pass over a block equals one
-    per (image, category).
+    TP flag per threshold, from which ``_sweep`` takes AP, mAP and the
+    curves. Greedy matching never lets two images or two categories share
+    a ground truth, so one pass over a block equals one per (image,
+    category).
 
     ``match_detections``, ``match_corpus``, ``pr_curve``,
     ``per_category_ap`` and ``map_over_iou_range`` run on the same engine,
@@ -732,25 +725,20 @@ def map_over_iou_range(
     config: MatchConfig | None = None,
 ) -> float:
     """Mean of mAP evaluated at each IoU threshold (default 0.50..0.95), in
-    the order given: one engine run per _MASK_BITS thresholds, all on the
-    records' columns built once."""
+    the order given, from one engine run. The run keeps a TP flag per
+    detection and threshold, so its memory per block grows with the number
+    of thresholds: ten by default, as in ``evaluate_corpus``."""
     if not thresholds:
         raise ConfigError("thresholds must be non-empty")
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ConfigError(f"IoU threshold {t} outside (0, 1)")
-    config = config or MatchConfig()
-    dets = BoxColumns.from_records(detections, scored=True)
-    gts = BoxColumns.from_records(ground_truths)
     thresholds = tuple(thresholds)
-    values = []
-    for start in range(0, len(thresholds), _MASK_BITS):
-        run = thresholds[start : start + _MASK_BITS]
-        _, _, sweeps, _ = _evaluate(dets, gts, config, None, run)
-        values += [
-            mean_average_precision({cat: s.aps[i] for cat, s in sweeps.items()})
-            for i in range(len(run))
-        ]
+    _, _, sweeps, _ = _evaluate(detections, ground_truths, config or MatchConfig(), None, thresholds)
+    values = [
+        mean_average_precision({cat: s.aps[i] for cat, s in sweeps.items()})
+        for i in range(len(thresholds))
+    ]
     return _running_sum(values) / len(values)
 
 

@@ -197,31 +197,19 @@ def _is_identical(pred: BoundingBox, gt: BoundingBox) -> bool:
     )
 
 
-def _iou_core(g: _Geom) -> tuple[float, Vec4]:
+# Each kind's core maps the pair's geometry and the loss parameters to the
+# value and gradient; evaluate_loss runs it.
+def _iou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     return 1.0 - g.iou, _vscale(g.d_iou, -1.0)
-
-
-def _from_core(
-    core: Callable[[_Geom], tuple[float, Vec4]], pred: BoundingBox, gt: BoundingBox
-) -> LossEval:
-    """The core loss of the pair; zero with zero gradient at pred == gt."""
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4)
-    # Each core divides only by positive values and their squares and cubes,
-    # which are zero only where they underflow.
-    try:
-        return LossEval(*core(_Geom(pred, gt)))
-    except ZeroDivisionError:
-        raise _underflow_error(pred, gt) from None
 
 
 def loss_iou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """1 - IoU. Zero gradient on disjoint pairs (IoU is locally constant)."""
-    return _from_core(_iou_core, pred, gt)
+    return evaluate_loss(LossKind.IOU, pred, gt)[0]
 
 
-def _giou_core(g: _Geom) -> tuple[float, Vec4]:
-    value, grad = _iou_core(g)
+def _giou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
+    value, grad = _iou_core(g, params)
     if g.hull_area > 0.0:
         ha, u, du, dh = g.hull_area, g.union, g.d_union, g.d_hull_area
         c2 = ha * ha
@@ -237,13 +225,13 @@ def _giou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_giou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """IoU loss plus the hull-gap penalty (hull - union) / hull."""
-    return _from_core(_giou_core, pred, gt)
+    return evaluate_loss(LossKind.GIOU, pred, gt)[0]
 
 
-def _diou_core(g: _Geom) -> tuple[float, Vec4]:
+def _diou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
         raise _hull_error(g.pred, g.gt, "has zero diagonal")
-    value, grad = _iou_core(g)
+    value, grad = _iou_core(g, params)
     c, d, dd, dc = g.diag_sq, g.dist_sq, g.d_dist_sq, g.d_diag_sq
     q = c * c
     value += d / c
@@ -257,13 +245,13 @@ def _diou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """IoU loss plus center distance normalized by the squared hull diagonal."""
-    return _from_core(_diou_core, pred, gt)
+    return evaluate_loss(LossKind.DIOU, pred, gt)[0]
 
 
-def _ciou_core(g: _Geom) -> tuple[float, Vec4]:
+def _ciou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.h <= 0.0 or g.hg <= 0.0:
         raise DegenerateBoxError(f"aspect ratio undefined: {g.pred} or {g.gt} has zero height")
-    value, grad = _diou_core(g)
+    value, grad = _diou_core(g, params)
 
     k = 4.0 / math.pi**2
     t = math.atan(g.w / g.h)
@@ -296,13 +284,13 @@ def _ciou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """DIoU plus the aspect-ratio consistency term alpha * v."""
-    return _from_core(_ciou_core, pred, gt)
+    return evaluate_loss(LossKind.CIOU, pred, gt)[0]
 
 
-def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
+def _eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.hull_w <= 0.0 or g.hull_h <= 0.0:
         raise _hull_error(g.pred, g.gt, "has a zero side")
-    value, grad = _diou_core(g)
+    value, grad = _diou_core(g, params)
     dw_diff = g.w - g.wg
     dh_diff = g.h - g.hg
     w2 = g.hull_w * g.hull_w
@@ -323,15 +311,18 @@ def _eiou_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_eiou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """DIoU plus width and height differences normalized by the hull sides."""
-    return _from_core(_eiou_core, pred, gt)
+    return evaluate_loss(LossKind.EIOU, pred, gt)[0]
 
 
-def _focal_eiou_core(g: _Geom, gamma: float) -> tuple[float, Vec4]:
+def _focal_eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
+    gamma = params.gamma
+    if gamma == 0.0:  # IoU^0 is 1: EIoU itself, at IoU 0 too
+        return _eiou_core(g, params)
     if g.iou == 0.0:
         # IoU^gamma annihilates both value and gradient; kept as the formula
         # states even though it reinstates the vanishing-gradient regime.
         return 0.0, _ZERO4
-    e_value, e_grad = _eiou_core(g)
+    e_value, e_grad = _eiou_core(g, params)
     scale = g.iou**gamma
     try:
         d_scale = _vscale(g.d_iou, gamma * g.iou ** (gamma - 1.0))
@@ -347,13 +338,10 @@ def loss_focal_eiou(
     pred: BoundingBox, gt: BoundingBox, params: LossParams | None = None
 ) -> LossEval:
     """EIoU scaled by IoU^gamma; identically zero wherever IoU is zero."""
-    params = params or LossParams()
-    if params.gamma == 0.0:
-        return loss_eiou(pred, gt)
-    return _from_core(lambda g: _focal_eiou_core(g, params.gamma), pred, gt)
+    return evaluate_loss(LossKind.FOCAL_EIOU, pred, gt, params)[0]
 
 
-def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
+def _wiou_v1_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
         raise _hull_error(g.pred, g.gt, "has zero diagonal")
     # The squared diagonal is a frozen constant here: only dist_sq carries
@@ -372,7 +360,7 @@ def _wiou_v1_core(g: _Geom) -> tuple[float, Vec4]:
 
 def loss_wiou_v1(pred: BoundingBox, gt: BoundingBox) -> LossEval:
     """IoU loss amplified by exp(center_dist^2 / hull_diag^2)."""
-    return _from_core(_wiou_v1_core, pred, gt)
+    return evaluate_loss(LossKind.WIOU_V1, pred, gt)[0]
 
 
 def outlier_degree(
@@ -417,73 +405,57 @@ def loss_wiou_v3(
     beta and r are constants during differentiation. Returns the loss and the
     state advanced by the current detached IoU loss.
     """
-    params = params or LossParams()
-    current = 1.0 - iou(pred, gt)
-    beta = outlier_degree(current, state)
-    r = focusing_coefficient(beta, params)
-    new_state = state.observe(current)
-    if _is_identical(pred, gt):
-        return LossEval(0.0, _ZERO4), new_state
-    value, grad = _wiou_v1_core(_Geom(pred, gt))
-    return LossEval(r * value, _vscale(grad, r)), new_state
+    return evaluate_loss(LossKind.WIOU_V3, pred, gt, params, state)  # type: ignore[return-value]
 
 
-def _stateless(loss: Callable[[BoundingBox, BoundingBox], LossEval]) -> Callable:
-    return lambda pred, gt, params, state: (loss(pred, gt), state)
-
-
-def _wiou_v3_focus(base: _Geom, params: LossParams, state: WiouState | None) -> float:
-    return focusing_coefficient(outlier_degree(1.0 - base.iou, state or WiouState()), params)
-
-
-# kind -> (evaluate(pred, gt, params, state) -> (loss, next state), focus).
-# focus(base geometry, params, state) is set for the WIoU kinds only: the
-# factor r that the finite-difference oracle holds at its base-pair value,
-# together with the base hull diagonal.
-LOSSES: dict[LossKind, tuple[Callable, Callable | None]] = {
-    LossKind.IOU: (_stateless(loss_iou), None),
-    LossKind.GIOU: (_stateless(loss_giou), None),
-    LossKind.DIOU: (_stateless(loss_diou), None),
-    LossKind.CIOU: (_stateless(loss_ciou), None),
-    LossKind.EIOU: (_stateless(loss_eiou), None),
-    LossKind.FOCAL_EIOU: (
-        lambda p, g, params, state: (loss_focal_eiou(p, g, params), state), None
-    ),
-    LossKind.WIOU_V1: (_stateless(loss_wiou_v1), lambda base, params, state: 1.0),
-    LossKind.WIOU_V3: (
-        lambda p, g, params, state: loss_wiou_v3(p, g, state or WiouState(), params),
-        _wiou_v3_focus,
-    ),
+# WIoUv3 is WIoUv1's core scaled by r.
+_CORES: dict[LossKind, Callable[[_Geom, LossParams], tuple[float, Vec4]]] = {
+    LossKind.IOU: _iou_core,
+    LossKind.GIOU: _giou_core,
+    LossKind.DIOU: _diou_core,
+    LossKind.CIOU: _ciou_core,
+    LossKind.EIOU: _eiou_core,
+    LossKind.FOCAL_EIOU: _focal_eiou_core,
+    LossKind.WIOU_V1: _wiou_v1_core,
+    LossKind.WIOU_V3: _wiou_v1_core,
 }
 
 
-def _frozen_value_fn(
+# Read once: on Python 3.11 looking up an Enum member on its class takes
+# about 100 ns, ten times a global.
+_WIOU_V3 = LossKind.WIOU_V3
+
+
+def evaluate_loss(
     kind: LossKind,
     pred: BoundingBox,
     gt: BoundingBox,
-    params: LossParams,
-    state: WiouState | None,
-) -> Callable[[BoundingBox], float]:
-    """Value function with the detach conventions frozen at the base point.
-
-    For WIoUv1 the hull diagonal of the *base* pair stays in the exponent;
-    for WIoUv3 additionally beta and r are fixed. All other kinds are
-    evaluated plainly.
+    params: LossParams | None = None,
+    state: WiouState | None = None,
+) -> tuple[LossEval, WiouState | None]:
+    """The loss of the pair and its gradient, zero with zero gradient at
+    pred == gt. Returns WIoUv3's state (a fresh running mean for None)
+    advanced by the current detached IoU loss, every other kind's as given.
     """
-    evaluate, focus = LOSSES[kind]
-    if focus is None:
-        return lambda p: evaluate(p, gt, params, state)[0].value
-    base = _Geom(pred, gt)
-    if base.diag_sq <= 0.0:
-        raise _hull_error(pred, gt, "has zero diagonal")
-    diag_sq = base.diag_sq
-    r = focus(base, params, state)
-
-    def f(p: BoundingBox) -> float:
-        g = _Geom(p, gt)
-        return r * math.exp(g.dist_sq / diag_sq) * (1.0 - g.iou)
-
-    return f
+    core = _CORES[kind]
+    params = params or LossParams()
+    wiou_v3 = kind is _WIOU_V3
+    if wiou_v3:
+        state = state or WiouState()
+        current = 1.0 - iou(pred, gt)
+        r = focusing_coefficient(outlier_degree(current, state), params)
+        state = state.observe(current)
+    if _is_identical(pred, gt):
+        return LossEval(0.0, _ZERO4), state
+    # Each core divides only by positive values and their squares and cubes,
+    # which are zero only where they underflow.
+    try:
+        value, grad = core(_Geom(pred, gt), params)
+    except ZeroDivisionError:
+        raise _underflow_error(pred, gt) from None
+    if wiou_v3:
+        return LossEval(r * value, _vscale(grad, r)), state
+    return LossEval(value, grad), state
 
 
 def finite_diff_grad(
@@ -497,12 +469,31 @@ def finite_diff_grad(
     """Central-difference gradient over predicted corners.
 
     Honors the same detach conventions as the analytic path, so away from
-    kinks the two must agree.
+    kinks the two must agree: for WIoUv1 the hull diagonal of the *base*
+    pair stays in the exponent; for WIoUv3 additionally beta and r are
+    fixed. All other kinds are evaluated plainly.
     """
     if h <= 0:
         raise ConfigError("step h must be > 0")
     params = params or LossParams()
-    f = _frozen_value_fn(kind, pred, gt, params, state)
+    if kind is LossKind.WIOU_V1 or kind is LossKind.WIOU_V3:
+        base = _Geom(pred, gt)
+        if base.diag_sq <= 0.0:
+            raise _hull_error(pred, gt, "has zero diagonal")
+        diag_sq = base.diag_sq
+        r = 1.0
+        if kind is LossKind.WIOU_V3:
+            r = focusing_coefficient(outlier_degree(1.0 - base.iou, state or WiouState()), params)
+
+        def f(p: BoundingBox) -> float:
+            g = _Geom(p, gt)
+            return r * math.exp(g.dist_sq / diag_sq) * (1.0 - g.iou)
+
+    else:
+
+        def f(p: BoundingBox) -> float:
+            return evaluate_loss(kind, p, gt, params, state)[0].value
+
     base = list(pred.corners())
     grad = []
     for i in range(4):
@@ -512,17 +503,6 @@ def finite_diff_grad(
         lo[i] -= h
         grad.append((f(BoundingBox(*hi)) - f(BoundingBox(*lo))) / (2.0 * h))
     return tuple(grad)  # type: ignore[return-value]
-
-
-def evaluate_loss(
-    kind: LossKind,
-    pred: BoundingBox,
-    gt: BoundingBox,
-    params: LossParams | None = None,
-    state: WiouState | None = None,
-) -> tuple[LossEval, WiouState | None]:
-    """Uniform dispatch; returns the updated state for WIoUv3, else the input."""
-    return LOSSES[kind][0](pred, gt, params or LossParams(), state)
 
 
 class TrajectoryRow(NamedTuple):

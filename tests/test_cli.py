@@ -243,6 +243,15 @@ def test_losslab_names_a_default_box_with_float_corners_as_a_given_one(tmp_path,
     )
 
 
+def test_losslab_goes_on_past_finite_values_whose_sum_overflows(tmp_path, capsys):
+    # At iteration 0 the loss is 1.64e308 and each gradient component
+    # 1.82e307: every value is finite, so the descent steps on, although
+    # their sum is inf.
+    argv = ["--kinds", "wiou_v3", "--start", "2,2,3,3", "--gt", "0,0,1,1", "--delta", "5e-309", "--iters", "3"]
+    code, stdout, err = run(capsys, "losslab", *argv, "--out-dir", str(tmp_path / "lab"))
+    assert (code, stdout, err) == (1, "", "wiou_v3: diverged at iteration 1\n")
+
+
 def test_losslab_leaves_a_diverged_kind_out_and_writes_the_others(tmp_path, capsys, monkeypatch):
     from trapeval.errors import DivergedError
     from trapeval.losses import LossKind

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 
@@ -307,6 +308,23 @@ def test_finite_diff_examples():
         assert abs(a - f) / abs(a) < 1e-4
     with pytest.raises(ValueError):
         finite_diff_grad(LossKind.IOU, *DISJOINT, h=0.0)
+
+
+# sha256 of the reprs of finite_diff_grad, one per line, for each kind over
+# seeded gradient_pairs with and without a WIoUv3 running mean, as the
+# oracle computed them when each kind had its own frozen-value function.
+# The tolerance checks above would not see a last-bit change.
+FINITE_DIFF_PIN = "0970a31a80c13952ced78be813e7ba7180a5cb18e31b0390a0d5ea129598bf51"
+
+
+def test_finite_diff_grad_is_pinned_bit_for_bit():
+    reprs = [
+        repr(finite_diff_grad(kind, pred, gt, 1e-6, None, state))
+        for kind in LossKind
+        for pred, gt in gradient_pairs(seed=4321, count=40)
+        for state in (None, WiouState(0.35, 9))
+    ]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == FINITE_DIFF_PIN
 
 
 @pytest.mark.parametrize("kind", list(LossKind))

@@ -87,15 +87,20 @@ SIGN_OF_ZERO_PAIRS = (
 
 
 def test_evaluate_loss_equals_its_definition_on_seeded_pairs():
+    """evaluate_loss, and each public loss_* function, against the function
+    of the same name in the definition."""
     rng = random.Random(20240)
     pairs = [*SIGN_OF_ZERO_PAIRS, *(pair(rng) for _ in range(2400))]
     for pred, gt in pairs:
         params = rng.choice(PARAMS)
         state = rng.choice((None, WiouState(), WiouState(rng.uniform(0.05, 1.0), rng.randint(1, 9))))
+        extra = {LossKind.FOCAL_EIOU: (params,), LossKind.WIOU_V3: (state or WiouState(), params)}
         for kind in KINDS:
             assert outcome(evaluate_loss, kind, pred, gt, params, state) == outcome(
                 ref.evaluate_loss, kind, pred, gt, params, state
             ), (kind, pred, gt, params, state)
+            name, args = f"loss_{kind.value}", (pred, gt, *extra.get(kind, ()))
+            assert outcome(getattr(losses, name), *args) == outcome(getattr(ref, name), *args), (name, args)
 
 
 def descent_cases():
@@ -123,10 +128,15 @@ def descent_cases():
     # its target is the per-kind case above.)
     for kind in (LossKind.IOU, LossKind.FOCAL_EIOU):
         yield kind, BoundingBox(-0.0, -0.0, 1.0, 1.0), BoundingBox(2.0, 2.0, 3.0, 3.0), 0.5, 6
+    # Finite values whose sum overflows: at iteration 0 a subnormal delta
+    # makes WIoUv3's r about 1e308, its value 1.64e308 and each gradient
+    # component 1.82e307. The descent goes on, and diverges at iteration 1.
+    yield (LossKind.WIOU_V3, BoundingBox(2, 2, 3, 3), BoundingBox(0, 0, 1, 1), 0.01, 3,
+           LossParams(delta=5e-309))
 
 
-def trajectory_and_csv(simulate, write, kind, start, gt, step, iters):
-    trajectory = simulate(kind, start, gt, step, iters, LossParams())
+def trajectory_and_csv(simulate, write, kind, start, gt, step, iters, params=LossParams()):
+    trajectory = simulate(kind, start, gt, step, iters, params)
     stream = io.StringIO()
     write(trajectory, stream)
     return trajectory.rows, stream.getvalue()
