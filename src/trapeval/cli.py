@@ -349,8 +349,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrapevalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TrapevalError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the bytes and the shape; Python's own is bare.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

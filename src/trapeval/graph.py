@@ -4,12 +4,12 @@ per-layer activation capture, and reverse-mode gradients from a head score
 back to any recorded layer.
 
 A graph is a list of named layers; every layer references earlier layers by
-name. The two built-in topologies follow the conventional small-detector
-layout: a strided-conv backbone with cross-stage blocks and a pooling
-pyramid, an FPN/PAN neck, and a decoupled per-scale head stub. The improved
-variant inserts a global attention block right before the pooling pyramid
-and fuses the first cross-stage output (layer 2) into the neck through an
-extra high-resolution scale.
+name. The two built-in topologies share one small-detector layout: a
+strided-conv backbone with cross-stage blocks and a pooling pyramid, an
+FPN/PAN neck, and a decoupled per-scale head stub. The improved variant
+differs in exactly two places: a global attention block right before the
+pooling pyramid, and a top-down path that runs one level further, fusing the
+first cross-stage output (layer l2, stride 4) into a fourth head scale.
 """
 
 from __future__ import annotations
@@ -288,86 +288,51 @@ def build_graph(
 ) -> GraphSpec:
     """Construct the baseline or improved detector topology.
 
-    ``input_size`` must be divisible by 32 (the deepest stride).
+    Both variants share one layout; ``improved`` adds a ``gam`` layer before
+    the ``sppf`` and runs the top-down path one level further, fusing stage 1
+    (``l2``, stride 4) into a fourth head scale. ``input_size`` must be
+    divisible by 32 (the deepest stride).
     """
     if variant not in ("baseline", "improved"):
         raise GraphError(f"unknown variant {variant!r}")
     if input_size % 32 != 0 or input_size <= 0:
         raise GraphError(f"input size {input_size} must be a positive multiple of 32")
+    improved = variant == "improved"
     w, d = BACKBONE_WIDTHS, BACKBONE_DEPTHS
 
     layers: list[LayerSpec] = [
         LayerSpec("img", "input", (), {"channels": 3, "height": input_size, "width": input_size})
     ]
-    counter = 0
 
     def add(kind: str, inputs: tuple[str, ...], **params: int) -> str:
-        nonlocal counter
-        name = f"l{counter}"
-        layers.append(
-            LayerSpec(name, kind, inputs, params, seed=_layer_seed(seed, counter))
-        )
-        counter += 1
-        return name
+        index = len(layers) - 1
+        layers.append(LayerSpec(f"l{index}", kind, inputs, params, seed=_layer_seed(seed, index)))
+        return layers[-1].name
 
     def conv(src: str, out_c: int) -> str:
         return add("conv", (src,), out_channels=out_c, kernel=3, stride=2, padding=1, act=1)
 
-    # Backbone (stages P1..P5).
-    p1 = conv("img", w[0])
-    p2 = conv(p1, w[1])
-    c2 = add("c2f", (p2,), out_channels=w[1], n=d[0])
-    p3 = conv(c2, w[2])
-    c4 = add("c2f", (p3,), out_channels=w[2], n=d[1])
-    p4 = conv(c4, w[3])
-    c6 = add("c2f", (p4,), out_channels=w[3], n=d[2])
-    p5 = conv(c6, w[4])
-    c8 = add("c2f", (p5,), out_channels=w[4], n=d[3])
-    if variant == "improved":
-        c8 = add("gam", (c8,), rate=4)
-    sppf = add("sppf", (c8,), kernel=5)
+    def fuse(a: str, b: str, out_c: int) -> str:
+        return add("c2f", (add("concat", (a, b)),), out_channels=out_c, n=1)
 
-    # FPN top-down path.
-    up1 = add("upsample", (sppf,), factor=2)
-    cat1 = add("concat", (up1, c6))
-    mid_p4 = add("c2f", (cat1,), out_channels=w[3], n=1)
-    up2 = add("upsample", (mid_p4,), factor=2)
-    cat2 = add("concat", (up2, c4))
-    mid_p3 = add("c2f", (cat2,), out_channels=w[2], n=1)
-
-    if variant == "baseline":
-        down1 = conv(mid_p3, w[2])
-        cat3 = add("concat", (down1, mid_p4))
-        out_p4 = add("c2f", (cat3,), out_channels=w[3], n=1)
-        down2 = conv(out_p4, w[3])
-        cat4 = add("concat", (down2, sppf))
-        out_p5 = add("c2f", (cat4,), out_channels=w[4], n=1)
-        scales = (mid_p3, out_p4, out_p5)
-    else:
-        # Extra high-resolution branch fusing the layer-2 features.
-        up3 = add("upsample", (mid_p3,), factor=2)
-        cat3 = add("concat", (up3, c2))
-        out_p2 = add("c2f", (cat3,), out_channels=w[1], n=1)
-        down1 = conv(out_p2, w[1])
-        cat4 = add("concat", (down1, mid_p3))
-        out_p3 = add("c2f", (cat4,), out_channels=w[2], n=1)
-        down2 = conv(out_p3, w[2])
-        cat5 = add("concat", (down2, mid_p4))
-        out_p4 = add("c2f", (cat5,), out_channels=w[3], n=1)
-        down3 = conv(out_p4, w[3])
-        cat6 = add("concat", (down3, sppf))
-        out_p5 = add("c2f", (cat6,), out_channels=w[4], n=1)
-        scales = (out_p2, out_p3, out_p4, out_p5)
-
-    layers.append(
-        LayerSpec(
-            f"l{counter}",
-            "detect",
-            scales,
-            {"categories": num_categories},
-            seed=_layer_seed(seed, counter),
-        )
-    )
+    # Backbone: stage i ends at stride 2**(i + 1).
+    x, stages = "img", []
+    for i in range(5):
+        x = conv(x, w[i])
+        if i:
+            x = add("c2f", (x,), out_channels=w[i], n=d[i - 1])
+        stages.append(x)
+    if improved:
+        x = add("gam", (x,), rate=4)
+    tops = {4: add("sppf", (x,), kernel=5)}
+    # FPN top-down path, down to stage 2, or to stage 1 in the improved neck.
+    for i in range(3, 0 if improved else 1, -1):
+        tops[i] = fuse(add("upsample", (tops[i + 1],), factor=2), stages[i], w[i])
+    # PAN bottom-up path; its outputs are the head scales.
+    scales = [tops[min(tops)]]
+    for i in range(min(tops) + 1, 5):
+        scales.append(fuse(conv(scales[-1], w[i - 1]), tops[i], w[i]))
+    add("detect", tuple(scales), categories=num_categories)
     return GraphSpec(tuple(layers))
 
 
@@ -396,24 +361,24 @@ def check_reference_shapes(spec: GraphSpec, variant: str) -> list[str]:
     shapes, rows = spec.propagate_shapes()
     problems: list[str] = []
 
-    def expect(name: str, want: tuple[int, int, int]):
-        got = shapes.get(name)
+    def expect(label: str, got: Shape | None, want: Shape) -> None:
         if got != want:
-            problems.append(f"{name}: expected {want}, got {got}")
+            problems.append(f"{label}: expected {want}, got {got}")
 
     for name, want in REFERENCE_BACKBONE_640:
-        expect(name, want)
-    concat = next(r.shape for r in rows if r.kind == "sppf.concat")
-    if concat != REFERENCE_SPPF_CONCAT_640:
-        problems.append(f"sppf concat: expected {REFERENCE_SPPF_CONCAT_640}, got {concat}")
-    expect(next(l.name for l in spec.layers if l.kind == "sppf"), REFERENCE_SPPF_OUT_640)
-    if variant == "improved":
-        gam = next(l for l in spec.layers if l.kind == "gam")
-        if shapes.get(gam.inputs[0]) != REFERENCE_GAM_640:
-            problems.append(
-                f"gam input: expected {REFERENCE_GAM_640}, got {shapes.get(gam.inputs[0])}"
-            )
-        expect(gam.name, REFERENCE_GAM_640)
+        expect(name, shapes.get(name), want)
+    sppf = next((l for l in spec.layers if l.kind == "sppf"), None)
+    if sppf is None:
+        problems.append("sppf: no sppf layer")
+    else:
+        expect("sppf concat", next(r.shape for r in rows if r.kind == "sppf.concat"), REFERENCE_SPPF_CONCAT_640)
+        expect(sppf.name, shapes[sppf.name], REFERENCE_SPPF_OUT_640)
+    gam = next((l for l in spec.layers if l.kind == "gam"), None)
+    if variant == "improved" and gam is None:
+        problems.append("gam: no gam layer")
+    elif variant == "improved":
+        expect("gam input", shapes[gam.inputs[0]], REFERENCE_GAM_640)
+        expect(gam.name, shapes[gam.name], REFERENCE_GAM_640)
     return problems
 
 

@@ -16,8 +16,8 @@ the analytic path agree on one contract:
   so descent started at the target stays put;
 - WIoUv1 treats the hull diagonal in its exponent as a constant during
   differentiation, and WIoUv3 additionally freezes beta and r;
-- Focal-EIoU is 0 with zero gradient wherever IoU = 0 (the formula's own
-  vanishing-gradient behaviour, kept as written).
+- for gamma > 0, Focal-EIoU is 0 with zero gradient wherever IoU = 0 (the
+  formula's own vanishing-gradient behaviour, kept as written).
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def _focal_eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
 def loss_focal_eiou(
     pred: BoundingBox, gt: BoundingBox, params: LossParams | None = None
 ) -> LossEval:
-    """EIoU scaled by IoU^gamma; identically zero wherever IoU is zero."""
+    """EIoU scaled by IoU^gamma; for gamma > 0, identically zero wherever IoU is zero."""
     return evaluate_loss(LossKind.FOCAL_EIOU, pred, gt, params)[0]
 
 

@@ -1213,6 +1213,33 @@ def test_gradcam_rejects_a_bad_layer_before_drawing_a_weight(tmp_path, capsys, m
     assert err == "error: no layer named 'nope'\n" and stdout == ""
 
 
+def test_gradcam_out_of_memory_exits_1_with_numpys_message(tmp_path, capsys, monkeypatch):
+    graph, image = write_tiny_graph(tmp_path, "")
+    message = "Unable to allocate 216. TiB for an array with shape (1099511627776, 3, 3, 3) and data type float64"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(nn, "_uniform_weights", no_memory)
+    code, stdout, err = run(capsys, "gradcam", graph, image, "--layer", "img", "--category", "0",
+                            "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_out_of_memory_without_a_message_exits_1_saying_so(tmp_path, capsys, monkeypatch):
+    from trapeval import evaluation
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(evaluation, "_pairs", no_memory)
+    det, ann = write_eval_corpus(tmp_path, images=5)
+    code, stdout, err = run(capsys, "eval", det, ann, "--out-dir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (1, "", "error: out of memory\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv,argument",
     [

@@ -102,6 +102,17 @@ def test_reference_check_names_each_shape_off_the_640_table():
     ]
 
 
+def test_reference_check_names_a_missing_gam_layer():
+    assert check_reference_shapes(build_graph("baseline", 640), "improved") == ["gam: no gam layer"]
+
+
+def test_reference_check_names_a_missing_sppf_layer():
+    backbone = build_graph("baseline", 640).layers[:10]  # img and l0-l8
+    spec = GraphSpec((*backbone, LayerSpec("head", "detect", ("l8",), {"categories": 2})))
+    assert check_reference_shapes(spec, "baseline") == ["sppf: no sppf layer"]
+    assert check_reference_shapes(spec, "improved") == ["sppf: no sppf layer", "gam: no gam layer"]
+
+
 def test_input_size_scales_all_dimensions():
     shapes640, _ = build_graph("baseline", 640).propagate_shapes()
     shapes64, _ = build_graph("baseline", 64).propagate_shapes()
