@@ -15,6 +15,7 @@ first cross-stage output (layer l2, stride 4) into a fourth head scale.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable, Mapping
@@ -436,6 +437,15 @@ def parse_graph_text(stream: IO[str]) -> GraphSpec:
 
 # --- instantiated graph ---------------------------------------------------------
 
+@contextmanager
+def _naming(layer_name: str):
+    """Puts the layer's name in front of a MemoryError raised inside."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"layer {layer_name}: {str(exc) or 'out of memory'}") from exc
+
+
 @dataclass(frozen=True)
 class GraphRun:
     """Forward results: named activations, the head's class planes among
@@ -599,16 +609,17 @@ class Graph:
 
         for index, layer in enumerate(self.spec.layers[1:], start=1):
             module = self.modules[layer.name]
-            if layer.name == detect_name:
-                cache = []
-                for plane, ref, branch in zip(self.planes, layer.inputs, module):
-                    cls, branch_cache = branch.forward(values[ref])
-                    record(plane, cls)
-                    cache.append(branch_cache)
-            else:
-                xs = [values[ref] for ref in layer.inputs]
-                out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
-                record(layer.name, out)
+            with _naming(layer.name):
+                if layer.name == detect_name:
+                    cache = []
+                    for plane, ref, branch in zip(self.planes, layer.inputs, module):
+                        cls, branch_cache = branch.forward(values[ref])
+                        record(plane, cls)
+                        cache.append(branch_cache)
+                else:
+                    xs = [values[ref] for ref in layer.inputs]
+                    out, cache = module.forward(xs[0] if LAYER_TABLE[layer.kind].arity == 1 else xs)
+                    record(layer.name, out)
             if index >= first_cached:
                 caches[layer.name] = cache
             if lean:
@@ -661,13 +672,15 @@ class Graph:
                 del run.caches[name]
 
         # The other scales' head caches go with the list.
-        grads = {source: self.modules[detect_name][si].backward(seed, take(detect_name)[si])}
+        with _naming(detect_name):
+            grads = {source: self.modules[detect_name][si].backward(seed, take(detect_name)[si])}
         for layer in reversed(self.spec.layers[1:]):
             if layer.name == layer_name:
                 break
             if layer.name not in grads:
                 continue
-            upstream = self.modules[layer.name].backward(grads.pop(layer.name), take(layer.name))
+            with _naming(layer.name):
+                upstream = self.modules[layer.name].backward(grads.pop(layer.name), take(layer.name))
             parts = [upstream] if LAYER_TABLE[layer.kind].arity == 1 else upstream
             for ref, d in zip(layer.inputs, parts):
                 grads[ref] = grads[ref] + d if ref in grads else d

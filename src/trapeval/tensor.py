@@ -122,23 +122,13 @@ def _pointwise(spec: ShapeSpec) -> bool:
     return spec.kernel == 1 and spec.stride == 1 and spec.padding == 0
 
 
-def _im2col(x: np.ndarray, spec: ShapeSpec, ho: int, wo: int) -> np.ndarray:
-    """(C_in, k, k, ho, wo) patches of x zero-padded by p: entry
-    [c, u, v, i, j] is x[c, s*i + u - p, s*j + v - p], or 0 outside x."""
-    c_in, h, w = x.shape
+def _windows(x: np.ndarray, spec: ShapeSpec, fill: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """x padded by p with fill, and that copy's writeable (C, ho, wo, k, k)
+    window view: entry [c, i, j, u, v] is x[c, s*i + u - p, s*j + v - p].
+    Within one tap (u, v) the view's entries are distinct cells."""
     p, s, k = spec.padding, spec.stride, spec.kernel
-    cols = np.zeros((c_in, k, k, ho, wo))
-    for u in range(k):
-        i0, i1 = max(0, -((u - p) // s)), min(ho, (h - 1 + p - u) // s + 1)
-        for v in range(k):
-            j0, j1 = max(0, -((v - p) // s)), min(wo, (w - 1 + p - v) // s + 1)
-            if i0 < i1 and j0 < j1:
-                cols[:, u, v, i0:i1, j0:j1] = x[
-                    :,
-                    s * i0 + u - p : s * (i1 - 1) + u - p + 1 : s,
-                    s * j0 + v - p : s * (j1 - 1) + v - p + 1 : s,
-                ]
-    return cols
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
+    return xp, sliding_window_view(xp, (k, k), axis=(1, 2), writeable=True)[:, ::s, ::s]
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, spec: ShapeSpec) -> np.ndarray:
@@ -155,7 +145,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, spec: ShapeSpec) -> np.nd
         raise ShapeError(f"conv expects {c_in_w} input channels, got {c_in}")
     ho = conv_output_dim(h, spec)
     wo = conv_output_dim(w, spec)
-    cols = x if _pointwise(spec) else _im2col(x, spec, ho, wo)
+    cols = x if _pointwise(spec) else np.ascontiguousarray(_windows(x, spec)[1].transpose(0, 3, 4, 1, 2))
     return np.dot(weights.reshape(c_out, -1), cols.reshape(-1, ho * wo)).reshape(c_out, ho, wo)
 
 
@@ -164,7 +154,7 @@ def conv2d_backward_input(
 ) -> np.ndarray:
     c_in, h, w = input_shape
     c_out = weights.shape[0]
-    p, s, k = spec.padding, spec.stride, spec.kernel
+    p, k = spec.padding, spec.kernel
     ho, wo = dout.shape[1:]
     # (C_in*k*k, C_out) @ (C_out, ho*wo), the transposed weights a view: the
     # operands np.tensordot(weights, dout, ([0], [0])) hands to BLAS.
@@ -174,10 +164,10 @@ def conv2d_backward_input(
         dcols += 0.0
         return dcols.reshape(input_shape)
     dcols = dcols.reshape(c_in, k, k, ho, wo)
-    dxp = np.zeros((c_in, h + 2 * p, w + 2 * p))
+    dxp, windows = _windows(np.broadcast_to(0.0, input_shape), spec)
     for u in range(k):
         for v in range(k):
-            dxp[:, u : u + s * ho : s, v : v + s * wo : s] += dcols[:, u, v]
+            windows[..., u, v] += dcols[:, u, v]
     return dxp[:, p : p + h, p : p + w]
 
 
@@ -188,11 +178,8 @@ def maxpool2d_forward(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarra
     flat within-window winner index (first occurrence in row-major scan)."""
     if kernel % 2 == 0:
         raise ConfigError(f"max-pool needs an odd kernel, got {kernel}")
-    c, h, w = x.shape
-    p = kernel // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=-np.inf)
-    windows = sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
-    flat = windows.reshape(c, h, w, kernel * kernel)
+    _, windows = _windows(x, ShapeSpec(kernel, 1, kernel // 2), -np.inf)
+    flat = windows.reshape(*x.shape, kernel * kernel)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     return out, idx

@@ -1223,7 +1223,7 @@ def test_gradcam_out_of_memory_exits_1_with_numpys_message(tmp_path, capsys, mon
     monkeypatch.setattr(nn, "_uniform_weights", no_memory)
     code, stdout, err = run(capsys, "gradcam", graph, image, "--layer", "img", "--category", "0",
                             "--out-dir", str(tmp_path / "out"))
-    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert (code, stdout, err) == (1, "", f"error: layer head: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -588,6 +588,28 @@ def test_backward_rejects_a_seed_outside_the_head_before_using_the_run(selector,
         graph.backward_to_layer(run, ScoreSelector(2, 0, (3, 3)), "c1")
 
 
+@pytest.mark.parametrize(
+    "draws,layer", [(lambda shape: True, "det"), (lambda shape: shape[-1] == 7, "g1")], ids=["head", "gam"]
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 216. TiB", ""])
+def test_a_memory_error_in_a_backward_names_its_layer(monkeypatch, draws, layer, message):
+    """The head branch's backward and each layer's after it; GAM's spatial
+    gate is the only 7x7 draw."""
+    graph = Graph(tiny_spec())
+    run = graph.forward(tiny_image())
+    draw = nn._uniform_weights
+
+    def short_of_memory(rng, fan_in, shape):
+        if draws(shape):
+            raise MemoryError(message)
+        return draw(rng, fan_in, shape)
+
+    monkeypatch.setattr(nn, "_uniform_weights", short_of_memory)
+    with pytest.raises(MemoryError) as excinfo:
+        graph.backward_to_layer(run, ScoreSelector(0), "img")
+    assert str(excinfo.value) == f"layer {layer}: {message or 'out of memory'}"
+
+
 @pytest.mark.parametrize("scale,layer", [(4, "c1"), (-1, "c0")])
 def test_backward_rejects_seeds_it_cannot_serve(scale, layer):
     graph = Graph(two_scale_spec())

@@ -7,6 +7,7 @@ subnormals, infinities and NaN payloads included.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from trapeval.tensor import (
     conv2d_backward_input,
     conv2d_forward,
     conv_output_dim,
+    maxpool2d_backward,
+    maxpool2d_forward,
     sigmoid,
     silu,
     silu_backward,
@@ -73,6 +76,39 @@ def oracle_conv2d_backward_input(dout, weights, input_shape, spec):
         for v in range(k):
             dxp[:, u : u + s * ho : s, v : v + s * wo : s] += dcols[:, u, v]
     return dxp[:, p : p + h, p : p + w]
+
+
+def oracle_maxpool2d_forward(x, kernel):
+    """Each window of the -inf-bordered input scanned in row-major order:
+    the first maximum wins, or the first NaN, as ``np.argmax`` picks."""
+    c, h, w = x.shape
+    p = kernel // 2
+    xp = np.full((c, h + 2 * p, w + 2 * p), -np.inf)
+    xp[:, p : p + h, p : p + w] = x
+    rows = xp.tolist()
+    out, idx = np.empty(x.shape), np.empty(x.shape, dtype=np.intp)
+    for ci, i, j in itertools.product(range(c), range(h), range(w)):
+        window = [rows[ci][i + u][j + v] for u in range(kernel) for v in range(kernel)]
+        best = 0
+        for t, value in enumerate(window):
+            if value > window[best] or (math.isnan(value) and not math.isnan(window[best])):
+                best = t
+        u, v = divmod(best, kernel)
+        out[ci, i, j] = xp[ci, i + u, j + v]
+        idx[ci, i, j] = best
+    return out, idx
+
+
+def oracle_maxpool2d_backward(dout, argmax, kernel):
+    """dout added at each window's winner, windows in (c, i, j) order."""
+    c, h, w = dout.shape
+    p = kernel // 2
+    dxp = np.zeros((c, h + 2 * p, w + 2 * p)).tolist()
+    grads, winners = dout.tolist(), argmax.tolist()
+    for ci, i, j in itertools.product(range(c), range(h), range(w)):
+        u, v = divmod(winners[ci][i][j], kernel)
+        dxp[ci][i + u][j + v] += grads[ci][i][j]
+    return np.array(dxp)[:, p : p + h, p : p + w]
 
 
 def oracle_uniform_weights(rng, fan_in, shape):
@@ -190,6 +226,14 @@ def test_activations_equal_their_oracles_bitwise(case):
 CONV_INPUTS = [(2, 9, 6), (3, 1, 4), (1, 5, 11), (2, 12, 12)]
 
 
+def strided(a):
+    """A non-contiguous view, inside a larger array, holding a's values."""
+    c, h, w = a.shape
+    view = np.full((2 * c, 2 * h + 1, 3 * w), np.nan)[::2, 1::2, ::3]
+    view[...] = a
+    return view
+
+
 def conv_operands(rng, c_in, k, c_out=3):
     weights = rng.uniform(-1, 1, (c_out, c_in, k, k))
     weights.flat[::5] = 0.0
@@ -214,13 +258,16 @@ def test_conv_equals_its_oracle_bitwise(kernel, stride):
                 with pytest.raises(ShapeError):
                     conv2d_forward(x, weights, spec)
                 continue
-            assert_bitwise(conv2d_forward(x, weights, spec), oracle_conv2d_forward(x, weights, spec))
             # -0.0 and 0.0 upstream gradients: the sign of each zero must match
-            for dout in (rng.normal(size=out_shape), np.full(out_shape, -0.0), np.zeros(out_shape)):
-                assert_bitwise(
-                    conv2d_backward_input(dout, weights, shape, spec),
-                    oracle_conv2d_backward_input(dout, weights, shape, spec),
-                )
+            douts = (rng.normal(size=out_shape), np.full(out_shape, -0.0), np.zeros(out_shape))
+            # each case contiguous and as a strided view of a larger array
+            for xv, dvs in ((x, douts), (strided(x), [strided(d) for d in douts])):
+                assert_bitwise(conv2d_forward(xv, weights, spec), oracle_conv2d_forward(xv, weights, spec))
+                for dout in dvs:
+                    assert_bitwise(
+                        conv2d_backward_input(dout, weights, shape, spec),
+                        oracle_conv2d_backward_input(dout, weights, shape, spec),
+                    )
             checked += 1
     assert checked >= len(CONV_INPUTS)
 
@@ -240,15 +287,15 @@ def test_pointwise_conv_on_a_strided_input_equals_its_oracle():
 
 def test_pointwise_conv_builds_no_patch_matrix(monkeypatch):
     """A 1x1, stride-1, unpadded conv multiplies x itself, forward and
-    backward; every other conv goes through im2col."""
+    backward; every other conv copies its patches out of the window view."""
     calls = []
-    im2col = tensor._im2col
+    windows = tensor._windows
 
-    def recorded(x, spec, ho, wo):
+    def recorded(x, spec, fill=0.0):
         calls.append(spec)
-        return im2col(x, spec, ho, wo)
+        return windows(x, spec, fill)
 
-    monkeypatch.setattr(tensor, "_im2col", recorded)
+    monkeypatch.setattr(tensor, "_windows", recorded)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 6, 5))
     weights = conv_operands(rng, 4, 1, c_out=3)
@@ -264,6 +311,42 @@ def test_pointwise_conv_builds_no_patch_matrix(monkeypatch):
     for other in others:
         assert_bitwise(conv2d_forward(x, weights, other), oracle_conv2d_forward(x, weights, other))
     assert calls == others
+
+
+# --- max pooling -------------------------------------------------------------
+
+
+def maxpool_inputs():
+    """Ties (signed zeros among them), infinities, NaN payloads, a channel
+    of -inf whose windows the border wins, and a strided view."""
+    rng = np.random.default_rng(9)
+    ties = rng.integers(-2, 3, (3, 9, 8)).astype(np.float64)
+    ties[(ties == 0) & (rng.random(ties.shape) < 0.5)] = -0.0
+    ties[2] = -np.inf
+    specials = rng.normal(size=(4, 7, 10))
+    specials.flat[::7] = np.inf
+    specials.flat[3::11] = -np.inf
+    specials.flat[5::13] = np.resize(NANS, specials.flat[5::13].size)
+    specials.flat[6::17] = -0.0
+    specials.flat[8::17] = 0.0
+    return [ties, specials, strided(rng.normal(size=(2, 6, 5)))]
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+def test_maxpool_equals_its_oracle_bitwise(kernel):
+    rng = np.random.default_rng(kernel)
+    for x in maxpool_inputs():
+        out, idx = maxpool2d_forward(x, kernel)
+        oracle_out, oracle_idx = oracle_maxpool2d_forward(x, kernel)
+        assert_bitwise(out, oracle_out)
+        assert idx.dtype == oracle_idx.dtype and (idx == oracle_idx).all()
+        # Which payload a sum of two NaNs keeps is the compiler's choice: one NaN.
+        dout = rng.normal(size=x.shape)
+        dout.flat[::3] = -0.0
+        dout.flat[1::5] = np.inf
+        dout.flat[2] = NANS[1]
+        assert_bitwise(maxpool2d_backward(dout, idx, kernel), oracle_maxpool2d_backward(dout, idx, kernel))
+        assert_bitwise(maxpool2d_backward(strided(dout), idx, kernel), maxpool2d_backward(dout, idx, kernel))
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
@@ -316,6 +399,8 @@ def test_graph_equals_the_oracle_kernels_bitwise(monkeypatch, variant, size):
         ("silu_backward", oracle_silu_backward),
         ("conv2d_forward", oracle_conv2d_forward),
         ("conv2d_backward_input", oracle_conv2d_backward_input),
+        ("maxpool2d_forward", oracle_maxpool2d_forward),
+        ("maxpool2d_backward", oracle_maxpool2d_backward),
         ("upsample_backward", oracle_upsample_backward),
     ]:
         monkeypatch.setattr(nn, name, oracle)
