@@ -256,6 +256,8 @@ def cmd_split(args) -> int:
         if args.trans_val is None:
             raise ConfigError("--trans-val is required with --trans-test")
         config = make_config(trans_test, args.trans_val)
+    elif args.trans_val is not None:
+        raise ConfigError("--trans-test is required with --trans-val")
     rows = ds.nonempty_rows(read := ds.read_annotation_columns(args.annotations))
     if config is None:
         import random

@@ -21,10 +21,12 @@ import json
 import math
 import random
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .boxes import BoundingBox, GroundTruth
 from .errors import FormatError, SplitError
@@ -191,14 +193,19 @@ def collector_paused():
 class AnnotationColumns(NamedTuple):
     """An annotation file as read: its categories, its images' fields by
     image id in file order and, per annotation in file order, its image id,
-    its category id and the four clamped corners of its box, one flat run
-    of floats (x1, y1, x2, y2 of each annotation in turn)."""
+    its category id and the four clamped corners of its box, one flat
+    ``array('d')`` (x1, y1, x2, y2 of each annotation in turn).
+
+    Each annotation's image id is the str object that keys its image in
+    ``images``, and the corners are doubles in a buffer, so none of the
+    strings and floats the JSON parser made for the annotations outlives
+    the read."""
 
     categories: dict[int, str]
     images: dict[str, tuple[int, dt.date, int, int, str]]
     image_id: list[str]
     category_id: list[int]
-    corners: list[float]
+    corners: array
 
 
 def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
@@ -228,6 +235,8 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
             context = f"categories[{i}]"
             cat = _object(cat, context)
             cid = _integer(cat, "id", context)
+            if cid in categories:
+                raise FormatError(f"{context}: duplicate category id {cid}")
             categories[cid] = str(_require(cat, "name", context))
 
         # An element whose fields have exact JSON types (str ids, dates and file
@@ -264,7 +273,7 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
 
         image_ids: list[str] = []
         category_ids: list[int] = []
-        corners: list[float] = []
+        corners = array("d")
         isfinite = math.isfinite
         for i, ann in enumerate(_section(payload, "annotations", path)):
             try:
@@ -295,15 +304,19 @@ def read_annotation_columns(path: "str | Path") -> AnnotationColumns:
             image_ids.append(image_id)
             category_ids.append(category_id)
             # _clamp_box leaves a box that lies inside the image as it is.
-            if 0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height:
-                corners += x, y, x2, y2
-            else:
+            if not (0.0 <= x <= x2 <= width and 0.0 <= y <= y2 <= height):
                 try:
-                    corners += _clamp_box(x, y, x2, y2, width, height)
+                    x, y, x2, y2 = _clamp_box(x, y, x2, y2, width, height)
                 except OverflowError:  # x + w or y + h overflowed, and float(size) would
                     bbox = ann["bbox"]
                     raise FormatError(f"annotations[{i}]: bbox {bbox!r} ends past the double range") from None
+            corners.fromlist([x, y, x2, y2])  # twice as fast as extend() on a tuple
         del payload  # freed while the collector is paused, so it never walks it
+        # Each annotation's image id becomes the str that keys its image, so the
+        # parser's copies go too. Mapped only now, with the payload gone, so the
+        # mapping never adds to the read's peak.
+        keys = {image_id: image_id for image_id in images}
+        image_ids = [keys[image_id] for image_id in image_ids]
         return AnnotationColumns(categories, images, image_ids, category_ids, corners)
 
 
@@ -361,11 +374,22 @@ def nonempty_rows(read: AnnotationColumns) -> list[ImageRow]:
 
 _json_string = json.encoder.encode_basestring_ascii
 
+# Elements rendered per write: a part's text is never held whole, only this
+# many of its elements and their joined text.
+_BATCH = 512
 
-def _json_list(items: list[str]) -> str:
-    """A list of elements already written at depth 2, as ``json.dump`` with
-    ``indent=1`` closes it at depth 1."""
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+def _write_list(stream: IO[str], elements: Iterator[str]) -> None:
+    """Write elements already rendered at depth 2 as a list that
+    ``json.dump`` with ``indent=1`` closes at depth 1, ``_BATCH`` at a time."""
+    batch = ",\n".join(islice(elements, _BATCH))
+    if not batch:
+        stream.write("[]")
+        return
+    stream.write("[\n" + batch)
+    while batch := ",\n".join(islice(elements, _BATCH)):
+        stream.write(",\n" + batch)
+    stream.write("\n ]")
 
 
 def write_annotations(dataset: Dataset, path: "str | Path") -> None:
@@ -409,60 +433,69 @@ def write_annotation_rows(rows: "Sequence[ImageRow]", read: AnnotationColumns, p
     The reader's types make that exact: str ids, file names and names
     (ASCII-escaped here), int sizes, locations and category ids, and finite
     float corners, each printed as its repr.
+
+    Each of the three lists is rendered by a generator and written
+    ``_BATCH`` elements at a time, so memory does not grow with the part.
+    A write that raises removes the partial file.
     """
     category_id, corners = read.category_id, read.corners
-    images = []
-    annotations = []
-    ann_id = 0
-    dates: dict[dt.date, str] = {}  # each distinct date, rendered once
-    for image_id, location_id, capture_date, width, height, file_name, numbers in rows:
-        image_id = _json_string(image_id)
-        date = dates.get(capture_date)
-        if date is None:
-            date = dates[capture_date] = _json_string(capture_date.isoformat())
-        images.append(
-            f"""  {{
-   "date": {date},
-   "file_name": {_json_string(file_name)},
-   "height": {height!r},
-   "id": {image_id},
-   "location": {location_id!r},
-   "width": {width!r}
-  }}"""
-        )
-        for row in numbers:
-            ann_id += 1
-            i = 4 * row
-            x, y, x2, y2 = corners[i : i + 4]
-            annotations.append(
-                f"""  {{
+
+    def annotations() -> Iterator[str]:
+        ann_id = 0
+        for image_id, _, _, _, _, _, numbers in rows:
+            image_id = _json_string(image_id)
+            for r in numbers:
+                ann_id += 1
+                i = 4 * r
+                x, y, x2, y2 = corners[i], corners[i + 1], corners[i + 2], corners[i + 3]
+                yield f"""  {{
    "bbox": [
     {x!r},
     {y!r},
     {x2 - x!r},
     {y2 - y!r}
    ],
-   "category_id": {category_id[row]!r},
+   "category_id": {category_id[r]!r},
    "id": {ann_id},
    "image_id": {image_id}
   }}"""
-            )
-    category_elements = [
+
+    categories = (
         f"""  {{
    "id": {cid!r},
    "name": {_json_string(name)}
   }}"""
         for cid, name in sorted(read.categories.items())
-    ]
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(
-            f"""{{
- "annotations": {_json_list(annotations)},
- "categories": {_json_list(category_elements)},
- "images": {_json_list(images)}
-}}
-"""
-        )
+    )
+
+    def images() -> Iterator[str]:
+        dates: dict[dt.date, str] = {}  # each distinct date, rendered once
+        for image_id, location_id, capture_date, width, height, file_name, _ in rows:
+            date = dates.get(capture_date)
+            if date is None:
+                date = dates[capture_date] = _json_string(capture_date.isoformat())
+            yield f"""  {{
+   "date": {date},
+   "file_name": {_json_string(file_name)},
+   "height": {height!r},
+   "id": {_json_string(image_id)},
+   "location": {location_id!r},
+   "width": {width!r}
+  }}"""
+
+    stream = open(path, "w", encoding="utf-8")
+    try:
+        with stream:
+            stream.write('{\n "annotations": ')
+            _write_list(stream, annotations())
+            stream.write(',\n "categories": ')
+            _write_list(stream, categories)
+            stream.write(',\n "images": ')
+            _write_list(stream, images())
+            stream.write("\n}\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def filter_empty(dataset: Dataset) -> Dataset:

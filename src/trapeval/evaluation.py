@@ -368,7 +368,8 @@ class BoxColumns(NamedTuple):
     def from_annotations(cls, annotations: AnnotationColumns) -> "BoxColumns":
         """The ground truths of ``dataset.read_annotation_columns``, in
         file order: the columns of its records, whose clamped corners are
-        finite floats, without building them."""
+        finite doubles, without building them; the corners are copied from
+        the reader's ``array('d')`` buffer."""
         return cls(
             annotations.image_id,
             np.array(annotations.category_id),

@@ -15,6 +15,7 @@ first cross-stage output (layer l2, stride 4) into a fourth head scale.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -399,6 +400,17 @@ def write_graph_text(spec: GraphSpec, stream: IO[str]) -> None:
         stream.write(" ".join(parts) + "\n")
 
 
+# An integer as write_graph_text writes it: an optional '-', then ASCII
+# digits. int() alone would also read '+16', '1_6' and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(value: str) -> int:
+    if not _INTEGER.fullmatch(value):
+        raise ValueError(f"{value!r} is not -?[0-9]+")
+    return int(value)
+
+
 def parse_graph_text(stream: IO[str]) -> GraphSpec:
     layers: list[LayerSpec] = []
     for lineno, raw in enumerate(stream, start=1):
@@ -420,12 +432,12 @@ def parse_graph_text(stream: IO[str]) -> GraphSpec:
                 inputs = tuple(v for v in value.split(",") if v)
             elif key == "seed":
                 try:
-                    seed = int(value)
+                    seed = _integer(value)
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad seed {value!r}")
             else:
                 try:
-                    params[key] = int(value)
+                    params[key] = _integer(value)
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad integer for {key}: {value!r}")
         layers.append(LayerSpec(name, kind, inputs, params, seed))

@@ -1386,6 +1386,8 @@ def test_bad_input_exits_1_naming_element(tmp_path, capsys, identity_corpus, spl
         (["losslab", "--step", "-1"], "step -1"),
         (["losslab", "--delta", "0"], "delta"),
         (["split", "{ann}", "--trans-test", "1,2"], "--trans-val is required with --trans-test"),
+        (["split", "{ann}", "--trans-val", "5"], "--trans-test is required with --trans-val"),
+        (["split", "{missing}", "--trans-val", "5"], "--trans-test is required with --trans-val"),
         (["eval", "{det}", "{ann}", "--conf-thresh", "2"], "confidence_threshold 2.0"),
         (["split", "{ann}", "--val-fraction", "1.5"], "cis_val_fraction 1.5 outside [0, 1)"),
         (["losslab", "--alpha", "inf"], "alpha inf must be finite"),

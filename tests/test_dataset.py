@@ -8,6 +8,8 @@ import json
 import math
 import random
 import re
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from hypothesis import HealthCheck, given, settings
 
 from trapeval.augment import AugmentOp, augment, resize_with_boxes
 from trapeval.boxes import BoundingBox, GroundTruth
+import trapeval.dataset as ds
 from trapeval.dataset import (
     Dataset,
     ImageRecord,
+    ImageRow,
     SplitConfig,
     REFERENCE_SPLIT_COUNTS,
     filter_empty,
@@ -26,6 +30,7 @@ from trapeval.dataset import (
     split_cis_trans,
     split_report,
     verify_split,
+    write_annotation_rows,
     write_annotations,
     _clamp_box,
 )
@@ -98,6 +103,8 @@ def test_parse_round_trip(tmp_path, annotation_file):
         (lambda p: p["annotations"][0].update(image_id="ghost"), "unknown image"),
         (lambda p: p["annotations"][0].update(bbox=[1, 2, 3]), "bbox"),
         (lambda p: p["images"].append(dict(p["images"][0])), "duplicate image"),
+        # A second id 1 would rename 'bobcat' to 'coyote' and hide its images.
+        (lambda p: p["categories"][1].update(id=1), r"^categories\[1\]: duplicate category id 1$"),
         (lambda p: p["categories"][0].update(id="cat"), r"categories\[0\]: id 'cat'"),
         (lambda p: p["images"][0].update(location="here"), r"images\[0\]: location 'here'"),
         (lambda p: p["images"][1].update(width=None), r"images\[1\]: width None"),
@@ -303,6 +310,11 @@ def test_the_columns_hold_only_exact_json_types(tmp_path):
         assert all(type(category_id) is int for category_id in read.category_id)
         assert all(type(c) in (float, int) and math.isfinite(c) for c in read.corners)
         assert len(read.corners) == 4 * len(read.image_id) == 4 * len(payload["annotations"])
+        # Nothing the parser made for the annotations is kept: the corners are
+        # doubles in a buffer, and each image id is its image's key object.
+        assert type(read.corners) is array and read.corners.typecode == "d"
+        keys = {id(image_id) for image_id in read.images}
+        assert all(id(image_id) in keys for image_id in read.image_id)
 
 
 def test_parse_accepts_integral_numbers(annotation_file):
@@ -420,6 +432,8 @@ def read_annotations_definition(path):
     categories = {}
     for context, cat in _objects_definition(payload, "categories", path):
         cid = _integer_definition(cat, "id", context)
+        if cid in categories:
+            raise FormatError(f"{context}: duplicate category id {cid}")
         categories[cid] = str(_require_definition(cat, "name", context))
 
     images = {}
@@ -763,6 +777,95 @@ def test_write_annotations_rejects_a_value_as_json_dump_does(tmp_path):
         write_annotations_definition(dataset)
     assert str(written.value) == str(dumped.value) == "Object of type int64 is not JSON serializable"
     assert not (tmp_path / "out.json").exists()
+
+
+def batch_payload(annotations: int, bare_images: int, categories: bool = True) -> dict:
+    """Images with two annotations each (the last maybe one), then images
+    with none; boxes inside, across and past the image edge."""
+    rng = random.Random(annotations * 1000 + bare_images)
+    count = (annotations + 1) // 2 + bare_images
+    images = [
+        {"id": f"im\u00e9{i}", "width": 640, "height": 480, "location": i % 12,
+         "date": f"2023-{1 + i % 12:02d}-{1 + i % 28:02d}", "file_name": f"d/{i}.jpg"}
+        for i in range(count)
+    ]
+    return {
+        "images": images,
+        "annotations": [
+            {"image_id": f"im\u00e9{j // 2}", "category_id": rng.choice((1, 2, 3)),
+             "bbox": [rng.uniform(-20, 640), rng.uniform(-20, 480), rng.uniform(1, 300), rng.uniform(1, 300)]}
+            for j in range(annotations)
+        ],
+        "categories": [{"id": 1, "name": "bobcat"}, {"id": 2, "name": "coyote"}, {"id": 3, "name": "empty"}]
+        if categories else [],
+    }
+
+
+def all_rows(read) -> list[ImageRow]:
+    """Every image of the columns, those with no annotation too."""
+    numbers = {image_id: [] for image_id in read.images}
+    for row, image_id in enumerate(read.image_id):
+        numbers[image_id].append(row)
+    return [ImageRow(image_id, *fields, numbers[image_id]) for image_id, fields in read.images.items()]
+
+
+@pytest.mark.parametrize(
+    "annotations,bare_images,categories",
+    [(0, 0, True), (1, 0, True), (511, 0, True), (512, 0, True), (513, 0, True), (1025, 0, True),
+     (0, 3, True), (700, 600, True), (0, 5, False), (0, 0, False)],
+)
+def test_write_annotation_rows_writes_json_dump_bytes_across_batches(
+    tmp_path, annotation_file, annotations, bare_images, categories
+):
+    """Parts of 0, 1, 511, 512, 513 and 1,025 annotations, images with no
+    annotation, and no categories: each of the three lists is written in
+    batches of ``_BATCH`` elements, and the bytes are ``json.dumps``'."""
+    assert ds._BATCH == 512
+    path = annotation_file(batch_payload(annotations, bare_images, categories))
+    read = read_annotation_columns(path)
+    out = tmp_path / "part.json"
+    write_annotation_rows(all_rows(read), read, out)
+    assert out.read_bytes() == write_annotations_definition(parse_annotations(path)).encode("ascii")
+
+
+def test_write_annotation_rows_memory_does_not_grow_with_the_part(tmp_path, annotation_file):
+    """The writer holds one batch of elements, never a part's text: its
+    traced peak for 4,000 rows is within 0.5 MiB of its peak for 1,000."""
+    read = read_annotation_columns(annotation_file(batch_payload(8000, 0)))
+    rows = all_rows(read)
+    assert len(rows) == 4000
+    peaks = []
+    for count in (1000, 4000):
+        tracemalloc.start()
+        try:
+            write_annotation_rows(rows[:count], read, tmp_path / f"part{count}.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
+
+def test_write_annotation_rows_removes_its_partial_file(tmp_path, annotation_file, monkeypatch):
+    """A render that raises once the file is open and partly written
+    leaves no file under the part's name."""
+    read = read_annotation_columns(annotation_file(batch_payload(1025, 0)))
+    out = tmp_path / "out" / "part.json"
+    out.parent.mkdir()
+    seen = []
+    render = ds._json_string
+
+    def failing(text):
+        if len(seen) == 600:  # past the first batch of annotations
+            seen.append(out.exists())
+            raise RuntimeError("render failed")
+        seen.append(None)
+        return render(text)
+
+    monkeypatch.setattr(ds, "_json_string", failing)
+    with pytest.raises(RuntimeError, match="^render failed$"):
+        write_annotation_rows(all_rows(read), read, out)
+    assert seen[-1] is True  # the file was open when the render raised
+    assert list(out.parent.iterdir()) == []
 
 
 # --- empty filtering -------------------------------------------------------------

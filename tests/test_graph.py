@@ -833,6 +833,33 @@ det detect in=c0 categories=2 seed=3
         parse_graph_text(io.StringIO("img input channels=3 height=8 width=8\nl0 conv in=img\n"))
 
 
+@pytest.mark.parametrize(
+    "token,message",
+    [
+        ("out_channels=1_6", "line 2: bad integer for out_channels: '1_6'"),
+        ("out_channels=\u0661\u0666", "line 2: bad integer for out_channels: '\u0661\u0666'"),
+        ("out_channels=+16", "line 2: bad integer for out_channels: '+16'"),
+        ("out_channels=\uff11\uff16", "line 2: bad integer for out_channels: '\uff11\uff16'"),
+        ("out_channels=16 seed=1_0", "line 2: bad seed '1_0'"),
+        ("out_channels=16 seed=\u0663", "line 2: bad seed '\u0663'"),
+        ("out_channels=16 seed=--3", "line 2: bad seed '--3'"),
+    ],
+)
+def test_graph_text_integers_are_what_write_graph_text_writes(token, message):
+    """An optional '-', then ASCII digits; int() alone also reads an
+    underscore, a '+' and Arabic-Indic or fullwidth digits as 16."""
+    text = f"img input channels=3 height=8 width=8\nc0 conv in=img {token}\nhead detect in=c0\n"
+    with pytest.raises(FormatError) as excinfo:
+        parse_graph_text(io.StringIO(text))
+    assert str(excinfo.value) == message
+
+
+def test_graph_text_integers_take_a_minus_and_leading_zeros():
+    text = "img input channels=3 height=8 width=8\nc0 conv in=img out_channels=016 seed=-3\nhead detect in=c0\n"
+    layer = parse_graph_text(io.StringIO(text)).layers[1]
+    assert (layer.params["out_channels"], layer.seed) == (16, -3)
+
+
 def tiny_text() -> str:
     buffer = io.StringIO()
     write_graph_text(tiny_spec(), buffer)
