@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 _HOME = {
     name: home
     for home, names in {
-        "boxes": ("BoundingBox", "Detection", "GroundTruth", "center_distance_sq", "enclosing_box", "iou"),
+        "boxes": ("BoundingBox", "Detection", "GroundTruth", "center_distance_sq", "iou"),
         "errors": ("TrapevalError",),
         "losses": (
             "LossEval", "LossKind", "LossParams", "WiouState", "finite_diff_grad",
-            "focusing_coefficient", "loss_ciou", "loss_diou", "loss_eiou", "loss_focal_eiou",
-            "loss_giou", "loss_iou", "loss_wiou_v1", "loss_wiou_v3", "simulate_regression",
+            "focusing_coefficient", "loss_giou", "loss_iou", "simulate_regression",
         ),
     }.items()
     for name in names

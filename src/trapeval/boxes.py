@@ -1,9 +1,8 @@
 """Axis-aligned box geometry shared by the loss family and the evaluator.
 
-Boxes are kept in corner form (x1, y1, x2, y2); center/size views are derived
-on demand. Degenerate (zero-area) boxes are legal everywhere: IoU with a
-degenerate union is 0 by convention and the enclosing hull is still defined.
-All arithmetic is double precision.
+Boxes are kept in corner form (x1, y1, x2, y2); size views are derived on
+demand. Degenerate (zero-area) boxes are legal everywhere: IoU with a
+degenerate union is 0 by convention. All arithmetic is double precision.
 
 The records are named tuples, since one is built per box, detection and
 ground truth: immutable, equal and hashed by their fields, and cheap to
@@ -40,10 +39,6 @@ class BoundingBox(NamedTuple):
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -101,14 +96,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def enclosing_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
-    """Smallest axis-aligned box containing both inputs."""
-    return BoundingBox(
-        min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2)
-    )
-
-
 def center_distance_sq(a: BoundingBox, b: BoundingBox) -> float:
-    ax, ay = a.center
-    bx, by = b.center
-    return (ax - bx) ** 2 + (ay - by) ** 2
+    dx = (a.x1 + a.x2) / 2.0 - (b.x1 + b.x2) / 2.0
+    dy = (a.y1 + a.y2) / 2.0 - (b.y1 + b.y2) / 2.0
+    return dx**2 + dy**2

@@ -146,6 +146,7 @@ def cmd_losslab(args) -> int:
             print(f"{kind.value}: diverged at iteration {exc.iteration}", file=sys.stderr)
     out = _out_dir(args)
     chart = LineChart("loss vs iteration", "iteration", "loss")
+    summary = []  # printed once every file is written
     for trajectory in trajectories:
         kind = trajectory.kind
         path = out / f"trajectory_{kind.value}.csv"
@@ -153,7 +154,7 @@ def cmd_losslab(args) -> int:
             cli.write_trajectory_csv(trajectory, stream)
         rows = trajectory.rows
         chart.add_series(kind.value, [float(r.iteration) for r in rows], [r.loss for r in rows])
-        print(f"{kind.value},{rows[-1].loss:.12g},{rows[-1].iou:.12g},{rows[-1].center_dist:.12g}")
+        summary.append(f"{kind.value},{rows[-1].loss:.12g},{rows[-1].iou:.12g},{rows[-1].center_dist:.12g}")
     chart.write(out / "loss_curves.svg")
 
     focus = LineChart("focusing coefficient r(beta)", "beta", "r")
@@ -164,6 +165,8 @@ def cmd_losslab(args) -> int:
     with open(out / "focusing_curve.csv", "w", encoding="utf-8") as stream:
         stream.write(f"# gain peaks at beta = 1/ln(alpha) = {peak:.12g}\nbeta,r\n")
         stream.write("%.12g,%.12g\n" * len(betas) % tuple(chain.from_iterable(zip(betas, values))))
+    for line in summary:
+        print(line)
     return 1 if len(trajectories) < len(kinds) else 0
 
 

@@ -77,14 +77,6 @@ class MatchOutcome:
     flags: tuple[DetectionFlag, ...]
     unmatched_gt_indices: tuple[int, ...]
 
-    @property
-    def tp_count(self) -> int:
-        return sum(1 for f in self.flags if f.is_tp)
-
-    @property
-    def fp_count(self) -> int:
-        return sum(1 for f in self.flags if not f.is_tp)
-
 
 def match_detections(
     detections: Sequence[Detection],

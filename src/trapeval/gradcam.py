@@ -32,14 +32,6 @@ class Heatmap:
             raise ShapeError(f"heatmap expects 2 dims, got {arr.shape}")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 def pin_selector(run: GraphRun, layer: str, selector: ScoreSelector) -> tuple[ScoreSelector, float]:
     """Pin a selector to the head cell ``ScoreSelector.resolve`` picks for

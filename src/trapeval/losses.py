@@ -243,11 +243,6 @@ def _diou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     )
 
 
-def loss_diou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """IoU loss plus center distance normalized by the squared hull diagonal."""
-    return evaluate_loss(LossKind.DIOU, pred, gt)[0]
-
-
 def _ciou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.h <= 0.0 or g.hg <= 0.0:
         raise DegenerateBoxError(f"aspect ratio undefined: {g.pred} or {g.gt} has zero height")
@@ -282,11 +277,6 @@ def _ciou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     return value, grad
 
 
-def loss_ciou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """DIoU plus the aspect-ratio consistency term alpha * v."""
-    return evaluate_loss(LossKind.CIOU, pred, gt)[0]
-
-
 def _eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.hull_w <= 0.0 or g.hull_h <= 0.0:
         raise _hull_error(g.pred, g.gt, "has a zero side")
@@ -309,11 +299,6 @@ def _eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     )
 
 
-def loss_eiou(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """DIoU plus width and height differences normalized by the hull sides."""
-    return evaluate_loss(LossKind.EIOU, pred, gt)[0]
-
-
 def _focal_eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     gamma = params.gamma
     if gamma == 0.0:  # IoU^0 is 1: EIoU itself, at IoU 0 too
@@ -334,13 +319,6 @@ def _focal_eiou_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     return scale * e_value, _vadd(_vscale(e_grad, scale), _vscale(d_scale, e_value))
 
 
-def loss_focal_eiou(
-    pred: BoundingBox, gt: BoundingBox, params: LossParams | None = None
-) -> LossEval:
-    """EIoU scaled by IoU^gamma; for gamma > 0, identically zero wherever IoU is zero."""
-    return evaluate_loss(LossKind.FOCAL_EIOU, pred, gt, params)[0]
-
-
 def _wiou_v1_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
     if g.diag_sq <= 0.0:
         raise _hull_error(g.pred, g.gt, "has zero diagonal")
@@ -356,11 +334,6 @@ def _wiou_v1_core(g: _Geom, params: LossParams) -> tuple[float, Vec4]:
         factor * (dd[2] / c) * liou + factor * d_liou[2],
         factor * (dd[3] / c) * liou + factor * d_liou[3],
     )
-
-
-def loss_wiou_v1(pred: BoundingBox, gt: BoundingBox) -> LossEval:
-    """IoU loss amplified by exp(center_dist^2 / hull_diag^2)."""
-    return evaluate_loss(LossKind.WIOU_V1, pred, gt)[0]
 
 
 def outlier_degree(
@@ -392,20 +365,6 @@ def focusing_coefficient(beta: float, params: LossParams | None = None) -> float
             f"alpha {params.alpha} and delta {params.delta}: r({beta}) = "
             "beta / (delta * alpha^(beta - delta)) leaves the float range"
         ) from None
-
-
-def loss_wiou_v3(
-    pred: BoundingBox,
-    gt: BoundingBox,
-    state: WiouState,
-    params: LossParams | None = None,
-) -> tuple[LossEval, WiouState]:
-    """r(beta) * WIoUv1, with beta from the running-mean state.
-
-    beta and r are constants during differentiation. Returns the loss and the
-    state advanced by the current detached IoU loss.
-    """
-    return evaluate_loss(LossKind.WIOU_V3, pred, gt, params, state)  # type: ignore[return-value]
 
 
 # WIoUv3 is WIoUv1's core scaled by r.

@@ -10,12 +10,12 @@ from trapeval.boxes import (
     Detection,
     GroundTruth,
     center_distance_sq,
-    enclosing_box,
     intersection_area,
     iou,
 )
 from trapeval.dataset import ImageRecord
 from trapeval.errors import ConfigError
+from trapeval.losses import _Geom
 
 from conftest import assert_value_record
 
@@ -48,11 +48,17 @@ def test_iou_degenerate_pair_is_zero():
     assert iou(point, point) == 0.0
 
 
+def enclosing_box(a, b):
+    """(width, height, area) of the enclosing hull the loss family computes."""
+    g = _Geom(a, b)
+    return g.hull_w, g.hull_h, g.hull_area
+
+
 def test_enclosing_box_examples():
-    assert enclosing_box(BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 3)) == BoundingBox(0, 0, 3, 3)
+    assert enclosing_box(BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 3)) == (3.0, 3.0, 9.0)
     b = BoundingBox(1, 2, 3, 4)
-    assert enclosing_box(b, b) == b
-    assert enclosing_box(BoundingBox(0, 0, 4, 4), BoundingBox(1, 1, 2, 2)) == BoundingBox(0, 0, 4, 4)
+    assert enclosing_box(b, b) == (b.width, b.height, b.area)
+    assert enclosing_box(BoundingBox(0, 0, 4, 4), BoundingBox(1, 1, 2, 2)) == (4.0, 4.0, 16.0)
 
 
 def test_center_distance_examples():
@@ -91,11 +97,12 @@ def test_iou_one_only_for_identical(a, b):
 
 @given(boxes(), boxes())
 def test_enclosing_box_contains_and_dominates(a, b):
-    hull = enclosing_box(a, b)
-    assert hull.x1 <= min(a.x1, b.x1) and hull.y2 >= max(a.y2, b.y2)
-    assert hull.area >= max(a.area, b.area) - 1e-12
+    hull_w, hull_h, hull_area = enclosing_box(a, b)
+    assert hull_w == max(a.x2, b.x2) - min(a.x1, b.x1)
+    assert hull_h == max(a.y2, b.y2) - min(a.y1, b.y1)
+    assert hull_area >= max(a.area, b.area) - 1e-12
     union = a.area + b.area - intersection_area(a, b)
-    assert hull.area >= union - 1e-9
+    assert hull_area >= union - 1e-9
 
 
 def test_iou_matches_monte_carlo_membership():
@@ -105,11 +112,10 @@ def test_iou_matches_monte_carlo_membership():
         a = BoundingBox(x1, y1, x1 + rng.uniform(0.5, 4), y1 + rng.uniform(0.5, 4))
         x1, y1 = rng.uniform(0, 4), rng.uniform(0, 4)
         b = BoundingBox(x1, y1, x1 + rng.uniform(0.5, 4), y1 + rng.uniform(0.5, 4))
-        hull = enclosing_box(a, b)
         in_union = in_inter = 0
         for _ in range(10_000):
-            px = rng.uniform(hull.x1, hull.x2)
-            py = rng.uniform(hull.y1, hull.y2)
+            px = rng.uniform(min(a.x1, b.x1), max(a.x2, b.x2))
+            py = rng.uniform(min(a.y1, b.y1), max(a.y2, b.y2))
             inside_a = a.x1 <= px <= a.x2 and a.y1 <= py <= a.y2
             inside_b = b.x1 <= px <= b.x2 and b.y1 <= py <= b.y2
             in_union += inside_a or inside_b

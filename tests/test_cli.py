@@ -273,6 +273,15 @@ def test_losslab_leaves_a_diverged_kind_out_and_writes_the_others(tmp_path, caps
     ]
 
 
+def test_losslab_prints_no_summary_row_when_a_write_fails(tmp_path, capsys):
+    # The last SVG cannot be written: its path is a directory.
+    out = tmp_path / "lab"
+    (out / "focusing_curve.svg").mkdir(parents=True)
+    code, stdout, err = run(capsys, "losslab", "--out-dir", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and "focusing_curve.svg" in err
+
+
 # sha256 of every output and of stdout of three losslab runs, as the former
 # per-step descent wrote them. Only the third run clamps at the arena (after
 # its start) and re-orders corners mid-descent.
@@ -1702,8 +1711,7 @@ for name in trapeval.__all__:
 def test_every_public_name_is_the_object_in_its_home_module_imported_on_first_use():
     done = python_without_timeout(["-c", PUBLIC_NAMES_PROBE])
     homes = {
-        "boxes": {"BoundingBox", "Detection", "GroundTruth", "center_distance_sq",
-                  "enclosing_box", "iou"},
+        "boxes": {"BoundingBox", "Detection", "GroundTruth", "center_distance_sq", "iou"},
         "errors": {"TrapevalError"},
     }
     assert done.stdout.splitlines() == [

@@ -48,17 +48,23 @@ def gt(box, cat=0, image="im0"):
     return GroundTruth(box, cat, image)
 
 
+def tp_fp(outcome):
+    """The outcome's true and false positive counts."""
+    tp = sum(f.is_tp for f in outcome.flags)
+    return tp, len(outcome.flags) - tp
+
+
 # --- matching -------------------------------------------------------------------
 
 def test_match_single_true_positive():
     outcome = match_detections([det(B(0, 0, 2, 2))], [gt(B(0, 0, 2, 2))])
-    assert outcome.tp_count == 1 and outcome.fp_count == 0
+    assert tp_fp(outcome) == (1, 0)
     assert outcome.unmatched_gt_indices == ()
 
 
 def test_match_no_detections_all_fn():
     outcome = match_detections([], [gt(B(0, 0, 1, 1)), gt(B(2, 2, 3, 3))])
-    assert outcome.tp_count == 0 and outcome.fp_count == 0
+    assert tp_fp(outcome) == (0, 0)
     assert outcome.unmatched_gt_indices == (0, 1)
 
 
@@ -72,7 +78,7 @@ def test_match_discards_low_confidence():
 
 def test_match_cross_category_counts_fp_but_consumes_gt():
     outcome = match_detections([det(B(0, 0, 2, 2), cat=1)], [gt(B(0, 0, 2, 2), cat=2)])
-    assert outcome.tp_count == 0 and outcome.fp_count == 1
+    assert tp_fp(outcome) == (0, 1)
     assert outcome.flags[0].matched_gt_index == 0
     assert outcome.unmatched_gt_indices == ()
 
@@ -80,7 +86,7 @@ def test_match_cross_category_counts_fp_but_consumes_gt():
 def test_match_one_to_one_consumption():
     detections = [det(B(0, 0, 2, 2), conf=0.9), det(B(0, 0, 2, 2), conf=0.8)]
     outcome = match_detections(detections, [gt(B(0, 0, 2, 2))])
-    assert outcome.tp_count == 1 and outcome.fp_count == 1
+    assert tp_fp(outcome) == (1, 1)
 
 
 def test_match_unknown_category_rejected():
@@ -438,13 +444,8 @@ def test_confidence_threshold_monotonicity():
         dets, gts = synthetic_instance(rng, images=2)
         counts = []
         for threshold in (0.0, 0.25, 0.5, 0.75):
-            outcomes = match_corpus(dets, gts, MatchConfig(0.45, threshold))
-            counts.append(
-                (
-                    sum(o.tp_count for o in outcomes),
-                    sum(o.fp_count for o in outcomes),
-                )
-            )
+            pairs = [tp_fp(o) for o in match_corpus(dets, gts, MatchConfig(0.45, threshold))]
+            counts.append((sum(tp for tp, _ in pairs), sum(fp for _, fp in pairs)))
         for (tp_low, fp_low), (tp_high, fp_high) in zip(counts, counts[1:]):
             assert tp_high <= tp_low
             assert fp_high <= fp_low
@@ -978,7 +979,7 @@ def test_matching_names_a_corner_that_is_not_a_finite_double():
     # and returned a false positive; the engine raises.
     detections = [det(B(0, 0, 1, 1)), det(B(0, 0, 1, 1), image="im1"), det(B(math.nan, 0, 1, 1), image="im1")]
     ground_truths = [gt(B(0, 0, 1, 1)), gt(B(0, 0, 1, 1), image="im1")]
-    assert [o.fp_count for o in ref.match_corpus(detections, ground_truths)] == [0, 1]
+    assert [tp_fp(o)[1] for o in ref.match_corpus(detections, ground_truths)] == [0, 1]
     message = r"^detection 2 in image 'im1': a corner is not a finite double$"
     for function in (match_corpus, match_detections):
         with pytest.raises(EvalError, match=message):

@@ -49,7 +49,7 @@ def test_heatmap_structural_bounds_on_graph():
     graph = Graph(tiny_spec())
     run = graph.forward(tiny_image(3))
     heat = gradcam_heatmap(run, "g1", ScoreSelector(category=1))
-    assert (heat.height, heat.width) == (8, 8)
+    assert heat.data.shape == (8, 8)
     assert heat.data.min() >= 0.0
     assert heat.data.max() <= 1.0
     if heat.data.max() > 0.0:
@@ -68,7 +68,7 @@ def test_pin_selector_restricts_to_influencing_scales():
     pinned, _ = pin_selector(run, "c1", ScoreSelector(category=0))
     assert pinned.scale == 1  # only the second scale path contains c1
     heat = gradcam_heatmap(run, "c1", ScoreSelector(category=0))
-    assert (heat.height, heat.width) == (8, 8)
+    assert heat.data.shape == (8, 8)
 
 
 def test_equal_logits_pick_the_first_scale_then_the_first_cell_in_row_major_order():

@@ -19,14 +19,8 @@ from trapeval.losses import (
     evaluate_loss,
     finite_diff_grad,
     focusing_coefficient,
-    loss_ciou,
-    loss_diou,
-    loss_eiou,
-    loss_focal_eiou,
     loss_giou,
     loss_iou,
-    loss_wiou_v1,
-    loss_wiou_v3,
     outlier_degree,
     simulate_regression,
     write_trajectory_csv,
@@ -41,6 +35,10 @@ STATE = WiouState(mean_iou_loss=0.4, sample_count=5)
 
 def grad_norm(ev: LossEval) -> float:
     return math.sqrt(sum(g * g for g in ev.grad))
+
+
+def loss(kind: LossKind, pred: BoundingBox, gt: BoundingBox, params: LossParams | None = None) -> LossEval:
+    return evaluate_loss(kind, pred, gt, params)[0]
 
 
 # --- spot values, each pinned by explicit hand arithmetic --------------------
@@ -67,19 +65,19 @@ def test_giou_spot_values():
 def test_diou_spot_values():
     pred, gt = DISJOINT
     # centers (0.5, 0.5) vs (2.5, 2.5): dist^2 = 8; hull diag^2 = 9 + 9
-    assert loss_diou(pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
+    assert loss(LossKind.DIOU, pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
     concentric_outer = BoundingBox(0, 0, 4, 4)
     concentric_inner = BoundingBox(1, 1, 3, 3)
     expected = loss_iou(concentric_outer, concentric_inner).value
-    assert loss_diou(concentric_outer, concentric_inner).value == pytest.approx(expected, abs=1e-12)
+    assert loss(LossKind.DIOU, concentric_outer, concentric_inner).value == pytest.approx(expected, abs=1e-12)
     b = BoundingBox(0, 0, 2, 2)
-    assert loss_diou(b, b).value == 0.0
+    assert loss(LossKind.DIOU, b, b).value == 0.0
 
 
 def test_ciou_reduces_to_diou_for_equal_aspect():
     pred, gt = DISJOINT  # both 1:1 aspect
-    assert loss_ciou(pred, gt).value == pytest.approx(loss_diou(pred, gt).value, abs=1e-15)
-    assert loss_ciou(pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
+    assert loss(LossKind.CIOU, pred, gt).value == pytest.approx(loss(LossKind.DIOU, pred, gt).value, abs=1e-15)
+    assert loss(LossKind.CIOU, pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
 
 
 def test_ciou_aspect_term_matches_scalar_formula():
@@ -89,24 +87,24 @@ def test_ciou_aspect_term_matches_scalar_formula():
     assert v == pytest.approx(0.04196, abs=5e-6)
     liou = loss_iou(pred, gt).value
     alpha = v / (liou + v)
-    expected = loss_diou(pred, gt).value + alpha * v
-    assert loss_ciou(pred, gt).value == pytest.approx(expected, abs=1e-12)
+    expected = loss(LossKind.DIOU, pred, gt).value + alpha * v
+    assert loss(LossKind.CIOU, pred, gt).value == pytest.approx(expected, abs=1e-12)
 
 
 def test_ciou_zero_height_errors():
     with pytest.raises(DegenerateBoxError):
-        loss_ciou(BoundingBox(0, 0, 1, 0), BoundingBox(2, 2, 3, 3))
+        loss(LossKind.CIOU, BoundingBox(0, 0, 1, 0), BoundingBox(2, 2, 3, 3))
     with pytest.raises(DegenerateBoxError):
-        loss_ciou(BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 2))
+        loss(LossKind.CIOU, BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 2))
 
 
 def test_eiou_spot_values():
     pred, gt = OVERLAP  # equal widths and heights kill the side terms
-    assert loss_eiou(pred, gt).value == pytest.approx(6 / 7 + 2 / 18, abs=1e-12)
+    assert loss(LossKind.EIOU, pred, gt).value == pytest.approx(6 / 7 + 2 / 18, abs=1e-12)
     pred, gt = DISJOINT
-    assert loss_eiou(pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
+    assert loss(LossKind.EIOU, pred, gt).value == pytest.approx(1 + 8 / 18, abs=1e-12)
     b = BoundingBox(0, 0, 2, 2)
-    assert loss_eiou(b, b).value == 0.0
+    assert loss(LossKind.EIOU, b, b).value == 0.0
 
 
 def test_degenerate_hull_errors():
@@ -116,8 +114,8 @@ def test_degenerate_hull_errors():
         "BoundingBox(x1=1, y1=1, x2=1, y2=1) has zero diagonal"
     )
     for call in (
-        lambda: loss_diou(point, point),
-        lambda: loss_wiou_v1(point, point),
+        lambda: loss(LossKind.DIOU, point, point),
+        lambda: loss(LossKind.WIOU_V1, point, point),
         lambda: finite_diff_grad(LossKind.WIOU_V3, point, point),
     ):
         with pytest.raises(DegenerateHullError) as info:
@@ -125,7 +123,7 @@ def test_degenerate_hull_errors():
         assert str(info.value) == zero_diagonal
     zero_width = BoundingBox(1, 0, 1, 2)
     with pytest.raises(DegenerateHullError) as info:
-        loss_eiou(zero_width, BoundingBox(1, 3, 1, 5))
+        loss(LossKind.EIOU, zero_width, BoundingBox(1, 3, 1, 5))
     assert str(info.value) == (
         "enclosing hull of BoundingBox(x1=1, y1=0, x2=1, y2=2) and "
         "BoundingBox(x1=1, y1=3, x2=1, y2=5) has a zero side"
@@ -145,7 +143,7 @@ def test_a_hull_whose_squared_diagonal_overflows_is_a_defined_error(kind):
 
 def test_the_hull_overflow_error_prints_both_boxes_as_before():
     with pytest.raises(DegenerateHullError) as info:
-        loss_diou(BoundingBox(1e200, 0, 2e200, 1), BoundingBox(0, 0, 1, 1))
+        loss(LossKind.DIOU, BoundingBox(1e200, 0, 2e200, 1), BoundingBox(0, 0, 1, 1))
     assert str(info.value) == (
         "enclosing hull of BoundingBox(x1=1e+200, y1=0, x2=2e+200, y2=1) and "
         "BoundingBox(x1=0, y1=0, x2=1, y2=1) is too large: its squared diagonal overflows"
@@ -185,23 +183,23 @@ def test_focal_eiou_spot_values():
     pred, gt = OVERLAP
     expected = math.sqrt(1 / 7) * (6 / 7 + 2 / 18)
     assert expected == pytest.approx(0.36597, abs=1e-5)
-    assert loss_focal_eiou(pred, gt).value == pytest.approx(expected, abs=1e-12)
+    assert loss(LossKind.FOCAL_EIOU, pred, gt).value == pytest.approx(expected, abs=1e-12)
     # disjoint: IoU^gamma annihilates the loss, gradient and all
-    ev = loss_focal_eiou(*DISJOINT)
+    ev = loss(LossKind.FOCAL_EIOU, *DISJOINT)
     assert ev.value == 0.0 and ev.grad == (0.0, 0.0, 0.0, 0.0)
     # gamma = 0 recovers the plain loss
     params = LossParams(gamma=0.0)
-    assert loss_focal_eiou(*DISJOINT, params).value == loss_eiou(*DISJOINT).value
+    assert loss(LossKind.FOCAL_EIOU, *DISJOINT, params).value == loss(LossKind.EIOU, *DISJOINT).value
 
 
 def test_wiou_v1_spot_values():
     pred, gt = OVERLAP
     expected = math.exp(2 / 18) * (6 / 7)
-    assert loss_wiou_v1(pred, gt).value == pytest.approx(expected, abs=1e-12)
+    assert loss(LossKind.WIOU_V1, pred, gt).value == pytest.approx(expected, abs=1e-12)
     b = BoundingBox(0, 0, 2, 2)
-    assert loss_wiou_v1(b, b).value == 0.0
+    assert loss(LossKind.WIOU_V1, b, b).value == 0.0
     outer, inner = BoundingBox(0, 0, 4, 4), BoundingBox(1, 1, 3, 3)
-    assert loss_wiou_v1(outer, inner).value == pytest.approx(
+    assert loss(LossKind.WIOU_V1, outer, inner).value == pytest.approx(
         loss_iou(outer, inner).value, abs=1e-12
     )
 
@@ -236,10 +234,10 @@ def test_focusing_coefficient_peak_and_shape():
 
 def test_wiou_v3_freezes_focusing_factor():
     pred, gt = OVERLAP
-    ev, _ = loss_wiou_v3(pred, gt, STATE)
+    ev, _ = evaluate_loss(LossKind.WIOU_V3, pred, gt, state=STATE)
     beta = (1 - iou(pred, gt)) / STATE.mean_iou_loss
     r = focusing_coefficient(beta)
-    base = loss_wiou_v1(pred, gt)
+    base = loss(LossKind.WIOU_V1, pred, gt)
     assert ev.value == pytest.approx(r * base.value, abs=0.0)
     for got, want in zip(ev.grad, base.grad):
         assert got == pytest.approx(r * want, abs=0.0)
@@ -247,7 +245,7 @@ def test_wiou_v3_freezes_focusing_factor():
 
 def test_wiou_v3_identity_and_bootstrap():
     b = BoundingBox(0, 0, 2, 2)
-    ev, state = loss_wiou_v3(b, b, WiouState())
+    ev, state = evaluate_loss(LossKind.WIOU_V3, b, b, state=WiouState())
     assert ev.value == 0.0
     assert state.sample_count == 1 and state.mean_iou_loss == 0.0
     # bootstrap observation defines the mean, so beta = 1
@@ -356,7 +354,7 @@ def test_loss_bounds(seed):
     liou = loss_iou(pred, gt).value
     assert 0.0 <= liou <= 1.0
     assert 0.0 <= loss_giou(pred, gt).value <= 2.0
-    r_diou = loss_diou(pred, gt).value - liou
+    r_diou = loss(LossKind.DIOU, pred, gt).value - liou
     assert 0.0 <= r_diou < 1.0
 
 

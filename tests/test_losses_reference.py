@@ -26,7 +26,6 @@ from trapeval.losses import (
     LossParams,
     WiouState,
     evaluate_loss,
-    loss_focal_eiou,
     simulate_regression,
     write_trajectory_csv,
 )
@@ -87,20 +86,19 @@ SIGN_OF_ZERO_PAIRS = (
 
 
 def test_evaluate_loss_equals_its_definition_on_seeded_pairs():
-    """evaluate_loss, and each public loss_* function, against the function
-    of the same name in the definition."""
+    """evaluate_loss, loss_iou and loss_giou against the function of the
+    same name in the definition."""
     rng = random.Random(20240)
     pairs = [*SIGN_OF_ZERO_PAIRS, *(pair(rng) for _ in range(2400))]
     for pred, gt in pairs:
         params = rng.choice(PARAMS)
         state = rng.choice((None, WiouState(), WiouState(rng.uniform(0.05, 1.0), rng.randint(1, 9))))
-        extra = {LossKind.FOCAL_EIOU: (params,), LossKind.WIOU_V3: (state or WiouState(), params)}
         for kind in KINDS:
             assert outcome(evaluate_loss, kind, pred, gt, params, state) == outcome(
                 ref.evaluate_loss, kind, pred, gt, params, state
             ), (kind, pred, gt, params, state)
-            name, args = f"loss_{kind.value}", (pred, gt, *extra.get(kind, ()))
-            assert outcome(getattr(losses, name), *args) == outcome(getattr(ref, name), *args), (name, args)
+        for name in ("loss_iou", "loss_giou"):
+            assert outcome(getattr(losses, name), pred, gt) == outcome(getattr(ref, name), pred, gt), (name, pred, gt)
 
 
 def descent_cases():
@@ -198,13 +196,13 @@ def test_focal_eiou_gradient_overflow_is_a_defined_error(gamma, overflows):
         except OverflowError:
             raised += 1
             with pytest.raises(ConfigError) as info:
-                loss_focal_eiou(pred, gt, params)
+                evaluate_loss(LossKind.FOCAL_EIOU, pred, gt, params)[0]
             message = str(info.value)
             assert f"gamma {gamma}" in message and repr(pred) in message and repr(gt) in message
             with pytest.raises(ConfigError, match=f"gamma {gamma}"):
                 simulate_regression(LossKind.FOCAL_EIOU, pred, gt, step=0.01, iters=2, params=params)
         else:
-            assert repr(loss_focal_eiou(pred, gt, params)) == expected
+            assert repr(evaluate_loss(LossKind.FOCAL_EIOU, pred, gt, params)[0]) == expected
     assert (raised > 0) == overflows
 
 
