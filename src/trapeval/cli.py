@@ -3,16 +3,19 @@ emission, dataset splitting and architecture shape checks.
 
 Data goes to files under --out-dir (and a few summary lines to stdout);
 diagnostics go to stderr. Exit code 0 means no defined error occurred.
+A command commits all of its files and its stdout, or none: see _Sink.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
+import io
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import redirect_stdout
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -84,28 +87,36 @@ def _parse_kinds(text: str) -> list[LossKind]:
     return kinds
 
 
-def _out_dir(args) -> Path:
-    """--out-dir, created only once a command's arguments have been checked."""
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Sink(dict):
+    """Final path -> staged path (``.name.tmp`` beside it) of each file one
+    command writes, until main renames them all or removes them all."""
+
+    def __init__(self, out_dir: "str | None"):
+        self.out_dir = out_dir
+
+    def __call__(self, name: str) -> Path:
+        if self.out_dir is not None:  # created at the first file
+            Path(self.out_dir).mkdir(parents=True, exist_ok=True)
+        final = Path(self.out_dir or "", name)
+        if final.is_dir():  # the one rename that could fail after a write
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        self[final] = final.with_name(f".{final.name}.tmp")
+        return self[final]
 
 
-def cmd_shapes(args) -> int:
+def cmd_shapes(args, out: _Sink) -> int:
     from .graph import build_graph, check_reference_shapes, write_graph_text
 
     spec = build_graph(args.variant, args.size, num_categories=args.categories, seed=args.seed)
     _, rows = spec.propagate_shapes()
     if args.check and args.size != 640:
         raise ConfigError("--check applies to the reference 640 input")
-    # Opened before the table is printed, so a bad path prints nothing.
-    with open(args.emit, "w", encoding="utf-8") if args.emit else nullcontext() as stream:
-        for row in rows:
-            note = f"  # {row.note}" if row.note else ""
-            print(f"{row.name:8s} {row.kind:12s} {row.dims_text()}{note}")
-        if stream is not None:
-            write_graph_text(spec, stream)
+    for row in rows:
+        note = f"  # {row.note}" if row.note else ""
+        print(f"{row.name:8s} {row.kind:12s} {row.dims_text()}{note}")
     if args.emit:
+        with open(out(args.emit), "w", encoding="utf-8") as stream:
+            write_graph_text(spec, stream)
         print(f"wrote graph description to {args.emit}", file=sys.stderr)
     if args.check:
         problems = check_reference_shapes(spec, args.variant)
@@ -117,7 +128,7 @@ def cmd_shapes(args) -> int:
     return 0
 
 
-def cmd_losslab(args) -> int:
+def cmd_losslab(args, out: _Sink) -> int:
     from .boxes import BoundingBox
     from .losses import LossKind, LossParams, check_descent
     from .svg import LineChart
@@ -144,33 +155,28 @@ def cmd_losslab(args) -> int:
             )
         except DivergedError as exc:
             print(f"{kind.value}: diverged at iteration {exc.iteration}", file=sys.stderr)
-    out = _out_dir(args)
     chart = LineChart("loss vs iteration", "iteration", "loss")
-    summary = []  # printed once every file is written
     for trajectory in trajectories:
         kind = trajectory.kind
-        path = out / f"trajectory_{kind.value}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as stream:
+        with open(out(f"trajectory_{kind.value}.csv"), "w", encoding="utf-8", newline="") as stream:
             cli.write_trajectory_csv(trajectory, stream)
         rows = trajectory.rows
         chart.add_series(kind.value, [float(r.iteration) for r in rows], [r.loss for r in rows])
-        summary.append(f"{kind.value},{rows[-1].loss:.12g},{rows[-1].iou:.12g},{rows[-1].center_dist:.12g}")
-    chart.write(out / "loss_curves.svg")
+        print(f"{kind.value},{rows[-1].loss:.12g},{rows[-1].iou:.12g},{rows[-1].center_dist:.12g}")
+    chart.write(out("loss_curves.svg"))
 
     focus = LineChart("focusing coefficient r(beta)", "beta", "r")
     focus.add_series("r", betas, values)
     peak = 1.0 / math.log(params.alpha)
     focus.add_vline(peak, f"beta*={peak:.4g}")
-    focus.write(out / "focusing_curve.svg")
-    with open(out / "focusing_curve.csv", "w", encoding="utf-8") as stream:
+    focus.write(out("focusing_curve.svg"))
+    with open(out("focusing_curve.csv"), "w", encoding="utf-8") as stream:
         stream.write(f"# gain peaks at beta = 1/ln(alpha) = {peak:.12g}\nbeta,r\n")
         stream.write("%.12g,%.12g\n" * len(betas) % tuple(chain.from_iterable(zip(betas, values))))
-    for line in summary:
-        print(line)
     return 1 if len(trajectories) < len(kinds) else 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, out: _Sink) -> int:
     from . import dataset as ds
     from . import evaluation as ev
     from .svg import LineChart
@@ -187,13 +193,12 @@ def cmd_eval(args) -> int:
     ground_truths = ev.BoxColumns.from_annotations(annotations)
     categories = sorted(annotations.categories) or None
     metrics = ev.evaluate_corpus(detections, ground_truths, config, categories)
-    out = _out_dir(args)
 
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as stream:
+    with open(out("metrics.csv"), "w", encoding="utf-8", newline="") as stream:
         ev.write_metrics_csv(metrics, stream)
-    with open(out / "ap_modes.csv", "w", encoding="utf-8", newline="") as stream:
+    with open(out("ap_modes.csv"), "w", encoding="utf-8", newline="") as stream:
         ev.write_ap_modes_csv(metrics, stream)
-    with open(out / "confusion_matrix.csv", "w", encoding="utf-8", newline="") as stream:
+    with open(out("confusion_matrix.csv"), "w", encoding="utf-8", newline="") as stream:
         metrics.confusion.write_csv(stream)
 
     overlay_chart = LineChart("PR curves (IoU 0.5)", "recall", "precision")
@@ -203,16 +208,16 @@ def cmd_eval(args) -> int:
         ys = [1.0, *curve.precision]
         chart = LineChart(f"PR curve category {cat} (IoU 0.5)", "recall", "precision")
         chart.add_series(f"cat {cat}", xs, ys)
-        chart.write(out / f"pr_curve_cat{cat}.svg")
+        chart.write(out(f"pr_curve_cat{cat}.svg"))
         overlay_chart.add_series(f"cat {cat}", xs, ys)
-    overlay_chart.write(out / "pr_curves_all.svg")
+    overlay_chart.write(out("pr_curves_all.svg"))
 
     print(f"mAP50,{metrics.map50:.12g}")
     print(f"mAP50-95,{metrics.map50_95:.12g}")
     return 0
 
 
-def cmd_gradcam(args) -> int:
+def cmd_gradcam(args, out: _Sink) -> int:
     from . import gradcam as gc
     from .graph import ScoreSelector
 
@@ -230,17 +235,16 @@ def cmd_gradcam(args) -> int:
     run = graph.forward(image, target=args.layer)
     pinned, score = gc.pin_selector(run, args.layer, selector)
     heat = gc.gradcam_heatmap(run, args.layer, pinned)
-    out = _out_dir(args)
     colors = gc.colorize(heat)
-    cli.write_ppm(colors, out / "heatmap.ppm")
-    cli.write_ppm(gc.overlay(image, colors, args.alpha_overlay), out / "overlay.ppm")
+    cli.write_ppm(colors, out("heatmap.ppm"))
+    cli.write_ppm(gc.overlay(image, colors, args.alpha_overlay), out("overlay.ppm"))
     if args.pgm:
-        cli.write_pgm(heat.data * 255.0, out / "heatmap.pgm")
+        cli.write_pgm(heat.data * 255.0, out("heatmap.pgm"))
     print(f"score,{score:.12g}")
     return 0
 
 
-def cmd_split(args) -> int:
+def cmd_split(args, out: _Sink) -> int:
     from . import dataset as ds
 
     # Every argument is checked before the annotation file is read.
@@ -279,12 +283,11 @@ def cmd_split(args) -> int:
         for problem in problems:
             print(f"invariant violation: {problem}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
     for name, part in result.all_parts().items():
-        ds.write_annotation_rows(part, read, out / f"{name}.json")
+        ds.write_annotation_rows(part, read, out(f"{name}.json"))
     expected = ds.REFERENCE_SPLIT_COUNTS if args.check_reference_counts else None
     report = ds.split_report(result, expected)
-    (out / "report.csv").write_text(report, encoding="utf-8")
+    out("report.csv").write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     return 0
 
@@ -352,12 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out, stdout = _Sink(getattr(args, "out_dir", None)), io.StringIO()
     try:
-        return args.func(args)
+        try:
+            with redirect_stdout(stdout):
+                code = args.func(args, out)
+            for final, staged in out.items():
+                os.replace(staged, final)
+        except BaseException:
+            for staged in out.values():
+                staged.unlink(missing_ok=True)
+            raise
     except (TrapevalError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the bytes and the shape; Python's own is bare.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    sys.stdout.write(stdout.getvalue())
+    return code
 
 
 if __name__ == "__main__":

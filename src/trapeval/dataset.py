@@ -436,7 +436,7 @@ def write_annotation_rows(rows: "Sequence[ImageRow]", read: AnnotationColumns, p
 
     Each of the three lists is rendered by a generator and written
     ``_BATCH`` elements at a time, so memory does not grow with the part.
-    A write that raises removes the partial file.
+    A write that raises leaves its partial file: the CLI writes staged paths.
     """
     category_id, corners = read.category_id, read.corners
 
@@ -483,19 +483,14 @@ def write_annotation_rows(rows: "Sequence[ImageRow]", read: AnnotationColumns, p
    "width": {width!r}
   }}"""
 
-    stream = open(path, "w", encoding="utf-8")
-    try:
-        with stream:
-            stream.write('{\n "annotations": ')
-            _write_list(stream, annotations())
-            stream.write(',\n "categories": ')
-            _write_list(stream, categories)
-            stream.write(',\n "images": ')
-            _write_list(stream, images())
-            stream.write("\n}\n")
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write('{\n "annotations": ')
+        _write_list(stream, annotations())
+        stream.write(',\n "categories": ')
+        _write_list(stream, categories)
+        stream.write(',\n "images": ')
+        _write_list(stream, images())
+        stream.write("\n}\n")
 
 
 def filter_empty(dataset: Dataset) -> Dataset:

@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -46,6 +47,19 @@ def output_digests(out, stdout):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
     return got
+
+
+def assert_reruns_alike(capsys, argv, out_a, out_b):
+    """``argv`` run into ``out_a``, into ``out_b``, then into ``out_a`` again
+    over its first run's files: each run exits 0 and writes the same files
+    and stdout, and no staged ``.name.tmp`` is left."""
+    runs = []
+    for out in (out_a, out_b, out_a):
+        code, stdout, _ = run(capsys, *argv, "--out-dir", str(out))
+        assert code == 0
+        runs.append(output_digests(out, stdout))
+    assert runs[0] == runs[1] == runs[2]
+    assert not [name for name in runs[2] if name.startswith(".")]
 
 
 @pytest.fixture
@@ -94,8 +108,12 @@ def test_shapes_rejects_unaligned_size(capsys):
 
 def test_shapes_emit_round_trips(tmp_path, capsys):
     target = tmp_path / "graph.txt"
-    code, _, _ = run(capsys, "shapes", "improved", "--size", "64", "--emit", str(target))
-    assert code == 0
+    argv = ["shapes", "improved", "--size", "64", "--emit", str(target)]
+    assert run(capsys, *argv)[0] == 0
+    first = target.read_bytes()
+    assert run(capsys, *argv)[0] == 0  # again, over the first run's file
+    assert target.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]  # no staged file left
     with open(target, "r", encoding="utf-8") as stream:
         spec = parse_graph_text(stream)
     assert spec.detect_layer().name == "l29"
@@ -181,11 +199,7 @@ def test_losslab_outputs_and_flat_iou(tmp_path, capsys):
 
 def test_losslab_deterministic(tmp_path, capsys):
     args = ["losslab", "--kinds", "all", "--iters", "40", "--step", "0.02"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(capsys, *args, "--out-dir", str(out_a))[0] == 0
-    assert run(capsys, *args, "--out-dir", str(out_b))[0] == 0
-    for path in sorted(out_a.iterdir()):
-        assert path.read_bytes() == (out_b / path.name).read_bytes(), path.name
+    assert_reruns_alike(capsys, args, tmp_path / "a", tmp_path / "b")
 
 
 def test_losslab_takes_boxes_that_start_with_a_minus_in_the_equals_form(tmp_path, capsys):
@@ -280,6 +294,7 @@ def test_losslab_prints_no_summary_row_when_a_write_fails(tmp_path, capsys):
     code, stdout, err = run(capsys, "losslab", "--out-dir", str(out))
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and "focusing_curve.svg" in err
+    assert [p.name for p in out.iterdir()] == ["focusing_curve.svg"]  # nor any file
 
 
 # sha256 of every output and of stdout of three losslab runs, as the former
@@ -524,12 +539,7 @@ def test_eval_empty_detections(tmp_path, capsys, identity_corpus):
 
 
 def test_eval_deterministic_bytes(tmp_path, capsys, identity_corpus):
-    det, ann = identity_corpus
-    out_a, out_b = tmp_path / "ea", tmp_path / "eb"
-    assert run(capsys, "eval", det, ann, "--out-dir", str(out_a))[0] == 0
-    assert run(capsys, "eval", det, ann, "--out-dir", str(out_b))[0] == 0
-    for path in sorted(out_a.iterdir()):
-        assert path.read_bytes() == (out_b / path.name).read_bytes(), path.name
+    assert_reruns_alike(capsys, ["eval", *identity_corpus], tmp_path / "ea", tmp_path / "eb")
 
 
 def test_eval_bad_input_exits_nonzero(tmp_path, capsys, identity_corpus):
@@ -655,12 +665,8 @@ def test_gradcam_end_layer(tmp_path, capsys, graph_and_image):
 
 def test_gradcam_deterministic_and_alpha_zero(tmp_path, capsys, graph_and_image):
     graph, image = graph_and_image
-    out_a, out_b = tmp_path / "ca", tmp_path / "cb"
     args = ["gradcam", graph, image, "--layer", "l16", "--category", "0"]
-    assert run(capsys, *args, "--out-dir", str(out_a))[0] == 0
-    assert run(capsys, *args, "--out-dir", str(out_b))[0] == 0
-    for path in sorted(out_a.iterdir()):
-        assert path.read_bytes() == (out_b / path.name).read_bytes()
+    assert_reruns_alike(capsys, args, tmp_path / "ca", tmp_path / "cb")
     out_zero = tmp_path / "cz"
     code, _, _ = run(
         capsys, "gradcam", graph, image, "--layer", "l16", "--category", "0",
@@ -834,11 +840,7 @@ def test_split_writes_five_files_with_conserved_counts(tmp_path, capsys, split_c
 
 
 def test_split_random_trans_pick_is_seeded(tmp_path, capsys, split_corpus):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(capsys, "split", split_corpus, "--seed", "7", "--out-dir", str(out_a))[0] == 0
-    assert run(capsys, "split", split_corpus, "--seed", "7", "--out-dir", str(out_b))[0] == 0
-    for path in sorted(out_a.iterdir()):
-        assert path.read_bytes() == (out_b / path.name).read_bytes()
+    assert_reruns_alike(capsys, ["split", split_corpus, "--seed", "7"], tmp_path / "a", tmp_path / "b")
 
 
 def test_split_reference_count_report(tmp_path, capsys, split_corpus):
@@ -877,6 +879,36 @@ def test_split_that_breaks_an_invariant_exits_1_and_writes_nothing(tmp_path, cap
         "invariant violation: image img0002 appears in both train and trans_test",
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()], ids=["disk-full", "interrupt"]
+)
+def test_split_that_fails_inside_a_part_leaves_no_part_and_no_staged_file(
+    tmp_path, capsys, monkeypatch, split_corpus, error
+):
+    out = tmp_path / "out"
+    seen = []
+    render = ds._json_string
+
+    def failing(text):
+        if len(seen) == 600:  # inside the last part, the four before it whole
+            seen.append(sorted(p.name for p in out.iterdir()))
+            raise error
+        seen.append(None)
+        return render(text)
+
+    monkeypatch.setattr(ds, "_json_string", failing)
+    argv = ["split", split_corpus, "--trans-test", "0,1,2,3,4,5,6,7,8", "--trans-val", "9", "--out-dir", str(out)]
+    if isinstance(error, OSError):
+        assert run(capsys, *argv) == (1, "", f"error: [Errno {errno.ENOSPC}] No space left on device\n")
+    else:  # not an error main handles: it propagates, after the same discard
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert capsys.readouterr().out == ""
+    parts = ("cis_test", "cis_val", "train", "trans_test", "trans_val")
+    assert seen[-1] == [f".{name}.json.tmp" for name in parts]  # staged when the render raised
+    assert list(out.iterdir()) == []
 
 
 def plain_split_corpus():
@@ -1465,6 +1497,24 @@ def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, identity_corp
         assert f"error: {names['latin1']}: not UTF-8 (" in err
     assert not out.exists()
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [(["eval", "{det}", "{ann}"], "confusion_matrix.csv"), (["split", "{split}", "--seed", "1"], "report.csv")],
+    ids=["eval", "split"],
+)
+def test_an_output_name_taken_by_a_directory_exits_1_and_writes_nothing(
+    tmp_path, capsys, identity_corpus, split_corpus, argv, blocked
+):
+    # Each command writes other files before the blocked one.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    names = {"det": identity_corpus[0], "ann": identity_corpus[1], "split": split_corpus}
+    code, stdout, err = run(capsys, *(a.format(**names) for a in argv), "--out-dir", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.splitlines()[-1] == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / blocked}'"
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize(

@@ -845,29 +845,6 @@ def test_write_annotation_rows_memory_does_not_grow_with_the_part(tmp_path, anno
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
 
 
-def test_write_annotation_rows_removes_its_partial_file(tmp_path, annotation_file, monkeypatch):
-    """A render that raises once the file is open and partly written
-    leaves no file under the part's name."""
-    read = read_annotation_columns(annotation_file(batch_payload(1025, 0)))
-    out = tmp_path / "out" / "part.json"
-    out.parent.mkdir()
-    seen = []
-    render = ds._json_string
-
-    def failing(text):
-        if len(seen) == 600:  # past the first batch of annotations
-            seen.append(out.exists())
-            raise RuntimeError("render failed")
-        seen.append(None)
-        return render(text)
-
-    monkeypatch.setattr(ds, "_json_string", failing)
-    with pytest.raises(RuntimeError, match="^render failed$"):
-        write_annotation_rows(all_rows(read), read, out)
-    assert seen[-1] is True  # the file was open when the render raised
-    assert list(out.parent.iterdir()) == []
-
-
 # --- empty filtering -------------------------------------------------------------
 
 def test_filter_empty_cases():
